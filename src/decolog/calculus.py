@@ -500,12 +500,3 @@ def check_equation_wf(theory: Theory, eq: DecoratedEquation) -> EquationReport:
 
 def term_equal(a: DecoratedTerm, b: DecoratedTerm) -> bool:
     return normalize(a) == normalize(b)
-
-
-def mentions_products(term: DecoratedTerm) -> bool:
-    """True if the term uses pairing, projections or the Unit map."""
-    if isinstance(term, (Pair, Proj1, Proj2, Bang)):
-        return True
-    if isinstance(term, Comp):
-        return mentions_products(term.after) or mentions_products(term.first)
-    return False

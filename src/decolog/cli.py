@@ -13,7 +13,8 @@ Commands
 
 Exit codes: 0 success (proved, holds, countermodel found, all rules sound);
 1 semantic failure (rejected derivation, violated equation, nothing found,
-refuted rule, ill-formed input); 2 syntax error or unreadable file;
+refuted rule, ill-formed input); 2 syntax error, unreadable file, or a bad
+setting (--max-carrier or DECOLOG_MAX_ENUM not an integer of at least 1);
 3 model/theory mismatch.  --json swaps the human report on stdout for a
 machine-readable one; errors always go to stderr as text.
 
@@ -212,18 +213,33 @@ def cmd_model_check(args) -> int:
     return 1
 
 
+def _at_least_one(text: str) -> int:
+    """Argument type of a bound: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _enum_ceiling() -> int:
     raw = os.environ.get("DECOLOG_MAX_ENUM")
-    return int(raw) if raw else DEFAULT_MAX_INTERPRETATIONS
+    if not raw:
+        return DEFAULT_MAX_INTERPRETATIONS
+    try:
+        return _at_least_one(raw)
+    except argparse.ArgumentTypeError as error:
+        raise argparse.ArgumentTypeError(f"DECOLOG_MAX_ENUM {error}") from None
 
 
 def cmd_find_cex(args) -> int:
+    ceiling = _enum_ceiling()
     theory = _load_theory(args.theory)
     eq = parse_equation(args.equation, theory)
     bounds = Bounds(base=args.max_carrier, effect=args.max_carrier)
-    found = find_counterexample(theory, eq, bounds,
-                                max_interpretations=_enum_ceiling(),
-                                jobs=args.jobs)
+    found = find_counterexample(theory, eq, bounds, max_interpretations=ceiling)
     if found is None:
         _emit(args,
               {"found": False, **_equation_json(eq),
@@ -263,8 +279,7 @@ def cmd_dualize(args) -> int:
 
 def cmd_validate_rules(args) -> int:
     effect = EffectKind(args.effect)
-    report = validate_rules(effect, max_carrier=args.max_carrier,
-                            jobs=args.jobs)
+    report = validate_rules(effect, max_carrier=args.max_carrier)
     lines = []
     results_json = []
     for result in report.results:
@@ -325,10 +340,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = add("find-cex", cmd_find_cex, "search for a countermodel")
     p.add_argument("theory")
     p.add_argument("equation")
-    p.add_argument("--max-carrier", type=int, default=2,
+    p.add_argument("--max-carrier", type=_at_least_one, default=2,
                    help="carrier size bound (default 2)")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="parallel search shards (default 1)")
 
     p = add("dualize", cmd_dualize, "mirror a theory into the other effect")
     p.add_argument("theory")
@@ -336,10 +349,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = add("validate-rules", cmd_validate_rules,
             "sweep the rule catalog against all small models")
     p.add_argument("effect", choices=[e.value for e in EffectKind])
-    p.add_argument("--max-carrier", type=int, default=2,
+    p.add_argument("--max-carrier", type=_at_least_one, default=2,
                    help="carrier size bound (default 2)")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="parallel scenario workers (default 1)")
 
     return parser
 
@@ -353,6 +364,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except OSError as error:
         print(f"cannot read input: {error}", file=sys.stderr)
+        return 2
+    except argparse.ArgumentTypeError as error:
+        print(f"bad setting: {error}", file=sys.stderr)
         return 2
     except ModelMismatch as error:
         print(f"model mismatch: {error}", file=sys.stderr)

@@ -30,7 +30,6 @@ countermodels.
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ThreadPoolExecutor
 from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Iterator, Mapping, Optional, Sequence
@@ -71,9 +70,8 @@ from .semantics import (
     UNIT,
     check_factoring,
     compose_mappings,
-    is_ok,
     lift_mapping,
-    ok,
+    pair_mappings,
     table_domain,
     table_outputs,
     weak_equal,
@@ -534,7 +532,8 @@ def _pair_rewrites(theory: Theory, term: DecoratedTerm,
             for side in (0, 1):
                 comp = a.left if side == 0 else a.right
                 other = a.right if side == 0 else a.left
-                for sub_term, sub_drv, _ in _strong_moves(theory, comp, bounds[k + 1]):
+                for sub_term, sub_drv, _ in _all_moves(theory, comp, bounds[k + 1],
+                                                       allow_weak=False):
                     if side == 0:
                         new_atom = Pair(sub_term, other)
                         step = deriv(PAIR_CONG_STRONG, sub_drv,
@@ -546,14 +545,6 @@ def _pair_rewrites(theory: Theory, term: DecoratedTerm,
                     got = emit(k, k + 1, [new_atom], step)
                     if got:
                         yield got
-
-
-def _strong_moves(theory: Theory, term: DecoratedTerm,
-                  dom: TypeExpr) -> Iterator[tuple[DecoratedTerm, Derivation, Strength]]:
-    for move in _window_rewrites(theory, term, dom, allow_weak=False):
-        yield move
-    for move in _pair_rewrites(theory, term, dom):
-        yield move
 
 
 def _all_moves(theory: Theory, term: DecoratedTerm, dom: TypeExpr,
@@ -702,21 +693,6 @@ def _lifted_maps(effect: EffectKind, rank: int, dom: tuple, cod: tuple,
         yield lift_mapping(effect, rank, m, eff)
 
 
-def _pair_map(effect: EffectKind, left2: Mapping, right2: Mapping) -> dict:
-    """Rank-2 mapping of a pair from its components' rank-2 mappings (the
-    components must factor through the pair rank limit)."""
-    if effect is EffectKind.EXCEPTIONS:
-        out = {}
-        for x, lv in left2.items():
-            out[x] = ok((lv[1], right2[x][1])) if is_ok(x) else x
-        return out
-    return {(a, s): ((lv[0], right2[(a, s)][0]), s) for (a, s), lv in left2.items()}
-
-
-def _bang_map(effect: EffectKind, dom: tuple, eff: tuple) -> dict:
-    return lift_mapping(effect, 0, {a: UNIT for a in dom}, eff)
-
-
 def _summary(**named_tables: Mapping) -> str:
     parts = []
     for name, m in named_tables.items():
@@ -863,7 +839,7 @@ def _sc_pair_proj(effect, carriers, eff, stop=False):
               for rg in ranks for g in _lifted_maps(effect, rg, A, C, eff))
 
     def conclusion(n):
-        paired = _pair_map(effect, n["f"], n["g"])
+        paired = pair_mappings(effect, n["f"], n["g"])
         return (compose_mappings(p1, paired) == n["f"]
                 and compose_mappings(p2, paired) == n["g"])
     return _run_check(combos, conclusion, stop)
@@ -876,8 +852,8 @@ def _sc_pair_cong(effect, carriers, eff, stop=False):
               for rf in ranks for f in _lifted_maps(effect, rf, A, B, eff)
               for rg in ranks for g in _lifted_maps(effect, rg, A, C, eff))
     return _run_check(combos,
-                      lambda n: _pair_map(effect, n["f"], n["g"])
-                      == _pair_map(effect, n["f"], n["g"]), stop)
+                      lambda n: pair_mappings(effect, n["f"], n["g"])
+                      == pair_mappings(effect, n["f"], n["g"]), stop)
 
 
 def _sc_pair_comp(effect, carriers, eff, stop=False):
@@ -889,10 +865,10 @@ def _sc_pair_comp(effect, carriers, eff, stop=False):
               for rw in ranks for w in _lifted_maps(effect, rw, Z, A, eff))
 
     def conclusion(n):
-        lhs = compose_mappings(_pair_map(effect, n["f"], n["g"]), n["w"])
-        rhs = _pair_map(effect,
-                        compose_mappings(n["f"], n["w"]),
-                        compose_mappings(n["g"], n["w"]))
+        lhs = compose_mappings(pair_mappings(effect, n["f"], n["g"]), n["w"])
+        rhs = pair_mappings(effect,
+                            compose_mappings(n["f"], n["w"]),
+                            compose_mappings(n["g"], n["w"]))
         return lhs == rhs
     return _run_check(combos, conclusion, stop)
 
@@ -900,7 +876,7 @@ def _sc_pair_comp(effect, carriers, eff, stop=False):
 def _sc_unit(strength, ranks):
     def run(effect, carriers, eff, stop=False):
         A = carriers["A"]
-        bang = _bang_map(effect, A, eff)
+        bang = lift_mapping(effect, 0, {a: UNIT for a in A}, eff)
         combos = ({"f": f}
                   for r in ranks
                   for f in _lifted_maps(effect, r, A, (UNIT,), eff))
@@ -992,17 +968,12 @@ def _run_scenario(effect: EffectKind, sc: _Scenario,
                           checked, violations, example)
 
 
-def validate_rules(effect: EffectKind, max_carrier: int = 2, *,
-                   jobs: int = 1) -> ValidationReport:
+def validate_rules(effect: EffectKind, max_carrier: int = 2) -> ValidationReport:
     """Sweep every rule schema over all finite interpretations with carriers
-    up to max_carrier.  Scenarios expecting soundness must show zero
-    violations; scenarios for excluded instances must produce at least one
-    countermodel.  The report is independent of jobs."""
-    scenarios = _scenarios(effect)
-    if jobs <= 1:
-        results = [_run_scenario(effect, sc, max_carrier) for sc in scenarios]
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(
-                lambda sc: _run_scenario(effect, sc, max_carrier), scenarios))
-    return ValidationReport(effect, tuple(results))
+    up to max_carrier (at least 1).  Scenarios expecting soundness must show
+    zero violations; scenarios for excluded instances must produce at least
+    one countermodel."""
+    if max_carrier < 1:
+        raise DeductionError(f"max_carrier must be at least 1, got {max_carrier}")
+    return ValidationReport(effect, tuple(_run_scenario(effect, sc, max_carrier)
+                                          for sc in _scenarios(effect)))

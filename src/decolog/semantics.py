@@ -21,7 +21,6 @@ exceptions shapes are the tagged pairs ("ok", v) and ("exc", e).
 from __future__ import annotations
 
 import itertools
-import threading
 from dataclasses import dataclass
 from typing import Iterator, Mapping, Optional, Sequence, Union
 
@@ -164,21 +163,26 @@ def table_outputs(effect: EffectKind, rank: int, cod_elems: Sequence[Element],
     return tuple(itertools.product(cod_elems, eff_elems))
 
 
-def _coerce_step(effect: EffectKind, rank: int, mapping: Mapping,
-                 eff_elems: Sequence[Element]) -> dict:
-    """One rank step up.  Exceptions: pure results get ok-tagged, then
-    propagators extend to exceptional inputs by propagation.  States: pure
-    results get read access to an ignored state, then observers extend to
-    modifiers that write nothing."""
-    if effect is EffectKind.EXCEPTIONS:
-        if rank == 0:
-            return {a: ok(b) for a, b in mapping.items()}
-        out = {ok(a): b for a, b in mapping.items()}
-        out.update({exc(e): exc(e) for e in eff_elems})
-        return out
-    if rank == 0:
-        return {(a, s): mapping[a] for a in mapping for s in eff_elems}
-    return {(a, s): (b, s) for (a, s), b in mapping.items()}
+def lift_mapping(effect: EffectKind, rank: int, mapping: Mapping,
+                 eff_elems: Sequence[Element], to_rank: int = 2) -> dict:
+    """A raw rank-`rank` mapping viewed at `to_rank`, one rank step at a
+    time.  Exceptions: pure results get ok-tagged, then propagators extend to
+    exceptional inputs by propagation.  States: pure results get read access
+    to an ignored state, then observers extend to modifiers that write
+    nothing."""
+    m = dict(mapping)
+    for r in range(rank, to_rank):
+        if effect is EffectKind.EXCEPTIONS:
+            if r == 0:
+                m = {a: ok(b) for a, b in m.items()}
+            else:
+                m = {ok(a): b for a, b in m.items()}
+                m.update({exc(e): exc(e) for e in eff_elems})
+        elif r == 0:
+            m = {(a, s): m[a] for a in m for s in eff_elems}
+        else:
+            m = {(a, s): (b, s) for (a, s), b in m.items()}
+    return m
 
 
 def coerce(table: OperationTable, from_rank: int, to_rank: int,
@@ -189,19 +193,8 @@ def coerce(table: OperationTable, from_rank: int, to_rank: int,
         raise ModelMismatch("coerce arguments disagree with the table's own shape")
     if to_rank < from_rank:
         raise RankNotIncreasing(f"cannot coerce rank {from_rank} down to {to_rank}")
-    mapping = dict(table.mapping)
-    for r in range(from_rank, to_rank):
-        mapping = _coerce_step(effect, r, mapping, eff_elems)
-    return OperationTable(effect, to_rank, mapping)
-
-
-def lift_mapping(effect: EffectKind, rank: int, mapping: Mapping,
-                 eff_elems: Sequence[Element]) -> dict:
-    """Raw-dict version of coerce up to rank 2."""
-    m = dict(mapping)
-    for r in range(rank, 2):
-        m = _coerce_step(effect, r, m, eff_elems)
-    return m
+    return OperationTable(effect, to_rank,
+                          lift_mapping(effect, from_rank, table.mapping, eff_elems, to_rank))
 
 
 def compose_mappings(after: Mapping, first: Mapping) -> dict:
@@ -271,9 +264,14 @@ def _identity_rank2(effect: EffectKind, elems: Sequence[Element],
     return {x: x for x in rank2_domain(effect, elems, eff_elems)}
 
 
-def _pure_rank2(effect: EffectKind, fn_map: Mapping, eff_elems: Sequence[Element]) -> dict:
-    step1 = _coerce_step(effect, 0, fn_map, eff_elems)
-    return _coerce_step(effect, 1, step1, eff_elems)
+def pair_mappings(effect: EffectKind, left: Mapping, right: Mapping) -> dict:
+    """Rank-2 mapping of a pair from its components' rank-2 mappings (the
+    components must factor through the pair rank limit)."""
+    if effect is EffectKind.EXCEPTIONS:
+        # components are pure, so ok inputs land on ok outputs
+        return {x: ok((lv[1], right[x][1])) if is_ok(x) else x
+                for x, lv in left.items()}
+    return {(a, s): ((lv[0], right[(a, s)][0]), s) for (a, s), lv in left.items()}
 
 
 def _eval(model: FiniteModel, theory: Theory, term: DecoratedTerm) -> dict:
@@ -290,28 +288,17 @@ def _eval(model: FiniteModel, theory: Theory, term: DecoratedTerm) -> dict:
         after = _eval(model, theory, term.after)
         return {x: after[y] for x, y in first.items()}
     if isinstance(term, Pair):
-        left = _eval(model, theory, term.left)
-        right = _eval(model, theory, term.right)
-        if eff is EffectKind.EXCEPTIONS:
-            # components are pure, so ok inputs land on ok outputs
-            out = {}
-            for x, lv in left.items():
-                if is_ok(x):
-                    out[x] = ok((lv[1], right[x][1]))
-                else:
-                    out[x] = x
-            return out
-        return {(a, s): ((lv[0], right[(a, s)][0]), s)
-                for (a, s), lv in left.items()}
+        return pair_mappings(eff, _eval(model, theory, term.left),
+                             _eval(model, theory, term.right))
     if isinstance(term, Proj1):
         prod = interpret_type(model, Prod(term.left_ty, term.right_ty))
-        return _pure_rank2(eff, {p: p[0] for p in prod}, st)
+        return lift_mapping(eff, 0, {p: p[0] for p in prod}, st)
     if isinstance(term, Proj2):
         prod = interpret_type(model, Prod(term.left_ty, term.right_ty))
-        return _pure_rank2(eff, {p: p[1] for p in prod}, st)
+        return lift_mapping(eff, 0, {p: p[1] for p in prod}, st)
     if isinstance(term, Bang):
         elems = interpret_type(model, term.ty)
-        return _pure_rank2(eff, {a: UNIT for a in elems}, st)
+        return lift_mapping(eff, 0, {a: UNIT for a in elems}, st)
     raise TypeError(f"not a term: {term!r}")
 
 
@@ -401,6 +388,13 @@ class Bounds:
     base: Union[int, Mapping[str, int]] = 2
     effect: int = 2
 
+    def __post_init__(self):
+        limits = [self.base] if isinstance(self.base, int) else list(self.base.values())
+        if min(limits + [self.effect]) < 1:
+            raise SemanticsError(
+                f"carrier bounds must be at least 1, got base {self.base!r}, "
+                f"effect {self.effect!r}")
+
     def base_limit(self, name: str) -> int:
         if isinstance(self.base, int):
             return self.base
@@ -434,12 +428,11 @@ def count_interpretations(theory: Theory, bounds: Bounds) -> int:
                for bs, es in _size_assignments(theory, bounds))
 
 
-def _candidates(theory: Theory, bounds: Bounds,
-                shard: Optional[tuple[int, int]] = None) -> Iterator[tuple[int, FiniteModel]]:
+def _candidates(theory: Theory, bounds: Bounds) -> Iterator[tuple[int, FiniteModel]]:
     """Every raw interpretation within bounds, in canonical order, with its
-    global index.  Carrier sizes sweep base types in declaration order with
-    the effect carrier last; each table sweeps its outputs lexicographically
-    over inputs in canonical domain order."""
+    index.  Carrier sizes sweep base types in declaration order with the
+    effect carrier last; each table sweeps its outputs lexicographically over
+    inputs in canonical domain order."""
     index = -1
     for base_sizes, eff_size in _size_assignments(theory, bounds):
         carriers = {name: tuple(range(n))
@@ -457,8 +450,6 @@ def _candidates(theory: Theory, bounds: Bounds,
                   for ins, outs in zip(op_inputs, op_output_spaces)]
         for assignment in itertools.product(*spaces):
             index += 1
-            if shard is not None and index % shard[1] != shard[0]:
-                continue
             tables = {
                 sym.name: OperationTable(theory.effect, sym.decoration,
                                          dict(zip(ins, outs)))
@@ -467,22 +458,25 @@ def _candidates(theory: Theory, bounds: Bounds,
             yield index, FiniteModel(theory.effect, carriers, eff, tables)
 
 
-def enumerate_models(theory: Theory, bounds: Bounds = Bounds(), *,
-                     max_interpretations: int = DEFAULT_MAX_INTERPRETATIONS,
-                     shard: Optional[tuple[int, int]] = None) -> Iterator[FiniteModel]:
-    """All axiom-satisfying models within bounds, in a stable canonical
-    order.  `shard=(k, n)` keeps only every n-th raw interpretation starting
-    at the k-th, so n disjoint shards partition the full enumeration.
-
-    Refuses to start when the raw interpretation count exceeds the ceiling.
-    """
+def _check_ceiling(theory: Theory, bounds: Bounds, max_interpretations: int) -> None:
     total = count_interpretations(theory, bounds)
     if total > max_interpretations:
         raise BoundsTooLarge(
             f"{total} interpretations within bounds, ceiling is {max_interpretations}")
 
+
+def enumerate_models(theory: Theory, bounds: Bounds = Bounds(), *,
+                     max_interpretations: int = DEFAULT_MAX_INTERPRETATIONS
+                     ) -> Iterator[FiniteModel]:
+    """All axiom-satisfying models within bounds, in a stable canonical
+    order.
+
+    Refuses to start when the raw interpretation count exceeds the ceiling.
+    """
+    _check_ceiling(theory, bounds, max_interpretations)
+
     def generate() -> Iterator[FiniteModel]:
-        for _, model in _candidates(theory, bounds, shard):
+        for _, model in _candidates(theory, bounds):
             if all(holds(model, theory, ax.equation) for ax in theory.axioms):
                 yield model
 
@@ -498,13 +492,17 @@ class Counterexample:
     rhs_value: Element
 
 
-def _search_shard(theory: Theory, eq: DecoratedEquation, bounds: Bounds,
-                  shard: Optional[tuple[int, int]],
-                  stop_at: Optional[list]) -> Optional[tuple[int, Counterexample]]:
+def find_counterexample(theory: Theory, eq: DecoratedEquation,
+                        bounds: Bounds = Bounds(), *,
+                        max_interpretations: int = DEFAULT_MAX_INTERPRETATIONS
+                        ) -> Optional[Counterexample]:
+    """First model in canonical order that satisfies every axiom but
+    violates the equation, with the first input where the sides disagree.
+    None when the bounded search is exhausted.
+    """
+    _check_ceiling(theory, bounds, max_interpretations)
     report = check_equation_wf(theory, eq)
-    for index, model in _candidates(theory, bounds, shard):
-        if stop_at is not None and stop_at[0] is not None and index >= stop_at[0]:
-            return None
+    for _, model in _candidates(theory, bounds):
         if not all(holds(model, theory, ax.equation) for ax in theory.axioms):
             continue
         lhs = eval_term(model, theory, eq.lhs).mapping
@@ -514,48 +512,5 @@ def _search_shard(theory: Theory, eq: DecoratedEquation, bounds: Bounds,
         found = violation_witness(theory.effect, eq.strength, lhs, rhs, order)
         if found is not None:
             x, lv, rv = found
-            return index, Counterexample(model, eq, x, lv, rv)
+            return Counterexample(model, eq, x, lv, rv)
     return None
-
-
-def find_counterexample(theory: Theory, eq: DecoratedEquation,
-                        bounds: Bounds = Bounds(), *,
-                        max_interpretations: int = DEFAULT_MAX_INTERPRETATIONS,
-                        jobs: int = 1) -> Optional[Counterexample]:
-    """First model in canonical order that satisfies every axiom but
-    violates the equation, with the first input where the sides disagree.
-    None when the bounded search is exhausted.
-
-    With jobs > 1 the raw interpretation space is split into jobs
-    interleaved shards searched concurrently; the reported counterexample is
-    still the first one in canonical order.
-    """
-    total = count_interpretations(theory, bounds)
-    if total > max_interpretations:
-        raise BoundsTooLarge(
-            f"{total} interpretations within bounds, ceiling is {max_interpretations}")
-    if jobs <= 1:
-        found = _search_shard(theory, eq, bounds, None, None)
-        return found[1] if found else None
-
-    best: list = [None]
-    lock = threading.Lock()
-    results: list[Optional[tuple[int, Counterexample]]] = [None] * jobs
-
-    def run(k: int) -> None:
-        found = _search_shard(theory, eq, bounds, (k, jobs), best)
-        if found is not None:
-            results[k] = found
-            with lock:
-                if best[0] is None or found[0] < best[0]:
-                    best[0] = found[0]
-
-    threads = [threading.Thread(target=run, args=(k,)) for k in range(jobs)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    hits = [r for r in results if r is not None]
-    if not hits:
-        return None
-    return min(hits, key=lambda r: r[0])[1]

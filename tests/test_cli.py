@@ -193,11 +193,24 @@ class TestFindCex:
         assert code == 1
         assert "ceiling is 10" in err
 
-    def test_jobs_find_the_same_countermodel(self, capsys):
-        _, out1, _ = run(capsys, "find-cex", BANK, "strong f == g", "--json")
-        _, out4, _ = run(capsys, "find-cex", BANK, "strong f == g",
-                         "--jobs", "4", "--json")
-        assert json.loads(out1) == json.loads(out4)
+    @pytest.mark.parametrize("value", ["abc", "0", "-3", "1e7"])
+    def test_bad_enum_ceiling_is_a_usage_error(self, capsys, monkeypatch, value):
+        monkeypatch.setenv("DECOLOG_MAX_ENUM", value)
+        code, out, err = run(capsys, "find-cex", BANK, "strong f == g")
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1
+        assert "DECOLOG_MAX_ENUM" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["find-cex", BANK, "strong f == g"],
+        ["validate-rules", "states"],
+    ])
+    def test_carrier_bound_below_1_is_a_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as err:
+            main(argv + ["--max-carrier", "0"])
+        assert err.value.code == 2
+        assert "at least 1" in capsys.readouterr().err
 
 
 class TestDualize:

@@ -23,6 +23,7 @@ from decolog.deduction import (
     ALL_RULES,
     AXIOM,
     ConclusionMismatch,
+    DeductionError,
     DepthExhausted,
     Derivation,
     IllFormedParameter,
@@ -412,7 +413,6 @@ class TestValidateRules:
         assert found[0].violations > 0
         assert found[0].example is not None
 
-    def test_jobs_do_not_change_the_report(self):
-        a = validate_rules(EffectKind.EXCEPTIONS, max_carrier=1)
-        b = validate_rules(EffectKind.EXCEPTIONS, max_carrier=1, jobs=3)
-        assert a == b
+    def test_carrier_bound_below_1_is_rejected(self):
+        with pytest.raises(DeductionError):
+            validate_rules(EffectKind.STATES, max_carrier=0)

@@ -27,6 +27,7 @@ from decolog.semantics import (
     ModelMismatch,
     OperationTable,
     RankNotIncreasing,
+    SemanticsError,
     UNIT,
     check_factoring,
     coerce,
@@ -278,12 +279,12 @@ class TestEnumeration:
         b = list(enumerate_models(TINY, Bounds(base=2, effect=2)))
         assert a == b
 
-    def test_shards_partition(self):
-        full = list(enumerate_models(TINY, Bounds(base=2, effect=2)))
-        pieces = [list(enumerate_models(TINY, Bounds(base=2, effect=2), shard=(k, 3)))
-                  for k in range(3)]
-        merged = [m for piece in pieces for m in piece]
-        assert sorted(map(repr, merged)) == sorted(map(repr, full))
+    @pytest.mark.parametrize("bounds", [
+        dict(base=0), dict(effect=0), dict(base={"B": 0}), dict(base=-1, effect=-1),
+    ])
+    def test_bounds_below_1_are_rejected(self, bounds):
+        with pytest.raises(SemanticsError):
+            list(enumerate_models(TINY, Bounds(**bounds)))
 
     def test_bounds_too_large(self, bank):
         theory, _, _ = bank
@@ -330,15 +331,10 @@ class TestCounterexample:
         theory, f, _ = bank
         assert find_counterexample(theory, weak(f, f), Bounds(base=2, effect=1)) is None
 
-    def test_parallel_matches_sequential(self, bank):
+    def test_bounds_below_1_are_rejected(self, bank):
         theory, f, g = bank
-        eq = strong(f, g)
-        seq = find_counterexample(theory, eq, Bounds(base=2, effect=2))
-        par = find_counterexample(theory, eq, Bounds(base=2, effect=2), jobs=4)
-        assert seq is not None and par is not None
-        assert seq.model == par.model
-        assert (seq.witness, seq.lhs_value, seq.rhs_value) == \
-            (par.witness, par.lhs_value, par.rhs_value)
+        with pytest.raises(SemanticsError):
+            find_counterexample(theory, strong(f, g), Bounds(base=0, effect=0))
 
     def test_weak_witness_is_ok_input(self, throwcatch):
         theory, _ = throwcatch

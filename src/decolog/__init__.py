@@ -79,6 +79,7 @@ from .semantics import (
     enumerate_models,
     eval_term,
     find_counterexample,
+    first_violation,
     holds,
     validate_model,
     violation_witness,
@@ -99,5 +100,5 @@ __all__ = [
     "print_equation", "print_model", "print_theory",
     "Bounds", "Counterexample", "FiniteModel", "OperationTable",
     "SemanticsError", "enumerate_models", "eval_term", "find_counterexample",
-    "holds", "validate_model", "violation_witness",
+    "first_violation", "holds", "validate_model", "violation_witness",
 ]

@@ -58,13 +58,9 @@ from .semantics import (
     FiniteModel,
     ModelMismatch,
     SemanticsError,
-    eval_term,
     find_counterexample,
-    holds,
-    interpret_type,
-    rank2_domain,
+    first_violation,
     validate_model,
-    violation_witness,
 )
 
 
@@ -192,17 +188,12 @@ def cmd_model_check(args) -> int:
     model = parse_model(_read(args.model), theory)
     validate_model(theory, model)
     eq = parse_equation(args.equation, theory)
-    if holds(model, theory, eq):
+    found = first_violation(model, theory, eq)
+    if found is None:
         _emit(args, {"holds": True, **_equation_json(eq)},
               [f"holds: {_judgment_line(eq)}"])
         return 0
-    report = check_equation_wf(theory, eq)
-    lhs = eval_term(model, theory, eq.lhs).mapping
-    rhs = eval_term(model, theory, eq.rhs).mapping
-    order = rank2_domain(theory.effect, interpret_type(model, report.dom),
-                         model.effect_carrier)
-    witness = violation_witness(theory.effect, eq.strength, lhs, rhs, order)
-    point, lhs_value, rhs_value = witness
+    point, lhs_value, rhs_value = found
     _emit(args,
           {"holds": False, **_equation_json(eq),
            "witness": element_str(point), "lhs_value": element_str(lhs_value),

@@ -56,12 +56,14 @@ from .calculus import (
     Axiom,
     Bang,
     BaseType,
+    Comp,
     DecoratedEquation,
     DecoratedTerm,
     EffectKind,
     Id,
     Op,
     OperationSymbol,
+    Pair,
     Prod,
     Proj1,
     Proj2,
@@ -224,50 +226,85 @@ class _Stream:
 # Types and terms
 # ---------------------------------------------------------------------------
 
-def _parse_type_atom(s: _Stream) -> TypeExpr:
+#: Deepest term or type the parsers accept.  A composition counts its
+#: factors' depths added up, a pair or a product one more than its deeper
+#: component, and every bracket one level on its own.  Terms and types are
+#: walked recursively everywhere in the library, so the limit stays far
+#: below Python's default recursion limit of 1000.
+MAX_DEPTH = 200
+
+
+def _too_deep(s: _Stream, what: str) -> ParseError:
+    return s.fail(f"{what} nested deeper than {MAX_DEPTH} levels")
+
+
+def _parse_type_atom(s: _Stream, level: int) -> tuple[TypeExpr, int]:
     if s.take_sym("("):
-        ty = _parse_type(s)
+        if level >= MAX_DEPTH:
+            raise _too_deep(s, "type")
+        found = _parse_type_depth(s, level + 1)
         s.expect("SYM", ")")
-        return ty
+        return found
     tok = s.expect("IDENT")
-    return Unit if tok.value == "Unit" else BaseType(tok.value)
+    return (Unit if tok.value == "Unit" else BaseType(tok.value)), 1
 
 
-def _parse_type(s: _Stream) -> TypeExpr:
-    ty = _parse_type_atom(s)
+def _parse_type_depth(s: _Stream, level: int) -> tuple[TypeExpr, int]:
+    ty, depth = _parse_type_atom(s, level)
     while s.take_sym("*"):
-        ty = Prod(ty, _parse_type_atom(s))
-    return ty
+        right, right_depth = _parse_type_atom(s, level)
+        ty, depth = Prod(ty, right), 1 + max(depth, right_depth)
+        if depth > MAX_DEPTH:
+            raise _too_deep(s, "type")
+    return ty, depth
 
 
-def _parse_primary(s: _Stream, defs: dict[str, DecoratedTerm]) -> DecoratedTerm:
+def _parse_type(s: _Stream, level: int = 0) -> TypeExpr:
+    return _parse_type_depth(s, level)[0]
+
+
+def _depth(term: DecoratedTerm) -> int:
+    """Depth of a term as MAX_DEPTH counts it."""
+    if isinstance(term, Comp):
+        return _depth(term.after) + _depth(term.first)
+    if isinstance(term, Pair):
+        return 1 + max(_depth(term.left), _depth(term.right))
+    return 1
+
+
+def _parse_primary(s: _Stream, defs: dict[str, DecoratedTerm],
+                   level: int) -> DecoratedTerm:
+    if s.at_sym("(", "<") and level >= MAX_DEPTH:
+        raise _too_deep(s, "term")
     if s.take_sym("("):
-        term = _parse_term(s, defs)
+        term = _parse_term(s, defs, level + 1)
         s.expect("SYM", ")")
         return term
     if s.take_sym("<"):
-        left = _parse_term(s, defs)
+        left = _parse_term(s, defs, level + 1)
         s.expect("SYM", ",")
-        right = _parse_term(s, defs)
+        right = _parse_term(s, defs, level + 1)
         s.expect("SYM", ">")
+        if 1 + max(_depth(left), _depth(right)) > MAX_DEPTH:
+            raise _too_deep(s, "term")
         return pair(left, right)
     tok = s.expect("IDENT")
     name = tok.value
     if name == "id":
         s.expect("SYM", "(")
-        ty = _parse_type(s)
+        ty = _parse_type(s, level)
         s.expect("SYM", ")")
         return Id(ty)
     if name == "bang":
         s.expect("SYM", "(")
-        ty = _parse_type(s)
+        ty = _parse_type(s, level)
         s.expect("SYM", ")")
         return Bang(ty)
     if name in ("p1", "p2"):
         s.expect("SYM", "(")
-        left = _parse_type(s)
+        left = _parse_type(s, level)
         s.expect("SYM", ",")
-        right = _parse_type(s)
+        right = _parse_type(s, level)
         s.expect("SYM", ")")
         return (Proj1 if name == "p1" else Proj2)(left, right)
     if name in defs:
@@ -275,10 +312,15 @@ def _parse_primary(s: _Stream, defs: dict[str, DecoratedTerm]) -> DecoratedTerm:
     return Op(name)
 
 
-def _parse_term(s: _Stream, defs: dict[str, DecoratedTerm]) -> DecoratedTerm:
-    factors = [_parse_primary(s, defs)]
+def _parse_term(s: _Stream, defs: dict[str, DecoratedTerm],
+                level: int = 0) -> DecoratedTerm:
+    factors = [_parse_primary(s, defs, level)]
+    depth = _depth(factors[0])
     while s.take_sym(".", "∘"):
-        factors.append(_parse_primary(s, defs))
+        factors.append(_parse_primary(s, defs, level))
+        depth += _depth(factors[-1])
+        if depth > MAX_DEPTH:
+            raise _too_deep(s, "term")
     return compose(*factors)
 
 

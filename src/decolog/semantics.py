@@ -17,12 +17,29 @@ states.
 Finite sets are plain tuples of distinct hashable labels.  Product elements
 are 2-tuples, the Unit element is "*", and the two injections for the
 exceptions shapes are the tagged pairs ("ok", v) and ("exc", e).
+
+Evaluation runs on numbered tables.  A carrier element is numbered by its
+position in its carrier, a product element (a, b) by a*|B| + b, and a rank-2
+table is a tuple of codomain numbers indexed by domain numbers, laid out in
+the order rank2_domain lists the inputs:
+
+    exceptions   ok(a) is a and exc(e) is |A| + e (the ok block, then the exc block)
+    states       (a, s) is a*|S| + s (row-major)
+
+Composition is tuple(map(after.__getitem__, first)), strong equality is
+tuple equality, and weak equality compares the ok block (exceptions) or the
+value column v // |S| (states).  Each equation is compiled once per search
+and specialised once per carrier-size assignment; labels are decoded only
+where a caller sees them: eval_term's mapping, the models enumerate_models
+yields and a Counterexample.  The rule-soundness sweep in deduction.py keeps
+the label-dict algebra (lift_mapping, pair_mappings, ...).
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Optional, Sequence, Union
+from operator import add, itemgetter, sub
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from .calculus import (
     Bang,
@@ -33,6 +50,7 @@ from .calculus import (
     EffectKind,
     Id,
     Op,
+    OperationSymbol,
     Pair,
     Prod,
     Proj1,
@@ -40,6 +58,7 @@ from .calculus import (
     Strength,
     Theory,
     TypeExpr,
+    Unit,
     UnitType,
     analyze_term,
     check_equation_wf,
@@ -72,10 +91,6 @@ class UnknownBaseType(SemanticsError):
     pass
 
 
-class RankNotIncreasing(SemanticsError):
-    pass
-
-
 class BoundsTooLarge(SemanticsError):
     pass
 
@@ -105,6 +120,8 @@ class OperationTable:
 
 @dataclass(frozen=True)
 class FiniteModel:
+    """Carriers and tables, to be treated as immutable: evaluation keeps
+    the model's numbered tables on it for later calls."""
     effect: EffectKind
     carriers: Mapping[str, tuple]
     effect_carrier: tuple
@@ -185,18 +202,6 @@ def lift_mapping(effect: EffectKind, rank: int, mapping: Mapping,
     return m
 
 
-def coerce(table: OperationTable, from_rank: int, to_rank: int,
-           effect: EffectKind, eff_elems: Sequence[Element]) -> OperationTable:
-    """View a table at a higher rank.  Composes transitively, so 0 -> 2 is
-    one call."""
-    if table.rank != from_rank or table.effect is not effect:
-        raise ModelMismatch("coerce arguments disagree with the table's own shape")
-    if to_rank < from_rank:
-        raise RankNotIncreasing(f"cannot coerce rank {from_rank} down to {to_rank}")
-    return OperationTable(effect, to_rank,
-                          lift_mapping(effect, from_rank, table.mapping, eff_elems, to_rank))
-
-
 def compose_mappings(after: Mapping, first: Mapping) -> dict:
     """Composition of two rank-2 mappings, first applied first."""
     return {x: after[y] for x, y in first.items()}
@@ -259,11 +264,6 @@ def validate_model(theory: Theory, model: FiniteModel) -> None:
                     f"table for {sym.name!r} produces {value!r} outside its codomain")
 
 
-def _identity_rank2(effect: EffectKind, elems: Sequence[Element],
-                    eff_elems: Sequence[Element]) -> dict:
-    return {x: x for x in rank2_domain(effect, elems, eff_elems)}
-
-
 def pair_mappings(effect: EffectKind, left: Mapping, right: Mapping) -> dict:
     """Rank-2 mapping of a pair from its components' rank-2 mappings (the
     components must factor through the pair rank limit)."""
@@ -272,34 +272,6 @@ def pair_mappings(effect: EffectKind, left: Mapping, right: Mapping) -> dict:
         return {x: ok((lv[1], right[x][1])) if is_ok(x) else x
                 for x, lv in left.items()}
     return {(a, s): ((lv[0], right[(a, s)][0]), s) for (a, s), lv in left.items()}
-
-
-def _eval(model: FiniteModel, theory: Theory, term: DecoratedTerm) -> dict:
-    eff = theory.effect
-    st = model.effect_carrier
-    if isinstance(term, Id):
-        return _identity_rank2(eff, interpret_type(model, term.ty), st)
-    if isinstance(term, Op):
-        sym = theory.op(term.name)
-        table = model.tables[term.name]
-        return coerce(table, sym.decoration, 2, eff, st).mapping
-    if isinstance(term, Comp):
-        first = _eval(model, theory, term.first)
-        after = _eval(model, theory, term.after)
-        return {x: after[y] for x, y in first.items()}
-    if isinstance(term, Pair):
-        return pair_mappings(eff, _eval(model, theory, term.left),
-                             _eval(model, theory, term.right))
-    if isinstance(term, Proj1):
-        prod = interpret_type(model, Prod(term.left_ty, term.right_ty))
-        return lift_mapping(eff, 0, {p: p[0] for p in prod}, st)
-    if isinstance(term, Proj2):
-        prod = interpret_type(model, Prod(term.left_ty, term.right_ty))
-        return lift_mapping(eff, 0, {p: p[1] for p in prod}, st)
-    if isinstance(term, Bang):
-        elems = interpret_type(model, term.ty)
-        return lift_mapping(eff, 0, {a: UNIT for a in elems}, st)
-    raise TypeError(f"not a term: {term!r}")
 
 
 def check_factoring(effect: EffectKind, rank: int, mapping: Mapping) -> Optional[str]:
@@ -325,17 +297,6 @@ def check_factoring(effect: EffectKind, rank: int, mapping: Mapping) -> Optional
     return None
 
 
-def eval_term(model: FiniteModel, theory: Theory, term: DecoratedTerm) -> OperationTable:
-    """Rank-2 denotation of a term.  The result is checked to conserve
-    whatever the term's inferred rank says it cannot touch."""
-    _, _, rank = analyze_term(theory, term)
-    mapping = _eval(model, theory, term)
-    violation = check_factoring(theory.effect, rank, mapping)
-    if violation is not None:
-        raise FactoringInvariantError(violation)
-    return OperationTable(theory.effect, 2, mapping)
-
-
 def weak_equal(effect: EffectKind, lhs: Mapping, rhs: Mapping) -> bool:
     """Equality through the effect boundary of two rank-2 mappings."""
     if effect is EffectKind.EXCEPTIONS:
@@ -343,34 +304,438 @@ def weak_equal(effect: EffectKind, lhs: Mapping, rhs: Mapping) -> bool:
     return all(v[0] == rhs[x][0] for x, v in lhs.items())
 
 
-def holds(model: FiniteModel, theory: Theory, eq: DecoratedEquation) -> bool:
-    check_equation_wf(theory, eq)
-    lhs = eval_term(model, theory, eq.lhs).mapping
-    rhs = eval_term(model, theory, eq.rhs).mapping
-    if eq.strength is Strength.STRONG:
-        return lhs == rhs
-    return weak_equal(theory.effect, lhs, rhs)
+# ---------------------------------------------------------------------------
+# Numbered tables
+# ---------------------------------------------------------------------------
+
+#: A numbered table: entry x is the number of the output at input number x.
+Table = tuple
 
 
-def violation_witness(effect: EffectKind, strength: Strength,
-                      lhs: Mapping, rhs: Mapping,
-                      domain_order: Sequence[Element]) -> Optional[tuple]:
-    """First input (in canonical order) where the sides disagree, with both
-    outputs; None when the equation holds."""
-    for x in domain_order:
-        lv, rv = lhs[x], rhs[x]
-        if strength is Strength.WEAK:
-            if effect is EffectKind.EXCEPTIONS:
-                if not is_ok(x):
-                    continue
-                if lv != rv:
-                    return x, lv, rv
+def _raw_shape(effect: EffectKind, rank: int, n: int, m: int, k: int) -> tuple[int, int]:
+    """Input and output counts of a raw table of the given rank with n
+    values in, m values out and k effect elements (the sizes of
+    table_domain and table_outputs)."""
+    if rank == 0:
+        return n, m
+    if effect is EffectKind.EXCEPTIONS:
+        return (n if rank == 1 else n + k), m + k
+    return n * k, (m if rank == 1 else m * k)
+
+
+def _compose(after: Table, first: Table) -> Table:
+    return tuple(map(after.__getitem__, first))
+
+
+def _run(steps: tuple, tables: Sequence[Table]) -> Table:
+    """Rank-2 table of specialised steps, first applied first: a step is a
+    slot into the candidate's lifted tables, a constant table, or a pair
+    step that builds its table from the candidate's."""
+    t = None
+    for step in steps:
+        kind = step.__class__
+        if kind is int:
+            step = tables[step]
+        elif kind is not tuple:
+            step = step(tables)
+        t = step if t is None else tuple(map(step.__getitem__, t))
+    return t
+
+
+class _Layout:
+    """The numbering of one carrier assignment: type sizes, the builtins'
+    constant tables, the lift of raw tables to rank 2, and the labels that
+    decode numbers back for reports."""
+
+    def __init__(self, effect: EffectKind, carriers: Mapping[str, tuple],
+                 eff_elems: tuple):
+        self.effect = effect
+        self.exceptions = effect is EffectKind.EXCEPTIONS
+        self.carriers = carriers
+        self.eff_elems = eff_elems
+        self.k = len(eff_elems)
+        self._probe: Optional[FiniteModel] = None
+        self._labels: dict = {}
+        self._raw_labels: dict = {}
+        self._decoders: Optional[list] = None
+
+    def size(self, ty: TypeExpr) -> int:
+        if isinstance(ty, BaseType):
+            carrier = self.carriers.get(ty.name)
+            if carrier is None:
+                raise UnknownBaseType(f"no carrier for base type {ty.name!r}")
+            return len(carrier)
+        if isinstance(ty, Prod):
+            return self.size(ty.left) * self.size(ty.right)
+        return 1
+
+    def raw_shape(self, sym: OperationSymbol) -> tuple[int, int]:
+        return _raw_shape(self.effect, sym.decoration, self.size(sym.dom),
+                          self.size(sym.cod), self.k)
+
+    def tail(self, m: int) -> Table:
+        """The exc block of a rank-2 codomain over m values."""
+        return tuple(range(m, m + self.k))
+
+    def lifter(self, rank: int, n: int, m: int) -> Optional[Callable[[Table], Table]]:
+        """The map from a raw table of the given rank (n values in, m out,
+        numbered like table_domain and table_outputs) to its rank-2 table;
+        None when the raw table already is one."""
+        k = self.k
+        if rank == 2:
+            return None
+        if self.exceptions:
+            tail = self.tail(m)
+            return lambda raw: raw + tail
+        if k == 1:
+            return None
+        if rank == 1:
+            column = tuple(range(k)) * n
+            return lambda raw: tuple(map(add, map(k.__mul__, raw), column))
+        blocks = tuple(tuple(range(b * k, b * k + k)) for b in range(m))
+        return lambda raw: tuple(itertools.chain.from_iterable(map(blocks.__getitem__, raw)))
+
+    def op_lifter(self, sym: OperationSymbol) -> Optional[Callable[[Table], Table]]:
+        return self.lifter(sym.decoration, self.size(sym.dom), self.size(sym.cod))
+
+    def _pure(self, raw: Table, m: int) -> Table:
+        lift = self.lifter(0, len(raw), m)
+        return raw if lift is None else lift(raw)
+
+    def identity(self, ty: TypeExpr) -> Table:
+        n = self.size(ty)
+        return tuple(range(n + self.k if self.exceptions else n * self.k))
+
+    def steps(self, factors: tuple, dom: TypeExpr, slots: Mapping[int, int]) -> tuple:
+        """Compiled factors specialised to this layout: operations become
+        slots, builtins and pairs of constants become tables, and adjacent
+        tables are composed ahead of time."""
+        out: list = []
+        for factor in factors:
+            step = slots[factor[1]] if factor[0] == "op" else self._step(factor, slots)
+            if out and step.__class__ is tuple and out[-1].__class__ is tuple:
+                out[-1] = _compose(step, out[-1])
             else:
-                if lv[0] != rv[0]:
-                    return x, lv, rv
-        elif lv != rv:
-            return x, lv, rv
-    return None
+                out.append(step)
+        return tuple(out) or (self.identity(dom),)
+
+    def _step(self, factor: tuple, slots: Mapping[int, int]):
+        kind = factor[0]
+        if kind == "bang":
+            return self._pure((0,) * self.size(factor[1]), 1)
+        if kind in ("p1", "p2"):
+            nl, nr = self.size(factor[1]), self.size(factor[2])
+            if kind == "p1":
+                return self._pure(tuple(p // nr for p in range(nl * nr)), nl)
+            return self._pure(tuple(p % nr for p in range(nl * nr)), nr)
+        _, dom, left, lcod, right, rcod = factor
+        lsteps = self.steps(left, dom, slots)
+        rsteps = self.steps(right, dom, slots)
+        n, ml, mr = self.size(dom), self.size(lcod), self.size(rcod)
+        # Components have rank <= 1, so they leave exceptions and the state
+        # alone: only their values are paired.
+        if self.exceptions:
+            tail = self.tail(ml * mr)
+
+            def pair(tables):
+                lhs = _run(lsteps, tables)[:n]
+                rhs = _run(rsteps, tables)[:n]
+                return tuple(map(add, map(mr.__mul__, lhs), rhs)) + tail
+        else:
+            column = tuple(range(self.k)) * n
+
+            def pair(tables):
+                lhs = map(sub, _run(lsteps, tables), column)
+                return tuple(map(add, map(mr.__mul__, lhs), _run(rsteps, tables)))
+        if all(len(s) == 1 and s[0].__class__ is tuple for s in (lsteps, rsteps)):
+            return pair(())
+        return pair
+
+    def conservation(self, rank: int, n: int, m: int) -> Optional[Callable[[Table], bool]]:
+        """Test that a rank-2 table over n values in and m out leaves alone
+        what a term of rank 0 or 1 may not touch; None when there is nothing
+        to test."""
+        k = self.k
+        if self.exceptions:
+            tail = self.tail(m)
+            if rank == 1 or n == 0:
+                return lambda t: t[n:] == tail
+            return lambda t: t[n:] == tail and max(t[:n]) < m
+        if k < 2:
+            return None
+        column = tuple(range(k)) * n
+        if rank == 1:
+            return lambda t: tuple(map(k.__rmod__, t)) == column
+        shifts = range(1, k)
+        return lambda t: (tuple(map(k.__rmod__, t)) == column
+                          and all(t[s::k] == tuple(map(s.__add__, t[::k])) for s in shifts))
+
+    def weak_view(self, n: int) -> Optional[Callable[[Table], Sequence[int]]]:
+        """The part of a rank-2 table over n values in that a weak equation
+        compares; None when that is the whole table."""
+        if self.exceptions:
+            return itemgetter(slice(0, n))
+        k = self.k
+        return None if k < 2 else (lambda t: tuple(map(k.__rfloordiv__, t)))
+
+    def probe(self) -> FiniteModel:
+        """A table-less model over the layout's carriers, for interpret_type."""
+        if self._probe is None:
+            self._probe = FiniteModel(self.effect, self.carriers, self.eff_elems, {})
+        return self._probe
+
+    def labels(self, ty: TypeExpr) -> tuple:
+        """Rank-2 elements over ty in numbering order."""
+        got = self._labels.get(ty)
+        if got is None:
+            got = rank2_domain(self.effect, interpret_type(self.probe(), ty), self.eff_elems)
+            self._labels[ty] = got
+        return got
+
+    def decode(self, dom: TypeExpr, cod: TypeExpr, t: Table) -> dict:
+        return dict(zip(self.labels(dom), map(self.labels(cod).__getitem__, t)))
+
+    def raw_labels(self, sym: OperationSymbol) -> tuple[tuple, tuple]:
+        """The inputs and the outputs of sym's raw table, in numbering order."""
+        got = self._raw_labels.get(sym.name)
+        if got is None:
+            dom = interpret_type(self.probe(), sym.dom)
+            cod = interpret_type(self.probe(), sym.cod)
+            got = (table_domain(self.effect, sym.decoration, dom, self.eff_elems),
+                   table_outputs(self.effect, sym.decoration, cod, self.eff_elems))
+            self._raw_labels[sym.name] = got
+        return got
+
+    def number(self, sym: OperationSymbol, table: Optional[OperationTable]) -> Table:
+        """A model's table for sym in numbered form, or ModelMismatch."""
+        if table is None:
+            raise ModelMismatch(f"no table for operation {sym.name!r}")
+        if table.rank != sym.decoration or table.effect is not self.effect:
+            raise ModelMismatch(
+                f"table for {sym.name!r} has shape ({table.effect}, rank {table.rank}), "
+                f"declared ({self.effect}, rank {sym.decoration})")
+        ins, outs = self.raw_labels(sym)
+        index = {y: i for i, y in enumerate(outs)}
+        raw = []
+        for x in ins:
+            if x not in table.mapping:
+                raise ModelMismatch(f"table for {sym.name!r} has no row for {x!r}")
+            y = index.get(table.mapping[x])
+            if y is None:
+                raise ModelMismatch(f"table for {sym.name!r} produces "
+                                    f"{table.mapping[x]!r} outside its codomain")
+            raw.append(y)
+        return tuple(raw)
+
+    def model(self, theory: Theory, assignment: Sequence[Table]) -> FiniteModel:
+        """The labelled model of one raw table per operation.  It keeps the
+        raw tables, so evaluating it later skips numbering its labels."""
+        if self._decoders is None:
+            self._decoders = []
+            for sym in theory.operations:
+                ins, outs = self.raw_labels(sym)
+                # outputs labelled 0, 1, ... are their own numbers
+                decode = None if outs == tuple(range(len(outs))) else outs.__getitem__
+                self._decoders.append((sym.name, sym.decoration, ins, decode))
+        effect = self.effect
+        tables = {name: OperationTable(effect, rank,
+                                       dict(zip(ins, raw if decode is None else map(decode, raw))))
+                  for (name, rank, ins, decode), raw in zip(self._decoders, assignment)}
+        model = FiniteModel(effect, self.carriers, self.eff_elems, tables)
+        model.__dict__["_numbering"] = (theory, self, assignment, {})
+        return model
+
+
+class _Side:
+    """One term specialised to one layout."""
+    __slots__ = ("layout", "steps", "conserves", "rank", "dom", "cod")
+
+    def __init__(self, layout: _Layout, factors: tuple, dom: TypeExpr,
+                 cod: TypeExpr, rank: int, slots: Mapping[int, int]):
+        self.layout = layout
+        self.steps = layout.steps(factors, dom, slots)
+        self.conserves = (None if rank == 2 else
+                          layout.conservation(rank, layout.size(dom), layout.size(cod)))
+        self.rank, self.dom, self.cod = rank, dom, cod
+
+    def run(self, tables: Sequence[Table]) -> Table:
+        t = _run(self.steps, tables)
+        if self.conserves is not None and not self.conserves(t):
+            layout = self.layout
+            raise FactoringInvariantError(
+                check_factoring(layout.effect, self.rank, layout.decode(self.dom, self.cod, t))
+                or f"numbered table breaks the factoring of rank {self.rank}")
+        return t
+
+
+class _Check:
+    """One equation specialised to one layout."""
+    __slots__ = ("lhs", "rhs", "view")
+
+    def __init__(self, lhs: _Side, rhs: _Side, view):
+        self.lhs, self.rhs, self.view = lhs, rhs, view
+
+    def holds(self, tables: Sequence[Table]) -> bool:
+        lhs = self.lhs.run(tables)
+        rhs = self.rhs.run(tables)
+        view = self.view
+        return lhs == rhs if view is None else view(lhs) == view(rhs)
+
+    def witness(self, tables: Sequence[Table]) -> Optional[tuple[Element, Element, Element]]:
+        """None when the equation holds, else the first input where its
+        sides disagree with both outputs, decoded."""
+        lhs = self.lhs.run(tables)
+        rhs = self.rhs.run(tables)
+        view = self.view
+        x = (violation_witness(lhs, rhs) if view is None
+             else violation_witness(view(lhs), view(rhs)))
+        if x is None:
+            return None
+        side = self.lhs
+        cod = side.layout.labels(side.cod)
+        return side.layout.labels(side.dom)[x], cod[lhs[x]], cod[rhs[x]]
+
+
+def violation_witness(lhs: Sequence[int], rhs: Sequence[int]) -> Optional[int]:
+    """Position of the first entry where two numbered tables (or the parts
+    a weak equation compares) differ; None when they agree."""
+    if lhs == rhs:
+        return None
+    return next(i for i, (a, b) in enumerate(zip(lhs, rhs)) if a != b)
+
+
+class _Program:
+    """Equations and terms of one theory compiled once: well-formedness,
+    ranks and factor lists, none of which depend on a model.  at() then
+    specialises them to one carrier assignment."""
+
+    def __init__(self, theory: Theory, equations: Iterable[DecoratedEquation],
+                 terms: Iterable[DecoratedTerm] = ()):
+        self.theory = theory
+        self._positions = {sym.name: i for i, sym in enumerate(theory.operations)}
+        used: set[int] = set()
+        self._equations = []
+        for eq in equations:
+            report = check_equation_wf(theory, eq)
+            self._equations.append((
+                eq.strength, report,
+                self._factors(eq.lhs, report.dom, used),
+                self._factors(eq.rhs, report.dom, used)))
+        self._terms = []
+        for term in terms:
+            dom, cod, rank = analyze_term(theory, term)
+            self._terms.append((self._factors(term, dom, used), dom, cod, rank))
+        self.used = tuple(sorted(used))
+        self._slots = {position: slot for slot, position in enumerate(self.used)}
+        self._layout: Optional[_Layout] = None
+
+    def _factors(self, term: DecoratedTerm, dom: TypeExpr, used: set) -> tuple:
+        out: list = []
+        self._flatten(term, dom, out, used)
+        return tuple(out)
+
+    def _flatten(self, term: DecoratedTerm, dom: TypeExpr, out: list, used: set) -> TypeExpr:
+        """Append term's factors to out, first applied first, and return its
+        codomain.  Identities drop out."""
+        if isinstance(term, Comp):
+            mid = self._flatten(term.first, dom, out, used)
+            return self._flatten(term.after, mid, out, used)
+        if isinstance(term, Id):
+            return dom
+        if isinstance(term, Op):
+            position = self._positions[term.name]
+            used.add(position)
+            out.append(("op", position))
+            return self.theory.operations[position].cod
+        if isinstance(term, Pair):
+            left, right = [], []
+            lcod = self._flatten(term.left, dom, left, used)
+            rcod = self._flatten(term.right, dom, right, used)
+            out.append(("pair", dom, tuple(left), lcod, tuple(right), rcod))
+            return Prod(lcod, rcod)
+        if isinstance(term, Proj1):
+            out.append(("p1", term.left_ty, term.right_ty))
+            return term.left_ty
+        if isinstance(term, Proj2):
+            out.append(("p2", term.left_ty, term.right_ty))
+            return term.right_ty
+        if isinstance(term, Bang):
+            out.append(("bang", term.ty))
+            return Unit
+        raise TypeError(f"not a term: {term!r}")
+
+    def at(self, layout: _Layout) -> list[_Check]:
+        """The equations specialised to layout (the terms go to self.sides);
+        cached for the last layout."""
+        if layout is not self._layout:
+            self._layout = layout
+            self._lifters = None
+            self._checks = [
+                _Check(_Side(layout, lhs, report.dom, report.cod, report.lhs_rank, self._slots),
+                       _Side(layout, rhs, report.dom, report.cod, report.rhs_rank, self._slots),
+                       layout.weak_view(layout.size(report.dom))
+                       if strength is Strength.WEAK else None)
+                for strength, report, lhs, rhs in self._equations]
+            self.sides = [_Side(layout, factors, dom, cod, rank, self._slots)
+                          for factors, dom, cod, rank in self._terms]
+        return self._checks
+
+    def lift(self, raws: Iterable[Table]) -> list[Table]:
+        """Rank-2 tables of the used operations from their raw tables, for
+        the layout of the last at()."""
+        lifters = self._lifters
+        if lifters is None:
+            lifters = self._lifters = [self._layout.op_lifter(self.theory.operations[i])
+                                       for i in self.used]
+        return [raw if lift is None else lift(raw) for raw, lift in zip(raws, lifters)]
+
+    def numbered(self, model: FiniteModel) -> tuple[list[_Check], list[Table]]:
+        """Specialise to a given model's carriers and number the tables the
+        program uses.  The model keeps its layout and numbered tables for
+        later calls with the same theory."""
+        theory = self.theory
+        kept = model.__dict__.get("_numbering")
+        if kept is None or kept[0] is not theory:
+            layout = _Layout(theory.effect, model.carriers, model.effect_carrier)
+            kept = model.__dict__["_numbering"] = (theory, layout, None, {})
+        _, layout, raws, lifted = kept
+        checks = self.at(layout)
+        for i in self.used:
+            if i not in lifted:
+                sym = theory.operations[i]
+                raw = (raws[i] if raws is not None
+                       else layout.number(sym, model.tables.get(sym.name)))
+                lift = layout.op_lifter(sym)
+                lifted[i] = raw if lift is None else lift(raw)
+        return checks, [lifted[i] for i in self.used]
+
+
+# ---------------------------------------------------------------------------
+# Evaluation in a given model
+# ---------------------------------------------------------------------------
+
+def eval_term(model: FiniteModel, theory: Theory, term: DecoratedTerm) -> OperationTable:
+    """Rank-2 denotation of a term, its inputs in canonical order.  The
+    result is checked to conserve whatever the term's inferred rank says it
+    cannot touch."""
+    program = _Program(theory, (), (term,))
+    _, tables = program.numbered(model)
+    side = program.sides[0]
+    return OperationTable(theory.effect, 2,
+                          side.layout.decode(side.dom, side.cod, side.run(tables)))
+
+
+def holds(model: FiniteModel, theory: Theory, eq: DecoratedEquation) -> bool:
+    (check,), tables = _Program(theory, (eq,)).numbered(model)
+    return check.holds(tables)
+
+
+def first_violation(model: FiniteModel, theory: Theory,
+                    eq: DecoratedEquation) -> Optional[tuple[Element, Element, Element]]:
+    """None when the equation holds in the model, else the first input in
+    canonical order where its sides disagree, with both outputs."""
+    (check,), tables = _Program(theory, (eq,)).numbered(model)
+    return check.witness(tables)
 
 
 # ---------------------------------------------------------------------------
@@ -401,61 +766,37 @@ class Bounds:
         return self.base[name]
 
 
-def _size_assignments(theory: Theory, bounds: Bounds) -> Iterator[tuple[tuple[int, ...], int]]:
+def _layouts(theory: Theory, bounds: Bounds) -> Iterator[_Layout]:
+    """One layout per carrier-size assignment: base types in declaration
+    order with the effect carrier last, carriers numbered 0, 1, ..."""
     ranges = [range(1, bounds.base_limit(name) + 1) for name in theory.base_types]
     for base_sizes in itertools.product(*ranges):
+        carriers = {name: tuple(range(n)) for name, n in zip(theory.base_types, base_sizes)}
         for eff_size in range(1, bounds.effect + 1):
-            yield base_sizes, eff_size
-
-
-def _candidate_count(theory: Theory, base_sizes: Sequence[int], eff_size: int) -> int:
-    carriers = {name: tuple(range(n)) for name, n in zip(theory.base_types, base_sizes)}
-    eff = tuple(range(eff_size))
-    probe = FiniteModel(theory.effect, carriers, eff, {})
-    total = 1
-    for sym in theory.operations:
-        dom = interpret_type(probe, sym.dom)
-        cod = interpret_type(probe, sym.cod)
-        n_in = len(table_domain(theory.effect, sym.decoration, dom, eff))
-        n_out = len(table_outputs(theory.effect, sym.decoration, cod, eff))
-        total *= n_out ** n_in
-    return total
+            yield _Layout(theory.effect, carriers, tuple(range(eff_size)))
 
 
 def count_interpretations(theory: Theory, bounds: Bounds) -> int:
     """Raw interpretation count within bounds, before any axiom filtering."""
-    return sum(_candidate_count(theory, bs, es)
-               for bs, es in _size_assignments(theory, bounds))
-
-
-def _candidates(theory: Theory, bounds: Bounds) -> Iterator[tuple[int, FiniteModel]]:
-    """Every raw interpretation within bounds, in canonical order, with its
-    index.  Carrier sizes sweep base types in declaration order with the
-    effect carrier last; each table sweeps its outputs lexicographically over
-    inputs in canonical domain order."""
-    index = -1
-    for base_sizes, eff_size in _size_assignments(theory, bounds):
-        carriers = {name: tuple(range(n))
-                    for name, n in zip(theory.base_types, base_sizes)}
-        eff = tuple(range(eff_size))
-        probe = FiniteModel(theory.effect, carriers, eff, {})
-        op_inputs = []
-        op_output_spaces = []
+    total = 0
+    for layout in _layouts(theory, bounds):
+        count = 1
         for sym in theory.operations:
-            dom = interpret_type(probe, sym.dom)
-            cod = interpret_type(probe, sym.cod)
-            op_inputs.append(table_domain(theory.effect, sym.decoration, dom, eff))
-            op_output_spaces.append(table_outputs(theory.effect, sym.decoration, cod, eff))
-        spaces = [itertools.product(outs, repeat=len(ins))
-                  for ins, outs in zip(op_inputs, op_output_spaces)]
+            n_in, n_out = layout.raw_shape(sym)
+            count *= n_out ** n_in
+        total += count
+    return total
+
+
+def _candidates(theory: Theory, bounds: Bounds) -> Iterator[tuple[_Layout, tuple]]:
+    """Every raw interpretation within bounds, in canonical order, as its
+    layout and one raw table per operation.  Each table sweeps its output
+    numbers lexicographically over its inputs in canonical domain order."""
+    for layout in _layouts(theory, bounds):
+        spaces = [itertools.product(range(n_out), repeat=n_in)
+                  for n_in, n_out in map(layout.raw_shape, theory.operations)]
         for assignment in itertools.product(*spaces):
-            index += 1
-            tables = {
-                sym.name: OperationTable(theory.effect, sym.decoration,
-                                         dict(zip(ins, outs)))
-                for sym, ins, outs in zip(theory.operations, op_inputs, assignment)
-            }
-            yield index, FiniteModel(theory.effect, carriers, eff, tables)
+            yield layout, assignment
 
 
 def _check_ceiling(theory: Theory, bounds: Bounds, max_interpretations: int) -> None:
@@ -474,11 +815,20 @@ def enumerate_models(theory: Theory, bounds: Bounds = Bounds(), *,
     Refuses to start when the raw interpretation count exceeds the ceiling.
     """
     _check_ceiling(theory, bounds, max_interpretations)
+    program = _Program(theory, [ax.equation for ax in theory.axioms])
 
     def generate() -> Iterator[FiniteModel]:
-        for _, model in _candidates(theory, bounds):
-            if all(holds(model, theory, ax.equation) for ax in theory.axioms):
-                yield model
+        used = program.used
+        current = None
+        for layout, assignment in _candidates(theory, bounds):
+            if layout is not current:
+                current = layout
+                checks = program.at(layout)
+            if checks:
+                tables = program.lift(map(assignment.__getitem__, used))
+                if not all(check.holds(tables) for check in checks):
+                    continue
+            yield layout.model(theory, assignment)
 
     return generate()
 
@@ -501,16 +851,19 @@ def find_counterexample(theory: Theory, eq: DecoratedEquation,
     None when the bounded search is exhausted.
     """
     _check_ceiling(theory, bounds, max_interpretations)
-    report = check_equation_wf(theory, eq)
-    for _, model in _candidates(theory, bounds):
-        if not all(holds(model, theory, ax.equation) for ax in theory.axioms):
-            continue
-        lhs = eval_term(model, theory, eq.lhs).mapping
-        rhs = eval_term(model, theory, eq.rhs).mapping
-        dom = interpret_type(model, report.dom)
-        order = rank2_domain(theory.effect, dom, model.effect_carrier)
-        found = violation_witness(theory.effect, eq.strength, lhs, rhs, order)
-        if found is not None:
-            x, lv, rv = found
-            return Counterexample(model, eq, x, lv, rv)
+    program = _Program(theory, [ax.equation for ax in theory.axioms] + [eq])
+    used = program.used
+    current = None
+    for layout, assignment in _candidates(theory, bounds):
+        if layout is not current:
+            current = layout
+            *axioms, goal = program.at(layout)
+        tables = program.lift(map(assignment.__getitem__, used))
+        for check in axioms:
+            if not check.holds(tables):
+                break
+        else:
+            found = goal.witness(tables)
+            if found is not None:
+                return Counterexample(layout.model(theory, assignment), eq, *found)
     return None

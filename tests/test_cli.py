@@ -7,7 +7,13 @@ import pytest
 
 from decolog.cli import main
 from decolog.deduction import check_derivation
-from decolog.files import corpus_path, parse_derivation, parse_equation, parse_theory
+from decolog.files import (
+    MAX_DEPTH,
+    corpus_path,
+    parse_derivation,
+    parse_equation,
+    parse_theory,
+)
 
 BANK = str(corpus_path("bank.dth"))
 BANK_MODEL = str(corpus_path("bank_mod4.model"))
@@ -55,6 +61,46 @@ class TestCheck:
         code, _, err = run(capsys, "check", str(path))
         assert code == 2
         assert "line 4" in err
+
+    def _check_with(self, capsys, tmp_path, base, extra):
+        path = tmp_path / "deep.dth"
+        path.write_text(corpus_path(base).read_text() + extra + "\n")
+        return run(capsys, "check", str(path))
+
+    def _assert_too_deep(self, result, what="term"):
+        code, out, err = result
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1 and f"{what} nested deeper than {MAX_DEPTH}" in err
+
+    def test_deep_composition_exits_2(self, capsys, tmp_path):
+        factors = " . ".join(["catchZero"] * 1000)
+        self._assert_too_deep(
+            self._check_with(capsys, tmp_path, "throwcatch.dth", f"def d = {factors}"))
+
+    def test_deeply_nested_pairs_exit_2(self, capsys, tmp_path):
+        term = "<" * 800 + "seven" + ", seven>" * 800
+        self._assert_too_deep(
+            self._check_with(capsys, tmp_path, "bank.dth", f"def d = {term}"))
+
+    def test_depth_limit_counts_factors_across_definitions(self, capsys, tmp_path):
+        half = " . ".join(["catchZero"] * (MAX_DEPTH // 2))
+        code, _, _ = self._check_with(capsys, tmp_path, "throwcatch.dth",
+                                      f"def a = {half}\ndef b = a . a")
+        assert code == 0
+        self._assert_too_deep(self._check_with(
+            capsys, tmp_path, "throwcatch.dth", f"def a = {half}\ndef b = a . a . zero"))
+
+    def test_deep_types_exit_2(self, capsys, tmp_path):
+        product = " * ".join(["Int"] * 1000)
+        self._assert_too_deep(self._check_with(
+            capsys, tmp_path, "bank.dth", f"op q : {product} -> Int pure"), "type")
+        nested = "(" * 1000 + "Int" + ")" * 1000
+        self._assert_too_deep(self._check_with(
+            capsys, tmp_path, "bank.dth", f"op q : {nested} -> Int pure"), "type")
+        # brackets of a term and of the types inside it share one budget
+        mixed = "(" * 150 + "id(" + "(" * 150 + "Int" + ")" * 151 + ")" * 150
+        self._assert_too_deep(self._check_with(
+            capsys, tmp_path, "bank.dth", f"def d = {mixed}"), "type")
 
     def test_unreadable_file_exits_2(self, capsys, tmp_path):
         code, _, err = run(capsys, "check", str(tmp_path / "missing.dth"))

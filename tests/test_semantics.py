@@ -26,11 +26,9 @@ from decolog.semantics import (
     FiniteModel,
     ModelMismatch,
     OperationTable,
-    RankNotIncreasing,
     SemanticsError,
     UNIT,
     check_factoring,
-    coerce,
     count_interpretations,
     enumerate_models,
     eval_term,
@@ -44,6 +42,7 @@ from decolog.semantics import (
 )
 
 from gen import random_theory
+from reference import RankNotIncreasing, coerce
 
 Int = BaseType("Int")
 EX = EffectKind.EXCEPTIONS
@@ -162,6 +161,25 @@ class TestEvalExceptions:
         t = compose(Op("catchZero"), Op("catchZero"), Op("throw"))
         assert holds(model, theory, weak(t, Op("zero")))
 
+    def test_out_of_codomain_value_is_a_mismatch(self, throwcatch):
+        theory, model = throwcatch
+        tables = dict(model.tables, zero=OperationTable(EX, 0, {UNIT: 7}))
+        broken = FiniteModel(EX, model.carriers, model.effect_carrier, tables)
+        eq = weak(compose(Op("catchZero"), Op("zero")), Op("zero"))
+        with pytest.raises(ModelMismatch, match="outside its codomain"):
+            holds(broken, theory, eq)
+        with pytest.raises(ModelMismatch, match="outside its codomain"):
+            eval_term(broken, theory, Op("zero"))
+
+    def test_missing_row_or_table_is_a_mismatch(self, throwcatch):
+        theory, model = throwcatch
+        partial = dict(model.tables, catchZero=OperationTable(EX, 2, {ok(0): ok(0)}))
+        with pytest.raises(ModelMismatch, match="no row"):
+            eval_term(FiniteModel(EX, model.carriers, (0,), partial), theory, Op("catchZero"))
+        missing = {k: v for k, v in model.tables.items() if k != "throw"}
+        with pytest.raises(ModelMismatch, match="no table"):
+            eval_term(FiniteModel(EX, model.carriers, (0,), missing), theory, Op("throw"))
+
 
 class TestFactoring:
     def test_state_write_detected(self):
@@ -279,6 +297,15 @@ class TestEnumeration:
         b = list(enumerate_models(TINY, Bounds(base=2, effect=2)))
         assert a == b
 
+    def test_enumerated_model_evaluates_under_the_given_theory(self):
+        # an enumerated model keeps its numbering for TINY only
+        model = list(enumerate_models(TINY, Bounds(base=2, effect=1)))[-1]
+        assert eval_term(model, TINY, Op("u")).mapping == {(0, 0): (1, 0), (1, 0): (1, 0)}
+        observer = Theory(effect=ST, base_types=("B",),
+                          operations=(OperationSymbol("u", BaseType("B"), BaseType("B"), 1),))
+        with pytest.raises(ModelMismatch):
+            eval_term(model, observer, Op("u"))
+
     @pytest.mark.parametrize("bounds", [
         dict(base=0), dict(effect=0), dict(base={"B": 0}), dict(base=-1, effect=-1),
     ])
@@ -345,6 +372,28 @@ class TestCounterexample:
         theory, f, g = bank
         assert find_counterexample(theory, strong(f, g), Bounds(base=2, effect=2)) is not None
         assert find_counterexample(theory, weak(f, g), Bounds(base=2, effect=2)) is None
+
+    def test_analysis_does_not_grow_with_candidates(self, bank, monkeypatch):
+        # every equation is analysed once per search, never once per model
+        import decolog.calculus
+        import decolog.semantics
+        theory, f, g = bank
+        calls = []
+        original = decolog.calculus.analyze_term
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        for module in (decolog.calculus, decolog.semantics):
+            monkeypatch.setattr(module, "analyze_term", counted)
+        counts = []
+        for bound in (1, 2):
+            calls.clear()
+            assert find_counterexample(theory, weak(f, g), Bounds(bound, bound)) is None
+            counts.append(len(calls))
+        assert count_interpretations(theory, Bounds(2, 2)) == 2117
+        assert 0 < counts[0] == counts[1]
 
     def test_ceiling_guard(self, bank):
         theory, f, g = bank

@@ -82,7 +82,6 @@ from .semantics import (
     first_violation,
     holds,
     validate_model,
-    violation_witness,
 )
 
 __all__ = [
@@ -100,5 +99,5 @@ __all__ = [
     "print_equation", "print_model", "print_theory",
     "Bounds", "Counterexample", "FiniteModel", "OperationTable",
     "SemanticsError", "enumerate_models", "eval_term", "find_counterexample",
-    "first_violation", "holds", "validate_model", "violation_witness",
+    "first_violation", "holds", "validate_model",
 ]

@@ -120,8 +120,6 @@ class OperationTable:
 
 @dataclass(frozen=True)
 class FiniteModel:
-    """Carriers and tables, to be treated as immutable: evaluation keeps
-    the model's numbered tables on it for later calls."""
     effect: EffectKind
     carriers: Mapping[str, tuple]
     effect_carrier: tuple
@@ -323,10 +321,6 @@ def _raw_shape(effect: EffectKind, rank: int, n: int, m: int, k: int) -> tuple[i
     return n * k, (m if rank == 1 else m * k)
 
 
-def _compose(after: Table, first: Table) -> Table:
-    return tuple(map(after.__getitem__, first))
-
-
 def _run(steps: tuple, tables: Sequence[Table]) -> Table:
     """Rank-2 table of specialised steps, first applied first: a step is a
     slot into the candidate's lifted tables, a constant table, or a pair
@@ -408,16 +402,9 @@ class _Layout:
 
     def steps(self, factors: tuple, dom: TypeExpr, slots: Mapping[int, int]) -> tuple:
         """Compiled factors specialised to this layout: operations become
-        slots, builtins and pairs of constants become tables, and adjacent
-        tables are composed ahead of time."""
-        out: list = []
-        for factor in factors:
-            step = slots[factor[1]] if factor[0] == "op" else self._step(factor, slots)
-            if out and step.__class__ is tuple and out[-1].__class__ is tuple:
-                out[-1] = _compose(step, out[-1])
-            else:
-                out.append(step)
-        return tuple(out) or (self.identity(dom),)
+        slots, builtins become tables and pairs become pair steps."""
+        return (tuple(slots[f[1]] if f[0] == "op" else self._step(f, slots) for f in factors)
+                or (self.identity(dom),))
 
     def _step(self, factor: tuple, slots: Mapping[int, int]):
         kind = factor[0]
@@ -447,8 +434,6 @@ class _Layout:
             def pair(tables):
                 lhs = map(sub, _run(lsteps, tables), column)
                 return tuple(map(add, map(mr.__mul__, lhs), _run(rsteps, tables)))
-        if all(len(s) == 1 and s[0].__class__ is tuple for s in (lsteps, rsteps)):
-            return pair(())
         return pair
 
     def conservation(self, rank: int, n: int, m: int) -> Optional[Callable[[Table], bool]]:
@@ -528,8 +513,7 @@ class _Layout:
         return tuple(raw)
 
     def model(self, theory: Theory, assignment: Sequence[Table]) -> FiniteModel:
-        """The labelled model of one raw table per operation.  It keeps the
-        raw tables, so evaluating it later skips numbering its labels."""
+        """The labelled model of one raw table per operation."""
         if self._decoders is None:
             self._decoders = []
             for sym in theory.operations:
@@ -541,9 +525,7 @@ class _Layout:
         tables = {name: OperationTable(effect, rank,
                                        dict(zip(ins, raw if decode is None else map(decode, raw))))
                   for (name, rank, ins, decode), raw in zip(self._decoders, assignment)}
-        model = FiniteModel(effect, self.carriers, self.eff_elems, tables)
-        model.__dict__["_numbering"] = (theory, self, assignment, {})
-        return model
+        return FiniteModel(effect, self.carriers, self.eff_elems, tables)
 
 
 class _Side:
@@ -690,24 +672,13 @@ class _Program:
         return [raw if lift is None else lift(raw) for raw, lift in zip(raws, lifters)]
 
     def numbered(self, model: FiniteModel) -> tuple[list[_Check], list[Table]]:
-        """Specialise to a given model's carriers and number the tables the
-        program uses.  The model keeps its layout and numbered tables for
-        later calls with the same theory."""
-        theory = self.theory
-        kept = model.__dict__.get("_numbering")
-        if kept is None or kept[0] is not theory:
-            layout = _Layout(theory.effect, model.carriers, model.effect_carrier)
-            kept = model.__dict__["_numbering"] = (theory, layout, None, {})
-        _, layout, raws, lifted = kept
+        """Specialise to a given model's carriers and number, from its
+        labelled tables, the tables the program uses."""
+        layout = _Layout(self.theory.effect, model.carriers, model.effect_carrier)
         checks = self.at(layout)
-        for i in self.used:
-            if i not in lifted:
-                sym = theory.operations[i]
-                raw = (raws[i] if raws is not None
-                       else layout.number(sym, model.tables.get(sym.name)))
-                lift = layout.op_lifter(sym)
-                lifted[i] = raw if lift is None else lift(raw)
-        return checks, [lifted[i] for i in self.used]
+        symbols = [self.theory.operations[i] for i in self.used]
+        return checks, self.lift([layout.number(sym, model.tables.get(sym.name))
+                                  for sym in symbols])
 
 
 # ---------------------------------------------------------------------------

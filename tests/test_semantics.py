@@ -297,15 +297,6 @@ class TestEnumeration:
         b = list(enumerate_models(TINY, Bounds(base=2, effect=2)))
         assert a == b
 
-    def test_enumerated_model_evaluates_under_the_given_theory(self):
-        # an enumerated model keeps its numbering for TINY only
-        model = list(enumerate_models(TINY, Bounds(base=2, effect=1)))[-1]
-        assert eval_term(model, TINY, Op("u")).mapping == {(0, 0): (1, 0), (1, 0): (1, 0)}
-        observer = Theory(effect=ST, base_types=("B",),
-                          operations=(OperationSymbol("u", BaseType("B"), BaseType("B"), 1),))
-        with pytest.raises(ModelMismatch):
-            eval_term(model, observer, Op("u"))
-
     @pytest.mark.parametrize("bounds", [
         dict(base=0), dict(effect=0), dict(base={"B": 0}), dict(base=-1, effect=-1),
     ])

@@ -14,7 +14,8 @@ Commands
 Exit codes: 0 success (proved, holds, countermodel found, all rules sound);
 1 semantic failure (rejected derivation, violated equation, nothing found,
 refuted rule, ill-formed input); 2 syntax error, unreadable file, or a bad
-setting (--max-carrier or DECOLOG_MAX_ENUM not an integer of at least 1);
+setting (--depth, --max-carrier or DECOLOG_MAX_ENUM not an integer of at
+least 1);
 3 model/theory mismatch.  --json swaps the human report on stdout for a
 machine-readable one; errors always go to stderr as text.
 
@@ -320,7 +321,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = add("prove", cmd_prove, "search for a derivation")
     p.add_argument("theory")
     p.add_argument("equation")
-    p.add_argument("--depth", type=int, default=8,
+    p.add_argument("--depth", type=_at_least_one, default=8,
                    help="search depth bound (default 8)")
 
     p = add("model-check", cmd_model_check, "evaluate an equation in a model")

@@ -32,7 +32,8 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Iterator, Mapping, Optional, Sequence
+from functools import partial
+from typing import Callable, Iterator, Mapping, Optional
 
 from .calculus import (
     Bang,
@@ -43,7 +44,6 @@ from .calculus import (
     EffectKind,
     Id,
     Op,
-    OperationSymbol,
     PAIR_COMPONENT_RANK_LIMIT,
     Pair,
     Proj1,
@@ -51,19 +51,16 @@ from .calculus import (
     Strength,
     Theory,
     TypeExpr,
-    Unit,
     UnitType,
+    _spine,
     analyze_term,
     check_equation_wf,
     compose,
-    from_spine,
     infer_decoration,
     normalize,
     rank_name,
-    spine,
     strong,
     term_str,
-    weak,
     wf_term,
 )
 from .semantics import (
@@ -210,7 +207,11 @@ def _strength_of(eq: DecoratedEquation, want: Strength, d: Derivation,
 def _check(theory: Theory, d: Derivation, path: tuple[int, ...]) -> DecoratedEquation:
     if d.rule not in ALL_RULES:
         raise RuleMisapplied(path, f"unknown rule {d.rule!r}")
-    premises = [_check(theory, p, path + (i,)) for i, p in enumerate(d.premises)]
+    # a loop, not a comprehension: one stack frame per level keeps a
+    # derivation nested files.MAX_DEPTH deep well inside the recursion limit
+    premises = []
+    for i, p in enumerate(d.premises):
+        premises.append(_check(theory, p, path + (i,)))
     try:
         eq = _conclude(theory, d, premises, path)
         check_equation_wf(theory, eq)
@@ -371,130 +372,166 @@ def _conclude(theory: Theory, d: Derivation,
 # rewrite any window of the composition spine (and descend into pair
 # components through the congruence rules); weak moves rewrite only windows
 # whose surrounding context the weak congruences can legalize.
+#
+# Every term the search touches is in normal form, and all terms on one
+# side share one domain, so the search holds a term as its tuple of spine
+# atoms (the empty tuple for the identity).  A rewrite splices atoms; a term
+# is rebuilt with _spine only where a derivation or a pair names it.  A move
+# carries a builder for its derivation, which prove calls only for the
+# moves it keeps.
 
-def _atom_types(theory: Theory, atoms: Sequence[DecoratedTerm],
-                dom: TypeExpr) -> list[TypeExpr]:
-    """Boundary types t[0..n]: t[n] = dom, t[i] = cod of atoms[i]."""
-    bounds = [None] * (len(atoms) + 1)
-    bounds[len(atoms)] = dom
-    for i in range(len(atoms) - 1, -1, -1):
-        _, cod, _ = analyze_term(theory, atoms[i])
-        bounds[i] = cod
-    return bounds
-
-
-def _wrap_context(theory: Theory, prefix: Sequence[DecoratedTerm],
-                  suffix: Sequence[DecoratedTerm], suffix_dom: TypeExpr,
-                  middle_cod: TypeExpr, inner: Derivation,
-                  inner_eq: DecoratedEquation) -> Optional[Derivation]:
-    """Embed a window rewrite into its spine context, picking the
-    substitution/replacement rules the strength demands.  None when a weak
-    rewrite sits in a context the weak congruences reject."""
-    d = inner
-    effect = theory.effect
-    weak_mode = inner_eq.strength is Strength.WEAK
-    if suffix:
-        g = from_spine(suffix, suffix_dom)
-        if weak_mode:
-            if effect is EffectKind.EXCEPTIONS and infer_decoration(theory, g) > 0:
-                return None
-            d = deriv(WEAK_SUBST, d, g=g)
-        else:
-            d = deriv(SUBST_STRONG, d, g=g)
-    if prefix:
-        h = from_spine(prefix, middle_cod)
-        if weak_mode:
-            if effect is EffectKind.STATES and infer_decoration(theory, h) > 0:
-                return None
-            d = deriv(WEAK_REPL, d, h=h)
-        else:
-            d = deriv(REPL_STRONG, d, h=h)
-    return d
+Atoms = tuple[DecoratedTerm, ...]
+Move = tuple[Atoms, Callable[[], Derivation], Strength]
 
 
-def _window_rewrites(theory: Theory, term: DecoratedTerm, dom: TypeExpr,
-                     allow_weak: bool) -> Iterator[tuple[DecoratedTerm, Derivation, Strength]]:
-    """All one-step rewrites of the spine, as (new_term, derivation,
-    strength of the step)."""
-    atoms = list(spine(term))
+class _Rewriter:
+    """What one prove call reuses across expansions: the normalized axiom
+    sides indexed by source spine, each with its step (the axiom, or its
+    sym) and target, the lengths of those sources, and analyze_term
+    memoized per atom.
+
+    Within one source the sides keep declaration order, an axiom's
+    left-to-right use before its right-to-left one.  A side whose target
+    equals its source never rewrites anything and is left out."""
+
+    def __init__(self, theory: Theory):
+        self.theory = theory
+        self.sides: dict[Atoms, list] = {}
+        for ax in theory.axioms:
+            eq = ax.equation.normalized()
+            weak_step = eq.strength is Strength.WEAK
+            lhs, rhs = _normal_spine(eq.lhs), _normal_spine(eq.rhs)
+            axiom = deriv(AXIOM, name=ax.name)
+            for src, dst, step in ((lhs, rhs, axiom), (rhs, lhs, deriv(SYM, axiom))):
+                if src and src != dst:
+                    self.sides.setdefault(src, []).append((step, weak_step, dst))
+        self.lengths = frozenset(map(len, self.sides))
+        self.longest = max(self.lengths, default=0)
+        self._analysis: dict[DecoratedTerm, tuple] = {}
+
+    def analyze(self, atom: DecoratedTerm) -> tuple[TypeExpr, TypeExpr, int]:
+        found = self._analysis.get(atom)
+        if found is None:
+            found = self._analysis[atom] = analyze_term(self.theory, atom)
+        return found
+
+    def layout(self, atoms: Atoms,
+               dom: TypeExpr) -> tuple[list[TypeExpr], list[int]]:
+        """Boundary types t[0..n] (t[n] = dom, t[i] = cod of atoms[i]) and
+        the rank of every atom."""
+        bounds = [dom] * (len(atoms) + 1)
+        ranks = [0] * len(atoms)
+        for k, atom in enumerate(atoms):
+            _, bounds[k], ranks[k] = self.analyze(atom)
+        return bounds, ranks
+
+
+def _normal_spine(term: DecoratedTerm) -> Atoms:
+    """spine(term) for a term already in normal form, read off its
+    right-associated composition chain."""
+    atoms = []
+    while isinstance(term, Comp):
+        atoms.append(term.after)
+        term = term.first
+    if not isinstance(term, Id):
+        atoms.append(term)
+    return tuple(atoms)
+
+
+def _term_of(atoms: Atoms, dom: TypeExpr) -> DecoratedTerm:
+    """The normal term with these (normal) spine atoms."""
+    return _spine(atoms) if atoms else Id(dom)
+
+
+def _in_context(step: Derivation, weak_step: bool,
+                atoms: Atoms, i: int, j: int) -> Derivation:
+    """Embed a step rewriting atoms[i:j] into the rest of the spine:
+    substitution of the factors applied before the window, replacement by
+    the factors applied after it."""
+    if j < len(atoms):
+        step = deriv(WEAK_SUBST if weak_step else SUBST_STRONG, step,
+                     g=_spine(atoms[j:]))
+    if i:
+        step = deriv(WEAK_REPL if weak_step else REPL_STRONG, step,
+                     h=_spine(atoms[:i]))
+    return step
+
+
+def _unit_step(weak_step: bool, atoms: Atoms,
+               i: int, j: int) -> Derivation:
+    rule = UNIT_WEAK if weak_step else UNIT_STRONG_LOWRANK
+    return _in_context(deriv(rule, f=_spine(atoms[i:j])), weak_step, atoms, i, j)
+
+
+def _window_rewrites(rw: _Rewriter, atoms: Atoms,
+                     bounds: list[TypeExpr], ranks: list[int],
+                     allow_weak: bool) -> Iterator[Move]:
+    """All one-step rewrites of the spine: windows by start, then end, each
+    rewritten by the axiom sides in order, then by the unit law."""
     n = len(atoms)
-    bounds = _atom_types(theory, atoms, dom)
+    exceptions = rw.theory.effect is EffectKind.EXCEPTIONS
+    # largest rank among the factors before position i / from position j on
+    before = [0] * (n + 1)
+    after = [0] * (n + 1)
+    for k in range(n):
+        before[k + 1] = max(before[k], ranks[k])
+        after[n - 1 - k] = max(after[n - k], ranks[n - 1 - k])
 
-    axiom_sides = []
-    for ax in theory.axioms:
-        eq = ax.equation.normalized()
-        axiom_sides.append((ax.name, eq, spine(eq.lhs), spine(eq.rhs), False))
-        axiom_sides.append((ax.name, eq, spine(eq.rhs), spine(eq.lhs), True))
+    def weak_context_ok(i: int, j: int) -> bool:
+        # states: only pure replacement; exceptions: only pure substitution
+        return after[j] == 0 if exceptions else before[i] == 0
 
     for i in range(n):
-        for j in range(i + 1, n + 1):
-            window = atoms[i:j]
-            prefix, suffix = atoms[:i], atoms[j:]
-
-            for name, eq, src, dst, flip in axiom_sides:
-                if not src or list(src) != window:
-                    continue
-                step: Derivation = deriv(AXIOM, name=name)
-                step_eq = eq
-                if flip:
-                    step = deriv(SYM, step)
-                    step_eq = eq.flipped()
-                if step_eq.strength is Strength.WEAK and not allow_weak:
-                    continue
-                wrapped = _wrap_context(theory, prefix, suffix, bounds[n],
-                                        bounds[i], step, step_eq)
-                if wrapped is None:
-                    continue
-                new_term = from_spine(prefix + list(dst) + suffix, bounds[n])
-                if new_term != term:
-                    yield new_term, wrapped, step_eq.strength
-
-            if isinstance(bounds[i], UnitType):
-                window_term = from_spine(window, bounds[j])
-                r = infer_decoration(theory, window_term)
-                replacement = normalize(Bang(bounds[j]))
-                if window_term != replacement:
-                    strong_ok = (r == 0 if theory.effect is EffectKind.EXCEPTIONS
-                                 else r <= 1)
-                    if strong_ok:
-                        step = deriv(UNIT_STRONG_LOWRANK, f=window_term)
-                        step_eq = strong(window_term, replacement)
-                    elif allow_weak and theory.effect is EffectKind.STATES:
-                        step = deriv(UNIT_WEAK, f=window_term)
-                        step_eq = weak(window_term, replacement)
-                    else:
+        into_unit = isinstance(bounds[i], UnitType)
+        window_rank = 0
+        for j in range(i + 1, (n if into_unit else min(n, i + rw.longest)) + 1):
+            window_rank = max(window_rank, ranks[j - 1])
+            if j - i in rw.lengths:
+                for step, weak_step, dst in rw.sides.get(atoms[i:j], ()):
+                    if weak_step and not (allow_weak and weak_context_ok(i, j)):
                         continue
-                    wrapped = _wrap_context(theory, prefix, suffix, bounds[n],
-                                            bounds[i], step, step_eq)
-                    if wrapped is not None:
-                        new_term = from_spine(
-                            prefix + list(spine(replacement)) + suffix, bounds[n])
-                        if new_term != term:
-                            yield new_term, wrapped, step_eq.strength
+                    yield (atoms[:i] + dst + atoms[j:],
+                           partial(_in_context, step, weak_step, atoms, i, j),
+                           Strength.WEAK if weak_step else Strength.STRONG)
+
+            if into_unit:
+                replacement = () if isinstance(bounds[j], UnitType) else (Bang(bounds[j]),)
+                if atoms[i:j] == replacement:
+                    continue
+                if window_rank == 0 or (window_rank == 1 and not exceptions):
+                    weak_step = False
+                elif allow_weak and not exceptions and weak_context_ok(i, j):
+                    weak_step = True
+                else:
+                    continue
+                yield (atoms[:i] + replacement + atoms[j:],
+                       partial(_unit_step, weak_step, atoms, i, j),
+                       Strength.WEAK if weak_step else Strength.STRONG)
 
 
-def _pair_rewrites(theory: Theory, term: DecoratedTerm,
-                   dom: TypeExpr) -> Iterator[tuple[DecoratedTerm, Derivation, Strength]]:
+def _pair_rewrites(rw: _Rewriter, atoms: Atoms,
+                   bounds: list[TypeExpr]) -> Iterator[Move]:
     """Strong rewrites involving pairs: projection collapse, moving a factor
     in and out of a pair, and congruence steps inside components."""
-    atoms = list(spine(term))
+    theory = rw.theory
     n = len(atoms)
-    bounds = _atom_types(theory, atoms, dom)
 
-    def emit(i, j, new_atoms, step):
+    def emit(i, j, new_atoms, step, premises=None):
+        """The move replacing atoms[i:j], or None when the step is not a
+        valid strong step.  A step whose premises are already checked is
+        concluded from their conclusions instead of from its leaves."""
+        new = atoms[:i] + new_atoms + atoms[j:]
+        if new == atoms:
+            return None
         # any ill-typed or rank-violating candidate is simply not a move
         try:
-            new_term = from_spine(atoms[:i] + new_atoms + atoms[j:], bounds[n])
-            if new_term == term:
-                return None
-            step_eq = _check(theory, step, ())
-            wrapped = _wrap_context(theory, atoms[:i], atoms[j:], bounds[n],
-                                    bounds[i], step, step_eq)
+            if premises is None:
+                _check(theory, step, ())
+            else:
+                check_equation_wf(theory, _conclude(theory, step, premises, ()))
         except (DeductionError, CalculusError):
             return None
-        if wrapped is None:
-            return None
-        return new_term, wrapped, Strength.STRONG
+        return new, partial(_in_context, step, False, atoms, i, j), Strength.STRONG
 
     for k in range(n):
         a = atoms[k]
@@ -503,78 +540,85 @@ def _pair_rewrites(theory: Theory, term: DecoratedTerm,
             side = 1 if isinstance(a, Proj1) else 2
             kept = p.left if side == 1 else p.right
             step = deriv(PAIR_PROJ, f=p.left, g=p.right, side=side)
-            got = emit(k, k + 2, list(spine(kept)), step)
+            got = emit(k, k + 2, _normal_spine(kept), step)
             if got:
                 yield got
 
         if isinstance(a, Pair):
+            sl, sr = _normal_spine(a.left), _normal_spine(a.right)
             if k + 1 < n:
                 w = atoms[k + 1]
-                try:
-                    new_atom = Pair(compose(a.left, w), compose(a.right, w))
-                except CalculusError:
-                    new_atom = None
-                if new_atom is not None:
-                    step = deriv(PAIR_COMP_LOWRANK, f=a.left, g=a.right, w=w)
-                    got = emit(k, k + 2, [new_atom], step)
-                    if got:
-                        yield got
-            sl, sr = spine(a.left), spine(a.right)
+                new_atom = Pair(_spine(sl + (w,)), _spine(sr + (w,)))
+                step = deriv(PAIR_COMP_LOWRANK, f=a.left, g=a.right, w=w)
+                got = emit(k, k + 2, (new_atom,), step)
+                if got:
+                    yield got
             if sl and sr and sl[-1] == sr[-1]:
                 w = sl[-1]
-                _, wcod, _ = analyze_term(theory, w)
-                f2 = from_spine(sl[:-1], wcod)
-                g2 = from_spine(sr[:-1], wcod)
+                _, wcod, _ = rw.analyze(w)
+                f2, g2 = _term_of(sl[:-1], wcod), _term_of(sr[:-1], wcod)
                 step = deriv(SYM, deriv(PAIR_COMP_LOWRANK, f=f2, g=g2, w=w))
-                got = emit(k, k + 1, [Pair(f2, g2), w], step)
+                got = emit(k, k + 1, (Pair(f2, g2), w), step)
                 if got:
                     yield got
             for side in (0, 1):
                 comp = a.left if side == 0 else a.right
                 other = a.right if side == 0 else a.left
-                for sub_term, sub_drv, _ in _all_moves(theory, comp, bounds[k + 1],
-                                                       allow_weak=False):
+                refl = deriv(REFL, term=other)
+                refl_eq = DecoratedEquation(Strength.STRONG, other, other)
+                for sub_atoms, build, strength in _all_moves(
+                        rw, _normal_spine(comp), bounds[k + 1], allow_weak=False):
+                    sub_term = _term_of(sub_atoms, bounds[k + 1])
+                    sub_eq = DecoratedEquation(strength, comp, sub_term)
                     if side == 0:
                         new_atom = Pair(sub_term, other)
-                        step = deriv(PAIR_CONG_STRONG, sub_drv,
-                                     deriv(REFL, term=other))
+                        step = deriv(PAIR_CONG_STRONG, build(), refl)
+                        premises = [sub_eq, refl_eq]
                     else:
                         new_atom = Pair(other, sub_term)
-                        step = deriv(PAIR_CONG_STRONG,
-                                     deriv(REFL, term=other), sub_drv)
-                    got = emit(k, k + 1, [new_atom], step)
+                        step = deriv(PAIR_CONG_STRONG, refl, build())
+                        premises = [refl_eq, sub_eq]
+                    got = emit(k, k + 1, (new_atom,), step, premises)
                     if got:
                         yield got
 
 
-def _all_moves(theory: Theory, term: DecoratedTerm, dom: TypeExpr,
-               allow_weak: bool) -> Iterator[tuple[DecoratedTerm, Derivation, Strength]]:
-    for move in _window_rewrites(theory, term, dom, allow_weak):
-        yield move
-    for move in _pair_rewrites(theory, term, dom):
-        yield move
+def _all_moves(rw: _Rewriter, atoms: Atoms, dom: TypeExpr,
+               allow_weak: bool) -> Iterator[Move]:
+    """Every one-step rewrite of the normal term with these atoms and
+    domain, as (new atoms, derivation builder, strength of the step)."""
+    bounds, ranks = rw.layout(atoms, dom)
+    yield from _window_rewrites(rw, atoms, bounds, ranks, allow_weak)
+    yield from _pair_rewrites(rw, atoms, bounds)
 
 
 def _chain(base: Optional[Derivation], base_weak: bool,
-           step: Derivation, step_strength: Strength) -> tuple[Derivation, bool]:
-    step_weak = step_strength is Strength.WEAK
+           step: Derivation, step_weak: bool) -> Derivation:
     if base is None:
-        return step, step_weak
+        return step
     if not base_weak and not step_weak:
-        return deriv(TRANS_STRONG, base, step), False
+        return deriv(TRANS_STRONG, base, step)
     if base_weak and step_weak:
-        return deriv(TRANS_WEAK, base, step), True
-    return deriv(TRANS_MIXED, base, step), True
+        return deriv(TRANS_WEAK, base, step)
+    return deriv(TRANS_MIXED, base, step)
 
 
 def prove(theory: Theory, goal: DecoratedEquation, max_depth: int = 8,
           max_nodes: int = 4000) -> Derivation:
     """Search for a derivation of the goal; DepthExhausted when the bounded
-    bidirectional search gives up (which decides nothing).
+    bidirectional search gives up (which decides nothing).  Both bounds must
+    be at least 1.
 
-    The result always passes check_derivation against the goal."""
+    The search order, the rewrite count in the DepthExhausted message and
+    the derivation found are fixed by the order in which moves are
+    generated.  The result always passes check_derivation against the
+    goal."""
+    if max_depth < 1 or max_nodes < 1:
+        raise DeductionError(
+            f"prove needs max_depth and max_nodes of at least 1, "
+            f"got {max_depth} and {max_nodes}")
     eq = goal.normalized()
-    check_equation_wf(theory, eq)
+    dom = check_equation_wf(theory, eq).dom
     want_weak = eq.strength is Strength.WEAK
 
     if eq.lhs == eq.rhs:
@@ -584,18 +628,16 @@ def prove(theory: Theory, goal: DecoratedEquation, max_depth: int = 8,
         check_derivation(theory, found, expected=eq)
         return found
 
-    dom = check_equation_wf(theory, eq).dom
-    # reached[side]: term -> (derivation of `start ? term`, is_weak); the
-    # seed entry holds None for "no steps yet"
-    reached = [
-        {eq.lhs: (None, False)},
-        {eq.rhs: (None, False)},
-    ]
-    frontiers = [deque([(eq.lhs, 0)]), deque([(eq.rhs, 0)])]
+    rw = _Rewriter(theory)
+    starts = _normal_spine(eq.lhs), _normal_spine(eq.rhs)
+    # reached[side]: atoms of a term -> (derivation of `start ? term`,
+    # is_weak); the seed entry holds None for "no steps yet"
+    reached = [{start: (None, False)} for start in starts]
+    frontiers = [deque([(start, 0)]) for start in starts]
     nodes = 0
 
-    def meet(term: DecoratedTerm) -> Optional[Derivation]:
-        left, right = reached[0].get(term), reached[1].get(term)
+    def meet(atoms: Atoms) -> Optional[Derivation]:
+        left, right = reached[0].get(atoms), reached[1].get(atoms)
         if left is None or right is None:
             return None
         dl, wl = left
@@ -620,19 +662,21 @@ def prove(theory: Theory, goal: DecoratedEquation, max_depth: int = 8,
         for side in (0, 1):
             if not frontiers[side]:
                 continue
-            term, depth = frontiers[side].popleft()
+            atoms, depth = frontiers[side].popleft()
             if depth >= max_depth:
                 continue
-            base, base_weak = reached[side][term]
-            for new_term, step, strength in _all_moves(theory, term, dom, want_weak):
+            base, base_weak = reached[side][atoms]
+            for new_atoms, build, strength in _all_moves(rw, atoms, dom, want_weak):
                 nodes += 1
-                combined, combined_weak = _chain(base, base_weak, step, strength)
-                prev = reached[side].get(new_term)
+                step_weak = strength is Strength.WEAK
+                combined_weak = base_weak or step_weak
+                prev = reached[side].get(new_atoms)
                 if prev is not None and (not prev[1] or combined_weak):
                     continue
-                reached[side][new_term] = (combined, combined_weak)
-                frontiers[side].append((new_term, depth + 1))
-                done = meet(new_term)
+                reached[side][new_atoms] = (_chain(base, base_weak, build(), step_weak),
+                                            combined_weak)
+                frontiers[side].append((new_atoms, depth + 1))
+                done = meet(new_atoms)
                 if done is not None:
                     check_derivation(theory, done, expected=eq)
                     return done

@@ -226,10 +226,12 @@ class _Stream:
 # Types and terms
 # ---------------------------------------------------------------------------
 
-#: Deepest term or type the parsers accept.  A composition counts its
-#: factors' depths added up, a pair or a product one more than its deeper
-#: component, and every bracket one level on its own.  Terms and types are
-#: walked recursively everywhere in the library, so the limit stays far
+#: Deepest term, type or derivation the parsers accept.  A composition
+#: counts its factors' depths added up, a pair or a product one more than
+#: its deeper component, and every bracket one level on its own; a
+#: derivation counts one level per rule on its longest path to a leaf, and
+#: the terms inside it have their own budget.  Terms, types and derivations
+#: are walked recursively everywhere in the library, so the limit stays far
 #: below Python's default recursion limit of 1000.
 MAX_DEPTH = 200
 
@@ -583,14 +585,17 @@ def print_model(model: FiniteModel) -> str:
 # Derivation files
 # ---------------------------------------------------------------------------
 
-def _parse_deriv_node(s: _Stream, defs: dict[str, DecoratedTerm]) -> Derivation:
+def _parse_deriv_node(s: _Stream, defs: dict[str, DecoratedTerm],
+                      level: int = 0) -> Derivation:
+    if level >= MAX_DEPTH:
+        raise _too_deep(s, "derivation")
     s.expect("SYM", "(")
     rule = s.expect("IDENT").value
     params: list[tuple[str, object]] = []
     premises: list[Derivation] = []
     while not s.take_sym(")"):
         if s.at_sym("("):
-            premises.append(_parse_deriv_node(s, defs))
+            premises.append(_parse_deriv_node(s, defs, level + 1))
         elif s.peek().kind == "IDENT" and s.peek(1).kind == "SYM" \
                 and s.peek(1).value == "=":
             key = s.next().value

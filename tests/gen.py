@@ -37,7 +37,8 @@ from decolog.semantics import (
 )
 
 __all__ = [
-    "BASE_POOL", "random_type", "random_theory", "random_term", "term_between",
+    "BASE_POOL", "random_type", "random_theory", "random_word_theory",
+    "random_term", "term_between",
     "random_wf_terms", "random_derivation", "random_raw_term",
     "declared_type", "random_model",
 ]
@@ -88,6 +89,36 @@ def random_theory(rng: random.Random, effect: EffectKind, n_ops: int = 5,
                             DecoratedEquation(strength, lhs, rhs)))
     return Theory(effect=effect, base_types=BASE_POOL,
                   operations=tuple(ops), axioms=tuple(axioms))
+
+
+def random_word_theory(rng: random.Random, effect: EffectKind, n_ops: int = 3,
+                       n_axioms: int = 3, max_len: int = 3) -> Theory:
+    """Operations A -> A of random ranks, and axioms equating random
+    composites of up to max_len of them.  Every composite of operations is
+    a term here, so most terms have many rewrites, and proof search
+    between random terms often runs to its node bound."""
+    from decolog.calculus import Axiom, DecoratedEquation, Strength, compose
+
+    if n_ops < 2 and max_len < 2:
+        raise ValueError("one operation and one factor make a single composite")
+
+    A = BaseType("A")
+    ops = tuple(OperationSymbol(f"op{i}", A, A, rng.randint(0, 2))
+                for i in range(n_ops))
+
+    def word():
+        return compose(*(Op(rng.choice(ops).name)
+                         for _ in range(rng.randint(1, max_len))))
+
+    axioms = []
+    while len(axioms) < n_axioms:
+        lhs, rhs = word(), word()
+        if lhs != rhs:
+            strength = rng.choice((Strength.STRONG, Strength.WEAK))
+            axioms.append(Axiom(f"ax{len(axioms)}",
+                                DecoratedEquation(strength, lhs, rhs)))
+    return Theory(effect=effect, base_types=("A",), operations=ops,
+                  axioms=tuple(axioms))
 
 
 def random_term(rng: random.Random, theory: Theory, dom: TypeExpr,

@@ -153,6 +153,26 @@ class TestVerify:
         assert data["strength"] == "weak"
         assert data["lhs"] == "balance . deposit . seven"
 
+    def _verify_nested(self, capsys, tmp_path, levels):
+        path = tmp_path / "deep.drv"
+        path.write_text("(sym " * (levels - 1) + "(axiom ax1)" + ")" * (levels - 1))
+        return run(capsys, "verify", TC, str(path))
+
+    def test_derivation_at_the_depth_limit_verifies(self, capsys, tmp_path):
+        code, out, _ = self._verify_nested(capsys, tmp_path, MAX_DEPTH)
+        assert code == 0
+        sides = ["catchZero", "id(Int)"]
+        if (MAX_DEPTH - 1) % 2:  # an odd number of syms flips the axiom
+            sides.reverse()
+        assert out.strip() == "weak: {} ≈ {}".format(*sides)
+
+    @pytest.mark.parametrize("levels", [MAX_DEPTH + 1, 1000])
+    def test_deeper_derivation_exits_2(self, capsys, tmp_path, levels):
+        code, out, err = self._verify_nested(capsys, tmp_path, levels)
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1
+        assert f"derivation nested deeper than {MAX_DEPTH}" in err
+
 
 class TestProve:
     def test_found_derivation_reparses_and_checks(self, capsys):
@@ -175,6 +195,13 @@ class TestProve:
         data = json.loads(out)
         assert data["found"] is True
         assert "derivation" in data
+
+    @pytest.mark.parametrize("depth", ["0", "-1"])
+    def test_depth_below_1_is_a_usage_error(self, capsys, depth):
+        with pytest.raises(SystemExit) as err:
+            main(["prove", BANK, "weak f ~ g", "--depth", depth])
+        assert err.value.code == 2
+        assert "at least 1" in capsys.readouterr().err
 
 
 class TestModelCheck:

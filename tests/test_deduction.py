@@ -370,6 +370,14 @@ class TestProve:
         with pytest.raises(DepthExhausted):
             prove(theory, weak(f, g), max_depth=1)
 
+    @pytest.mark.parametrize("bounds", [{"max_depth": 0}, {"max_depth": -1},
+                                        {"max_nodes": 0}])
+    def test_bounds_below_1_are_refused(self, bank, bounds):
+        theory, f, _ = bank
+        # even a goal that needs no search: a bound below 1 checks nothing
+        with pytest.raises(DeductionError, match="at least 1"):
+            prove(theory, strong(f, f), **bounds)
+
 
 @pytest.fixture(scope="session")
 def rules_exceptions():

@@ -1,19 +1,32 @@
-"""The numbered kernel against the label-dict reference in reference.py.
+"""The library against the slow, direct implementations in reference.py.
 
-Every comparison runs both implementations on the same input: eval_term on
-each axiom and goal side, first_violation, find_counterexample (model text,
-witness and both values) and the full list of enumerate_models.  The inputs
-are the shipped corpus and a seeded batch of random theories from gen.py,
-all at carrier sizes of at most 2.
+Every comparison runs both implementations on the same input.  For the
+numbered kernel: eval_term on each axiom and goal side, first_violation,
+find_counterexample (model text, witness and both values) and the full
+list of enumerate_models, on the shipped corpus and a seeded batch of
+random theories from gen.py, all at carrier sizes of at most 2.  For the
+prover: the printed derivation, or the DepthExhausted message with its
+rewrite count, on the corpus goals, goals with nested pairs, and the
+conclusions of random derivations and random goal pairs over random
+theories.
 """
 import random
+import re
 
 import pytest
 
 import gen
 import reference
 from decolog.calculus import Axiom, DecoratedEquation, EffectKind, Strength, Theory, term_str
-from decolog.files import corpus_path, parse_equation, parse_model, parse_theory, print_model
+from decolog.deduction import DepthExhausted, check_derivation, prove
+from decolog.files import (
+    corpus_path,
+    parse_equation,
+    parse_model,
+    parse_theory,
+    print_derivation,
+    print_model,
+)
 from decolog.semantics import (
     Bounds,
     count_interpretations,
@@ -133,3 +146,120 @@ def test_random_theories(effect):
         filtered += len(models) < count_interpretations(theory, bounds)
     # the batch exercises both outcomes and the axiom filter
     assert 0 < found < cases and filtered > 0
+
+
+# ---------------------------------------------------------------------------
+# The prover
+# ---------------------------------------------------------------------------
+
+#: Node bound for the random goal pairs, most of which are not derivable:
+#: low enough that the reference reaches it quickly.
+PAIR_NODES = 300
+
+
+def _proof(search, theory, goal, **bounds):
+    try:
+        return print_derivation(search(theory, goal, **bounds))
+    except DepthExhausted as exhausted:
+        return f"exhausted: {exhausted}"
+
+
+def _assert_same_proof(theory, goal, **bounds):
+    """Both provers give the same derivation or the same failure; returns
+    it."""
+    found = _proof(prove, theory, goal, **bounds)
+    assert found == _proof(reference.prove, theory, goal, **bounds)
+    return found
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS))
+def test_prove_corpus(name):
+    theory_file, _, goals = CORPUS[name]
+    theory = parse_theory(corpus_path(theory_file).read_text())
+    for text in goals:
+        _assert_same_proof(theory, parse_equation(text, theory))
+
+
+@pytest.mark.parametrize("levels", range(2, 7))
+def test_prove_nested_pairs(levels):
+    """p1 . <p1 . <... seven ..., seven>, seven> == seven: every expansion
+    tries the pair moves and the congruence steps inside components."""
+    theory = parse_theory(corpus_path("bank.dth").read_text())
+    term = "seven"
+    for _ in range(levels):
+        term = f"p1(Int, Int) . <{term}, seven>"
+    for text in (f"strong {term} == seven", f"weak {term} ~ balance"):
+        _assert_same_proof(theory, parse_equation(text, theory))
+
+
+#: Goals at the edges of the side conditions the search must respect:
+#: windows into Unit of every rank under both effects, and a pair component
+#: whose strong rewrite would break the pair rank limit.
+EDGE_CASES = (
+    ("bank.dth", (
+        "strong bang(Int) . balance == id(Unit)",
+        "weak bang(Int) . balance . deposit . seven ~ id(Unit)",
+        "strong bang(Int) . balance . deposit . seven == id(Unit)",
+        "weak deposit . seven . bang(Int) . balance ~ deposit . seven",
+    )),
+    ("throwcatch.dth", (
+        "strong bang(Int) . zero == id(Unit)",
+        "strong bang(Int) . throw == id(Unit)",
+        "weak bang(Int) . catchZero . throw ~ id(Unit)",
+        "weak zero . bang(Int) . catchZero . zero ~ zero",
+    )),
+    ("""effect states
+type A
+op r : A -> A observer
+op m : A -> A modifier
+axiom strong r . r == m
+""", (
+        "strong <r . r, r> == <r, r . r>",
+        "strong p1(A, A) . <r . r, r> . r == r . r . r . r",
+        "strong p2(A, A) . <r, r . r> . r == m . r",
+    )),
+)
+
+
+@pytest.mark.parametrize("source, goals", EDGE_CASES)
+def test_prove_side_condition_edges(source, goals):
+    text = corpus_path(source).read_text() if source.endswith(".dth") else source
+    theory = parse_theory(text)
+    for goal in goals:
+        _assert_same_proof(theory, parse_equation(goal, theory))
+
+
+def _derived_goal(rng, theory):
+    """The conclusion of a random valid derivation whose sides differ, or
+    None when ten draws all conclude a reflexivity."""
+    for _ in range(10):
+        eq = check_derivation(theory, gen.random_derivation(rng, theory, steps=10)).equation
+        if eq.lhs != eq.rhs:
+            return eq
+    return None
+
+
+@pytest.mark.parametrize("effect", list(EffectKind))
+def test_prove_random_theories(effect):
+    """Derivable goals over theories with pairs and Unit, and random goal
+    pairs over theories of composites, where many searches are cut by the
+    node bound."""
+    rng = random.Random(77 if effect is EffectKind.STATES else 78)
+    proved = cut = 0
+    for _ in range(20):
+        theory = gen.random_theory(rng, effect, n_ops=rng.randint(2, 4),
+                                   n_axioms=rng.randint(1, 3))
+        derived = _derived_goal(rng, theory)
+        if derived is not None:
+            proved += not _assert_same_proof(theory, derived).startswith("exhausted")
+
+        theory = gen.random_word_theory(rng, effect)
+        dom = theory.operations[0].dom
+        lhs, _ = gen.random_term(rng, theory, dom, depth=6, products=False)
+        rhs, _ = gen.random_term(rng, theory, dom, depth=6, products=False)
+        goal = DecoratedEquation(rng.choice(list(Strength)), lhs, rhs)
+        found = _assert_same_proof(theory, goal, max_nodes=PAIR_NODES)
+        tried = re.search(r"\((\d+) rewrites tried\)", found)
+        cut += tried is not None and int(tried.group(1)) >= PAIR_NODES
+    # the batch exercises found proofs and searches cut by the node bound
+    assert proved >= 15 and cut >= 5

@@ -17,7 +17,9 @@ from decolog.calculus import (
     pair,
 )
 from decolog.deduction import check_derivation, deriv, REFL, AXIOM
+from decolog.duality import dualize_derivation, duality_map
 from decolog.files import (
+    MAX_DEPTH,
     ParseError,
     corpus_path,
     element_str,
@@ -309,6 +311,29 @@ class TestDerivationFiles:
     def test_unbalanced_parens(self, bank_file):
         with pytest.raises(ParseError):
             parse_derivation("(trans_strong (refl seven)", bank_file)
+
+    def test_derivation_depth_limit(self, throwcatch_file):
+        def nested(levels):
+            return "(sym " * (levels - 1) + "(axiom ax1)" + ")" * (levels - 1)
+        with pytest.raises(ParseError, match="derivation nested deeper"):
+            parse_derivation(nested(MAX_DEPTH + 1), throwcatch_file)
+        # at the limit every walker of derivations still has room, even
+        # with a term at its own limit inside
+        comp = " . ".join(["catchZero"] * MAX_DEPTH)
+        for text in (nested(MAX_DEPTH),
+                     "(sym " * (MAX_DEPTH - 1) + f"(refl {comp})" + ")" * (MAX_DEPTH - 1)):
+            d = parse_derivation(text, throwcatch_file)
+            check_derivation(throwcatch_file, d)
+            printed = print_derivation(d)
+            assert print_derivation(parse_derivation(printed, throwcatch_file)) == printed
+            dualize_derivation(duality_map(throwcatch_file), d)
+
+    def test_pair_term_at_its_limit_in_the_deepest_derivation(self, bank_file):
+        pairs = "<" * (MAX_DEPTH - 1) + "seven" + ", seven>" * (MAX_DEPTH - 1)
+        text = "(sym " * (MAX_DEPTH - 1) + f"(refl {pairs})" + ")" * (MAX_DEPTH - 1)
+        d = parse_derivation(text, bank_file)
+        check_derivation(bank_file, d)
+        print_derivation(d)
 
 
 class TestCorpus:

@@ -33,10 +33,12 @@ import itertools
 from collections import deque
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Iterator, Mapping, Optional
+from operator import add
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .calculus import (
     Bang,
+    BaseType,
     CalculusError,
     Comp,
     DecoratedEquation,
@@ -44,6 +46,7 @@ from .calculus import (
     EffectKind,
     Id,
     Op,
+    OperationSymbol,
     PAIR_COMPONENT_RANK_LIMIT,
     Pair,
     Proj1,
@@ -51,6 +54,7 @@ from .calculus import (
     Strength,
     Theory,
     TypeExpr,
+    Unit,
     UnitType,
     _spine,
     analyze_term,
@@ -63,17 +67,7 @@ from .calculus import (
     term_str,
     wf_term,
 )
-from .semantics import (
-    UNIT,
-    check_factoring,
-    compose_mappings,
-    lift_mapping,
-    pair_mappings,
-    table_domain,
-    table_outputs,
-    weak_equal,
-    weak_variants,
-)
+from .semantics import Table, _composer, _Layout, _Program, _raw_shape
 
 # ---------------------------------------------------------------------------
 # Rule identifiers
@@ -723,29 +717,59 @@ class ValidationReport:
         return all(r.ok for r in self.results)
 
 
-def _maps(effect: EffectKind, rank: int, dom: tuple, cod: tuple,
-          eff: tuple) -> Iterator[dict]:
-    ins = table_domain(effect, rank, dom, eff)
-    outs = table_outputs(effect, rank, cod, eff)
-    for combo in itertools.product(outs, repeat=len(ins)):
-        yield dict(zip(ins, combo))
+#: The scenarios' base types.  Every carrier assignment is one semantics
+#: layout, and every table below is a numbered rank-2 table of it.
+A, B, C, Z = (BaseType(role) for role in "ABCZ")
 
 
-def _lifted_maps(effect: EffectKind, rank: int, dom: tuple, cod: tuple,
-                 eff: tuple) -> Iterator[dict]:
-    for m in _maps(effect, rank, dom, cod, eff):
-        yield lift_mapping(effect, rank, m, eff)
+def _lifted(layout: _Layout, rank: int, dom: TypeExpr, cod: TypeExpr) -> list[tuple[Table, Table]]:
+    """Every raw table of the given rank from dom to cod, each sweeping its
+    output numbers lexicographically over its inputs, with its rank-2 table."""
+    n, m = layout.size(dom), layout.size(cod)
+    n_in, n_out = _raw_shape(layout.effect, rank, n, m, layout.k)
+    lift = layout.lifter(rank, n, m) or (lambda raw: raw)
+    return [(raw, lift(raw)) for raw in itertools.product(range(n_out), repeat=n_in)]
 
 
-def _summary(**named_tables: Mapping) -> str:
-    parts = []
-    for name, m in named_tables.items():
-        inside = ", ".join(f"{k!r}->{v!r}" for k, v in m.items())
-        parts.append(f"{name} = {{{inside}}}")
-    return "; ".join(parts)
+def _tables(layout: _Layout, ranks: tuple[int, ...], dom: TypeExpr,
+            cod: TypeExpr) -> list[Table]:
+    """The rank-2 tables of every raw table from dom to cod, rank by rank."""
+    return [t for rank in ranks for _, t in _lifted(layout, rank, dom, cod)]
 
 
-Check = Callable[..., tuple[int, int, Optional[str]]]
+def _weakly_equal(layout: _Layout, t: Table, cod: TypeExpr) -> Iterator[Table]:
+    """Every rank-2 table weakly equal to t, t among them: the exceptional
+    rows run free (exceptions), or the state of every row does (states)."""
+    k = layout.k
+    if layout.exceptions:
+        head = t[:len(t) - k]
+        return (head + tail for tail in itertools.product(range(layout.size(cod) + k), repeat=k))
+    values = tuple(v - v % k for v in t)
+    return (tuple(map(add, values, states))
+            for states in itertools.product(range(k), repeat=len(t)))
+
+
+def _weak_view(layout: _Layout, dom: TypeExpr, cod: TypeExpr) -> Callable[[Table], Sequence[int]]:
+    """What a weak equation compares of a rank-2 table from dom to cod."""
+    return layout.weak_view(layout.size(dom), layout.size(cod)) or (lambda t: t)
+
+
+def _program(effect: EffectKind, term: DecoratedTerm, *ops: OperationSymbol) -> _Program:
+    """The evaluator compiled for term over a theory of ops."""
+    return _Program(Theory(effect, tuple("ABCZ"), ops), (), (term,))
+
+
+def _denotation(program: _Program, layout: _Layout) -> Callable[..., Table]:
+    """The map from the raw tables of a program's ops to the rank-2 table
+    of its term at layout."""
+    program.at(layout)
+    side = program.sides[0]
+    return lambda *raws: side.run(program.lift(raws))
+
+
+#: One block of combos: the tables they share, the last table of each and
+#: whether the conclusion holds for each.
+Block = tuple[tuple, list, list]
 
 
 @dataclass(frozen=True)
@@ -753,238 +777,220 @@ class _Scenario:
     rule: str
     description: str
     expectation: str
-    roles: tuple[str, ...]
-    run: Check
+    tables: tuple[tuple[str, TypeExpr, TypeExpr], ...]  # name, dom, cod
+    blocks: Callable[[_Layout], Iterable[Block]]
+
+    @property
+    def roles(self) -> tuple[str, ...]:
+        """The base types the carriers are swept for, in order of first use."""
+        return tuple(dict.fromkeys(ty.name for _, dom, cod in self.tables
+                                   for ty in (dom, cod) if isinstance(ty, BaseType)))
+
+    def run(self, layout: _Layout, stop: bool = False) -> tuple[int, int, Optional[str]]:
+        """Models checked, violations and the first violation's tables,
+        decoded.  With stop set, return at the first violation (used when
+        one countermodel settles the question)."""
+        checked = violations = 0
+        example = None
+        for head, tails, holds in self.blocks(layout):
+            if False in holds:
+                first = holds.index(False)
+                if example is None:
+                    example = _summary(layout, self.tables, head + (tails[first],))
+                if stop:
+                    return checked + first + 1, violations + 1, example
+                violations += holds.count(False)
+            checked += len(holds)
+        return checked, violations, example
 
 
-def _run_check(combos, conclusion, stop) -> tuple[int, int, Optional[str]]:
-    """Count conclusion failures over the combos; with stop set, return at
-    the first failure (used when one countermodel settles the question)."""
-    checked = violations = 0
-    example = None
-    for named in combos:
-        checked += 1
-        if not conclusion(named):
-            violations += 1
-            if example is None:
-                example = _summary(**named)
-            if stop:
-                break
-    return checked, violations, example
+def _summary(layout: _Layout, named: tuple, tables: tuple) -> str:
+    parts = []
+    for (name, dom, cod), t in zip(named, tables):
+        inside = ", ".join(f"{k!r}->{v!r}" for k, v in layout.decode(dom, cod, t).items())
+        parts.append(f"{name} = {{{inside}}}")
+    return "; ".join(parts)
 
 
-def _sc_refl(effect, carriers, eff, stop=False):
-    A, B = carriers["A"], carriers["B"]
-    combos = ({"f": m} for r in (0, 1, 2) for m in _lifted_maps(effect, r, A, B, eff))
-    return _run_check(combos, lambda n: n["f"] == n["f"], stop)
+def _refl(programs, layout):
+    for r in (0, 1, 2):
+        f_of = _denotation(programs[r], layout)
+        fs = _lifted(layout, r, A, B)
+        yield (), [f for _, f in fs], [f == f_of(raw) for raw, f in fs]
 
 
-def _sc_sym_weak(effect, carriers, eff, stop=False):
-    A, B = carriers["A"], carriers["B"]
-    combos = ({"f1": f1, "f2": f2}
-              for f1 in _lifted_maps(effect, 2, A, B, eff)
-              for f2 in weak_variants(effect, f1, eff, B))
-    return _run_check(combos, lambda n: weak_equal(effect, n["f2"], n["f1"]), stop)
+def _sym_weak(layout):
+    view = _weak_view(layout, A, B)
+    for f1 in _tables(layout, (2,), A, B):
+        f2s = list(_weakly_equal(layout, f1, B))
+        yield (f1,), f2s, [view(f2) == view(f1) for f2 in f2s]
 
 
-def _sc_trans_weak(effect, carriers, eff, stop=False):
-    A, B = carriers["A"], carriers["B"]
-    combos = ({"f1": f1, "f2": f2, "f3": f3}
-              for f1 in _lifted_maps(effect, 2, A, B, eff)
-              for f2 in weak_variants(effect, f1, eff, B)
-              for f3 in weak_variants(effect, f2, eff, B))
-    return _run_check(combos, lambda n: weak_equal(effect, n["f1"], n["f3"]), stop)
+def _trans_weak(layout):
+    view = _weak_view(layout, A, B)
+    for f1 in _tables(layout, (2,), A, B):
+        for f2 in _weakly_equal(layout, f1, B):
+            f3s = list(_weakly_equal(layout, f2, B))
+            yield (f1, f2), f3s, [view(f1) == view(f3) for f3 in f3s]
 
 
-def _sc_weak_to_strong_lowrank(effect, carriers, eff, stop=False):
-    A, B = carriers["A"], carriers["B"]
-    def combos():
-        for f1 in _lifted_maps(effect, 1, A, B, eff):
-            for f2 in weak_variants(effect, f1, eff, B):
-                # keep only variants that still factor at rank 1
-                if check_factoring(effect, 1, f2) is None:
-                    yield {"f1": f1, "f2": f2}
-    return _run_check(combos(), lambda n: n["f1"] == n["f2"], stop)
+def _weak_to_strong(rank, layout):
+    # keep only variants that still factor at the rank
+    factors = (layout.conservation(rank, layout.size(A), layout.size(B))
+               if rank < 2 else None) or (lambda t: True)
+    for f1 in _tables(layout, (rank,), A, B):
+        f2s = [f2 for f2 in _weakly_equal(layout, f1, B) if factors(f2)]
+        yield (f1,), f2s, [f1 == f2 for f2 in f2s]
 
 
-def _sc_weak_to_strong_rank2(effect, carriers, eff, stop=False):
-    A, B = carriers["A"], carriers["B"]
-    combos = ({"f1": f1, "f2": f2}
-              for f1 in _lifted_maps(effect, 2, A, B, eff)
-              for f2 in weak_variants(effect, f1, eff, B))
-    return _run_check(combos, lambda n: n["f1"] == n["f2"], stop)
+def _subst_strong(programs, layout):
+    gs = []
+    for rg in (0, 1, 2):
+        g_tables = _lifted(layout, rg, Z, A)
+        gs.append((_denotation(programs[rg], layout), g_tables, [g for _, g in g_tables],
+                   [_composer(g) for _, g in g_tables]))
+    for raw_f, f in _lifted(layout, 2, A, B):
+        for fg_of, g_tables, tails, g_picks in gs:
+            yield (f,), tails, [pick(f) == fg_of(raw_f, raw_g)
+                                for (raw_g, _), pick in zip(g_tables, g_picks)]
 
 
-def _sc_subst_strong(effect, carriers, eff, stop=False):
-    A, B, Z = carriers["A"], carriers["B"], carriers["Z"]
-    combos = ({"f": f, "g": g}
-              for f in _lifted_maps(effect, 2, A, B, eff)
-              for rg in (0, 1, 2)
-              for g in _lifted_maps(effect, rg, Z, A, eff))
-    return _run_check(combos,
-                      lambda n: compose_mappings(n["f"], n["g"])
-                      == compose_mappings(n["f"], n["g"]), stop)
+def _weak_subst(g_ranks, layout):
+    view = _weak_view(layout, Z, B)
+    gs = _tables(layout, g_ranks, Z, A)
+    g_picks = [_composer(g) for g in gs]
+    for f1 in _tables(layout, (2,), A, B):
+        # f1 . g is shared by every weak variant f2
+        f1gs = [view(pick(f1)) for pick in g_picks]
+        for f2 in _weakly_equal(layout, f1, B):
+            if f2 != f1:
+                yield (f1, f2), gs, [view(pick(f2)) == f1g for pick, f1g in zip(g_picks, f1gs)]
 
 
-def _weak_subst_combos(effect, carriers, eff, g_ranks):
-    A, B, Z = carriers["A"], carriers["B"], carriers["Z"]
-    for f1 in _lifted_maps(effect, 2, A, B, eff):
-        for f2 in weak_variants(effect, f1, eff, B):
-            if f1 == f2:
-                continue
-            for rg in g_ranks:
-                for g in _lifted_maps(effect, rg, Z, A, eff):
-                    yield {"f1": f1, "f2": f2, "g": g}
-
-
-def _sc_weak_subst(g_ranks):
-    def run(effect, carriers, eff, stop=False):
-        return _run_check(
-            _weak_subst_combos(effect, carriers, eff, g_ranks),
-            lambda n: weak_equal(effect,
-                                 compose_mappings(n["f1"], n["g"]),
-                                 compose_mappings(n["f2"], n["g"])), stop)
-    return run
-
-
-def _weak_repl_combos(effect, carriers, eff, h_ranks):
-    A, B, C = carriers["A"], carriers["B"], carriers["C"]
-    for f1 in _lifted_maps(effect, 2, A, B, eff):
-        for f2 in weak_variants(effect, f1, eff, B):
-            if f1 == f2:
-                continue
-            for rh in h_ranks:
-                for h in _lifted_maps(effect, rh, B, C, eff):
-                    yield {"f1": f1, "f2": f2, "h": h}
-
-
-def _sc_weak_repl(h_ranks):
-    def run(effect, carriers, eff, stop=False):
-        return _run_check(
-            _weak_repl_combos(effect, carriers, eff, h_ranks),
-            lambda n: weak_equal(effect,
-                                 compose_mappings(n["h"], n["f1"]),
-                                 compose_mappings(n["h"], n["f2"])), stop)
-    return run
+def _weak_repl(h_ranks, layout):
+    view = _weak_view(layout, A, C)
+    hs = _tables(layout, h_ranks, B, C)
+    for f1 in _tables(layout, (2,), A, B):
+        # h . f1 is shared by every weak variant f2
+        pick = _composer(f1)
+        hf1s = [view(pick(h)) for h in hs]
+        for f2 in _weakly_equal(layout, f1, B):
+            if f2 != f1:
+                pick = _composer(f2)
+                yield (f1, f2), hs, [view(pick(h)) == hf1 for h, hf1 in zip(hs, hf1s)]
 
 
 def _component_ranks(effect):
     return tuple(range(PAIR_COMPONENT_RANK_LIMIT[effect] + 1))
 
 
-def _sc_pair_proj(effect, carriers, eff, stop=False):
-    A, B, C = carriers["A"], carriers["B"], carriers["C"]
-    ranks = _component_ranks(effect)
-    prod = tuple(itertools.product(B, C))
-    p1 = lift_mapping(effect, 0, {p: p[0] for p in prod}, eff)
-    p2 = lift_mapping(effect, 0, {p: p[1] for p in prod}, eff)
-    combos = ({"f": f, "g": g}
-              for rf in ranks for f in _lifted_maps(effect, rf, A, B, eff)
-              for rg in ranks for g in _lifted_maps(effect, rg, A, C, eff))
-
-    def conclusion(n):
-        paired = pair_mappings(effect, n["f"], n["g"])
-        return (compose_mappings(p1, paired) == n["f"]
-                and compose_mappings(p2, paired) == n["g"])
-    return _run_check(combos, conclusion, stop)
+def _pair_proj(layout):
+    ranks = _component_ranks(layout.effect)
+    pair = layout.pairer(layout.size(A), layout.size(B), layout.size(C))
+    p1, p2 = layout.constant(("p1", B, C)), layout.constant(("p2", B, C))
+    gs = _tables(layout, ranks, A, C)
+    for f in _tables(layout, ranks, A, B):
+        picks = [_composer(pair(f, g)) for g in gs]
+        yield (f,), gs, [pick(p1) == f and pick(p2) == g for g, pick in zip(gs, picks)]
 
 
-def _sc_pair_cong(effect, carriers, eff, stop=False):
-    A, B, C = carriers["A"], carriers["B"], carriers["C"]
-    ranks = _component_ranks(effect)
-    combos = ({"f": f, "g": g}
-              for rf in ranks for f in _lifted_maps(effect, rf, A, B, eff)
-              for rg in ranks for g in _lifted_maps(effect, rg, A, C, eff))
-    return _run_check(combos,
-                      lambda n: pair_mappings(effect, n["f"], n["g"])
-                      == pair_mappings(effect, n["f"], n["g"]), stop)
+def _pair_cong(programs, layout):
+    ranks = _component_ranks(layout.effect)
+    pair = layout.pairer(layout.size(A), layout.size(B), layout.size(C))
+    gs = [(rg, _lifted(layout, rg, A, C)) for rg in ranks]
+    fg_of = {key: _denotation(program, layout) for key, program in programs.items()}
+    for rf in ranks:
+        for raw_f, f in _lifted(layout, rf, A, B):
+            for rg, g_tables in gs:
+                yield (f,), [g for _, g in g_tables], [pair(f, g) == fg_of[rf, rg](raw_f, raw_g)
+                                                       for raw_g, g in g_tables]
 
 
-def _sc_pair_comp(effect, carriers, eff, stop=False):
-    A, B, C, Z = carriers["A"], carriers["B"], carriers["C"], carriers["Z"]
-    ranks = _component_ranks(effect)
-    combos = ({"f": f, "g": g, "w": w}
-              for rf in ranks for f in _lifted_maps(effect, rf, A, B, eff)
-              for rg in ranks for g in _lifted_maps(effect, rg, A, C, eff)
-              for rw in ranks for w in _lifted_maps(effect, rw, Z, A, eff))
-
-    def conclusion(n):
-        lhs = compose_mappings(pair_mappings(effect, n["f"], n["g"]), n["w"])
-        rhs = pair_mappings(effect,
-                            compose_mappings(n["f"], n["w"]),
-                            compose_mappings(n["g"], n["w"]))
-        return lhs == rhs
-    return _run_check(combos, conclusion, stop)
+def _pair_comp(layout):
+    ranks = _component_ranks(layout.effect)
+    nb, nc = layout.size(B), layout.size(C)
+    pair_a = layout.pairer(layout.size(A), nb, nc)
+    pair_z = layout.pairer(layout.size(Z), nb, nc)
+    gs = _tables(layout, ranks, A, C)
+    ws = _tables(layout, ranks, Z, A)
+    w_picks = [_composer(w) for w in ws]
+    for f in _tables(layout, ranks, A, B):
+        fws = [pick(f) for pick in w_picks]
+        for g in gs:
+            fg = pair_a(f, g)
+            yield (f, g), ws, [pick(fg) == pair_z(fw, pick(g)) for pick, fw in zip(w_picks, fws)]
 
 
-def _sc_unit(strength, ranks):
-    def run(effect, carriers, eff, stop=False):
-        A = carriers["A"]
-        bang = lift_mapping(effect, 0, {a: UNIT for a in A}, eff)
-        combos = ({"f": f}
-                  for r in ranks
-                  for f in _lifted_maps(effect, r, A, (UNIT,), eff))
-        if strength is Strength.STRONG:
-            conclusion = lambda n: n["f"] == bang
-        else:
-            conclusion = lambda n: weak_equal(effect, n["f"], bang)
-        return _run_check(combos, conclusion, stop)
-    return run
+def _unit(strength, ranks, layout):
+    view = (lambda t: t) if strength is Strength.STRONG else _weak_view(layout, A, Unit)
+    canonical = view(layout.constant(("bang", A)))
+    fs = _tables(layout, ranks, A, Unit)
+    return [((), fs, [view(f) == canonical for f in fs])]
 
 
 def _scenarios(effect: EffectKind) -> tuple[_Scenario, ...]:
+    # each combo's tables, as its example names them
+    f, f1_f2 = (("f", A, B),), (("f1", A, B), ("f2", A, B))
+    f_g, w = (("f", A, B), ("g", A, C)), (("w", Z, A),)
+    weak_subst, weak_repl = f1_f2 + (("g", Z, A),), f1_f2 + (("h", B, C),)
+    into_unit = (("f", A, Unit),)
+    # the evaluator's denotations of f, f . g and <f, g>, per rank combination
+    ranks = _component_ranks(effect)
+    refl = {r: _program(effect, Op("f"), OperationSymbol("f", A, B, r)) for r in (0, 1, 2)}
+    subst = {rg: _program(effect, Comp(Op("f"), Op("g")), OperationSymbol("f", A, B, 2),
+                          OperationSymbol("g", Z, A, rg)) for rg in (0, 1, 2)}
+    cong = {(rf, rg): _program(effect, Pair(Op("f"), Op("g")), OperationSymbol("f", A, B, rf),
+                               OperationSymbol("g", A, C, rg)) for rf in ranks for rg in ranks}
     out = [
-        _Scenario(REFL, "a term equals itself", EXPECT_SOUND, ("A", "B"), _sc_refl),
-        _Scenario(SYM, "weak equality is symmetric", EXPECT_SOUND, ("A", "B"),
-                  _sc_sym_weak),
-        _Scenario(TRANS_WEAK, "weak equality chains", EXPECT_SOUND, ("A", "B"),
-                  _sc_trans_weak),
+        _Scenario(REFL, "a term equals itself", EXPECT_SOUND, f, partial(_refl, refl)),
+        _Scenario(SYM, "weak equality is symmetric", EXPECT_SOUND, f1_f2, _sym_weak),
+        _Scenario(TRANS_WEAK, "weak equality chains", EXPECT_SOUND,
+                  f1_f2 + (("f3", A, B),), _trans_weak),
         _Scenario(WEAK_TO_STRONG_LOWRANK,
                   "weak agreement at rank <= 1 is already strong",
-                  EXPECT_SOUND, ("A", "B"), _sc_weak_to_strong_lowrank),
+                  EXPECT_SOUND, f1_f2, partial(_weak_to_strong, 1)),
         _Scenario(WEAK_TO_STRONG_LOWRANK,
                   "at rank 2 weak agreement is strictly weaker",
-                  EXPECT_COUNTERMODEL, ("A", "B"), _sc_weak_to_strong_rank2),
+                  EXPECT_COUNTERMODEL, f1_f2, partial(_weak_to_strong, 2)),
         _Scenario(SUBST_STRONG, "strong equality precomposes", EXPECT_SOUND,
-                  ("A", "B", "Z"), _sc_subst_strong),
-        _Scenario(PAIR_PROJ, "projections undo pairing", EXPECT_SOUND,
-                  ("A", "B", "C"), _sc_pair_proj),
-        _Scenario(PAIR_CONG_STRONG, "pairing is a congruence", EXPECT_SOUND,
-                  ("A", "B", "C"), _sc_pair_cong),
+                  (("f", A, B), ("g", Z, A)), partial(_subst_strong, subst)),
+        _Scenario(PAIR_PROJ, "projections undo pairing", EXPECT_SOUND, f_g, _pair_proj),
+        _Scenario(PAIR_CONG_STRONG, "pairing is a congruence", EXPECT_SOUND, f_g,
+                  partial(_pair_cong, cong)),
         _Scenario(PAIR_COMP_LOWRANK, "pairing distributes over composition",
-                  EXPECT_SOUND, ("A", "B", "C", "Z"), _sc_pair_comp),
+                  EXPECT_SOUND, f_g + w, _pair_comp),
     ]
     if effect is EffectKind.STATES:
         out += [
             _Scenario(WEAK_SUBST, "any g precomposes with a weak equation",
-                      EXPECT_SOUND, ("A", "B", "Z"), _sc_weak_subst((0, 1, 2))),
+                      EXPECT_SOUND, weak_subst, partial(_weak_subst, (0, 1, 2))),
             _Scenario(WEAK_REPL, "pure h postcomposes with a weak equation",
-                      EXPECT_SOUND, ("A", "B", "C"), _sc_weak_repl((0,))),
+                      EXPECT_SOUND, weak_repl, partial(_weak_repl, (0,))),
             _Scenario(WEAK_REPL, "an impure h distinguishes weakly equal terms",
-                      EXPECT_COUNTERMODEL, ("A", "B", "C"), _sc_weak_repl((1, 2))),
+                      EXPECT_COUNTERMODEL, weak_repl, partial(_weak_repl, (1, 2))),
             _Scenario(UNIT_STRONG_LOWRANK, "rank <= 1 terms into Unit are canonical",
-                      EXPECT_SOUND, ("A",), _sc_unit(Strength.STRONG, (0, 1))),
+                      EXPECT_SOUND, into_unit, partial(_unit, Strength.STRONG, (0, 1))),
             _Scenario(UNIT_STRONG_LOWRANK, "a modifier into Unit is not canonical",
-                      EXPECT_COUNTERMODEL, ("A",), _sc_unit(Strength.STRONG, (2,))),
+                      EXPECT_COUNTERMODEL, into_unit, partial(_unit, Strength.STRONG, (2,))),
             _Scenario(UNIT_WEAK, "every term into Unit is weakly canonical",
-                      EXPECT_SOUND, ("A",), _sc_unit(Strength.WEAK, (0, 1, 2))),
+                      EXPECT_SOUND, into_unit, partial(_unit, Strength.WEAK, (0, 1, 2))),
         ]
     else:
         out += [
             _Scenario(WEAK_SUBST, "pure g precomposes with a weak equation",
-                      EXPECT_SOUND, ("A", "B", "Z"), _sc_weak_subst((0,))),
+                      EXPECT_SOUND, weak_subst, partial(_weak_subst, (0,))),
             _Scenario(WEAK_SUBST, "an impure g distinguishes weakly equal terms",
-                      EXPECT_COUNTERMODEL, ("A", "B", "Z"), _sc_weak_subst((1, 2))),
+                      EXPECT_COUNTERMODEL, weak_subst, partial(_weak_subst, (1, 2))),
             _Scenario(WEAK_REPL, "any h postcomposes with a weak equation",
-                      EXPECT_SOUND, ("A", "B", "C"), _sc_weak_repl((0, 1, 2))),
+                      EXPECT_SOUND, weak_repl, partial(_weak_repl, (0, 1, 2))),
             _Scenario(UNIT_STRONG_LOWRANK, "pure terms into Unit are canonical",
-                      EXPECT_SOUND, ("A",), _sc_unit(Strength.STRONG, (0,))),
+                      EXPECT_SOUND, into_unit, partial(_unit, Strength.STRONG, (0,))),
             _Scenario(UNIT_STRONG_LOWRANK, "a propagator into Unit may raise",
-                      EXPECT_COUNTERMODEL, ("A",), _sc_unit(Strength.STRONG, (1,))),
+                      EXPECT_COUNTERMODEL, into_unit, partial(_unit, Strength.STRONG, (1,))),
             _Scenario(UNIT_WEAK, "pure terms into Unit are weakly canonical",
-                      EXPECT_SOUND, ("A",), _sc_unit(Strength.WEAK, (0,))),
+                      EXPECT_SOUND, into_unit, partial(_unit, Strength.WEAK, (0,))),
             _Scenario(UNIT_WEAK, "a propagator into Unit may raise even weakly",
-                      EXPECT_COUNTERMODEL, ("A",), _sc_unit(Strength.WEAK, (1, 2))),
+                      EXPECT_COUNTERMODEL, into_unit, partial(_unit, Strength.WEAK, (1, 2))),
         ]
     return tuple(out)
 
@@ -998,8 +1004,7 @@ def _run_scenario(effect: EffectKind, sc: _Scenario,
     for combo in itertools.product(sizes, repeat=len(sc.roles)):
         carriers = {role: tuple(range(n)) for role, n in zip(sc.roles, combo)}
         for eff_size in sizes:
-            eff = tuple(range(eff_size))
-            c, v, ex_here = sc.run(effect, carriers, eff, stop=stop)
+            c, v, ex_here = sc.run(_Layout(effect, carriers, tuple(range(eff_size))), stop)
             checked += c
             violations += v
             if example is None and ex_here is not None:

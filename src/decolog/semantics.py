@@ -26,13 +26,13 @@ the order rank2_domain lists the inputs:
     exceptions   ok(a) is a and exc(e) is |A| + e (the ok block, then the exc block)
     states       (a, s) is a*|S| + s (row-major)
 
-Composition is tuple(map(after.__getitem__, first)), strong equality is
-tuple equality, and weak equality compares the ok block (exceptions) or the
-value column v // |S| (states).  Each equation is compiled once per search
-and specialised once per carrier-size assignment; labels are decoded only
-where a caller sees them: eval_term's mapping, the models enumerate_models
-yields and a Counterexample.  The rule-soundness sweep in deduction.py keeps
-the label-dict algebra (lift_mapping, pair_mappings, ...).
+Composition looks first's entries up in after (itemgetter(*first)(after)),
+strong equality is tuple equality, and weak equality compares the ok block
+(exceptions) or the value column v // |S| (states).  Each equation is
+compiled once per search and specialised once per carrier-size assignment;
+labels are decoded only where a caller sees them: eval_term's mapping, the
+models enumerate_models yields, a Counterexample and the examples of the
+rule-soundness sweep in deduction.py, which runs on the same parts.
 """
 from __future__ import annotations
 
@@ -178,51 +178,6 @@ def table_outputs(effect: EffectKind, rank: int, cod_elems: Sequence[Element],
     return tuple(itertools.product(cod_elems, eff_elems))
 
 
-def lift_mapping(effect: EffectKind, rank: int, mapping: Mapping,
-                 eff_elems: Sequence[Element], to_rank: int = 2) -> dict:
-    """A raw rank-`rank` mapping viewed at `to_rank`, one rank step at a
-    time.  Exceptions: pure results get ok-tagged, then propagators extend to
-    exceptional inputs by propagation.  States: pure results get read access
-    to an ignored state, then observers extend to modifiers that write
-    nothing."""
-    m = dict(mapping)
-    for r in range(rank, to_rank):
-        if effect is EffectKind.EXCEPTIONS:
-            if r == 0:
-                m = {a: ok(b) for a, b in m.items()}
-            else:
-                m = {ok(a): b for a, b in m.items()}
-                m.update({exc(e): exc(e) for e in eff_elems})
-        elif r == 0:
-            m = {(a, s): m[a] for a in m for s in eff_elems}
-        else:
-            m = {(a, s): (b, s) for (a, s), b in m.items()}
-    return m
-
-
-def compose_mappings(after: Mapping, first: Mapping) -> dict:
-    """Composition of two rank-2 mappings, first applied first."""
-    return {x: after[y] for x, y in first.items()}
-
-
-def weak_variants(effect: EffectKind, m2: Mapping, eff_elems: Sequence[Element],
-                  cod_elems: Sequence[Element]) -> Iterator[dict]:
-    """Every rank-2 mapping weakly equal to m2: same on ok inputs for
-    exceptions (the exceptional rows run free), same value component for
-    states (the state rows run free).  m2 itself is among the variants."""
-    if effect is EffectKind.EXCEPTIONS:
-        exc_inputs = [x for x in m2 if not is_ok(x)]
-        outs = table_outputs(effect, 2, cod_elems, eff_elems)
-        for combo in itertools.product(outs, repeat=len(exc_inputs)):
-            variant = dict(m2)
-            variant.update(zip(exc_inputs, combo))
-            yield variant
-    else:
-        keys = list(m2)
-        for combo in itertools.product(eff_elems, repeat=len(keys)):
-            yield {k: (m2[k][0], s) for k, s in zip(keys, combo)}
-
-
 # ---------------------------------------------------------------------------
 # Evaluation
 # ---------------------------------------------------------------------------
@@ -262,16 +217,6 @@ def validate_model(theory: Theory, model: FiniteModel) -> None:
                     f"table for {sym.name!r} produces {value!r} outside its codomain")
 
 
-def pair_mappings(effect: EffectKind, left: Mapping, right: Mapping) -> dict:
-    """Rank-2 mapping of a pair from its components' rank-2 mappings (the
-    components must factor through the pair rank limit)."""
-    if effect is EffectKind.EXCEPTIONS:
-        # components are pure, so ok inputs land on ok outputs
-        return {x: ok((lv[1], right[x][1])) if is_ok(x) else x
-                for x, lv in left.items()}
-    return {(a, s): ((lv[0], right[(a, s)][0]), s) for (a, s), lv in left.items()}
-
-
 def check_factoring(effect: EffectKind, rank: int, mapping: Mapping) -> Optional[str]:
     """None if the rank-2 table is consistent with the claimed rank, else a
     description of the violation."""
@@ -295,13 +240,6 @@ def check_factoring(effect: EffectKind, rank: int, mapping: Mapping) -> Optional
     return None
 
 
-def weak_equal(effect: EffectKind, lhs: Mapping, rhs: Mapping) -> bool:
-    """Equality through the effect boundary of two rank-2 mappings."""
-    if effect is EffectKind.EXCEPTIONS:
-        return all(v == rhs[x] for x, v in lhs.items() if is_ok(x))
-    return all(v[0] == rhs[x][0] for x, v in lhs.items())
-
-
 # ---------------------------------------------------------------------------
 # Numbered tables
 # ---------------------------------------------------------------------------
@@ -321,6 +259,15 @@ def _raw_shape(effect: EffectKind, rank: int, n: int, m: int, k: int) -> tuple[i
     return n * k, (m if rank == 1 else m * k)
 
 
+def _composer(first: Table) -> Callable[[Table], Table]:
+    """The map from a rank-2 table `after` to its composition with first,
+    first applied first."""
+    if len(first) == 1:
+        x, = first
+        return lambda after: (after[x],)
+    return itemgetter(*first)
+
+
 def _run(steps: tuple, tables: Sequence[Table]) -> Table:
     """Rank-2 table of specialised steps, first applied first: a step is a
     slot into the candidate's lifted tables, a constant table, or a pair
@@ -332,7 +279,7 @@ def _run(steps: tuple, tables: Sequence[Table]) -> Table:
             step = tables[step]
         elif kind is not tuple:
             step = step(tables)
-        t = step if t is None else tuple(map(step.__getitem__, t))
+        t = step if t is None else _composer(t)(step)
     return t
 
 
@@ -407,34 +354,34 @@ class _Layout:
                 or (self.identity(dom),))
 
     def _step(self, factor: tuple, slots: Mapping[int, int]):
-        kind = factor[0]
-        if kind == "bang":
-            return self._pure((0,) * self.size(factor[1]), 1)
-        if kind in ("p1", "p2"):
-            nl, nr = self.size(factor[1]), self.size(factor[2])
-            if kind == "p1":
-                return self._pure(tuple(p // nr for p in range(nl * nr)), nl)
-            return self._pure(tuple(p % nr for p in range(nl * nr)), nr)
+        if factor[0] != "pair":
+            return self.constant(factor)
         _, dom, left, lcod, right, rcod = factor
         lsteps = self.steps(left, dom, slots)
         rsteps = self.steps(right, dom, slots)
-        n, ml, mr = self.size(dom), self.size(lcod), self.size(rcod)
+        pair = self.pairer(self.size(dom), self.size(lcod), self.size(rcod))
+        return lambda tables: pair(_run(lsteps, tables), _run(rsteps, tables))
+
+    def constant(self, factor: tuple) -> Table:
+        """The rank-2 table of a builtin factor: ("bang", ty), ("p1", l, r)
+        or ("p2", l, r)."""
+        if factor[0] == "bang":
+            return self._pure((0,) * self.size(factor[1]), 1)
+        nl, nr = self.size(factor[1]), self.size(factor[2])
+        if factor[0] == "p1":
+            return self._pure(tuple(p // nr for p in range(nl * nr)), nl)
+        return self._pure(tuple(p % nr for p in range(nl * nr)), nr)
+
+    def pairer(self, n: int, ml: int, mr: int) -> Callable[[Table, Table], Table]:
+        """The map from the rank-2 tables of two pair components (n values
+        in, ml and mr out) to the rank-2 table of their pair."""
         # Components have rank <= 1, so they leave exceptions and the state
         # alone: only their values are paired.
         if self.exceptions:
             tail = self.tail(ml * mr)
-
-            def pair(tables):
-                lhs = _run(lsteps, tables)[:n]
-                rhs = _run(rsteps, tables)[:n]
-                return tuple(map(add, map(mr.__mul__, lhs), rhs)) + tail
-        else:
-            column = tuple(range(self.k)) * n
-
-            def pair(tables):
-                lhs = map(sub, _run(lsteps, tables), column)
-                return tuple(map(add, map(mr.__mul__, lhs), _run(rsteps, tables)))
-        return pair
+            return lambda lhs, rhs: tuple(map(add, map(mr.__mul__, lhs[:n]), rhs)) + tail
+        column = tuple(range(self.k)) * n
+        return lambda lhs, rhs: tuple(map(add, map(mr.__mul__, map(sub, lhs, column)), rhs))
 
     def conservation(self, rank: int, n: int, m: int) -> Optional[Callable[[Table], bool]]:
         """Test that a rank-2 table over n values in and m out leaves alone
@@ -455,13 +402,18 @@ class _Layout:
         return lambda t: (tuple(map(k.__rmod__, t)) == column
                           and all(t[s::k] == tuple(map(s.__add__, t[::k])) for s in shifts))
 
-    def weak_view(self, n: int) -> Optional[Callable[[Table], Sequence[int]]]:
-        """The part of a rank-2 table over n values in that a weak equation
-        compares; None when that is the whole table."""
+    def weak_view(self, n: int, m: int) -> Optional[Callable[[Table], Sequence[int]]]:
+        """The part of a rank-2 table over n values in and m out that a weak
+        equation compares: the ok block, or the value column (the table
+        composed with the projection (b, s) -> b); None when that is the
+        whole table."""
         if self.exceptions:
             return itemgetter(slice(0, n))
         k = self.k
-        return None if k < 2 else (lambda t: tuple(map(k.__rfloordiv__, t)))
+        if k < 2:
+            return None
+        values = tuple(b for b in range(m) for _ in range(k))
+        return lambda t: _composer(t)(values)
 
     def probe(self) -> FiniteModel:
         """A table-less model over the layout's carriers, for interpret_type."""
@@ -655,7 +607,7 @@ class _Program:
             self._checks = [
                 _Check(_Side(layout, lhs, report.dom, report.cod, report.lhs_rank, self._slots),
                        _Side(layout, rhs, report.dom, report.cod, report.rhs_rank, self._slots),
-                       layout.weak_view(layout.size(report.dom))
+                       layout.weak_view(layout.size(report.dom), layout.size(report.cod))
                        if strength is Strength.WEAK else None)
                 for strength, report, lhs, rhs in self._equations]
             self.sides = [_Side(layout, factors, dom, cod, rank, self._slots)

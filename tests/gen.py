@@ -77,6 +77,9 @@ def random_theory(rng: random.Random, effect: EffectKind, n_ops: int = 5,
 
     from decolog.calculus import Axiom, DecoratedEquation, Strength
 
+    if not products and not _walks_meet(ops):
+        raise ValueError("no two distinct terms share a domain and a codomain, "
+                         "so no axiom can be drawn")
     axioms = []
     while len(axioms) < n_axioms:
         dom = random_type(rng, depth)
@@ -89,6 +92,22 @@ def random_theory(rng: random.Random, effect: EffectKind, n_ops: int = 5,
                             DecoratedEquation(strength, lhs, rhs)))
     return Theory(effect=effect, base_types=BASE_POOL,
                   operations=tuple(ops), axioms=tuple(axioms))
+
+
+def _walks_meet(ops: list[OperationSymbol]) -> bool:
+    """Whether two distinct composites of at most three operations (the
+    terms random_term draws without products) share a domain and a
+    codomain.  With products, p1 . <id, id> and id always do."""
+    for dom in (Unit,) + tuple(BaseType(name) for name in BASE_POOL):
+        ends: set[TypeExpr] = set()
+        frontier = [dom]
+        for _ in range(4):
+            for cod in frontier:
+                if cod in ends:
+                    return True
+                ends.add(cod)
+            frontier = [sym.cod for cod in frontier for sym in ops if sym.dom == cod]
+    return False
 
 
 def random_word_theory(rng: random.Random, effect: EffectKind, n_ops: int = 3,

@@ -7,18 +7,28 @@ labelled outputs, lower ranks are coerced up one table at a time, and the
 search builds a FiniteModel for every raw interpretation and tests it
 axiom by axiom.
 
+The rule-soundness sweep is decolog.deduction's validate_rules as it was
+before it moved onto numbered tables: every combo is a dict of label
+dictionaries built by the rank-2 algebra below (lift_mapping,
+compose_mappings, weak_variants, pair_mappings, weak_equal), and every
+conclusion is tested on them.  Its refl, subst_strong and pair_cong_strong
+conclusions compare an expression with itself; it is the reference for the
+combos, counts and examples only.
+
 The prover is decolog.deduction's bounded search as it was before its hot
 loop was tuned: every expansion re-normalizes the axiom sides, rebuilds
 every window's context terms and derivation, and re-checks each pair step
-from the leaves.  Both are slow and obviously right.
+from the leaves.  All of these are slow and obviously right.
 """
 from __future__ import annotations
 
 import itertools
 from collections import deque
-from typing import Iterator, Mapping, Optional, Sequence
+from dataclasses import dataclass
+from typing import Callable, Iterator, Mapping, Optional, Sequence
 
 from decolog.calculus import (
+    PAIR_COMPONENT_RANK_LIMIT,
     Bang,
     CalculusError,
     Comp,
@@ -47,6 +57,8 @@ from decolog.calculus import (
 )
 from decolog.deduction import (
     AXIOM,
+    EXPECT_COUNTERMODEL,
+    EXPECT_SOUND,
     PAIR_COMP_LOWRANK,
     PAIR_CONG_STRONG,
     PAIR_PROJ,
@@ -62,9 +74,11 @@ from decolog.deduction import (
     UNIT_WEAK,
     WEAK_REPL,
     WEAK_SUBST,
+    WEAK_TO_STRONG_LOWRANK,
     DeductionError,
     DepthExhausted,
     Derivation,
+    ScenarioResult,
     _check,
     check_derivation,
     deriv,
@@ -82,16 +96,85 @@ from decolog.semantics import (
     SemanticsError,
     _check_ceiling,
     check_factoring,
+    exc,
     interpret_type,
     is_ok,
-    lift_mapping,
-    pair_mappings,
+    ok,
     rank2_domain,
     table_domain,
     table_outputs,
-    weak_equal,
 )
 
+
+# ---------------------------------------------------------------------------
+# Rank-2 algebra on label dictionaries
+# ---------------------------------------------------------------------------
+
+def lift_mapping(effect: EffectKind, rank: int, mapping: Mapping,
+                 eff_elems: Sequence[Element], to_rank: int = 2) -> dict:
+    """A raw rank-`rank` mapping viewed at `to_rank`, one rank step at a
+    time.  Exceptions: pure results get ok-tagged, then propagators extend to
+    exceptional inputs by propagation.  States: pure results get read access
+    to an ignored state, then observers extend to modifiers that write
+    nothing."""
+    m = dict(mapping)
+    for r in range(rank, to_rank):
+        if effect is EffectKind.EXCEPTIONS:
+            if r == 0:
+                m = {a: ok(b) for a, b in m.items()}
+            else:
+                m = {ok(a): b for a, b in m.items()}
+                m.update({exc(e): exc(e) for e in eff_elems})
+        elif r == 0:
+            m = {(a, s): m[a] for a in m for s in eff_elems}
+        else:
+            m = {(a, s): (b, s) for (a, s), b in m.items()}
+    return m
+
+
+def compose_mappings(after: Mapping, first: Mapping) -> dict:
+    """Composition of two rank-2 mappings, first applied first."""
+    return {x: after[y] for x, y in first.items()}
+
+
+def weak_variants(effect: EffectKind, m2: Mapping, eff_elems: Sequence[Element],
+                  cod_elems: Sequence[Element]) -> Iterator[dict]:
+    """Every rank-2 mapping weakly equal to m2: same on ok inputs for
+    exceptions (the exceptional rows run free), same value component for
+    states (the state rows run free).  m2 itself is among the variants."""
+    if effect is EffectKind.EXCEPTIONS:
+        exc_inputs = [x for x in m2 if not is_ok(x)]
+        outs = table_outputs(effect, 2, cod_elems, eff_elems)
+        for combo in itertools.product(outs, repeat=len(exc_inputs)):
+            variant = dict(m2)
+            variant.update(zip(exc_inputs, combo))
+            yield variant
+    else:
+        keys = list(m2)
+        for combo in itertools.product(eff_elems, repeat=len(keys)):
+            yield {k: (m2[k][0], s) for k, s in zip(keys, combo)}
+
+
+def pair_mappings(effect: EffectKind, left: Mapping, right: Mapping) -> dict:
+    """Rank-2 mapping of a pair from its components' rank-2 mappings (the
+    components must factor through the pair rank limit)."""
+    if effect is EffectKind.EXCEPTIONS:
+        # components are pure, so ok inputs land on ok outputs
+        return {x: ok((lv[1], right[x][1])) if is_ok(x) else x
+                for x, lv in left.items()}
+    return {(a, s): ((lv[0], right[(a, s)][0]), s) for (a, s), lv in left.items()}
+
+
+def weak_equal(effect: EffectKind, lhs: Mapping, rhs: Mapping) -> bool:
+    """Equality through the effect boundary of two rank-2 mappings."""
+    if effect is EffectKind.EXCEPTIONS:
+        return all(v == rhs[x] for x, v in lhs.items() if is_ok(x))
+    return all(v[0] == rhs[x][0] for x, v in lhs.items())
+
+
+# ---------------------------------------------------------------------------
+# Evaluation and countermodel search on label dictionaries
+# ---------------------------------------------------------------------------
 
 class RankNotIncreasing(SemanticsError):
     pass
@@ -517,3 +600,296 @@ def prove(theory: Theory, goal: DecoratedEquation, max_depth: int = 8,
     raise DepthExhausted(
         f"no derivation found within depth {max_depth} ({nodes} rewrites tried); "
         "the goal may still be derivable")
+
+
+# ---------------------------------------------------------------------------
+# Rule-soundness sweep on label dictionaries
+# ---------------------------------------------------------------------------
+
+def _maps(effect: EffectKind, rank: int, dom: tuple, cod: tuple,
+          eff: tuple) -> Iterator[dict]:
+    ins = table_domain(effect, rank, dom, eff)
+    outs = table_outputs(effect, rank, cod, eff)
+    for combo in itertools.product(outs, repeat=len(ins)):
+        yield dict(zip(ins, combo))
+
+
+def _lifted_maps(effect: EffectKind, rank: int, dom: tuple, cod: tuple,
+                 eff: tuple) -> Iterator[dict]:
+    for m in _maps(effect, rank, dom, cod, eff):
+        yield lift_mapping(effect, rank, m, eff)
+
+
+def _summary(**named_tables: Mapping) -> str:
+    parts = []
+    for name, m in named_tables.items():
+        inside = ", ".join(f"{k!r}->{v!r}" for k, v in m.items())
+        parts.append(f"{name} = {{{inside}}}")
+    return "; ".join(parts)
+
+
+Check = Callable[..., tuple[int, int, Optional[str]]]
+
+
+@dataclass(frozen=True)
+class _Scenario:
+    rule: str
+    description: str
+    expectation: str
+    roles: tuple[str, ...]
+    run: Check
+
+
+def _run_check(combos, conclusion, stop) -> tuple[int, int, Optional[str]]:
+    """Count conclusion failures over the combos; with stop set, return at
+    the first failure (used when one countermodel settles the question)."""
+    checked = violations = 0
+    example = None
+    for named in combos:
+        checked += 1
+        if not conclusion(named):
+            violations += 1
+            if example is None:
+                example = _summary(**named)
+            if stop:
+                break
+    return checked, violations, example
+
+
+def _sc_refl(effect, carriers, eff, stop=False):
+    A, B = carriers["A"], carriers["B"]
+    combos = ({"f": m} for r in (0, 1, 2) for m in _lifted_maps(effect, r, A, B, eff))
+    return _run_check(combos, lambda n: n["f"] == n["f"], stop)
+
+
+def _sc_sym_weak(effect, carriers, eff, stop=False):
+    A, B = carriers["A"], carriers["B"]
+    combos = ({"f1": f1, "f2": f2}
+              for f1 in _lifted_maps(effect, 2, A, B, eff)
+              for f2 in weak_variants(effect, f1, eff, B))
+    return _run_check(combos, lambda n: weak_equal(effect, n["f2"], n["f1"]), stop)
+
+
+def _sc_trans_weak(effect, carriers, eff, stop=False):
+    A, B = carriers["A"], carriers["B"]
+    combos = ({"f1": f1, "f2": f2, "f3": f3}
+              for f1 in _lifted_maps(effect, 2, A, B, eff)
+              for f2 in weak_variants(effect, f1, eff, B)
+              for f3 in weak_variants(effect, f2, eff, B))
+    return _run_check(combos, lambda n: weak_equal(effect, n["f1"], n["f3"]), stop)
+
+
+def _sc_weak_to_strong_lowrank(effect, carriers, eff, stop=False):
+    A, B = carriers["A"], carriers["B"]
+    def combos():
+        for f1 in _lifted_maps(effect, 1, A, B, eff):
+            for f2 in weak_variants(effect, f1, eff, B):
+                # keep only variants that still factor at rank 1
+                if check_factoring(effect, 1, f2) is None:
+                    yield {"f1": f1, "f2": f2}
+    return _run_check(combos(), lambda n: n["f1"] == n["f2"], stop)
+
+
+def _sc_weak_to_strong_rank2(effect, carriers, eff, stop=False):
+    A, B = carriers["A"], carriers["B"]
+    combos = ({"f1": f1, "f2": f2}
+              for f1 in _lifted_maps(effect, 2, A, B, eff)
+              for f2 in weak_variants(effect, f1, eff, B))
+    return _run_check(combos, lambda n: n["f1"] == n["f2"], stop)
+
+
+def _sc_subst_strong(effect, carriers, eff, stop=False):
+    A, B, Z = carriers["A"], carriers["B"], carriers["Z"]
+    combos = ({"f": f, "g": g}
+              for f in _lifted_maps(effect, 2, A, B, eff)
+              for rg in (0, 1, 2)
+              for g in _lifted_maps(effect, rg, Z, A, eff))
+    return _run_check(combos,
+                      lambda n: compose_mappings(n["f"], n["g"])
+                      == compose_mappings(n["f"], n["g"]), stop)
+
+
+def _weak_subst_combos(effect, carriers, eff, g_ranks):
+    A, B, Z = carriers["A"], carriers["B"], carriers["Z"]
+    for f1 in _lifted_maps(effect, 2, A, B, eff):
+        for f2 in weak_variants(effect, f1, eff, B):
+            if f1 == f2:
+                continue
+            for rg in g_ranks:
+                for g in _lifted_maps(effect, rg, Z, A, eff):
+                    yield {"f1": f1, "f2": f2, "g": g}
+
+
+def _sc_weak_subst(g_ranks):
+    def run(effect, carriers, eff, stop=False):
+        return _run_check(
+            _weak_subst_combos(effect, carriers, eff, g_ranks),
+            lambda n: weak_equal(effect,
+                                 compose_mappings(n["f1"], n["g"]),
+                                 compose_mappings(n["f2"], n["g"])), stop)
+    return run
+
+
+def _weak_repl_combos(effect, carriers, eff, h_ranks):
+    A, B, C = carriers["A"], carriers["B"], carriers["C"]
+    for f1 in _lifted_maps(effect, 2, A, B, eff):
+        for f2 in weak_variants(effect, f1, eff, B):
+            if f1 == f2:
+                continue
+            for rh in h_ranks:
+                for h in _lifted_maps(effect, rh, B, C, eff):
+                    yield {"f1": f1, "f2": f2, "h": h}
+
+
+def _sc_weak_repl(h_ranks):
+    def run(effect, carriers, eff, stop=False):
+        return _run_check(
+            _weak_repl_combos(effect, carriers, eff, h_ranks),
+            lambda n: weak_equal(effect,
+                                 compose_mappings(n["h"], n["f1"]),
+                                 compose_mappings(n["h"], n["f2"])), stop)
+    return run
+
+
+def _component_ranks(effect):
+    return tuple(range(PAIR_COMPONENT_RANK_LIMIT[effect] + 1))
+
+
+def _sc_pair_proj(effect, carriers, eff, stop=False):
+    A, B, C = carriers["A"], carriers["B"], carriers["C"]
+    ranks = _component_ranks(effect)
+    prod = tuple(itertools.product(B, C))
+    p1 = lift_mapping(effect, 0, {p: p[0] for p in prod}, eff)
+    p2 = lift_mapping(effect, 0, {p: p[1] for p in prod}, eff)
+    combos = ({"f": f, "g": g}
+              for rf in ranks for f in _lifted_maps(effect, rf, A, B, eff)
+              for rg in ranks for g in _lifted_maps(effect, rg, A, C, eff))
+
+    def conclusion(n):
+        paired = pair_mappings(effect, n["f"], n["g"])
+        return (compose_mappings(p1, paired) == n["f"]
+                and compose_mappings(p2, paired) == n["g"])
+    return _run_check(combos, conclusion, stop)
+
+
+def _sc_pair_cong(effect, carriers, eff, stop=False):
+    A, B, C = carriers["A"], carriers["B"], carriers["C"]
+    ranks = _component_ranks(effect)
+    combos = ({"f": f, "g": g}
+              for rf in ranks for f in _lifted_maps(effect, rf, A, B, eff)
+              for rg in ranks for g in _lifted_maps(effect, rg, A, C, eff))
+    return _run_check(combos,
+                      lambda n: pair_mappings(effect, n["f"], n["g"])
+                      == pair_mappings(effect, n["f"], n["g"]), stop)
+
+
+def _sc_pair_comp(effect, carriers, eff, stop=False):
+    A, B, C, Z = carriers["A"], carriers["B"], carriers["C"], carriers["Z"]
+    ranks = _component_ranks(effect)
+    combos = ({"f": f, "g": g, "w": w}
+              for rf in ranks for f in _lifted_maps(effect, rf, A, B, eff)
+              for rg in ranks for g in _lifted_maps(effect, rg, A, C, eff)
+              for rw in ranks for w in _lifted_maps(effect, rw, Z, A, eff))
+
+    def conclusion(n):
+        lhs = compose_mappings(pair_mappings(effect, n["f"], n["g"]), n["w"])
+        rhs = pair_mappings(effect,
+                            compose_mappings(n["f"], n["w"]),
+                            compose_mappings(n["g"], n["w"]))
+        return lhs == rhs
+    return _run_check(combos, conclusion, stop)
+
+
+def _sc_unit(strength, ranks):
+    def run(effect, carriers, eff, stop=False):
+        A = carriers["A"]
+        bang = lift_mapping(effect, 0, {a: UNIT for a in A}, eff)
+        combos = ({"f": f}
+                  for r in ranks
+                  for f in _lifted_maps(effect, r, A, (UNIT,), eff))
+        if strength is Strength.STRONG:
+            conclusion = lambda n: n["f"] == bang
+        else:
+            conclusion = lambda n: weak_equal(effect, n["f"], bang)
+        return _run_check(combos, conclusion, stop)
+    return run
+
+
+def _scenarios(effect: EffectKind) -> tuple[_Scenario, ...]:
+    out = [
+        _Scenario(REFL, "a term equals itself", EXPECT_SOUND, ("A", "B"), _sc_refl),
+        _Scenario(SYM, "weak equality is symmetric", EXPECT_SOUND, ("A", "B"),
+                  _sc_sym_weak),
+        _Scenario(TRANS_WEAK, "weak equality chains", EXPECT_SOUND, ("A", "B"),
+                  _sc_trans_weak),
+        _Scenario(WEAK_TO_STRONG_LOWRANK,
+                  "weak agreement at rank <= 1 is already strong",
+                  EXPECT_SOUND, ("A", "B"), _sc_weak_to_strong_lowrank),
+        _Scenario(WEAK_TO_STRONG_LOWRANK,
+                  "at rank 2 weak agreement is strictly weaker",
+                  EXPECT_COUNTERMODEL, ("A", "B"), _sc_weak_to_strong_rank2),
+        _Scenario(SUBST_STRONG, "strong equality precomposes", EXPECT_SOUND,
+                  ("A", "B", "Z"), _sc_subst_strong),
+        _Scenario(PAIR_PROJ, "projections undo pairing", EXPECT_SOUND,
+                  ("A", "B", "C"), _sc_pair_proj),
+        _Scenario(PAIR_CONG_STRONG, "pairing is a congruence", EXPECT_SOUND,
+                  ("A", "B", "C"), _sc_pair_cong),
+        _Scenario(PAIR_COMP_LOWRANK, "pairing distributes over composition",
+                  EXPECT_SOUND, ("A", "B", "C", "Z"), _sc_pair_comp),
+    ]
+    if effect is EffectKind.STATES:
+        out += [
+            _Scenario(WEAK_SUBST, "any g precomposes with a weak equation",
+                      EXPECT_SOUND, ("A", "B", "Z"), _sc_weak_subst((0, 1, 2))),
+            _Scenario(WEAK_REPL, "pure h postcomposes with a weak equation",
+                      EXPECT_SOUND, ("A", "B", "C"), _sc_weak_repl((0,))),
+            _Scenario(WEAK_REPL, "an impure h distinguishes weakly equal terms",
+                      EXPECT_COUNTERMODEL, ("A", "B", "C"), _sc_weak_repl((1, 2))),
+            _Scenario(UNIT_STRONG_LOWRANK, "rank <= 1 terms into Unit are canonical",
+                      EXPECT_SOUND, ("A",), _sc_unit(Strength.STRONG, (0, 1))),
+            _Scenario(UNIT_STRONG_LOWRANK, "a modifier into Unit is not canonical",
+                      EXPECT_COUNTERMODEL, ("A",), _sc_unit(Strength.STRONG, (2,))),
+            _Scenario(UNIT_WEAK, "every term into Unit is weakly canonical",
+                      EXPECT_SOUND, ("A",), _sc_unit(Strength.WEAK, (0, 1, 2))),
+        ]
+    else:
+        out += [
+            _Scenario(WEAK_SUBST, "pure g precomposes with a weak equation",
+                      EXPECT_SOUND, ("A", "B", "Z"), _sc_weak_subst((0,))),
+            _Scenario(WEAK_SUBST, "an impure g distinguishes weakly equal terms",
+                      EXPECT_COUNTERMODEL, ("A", "B", "Z"), _sc_weak_subst((1, 2))),
+            _Scenario(WEAK_REPL, "any h postcomposes with a weak equation",
+                      EXPECT_SOUND, ("A", "B", "C"), _sc_weak_repl((0, 1, 2))),
+            _Scenario(UNIT_STRONG_LOWRANK, "pure terms into Unit are canonical",
+                      EXPECT_SOUND, ("A",), _sc_unit(Strength.STRONG, (0,))),
+            _Scenario(UNIT_STRONG_LOWRANK, "a propagator into Unit may raise",
+                      EXPECT_COUNTERMODEL, ("A",), _sc_unit(Strength.STRONG, (1,))),
+            _Scenario(UNIT_WEAK, "pure terms into Unit are weakly canonical",
+                      EXPECT_SOUND, ("A",), _sc_unit(Strength.WEAK, (0,))),
+            _Scenario(UNIT_WEAK, "a propagator into Unit may raise even weakly",
+                      EXPECT_COUNTERMODEL, ("A",), _sc_unit(Strength.WEAK, (1, 2))),
+        ]
+    return tuple(out)
+
+
+def _run_scenario(effect: EffectKind, sc: _Scenario,
+                  max_carrier: int) -> ScenarioResult:
+    stop = sc.expectation == EXPECT_COUNTERMODEL
+    checked = violations = 0
+    example = None
+    sizes = range(1, max_carrier + 1)
+    for combo in itertools.product(sizes, repeat=len(sc.roles)):
+        carriers = {role: tuple(range(n)) for role, n in zip(sc.roles, combo)}
+        for eff_size in sizes:
+            eff = tuple(range(eff_size))
+            c, v, ex_here = sc.run(effect, carriers, eff, stop=stop)
+            checked += c
+            violations += v
+            if example is None and ex_here is not None:
+                sizes_str = ", ".join(f"|{r}|={n}" for r, n in zip(sc.roles, combo))
+                example = f"{sizes_str}, effect carrier size {eff_size}: {ex_here}"
+            if stop and violations:
+                return ScenarioResult(sc.rule, effect, sc.description,
+                                      sc.expectation, checked, violations, example)
+    return ScenarioResult(sc.rule, effect, sc.description, sc.expectation,
+                          checked, violations, example)

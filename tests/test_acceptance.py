@@ -30,8 +30,8 @@ from decolog.semantics import (
     eval_term,
     holds,
     is_ok,
-    weak_equal,
 )
+from reference import weak_equal
 
 BANK = str(corpus_path("bank.dth"))
 BANK_MODEL = str(corpus_path("bank_mod4.model"))

@@ -44,12 +44,13 @@ from decolog.deduction import (
     WEAK_REPL,
     WEAK_SUBST,
     WEAK_TO_STRONG_LOWRANK,
+    _scenarios,
     check_derivation,
     deriv,
     prove,
     validate_rules,
 )
-from decolog.semantics import holds
+from decolog.semantics import _Layout, holds
 
 from gen import random_derivation
 
@@ -424,3 +425,41 @@ class TestValidateRules:
     def test_carrier_bound_below_1_is_rejected(self):
         with pytest.raises(DeductionError):
             validate_rules(EffectKind.STATES, max_carrier=0)
+
+
+def _at_size_2(effect, rule):
+    """Models checked, violations and example of rule's sound scenario with
+    every carrier of size 2, so that tables composed in the wrong order
+    still fit each other."""
+    sc, = (sc for sc in _scenarios(effect) if sc.rule == rule and sc.expectation == "sound")
+    return sc.run(_Layout(effect, {role: (0, 1) for role in "ABCZ"}, (0, 1)))
+
+
+class TestSweepChecksTheEvaluator:
+    """subst_strong and pair_cong_strong hold the sweep's construction to
+    the evaluator's denotation of f . g and <f, g>, so a broken evaluator
+    step shows up as violations."""
+
+    @pytest.mark.parametrize("effect", list(EffectKind))
+    def test_factors_applied_in_reverse_order(self, monkeypatch, effect):
+        steps = _Layout.steps
+        monkeypatch.setattr(_Layout, "steps", lambda self, *args: steps(self, *args)[::-1])
+        assert _at_size_2(effect, SUBST_STRONG)[1] > 0
+
+    @pytest.mark.parametrize("effect", list(EffectKind))
+    def test_pair_components_swapped(self, monkeypatch, effect):
+        step = _Layout._step
+
+        def swapped(self, factor, slots):
+            if factor[0] == "pair":
+                _, dom, left, lcod, right, rcod = factor
+                factor = ("pair", dom, right, rcod, left, lcod)
+            return step(self, factor, slots)
+        monkeypatch.setattr(_Layout, "_step", swapped)
+        assert _at_size_2(effect, PAIR_CONG_STRONG)[1] > 0
+
+    @pytest.mark.parametrize("effect", list(EffectKind))
+    def test_sound_without_the_break(self, effect):
+        for rule in (REFL, SUBST_STRONG, PAIR_CONG_STRONG):
+            checked, violations, _ = _at_size_2(effect, rule)
+            assert checked > 0 and violations == 0

@@ -28,6 +28,7 @@ from decolog.semantics import (
     OperationTable,
     SemanticsError,
     UNIT,
+    _Layout,
     check_factoring,
     count_interpretations,
     enumerate_models,
@@ -38,11 +39,10 @@ from decolog.semantics import (
     interpret_type,
     ok,
     validate_model,
-    weak_equal,
 )
 
 from gen import random_theory
-from reference import RankNotIncreasing, coerce
+from reference import RankNotIncreasing, coerce, weak_equal
 
 Int = BaseType("Int")
 EX = EffectKind.EXCEPTIONS
@@ -221,6 +221,20 @@ class TestWeakEqual:
         assert weak_equal(ST, a, b)
         b[(0, 0)] = (2, 0)
         assert not weak_equal(ST, a, b)
+
+    def test_numbered_exceptions_ignores_exc_inputs(self):
+        # one value in, six out, one exception: ok(b) is b and exc(0) is 6
+        view = _Layout(EX, {}, (0,)).weak_view(1, 6)
+        a, b = (1, 6), (1, 5)
+        assert view(a) == view(b)
+        assert view(a) != view((2, 5))
+
+    def test_numbered_states_compares_values_only(self):
+        # one value in, three out, two states: (b, s) is b*2 + s
+        view = _Layout(ST, {}, (0, 1)).weak_view(1, 3)
+        a, b = (2, 3), (3, 2)
+        assert view(a) == view(b)
+        assert view(a) != view((4, 2))
 
 
 class TestValidateModel:

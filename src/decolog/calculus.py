@@ -66,7 +66,6 @@ class EffectKind(enum.Enum):
 # depend on the effect and live in RANK_NAMES.
 Decoration = int
 
-PURE = 0
 RANK_NAMES: Mapping[EffectKind, tuple[str, str, str]] = {
     EffectKind.EXCEPTIONS: ("pure", "propagator", "catcher"),
     EffectKind.STATES: ("pure", "observer", "modifier"),
@@ -479,10 +478,6 @@ class EquationReport:
     lhs_rank: Decoration
     rhs_rank: Decoration
 
-    @property
-    def comparison_rank(self) -> Decoration:
-        return max(self.lhs_rank, self.rhs_rank)
-
 
 def check_equation_wf(theory: Theory, eq: DecoratedEquation) -> EquationReport:
     """Both sides well-formed with one domain and codomain.  The two sides
@@ -496,7 +491,3 @@ def check_equation_wf(theory: Theory, eq: DecoratedEquation) -> EquationReport:
             f"vs {type_str(rdom)} -> {type_str(rcod)}"
         )
     return EquationReport(ldom, lcod, lrank, rrank)
-
-
-def term_equal(a: DecoratedTerm, b: DecoratedTerm) -> bool:
-    return normalize(a) == normalize(b)

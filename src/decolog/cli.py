@@ -15,7 +15,7 @@ Exit codes: 0 success (proved, holds, countermodel found, all rules sound);
 1 semantic failure (rejected derivation, violated equation, nothing found,
 refuted rule, ill-formed input); 2 syntax error, unreadable file, or a bad
 setting (--depth, --max-carrier or DECOLOG_MAX_ENUM not an integer of at
-least 1);
+least 1, or a validate-rules --max-carrier above 2);
 3 model/theory mismatch.  --json swaps the human report on stdout for a
 machine-readable one; errors always go to stderr as text.
 
@@ -39,7 +39,13 @@ from .calculus import (
     term_str,
     type_str,
 )
-from .deduction import DeductionError, check_derivation, prove, validate_rules
+from .deduction import (
+    MAX_SWEEP_CARRIER,
+    DeductionError,
+    check_derivation,
+    prove,
+    validate_rules,
+)
 from .duality import NotDualizable, duality_map
 from .files import (
     ParseError,
@@ -216,6 +222,16 @@ def _at_least_one(text: str) -> int:
     return value
 
 
+def _sweep_carrier(text: str) -> int:
+    """Argument type of validate-rules' carrier bound: 1 up to
+    MAX_SWEEP_CARRIER."""
+    value = _at_least_one(text)
+    if value > MAX_SWEEP_CARRIER:
+        raise argparse.ArgumentTypeError(
+            f"must be at most {MAX_SWEEP_CARRIER}, got {value}")
+    return value
+
+
 def _enum_ceiling() -> int:
     raw = os.environ.get("DECOLOG_MAX_ENUM")
     if not raw:
@@ -341,8 +357,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = add("validate-rules", cmd_validate_rules,
             "sweep the rule catalog against all small models")
     p.add_argument("effect", choices=[e.value for e in EffectKind])
-    p.add_argument("--max-carrier", type=_at_least_one, default=2,
-                   help="carrier size bound (default 2)")
+    p.add_argument("--max-carrier", type=_sweep_carrier, default=2,
+                   help=f"carrier size bound, at most {MAX_SWEEP_CARRIER} (default 2)")
 
     return parser
 

@@ -29,11 +29,9 @@ countermodels.
 """
 from __future__ import annotations
 
-import itertools
 from collections import deque
 from dataclasses import dataclass
 from functools import partial
-from operator import add
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .calculus import (
@@ -67,7 +65,7 @@ from .calculus import (
     term_str,
     wf_term,
 )
-from .semantics import Table, _composer, _Layout, _Program, _raw_shape
+from .semantics import Bounds, Table, _composer, _Layout, _layouts, _Program
 
 # ---------------------------------------------------------------------------
 # Rule identifiers
@@ -642,15 +640,10 @@ def prove(theory: Theory, goal: DecoratedEquation, max_depth: int = 8,
             dl, wl = deriv(REFL, term=eq.lhs), False
         if dr is None:
             dr, wr = deriv(REFL, term=eq.rhs), False
-        back = deriv(SYM, dr)
-        if not wl and not wr:
-            out = deriv(TRANS_STRONG, dl, back)
-            if want_weak:
-                out = deriv(STRONG_TO_WEAK, out)
-            return out
-        if wl and wr:
-            return deriv(TRANS_WEAK, dl, back)
-        return deriv(TRANS_MIXED, dl, back)
+        out = _chain(dl, wl, deriv(SYM, dr), wr)
+        if want_weak and not (wl or wr):
+            out = deriv(STRONG_TO_WEAK, out)
+        return out
 
     while any(frontiers) and nodes < max_nodes:
         for side in (0, 1):
@@ -723,30 +716,17 @@ A, B, C, Z = (BaseType(role) for role in "ABCZ")
 
 
 def _lifted(layout: _Layout, rank: int, dom: TypeExpr, cod: TypeExpr) -> list[tuple[Table, Table]]:
-    """Every raw table of the given rank from dom to cod, each sweeping its
-    output numbers lexicographically over its inputs, with its rank-2 table."""
+    """Every raw table of the given rank from dom to cod, with its rank-2
+    table."""
     n, m = layout.size(dom), layout.size(cod)
-    n_in, n_out = _raw_shape(layout.effect, rank, n, m, layout.k)
     lift = layout.lifter(rank, n, m) or (lambda raw: raw)
-    return [(raw, lift(raw)) for raw in itertools.product(range(n_out), repeat=n_in)]
+    return [(raw, lift(raw)) for raw in layout.raw_tables(rank, n, m)]
 
 
 def _tables(layout: _Layout, ranks: tuple[int, ...], dom: TypeExpr,
             cod: TypeExpr) -> list[Table]:
     """The rank-2 tables of every raw table from dom to cod, rank by rank."""
     return [t for rank in ranks for _, t in _lifted(layout, rank, dom, cod)]
-
-
-def _weakly_equal(layout: _Layout, t: Table, cod: TypeExpr) -> Iterator[Table]:
-    """Every rank-2 table weakly equal to t, t among them: the exceptional
-    rows run free (exceptions), or the state of every row does (states)."""
-    k = layout.k
-    if layout.exceptions:
-        head = t[:len(t) - k]
-        return (head + tail for tail in itertools.product(range(layout.size(cod) + k), repeat=k))
-    values = tuple(v - v % k for v in t)
-    return (tuple(map(add, values, states))
-            for states in itertools.product(range(k), repeat=len(t)))
 
 
 def _weak_view(layout: _Layout, dom: TypeExpr, cod: TypeExpr) -> Callable[[Table], Sequence[int]]:
@@ -762,9 +742,8 @@ def _program(effect: EffectKind, term: DecoratedTerm, *ops: OperationSymbol) -> 
 def _denotation(program: _Program, layout: _Layout) -> Callable[..., Table]:
     """The map from the raw tables of a program's ops to the rank-2 table
     of its term at layout."""
-    program.at(layout)
-    side = program.sides[0]
-    return lambda *raws: side.run(program.lift(raws))
+    _, (side,), lift = program.at(layout)
+    return lambda *raws: side.run(lift(raws))
 
 
 #: One block of combos: the tables they share, the last table of each and
@@ -822,15 +801,15 @@ def _refl(programs, layout):
 def _sym_weak(layout):
     view = _weak_view(layout, A, B)
     for f1 in _tables(layout, (2,), A, B):
-        f2s = list(_weakly_equal(layout, f1, B))
+        f2s = list(layout.weak_variants(f1, layout.size(B)))
         yield (f1,), f2s, [view(f2) == view(f1) for f2 in f2s]
 
 
 def _trans_weak(layout):
     view = _weak_view(layout, A, B)
     for f1 in _tables(layout, (2,), A, B):
-        for f2 in _weakly_equal(layout, f1, B):
-            f3s = list(_weakly_equal(layout, f2, B))
+        for f2 in layout.weak_variants(f1, layout.size(B)):
+            f3s = list(layout.weak_variants(f2, layout.size(B)))
             yield (f1, f2), f3s, [view(f1) == view(f3) for f3 in f3s]
 
 
@@ -839,7 +818,7 @@ def _weak_to_strong(rank, layout):
     factors = (layout.conservation(rank, layout.size(A), layout.size(B))
                if rank < 2 else None) or (lambda t: True)
     for f1 in _tables(layout, (rank,), A, B):
-        f2s = [f2 for f2 in _weakly_equal(layout, f1, B) if factors(f2)]
+        f2s = [f2 for f2 in layout.weak_variants(f1, layout.size(B)) if factors(f2)]
         yield (f1,), f2s, [f1 == f2 for f2 in f2s]
 
 
@@ -862,7 +841,7 @@ def _weak_subst(g_ranks, layout):
     for f1 in _tables(layout, (2,), A, B):
         # f1 . g is shared by every weak variant f2
         f1gs = [view(pick(f1)) for pick in g_picks]
-        for f2 in _weakly_equal(layout, f1, B):
+        for f2 in layout.weak_variants(f1, layout.size(B)):
             if f2 != f1:
                 yield (f1, f2), gs, [view(pick(f2)) == f1g for pick, f1g in zip(g_picks, f1gs)]
 
@@ -874,7 +853,7 @@ def _weak_repl(h_ranks, layout):
         # h . f1 is shared by every weak variant f2
         pick = _composer(f1)
         hf1s = [view(pick(h)) for h in hs]
-        for f2 in _weakly_equal(layout, f1, B):
+        for f2 in layout.weak_variants(f1, layout.size(B)):
             if f2 != f1:
                 pick = _composer(f2)
                 yield (f1, f2), hs, [view(pick(h)) == hf1 for h, hf1 in zip(hs, hf1s)]
@@ -995,34 +974,36 @@ def _scenarios(effect: EffectKind) -> tuple[_Scenario, ...]:
     return tuple(out)
 
 
+#: The largest carrier the sweep accepts.  At 3 the exceptions weak_repl
+#: scenario alone has about 4.7e11 combos at the all-3 layout: days of work.
+MAX_SWEEP_CARRIER = 2
+
+
 def _run_scenario(effect: EffectKind, sc: _Scenario,
                   max_carrier: int) -> ScenarioResult:
     stop = sc.expectation == EXPECT_COUNTERMODEL
     checked = violations = 0
     example = None
-    sizes = range(1, max_carrier + 1)
-    for combo in itertools.product(sizes, repeat=len(sc.roles)):
-        carriers = {role: tuple(range(n)) for role, n in zip(sc.roles, combo)}
-        for eff_size in sizes:
-            c, v, ex_here = sc.run(_Layout(effect, carriers, tuple(range(eff_size))), stop)
-            checked += c
-            violations += v
-            if example is None and ex_here is not None:
-                sizes_str = ", ".join(f"|{r}|={n}" for r, n in zip(sc.roles, combo))
-                example = f"{sizes_str}, effect carrier size {eff_size}: {ex_here}"
-            if stop and violations:
-                return ScenarioResult(sc.rule, effect, sc.description,
-                                      sc.expectation, checked, violations, example)
+    for layout in _layouts(effect, sc.roles, Bounds(max_carrier, max_carrier)):
+        n, v, ex_here = sc.run(layout, stop)
+        checked += n
+        violations += v
+        if example is None and ex_here is not None:
+            sizes = ", ".join(f"|{r}|={len(c)}" for r, c in layout.carriers.items())
+            example = f"{sizes}, effect carrier size {layout.k}: {ex_here}"
+        if stop and violations:
+            break
     return ScenarioResult(sc.rule, effect, sc.description, sc.expectation,
                           checked, violations, example)
 
 
 def validate_rules(effect: EffectKind, max_carrier: int = 2) -> ValidationReport:
     """Sweep every rule schema over all finite interpretations with carriers
-    up to max_carrier (at least 1).  Scenarios expecting soundness must show
+    up to max_carrier (1 or 2).  Scenarios expecting soundness must show
     zero violations; scenarios for excluded instances must produce at least
     one countermodel."""
-    if max_carrier < 1:
-        raise DeductionError(f"max_carrier must be at least 1, got {max_carrier}")
+    if not 1 <= max_carrier <= MAX_SWEEP_CARRIER:
+        raise DeductionError(
+            f"max_carrier must be between 1 and {MAX_SWEEP_CARRIER}, got {max_carrier}")
     return ValidationReport(effect, tuple(_run_scenario(effect, sc, max_carrier)
                                           for sc in _scenarios(effect)))

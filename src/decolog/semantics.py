@@ -33,13 +33,19 @@ compiled once per search and specialised once per carrier-size assignment;
 labels are decoded only where a caller sees them: eval_term's mapping, the
 models enumerate_models yields, a Counterexample and the examples of the
 rule-soundness sweep in deduction.py, which runs on the same parts.
+
+_Layout is the one way through the model space.  find_counterexample,
+enumerate_models and the sweep take their carrier assignments from _layouts
+and their raw tables from _Layout.raw_tables; a given model's tables are
+checked and numbered by _Layout.number, in validate_model and in every
+evaluation call alike.
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
 from operator import add, itemgetter, sub
-from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, Union
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from .calculus import (
     Bang,
@@ -183,7 +189,9 @@ def table_outputs(effect: EffectKind, rank: int, cod_elems: Sequence[Element],
 # ---------------------------------------------------------------------------
 
 def validate_model(theory: Theory, model: FiniteModel) -> None:
-    """Carriers and tables match the theory, or ModelMismatch."""
+    """Carriers and tables match the theory, or ModelMismatch.  Each table
+    is checked by _Layout.number, as every evaluation call checks the
+    tables it reads."""
     if model.effect is not theory.effect:
         raise ModelMismatch(
             f"model is for effect {model.effect}, theory for {theory.effect}")
@@ -197,24 +205,9 @@ def validate_model(theory: Theory, model: FiniteModel) -> None:
         raise ModelMismatch("effect carrier must be non-empty")
     if len(set(model.effect_carrier)) != len(model.effect_carrier):
         raise ModelMismatch("effect carrier has duplicate labels")
+    layout = _Layout(theory.effect, model.carriers, model.effect_carrier)
     for sym in theory.operations:
-        table = model.tables.get(sym.name)
-        if table is None:
-            raise ModelMismatch(f"no table for operation {sym.name!r}")
-        if table.rank != sym.decoration or table.effect is not theory.effect:
-            raise ModelMismatch(
-                f"table for {sym.name!r} has shape ({table.effect}, rank {table.rank}), "
-                f"declared ({theory.effect}, rank {sym.decoration})")
-        dom = interpret_type(model, sym.dom)
-        cod = interpret_type(model, sym.cod)
-        expected = table_domain(theory.effect, sym.decoration, dom, model.effect_carrier)
-        if set(table.mapping.keys()) != set(expected):
-            raise ModelMismatch(f"table for {sym.name!r} is not total on its domain")
-        allowed = set(table_outputs(theory.effect, sym.decoration, cod, model.effect_carrier))
-        for value in table.mapping.values():
-            if value not in allowed:
-                raise ModelMismatch(
-                    f"table for {sym.name!r} produces {value!r} outside its codomain")
+        layout.number(sym, model.tables.get(sym.name))
 
 
 def check_factoring(effect: EffectKind, rank: int, mapping: Mapping) -> Optional[str]:
@@ -246,17 +239,6 @@ def check_factoring(effect: EffectKind, rank: int, mapping: Mapping) -> Optional
 
 #: A numbered table: entry x is the number of the output at input number x.
 Table = tuple
-
-
-def _raw_shape(effect: EffectKind, rank: int, n: int, m: int, k: int) -> tuple[int, int]:
-    """Input and output counts of a raw table of the given rank with n
-    values in, m values out and k effect elements (the sizes of
-    table_domain and table_outputs)."""
-    if rank == 0:
-        return n, m
-    if effect is EffectKind.EXCEPTIONS:
-        return (n if rank == 1 else n + k), m + k
-    return n * k, (m if rank == 1 else m * k)
 
 
 def _composer(first: Table) -> Callable[[Table], Table]:
@@ -310,9 +292,26 @@ class _Layout:
             return self.size(ty.left) * self.size(ty.right)
         return 1
 
-    def raw_shape(self, sym: OperationSymbol) -> tuple[int, int]:
-        return _raw_shape(self.effect, sym.decoration, self.size(sym.dom),
-                          self.size(sym.cod), self.k)
+    def shape(self, sym: OperationSymbol) -> tuple[int, int, int]:
+        """sym's rank and its numbers of values in and out."""
+        return sym.decoration, self.size(sym.dom), self.size(sym.cod)
+
+    def raw_shape(self, rank: int, n: int, m: int) -> tuple[int, int]:
+        """Input and output counts of a raw table of the given rank with n
+        values in and m out (the sizes of table_domain and table_outputs)."""
+        k = self.k
+        if rank == 0:
+            return n, m
+        if self.exceptions:
+            return (n if rank == 1 else n + k), m + k
+        return n * k, (m if rank == 1 else m * k)
+
+    def raw_tables(self, rank: int, n: int, m: int) -> Iterator[Table]:
+        """Every raw table of the given rank with n values in and m out,
+        sweeping its output numbers lexicographically over its inputs in
+        canonical domain order."""
+        n_in, n_out = self.raw_shape(rank, n, m)
+        return itertools.product(range(n_out), repeat=n_in)
 
     def tail(self, m: int) -> Table:
         """The exc block of a rank-2 codomain over m values."""
@@ -335,9 +334,6 @@ class _Layout:
             return lambda raw: tuple(map(add, map(k.__mul__, raw), column))
         blocks = tuple(tuple(range(b * k, b * k + k)) for b in range(m))
         return lambda raw: tuple(itertools.chain.from_iterable(map(blocks.__getitem__, raw)))
-
-    def op_lifter(self, sym: OperationSymbol) -> Optional[Callable[[Table], Table]]:
-        return self.lifter(sym.decoration, self.size(sym.dom), self.size(sym.cod))
 
     def _pure(self, raw: Table, m: int) -> Table:
         lift = self.lifter(0, len(raw), m)
@@ -415,6 +411,18 @@ class _Layout:
         values = tuple(b for b in range(m) for _ in range(k))
         return lambda t: _composer(t)(values)
 
+    def weak_variants(self, t: Table, m: int) -> Iterator[Table]:
+        """Every rank-2 table over m values out whose weak view is t's, t
+        among them: the exc rows run free (exceptions), or the state of
+        every row does (states)."""
+        k = self.k
+        if self.exceptions:
+            head = t[:len(t) - k]
+            return (head + tail for tail in itertools.product(range(m + k), repeat=k))
+        values = tuple(v - v % k for v in t)
+        return (tuple(map(add, values, states))
+                for states in itertools.product(range(k), repeat=len(t)))
+
     def probe(self) -> FiniteModel:
         """A table-less model over the layout's carriers, for interpret_type."""
         if self._probe is None:
@@ -444,7 +452,9 @@ class _Layout:
         return got
 
     def number(self, sym: OperationSymbol, table: Optional[OperationTable]) -> Table:
-        """A model's table for sym in numbered form, or ModelMismatch."""
+        """A model's table for sym in numbered form, or ModelMismatch when
+        it is missing, has the wrong shape, misses a row, has a row outside
+        its domain or produces a value outside its codomain."""
         if table is None:
             raise ModelMismatch(f"no table for operation {sym.name!r}")
         if table.rank != sym.decoration or table.effect is not self.effect:
@@ -462,6 +472,12 @@ class _Layout:
                 raise ModelMismatch(f"table for {sym.name!r} produces "
                                     f"{table.mapping[x]!r} outside its codomain")
             raw.append(y)
+        if len(table.mapping) != len(raw):
+            known = set(ins)
+            for x in table.mapping:
+                if x not in known:
+                    raise ModelMismatch(f"table for {sym.name!r} has a row for {x!r} "
+                                        "outside its domain")
         return tuple(raw)
 
     def model(self, theory: Theory, assignment: Sequence[Table]) -> FiniteModel:
@@ -561,7 +577,6 @@ class _Program:
             self._terms.append((self._factors(term, dom, used), dom, cod, rank))
         self.used = tuple(sorted(used))
         self._slots = {position: slot for slot, position in enumerate(self.used)}
-        self._layout: Optional[_Layout] = None
 
     def _factors(self, term: DecoratedTerm, dom: TypeExpr, used: set) -> tuple:
         out: list = []
@@ -598,39 +613,32 @@ class _Program:
             return Unit
         raise TypeError(f"not a term: {term!r}")
 
-    def at(self, layout: _Layout) -> list[_Check]:
-        """The equations specialised to layout (the terms go to self.sides);
-        cached for the last layout."""
-        if layout is not self._layout:
-            self._layout = layout
-            self._lifters = None
-            self._checks = [
-                _Check(_Side(layout, lhs, report.dom, report.cod, report.lhs_rank, self._slots),
-                       _Side(layout, rhs, report.dom, report.cod, report.rhs_rank, self._slots),
-                       layout.weak_view(layout.size(report.dom), layout.size(report.cod))
-                       if strength is Strength.WEAK else None)
-                for strength, report, lhs, rhs in self._equations]
-            self.sides = [_Side(layout, factors, dom, cod, rank, self._slots)
-                          for factors, dom, cod, rank in self._terms]
-        return self._checks
+    def at(self, layout: _Layout) -> tuple[list[_Check], list[_Side],
+                                           Callable[[Iterable[Table]], list[Table]]]:
+        """The equations and the terms specialised to layout, and the lift
+        of the used operations' raw tables to their rank-2 tables."""
+        slots = self._slots
+        checks = [_Check(_Side(layout, lhs, report.dom, report.cod, report.lhs_rank, slots),
+                         _Side(layout, rhs, report.dom, report.cod, report.rhs_rank, slots),
+                         layout.weak_view(layout.size(report.dom), layout.size(report.cod))
+                         if strength is Strength.WEAK else None)
+                  for strength, report, lhs, rhs in self._equations]
+        sides = [_Side(layout, factors, dom, cod, rank, slots)
+                 for factors, dom, cod, rank in self._terms]
+        lifters = [layout.lifter(*layout.shape(self.theory.operations[i])) for i in self.used]
 
-    def lift(self, raws: Iterable[Table]) -> list[Table]:
-        """Rank-2 tables of the used operations from their raw tables, for
-        the layout of the last at()."""
-        lifters = self._lifters
-        if lifters is None:
-            lifters = self._lifters = [self._layout.op_lifter(self.theory.operations[i])
-                                       for i in self.used]
-        return [raw if lift is None else lift(raw) for raw, lift in zip(raws, lifters)]
+        def lift(raws: Iterable[Table]) -> list[Table]:
+            return [raw if f is None else f(raw) for raw, f in zip(raws, lifters)]
+        return checks, sides, lift
 
-    def numbered(self, model: FiniteModel) -> tuple[list[_Check], list[Table]]:
+    def numbered(self, model: FiniteModel) -> tuple[list[_Check], list[_Side], list[Table]]:
         """Specialise to a given model's carriers and number, from its
         labelled tables, the tables the program uses."""
         layout = _Layout(self.theory.effect, model.carriers, model.effect_carrier)
-        checks = self.at(layout)
+        checks, sides, lift = self.at(layout)
         symbols = [self.theory.operations[i] for i in self.used]
-        return checks, self.lift([layout.number(sym, model.tables.get(sym.name))
-                                  for sym in symbols])
+        return checks, sides, lift([layout.number(sym, model.tables.get(sym.name))
+                                    for sym in symbols])
 
 
 # ---------------------------------------------------------------------------
@@ -641,15 +649,13 @@ def eval_term(model: FiniteModel, theory: Theory, term: DecoratedTerm) -> Operat
     """Rank-2 denotation of a term, its inputs in canonical order.  The
     result is checked to conserve whatever the term's inferred rank says it
     cannot touch."""
-    program = _Program(theory, (), (term,))
-    _, tables = program.numbered(model)
-    side = program.sides[0]
+    _, (side,), tables = _Program(theory, (), (term,)).numbered(model)
     return OperationTable(theory.effect, 2,
                           side.layout.decode(side.dom, side.cod, side.run(tables)))
 
 
 def holds(model: FiniteModel, theory: Theory, eq: DecoratedEquation) -> bool:
-    (check,), tables = _Program(theory, (eq,)).numbered(model)
+    (check,), _, tables = _Program(theory, (eq,)).numbered(model)
     return check.holds(tables)
 
 
@@ -657,7 +663,7 @@ def first_violation(model: FiniteModel, theory: Theory,
                     eq: DecoratedEquation) -> Optional[tuple[Element, Element, Element]]:
     """None when the equation holds in the model, else the first input in
     canonical order where its sides disagree, with both outputs."""
-    (check,), tables = _Program(theory, (eq,)).numbered(model)
+    (check,), _, tables = _Program(theory, (eq,)).numbered(model)
     return check.witness(tables)
 
 
@@ -670,42 +676,35 @@ DEFAULT_MAX_INTERPRETATIONS = 10 ** 7
 
 @dataclass(frozen=True)
 class Bounds:
-    """Carrier size limits: one per base type (a single int applies to all)
-    plus the effect carrier's.  Sizes start at 1; empty carriers are not
-    searched."""
-    base: Union[int, Mapping[str, int]] = 2
+    """Carrier size limits: base for every base type, effect for the effect
+    carrier.  Sizes start at 1; empty carriers are not searched."""
+    base: int = 2
     effect: int = 2
 
     def __post_init__(self):
-        limits = [self.base] if isinstance(self.base, int) else list(self.base.values())
-        if min(limits + [self.effect]) < 1:
+        if min(self.base, self.effect) < 1:
             raise SemanticsError(
                 f"carrier bounds must be at least 1, got base {self.base!r}, "
                 f"effect {self.effect!r}")
 
-    def base_limit(self, name: str) -> int:
-        if isinstance(self.base, int):
-            return self.base
-        return self.base[name]
 
-
-def _layouts(theory: Theory, bounds: Bounds) -> Iterator[_Layout]:
-    """One layout per carrier-size assignment: base types in declaration
-    order with the effect carrier last, carriers numbered 0, 1, ..."""
-    ranges = [range(1, bounds.base_limit(name) + 1) for name in theory.base_types]
-    for base_sizes in itertools.product(*ranges):
-        carriers = {name: tuple(range(n)) for name, n in zip(theory.base_types, base_sizes)}
+def _layouts(effect: EffectKind, base_types: Sequence[str], bounds: Bounds) -> Iterator[_Layout]:
+    """One layout per carrier-size assignment: base types in the given order
+    with the effect carrier last, carriers numbered 0, 1, ..."""
+    sizes = range(1, bounds.base + 1)
+    for base_sizes in itertools.product(sizes, repeat=len(base_types)):
+        carriers = {name: tuple(range(n)) for name, n in zip(base_types, base_sizes)}
         for eff_size in range(1, bounds.effect + 1):
-            yield _Layout(theory.effect, carriers, tuple(range(eff_size)))
+            yield _Layout(effect, carriers, tuple(range(eff_size)))
 
 
 def count_interpretations(theory: Theory, bounds: Bounds) -> int:
     """Raw interpretation count within bounds, before any axiom filtering."""
     total = 0
-    for layout in _layouts(theory, bounds):
+    for layout in _layouts(theory.effect, theory.base_types, bounds):
         count = 1
         for sym in theory.operations:
-            n_in, n_out = layout.raw_shape(sym)
+            n_in, n_out = layout.raw_shape(*layout.shape(sym))
             count *= n_out ** n_in
         total += count
     return total
@@ -713,11 +712,10 @@ def count_interpretations(theory: Theory, bounds: Bounds) -> int:
 
 def _candidates(theory: Theory, bounds: Bounds) -> Iterator[tuple[_Layout, tuple]]:
     """Every raw interpretation within bounds, in canonical order, as its
-    layout and one raw table per operation.  Each table sweeps its output
-    numbers lexicographically over its inputs in canonical domain order."""
-    for layout in _layouts(theory, bounds):
-        spaces = [itertools.product(range(n_out), repeat=n_in)
-                  for n_in, n_out in map(layout.raw_shape, theory.operations)]
+    layout and one raw table per operation (_Layout.raw_tables' order, the
+    first operation's table varying slowest)."""
+    for layout in _layouts(theory.effect, theory.base_types, bounds):
+        spaces = [layout.raw_tables(*layout.shape(sym)) for sym in theory.operations]
         for assignment in itertools.product(*spaces):
             yield layout, assignment
 
@@ -729,6 +727,30 @@ def _check_ceiling(theory: Theory, bounds: Bounds, max_interpretations: int) -> 
             f"{total} interpretations within bounds, ceiling is {max_interpretations}")
 
 
+def _admitted(program: _Program, bounds: Bounds
+              ) -> Iterator[tuple[_Layout, tuple, list[Table], list[_Check]]]:
+    """The one loop over admitted candidates: every candidate within bounds
+    that satisfies the theory's axioms, in canonical order, with its
+    layout, its raw tables, the rank-2 tables of the operations the program
+    uses, and the checks of the program's equations after the axioms (the
+    program lists the theory's axioms first)."""
+    theory = program.theory
+    n_axioms = len(theory.axioms)
+    used = program.used
+    current = None
+    for layout, assignment in _candidates(theory, bounds):
+        if layout is not current:
+            current = layout
+            checks, _, lift = program.at(layout)
+            axioms, rest = checks[:n_axioms], checks[n_axioms:]
+        tables = lift(map(assignment.__getitem__, used))
+        for check in axioms:
+            if not check.holds(tables):
+                break
+        else:
+            yield layout, assignment, tables, rest
+
+
 def enumerate_models(theory: Theory, bounds: Bounds = Bounds(), *,
                      max_interpretations: int = DEFAULT_MAX_INTERPRETATIONS
                      ) -> Iterator[FiniteModel]:
@@ -738,22 +760,8 @@ def enumerate_models(theory: Theory, bounds: Bounds = Bounds(), *,
     Refuses to start when the raw interpretation count exceeds the ceiling.
     """
     _check_ceiling(theory, bounds, max_interpretations)
-    program = _Program(theory, [ax.equation for ax in theory.axioms])
-
-    def generate() -> Iterator[FiniteModel]:
-        used = program.used
-        current = None
-        for layout, assignment in _candidates(theory, bounds):
-            if layout is not current:
-                current = layout
-                checks = program.at(layout)
-            if checks:
-                tables = program.lift(map(assignment.__getitem__, used))
-                if not all(check.holds(tables) for check in checks):
-                    continue
-            yield layout.model(theory, assignment)
-
-    return generate()
+    admitted = _admitted(_Program(theory, [ax.equation for ax in theory.axioms]), bounds)
+    return (layout.model(theory, assignment) for layout, assignment, _, _ in admitted)
 
 
 @dataclass(frozen=True)
@@ -775,18 +783,8 @@ def find_counterexample(theory: Theory, eq: DecoratedEquation,
     """
     _check_ceiling(theory, bounds, max_interpretations)
     program = _Program(theory, [ax.equation for ax in theory.axioms] + [eq])
-    used = program.used
-    current = None
-    for layout, assignment in _candidates(theory, bounds):
-        if layout is not current:
-            current = layout
-            *axioms, goal = program.at(layout)
-        tables = program.lift(map(assignment.__getitem__, used))
-        for check in axioms:
-            if not check.holds(tables):
-                break
-        else:
-            found = goal.witness(tables)
-            if found is not None:
-                return Counterexample(layout.model(theory, assignment), eq, *found)
+    for layout, assignment, tables, (goal,) in _admitted(program, bounds):
+        found = goal.witness(tables)
+        if found is not None:
+            return Counterexample(layout.model(theory, assignment), eq, *found)
     return None

@@ -270,8 +270,8 @@ def first_violation(model: FiniteModel, theory: Theory,
 
 
 def _size_assignments(theory: Theory, bounds: Bounds) -> Iterator[tuple[tuple[int, ...], int]]:
-    ranges = [range(1, bounds.base_limit(name) + 1) for name in theory.base_types]
-    for base_sizes in itertools.product(*ranges):
+    for base_sizes in itertools.product(range(1, bounds.base + 1),
+                                        repeat=len(theory.base_types)):
         for eff_size in range(1, bounds.effect + 1):
             yield base_sizes, eff_size
 

@@ -331,6 +331,15 @@ class TestValidateRules:
         assert code == 0
         assert "all rules validated" in out
 
+    @pytest.mark.parametrize("effect", ["exceptions", "states"])
+    def test_carrier_bound_above_2_is_a_usage_error(self, capsys, effect):
+        with pytest.raises(SystemExit) as err:
+            main(["validate-rules", effect, "--max-carrier", "3"])
+        assert err.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "must be at most 2, got 3" in captured.err
+
     def test_json(self, capsys):
         code, out, _ = run(capsys, "validate-rules", "exceptions",
                            "--max-carrier", "1", "--json")

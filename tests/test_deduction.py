@@ -426,6 +426,12 @@ class TestValidateRules:
         with pytest.raises(DeductionError):
             validate_rules(EffectKind.STATES, max_carrier=0)
 
+    @pytest.mark.parametrize("effect", list(EffectKind))
+    def test_carrier_bound_above_2_is_rejected(self, effect):
+        # at 3 the sweep would run for days
+        with pytest.raises(DeductionError, match="between 1 and 2"):
+            validate_rules(effect, max_carrier=3)
+
 
 def _at_size_2(effect, rule):
     """Models checked, violations and example of rule's sound scenario with

@@ -35,6 +35,7 @@ from decolog.semantics import (
     eval_term,
     exc,
     find_counterexample,
+    first_violation,
     holds,
     interpret_type,
     ok,
@@ -180,6 +181,19 @@ class TestEvalExceptions:
         with pytest.raises(ModelMismatch, match="no table"):
             eval_term(FiniteModel(EX, model.carriers, (0,), missing), theory, Op("throw"))
 
+    def test_row_outside_the_domain_is_a_mismatch(self, throwcatch):
+        theory, model = throwcatch
+        rows = dict(model.tables["catchZero"].mapping, **{"extra": ok(0)})
+        tables = dict(model.tables, catchZero=OperationTable(EX, 2, rows))
+        broken = FiniteModel(EX, model.carriers, model.effect_carrier, tables)
+        eq = weak(Op("catchZero"), Id(Int))
+        for call in (lambda: eval_term(broken, theory, Op("catchZero")),
+                     lambda: holds(broken, theory, eq),
+                     lambda: first_violation(broken, theory, eq),
+                     lambda: validate_model(theory, broken)):
+            with pytest.raises(ModelMismatch, match="row for 'extra' outside its domain"):
+                call()
+
 
 class TestFactoring:
     def test_state_write_detected(self):
@@ -237,6 +251,18 @@ class TestWeakEqual:
         assert view(a) != view((4, 2))
 
 
+@pytest.mark.parametrize("effect", [EX, ST])
+@pytest.mark.parametrize("n, m, k", [(1, 1, 1), (2, 1, 2), (1, 2, 2), (2, 2, 2), (1, 3, 1)])
+def test_weak_variants_are_the_tables_with_the_same_weak_view(effect, n, m, k):
+    layout = _Layout(effect, {}, tuple(range(k)))
+    view = layout.weak_view(n, m) or (lambda t: t)
+    tables = list(layout.raw_tables(2, n, m))
+    for t in tables:
+        variants = list(layout.weak_variants(t, m))
+        assert len(variants) == len(set(variants))
+        assert set(variants) == {u for u in tables if view(u) == view(t)}
+
+
 class TestValidateModel:
     def test_accepts_good_models(self, bank, bank_mod4, throwcatch):
         theory, _, _ = bank
@@ -277,6 +303,13 @@ class TestValidateModel:
         with pytest.raises(ModelMismatch):
             validate_model(theory, wrong)
 
+    def test_row_outside_the_domain(self, bank, bank_mod4):
+        theory, _, _ = bank
+        tables = dict(bank_mod4.tables)
+        tables["seven"] = OperationTable(ST, 0, {UNIT: 3, 5: 3})
+        with pytest.raises(ModelMismatch, match="row for 5 outside its domain"):
+            validate_model(theory, FiniteModel(ST, bank_mod4.carriers, Z4, tables))
+
     def test_duplicate_labels(self, bank, bank_mod4):
         theory, _, _ = bank
         with pytest.raises(ModelMismatch):
@@ -312,7 +345,7 @@ class TestEnumeration:
         assert a == b
 
     @pytest.mark.parametrize("bounds", [
-        dict(base=0), dict(effect=0), dict(base={"B": 0}), dict(base=-1, effect=-1),
+        dict(base=0), dict(effect=0), dict(base=3, effect=-1), dict(base=-1, effect=-1),
     ])
     def test_bounds_below_1_are_rejected(self, bounds):
         with pytest.raises(SemanticsError):

@@ -17,7 +17,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from functools import reduce
-from typing import Iterable, Iterator, Mapping, Optional, Union
+from typing import Iterator, Mapping, Optional, Union
 
 
 class CalculusError(ValueError):
@@ -241,21 +241,6 @@ def _leftmost_id_type(term: DecoratedTerm) -> TypeExpr:
 def _spine(atoms: list[DecoratedTerm]) -> DecoratedTerm:
     return reduce(lambda acc, a: Comp(a, acc), reversed(atoms[:-1]), atoms[-1]) \
         if len(atoms) > 1 else atoms[0]
-
-
-def spine(term: DecoratedTerm) -> tuple[DecoratedTerm, ...]:
-    """Composition factors of the normal form, outermost first.
-
-    Empty for identities; callers keep the domain type around for that case.
-    """
-    return tuple(_atoms(term))
-
-
-def from_spine(atoms: Iterable[DecoratedTerm], dom: TypeExpr) -> DecoratedTerm:
-    atoms = list(atoms)
-    if not atoms:
-        return Id(dom)
-    return normalize(_spine(atoms))
 
 
 def compose(*factors: DecoratedTerm) -> DecoratedTerm:

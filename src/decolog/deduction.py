@@ -419,8 +419,8 @@ class _Rewriter:
 
 
 def _normal_spine(term: DecoratedTerm) -> Atoms:
-    """spine(term) for a term already in normal form, read off its
-    right-associated composition chain."""
+    """The composition factors of a term already in normal form, outermost
+    first (none for an identity), read off its right-associated chain."""
     atoms = []
     while isinstance(term, Comp):
         atoms.append(term.after)
@@ -815,8 +815,7 @@ def _trans_weak(layout):
 
 def _weak_to_strong(rank, layout):
     # keep only variants that still factor at the rank
-    factors = (layout.conservation(rank, layout.size(A), layout.size(B))
-               if rank < 2 else None) or (lambda t: True)
+    factors = layout.conservation(rank, layout.size(A), layout.size(B)) or (lambda t: True)
     for f1 in _tables(layout, (rank,), A, B):
         f2s = [f2 for f2 in layout.weak_variants(f1, layout.size(B)) if factors(f2)]
         yield (f1,), f2s, [f1 == f2 for f2 in f2s]

@@ -445,11 +445,8 @@ def print_theory(theory: Theory) -> str:
     for name, term in theory.definitions:
         lines.append(f"def {name} = {term_str(term)}")
     for i, ax in enumerate(theory.axioms):
-        eq = ax.equation
-        word, op = (("strong", "==") if eq.strength is Strength.STRONG
-                    else ("weak", "~"))
         name = "" if ax.name == f"ax{i + 1}" else f"{ax.name} : "
-        lines.append(f"axiom {name}{word} {term_str(eq.lhs)} {op} {term_str(eq.rhs)}")
+        lines.append(f"axiom {name}{print_equation(ax.equation)}")
     return "\n".join(lines) + "\n"
 
 

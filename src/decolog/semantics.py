@@ -21,7 +21,7 @@ exceptions shapes are the tagged pairs ("ok", v) and ("exc", e).
 Evaluation runs on numbered tables.  A carrier element is numbered by its
 position in its carrier, a product element (a, b) by a*|B| + b, and a rank-2
 table is a tuple of codomain numbers indexed by domain numbers, laid out in
-the order rank2_domain lists the inputs:
+the order _Layout.labels lists the inputs:
 
     exceptions   ok(a) is a and exc(e) is |A| + e (the ok block, then the exc block)
     states       (a, s) is a*|S| + s (row-major)
@@ -34,11 +34,14 @@ labels are decoded only where a caller sees them: eval_term's mapping, the
 models enumerate_models yields, a Counterexample and the examples of the
 rule-soundness sweep in deduction.py, which runs on the same parts.
 
-_Layout is the one way through the model space.  find_counterexample,
+_Layout is the one model codec and the one way through the model space.
+Only it maps labels to numbers: _Layout.values lists a type's elements,
+_Layout.labels the rank-2 elements over a type and _Layout.raw_labels the
+inputs and outputs of an operation's raw table.  find_counterexample,
 enumerate_models and the sweep take their carrier assignments from _layouts
-and their raw tables from _Layout.raw_tables; a given model's tables are
-checked and numbered by _Layout.number, in validate_model and in every
-evaluation call alike.
+and their raw tables from _Layout.raw_tables.  A given model is checked by
+_Layout.of_model (its carriers) and _Layout.number (its tables), in
+validate_model and in every evaluation call alike.
 """
 from __future__ import annotations
 
@@ -65,9 +68,9 @@ from .calculus import (
     Theory,
     TypeExpr,
     Unit,
-    UnitType,
     analyze_term,
     check_equation_wf,
+    type_str,
 )
 
 Element = object
@@ -83,10 +86,6 @@ def ok(v: Element) -> tuple:
 
 def exc(e: Element) -> tuple:
     return (EXC, e)
-
-
-def is_ok(x: Element) -> bool:
-    return isinstance(x, tuple) and len(x) == 2 and x[0] == OK
 
 
 class SemanticsError(Exception):
@@ -108,7 +107,8 @@ class ModelMismatch(SemanticsError):
 class FactoringInvariantError(SemanticsError):
     """A term's rank-2 table failed the conservation law its inferred rank
     promises (state written by a rank<=1 term, or an exception not
-    propagated).  Indicates a broken table or a bug, never valid input.
+    propagated).  Every table is checked and lifted from its declared rank,
+    so this signals a bug in the evaluator, never bad input.
     """
 
 
@@ -130,107 +130,6 @@ class FiniteModel:
     carriers: Mapping[str, tuple]
     effect_carrier: tuple
     tables: Mapping[str, OperationTable]
-
-
-def interpret_type(model: FiniteModel, t: TypeExpr) -> tuple:
-    """Carrier of a type: Unit is the singleton {*}, products multiply out
-    in carrier order (left component varies slowest)."""
-    if isinstance(t, UnitType):
-        return (UNIT,)
-    if isinstance(t, BaseType):
-        carrier = model.carriers.get(t.name)
-        if carrier is None:
-            raise UnknownBaseType(f"no carrier for base type {t.name!r}")
-        return carrier
-    if isinstance(t, Prod):
-        left = interpret_type(model, t.left)
-        right = interpret_type(model, t.right)
-        return tuple(itertools.product(left, right))
-    raise TypeError(f"not a type: {t!r}")
-
-
-# ---------------------------------------------------------------------------
-# Rank shapes and coercion
-# ---------------------------------------------------------------------------
-
-def rank2_domain(effect: EffectKind, dom_elems: Sequence[Element],
-                 eff_elems: Sequence[Element]) -> tuple:
-    if effect is EffectKind.EXCEPTIONS:
-        return tuple(ok(a) for a in dom_elems) + tuple(exc(e) for e in eff_elems)
-    return tuple(itertools.product(dom_elems, eff_elems))
-
-
-def table_domain(effect: EffectKind, rank: int, dom_elems: Sequence[Element],
-                 eff_elems: Sequence[Element]) -> tuple:
-    """Input elements a table of the given rank must be total on."""
-    if rank == 0:
-        return tuple(dom_elems)
-    if effect is EffectKind.EXCEPTIONS:
-        if rank == 1:
-            return tuple(dom_elems)
-        return rank2_domain(effect, dom_elems, eff_elems)
-    return tuple(itertools.product(dom_elems, eff_elems))
-
-
-def table_outputs(effect: EffectKind, rank: int, cod_elems: Sequence[Element],
-                  eff_elems: Sequence[Element]) -> tuple:
-    """Elements a table of the given rank may produce."""
-    if rank == 0:
-        return tuple(cod_elems)
-    if effect is EffectKind.EXCEPTIONS:
-        return tuple(ok(b) for b in cod_elems) + tuple(exc(e) for e in eff_elems)
-    if rank == 1:
-        return tuple(cod_elems)
-    return tuple(itertools.product(cod_elems, eff_elems))
-
-
-# ---------------------------------------------------------------------------
-# Evaluation
-# ---------------------------------------------------------------------------
-
-def validate_model(theory: Theory, model: FiniteModel) -> None:
-    """Carriers and tables match the theory, or ModelMismatch.  Each table
-    is checked by _Layout.number, as every evaluation call checks the
-    tables it reads."""
-    if model.effect is not theory.effect:
-        raise ModelMismatch(
-            f"model is for effect {model.effect}, theory for {theory.effect}")
-    for name in theory.base_types:
-        carrier = model.carriers.get(name)
-        if not carrier:
-            raise ModelMismatch(f"missing or empty carrier for base type {name!r}")
-        if len(set(carrier)) != len(carrier):
-            raise ModelMismatch(f"carrier for {name!r} has duplicate labels")
-    if not model.effect_carrier:
-        raise ModelMismatch("effect carrier must be non-empty")
-    if len(set(model.effect_carrier)) != len(model.effect_carrier):
-        raise ModelMismatch("effect carrier has duplicate labels")
-    layout = _Layout(theory.effect, model.carriers, model.effect_carrier)
-    for sym in theory.operations:
-        layout.number(sym, model.tables.get(sym.name))
-
-
-def check_factoring(effect: EffectKind, rank: int, mapping: Mapping) -> Optional[str]:
-    """None if the rank-2 table is consistent with the claimed rank, else a
-    description of the violation."""
-    if rank >= 2:
-        return None
-    if effect is EffectKind.EXCEPTIONS:
-        for x, y in mapping.items():
-            if not is_ok(x) and y != x:
-                return f"exceptional input {x!r} mapped to {y!r} instead of itself"
-            if rank == 0 and is_ok(x) and not is_ok(y):
-                return f"pure term raised on {x!r}"
-        return None
-    by_value: dict = {}
-    for (a, s), (b, s2) in mapping.items():
-        if s2 != s:
-            return f"state changed at {(a, s)!r}: {s!r} -> {s2!r}"
-        if rank == 0:
-            if a in by_value and by_value[a] != b:
-                return f"pure term reads the state at input {a!r}"
-            by_value[a] = b
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -277,10 +176,29 @@ class _Layout:
         self.carriers = carriers
         self.eff_elems = eff_elems
         self.k = len(eff_elems)
-        self._probe: Optional[FiniteModel] = None
         self._labels: dict = {}
         self._raw_labels: dict = {}
         self._decoders: Optional[list] = None
+
+    @classmethod
+    def of_model(cls, theory: Theory, model: FiniteModel) -> "_Layout":
+        """The layout of a given model's carriers, or ModelMismatch when the
+        model is for another effect, or a carrier is missing, empty or
+        repeats a label."""
+        if model.effect is not theory.effect:
+            raise ModelMismatch(
+                f"model is for effect {model.effect}, theory for {theory.effect}")
+        for name in theory.base_types:
+            carrier = model.carriers.get(name)
+            if not carrier:
+                raise ModelMismatch(f"missing or empty carrier for base type {name!r}")
+            if len(set(carrier)) != len(carrier):
+                raise ModelMismatch(f"carrier for {name!r} has duplicate labels")
+        if not model.effect_carrier:
+            raise ModelMismatch("effect carrier must be non-empty")
+        if len(set(model.effect_carrier)) != len(model.effect_carrier):
+            raise ModelMismatch("effect carrier has duplicate labels")
+        return cls(theory.effect, model.carriers, model.effect_carrier)
 
     def size(self, ty: TypeExpr) -> int:
         if isinstance(ty, BaseType):
@@ -298,7 +216,7 @@ class _Layout:
 
     def raw_shape(self, rank: int, n: int, m: int) -> tuple[int, int]:
         """Input and output counts of a raw table of the given rank with n
-        values in and m out (the sizes of table_domain and table_outputs)."""
+        values in and m out (the sizes of raw_labels' inputs and outputs)."""
         k = self.k
         if rank == 0:
             return n, m
@@ -319,7 +237,7 @@ class _Layout:
 
     def lifter(self, rank: int, n: int, m: int) -> Optional[Callable[[Table], Table]]:
         """The map from a raw table of the given rank (n values in, m out,
-        numbered like table_domain and table_outputs) to its rank-2 table;
+        numbered like raw_labels) to its rank-2 table;
         None when the raw table already is one."""
         k = self.k
         if rank == 2:
@@ -381,9 +299,11 @@ class _Layout:
 
     def conservation(self, rank: int, n: int, m: int) -> Optional[Callable[[Table], bool]]:
         """Test that a rank-2 table over n values in and m out leaves alone
-        what a term of rank 0 or 1 may not touch; None when there is nothing
-        to test."""
+        what a term of the given rank may not touch; None when there is
+        nothing to test (always at rank 2)."""
         k = self.k
+        if rank == 2:
+            return None
         if self.exceptions:
             tail = self.tail(m)
             if rank == 1 or n == 0:
@@ -423,17 +343,29 @@ class _Layout:
         return (tuple(map(add, values, states))
                 for states in itertools.product(range(k), repeat=len(t)))
 
-    def probe(self) -> FiniteModel:
-        """A table-less model over the layout's carriers, for interpret_type."""
-        if self._probe is None:
-            self._probe = FiniteModel(self.effect, self.carriers, self.eff_elems, {})
-        return self._probe
+    def values(self, ty: TypeExpr) -> tuple:
+        """The elements of ty in numbering order: a base type's carrier,
+        Unit's one element, a product's pairs with the left component
+        varying slowest."""
+        if isinstance(ty, BaseType):
+            carrier = self.carriers.get(ty.name)
+            if carrier is None:
+                raise UnknownBaseType(f"no carrier for base type {ty.name!r}")
+            return carrier
+        if isinstance(ty, Prod):
+            return tuple(itertools.product(self.values(ty.left), self.values(ty.right)))
+        return (UNIT,)
 
     def labels(self, ty: TypeExpr) -> tuple:
-        """Rank-2 elements over ty in numbering order."""
+        """Rank-2 elements over ty in numbering order: ok(a) for every value
+        and then exc(e) for every exception, or (a, s) row-major."""
         got = self._labels.get(ty)
         if got is None:
-            got = rank2_domain(self.effect, interpret_type(self.probe(), ty), self.eff_elems)
+            values = self.values(ty)
+            if self.exceptions:
+                got = tuple(map(ok, values)) + tuple(map(exc, self.eff_elems))
+            else:
+                got = tuple(itertools.product(values, self.eff_elems))
             self._labels[ty] = got
         return got
 
@@ -441,13 +373,17 @@ class _Layout:
         return dict(zip(self.labels(dom), map(self.labels(cod).__getitem__, t)))
 
     def raw_labels(self, sym: OperationSymbol) -> tuple[tuple, tuple]:
-        """The inputs and the outputs of sym's raw table, in numbering order."""
+        """The inputs and the outputs of sym's raw table, in numbering order
+        (raw_shape counts them)."""
         got = self._raw_labels.get(sym.name)
         if got is None:
-            dom = interpret_type(self.probe(), sym.dom)
-            cod = interpret_type(self.probe(), sym.cod)
-            got = (table_domain(self.effect, sym.decoration, dom, self.eff_elems),
-                   table_outputs(self.effect, sym.decoration, cod, self.eff_elems))
+            rank, dom, cod = sym.decoration, sym.dom, sym.cod
+            if rank == 0:
+                got = self.values(dom), self.values(cod)
+            elif self.exceptions:
+                got = (self.values(dom) if rank == 1 else self.labels(dom)), self.labels(cod)
+            else:
+                got = self.labels(dom), (self.values(cod) if rank == 1 else self.labels(cod))
             self._raw_labels[sym.name] = got
         return got
 
@@ -504,17 +440,15 @@ class _Side:
                  cod: TypeExpr, rank: int, slots: Mapping[int, int]):
         self.layout = layout
         self.steps = layout.steps(factors, dom, slots)
-        self.conserves = (None if rank == 2 else
-                          layout.conservation(rank, layout.size(dom), layout.size(cod)))
+        self.conserves = layout.conservation(rank, layout.size(dom), layout.size(cod))
         self.rank, self.dom, self.cod = rank, dom, cod
 
     def run(self, tables: Sequence[Table]) -> Table:
         t = _run(self.steps, tables)
         if self.conserves is not None and not self.conserves(t):
-            layout = self.layout
             raise FactoringInvariantError(
-                check_factoring(layout.effect, self.rank, layout.decode(self.dom, self.cod, t))
-                or f"numbered table breaks the factoring of rank {self.rank}")
+                f"the rank-2 table of a rank-{self.rank} term {type_str(self.dom)} -> "
+                f"{type_str(self.cod)} breaks the conservation law of its rank")
         return t
 
 
@@ -632,9 +566,9 @@ class _Program:
         return checks, sides, lift
 
     def numbered(self, model: FiniteModel) -> tuple[list[_Check], list[_Side], list[Table]]:
-        """Specialise to a given model's carriers and number, from its
-        labelled tables, the tables the program uses."""
-        layout = _Layout(self.theory.effect, model.carriers, model.effect_carrier)
+        """Check a given model's carriers, specialise to them and number,
+        from its labelled tables, the tables the program uses."""
+        layout = _Layout.of_model(self.theory, model)
         checks, sides, lift = self.at(layout)
         symbols = [self.theory.operations[i] for i in self.used]
         return checks, sides, lift([layout.number(sym, model.tables.get(sym.name))
@@ -644,6 +578,15 @@ class _Program:
 # ---------------------------------------------------------------------------
 # Evaluation in a given model
 # ---------------------------------------------------------------------------
+
+def validate_model(theory: Theory, model: FiniteModel) -> None:
+    """Carriers and tables match the theory, or ModelMismatch: the carriers
+    are checked by _Layout.of_model and each table by _Layout.number, as
+    every evaluation call checks the model it reads."""
+    layout = _Layout.of_model(theory, model)
+    for sym in theory.operations:
+        layout.number(sym, model.tables.get(sym.name))
+
 
 def eval_term(model: FiniteModel, theory: Theory, term: DecoratedTerm) -> OperationTable:
     """Rank-2 denotation of a term, its inputs in canonical order.  The

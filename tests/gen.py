@@ -28,13 +28,8 @@ from decolog.calculus import (
     analyze_term,
     normalize,
 )
-from decolog.semantics import (
-    FiniteModel,
-    OperationTable,
-    interpret_type,
-    table_domain,
-    table_outputs,
-)
+from decolog.semantics import FiniteModel, OperationTable
+from reference import interpret_type, table_domain, table_outputs
 
 __all__ = [
     "BASE_POOL", "random_type", "random_theory", "random_word_theory",

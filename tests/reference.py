@@ -5,7 +5,11 @@ direct reading of the semantics that the numbered kernel in
 decolog.semantics replaced: every table is a dict from labelled inputs to
 labelled outputs, lower ranks are coerced up one table at a time, and the
 search builds a FiniteModel for every raw interpretation and tests it
-axiom by axiom.
+axiom by axiom.  The labelled carriers and table shapes (interpret_type,
+rank2_domain, table_domain, table_outputs) and the conservation check
+(check_factoring) are the reference's own: from decolog.semantics it takes
+only the model data types, the error classes and the label constants, so a
+layout bug in the library's numbered codec cannot hide in both.
 
 The rule-soundness sweep is decolog.deduction's validate_rules as it was
 before it moved onto numbered tables: every combo is a dict of label
@@ -25,11 +29,12 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Iterator, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from decolog.calculus import (
     PAIR_COMPONENT_RANK_LIMIT,
     Bang,
+    BaseType,
     CalculusError,
     Comp,
     DecoratedEquation,
@@ -48,10 +53,8 @@ from decolog.calculus import (
     analyze_term,
     check_equation_wf,
     compose,
-    from_spine,
     infer_decoration,
     normalize,
-    spine,
     strong,
     weak,
 )
@@ -85,8 +88,10 @@ from decolog.deduction import (
 )
 from decolog.semantics import (
     DEFAULT_MAX_INTERPRETATIONS,
+    OK,
     UNIT,
     Bounds,
+    BoundsTooLarge,
     Counterexample,
     Element,
     FactoringInvariantError,
@@ -94,16 +99,113 @@ from decolog.semantics import (
     ModelMismatch,
     OperationTable,
     SemanticsError,
-    _check_ceiling,
-    check_factoring,
+    UnknownBaseType,
     exc,
-    interpret_type,
-    is_ok,
     ok,
-    rank2_domain,
-    table_domain,
-    table_outputs,
 )
+
+
+# ---------------------------------------------------------------------------
+# Labelled carriers and table shapes
+# ---------------------------------------------------------------------------
+
+def is_ok(x: Element) -> bool:
+    return isinstance(x, tuple) and len(x) == 2 and x[0] == OK
+
+
+def interpret_type(model: FiniteModel, t: TypeExpr) -> tuple:
+    """Carrier of a type: Unit is the singleton {*}, products multiply out
+    in carrier order (left component varies slowest)."""
+    if isinstance(t, UnitType):
+        return (UNIT,)
+    if isinstance(t, BaseType):
+        carrier = model.carriers.get(t.name)
+        if carrier is None:
+            raise UnknownBaseType(f"no carrier for base type {t.name!r}")
+        return carrier
+    if isinstance(t, Prod):
+        left = interpret_type(model, t.left)
+        right = interpret_type(model, t.right)
+        return tuple(itertools.product(left, right))
+    raise TypeError(f"not a type: {t!r}")
+
+
+def rank2_domain(effect: EffectKind, dom_elems: Sequence[Element],
+                 eff_elems: Sequence[Element]) -> tuple:
+    if effect is EffectKind.EXCEPTIONS:
+        return tuple(ok(a) for a in dom_elems) + tuple(exc(e) for e in eff_elems)
+    return tuple(itertools.product(dom_elems, eff_elems))
+
+
+def table_domain(effect: EffectKind, rank: int, dom_elems: Sequence[Element],
+                 eff_elems: Sequence[Element]) -> tuple:
+    """Input elements a table of the given rank must be total on."""
+    if rank == 0:
+        return tuple(dom_elems)
+    if effect is EffectKind.EXCEPTIONS:
+        if rank == 1:
+            return tuple(dom_elems)
+        return rank2_domain(effect, dom_elems, eff_elems)
+    return tuple(itertools.product(dom_elems, eff_elems))
+
+
+def table_outputs(effect: EffectKind, rank: int, cod_elems: Sequence[Element],
+                  eff_elems: Sequence[Element]) -> tuple:
+    """Elements a table of the given rank may produce."""
+    if rank == 0:
+        return tuple(cod_elems)
+    if effect is EffectKind.EXCEPTIONS:
+        return tuple(ok(b) for b in cod_elems) + tuple(exc(e) for e in eff_elems)
+    if rank == 1:
+        return tuple(cod_elems)
+    return tuple(itertools.product(cod_elems, eff_elems))
+
+
+def check_factoring(effect: EffectKind, rank: int, mapping: Mapping) -> Optional[str]:
+    """None if the rank-2 table is consistent with the claimed rank, else a
+    description of the violation."""
+    if rank >= 2:
+        return None
+    if effect is EffectKind.EXCEPTIONS:
+        for x, y in mapping.items():
+            if not is_ok(x) and y != x:
+                return f"exceptional input {x!r} mapped to {y!r} instead of itself"
+            if rank == 0 and is_ok(x) and not is_ok(y):
+                return f"pure term raised on {x!r}"
+        return None
+    by_value: dict = {}
+    for (a, s), (b, s2) in mapping.items():
+        if s2 != s:
+            return f"state changed at {(a, s)!r}: {s!r} -> {s2!r}"
+        if rank == 0:
+            if a in by_value and by_value[a] != b:
+                return f"pure term reads the state at input {a!r}"
+            by_value[a] = b
+    return None
+
+
+# ---------------------------------------------------------------------------
+# Composition spines
+# ---------------------------------------------------------------------------
+
+def spine(term: DecoratedTerm) -> tuple[DecoratedTerm, ...]:
+    """Composition factors of the normal form, outermost first.
+
+    Empty for identities; callers keep the domain type around for that case.
+    """
+    term = normalize(term)
+    atoms = []
+    while isinstance(term, Comp):
+        atoms.append(term.after)
+        term = term.first
+    if not isinstance(term, Id):
+        atoms.append(term)
+    return tuple(atoms)
+
+
+def from_spine(atoms: Iterable[DecoratedTerm], dom: TypeExpr) -> DecoratedTerm:
+    atoms = list(atoms)
+    return compose(*atoms) if atoms else Id(dom)
 
 
 # ---------------------------------------------------------------------------
@@ -276,9 +378,9 @@ def _size_assignments(theory: Theory, bounds: Bounds) -> Iterator[tuple[tuple[in
             yield base_sizes, eff_size
 
 
-def candidates(theory: Theory, bounds: Bounds) -> Iterator[FiniteModel]:
-    """Every raw interpretation within bounds as a FiniteModel, in
-    canonical order."""
+def _carrier_shapes(theory: Theory, bounds: Bounds) -> Iterator[tuple[dict, tuple, list, list]]:
+    """Per carrier-size assignment in canonical order: the carriers, the
+    effect carrier and each operation's table inputs and possible outputs."""
     for base_sizes, eff_size in _size_assignments(theory, bounds):
         carriers = {name: tuple(range(n))
                     for name, n in zip(theory.base_types, base_sizes)}
@@ -291,6 +393,25 @@ def candidates(theory: Theory, bounds: Bounds) -> Iterator[FiniteModel]:
             cod = interpret_type(probe, sym.cod)
             op_inputs.append(table_domain(theory.effect, sym.decoration, dom, eff))
             op_output_spaces.append(table_outputs(theory.effect, sym.decoration, cod, eff))
+        yield carriers, eff, op_inputs, op_output_spaces
+
+
+def _check_ceiling(theory: Theory, bounds: Bounds, max_interpretations: int) -> None:
+    total = 0
+    for _, _, op_inputs, op_output_spaces in _carrier_shapes(theory, bounds):
+        count = 1
+        for ins, outs in zip(op_inputs, op_output_spaces):
+            count *= len(outs) ** len(ins)
+        total += count
+    if total > max_interpretations:
+        raise BoundsTooLarge(
+            f"{total} interpretations within bounds, ceiling is {max_interpretations}")
+
+
+def candidates(theory: Theory, bounds: Bounds) -> Iterator[FiniteModel]:
+    """Every raw interpretation within bounds as a FiniteModel, in
+    canonical order."""
+    for carriers, eff, op_inputs, op_output_spaces in _carrier_shapes(theory, bounds):
         spaces = [itertools.product(outs, repeat=len(ins))
                   for ins, outs in zip(op_inputs, op_output_spaces)]
         for assignment in itertools.product(*spaces):

@@ -29,9 +29,8 @@ from decolog.semantics import (
     enumerate_models,
     eval_term,
     holds,
-    is_ok,
 )
-from reference import weak_equal
+from reference import is_ok, weak_equal
 
 BANK = str(corpus_path("bank.dth"))
 BANK_MODEL = str(corpus_path("bank_mod4.model"))

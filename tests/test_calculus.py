@@ -31,12 +31,12 @@ from decolog.calculus import (
     infer_decoration,
     normalize,
     pair,
-    spine,
     strong,
     type_str,
     weak,
     wf_term,
 )
+from decolog.deduction import _normal_spine
 
 from gen import random_raw_term, random_theory, random_wf_terms
 
@@ -123,7 +123,7 @@ class TestNormalization:
     def test_compose_builds_normal_form(self):
         t = compose(Op("f"), Op("g"), Op("h"))
         assert t == Comp(Op("f"), Comp(Op("g"), Op("h")))
-        assert spine(t) == (Op("f"), Op("g"), Op("h"))
+        assert _normal_spine(t) == (Op("f"), Op("g"), Op("h"))
 
 
 class TestAnalyzeTerm:

@@ -10,7 +10,13 @@ to 1 and 2.  For the prover: the printed derivation, or the DepthExhausted
 message with its rewrite count, on the corpus goals, goals with nested
 pairs, and the conclusions of random derivations and random goal pairs
 over random theories.
+
+The reference and the generators keep their own label layout, so a layout
+bug in the library cannot hide in both sides of a comparison; a guard test
+holds their imports from decolog.semantics to the shared data.
 """
+import ast
+import inspect
 import random
 import re
 
@@ -37,6 +43,7 @@ from decolog.files import (
     print_derivation,
     print_model,
 )
+from decolog import semantics
 from decolog.semantics import (
     Bounds,
     count_interpretations,
@@ -302,3 +309,30 @@ def test_prove_random_theories(effect):
         cut += tried is not None and int(tried.group(1)) >= PAIR_NODES
     # the batch exercises found proofs and searches cut by the node bound
     assert proved >= 15 and cut >= 5
+
+
+#: What the reference and the generators may share with decolog.semantics:
+#: the model data types, the error classes and the label constants.
+SHARED_WITH_SEMANTICS = {
+    "FiniteModel", "OperationTable", "Counterexample", "Bounds", "Element",
+    "DEFAULT_MAX_INTERPRETATIONS", "OK", "EXC", "UNIT", "ok", "exc",
+} | {name for name, value in vars(semantics).items()
+     if isinstance(value, type) and issubclass(value, semantics.SemanticsError)}
+
+
+@pytest.mark.parametrize("module", [reference, gen], ids=["reference", "gen"])
+def test_oracle_shares_no_layout_code_with_semantics(module):
+    """An oracle that imported the library's label layout would agree with
+    the library on any bug in it."""
+    shared = set()
+    for node in ast.walk(ast.parse(inspect.getsource(module))):
+        if isinstance(node, ast.ImportFrom) and node.module == "decolog.semantics":
+            shared |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module == "decolog":
+            shared |= {f"decolog.{alias.name}" for alias in node.names
+                       if alias.name == "semantics"}
+        elif isinstance(node, ast.Import):
+            shared |= {alias.name for alias in node.names
+                       if alias.name == "decolog.semantics"}
+    assert shared, "the oracle reads no model data from decolog.semantics"
+    assert shared <= SHARED_WITH_SEMANTICS, sorted(shared - SHARED_WITH_SEMANTICS)

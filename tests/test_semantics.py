@@ -28,8 +28,8 @@ from decolog.semantics import (
     OperationTable,
     SemanticsError,
     UNIT,
+    UnknownBaseType,
     _Layout,
-    check_factoring,
     count_interpretations,
     enumerate_models,
     eval_term,
@@ -37,7 +37,6 @@ from decolog.semantics import (
     find_counterexample,
     first_violation,
     holds,
-    interpret_type,
     ok,
     validate_model,
 )
@@ -54,18 +53,21 @@ Z2 = tuple(range(2))
 
 
 class TestInterpretType:
-    def test_unit_singleton(self, bank_mod4):
-        assert interpret_type(bank_mod4, Unit) == (UNIT,)
+    """_Layout.values: the elements of a type in numbering order."""
 
-    def test_product_order(self, bank_mod4):
-        m = FiniteModel(ST, {"A": (0, 1), "B": ("x", "y")}, (0,), {})
-        got = interpret_type(m, Prod(BaseType("A"), BaseType("B")))
+    def test_unit_singleton(self, bank_mod4):
+        layout = _Layout(ST, bank_mod4.carriers, bank_mod4.effect_carrier)
+        assert layout.values(Unit) == (UNIT,)
+
+    def test_product_order(self):
+        layout = _Layout(ST, {"A": (0, 1), "B": ("x", "y")}, (0,))
+        got = layout.values(Prod(BaseType("A"), BaseType("B")))
         assert got == ((0, "x"), (0, "y"), (1, "x"), (1, "y"))
 
     def test_unknown_base(self, bank_mod4):
-        from decolog.semantics import UnknownBaseType
+        layout = _Layout(ST, bank_mod4.carriers, bank_mod4.effect_carrier)
         with pytest.raises(UnknownBaseType):
-            interpret_type(bank_mod4, BaseType("Bool"))
+            layout.values(BaseType("Bool"))
 
 
 class TestCoerce:
@@ -181,44 +183,78 @@ class TestEvalExceptions:
         with pytest.raises(ModelMismatch, match="no table"):
             eval_term(FiniteModel(EX, model.carriers, (0,), missing), theory, Op("throw"))
 
-    def test_row_outside_the_domain_is_a_mismatch(self, throwcatch):
+    def test_row_outside_the_domain_is_a_mismatch(self, throwcatch, bank, bank_mod4):
+        # every evaluation call rejects what validate_model rejects: a row
+        # outside the domain, and the carrier checks
         theory, model = throwcatch
         rows = dict(model.tables["catchZero"].mapping, **{"extra": ok(0)})
         tables = dict(model.tables, catchZero=OperationTable(EX, 2, rows))
         broken = FiniteModel(EX, model.carriers, model.effect_carrier, tables)
-        eq = weak(Op("catchZero"), Id(Int))
-        for call in (lambda: eval_term(broken, theory, Op("catchZero")),
-                     lambda: holds(broken, theory, eq),
-                     lambda: first_violation(broken, theory, eq),
-                     lambda: validate_model(theory, broken)):
-            with pytest.raises(ModelMismatch, match="row for 'extra' outside its domain"):
-                call()
+        cases = [(theory, broken, Op("catchZero"), weak(Op("catchZero"), Id(Int)),
+                  "row for 'extra' outside its domain")]
+        bank_theory = bank[0]
+        plus = Op("plus")
+        cases += [
+            (bank_theory, FiniteModel(ST, {"Int": (0, 0, 1, 2, 3)}, Z4, bank_mod4.tables),
+             plus, strong(plus, plus), "carrier for 'Int' has duplicate labels"),
+            (bank_theory, FiniteModel(EX, bank_mod4.carriers, Z4, bank_mod4.tables),
+             plus, strong(plus, plus), "model is for effect exceptions"),
+            (bank_theory, FiniteModel(ST, {}, Z4, bank_mod4.tables),
+             plus, strong(plus, plus), "missing or empty carrier for base type 'Int'"),
+        ]
+        A = BaseType("A")
+        tiny = Theory(effect=ST, base_types=("A",),
+                      operations=(OperationSymbol("f", A, A, 0),))
+        ff = compose(Op("f"), Op("f"))
+        cases += [
+            (tiny, FiniteModel(ST, {"A": ()}, (0,), {"f": OperationTable(ST, 0, {})}),
+             ff, strong(ff, Op("f")), "missing or empty carrier for base type 'A'"),
+            (tiny, FiniteModel(ST, {"A": (0,)}, (), {"f": OperationTable(ST, 0, {0: 0})}),
+             ff, strong(ff, Op("f")), "effect carrier must be non-empty"),
+        ]
+        for theory, broken, term, eq, message in cases:
+            for call in (lambda: eval_term(broken, theory, term),
+                         lambda: holds(broken, theory, eq),
+                         lambda: first_violation(broken, theory, eq),
+                         lambda: validate_model(theory, broken)):
+                with pytest.raises(ModelMismatch, match=message):
+                    call()
+
+
+def conserves(effect, rank, mapping):
+    """Whether _Layout.conservation at the rank passes a rank-2 table from
+    A = {0} to B = {0, 1}, given by its labels (states {0, 1}, or the one
+    exception 0)."""
+    layout = _Layout(effect, {"A": (0,), "B": (0, 1)}, (0, 1) if effect is ST else (0,))
+    ins, outs = layout.labels(BaseType("A")), layout.labels(BaseType("B"))
+    test = layout.conservation(rank, 1, 2)
+    return test is None or test(tuple(outs.index(mapping[x]) for x in ins))
 
 
 class TestFactoring:
     def test_state_write_detected(self):
         bad = {(0, 0): (0, 1), (0, 1): (0, 1)}
-        assert check_factoring(ST, 1, bad) is not None
-        assert check_factoring(ST, 2, bad) is None
+        assert not conserves(ST, 1, bad)
+        assert conserves(ST, 2, bad)
 
     def test_state_read_detected_for_pure(self):
         reads = {(0, 0): (0, 0), (0, 1): (1, 1)}
-        assert check_factoring(ST, 0, reads) is not None
-        assert check_factoring(ST, 1, reads) is None
+        assert not conserves(ST, 0, reads)
+        assert conserves(ST, 1, reads)
 
     def test_unpropagated_exception_detected(self):
         bad = {ok(0): ok(0), exc(0): ok(0)}
-        assert check_factoring(EX, 1, bad) is not None
-        assert check_factoring(EX, 2, bad) is None
+        assert not conserves(EX, 1, bad)
+        assert conserves(EX, 2, bad)
 
     def test_raise_detected_for_pure(self):
         raises = {ok(0): exc(0), exc(0): exc(0)}
-        assert check_factoring(EX, 0, raises) is not None
-        assert check_factoring(EX, 1, raises) is None
+        assert not conserves(EX, 0, raises)
+        assert conserves(EX, 1, raises)
 
     def test_clean_tables_pass(self):
-        assert check_factoring(ST, 0, {(0, 0): (1, 0), (0, 1): (1, 1)}) is None
-        assert check_factoring(EX, 0, {ok(0): ok(1), exc(0): exc(0)}) is None
+        assert conserves(ST, 0, {(0, 0): (1, 0), (0, 1): (1, 1)})
+        assert conserves(EX, 0, {ok(0): ok(1), exc(0): exc(0)})
 
 
 class TestWeakEqual:

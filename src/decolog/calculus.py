@@ -174,19 +174,17 @@ class Bang:
 DecoratedTerm = Union[Id, Op, Comp, Pair, Proj1, Proj2, Bang]
 
 
-def term_str(term: DecoratedTerm, unicode_comp: bool = False) -> str:
-    """Render a term in the surface syntax: `f . g` for composition (or
-    with the ring operator when unicode_comp is set), `<f, g>` for pairs,
-    and explicit types on the builtins."""
-    dot = " ∘ " if unicode_comp else " . "
+def term_str(term: DecoratedTerm) -> str:
+    """Render a term in the surface syntax: `f . g` for composition, `<f, g>`
+    for pairs, and explicit types on the builtins."""
     if isinstance(term, Comp):
-        return term_str(term.after, unicode_comp) + dot + term_str(term.first, unicode_comp)
+        return term_str(term.after) + " . " + term_str(term.first)
     if isinstance(term, Op):
         return term.name
     if isinstance(term, Id):
         return f"id({type_str(term.ty)})"
     if isinstance(term, Pair):
-        return f"<{term_str(term.left, unicode_comp)}, {term_str(term.right, unicode_comp)}>"
+        return f"<{term_str(term.left)}, {term_str(term.right)}>"
     if isinstance(term, Proj1):
         return f"p1({type_str(term.left_ty)}, {type_str(term.right_ty)})"
     if isinstance(term, Proj2):

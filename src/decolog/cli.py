@@ -81,7 +81,7 @@ def _load_theory(path: str):
 
 
 def _compact(term) -> str:
-    return term_str(term, unicode_comp=True).replace(" ∘ ", "∘").replace(", ", ",")
+    return term_str(term).replace(" . ", "∘").replace(", ", ",")
 
 
 def _judgment_line(eq) -> str:

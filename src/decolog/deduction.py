@@ -22,9 +22,11 @@ rank 1 and the weak one at every rank.  Under exceptions an impure
 f : A -> Unit may raise, which no coercion of the canonical map ever
 does, so both unit laws require f pure.
 
-validate_rules replays every rule schema against exhaustively enumerated
-finite interpretations and confirms each side condition is tight: the
-sound instances hold in every model and the excluded instances all have
+These side conditions, and the rank bound of weak_to_strong_lowrank, are
+one table: RANK_LIMITS.  The checker enforces it, the prover's weak and
+unit moves obey it, and validate_rules sweeps exactly it, replaying every
+rule schema against exhaustively enumerated finite interpretations: the
+instances within a limit hold in every model, and those past it have
 countermodels.
 """
 from __future__ import annotations
@@ -32,7 +34,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from .calculus import (
     Bang,
@@ -95,6 +97,17 @@ ALL_RULES = (
     PAIR_CONG_STRONG, PAIR_PROJ, PAIR_COMP_LOWRANK, UNIT_STRONG_LOWRANK,
     UNIT_WEAK, AXIOM,
 )
+
+#: The effect's side conditions: the largest rank of g in weak_subst, of h
+#: in weak_repl, of f in the unit laws and of each side of
+#: weak_to_strong_lowrank.  Pair components have theirs in
+#: calculus.PAIR_COMPONENT_RANK_LIMIT, which term formation enforces.
+RANK_LIMITS: Mapping[EffectKind, dict[str, int]] = {
+    EffectKind.EXCEPTIONS: {WEAK_SUBST: 0, WEAK_REPL: 2, UNIT_STRONG_LOWRANK: 0,
+                            UNIT_WEAK: 0, WEAK_TO_STRONG_LOWRANK: 1},
+    EffectKind.STATES: {WEAK_SUBST: 2, WEAK_REPL: 0, UNIT_STRONG_LOWRANK: 1,
+                        UNIT_WEAK: 2, WEAK_TO_STRONG_LOWRANK: 1},
+}
 
 
 class DeductionError(Exception):
@@ -196,6 +209,15 @@ def _strength_of(eq: DecoratedEquation, want: Strength, d: Derivation,
             path, f"premise {idx} of {d.rule} must be {want}, got {eq.strength}")
 
 
+def _rank_within(effect: EffectKind, rule: str, param: str, rank: int,
+                 path: tuple[int, ...]) -> None:
+    limit = RANK_LIMITS[effect][rule]
+    if rank > limit:
+        raise RuleMisapplied(
+            path, f"{rule} under {effect} allows {param} up to rank {limit}, "
+                  f"got rank {rank} ({rank_name(effect, rank)})")
+
+
 def _check(theory: Theory, d: Derivation, path: tuple[int, ...]) -> DecoratedEquation:
     if d.rule not in ALL_RULES:
         raise RuleMisapplied(path, f"unknown rule {d.rule!r}")
@@ -265,42 +287,24 @@ def _conclude(theory: Theory, d: Derivation,
         _need_premises(d, 1, path)
         p = premises[0]
         _strength_of(p, Strength.WEAK, d, 1, path)
-        for side in (p.lhs, p.rhs):
-            r = infer_decoration(theory, side)
-            if r > 1:
-                raise RuleMisapplied(
-                    path, f"weak_to_strong_lowrank needs both sides of rank <= 1, "
-                          f"one side is a {rank_name(effect, r)}")
+        for param, side in (("lhs", p.lhs), ("rhs", p.rhs)):
+            _rank_within(effect, rule, param, infer_decoration(theory, side), path)
         return DecoratedEquation(Strength.STRONG, p.lhs, p.rhs)
 
-    if rule in (SUBST_STRONG, WEAK_SUBST):
+    if rule in (SUBST_STRONG, WEAK_SUBST, REPL_STRONG, WEAK_REPL):
+        # substitution precomposes g, replacement postcomposes h
         _need_premises(d, 1, path)
         p = premises[0]
-        g = _term_param(theory, d, "g", path)
-        if rule == SUBST_STRONG:
-            _strength_of(p, Strength.STRONG, d, 1, path)
-        else:
-            _strength_of(p, Strength.WEAK, d, 1, path)
-            if effect is EffectKind.EXCEPTIONS and infer_decoration(theory, g) > 0:
-                raise RuleMisapplied(
-                    path, "under exceptions weak_subst needs a pure g: an impure g "
-                          "may raise, where the weak premise promises nothing")
-        out = p.strength
-        return DecoratedEquation(out, compose(p.lhs, g), compose(p.rhs, g))
-
-    if rule in (REPL_STRONG, WEAK_REPL):
-        _need_premises(d, 1, path)
-        p = premises[0]
-        h = _term_param(theory, d, "h", path)
-        if rule == REPL_STRONG:
-            _strength_of(p, Strength.STRONG, d, 1, path)
-        else:
-            _strength_of(p, Strength.WEAK, d, 1, path)
-            if effect is EffectKind.STATES and infer_decoration(theory, h) > 0:
-                raise RuleMisapplied(
-                    path, "under states weak_repl needs a pure h: an impure h may "
-                          "read the state, where the weak premise promises nothing")
-        return DecoratedEquation(p.strength, compose(h, p.lhs), compose(h, p.rhs))
+        subst = rule in (SUBST_STRONG, WEAK_SUBST)
+        param = "g" if subst else "h"
+        t = _term_param(theory, d, param, path)
+        weak_rule = rule in (WEAK_SUBST, WEAK_REPL)
+        _strength_of(p, Strength.WEAK if weak_rule else Strength.STRONG, d, 1, path)
+        if weak_rule:
+            _rank_within(effect, rule, param, infer_decoration(theory, t), path)
+        if subst:
+            return DecoratedEquation(p.strength, compose(p.lhs, t), compose(p.rhs, t))
+        return DecoratedEquation(p.strength, compose(t, p.lhs), compose(t, p.rhs))
 
     if rule == PAIR_CONG_STRONG:
         _need_premises(d, 2, path)
@@ -341,14 +345,7 @@ def _conclude(theory: Theory, d: Derivation,
         fdom, fcod, r = analyze_term(theory, f)
         if not isinstance(fcod, UnitType):
             raise RuleMisapplied(path, f"{rule} needs a term into Unit")
-        if effect is EffectKind.EXCEPTIONS and r > 0:
-            raise RuleMisapplied(
-                path, f"under exceptions {rule} needs a pure term: a "
-                      f"{rank_name(effect, r)} into Unit may still raise")
-        if rule == UNIT_STRONG_LOWRANK and effect is EffectKind.STATES and r > 1:
-            raise RuleMisapplied(
-                path, "under states unit_strong_lowrank allows rank <= 1: a "
-                      "modifier into Unit is only weakly canonical")
+        _rank_within(effect, rule, "f", r, path)
         out = Strength.STRONG if rule == UNIT_STRONG_LOWRANK else Strength.WEAK
         return DecoratedEquation(out, normalize(f), normalize(Bang(fdom)))
 
@@ -461,7 +458,7 @@ def _window_rewrites(rw: _Rewriter, atoms: Atoms,
     """All one-step rewrites of the spine: windows by start, then end, each
     rewritten by the axiom sides in order, then by the unit law."""
     n = len(atoms)
-    exceptions = rw.theory.effect is EffectKind.EXCEPTIONS
+    limits = RANK_LIMITS[rw.theory.effect]
     # largest rank among the factors before position i / from position j on
     before = [0] * (n + 1)
     after = [0] * (n + 1)
@@ -470,8 +467,8 @@ def _window_rewrites(rw: _Rewriter, atoms: Atoms,
         after[n - 1 - k] = max(after[n - k], ranks[n - 1 - k])
 
     def weak_context_ok(i: int, j: int) -> bool:
-        # states: only pure replacement; exceptions: only pure substitution
-        return after[j] == 0 if exceptions else before[i] == 0
+        # the factors from j on are substituted, those before i replace
+        return after[j] <= limits[WEAK_SUBST] and before[i] <= limits[WEAK_REPL]
 
     for i in range(n):
         into_unit = isinstance(bounds[i], UnitType)
@@ -490,9 +487,10 @@ def _window_rewrites(rw: _Rewriter, atoms: Atoms,
                 replacement = () if isinstance(bounds[j], UnitType) else (Bang(bounds[j]),)
                 if atoms[i:j] == replacement:
                     continue
-                if window_rank == 0 or (window_rank == 1 and not exceptions):
+                if window_rank <= limits[UNIT_STRONG_LOWRANK]:
                     weak_step = False
-                elif allow_weak and not exceptions and weak_context_ok(i, j):
+                elif (allow_weak and window_rank <= limits[UNIT_WEAK]
+                      and weak_context_ok(i, j)):
                     weak_step = True
                 else:
                     continue
@@ -501,29 +499,29 @@ def _window_rewrites(rw: _Rewriter, atoms: Atoms,
                        Strength.WEAK if weak_step else Strength.STRONG)
 
 
+def _cong_step(build: Callable[[], Derivation], other: DecoratedTerm,
+              side: int) -> Derivation:
+    """pair_cong_strong of a component's step and the other component's
+    refl, the rewritten component on the given side (0 left, 1 right)."""
+    refl = deriv(REFL, term=other)
+    return deriv(PAIR_CONG_STRONG, *((build(), refl) if side == 0 else (refl, build())))
+
+
 def _pair_rewrites(rw: _Rewriter, atoms: Atoms,
                    bounds: list[TypeExpr]) -> Iterator[Move]:
     """Strong rewrites involving pairs: projection collapse, moving a factor
-    in and out of a pair, and congruence steps inside components."""
-    theory = rw.theory
+    in and out of a pair, and congruence steps inside components.
+
+    The atoms form a well-formed term, so a move can fail only on the rank
+    of a pair component it creates: f . w and g . w when w moves into
+    <f, g>, and the rewritten component of a congruence step."""
+    limit = PAIR_COMPONENT_RANK_LIMIT[rw.theory.effect]
     n = len(atoms)
 
-    def emit(i, j, new_atoms, step, premises=None):
-        """The move replacing atoms[i:j], or None when the step is not a
-        valid strong step.  A step whose premises are already checked is
-        concluded from their conclusions instead of from its leaves."""
-        new = atoms[:i] + new_atoms + atoms[j:]
-        if new == atoms:
-            return None
-        # any ill-typed or rank-violating candidate is simply not a move
-        try:
-            if premises is None:
-                _check(theory, step, ())
-            else:
-                check_equation_wf(theory, _conclude(theory, step, premises, ()))
-        except (DeductionError, CalculusError):
-            return None
-        return new, partial(_in_context, step, False, atoms, i, j), Strength.STRONG
+    def emit(i, j, new_atoms, build):
+        """The move replacing atoms[i:j], its step built by build."""
+        return (atoms[:i] + new_atoms + atoms[j:],
+                lambda: _in_context(build(), False, atoms, i, j), Strength.STRONG)
 
     for k in range(n):
         a = atoms[k]
@@ -531,48 +529,31 @@ def _pair_rewrites(rw: _Rewriter, atoms: Atoms,
             p = atoms[k + 1]
             side = 1 if isinstance(a, Proj1) else 2
             kept = p.left if side == 1 else p.right
-            step = deriv(PAIR_PROJ, f=p.left, g=p.right, side=side)
-            got = emit(k, k + 2, _normal_spine(kept), step)
-            if got:
-                yield got
+            yield emit(k, k + 2, _normal_spine(kept),
+                       partial(deriv, PAIR_PROJ, f=p.left, g=p.right, side=side))
 
         if isinstance(a, Pair):
             sl, sr = _normal_spine(a.left), _normal_spine(a.right)
-            if k + 1 < n:
+            if k + 1 < n and rw.analyze(atoms[k + 1])[2] <= limit:
                 w = atoms[k + 1]
-                new_atom = Pair(_spine(sl + (w,)), _spine(sr + (w,)))
-                step = deriv(PAIR_COMP_LOWRANK, f=a.left, g=a.right, w=w)
-                got = emit(k, k + 2, (new_atom,), step)
-                if got:
-                    yield got
+                yield emit(k, k + 2, (Pair(_spine(sl + (w,)), _spine(sr + (w,))),),
+                           partial(deriv, PAIR_COMP_LOWRANK, f=a.left, g=a.right, w=w))
             if sl and sr and sl[-1] == sr[-1]:
                 w = sl[-1]
                 _, wcod, _ = rw.analyze(w)
                 f2, g2 = _term_of(sl[:-1], wcod), _term_of(sr[:-1], wcod)
-                step = deriv(SYM, deriv(PAIR_COMP_LOWRANK, f=f2, g=g2, w=w))
-                got = emit(k, k + 1, (Pair(f2, g2), w), step)
-                if got:
-                    yield got
+                yield emit(k, k + 1, (Pair(f2, g2), w),
+                           partial(deriv, SYM, deriv(PAIR_COMP_LOWRANK, f=f2, g=g2, w=w)))
             for side in (0, 1):
                 comp = a.left if side == 0 else a.right
                 other = a.right if side == 0 else a.left
-                refl = deriv(REFL, term=other)
-                refl_eq = DecoratedEquation(Strength.STRONG, other, other)
-                for sub_atoms, build, strength in _all_moves(
+                for sub_atoms, build, _ in _all_moves(
                         rw, _normal_spine(comp), bounds[k + 1], allow_weak=False):
+                    if max((rw.analyze(x)[2] for x in sub_atoms), default=0) > limit:
+                        continue
                     sub_term = _term_of(sub_atoms, bounds[k + 1])
-                    sub_eq = DecoratedEquation(strength, comp, sub_term)
-                    if side == 0:
-                        new_atom = Pair(sub_term, other)
-                        step = deriv(PAIR_CONG_STRONG, build(), refl)
-                        premises = [sub_eq, refl_eq]
-                    else:
-                        new_atom = Pair(other, sub_term)
-                        step = deriv(PAIR_CONG_STRONG, refl, build())
-                        premises = [refl_eq, sub_eq]
-                    got = emit(k, k + 1, (new_atom,), step, premises)
-                    if got:
-                        yield got
+                    new_atom = Pair(sub_term, other) if side == 0 else Pair(other, sub_term)
+                    yield emit(k, k + 1, (new_atom,), partial(_cong_step, build, other, side))
 
 
 def _all_moves(rw: _Rewriter, atoms: Atoms, dom: TypeExpr,
@@ -710,9 +691,11 @@ class ValidationReport:
         return all(r.ok for r in self.results)
 
 
-#: The scenarios' base types.  Every carrier assignment is one semantics
-#: layout, and every table below is a numbered rank-2 table of it.
+#: The scenarios' base types and the ranks a table may have.  Every carrier
+#: assignment is one semantics layout, and every table below is a numbered
+#: rank-2 table of it.
 A, B, C, Z = (BaseType(role) for role in "ABCZ")
+RANKS = (0, 1, 2)
 
 
 def _lifted(layout: _Layout, rank: int, dom: TypeExpr, cod: TypeExpr) -> list[tuple[Table, Table]]:
@@ -792,7 +775,7 @@ def _summary(layout: _Layout, named: tuple, tables: tuple) -> str:
 
 
 def _refl(programs, layout):
-    for r in (0, 1, 2):
+    for r in RANKS:
         f_of = _denotation(programs[r], layout)
         fs = _lifted(layout, r, A, B)
         yield (), [f for _, f in fs], [f == f_of(raw) for raw, f in fs]
@@ -823,7 +806,7 @@ def _weak_to_strong(rank, layout):
 
 def _subst_strong(programs, layout):
     gs = []
-    for rg in (0, 1, 2):
+    for rg in RANKS:
         g_tables = _lifted(layout, rg, Z, A)
         gs.append((_denotation(programs[rg], layout), g_tables, [g for _, g in g_tables],
                    [_composer(g) for _, g in g_tables]))
@@ -906,30 +889,51 @@ def _unit(strength, ranks, layout):
     return [((), fs, [view(f) == canonical for f in fs])]
 
 
+#: What each effect's side-condition scenarios show, by rule and expectation.
+_SIDE_CLAIMS = {
+    EffectKind.EXCEPTIONS: {
+        (WEAK_SUBST, EXPECT_SOUND): "pure g precomposes with a weak equation",
+        (WEAK_SUBST, EXPECT_COUNTERMODEL): "an impure g distinguishes weakly equal terms",
+        (WEAK_REPL, EXPECT_SOUND): "any h postcomposes with a weak equation",
+        (UNIT_STRONG_LOWRANK, EXPECT_SOUND): "pure terms into Unit are canonical",
+        (UNIT_STRONG_LOWRANK, EXPECT_COUNTERMODEL): "a propagator into Unit may raise",
+        (UNIT_WEAK, EXPECT_SOUND): "pure terms into Unit are weakly canonical",
+        (UNIT_WEAK, EXPECT_COUNTERMODEL): "a propagator into Unit may raise even weakly",
+    },
+    EffectKind.STATES: {
+        (WEAK_SUBST, EXPECT_SOUND): "any g precomposes with a weak equation",
+        (WEAK_REPL, EXPECT_SOUND): "pure h postcomposes with a weak equation",
+        (WEAK_REPL, EXPECT_COUNTERMODEL): "an impure h distinguishes weakly equal terms",
+        (UNIT_STRONG_LOWRANK, EXPECT_SOUND): "rank <= 1 terms into Unit are canonical",
+        (UNIT_STRONG_LOWRANK, EXPECT_COUNTERMODEL): "a modifier into Unit is not canonical",
+        (UNIT_WEAK, EXPECT_SOUND): "every term into Unit is weakly canonical",
+    },
+}
+
+
 def _scenarios(effect: EffectKind) -> tuple[_Scenario, ...]:
     # each combo's tables, as its example names them
     f, f1_f2 = (("f", A, B),), (("f1", A, B), ("f2", A, B))
     f_g, w = (("f", A, B), ("g", A, C)), (("w", Z, A),)
-    weak_subst, weak_repl = f1_f2 + (("g", Z, A),), f1_f2 + (("h", B, C),)
     into_unit = (("f", A, Unit),)
     # the evaluator's denotations of f, f . g and <f, g>, per rank combination
     ranks = _component_ranks(effect)
-    refl = {r: _program(effect, Op("f"), OperationSymbol("f", A, B, r)) for r in (0, 1, 2)}
+    refl = {r: _program(effect, Op("f"), OperationSymbol("f", A, B, r)) for r in RANKS}
     subst = {rg: _program(effect, Comp(Op("f"), Op("g")), OperationSymbol("f", A, B, 2),
-                          OperationSymbol("g", Z, A, rg)) for rg in (0, 1, 2)}
+                          OperationSymbol("g", Z, A, rg)) for rg in RANKS}
     cong = {(rf, rg): _program(effect, Pair(Op("f"), Op("g")), OperationSymbol("f", A, B, rf),
                                OperationSymbol("g", A, C, rg)) for rf in ranks for rg in ranks}
+    limits, claims = RANK_LIMITS[effect], _SIDE_CLAIMS[effect]
+    top = limits[WEAK_TO_STRONG_LOWRANK]
     out = [
         _Scenario(REFL, "a term equals itself", EXPECT_SOUND, f, partial(_refl, refl)),
         _Scenario(SYM, "weak equality is symmetric", EXPECT_SOUND, f1_f2, _sym_weak),
         _Scenario(TRANS_WEAK, "weak equality chains", EXPECT_SOUND,
                   f1_f2 + (("f3", A, B),), _trans_weak),
-        _Scenario(WEAK_TO_STRONG_LOWRANK,
-                  "weak agreement at rank <= 1 is already strong",
-                  EXPECT_SOUND, f1_f2, partial(_weak_to_strong, 1)),
-        _Scenario(WEAK_TO_STRONG_LOWRANK,
-                  "at rank 2 weak agreement is strictly weaker",
-                  EXPECT_COUNTERMODEL, f1_f2, partial(_weak_to_strong, 2)),
+        _Scenario(WEAK_TO_STRONG_LOWRANK, "weak agreement at rank <= 1 is already strong",
+                  EXPECT_SOUND, f1_f2, partial(_weak_to_strong, top)),
+        _Scenario(WEAK_TO_STRONG_LOWRANK, "at rank 2 weak agreement is strictly weaker",
+                  EXPECT_COUNTERMODEL, f1_f2, partial(_weak_to_strong, top + 1)),
         _Scenario(SUBST_STRONG, "strong equality precomposes", EXPECT_SOUND,
                   (("f", A, B), ("g", Z, A)), partial(_subst_strong, subst)),
         _Scenario(PAIR_PROJ, "projections undo pairing", EXPECT_SOUND, f_g, _pair_proj),
@@ -938,38 +942,16 @@ def _scenarios(effect: EffectKind) -> tuple[_Scenario, ...]:
         _Scenario(PAIR_COMP_LOWRANK, "pairing distributes over composition",
                   EXPECT_SOUND, f_g + w, _pair_comp),
     ]
-    if effect is EffectKind.STATES:
-        out += [
-            _Scenario(WEAK_SUBST, "any g precomposes with a weak equation",
-                      EXPECT_SOUND, weak_subst, partial(_weak_subst, (0, 1, 2))),
-            _Scenario(WEAK_REPL, "pure h postcomposes with a weak equation",
-                      EXPECT_SOUND, weak_repl, partial(_weak_repl, (0,))),
-            _Scenario(WEAK_REPL, "an impure h distinguishes weakly equal terms",
-                      EXPECT_COUNTERMODEL, weak_repl, partial(_weak_repl, (1, 2))),
-            _Scenario(UNIT_STRONG_LOWRANK, "rank <= 1 terms into Unit are canonical",
-                      EXPECT_SOUND, into_unit, partial(_unit, Strength.STRONG, (0, 1))),
-            _Scenario(UNIT_STRONG_LOWRANK, "a modifier into Unit is not canonical",
-                      EXPECT_COUNTERMODEL, into_unit, partial(_unit, Strength.STRONG, (2,))),
-            _Scenario(UNIT_WEAK, "every term into Unit is weakly canonical",
-                      EXPECT_SOUND, into_unit, partial(_unit, Strength.WEAK, (0, 1, 2))),
-        ]
-    else:
-        out += [
-            _Scenario(WEAK_SUBST, "pure g precomposes with a weak equation",
-                      EXPECT_SOUND, weak_subst, partial(_weak_subst, (0,))),
-            _Scenario(WEAK_SUBST, "an impure g distinguishes weakly equal terms",
-                      EXPECT_COUNTERMODEL, weak_subst, partial(_weak_subst, (1, 2))),
-            _Scenario(WEAK_REPL, "any h postcomposes with a weak equation",
-                      EXPECT_SOUND, weak_repl, partial(_weak_repl, (0, 1, 2))),
-            _Scenario(UNIT_STRONG_LOWRANK, "pure terms into Unit are canonical",
-                      EXPECT_SOUND, into_unit, partial(_unit, Strength.STRONG, (0,))),
-            _Scenario(UNIT_STRONG_LOWRANK, "a propagator into Unit may raise",
-                      EXPECT_COUNTERMODEL, into_unit, partial(_unit, Strength.STRONG, (1,))),
-            _Scenario(UNIT_WEAK, "pure terms into Unit are weakly canonical",
-                      EXPECT_SOUND, into_unit, partial(_unit, Strength.WEAK, (0,))),
-            _Scenario(UNIT_WEAK, "a propagator into Unit may raise even weakly",
-                      EXPECT_COUNTERMODEL, into_unit, partial(_unit, Strength.WEAK, (1, 2))),
-        ]
+    for rule, tables, blocks in ((WEAK_SUBST, f1_f2 + (("g", Z, A),), _weak_subst),
+                                 (WEAK_REPL, f1_f2 + (("h", B, C),), _weak_repl),
+                                 (UNIT_STRONG_LOWRANK, into_unit, partial(_unit, Strength.STRONG)),
+                                 (UNIT_WEAK, into_unit, partial(_unit, Strength.WEAK))):
+        # sound up to the limit; past it, a countermodel while ranks are left
+        for expectation, swept in ((EXPECT_SOUND, RANKS[:limits[rule] + 1]),
+                                   (EXPECT_COUNTERMODEL, RANKS[limits[rule] + 1:])):
+            if swept:
+                out.append(_Scenario(rule, claims[rule, expectation], expectation, tables,
+                                     partial(blocks, swept)))
     return tuple(out)
 
 

@@ -41,7 +41,6 @@ from .calculus import (
     type_str,
 )
 from .deduction import (
-    AXIOM,
     Derivation,
     PAIR_COMP_LOWRANK,
     PAIR_CONG_STRONG,

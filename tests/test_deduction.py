@@ -19,8 +19,8 @@ from decolog.calculus import (
     strong,
     weak,
 )
+from decolog import deduction
 from decolog.deduction import (
-    ALL_RULES,
     AXIOM,
     ConclusionMismatch,
     DeductionError,
@@ -30,6 +30,8 @@ from decolog.deduction import (
     PAIR_COMP_LOWRANK,
     PAIR_CONG_STRONG,
     PAIR_PROJ,
+    RANK_LIMITS,
+    RANKS,
     REFL,
     REPL_STRONG,
     RuleMisapplied,
@@ -44,12 +46,14 @@ from decolog.deduction import (
     WEAK_REPL,
     WEAK_SUBST,
     WEAK_TO_STRONG_LOWRANK,
+    _run_scenario,
     _scenarios,
     check_derivation,
     deriv,
     prove,
     validate_rules,
 )
+from decolog.duality import DUAL_EFFECT, DUAL_RULES
 from decolog.semantics import _Layout, holds
 
 from gen import random_derivation
@@ -153,7 +157,8 @@ class TestChecker:
         j = check_derivation(theory, deriv(WEAK_TO_STRONG_LOWRANK, low))
         assert j.equation.strength is Strength.STRONG
         high = deriv(STRONG_TO_WEAK, deriv(REFL, term=f))
-        with pytest.raises(RuleMisapplied):
+        with pytest.raises(RuleMisapplied, match=r"weak_to_strong_lowrank under states "
+                           r"allows lhs up to rank 1, got rank 2 \(modifier\)"):
             check_derivation(theory, deriv(WEAK_TO_STRONG_LOWRANK, high))
 
     def test_weak_subst_purity_by_effect(self, bank, throwcatch):
@@ -164,7 +169,8 @@ class TestChecker:
             WEAK_SUBST, deriv(AXIOM, name="ax1"),
             g=compose(Op("balance"), Op("deposit"))))
         # exceptions: a throwing g is rejected
-        with pytest.raises(RuleMisapplied):
+        with pytest.raises(RuleMisapplied, match=r"weak_subst under exceptions allows g "
+                           r"up to rank 0, got rank 1 \(propagator\)"):
             check_derivation(exceptions, deriv(
                 WEAK_SUBST, deriv(AXIOM, name="ax1"), g=Op("throw")))
         check_derivation(exceptions, deriv(
@@ -173,7 +179,8 @@ class TestChecker:
     def test_weak_repl_purity_by_effect(self, bank, throwcatch):
         states, _, _ = bank
         exceptions, _ = throwcatch
-        with pytest.raises(RuleMisapplied):
+        with pytest.raises(RuleMisapplied, match=r"weak_repl under states allows h "
+                           r"up to rank 0, got rank 1 \(observer\)"):
             check_derivation(states, deriv(
                 WEAK_REPL, deriv(AXIOM, name="ax1"), h=Op("balance")))
         # exceptions: even the catcher may wrap a weak equation
@@ -223,15 +230,16 @@ class TestChecker:
         check_derivation(states, deriv(
             UNIT_STRONG_LOWRANK, f=compose(Bang(Int), Op("balance"))))
         # states: a modifier into Unit is only weakly canonical
-        with pytest.raises(RuleMisapplied):
+        with pytest.raises(RuleMisapplied, match=r"unit_strong_lowrank under states "
+                           r"allows f up to rank 1, got rank 2 \(modifier\)"):
             check_derivation(states, deriv(UNIT_STRONG_LOWRANK, f=Op("deposit")))
         check_derivation(states, deriv(UNIT_WEAK, f=Op("deposit")))
         # exceptions: anything that may raise is out, strongly and weakly
         raising = compose(Bang(Int), Op("throw"))
-        with pytest.raises(RuleMisapplied):
-            check_derivation(exceptions, deriv(UNIT_STRONG_LOWRANK, f=raising))
-        with pytest.raises(RuleMisapplied):
-            check_derivation(exceptions, deriv(UNIT_WEAK, f=raising))
+        for rule in (UNIT_STRONG_LOWRANK, UNIT_WEAK):
+            with pytest.raises(RuleMisapplied, match=rf"{rule} under exceptions allows f "
+                               r"up to rank 0, got rank 1 \(propagator\)"):
+                check_derivation(exceptions, deriv(rule, f=raising))
         check_derivation(exceptions, deriv(UNIT_WEAK, f=Bang(Int)))
 
     def test_conclusion_mismatch(self, bank):
@@ -433,12 +441,66 @@ class TestValidateRules:
             validate_rules(effect, max_carrier=3)
 
 
-def _at_size_2(effect, rule):
+def _at_size_2(effect, rule, stop=False):
     """Models checked, violations and example of rule's sound scenario with
     every carrier of size 2, so that tables composed in the wrong order
-    still fit each other."""
+    still fit each other.  With stop set, up to the first violation."""
     sc, = (sc for sc in _scenarios(effect) if sc.rule == rule and sc.expectation == "sound")
-    return sc.run(_Layout(effect, {role: (0, 1) for role in "ABCZ"}, (0, 1)))
+    return sc.run(_Layout(effect, {role: (0, 1) for role in "ABCZ"}, (0, 1)), stop)
+
+
+def _ranked_theory(effect):
+    """Operations a0, a1, a2 : Int -> Int and u0, u1, u2 : Int -> Unit, the
+    digit giving the rank."""
+    return Theory(effect, ("Int",), tuple(OperationSymbol(f"{name}{r}", Int, cod, r)
+                                          for name, cod in (("a", Int), ("u", Unit)) for r in RANKS))
+
+
+def _instance(rule, rank):
+    """A derivation of _ranked_theory whose one side condition is rule's
+    limited parameter at the given rank."""
+    weak_refl = deriv(STRONG_TO_WEAK, deriv(REFL, term=Op(f"a{rank}")))
+    if rule == WEAK_TO_STRONG_LOWRANK:
+        return deriv(rule, weak_refl)
+    if rule in (WEAK_SUBST, WEAK_REPL):
+        return deriv(rule, deriv(STRONG_TO_WEAK, deriv(REFL, term=Op("a0"))),
+                     **{"g" if rule == WEAK_SUBST else "h": Op(f"a{rank}")})
+    return deriv(rule, f=Op(f"u{rank}"))
+
+
+#: Every side condition that excludes some rank, as (effect, rule, limit).
+BOUNDED = [(effect, rule, limit) for effect in EffectKind
+           for rule, limit in RANK_LIMITS[effect].items() if limit < max(RANKS)]
+
+
+class TestRankLimits:
+    """RANK_LIMITS is the one table of side conditions: the checker and the
+    sweep both read it, so a limit set one too loose or one too tight shows
+    up in the sweep."""
+
+    @pytest.mark.parametrize("effect,rule,limit", BOUNDED)
+    def test_loosened_limit(self, monkeypatch, effect, rule, limit):
+        theory = _ranked_theory(effect)
+        check_derivation(theory, _instance(rule, limit))
+        with pytest.raises(RuleMisapplied, match=f"{rule} under {effect}"):
+            check_derivation(theory, _instance(rule, limit + 1))
+        monkeypatch.setitem(RANK_LIMITS[effect], rule, limit + 1)
+        check_derivation(theory, _instance(rule, limit + 1))
+        assert _at_size_2(effect, rule, stop=True)[1] > 0
+
+    @pytest.mark.parametrize("effect,rule,limit", BOUNDED)
+    def test_first_excluded_rank_alone_has_a_countermodel(self, monkeypatch, effect, rule, limit):
+        # the countermodel scenario pools ranks limit+1 and up; with no rank
+        # past limit+1 it must still find one
+        monkeypatch.setattr(deduction, "RANKS", RANKS[:limit + 2])
+        sc, = (sc for sc in _scenarios(effect)
+               if sc.rule == rule and sc.expectation == "countermodel")
+        assert _run_scenario(effect, sc, 2).violations > 0
+
+    @pytest.mark.parametrize("effect", list(EffectKind))
+    def test_weak_congruence_limits_mirror(self, effect):
+        for rule in (WEAK_SUBST, WEAK_REPL):
+            assert RANK_LIMITS[effect][rule] == RANK_LIMITS[DUAL_EFFECT[effect]][DUAL_RULES[rule]]
 
 
 class TestSweepChecksTheEvaluator:

@@ -12,7 +12,6 @@ from decolog.calculus import (
     Strength,
     Unit,
     compose,
-    weak,
 )
 from decolog.deduction import (
     AXIOM,
@@ -27,7 +26,6 @@ from decolog.deduction import (
     deriv,
 )
 from decolog.duality import (
-    DualityMap,
     NotDualizable,
     duality_map,
     dualize_derivation,

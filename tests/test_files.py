@@ -4,17 +4,13 @@ import random
 import pytest
 
 from decolog.calculus import (
-    Bang,
     BaseType,
     EffectKind,
-    Id,
     Op,
     Prod,
     Strength,
     TheoryError,
-    Unit,
     compose,
-    pair,
 )
 from decolog.deduction import check_derivation, deriv, REFL, AXIOM
 from decolog.duality import dualize_derivation, duality_map

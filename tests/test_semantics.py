@@ -5,7 +5,6 @@ import pytest
 
 from decolog.calculus import (
     Axiom,
-    Bang,
     BaseType,
     EffectKind,
     Id,

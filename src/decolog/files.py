@@ -42,20 +42,25 @@ Parameters are `key=value`: `name=` takes an axiom name, `side=` an
 integer, every other key a term.  `(refl f)` and the spelled-out
 `(refl f == f)` are both accepted.
 
-All three parsers raise ParseError with a line and column on bad syntax;
+All three formats, and equations and terms, share one scanner: integers
+are decimal digits (at most MAX_INT_DIGITS), identifiers a letter or `_`
+then letters, digits and `_`, and `#` starts a comment.  The parsers raise
+ParseError with a line and column on bad syntax, a bad character first;
 semantic problems (unknown symbols, ill-typed axioms, keyword/effect
 mismatches) surface as the calculus and semantics error types instead.
 Printing then reparsing reproduces the parsed objects exactly.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
 from pathlib import Path
+from typing import NamedTuple
 
 from .calculus import (
     Axiom,
     Bang,
     BaseType,
+    CalculusError,
     Comp,
     DecoratedEquation,
     DecoratedTerm,
@@ -90,6 +95,7 @@ from .semantics import (
     ModelMismatch,
     OK,
     OperationTable,
+    SemanticsError,
     UNIT,
     Element,
 )
@@ -115,124 +121,143 @@ def corpus_path(name: str) -> Path:
 # Tokens
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Token:
+#: Most digits an integer may have: int() refuses longer decimal strings.
+MAX_INT_DIGITS = 4300
+
+#: The one scanner of every format.  Each match skips blanks and a comment,
+#: then captures a token: a two-character symbol, an integer, an identifier,
+#: any other character (a symbol, a newline or an error), or "" at the end.
+_SCAN = re.compile(r"[ \t\r]*(?:#[^\n]*)?(->|==|-?\d+|[^\W\d]\w*|[^ \t\r]|\Z)")
+_SYMS = frozenset(("->", "==", *":=~.*<>,(){}∘≈"))
+
+
+class Token(NamedTuple):
     kind: str  # IDENT, INT, SYM, NL, EOF
     value: str
     line: int
     col: int
 
 
-_TWO_CHAR_SYMS = ("->", "==")
-_ONE_CHAR_SYMS = frozenset(":=~.*<>,(){}∘≈")
+def _kind(tok: str) -> str:
+    """A token's kind, read from its text.  A character that starts no
+    token reads as SYM, which no parser accepts unless it is in _SYMS."""
+    first = tok[:1]
+    if first.isdecimal() or first == "-" and len(tok) > 1 and tok != "->":
+        return "INT"
+    if first.isalpha() or first == "_":
+        return "IDENT"
+    return {"": "EOF", "\n": "NL"}.get(tok, "SYM")
 
 
 def tokenize(text: str) -> list[Token]:
+    """The tokens of text with their lines and columns, ending in EOF.  A
+    character no token starts with, and an integer of more than
+    MAX_INT_DIGITS digits, are ParseErrors.  A newline or the end of input
+    right after a comment has the comment's column."""
     tokens: list[Token] = []
-    line, col, i, n = 1, 1, 0, len(text)
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            tokens.append(Token("NL", "\n", line, col))
-            line, col, i = line + 1, 1, i + 1
-            continue
-        if c in " \t\r":
-            i, col = i + 1, col + 1
-            continue
-        if c == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if text[i:i + 2] in _TWO_CHAR_SYMS:
-            tokens.append(Token("SYM", text[i:i + 2], line, col))
-            i, col = i + 2, col + 2
-            continue
-        if c in _ONE_CHAR_SYMS:
-            tokens.append(Token("SYM", c, line, col))
-            i, col = i + 1, col + 1
-            continue
-        if c.isdigit() or (c == "-" and i + 1 < n and text[i + 1].isdigit()):
-            j = i + 1
-            while j < n and text[j].isdigit():
-                j += 1
-            tokens.append(Token("INT", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if c.isalpha() or c == "_":
-            j = i + 1
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(Token("IDENT", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        raise ParseError(f"unexpected character {c!r}", line, col)
-    tokens.append(Token("EOF", "", line, col))
-    return tokens
+    line, line_start = 1, 0
+    for match in _SCAN.finditer(text):
+        value, at = match.group(1), match.start(1)
+        comment = text.find("#", match.start(), at)
+        col = (at if comment < 0 else comment) - line_start + 1
+        kind = _kind(value)
+        if kind == "SYM" and value not in _SYMS:
+            raise ParseError(f"unexpected character {value[0]!r}", line, col)
+        if kind == "INT" and len(value.lstrip("-")) > MAX_INT_DIGITS:
+            raise ParseError(f"integer longer than {MAX_INT_DIGITS} digits", line, col)
+        tokens.append(Token(kind, value, line, col))
+        if kind == "EOF":
+            return tokens
+        if kind == "NL":
+            line, line_start = line + 1, at + 1
+    raise AssertionError("the scanner always ends with an EOF match")
 
 
 class _Stream:
-    def __init__(self, tokens: list[Token]):
-        self.tokens = tokens
+    """A text's tokens as the plain strings of one _SCAN.findall, ending in
+    "" twice so that one look past the end is safe.  Only an error works
+    out positions, by tokenize, so a lexical error anywhere comes first."""
+
+    def __init__(self, text: str, newlines: bool):
+        self.text = text
+        self.newlines = newlines
+        tokens = _SCAN.findall(text)
+        self.tokens = tokens if newlines else [t for t in tokens if t != "\n"]
+        self.tokens.append("")
         self.pos = 0
-
-    def peek(self, ahead: int = 0) -> Token:
-        return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
-
-    def next(self) -> Token:
-        tok = self.peek()
-        if tok.kind != "EOF":
+        while self.tokens[self.pos] == "\n":
             self.pos += 1
+
+    def peek(self, ahead: int = 0) -> str:
+        return self.tokens[self.pos + ahead]
+
+    def position(self, at: int) -> tuple[int, int]:
+        """Line and column of token number at."""
+        tokens = tokenize(self.text)
+        if not self.newlines:
+            tokens = [t for t in tokens if t.kind != "NL"]
+        return tokens[at].line, tokens[at].col
+
+    def fail(self, message: str, at: int | None = None) -> ParseError:
+        """A ParseError at token number at, by default the next one."""
+        return ParseError(message, *self.position(self.pos if at is None else at))
+
+    def expect(self, want: str) -> str:
+        """The next token, which must be the symbol want or of kind want."""
+        tok = self.tokens[self.pos]
+        found = tok == want if want in _SYMS else _kind(tok) == want
+        if not found:
+            raise self.fail(f"expected {want!r}, got {tok or 'end of input'!r}")
+        self.pos += 1
         return tok
 
-    def fail(self, message: str) -> ParseError:
-        tok = self.peek()
-        return ParseError(message, tok.line, tok.col)
-
-    def expect(self, kind: str, value: str | None = None) -> Token:
-        tok = self.peek()
-        if tok.kind != kind or (value is not None and tok.value != value):
-            want = value if value is not None else kind
-            got = tok.value if tok.kind != "EOF" else "end of input"
-            raise self.fail(f"expected {want!r}, got {got!r}")
-        return self.next()
-
-    def at_sym(self, *values: str) -> bool:
-        tok = self.peek()
-        return tok.kind == "SYM" and tok.value in values
-
     def take_sym(self, *values: str) -> bool:
-        if self.at_sym(*values):
-            self.next()
+        if self.tokens[self.pos] in values:
+            self.pos += 1
             return True
         return False
 
-    def skip_newlines(self) -> None:
-        while self.peek().kind == "NL":
-            self.next()
-
     def end_line(self) -> None:
-        tok = self.peek()
-        if tok.kind not in ("NL", "EOF"):
-            raise self.fail(f"unexpected {tok.value!r} at end of stanza")
-        self.skip_newlines()
+        tok = self.tokens[self.pos]
+        if tok and tok != "\n":
+            raise self.fail(f"unexpected {tok!r} at end of stanza")
+        while self.tokens[self.pos] == "\n":
+            self.pos += 1
 
-    def at_eof(self) -> bool:
-        return self.peek().kind == "EOF"
+    def integer(self) -> int:
+        """The next token as a number; tokenize reports one too long."""
+        tok = self.expect("INT")
+        if len(tok) > MAX_INT_DIGITS:
+            tokenize(self.text)
+        return int(tok)
+
+
+def _parsed(text: str, what: str, parse, *args):
+    """parse(stream, *args) over all of text, one `what`; a newline is a
+    blank but in theories and models.  A lexical error anywhere in text
+    comes before a semantic error, as before every ParseError."""
+    s = _Stream(text, newlines=what in ("theory", "model"))
+    try:
+        found = parse(s, *args)
+    except (CalculusError, SemanticsError):
+        tokenize(text)
+        raise
+    if s.peek():
+        raise s.fail(f"unexpected {s.peek()!r} after {what}")
+    return found
 
 
 # ---------------------------------------------------------------------------
 # Types and terms
 # ---------------------------------------------------------------------------
 
-#: Deepest term, type or derivation the parsers accept.  A composition
-#: counts its factors' depths added up, a pair or a product one more than
-#: its deeper component, and every bracket one level on its own; a
-#: derivation counts one level per rule on its longest path to a leaf, and
-#: the terms inside it have their own budget.  Terms, types and derivations
-#: are walked recursively everywhere in the library, so the limit stays far
-#: below Python's default recursion limit of 1000.
+#: Deepest term, type, model element or derivation the parsers accept.  A
+#: composition counts its factors' depths added up, a pair or a product one
+#: more than its deeper component, and every bracket one level on its own
+#: (an element's `ok(` and `exc(` too); a derivation counts one level per
+#: rule on its longest path to a leaf, and the terms inside it have their
+#: own budget.  All of these are walked recursively everywhere in the
+#: library, so the limit stays far below Python's recursion limit of 1000.
 MAX_DEPTH = 200
 
 
@@ -245,10 +270,10 @@ def _parse_type_atom(s: _Stream, level: int) -> tuple[TypeExpr, int]:
         if level >= MAX_DEPTH:
             raise _too_deep(s, "type")
         found = _parse_type_depth(s, level + 1)
-        s.expect("SYM", ")")
+        s.expect(")")
         return found
-    tok = s.expect("IDENT")
-    return (Unit if tok.value == "Unit" else BaseType(tok.value)), 1
+    name = s.expect("IDENT")
+    return (Unit if name == "Unit" else BaseType(name)), 1
 
 
 def _parse_type_depth(s: _Stream, level: int) -> tuple[TypeExpr, int]:
@@ -276,38 +301,32 @@ def _depth(term: DecoratedTerm) -> int:
 
 def _parse_primary(s: _Stream, defs: dict[str, DecoratedTerm],
                    level: int) -> DecoratedTerm:
-    if s.at_sym("(", "<") and level >= MAX_DEPTH:
+    if s.peek() in ("(", "<") and level >= MAX_DEPTH:
         raise _too_deep(s, "term")
     if s.take_sym("("):
         term = _parse_term(s, defs, level + 1)
-        s.expect("SYM", ")")
+        s.expect(")")
         return term
     if s.take_sym("<"):
         left = _parse_term(s, defs, level + 1)
-        s.expect("SYM", ",")
+        s.expect(",")
         right = _parse_term(s, defs, level + 1)
-        s.expect("SYM", ">")
+        s.expect(">")
         if 1 + max(_depth(left), _depth(right)) > MAX_DEPTH:
             raise _too_deep(s, "term")
         return pair(left, right)
-    tok = s.expect("IDENT")
-    name = tok.value
-    if name == "id":
-        s.expect("SYM", "(")
+    name = s.expect("IDENT")
+    if name in ("id", "bang"):
+        s.expect("(")
         ty = _parse_type(s, level)
-        s.expect("SYM", ")")
-        return Id(ty)
-    if name == "bang":
-        s.expect("SYM", "(")
-        ty = _parse_type(s, level)
-        s.expect("SYM", ")")
-        return Bang(ty)
+        s.expect(")")
+        return (Id if name == "id" else Bang)(ty)
     if name in ("p1", "p2"):
-        s.expect("SYM", "(")
+        s.expect("(")
         left = _parse_type(s, level)
-        s.expect("SYM", ",")
+        s.expect(",")
         right = _parse_type(s, level)
-        s.expect("SYM", ")")
+        s.expect(")")
         return (Proj1 if name == "p1" else Proj2)(left, right)
     if name in defs:
         return defs[name]
@@ -327,18 +346,16 @@ def _parse_term(s: _Stream, defs: dict[str, DecoratedTerm],
 
 
 def _parse_equation(s: _Stream, defs: dict[str, DecoratedTerm]) -> DecoratedEquation:
-    tok = s.expect("IDENT")
-    if tok.value not in ("strong", "weak"):
-        raise ParseError(f"expected 'strong' or 'weak', got {tok.value!r}",
-                         tok.line, tok.col)
-    strength = Strength.STRONG if tok.value == "strong" else Strength.WEAK
+    word = s.expect("IDENT")
+    if word not in ("strong", "weak"):
+        raise s.fail(f"expected 'strong' or 'weak', got {word!r}", s.pos - 1)
+    strength = Strength.STRONG if word == "strong" else Strength.WEAK
     lhs = _parse_term(s, defs)
     op = s.expect("SYM")
-    if op.value not in ("==", "~", "≈"):
-        raise ParseError(f"expected '==' or '~', got {op.value!r}", op.line, op.col)
-    if (op.value == "==") != (strength is Strength.STRONG):
-        raise ParseError(f"operator {op.value!r} does not match {tok.value!r}",
-                         op.line, op.col)
+    if op not in ("==", "~", "≈"):
+        raise s.fail(f"expected '==' or '~', got {op!r}", s.pos - 1)
+    if (op == "==") != (strength is Strength.STRONG):
+        raise s.fail(f"operator {op!r} does not match {word!r}", s.pos - 1)
     rhs = _parse_term(s, defs)
     build = strong if strength is Strength.STRONG else weak
     return build(lhs, rhs)
@@ -347,20 +364,12 @@ def _parse_equation(s: _Stream, defs: dict[str, DecoratedTerm]) -> DecoratedEqua
 def parse_equation(text: str, theory: Theory) -> DecoratedEquation:
     """`strong <term> == <term>` or `weak <term> ~ <term>`, with def names
     expanded from the theory."""
-    s = _Stream([t for t in tokenize(text) if t.kind != "NL"])
-    eq = _parse_equation(s, dict(theory.definitions))
-    if not s.at_eof():
-        raise s.fail(f"unexpected {s.peek().value!r} after equation")
-    return eq
+    return _parsed(text, "equation", _parse_equation, dict(theory.definitions))
 
 
 def parse_term(text: str, theory: Theory) -> DecoratedTerm:
     """A single term, with def names expanded from the theory."""
-    s = _Stream([t for t in tokenize(text) if t.kind != "NL"])
-    term = _parse_term(s, dict(theory.definitions))
-    if not s.at_eof():
-        raise s.fail(f"unexpected {s.peek().value!r} after term")
-    return term
+    return _parsed(text, "term", _parse_term, dict(theory.definitions))
 
 
 # ---------------------------------------------------------------------------
@@ -368,7 +377,10 @@ def parse_term(text: str, theory: Theory) -> DecoratedTerm:
 # ---------------------------------------------------------------------------
 
 def parse_theory(text: str) -> Theory:
-    s = _Stream(tokenize(text))
+    return _parsed(text, "theory", _parse_theory)
+
+
+def _parse_theory(s: _Stream) -> Theory:
     effect: EffectKind | None = None
     base_types: list[str] = []
     operations: list[OperationSymbol] = []
@@ -376,57 +388,53 @@ def parse_theory(text: str) -> Theory:
     definitions: list[tuple[str, DecoratedTerm]] = []
     defs: dict[str, DecoratedTerm] = {}
 
-    s.skip_newlines()
-    while not s.at_eof():
+    while s.peek():
+        at = s.pos
         kw = s.expect("IDENT")
-        if kw.value == "effect":
+        if kw == "effect":
             name = s.expect("IDENT")
             try:
-                declared = EffectKind(name.value)
+                declared = EffectKind(name)
             except ValueError:
-                raise ParseError(f"unknown effect {name.value!r}",
-                                 name.line, name.col) from None
+                raise s.fail(f"unknown effect {name!r}", at + 1) from None
             if effect is not None:
-                raise ParseError("duplicate effect stanza", kw.line, kw.col)
+                raise s.fail("duplicate effect stanza", at)
             effect = declared
-        elif kw.value == "type":
-            base_types.append(s.expect("IDENT").value)
-        elif kw.value == "op":
+        elif kw == "type":
+            base_types.append(s.expect("IDENT"))
+        elif kw == "op":
             if effect is None:
-                raise ParseError("effect must be declared before operations",
-                                 kw.line, kw.col)
-            name = s.expect("IDENT").value
-            s.expect("SYM", ":")
+                raise s.fail("effect must be declared before operations", at)
+            name = s.expect("IDENT")
+            s.expect(":")
             dom = _parse_type(s)
-            s.expect("SYM", "->")
+            s.expect("->")
             cod = _parse_type(s)
             word = s.expect("IDENT")
-            rank = rank_of_keyword(word.value)
+            rank = rank_of_keyword(word)
             if rank is None:
-                raise ParseError(f"unknown decoration keyword {word.value!r}",
-                                 word.line, word.col)
-            if not keyword_matches_effect(effect, word.value):
+                raise s.fail(f"unknown decoration keyword {word!r}", s.pos - 1)
+            if not keyword_matches_effect(effect, word):
+                line, _ = s.position(s.pos - 1)
                 raise TheoryError(
-                    f"line {word.line}: keyword {word.value!r} does not belong "
+                    f"line {line}: keyword {word!r} does not belong "
                     f"to effect {effect}")
             operations.append(OperationSymbol(name, dom, cod, rank))
-        elif kw.value == "def":
-            name = s.expect("IDENT").value
-            s.expect("SYM", "=")
+        elif kw == "def":
+            name = s.expect("IDENT")
+            s.expect("=")
             term = _parse_term(s, defs)
             defs[name] = term
             definitions.append((name, term))
-        elif kw.value == "axiom":
-            if s.peek().kind == "IDENT" and s.peek(1).kind == "SYM" \
-                    and s.peek(1).value == ":":
-                name = s.next().value
-                s.next()
+        elif kw == "axiom":
+            if _kind(s.peek()) == "IDENT" and s.peek(1) == ":":
+                name = s.expect("IDENT")
+                s.expect(":")
             else:
                 name = f"ax{len(axioms) + 1}"
             axioms.append(Axiom(name, _parse_equation(s, defs)))
         else:
-            raise ParseError(f"unknown stanza keyword {kw.value!r}",
-                             kw.line, kw.col)
+            raise s.fail(f"unknown stanza keyword {kw!r}", at)
         s.end_line()
     if effect is None:
         raise s.fail("missing effect declaration")
@@ -460,25 +468,31 @@ def print_equation(eq: DecoratedEquation) -> str:
 # Model files
 # ---------------------------------------------------------------------------
 
-def _parse_element(s: _Stream) -> Element:
+def _parse_element(s: _Stream, level: int = 0) -> Element:
+    """One element; each bracket, the tag's included, is one level of
+    MAX_DEPTH."""
     tok = s.peek()
-    if tok.kind == "INT":
-        return int(s.next().value)
+    if tok.isdecimal():
+        return s.integer()
+    if tok == "(" or tok in (OK, EXC):
+        if level >= MAX_DEPTH:
+            raise _too_deep(s, "element")
+        s.pos += 1
+        if tok != "(":
+            s.expect("(")
+            inner = _parse_element(s, level + 1)
+            s.expect(")")
+            return (tok, inner)
+        items = [_parse_element(s, level + 1)]
+        while s.take_sym(","):
+            items.append(_parse_element(s, level + 1))
+        s.expect(")")
+        return items[0] if len(items) == 1 else tuple(items)
     if s.take_sym("*"):
         return UNIT
-    if tok.kind == "IDENT" and tok.value in (OK, EXC):
-        tag = s.next().value
-        s.expect("SYM", "(")
-        inner = _parse_element(s)
-        s.expect("SYM", ")")
-        return (tag, inner)
-    if s.take_sym("("):
-        items = [_parse_element(s)]
-        while s.take_sym(","):
-            items.append(_parse_element(s))
-        s.expect("SYM", ")")
-        return items[0] if len(items) == 1 else tuple(items)
-    raise s.fail(f"expected an element, got {tok.value!r}")
+    if _kind(tok) != "INT":
+        raise s.fail(f"expected an element, got {tok!r}")
+    return s.integer()
 
 
 def element_str(e: Element) -> str:
@@ -492,47 +506,46 @@ def element_str(e: Element) -> str:
 
 
 def _parse_int_set(s: _Stream) -> tuple[int, ...]:
-    s.expect("SYM", "{")
+    """`= {a, b, ...}` to the end of the stanza."""
+    s.expect("=")
+    s.expect("{")
     items = []
-    if not s.at_sym("}"):
-        items.append(int(s.expect("INT").value))
+    if s.peek() != "}":
+        items.append(s.integer())
         while s.take_sym(","):
-            items.append(int(s.expect("INT").value))
-    s.expect("SYM", "}")
+            items.append(s.integer())
+    s.expect("}")
+    s.end_line()
     return tuple(items)
-
-
-_MODEL_KEYWORDS = ("carrier", "effectcarrier", "table")
 
 
 def parse_model(text: str, theory: Theory) -> FiniteModel:
     """A finite model of the theory.  Table ranks come from the theory's
     declarations; shape and totality problems are left to validate_model."""
-    s = _Stream(tokenize(text))
+    return _parsed(text, "model", _parse_model, theory)
+
+
+def _parse_model(s: _Stream, theory: Theory) -> FiniteModel:
     carriers: dict[str, tuple] = {}
     effect_carrier: tuple | None = None
     tables: dict[str, OperationTable] = {}
 
-    s.skip_newlines()
-    while not s.at_eof():
+    while s.peek():
+        at = s.pos
         kw = s.expect("IDENT")
-        if kw.value == "effectcarrier":
+        if kw == "effectcarrier":
             if effect_carrier is not None:
-                raise ParseError("duplicate effectcarrier stanza", kw.line, kw.col)
-            s.expect("SYM", "=")
+                raise s.fail("duplicate effectcarrier stanza", at)
             effect_carrier = _parse_int_set(s)
-            s.end_line()
-        elif kw.value == "carrier":
-            name = s.expect("IDENT").value
+        elif kw == "carrier":
+            name = s.expect("IDENT")
             if name in carriers:
-                raise ParseError(f"duplicate carrier {name!r}", kw.line, kw.col)
-            s.expect("SYM", "=")
+                raise s.fail(f"duplicate carrier {name!r}", at)
             carriers[name] = _parse_int_set(s)
-            s.end_line()
-        elif kw.value == "table":
-            name = s.expect("IDENT").value
+        elif kw == "table":
+            name = s.expect("IDENT")
             if name in tables:
-                raise ParseError(f"duplicate table {name!r}", kw.line, kw.col)
+                raise s.fail(f"duplicate table {name!r}", at)
             try:
                 sym = theory.op(name)
             except UndeclaredSymbol:
@@ -540,24 +553,18 @@ def parse_model(text: str, theory: Theory) -> FiniteModel:
                     f"table for undeclared operation {name!r}") from None
             s.end_line()
             mapping: dict = {}
-            while True:
-                tok = s.peek()
-                if tok.kind == "EOF":
-                    break
-                if tok.kind == "IDENT" and tok.value in _MODEL_KEYWORDS:
-                    break
+            while s.peek() not in ("", "carrier", "effectcarrier", "table"):
+                row = s.pos
                 key = _parse_element(s)
-                s.expect("SYM", "->")
+                s.expect("->")
                 value = _parse_element(s)
                 if key in mapping:
-                    raise ParseError(f"duplicate row for {element_str(key)}",
-                                     tok.line, tok.col)
+                    raise s.fail(f"duplicate row for {element_str(key)}", row)
                 mapping[key] = value
                 s.end_line()
             tables[name] = OperationTable(theory.effect, sym.decoration, mapping)
         else:
-            raise ParseError(f"unknown stanza keyword {kw.value!r}",
-                             kw.line, kw.col)
+            raise s.fail(f"unknown stanza keyword {kw!r}", at)
     if effect_carrier is None:
         raise s.fail("missing effectcarrier declaration")
     return FiniteModel(effect=theory.effect, carriers=carriers,
@@ -586,48 +593,44 @@ def _parse_deriv_node(s: _Stream, defs: dict[str, DecoratedTerm],
                       level: int = 0) -> Derivation:
     if level >= MAX_DEPTH:
         raise _too_deep(s, "derivation")
-    s.expect("SYM", "(")
-    rule = s.expect("IDENT").value
+    s.expect("(")
+    rule = s.expect("IDENT")
     params: list[tuple[str, object]] = []
     premises: list[Derivation] = []
     while not s.take_sym(")"):
-        if s.at_sym("("):
+        kind = _kind(s.peek())
+        if s.peek() == "(":
             premises.append(_parse_deriv_node(s, defs, level + 1))
-        elif s.peek().kind == "IDENT" and s.peek(1).kind == "SYM" \
-                and s.peek(1).value == "=":
-            key = s.next().value
-            s.next()
+        elif kind == "IDENT" and s.peek(1) == "=":
+            key = s.expect("IDENT")
+            s.expect("=")
             if key == "name":
-                value: object = s.expect("IDENT").value
+                value: object = s.expect("IDENT")
             elif key == "side":
-                value = int(s.expect("INT").value)
+                value = s.integer()
             else:
                 value = _parse_term(s, defs)
             params.append((key, value))
-        elif s.peek().kind in ("IDENT", "INT") or s.at_sym("<"):
+        elif kind in ("IDENT", "INT") or s.peek() == "<":
             # bare body: a term, or the spelled-out `lhs == rhs` of refl
             term = _parse_term(s, defs)
-            if s.at_sym("=="):
-                op = s.next()
+            if s.take_sym("=="):
+                op = s.pos - 1
                 other = _parse_term(s, defs)
                 if other != term:
-                    raise ParseError("the sides of a refl body must be the "
-                                     "same term", op.line, op.col)
+                    raise s.fail("the sides of a refl body must be the "
+                                 "same term", op)
             if rule == "axiom" and isinstance(term, Op):
                 params.append(("name", term.name))
             else:
                 params.append(("term", term))
         else:
-            raise s.fail(f"unexpected {s.peek().value!r} in rule body")
+            raise s.fail(f"unexpected {s.peek()!r} in rule body")
     return Derivation(rule, tuple(params), tuple(premises))
 
 
 def parse_derivation(text: str, theory: Theory) -> Derivation:
-    s = _Stream([t for t in tokenize(text) if t.kind != "NL"])
-    d = _parse_deriv_node(s, dict(theory.definitions))
-    if not s.at_eof():
-        raise s.fail(f"unexpected {s.peek().value!r} after derivation")
-    return d
+    return _parsed(text, "derivation", _parse_deriv_node, dict(theory.definitions))
 
 
 def _param_str(value: object) -> str:

@@ -641,16 +641,19 @@ def _layouts(effect: EffectKind, base_types: Sequence[str], bounds: Bounds) -> I
             yield _Layout(effect, carriers, tuple(range(eff_size)))
 
 
-def count_interpretations(theory: Theory, bounds: Bounds) -> int:
-    """Raw interpretation count within bounds, before any axiom filtering."""
-    total = 0
+def _layout_counts(theory: Theory, bounds: Bounds) -> Iterator[int]:
+    """Raw interpretation count of each layout, in _layouts' order."""
     for layout in _layouts(theory.effect, theory.base_types, bounds):
         count = 1
         for sym in theory.operations:
             n_in, n_out = layout.raw_shape(*layout.shape(sym))
             count *= n_out ** n_in
-        total += count
-    return total
+        yield count
+
+
+def count_interpretations(theory: Theory, bounds: Bounds) -> int:
+    """Raw interpretation count within bounds, before any axiom filtering."""
+    return sum(_layout_counts(theory, bounds))
 
 
 def _candidates(theory: Theory, bounds: Bounds) -> Iterator[tuple[_Layout, tuple]]:
@@ -664,10 +667,14 @@ def _candidates(theory: Theory, bounds: Bounds) -> Iterator[tuple[_Layout, tuple
 
 
 def _check_ceiling(theory: Theory, bounds: Bounds, max_interpretations: int) -> None:
-    total = count_interpretations(theory, bounds)
-    if total > max_interpretations:
-        raise BoundsTooLarge(
-            f"{total} interpretations within bounds, ceiling is {max_interpretations}")
+    """BoundsTooLarge when more raw interpretations than the ceiling lie
+    within bounds: each layout holds one at least, so too many layouts need
+    no count, and the count stops once its running total passes it."""
+    layouts = bounds.base ** len(theory.base_types) * bounds.effect
+    totals = itertools.accumulate(_layout_counts(theory, bounds))
+    if layouts > max_interpretations or any(t > max_interpretations for t in totals):
+        raise BoundsTooLarge(f"more than {max_interpretations} interpretations "
+                             f"within bounds, ceiling is {max_interpretations}")
 
 
 def _admitted(program: _Program, bounds: Bounds

@@ -2,6 +2,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -237,6 +238,22 @@ class TestModelCheck:
         assert data["holds"] is False
         assert data["witness"] == "(*, 0)"
 
+    @pytest.mark.parametrize("old, new, message", [
+        ("* -> 3", "* -> " + "(" * 1200 + "3" + ")" * 1200,
+         "line 7, col 208: element nested deeper than 200 levels"),
+        ("* -> 3", "* -> " + "3" * 5000, "line 7, col 8: integer longer than 4300 digits"),
+        ("{0, 1, 2, 3}\ncarrier", "{0, 1, 2, " + "3" * 5000 + "}\ncarrier",
+         "line 4, col 27: integer longer than 4300 digits"),
+        ("(0, 0) -> 0", "(0, 0) -> ²", "line 9, col 13: unexpected character '²'"),
+        ("{0, 1, 2, 3}\ncarrier", "{0, 1²}\ncarrier", "line 4, col 22: unexpected character '²'"),
+    ], ids=["nesting", "long-row-int", "long-set-int", "digit-row", "digit-set"])
+    def test_malformed_element_exits_2(self, capsys, tmp_path, old, new, message):
+        path = tmp_path / "bad.model"
+        path.write_text(corpus_path("bank_mod4.model").read_text().replace(old, new, 1))
+        code, out, err = run(capsys, "model-check", BANK, str(path), "weak f ~ g")
+        assert (code, out) == (2, "")
+        assert err == f"parse error: {message}\n"
+
 
 class TestFindCex:
     def test_strong_separation_found(self, capsys):
@@ -265,6 +282,15 @@ class TestFindCex:
         code, _, err = run(capsys, "find-cex", BANK, "strong f == g")
         assert code == 1
         assert "ceiling is 10" in err
+
+    @pytest.mark.parametrize("bound", ["30", "50", "200", "2000", str(10 ** 20)])
+    def test_ceiling_stops_counting_at_the_ceiling(self, capsys, bound):
+        started = time.perf_counter()
+        code, out, err = run(capsys, "find-cex", BANK, "weak f ~ g", "--max-carrier", bound)
+        assert time.perf_counter() - started < 1
+        assert (code, out) == (1, "")
+        assert err == ("error: more than 10000000 interpretations within bounds, "
+                       "ceiling is 10000000\n")
 
     @pytest.mark.parametrize("value", ["abc", "0", "-3", "1e7"])
     def test_bad_enum_ceiling_is_a_usage_error(self, capsys, monkeypatch, value):

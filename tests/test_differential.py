@@ -19,12 +19,21 @@ import ast
 import inspect
 import random
 import re
+from collections import Counter
 
 import pytest
 
 import gen
 import reference
-from decolog.calculus import Axiom, DecoratedEquation, EffectKind, Strength, Theory, term_str
+from decolog.calculus import (
+    Axiom,
+    CalculusError,
+    DecoratedEquation,
+    EffectKind,
+    Strength,
+    Theory,
+    term_str,
+)
 from decolog.deduction import (
     EXPECT_SOUND,
     WEAK_REPL,
@@ -36,16 +45,23 @@ from decolog.deduction import (
     prove,
 )
 from decolog.files import (
+    MAX_INT_DIGITS,
+    ParseError,
     corpus_path,
+    parse_derivation,
     parse_equation,
     parse_model,
+    parse_term,
     parse_theory,
     print_derivation,
     print_model,
+    print_theory,
+    tokenize,
 )
 from decolog import semantics
 from decolog.semantics import (
     Bounds,
+    SemanticsError,
     count_interpretations,
     enumerate_models,
     eval_term,
@@ -309,6 +325,186 @@ def test_prove_random_theories(effect):
         cut += tried is not None and int(tried.group(1)) >= PAIR_NODES
     # the batch exercises found proofs and searches cut by the node bound
     assert proved >= 15 and cut >= 5
+
+
+# ---------------------------------------------------------------------------
+# The text front end
+# ---------------------------------------------------------------------------
+
+#: Mutated inputs per parser.
+FRONT_END_CASES = 2000
+
+#: Text a mutation may insert: blanks and comments, both spellings of
+#: composition and weak equality, negative integers, every symbol, words of
+#: every format, non-ASCII letters and decimal digits, a numeric letter and
+#: characters no token starts with.  Non-decimal digits and over-long
+#: integers are left to test_front_end_changed_classes.
+SNIPPETS = (
+    " ", "\t", "\r", "\r\n", "\n", "#", "# note ∘ ≈ Ⅷ\n", "∘", "≈", "-", "-7",
+    "-0", "->", "==", "~", ".", "*", "<", ">", ",", "(", ")", "{", "}", ":",
+    "=", "0", "12", "ok", "exc(", "x", "_y", "é", "٣", "7٣٤", "Ⅷ", "@", "\x0c",
+    "\xa0", "strong", "weak", "table", "carrier", "side=", "id(Int)",
+    "((((((", "))))))",
+)
+
+PARSERS = {
+    "theory": (parse_theory, reference.parse_theory),
+    "equation": (parse_equation, reference.parse_equation),
+    "term": (parse_term, reference.parse_term),
+    "model": (parse_model, reference.parse_model),
+    "derivation": (parse_derivation, reference.parse_derivation),
+}
+
+
+def _mutate(rng, text):
+    """text after one to three character-level mutations."""
+    for _ in range(rng.randint(1, 3)):
+        i = rng.randrange(len(text) + 1)
+        j = min(len(text), i + rng.randint(1, 8))
+        kind = rng.randrange(5)
+        if kind == 0:
+            text = text[:i] + rng.choice(SNIPPETS) + text[i:]
+        elif kind == 1:
+            text = text[:i] + text[j:]
+        elif kind == 2:
+            text = text[:j] + text[i:j] + text[j:]
+        elif kind == 3:
+            numbers = list(re.finditer(r"\d+", text)) or [None]
+            found = rng.choice(numbers)
+            if found is not None:
+                text = text[:found.start()] + rng.choice(("-1", "-12", "3")) + text[found.end():]
+        else:
+            text = text[:i]
+    return text
+
+
+def _outcome(parse, *args):
+    """A parse's result, or its ParseError's message, line and column, or
+    another error's type and text; a reference crash reads as "crash"."""
+    try:
+        return "ok", parse(*args)
+    except ParseError as error:
+        return "parse error", str(error), error.line, error.col
+    except (CalculusError, SemanticsError) as error:
+        return type(error).__name__, str(error)
+    except (ValueError, RecursionError):
+        return ("crash",)
+
+
+def _tokens(scan, text):
+    try:
+        return [(t.kind, t.value, t.line, t.col) for t in scan(text)]
+    except ParseError as error:
+        return str(error)
+
+
+def _bank_zk(k):
+    """A bank model over Z_k shaped like the benchmark's: plus adds, balance
+    reads the state, deposit adds its argument to it."""
+    elems = ", ".join(map(str, range(k)))
+    lines = [f"effectcarrier = {{{elems}}}", f"carrier Int = {{{elems}}}",
+             "table seven", f"  * -> {7 % k}", "table plus"]
+    lines += [f"  ({a}, {b}) -> {(a + b) % k}" for a in range(k) for b in range(k)]
+    lines += ["table balance"] + [f"  (*, {s}) -> {s}" for s in range(k)]
+    lines += ["table deposit"] + [f"  ({a}, {s}) -> (*, {(a + s) % k})"
+                                  for a in range(k) for s in range(k)]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.fixture(scope="module")
+def front_end_inputs():
+    """Per parser, the (theory, text) pairs its mutations start from; a
+    theory parse takes no theory."""
+    read = lambda name: corpus_path(name).read_text()
+    bank, throwcatch = parse_theory(read("bank.dth")), parse_theory(read("throwcatch.dth"))
+    rng = random.Random(31)
+    theories = [gen.random_theory(rng, effect, n_ops=3, n_axioms=2) for effect in EffectKind]
+    by_name = {"bank": bank, "throwcatch": throwcatch}
+    return {
+        "theory": [(None, read("bank.dth")), (None, read("throwcatch.dth"))]
+                  + [(None, print_theory(t)) for t in theories],
+        "equation": [(by_name[name], goal) for name, (_, _, goals) in CORPUS.items()
+                     for goal in goals]
+                    + [(bank, "weak f≈g # note\n"), (bank, "strong\tf∘g\r\n==\tg")],
+        "term": [(bank, "plus . <seven, balance>"), (bank, "balance∘deposit ∘ seven"),
+                 (throwcatch, "catchZero . throw"), (bank, "bang(Int) . seven")],
+        "model": [(bank, read("bank_mod4.model")), (throwcatch, read("throwcatch_mod2.model")),
+                  (bank, _bank_zk(3))]
+                 + [(t, print_model(gen.random_model(rng, t))) for t in theories],
+        "derivation": [(bank, read("bank_proof.drv")), (throwcatch, read("throwcatch_proof.drv"))]
+                      + [(t, print_derivation(gen.random_derivation(rng, t))) for t in theories],
+    }
+
+
+def _args(theory, text):
+    return (text,) if theory is None else (text, theory)
+
+
+@pytest.mark.parametrize("name", sorted(PARSERS))
+def test_front_end(name, front_end_inputs):
+    """Equal results, or equal ParseErrors, on the inputs and their
+    mutations; on every other one tokenize gives the reference's tokens and
+    positions."""
+    library, ref = PARSERS[name]
+    inputs = front_end_inputs[name]
+    rng = random.Random(name)
+    verdicts = Counter()
+    for case in range(FRONT_END_CASES):
+        theory, text = inputs[case % len(inputs)]
+        if case >= len(inputs):
+            text = _mutate(rng, text)
+        got, want = _outcome(library, *_args(theory, text)), _outcome(ref, *_args(theory, text))
+        if want == ("crash",):
+            assert got[0] == "parse error", text
+        else:
+            assert got == want, text
+        if case % 2 == 0:
+            assert _tokens(tokenize, text) == _tokens(reference.tokenize, text), text
+        verdicts[got[0]] += 1
+    # the batch exercises successes and errors of both kinds
+    assert verdicts["ok"] > len(inputs) and verdicts["parse error"] > FRONT_END_CASES // 4
+
+
+@pytest.mark.parametrize("k", [8, 20, 32])
+def test_front_end_bank_models(k):
+    theory = parse_theory(corpus_path("bank.dth").read_text())
+    text = _bank_zk(k)
+    assert parse_model(text, theory) == reference.parse_model(text, theory)
+
+
+#: Where the library parts from the reference on purpose: a non-decimal
+#: digit starts no token (the reference read it as an integer, which int()
+#: then refused), and an integer of more than MAX_INT_DIGITS digits is a
+#: lexical error (int() refused it too).  Each is inserted, with the
+#: offset of the character the library reports.
+CHANGED_CLASSES = (
+    ("²", 0, "unexpected character '²'"),
+    ("1²", 1, "unexpected character '²'"),
+    ("-①", 0, "unexpected character '-'"),
+    ("7" * (MAX_INT_DIGITS + 1), 0, f"integer longer than {MAX_INT_DIGITS} digits"),
+    ("-" + "7" * (MAX_INT_DIGITS + 700), 0, f"integer longer than {MAX_INT_DIGITS} digits"),
+)
+
+
+@pytest.mark.parametrize("name", sorted(PARSERS))
+def test_front_end_changed_classes(name, front_end_inputs):
+    """Inserted before any token of a valid input, each changed class gives
+    the library's located ParseError, where the reference gave another
+    verdict."""
+    library, ref = PARSERS[name]
+    rng = random.Random(name)
+    for theory, text in front_end_inputs[name]:
+        places = [t for t in reference.tokenize(text) if t.kind not in ("NL", "EOF")]
+        starts = [0] + [i + 1 for i, c in enumerate(text) if c == "\n"]
+        for snippet, offset, message in CHANGED_CLASSES:
+            for tok in rng.sample(places, min(len(places), 6)):
+                at = starts[tok.line - 1] + tok.col - 1
+                mutated = text[:at] + f" {snippet} " + text[at:]
+                got = _outcome(library, *_args(theory, mutated))
+                assert got == ("parse error",
+                               f"line {tok.line}, col {tok.col + 1 + offset}: {message}",
+                               tok.line, tok.col + 1 + offset), mutated
+                assert _outcome(ref, *_args(theory, mutated)) != got
 
 
 #: What the reference and the generators may share with decolog.semantics:

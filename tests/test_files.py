@@ -16,6 +16,7 @@ from decolog.deduction import check_derivation, deriv, REFL, AXIOM
 from decolog.duality import dualize_derivation, duality_map
 from decolog.files import (
     MAX_DEPTH,
+    MAX_INT_DIGITS,
     ParseError,
     corpus_path,
     element_str,
@@ -80,6 +81,37 @@ class TestTokenizer:
     def test_ring_operator(self):
         toks = tokenize("f∘g")
         assert [t.value for t in toks[:3]] == ["f", "∘", "g"]
+
+
+class TestLexicalLimits:
+    def test_integers_are_decimal_digits(self):
+        assert [t.value for t in tokenize("12 ٣ -7")[:3]] == ["12", "٣", "-7"]
+        for text, col in (("²", 1), ("1²", 2), ("-①", 1), ("x Ⅷ", 3)):
+            with pytest.raises(ParseError, match="unexpected character") as err:
+                tokenize(text)
+            assert err.value.col == col
+
+    def test_non_decimal_digits_continue_identifiers(self):
+        assert [t.value for t in tokenize("x² _Ⅷ")[:2]] == ["x²", "_Ⅷ"]
+
+    def test_integer_length_limit(self):
+        longest = "9" * MAX_INT_DIGITS
+        assert tokenize(longest)[0].value == longest
+        assert tokenize("-" + longest)[0].value == "-" + longest
+        with pytest.raises(ParseError, match=f"longer than {MAX_INT_DIGITS} digits") as err:
+            tokenize("a\n  " + longest + "9")
+        assert (err.value.line, err.value.col) == (2, 3)
+
+    def test_comment_column_quirk(self):
+        toks = tokenize("a  # note\nb # end")
+        assert [(t.kind, t.col) for t in toks] == [
+            ("IDENT", 1), ("NL", 4), ("IDENT", 1), ("EOF", 3)]
+
+    def test_lexical_error_comes_before_parse_errors(self, bank_file):
+        with pytest.raises(ParseError, match="unexpected character '@'"):
+            parse_theory("effect chaos\n@")
+        with pytest.raises(ParseError, match="unexpected character '@'"):
+            parse_model("table withdraw\n@", bank_file)
 
 
 class TestTheoryFiles:
@@ -241,6 +273,19 @@ class TestModelFiles:
     def test_missing_effectcarrier(self, bank_file):
         with pytest.raises(ParseError):
             parse_model("carrier Int = {0}\n", bank_file)
+
+    def test_element_depth_limit(self, bank_file):
+        def model(levels):
+            element = "(" * levels + "0" + ")" * levels
+            return f"effectcarrier = {{0}}\ncarrier Int = {{0}}\ntable seven\n  * -> {element}\n"
+        assert parse_model(model(MAX_DEPTH), bank_file).tables["seven"].mapping == {"*": 0}
+        for levels in (MAX_DEPTH + 1, 1200):
+            with pytest.raises(ParseError, match="element nested deeper") as err:
+                parse_model(model(levels), bank_file)
+            assert (err.value.line, err.value.col) == (4, 8 + MAX_DEPTH)
+        tagged = "ok(" * MAX_DEPTH + "0" + ")" * MAX_DEPTH
+        with pytest.raises(ParseError, match="element nested deeper"):
+            parse_model(f"effectcarrier = {{0}}\ntable seven\n  * -> ({tagged})\n", bank_file)
 
     def test_totality_left_to_validate(self, bank_file):
         text = "effectcarrier = {0, 1}\ncarrier Int = {0, 1}\ntable seven\n  * -> 0\n"

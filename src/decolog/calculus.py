@@ -15,8 +15,8 @@ of the effect.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from functools import reduce
+from operator import itemgetter
 from typing import Iterator, Mapping, Optional, Union
 
 
@@ -88,22 +88,58 @@ def keyword_matches_effect(effect: EffectKind, keyword: str) -> bool:
     return keyword in RANK_NAMES[effect]
 
 
+class Record(tuple):
+    """An immutable value stored as the tuple (class, *fields), so equality and
+    hashing run in C.  Subclasses annotate their fields (defaults last), set
+    `__slots__ = ()`, and may check each new value in `__post_init__`."""
+    __slots__ = ()
+    __post_init__ = None
+
+    def __init_subclass__(cls):
+        cls._fields = tuple(cls.__dict__.get("__annotations__", ()))
+        cls._defaults = {n: cls.__dict__[n] for n in cls._fields if n in cls.__dict__}
+        for i, name in enumerate(cls._fields, 1):
+            setattr(cls, name, property(itemgetter(i)))
+
+    def __new__(cls, *args, **kwargs):
+        if kwargs or len(args) != len(cls._fields):
+            given = {**cls._defaults, **kwargs, **dict(zip(cls._fields, args))}
+            if (len(args) > len(cls._fields) or given.keys() != set(cls._fields)
+                    or kwargs.keys() & set(cls._fields[:len(args)])):
+                raise TypeError(f"{cls.__name__}() takes the fields {', '.join(cls._fields)}")
+            args = map(given.__getitem__, cls._fields)
+        self = tuple.__new__(cls, (cls, *args))
+        if cls.__post_init__:
+            self.__post_init__()
+        return self
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{n}={v!r}" for n, v in zip(self._fields, self[1:]))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __getnewargs__(self) -> tuple:
+        return self[1:]
+
+    def __setattr__(self, name: str, *value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+    __delattr__ = __setattr__
+
+
 # ---------------------------------------------------------------------------
 # Types
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class BaseType:
+class BaseType(Record):
+    __slots__ = ()
     name: str
 
 
-@dataclass(frozen=True)
-class UnitType:
-    pass
+class UnitType(Record):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Prod:
+class Prod(Record):
+    __slots__ = ()
     left: "TypeExpr"
     right: "TypeExpr"
 
@@ -130,44 +166,44 @@ def type_str(t: TypeExpr) -> str:
 # Terms
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Id:
+class Id(Record):
+    __slots__ = ()
     ty: TypeExpr
 
 
-@dataclass(frozen=True)
-class Op:
+class Op(Record):
+    __slots__ = ()
     name: str
 
 
-@dataclass(frozen=True)
-class Comp:
+class Comp(Record):
     """after ∘ first: apply `first`, then `after`."""
+    __slots__ = ()
     after: "DecoratedTerm"
     first: "DecoratedTerm"
 
 
-@dataclass(frozen=True)
-class Pair:
+class Pair(Record):
+    __slots__ = ()
     left: "DecoratedTerm"
     right: "DecoratedTerm"
 
 
-@dataclass(frozen=True)
-class Proj1:
+class Proj1(Record):
+    __slots__ = ()
     left_ty: TypeExpr
     right_ty: TypeExpr
 
 
-@dataclass(frozen=True)
-class Proj2:
+class Proj2(Record):
+    __slots__ = ()
     left_ty: TypeExpr
     right_ty: TypeExpr
 
 
-@dataclass(frozen=True)
-class Bang:
+class Bang(Record):
     """The unique pure map ty -> Unit."""
+    __slots__ = ()
     ty: TypeExpr
 
 
@@ -264,8 +300,8 @@ class Strength(enum.Enum):
         return self.value
 
 
-@dataclass(frozen=True)
-class DecoratedEquation:
+class DecoratedEquation(Record):
+    __slots__ = ()
     strength: Strength
     lhs: DecoratedTerm
     rhs: DecoratedTerm
@@ -285,8 +321,8 @@ def weak(lhs: DecoratedTerm, rhs: DecoratedTerm) -> DecoratedEquation:
     return DecoratedEquation(Strength.WEAK, normalize(lhs), normalize(rhs))
 
 
-@dataclass(frozen=True)
-class OperationSymbol:
+class OperationSymbol(Record):
+    __slots__ = ()
     name: str
     dom: TypeExpr
     cod: TypeExpr
@@ -297,8 +333,8 @@ class OperationSymbol:
             raise TheoryError(f"decoration rank must be 0, 1 or 2, got {self.decoration}")
 
 
-@dataclass(frozen=True)
-class Axiom:
+class Axiom(Record):
+    __slots__ = ()
     name: str
     equation: DecoratedEquation
 
@@ -307,14 +343,15 @@ class Axiom:
 RESERVED_NAMES = frozenset({"id", "p1", "p2", "bang"})
 
 
-@dataclass(frozen=True)
-class Theory:
+class Theory(Record):
     """An effect, base types, decorated operations, named axioms, and
     optional named term abbreviations (definitions).
 
     Definitions are transparent: the stored term is fully expanded, so no
     term anywhere refers to a definition by name.
     """
+    # No __slots__: the instance __dict__ holds the op index, which
+    # __post_init__ builds; Record.__setattr__ keeps everything else out.
     effect: EffectKind
     base_types: tuple[str, ...] = ()
     operations: tuple[OperationSymbol, ...] = ()
@@ -322,7 +359,7 @@ class Theory:
     definitions: tuple[tuple[str, DecoratedTerm], ...] = ()
 
     def __post_init__(self):
-        seen: set[str] = set()
+        ops = self.__dict__["_op_index"] = {}
         if "Unit" in self.base_types:
             raise TheoryError("base type may not be named Unit")
         if len(set(self.base_types)) != len(self.base_types):
@@ -330,9 +367,10 @@ class Theory:
         for sym in self.operations:
             if sym.name in RESERVED_NAMES:
                 raise TheoryError(f"operation may not shadow builtin {sym.name!r}")
-            if sym.name in seen:
+            if sym.name in ops:
                 raise TheoryError(f"duplicate operation {sym.name!r}")
-            seen.add(sym.name)
+            ops[sym.name] = sym
+        seen = set(ops)
         for name, _ in self.definitions:
             if name in RESERVED_NAMES:
                 raise TheoryError(f"definition may not shadow builtin {name!r}")
@@ -349,14 +387,6 @@ class Theory:
         if found is None:
             raise UndeclaredSymbol(f"operation {name!r} is not declared")
         return found
-
-    @property
-    def _op_index(self) -> dict[str, OperationSymbol]:
-        cached = self.__dict__.get("_op_index_cache")
-        if cached is None:
-            cached = {sym.name: sym for sym in self.operations}
-            self.__dict__["_op_index_cache"] = cached
-        return cached
 
     def axiom(self, name: str) -> Axiom:
         for ax in self.axioms:
@@ -454,8 +484,8 @@ def infer_decoration(theory: Theory, term: DecoratedTerm) -> Decoration:
     return analyze_term(theory, term)[2]
 
 
-@dataclass(frozen=True)
-class EquationReport:
+class EquationReport(Record):
+    __slots__ = ()
     dom: TypeExpr
     cod: TypeExpr
     lhs_rank: Decoration

@@ -211,12 +211,27 @@ def cmd_model_check(args) -> int:
     return 1
 
 
+def _quoted(text: str) -> str:
+    """text quoted for an error message, cut to its first 40 characters."""
+    return repr(text[:40]) + ("..." if len(text) > 40 else "")
+
+
+def _effect(text: str) -> EffectKind:
+    """Argument type of validate-rules' effect."""
+    try:
+        return EffectKind(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid choice: {_quoted(text)} (choose from "
+            f"{', '.join(repr(e.value) for e in EffectKind)})") from None
+
+
 def _at_least_one(text: str) -> int:
     """Argument type of a bound: an integer of at least 1."""
     try:
         value = int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+        raise argparse.ArgumentTypeError(f"not an integer: {_quoted(text)}") from None
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
     return value
@@ -286,7 +301,7 @@ def cmd_dualize(args) -> int:
 
 
 def cmd_validate_rules(args) -> int:
-    effect = EffectKind(args.effect)
+    effect = args.effect
     report = validate_rules(effect, max_carrier=args.max_carrier)
     lines = []
     results_json = []
@@ -356,7 +371,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = add("validate-rules", cmd_validate_rules,
             "sweep the rule catalog against all small models")
-    p.add_argument("effect", choices=[e.value for e in EffectKind])
+    p.add_argument("effect", type=_effect, choices=list(EffectKind))
     p.add_argument("--max-carrier", type=_sweep_carrier, default=2,
                    help=f"carrier size bound, at most {MAX_SWEEP_CARRIER} (default 2)")
 

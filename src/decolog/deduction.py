@@ -32,7 +32,6 @@ countermodels.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
@@ -51,6 +50,7 @@ from .calculus import (
     Pair,
     Proj1,
     Proj2,
+    Record,
     Strength,
     Theory,
     TypeExpr,
@@ -138,8 +138,8 @@ def path_str(path: tuple[int, ...]) -> str:
     return "root" if not path else "premise " + ".".join(map(str, path))
 
 
-@dataclass(frozen=True)
-class Derivation:
+class Derivation(Record):
+    __slots__ = ()
     rule: str
     params: tuple[tuple[str, object], ...] = ()
     premises: tuple["Derivation", ...] = ()
@@ -152,8 +152,8 @@ def deriv(rule: str, *premises: Derivation, **params: object) -> Derivation:
     return Derivation(rule, tuple(params.items()), premises)
 
 
-@dataclass(frozen=True)
-class Judgment:
+class Judgment(Record):
+    __slots__ = ()
     equation: DecoratedEquation
     dom: TypeExpr
     cod: TypeExpr
@@ -664,8 +664,8 @@ EXPECT_SOUND = "sound"
 EXPECT_COUNTERMODEL = "countermodel"
 
 
-@dataclass(frozen=True)
-class ScenarioResult:
+class ScenarioResult(Record):
+    __slots__ = ()
     rule: str
     effect: EffectKind
     description: str
@@ -681,8 +681,8 @@ class ScenarioResult:
         return self.violations > 0
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(Record):
+    __slots__ = ()
     effect: EffectKind
     results: tuple[ScenarioResult, ...]
 
@@ -734,8 +734,8 @@ def _denotation(program: _Program, layout: _Layout) -> Callable[..., Table]:
 Block = tuple[tuple, list, list]
 
 
-@dataclass(frozen=True)
-class _Scenario:
+class _Scenario(Record):
+    __slots__ = ()
     rule: str
     description: str
     expectation: str

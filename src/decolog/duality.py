@@ -16,7 +16,6 @@ the empty product on one side and the empty copairing target on the other.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator
 
 from .calculus import (
@@ -33,6 +32,7 @@ from .calculus import (
     Prod,
     Proj1,
     Proj2,
+    Record,
     Theory,
     TypeExpr,
     normalize,
@@ -169,14 +169,14 @@ def dualize_theory(theory: Theory) -> Theory:
     )
 
 
-@dataclass(frozen=True)
-class DualityMap:
+class DualityMap(Record):
     """A theory together with its mirror and the symbol correspondence.
 
     Built with duality_map().  Operation names are preserved, so the
     correspondence pairs each symbol with its reversed-arrow counterpart in
     declaration order.
     """
+    __slots__ = ()
     source: Theory
     target: Theory
 

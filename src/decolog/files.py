@@ -53,6 +53,7 @@ Printing then reparsing reproduces the parsed objects exactly.
 from __future__ import annotations
 
 import re
+import sys
 from pathlib import Path
 from typing import NamedTuple
 
@@ -121,8 +122,10 @@ def corpus_path(name: str) -> Path:
 # Tokens
 # ---------------------------------------------------------------------------
 
-#: Most digits an integer may have: int() refuses longer decimal strings.
-MAX_INT_DIGITS = 4300
+#: Most digits an integer may have: int() refuses longer decimal strings,
+#: by default 4,300 digits and fewer when PYTHONINTMAXSTRDIGITS sets a lower
+#: limit (0 is none; before Python 3.10.7 int() had no limit).
+MAX_INT_DIGITS = min(getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300, 4300)
 
 #: The one scanner of every format.  Each match skips blanks and a comment,
 #: then captures a token: a two-character symbol, an integer, an identifier,

@@ -46,7 +46,6 @@ validate_model and in every evaluation call alike.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from operator import add, itemgetter, sub
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
@@ -64,6 +63,7 @@ from .calculus import (
     Prod,
     Proj1,
     Proj2,
+    Record,
     Strength,
     Theory,
     TypeExpr,
@@ -112,9 +112,9 @@ class FactoringInvariantError(SemanticsError):
     """
 
 
-@dataclass(frozen=True)
-class OperationTable:
+class OperationTable(Record):
     """Total function table in the shape of one effect/rank combination."""
+    __slots__ = ()
     effect: EffectKind
     rank: int
     mapping: Mapping[Element, Element]
@@ -124,8 +124,8 @@ class OperationTable:
             raise ModelMismatch(f"table rank must be 0, 1 or 2, got {self.rank}")
 
 
-@dataclass(frozen=True)
-class FiniteModel:
+class FiniteModel(Record):
+    __slots__ = ()
     effect: EffectKind
     carriers: Mapping[str, tuple]
     effect_carrier: tuple
@@ -617,10 +617,10 @@ def first_violation(model: FiniteModel, theory: Theory,
 DEFAULT_MAX_INTERPRETATIONS = 10 ** 7
 
 
-@dataclass(frozen=True)
-class Bounds:
+class Bounds(Record):
     """Carrier size limits: base for every base type, effect for the effect
     carrier.  Sizes start at 1; empty carriers are not searched."""
+    __slots__ = ()
     base: int = 2
     effect: int = 2
 
@@ -631,12 +631,18 @@ class Bounds:
                 f"effect {self.effect!r}")
 
 
-def _layouts(effect: EffectKind, base_types: Sequence[str], bounds: Bounds) -> Iterator[_Layout]:
-    """One layout per carrier-size assignment: base types in the given order
-    with the effect carrier last, carriers numbered 0, 1, ..."""
-    sizes = range(1, bounds.base + 1)
-    for base_sizes in itertools.product(sizes, repeat=len(base_types)):
-        carriers = {name: tuple(range(n)) for name, n in zip(base_types, base_sizes)}
+def _layouts(effect: EffectKind, base_types: Sequence[str], bounds: Bounds,
+             carriers: Optional[dict] = None) -> Iterator[_Layout]:
+    """One layout per carrier-size assignment: base types in the given order,
+    the first varying slowest, with the effect carrier last, and carriers
+    numbered 0, 1, ...  Sizes are counted out one at a time, as a bound may
+    be too large for its range to be listed."""
+    carriers = carriers or {}
+    if base_types:
+        for n in range(1, bounds.base + 1):
+            yield from _layouts(effect, base_types[1:], bounds,
+                                {**carriers, base_types[0]: tuple(range(n))})
+    else:
         for eff_size in range(1, bounds.effect + 1):
             yield _Layout(effect, carriers, tuple(range(eff_size)))
 
@@ -714,8 +720,8 @@ def enumerate_models(theory: Theory, bounds: Bounds = Bounds(), *,
     return (layout.model(theory, assignment) for layout, assignment, _, _ in admitted)
 
 
-@dataclass(frozen=True)
-class Counterexample:
+class Counterexample(Record):
+    __slots__ = ()
     model: FiniteModel
     equation: DecoratedEquation
     witness: Element

@@ -1,4 +1,6 @@
 """Terms, types, decorations, theories."""
+import copy
+import pickle
 import random
 
 import pytest
@@ -19,6 +21,7 @@ from decolog.calculus import (
     Prod,
     Proj1,
     Proj2,
+    Record,
     SideTypeMismatch,
     Strength,
     TheoryError,
@@ -36,7 +39,8 @@ from decolog.calculus import (
     weak,
     wf_term,
 )
-from decolog.deduction import _normal_spine
+from decolog.deduction import Derivation, _normal_spine
+from decolog.semantics import Bounds, ModelMismatch, OperationTable, SemanticsError
 
 from gen import random_raw_term, random_theory, random_wf_terms
 
@@ -236,3 +240,98 @@ class TestTheory:
         assert bank.op("balance").decoration == 1
         with pytest.raises(UndeclaredSymbol):
             bank.op("overdraft")
+
+
+class TestRecord:
+    """Every value class is a tuple-backed Record: (class, *fields)."""
+
+    VALUES = (
+        Comp(Op("f"), Id(Int)),
+        Unit,
+        Bounds(),
+        strong(Op("f"), Proj1(Int, Unit)),
+        Derivation("refl", (("term", Op("f")),)),
+        OperationTable(EffectKind.STATES, 1, {0: 1}),
+    )
+
+    def test_classes_with_equal_fields_are_unequal(self):
+        assert Id(Unit) != Bang(Unit)
+        assert Proj1(Int, Int) != Proj2(Int, Int)
+        assert hash(Proj1(Int, Int)) != hash(Proj2(Int, Int))
+
+    def test_equal_values_have_equal_hashes(self):
+        a = Comp(Op("f"), Pair(Id(Int), Op("g")))
+        b = Comp(Op("f"), Pair(Id(Int), Op("g")))
+        assert a == b and a is not b
+        assert hash(a) == hash(b)
+        assert {a: 1}[b] == 1
+
+    def test_fields_and_new_attributes_cannot_be_assigned(self, bank):
+        for value, name in ((Op("f"), "name"), (Op("f"), "other"),
+                            (bank, "effect"), (bank, "other"), (Bounds(), "base")):
+            with pytest.raises(AttributeError):
+                setattr(value, name, 1)
+            with pytest.raises(AttributeError):
+                delattr(value, name)
+        assert Op("f").name == "f"
+
+    def test_only_theory_has_an_instance_dict(self):
+        classes = Record.__subclasses__()
+        assert len(classes) >= 25
+        assert [c.__name__ for c in classes if "__slots__" not in vars(c)] == ["Theory"]
+        assert not hasattr(Op("f"), "__dict__")
+
+    def test_defaults_fill_in(self):
+        assert Bounds() == Bounds(2, 2)
+        assert (Bounds(effect=3).base, Bounds(effect=3).effect) == (2, 3)
+        d = Derivation("refl")
+        assert (d.rule, d.params, d.premises) == ("refl", (), ())
+        assert Theory(EffectKind.STATES).operations == ()
+
+    def test_keywords_and_positions_agree(self):
+        assert Op(name="f") == Op("f")
+        assert Bounds(3, effect=1) == Bounds(base=3, effect=1) == Bounds(3, 1)
+
+    @pytest.mark.parametrize("make", [
+        lambda: Op(nam="f"),
+        lambda: Op("f", name="g"),
+        lambda: Op(),
+        lambda: Comp(Op("f")),
+        lambda: Op("f", "g"),
+        lambda: Bounds(1, 2, 3),
+        lambda: Derivation(),
+    ], ids=["unknown", "repeated", "missing", "missing-second", "one-too-many",
+            "too-many-with-defaults", "missing-with-defaults"])
+    def test_bad_arguments_raise_type_error(self, make):
+        with pytest.raises(TypeError):
+            make()
+
+    def test_repr_is_the_dataclass_text(self):
+        assert [repr(v) for v in self.VALUES] == [
+            "Comp(after=Op(name='f'), first=Id(ty=BaseType(name='Int')))",
+            "UnitType()",
+            "Bounds(base=2, effect=2)",
+            "DecoratedEquation(strength=<Strength.STRONG: 'strong'>, lhs=Op(name='f'), "
+            "rhs=Proj1(left_ty=BaseType(name='Int'), right_ty=UnitType()))",
+            "Derivation(rule='refl', params=(('term', Op(name='f')),), premises=())",
+            "OperationTable(effect=<EffectKind.STATES: 'states'>, rank=1, mapping={0: 1})",
+        ]
+
+    def test_copy_and_pickle_round_trip(self, bank):
+        for value in self.VALUES + (bank,):
+            for twin in (copy.copy(value), copy.deepcopy(value),
+                         pickle.loads(pickle.dumps(value))):
+                assert twin == value and type(twin) is type(value)
+        twin = pickle.loads(pickle.dumps(bank))
+        assert twin.op("balance") == bank.op("balance")
+
+    def test_checks_still_raise(self):
+        with pytest.raises(TheoryError, match="decoration rank must be 0, 1 or 2, got 3"):
+            OperationSymbol("f", Unit, Unit, 3)
+        with pytest.raises(ModelMismatch, match="table rank must be 0, 1 or 2, got 5"):
+            OperationTable(EffectKind.STATES, 5, {})
+        with pytest.raises(SemanticsError, match="carrier bounds must be at least 1"):
+            Bounds(0)
+        ax = Axiom("a", strong(Id(Unit), Id(Unit)))
+        with pytest.raises(TheoryError, match="duplicate axiom name"):
+            Theory(EffectKind.STATES, axioms=(ax, ax))

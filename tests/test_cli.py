@@ -1,5 +1,6 @@
 """Command line behavior: outputs, JSON reports, exit codes."""
 import json
+import os
 import subprocess
 import sys
 import time
@@ -254,6 +255,23 @@ class TestModelCheck:
         assert (code, out) == (2, "")
         assert err == f"parse error: {message}\n"
 
+    @pytest.mark.parametrize("digits, code, message", [
+        (640, 3, "model mismatch: table for 'seven' produces 333"),
+        (641, 2, "parse error: line 7, col 8: integer longer than 640 digits"),
+        (1000, 2, "parse error: line 7, col 8: integer longer than 640 digits"),
+    ], ids=["640", "641", "1000"])
+    def test_interpreter_int_limit_lowers_the_digit_limit(self, tmp_path, digits, code, message):
+        """PYTHONINTMAXSTRDIGITS below MAX_INT_DIGITS lowers the parser's
+        limit with it, so a long value is a parse error, not a traceback."""
+        path = tmp_path / "long.model"
+        path.write_text(corpus_path("bank_mod4.model").read_text().replace(
+            "* -> 3", "* -> " + "3" * digits, 1))
+        proc = subprocess.run(
+            [sys.executable, "-m", "decolog.cli", "model-check", BANK, str(path), "weak f ~ g"],
+            env={**os.environ, "PYTHONINTMAXSTRDIGITS": "640"}, capture_output=True, text=True)
+        assert (proc.returncode, proc.stdout) == (code, "")
+        assert proc.stderr.startswith(message) and proc.stderr.count("\n") == 1
+
 
 class TestFindCex:
     def test_strong_separation_found(self, capsys):
@@ -291,6 +309,19 @@ class TestFindCex:
         assert (code, out) == (1, "")
         assert err == ("error: more than 10000000 interpretations within bounds, "
                        "ceiling is 10000000\n")
+
+    def test_carrier_range_too_long_to_list(self, capsys, monkeypatch):
+        """A ceiling above the number of carrier assignments lets the sizes
+        be counted out, one at a time: 99,999,999,999,999,999,999 of them
+        is more than a range can list."""
+        ceiling = 10 ** 50
+        monkeypatch.setenv("DECOLOG_MAX_ENUM", str(ceiling))
+        started = time.perf_counter()
+        code, out, err = run(capsys, "find-cex", BANK, "weak f ~ g", "--max-carrier", "9" * 20)
+        assert time.perf_counter() - started < 1
+        assert (code, out) == (1, "")
+        assert err == (f"error: more than {ceiling} interpretations within bounds, "
+                       f"ceiling is {ceiling}\n")
 
     @pytest.mark.parametrize("value", ["abc", "0", "-3", "1e7"])
     def test_bad_enum_ceiling_is_a_usage_error(self, capsys, monkeypatch, value):
@@ -338,6 +369,27 @@ class TestDualize:
 
 
 class TestValidateRules:
+    @pytest.mark.parametrize("argv, shown", [
+        (["validate-rules", "x" * 1200],
+         "argument effect: invalid choice: '" + "x" * 40 + "'... "
+         "(choose from 'exceptions', 'states')"),
+        (["validate-rules", "states", "--max-carrier", "7" * 1200 + "z"],
+         "argument --max-carrier: not an integer: '" + "7" * 40 + "'..."),
+        (["find-cex", BANK, "weak f ~ g", "--max-carrier", "z" * 1200],
+         "argument --max-carrier: not an integer: '" + "z" * 40 + "'..."),
+    ], ids=["effect", "sweep-carrier", "carrier"])
+    def test_long_bad_argument_is_cut_short(self, capsys, argv, shown):
+        with pytest.raises(SystemExit) as stop:
+            main(argv)
+        assert stop.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1].endswith(": error: " + shown)
+
+    def test_long_bad_ceiling_is_cut_short(self, capsys, monkeypatch):
+        monkeypatch.setenv("DECOLOG_MAX_ENUM", "9" * 5000)
+        code, out, err = run(capsys, "find-cex", BANK, "weak f ~ g")
+        assert (code, out) == (2, "")
+        assert err == "bad setting: DECOLOG_MAX_ENUM not an integer: '" + "9" * 40 + "'...\n"
+
     def test_states_all_sound_at_carrier_2(self, capsys):
         code, out, _ = run(capsys, "validate-rules", "states",
                            "--max-carrier", "2")

@@ -1,5 +1,9 @@
-"""No module imports a name at top level that it never uses."""
+"""No module imports a name at top level that it never uses, and starting
+the command line imports no module it does not need."""
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -29,3 +33,14 @@ def test_no_unused_top_level_import(path):
 
 def test_scan_sees_an_unused_import():
     assert unused_imports("import os\nfrom x import a, b as c\nprint(a)\n") == ["os", "c"]
+
+
+def test_cli_start_up_leaves_out_dataclasses_and_inspect():
+    """Importing the command line, as every decolog process does first,
+    loads neither dataclasses nor what it pulls in (inspect, ast, dis):
+    they cost a fresh process tens of milliseconds."""
+    code = "import sys, decolog.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout == "[]\n"

@@ -17,7 +17,24 @@ from __future__ import annotations
 import enum
 from functools import reduce
 from operator import itemgetter
-from typing import Iterator, Mapping, Optional, Union
+from typing import Mapping, Optional, Union
+
+
+#: Most characters of an input that an error message echoes.
+ECHO_LIMIT = 40
+
+
+def cut(text: str) -> str:
+    """text cut to its first ECHO_LIMIT characters, "..." marking a cut."""
+    return text if len(text) <= ECHO_LIMIT else text[:ECHO_LIMIT] + "..."
+
+
+def quoted(value: object) -> str:
+    """value as an error message echoes it: a string in quotes, anything
+    else as its repr, either cut by cut()."""
+    if isinstance(value, str):
+        return repr(value[:ECHO_LIMIT]) + ("..." if len(value) > ECHO_LIMIT else "")
+    return cut(repr(value))
 
 
 class CalculusError(ValueError):
@@ -209,6 +226,9 @@ class Bang(Record):
 
 DecoratedTerm = Union[Id, Op, Comp, Pair, Proj1, Proj2, Bang]
 
+#: A normal term's composition factors, outermost first (see Analysis).
+Atoms = tuple[DecoratedTerm, ...]
+
 
 def term_str(term: DecoratedTerm) -> str:
     """Render a term in the surface syntax: `f . g` for composition, `<f, g>`
@@ -234,47 +254,18 @@ def normalize(term: DecoratedTerm) -> DecoratedTerm:
     """Canonical form: compositions right-associated with identity factors
     dropped, Bang(Unit) collapsed to Id(Unit).  Associativity and identity
     laws are definitional, so equality of normal forms is the term equality
-    used everywhere else.
+    used everywhere else.  Read off the term's analysis, without a theory.
     """
-    if isinstance(term, Comp):
-        atoms = list(_atoms(term))
-        if not atoms:
-            return Id(_leftmost_id_type(term))
-        return _spine(atoms)
-    if isinstance(term, Pair):
-        return Pair(normalize(term.left), normalize(term.right))
-    if isinstance(term, Bang) and isinstance(term.ty, UnitType):
-        return Id(Unit)
-    return term
+    return analysis(None, term).term
 
 
-def _atoms(term: DecoratedTerm) -> Iterator[DecoratedTerm]:
-    """Non-identity composition factors, outermost (last applied) first."""
-    if isinstance(term, Comp):
-        yield from _atoms(term.after)
-        yield from _atoms(term.first)
-    elif isinstance(term, Id):
-        return
-    else:
-        t = normalize(term)
-        if not isinstance(t, Id):
-            yield t
-
-
-def _leftmost_id_type(term: DecoratedTerm) -> TypeExpr:
-    # Only reached when every factor is an identity; any factor's type works
-    # for well-formed input.
-    while isinstance(term, Comp):
-        term = term.first
-    assert isinstance(term, Id) or (
-        isinstance(term, Bang) and isinstance(term.ty, UnitType)
-    )
-    return Unit if isinstance(term, Bang) else term.ty
-
-
-def _spine(atoms: list[DecoratedTerm]) -> DecoratedTerm:
-    return reduce(lambda acc, a: Comp(a, acc), reversed(atoms[:-1]), atoms[-1]) \
-        if len(atoms) > 1 else atoms[0]
+def rebuild(atoms: Atoms, inner: DecoratedTerm) -> DecoratedTerm:
+    """The normal term of spine atoms (outermost first) composed after the
+    normal term inner, which is applied first: inner itself when there are
+    no atoms, and an identity inner drops out."""
+    for atom in reversed(atoms):
+        inner = atom if inner.__class__ is Id else Comp(atom, inner)
+    return inner
 
 
 def compose(*factors: DecoratedTerm) -> DecoratedTerm:
@@ -350,8 +341,9 @@ class Theory(Record):
     Definitions are transparent: the stored term is fully expanded, so no
     term anywhere refers to a definition by name.
     """
-    # No __slots__: the instance __dict__ holds the op index, which
-    # __post_init__ builds; Record.__setattr__ keeps everything else out.
+    # No __slots__: the instance __dict__ holds the op index and the memo of
+    # term analyses, which __post_init__ sets up and which no copy or pickle
+    # carries; Record.__setattr__ keeps everything else out.
     effect: EffectKind
     base_types: tuple[str, ...] = ()
     operations: tuple[OperationSymbol, ...] = ()
@@ -360,6 +352,7 @@ class Theory(Record):
 
     def __post_init__(self):
         ops = self.__dict__["_op_index"] = {}
+        self.__dict__["_analyses"] = {}
         if "Unit" in self.base_types:
             raise TheoryError("base type may not be named Unit")
         if len(set(self.base_types)) != len(self.base_types):
@@ -382,23 +375,26 @@ class Theory(Record):
             raise TheoryError("duplicate axiom name")
         self.validate()
 
+    def __getstate__(self) -> None:
+        return None
+
     def op(self, name: str) -> OperationSymbol:
         found = self._op_index.get(name)
         if found is None:
-            raise UndeclaredSymbol(f"operation {name!r} is not declared")
+            raise UndeclaredSymbol(f"operation {quoted(name)} is not declared")
         return found
 
     def axiom(self, name: str) -> Axiom:
         for ax in self.axioms:
             if ax.name == name:
                 return ax
-        raise UndeclaredSymbol(f"axiom {name!r} is not declared")
+        raise UndeclaredSymbol(f"axiom {quoted(name)} is not declared")
 
     def definition(self, name: str) -> DecoratedTerm:
         for dname, term in self.definitions:
             if dname == name:
                 return term
-        raise UndeclaredSymbol(f"definition {name!r} is not declared")
+        raise UndeclaredSymbol(f"definition {quoted(name)} is not declared")
 
     def validate(self) -> None:
         """Check every declaration, definition and axiom for well-formedness."""
@@ -411,7 +407,9 @@ class Theory(Record):
             check_equation_wf(self, ax.equation)
 
 
-def _check_type_declared(theory: Theory, t: TypeExpr) -> None:
+def _check_type_declared(theory: Optional[Theory], t: TypeExpr) -> None:
+    if theory is None:
+        return
     if isinstance(t, BaseType):
         if t.name not in theory.base_types:
             raise UndeclaredSymbol(f"base type {t.name!r} is not declared")
@@ -433,46 +431,92 @@ PAIR_COMPONENT_RANK_LIMIT: Mapping[EffectKind, Decoration] = {
 }
 
 
+class Analysis(tuple):
+    """What one walk of a term finds: its domain, codomain and rank, and
+    its normal form, both as spine atoms, outermost (last applied) first,
+    and rebuilt as a term.  An atom is an operation, a projection, a bang
+    out of a type other than Unit or a pair of normal terms; an identity
+    has none.  When the normal form is a pair, parts holds the analyses of
+    its components.  One is made per subterm walked, so it is the plain
+    tuple (dom, cod, rank, atoms, term, parts), not a Record."""
+    __slots__ = ()
+    dom = property(itemgetter(0))
+    cod = property(itemgetter(1))
+    rank = property(itemgetter(2))
+    atoms = property(itemgetter(3))
+    term = property(itemgetter(4))
+    parts = property(itemgetter(5))
+
+
+def analysis(theory: Optional[Theory], term: DecoratedTerm) -> Analysis:
+    """The analysis of a term, or the first CalculusError of its walk.  The
+    walk takes the term as given, each part before the check that joins
+    them: the first factor before the later one, the left component before
+    the right.  A theory keeps every success, under the term and under its
+    normal form, for as long as it lives.  Without a theory nothing is
+    checked or kept, and an operation's types are None."""
+    if theory is not None:
+        found = theory._analyses.get(term)
+        if found is not None:
+            return found
+    kind = term.__class__
+    if kind is Comp:
+        first, after = analysis(theory, term.first), analysis(theory, term.after)
+        if theory is not None and first.cod != after.dom:
+            raise CompositionTypeMismatch(first.cod, after.dom)
+        rank = max(first.rank, after.rank)
+        if first.atoms and after.atoms:
+            normal = (term if len(after.atoms) == 1 and after.term is term.after
+                      and first.term is term.first else rebuild(after.atoms, first.term))
+            found = Analysis((first.dom, after.cod, rank, after.atoms + first.atoms, normal, ()))
+        else:
+            # an identity side drops out, and the normal form is the other's
+            kept = after if after.atoms else first
+            found = Analysis((first.dom, after.cod, rank, kept.atoms, kept.term, kept.parts))
+    elif kind is Op:
+        if theory is None:
+            found = Analysis((None, None, 0, (term,), term, ()))
+        else:
+            sym = theory.op(term.name)
+            found = Analysis((sym.dom, sym.cod, sym.decoration, (term,), term, ()))
+    elif kind is Pair:
+        left, right = analysis(theory, term.left), analysis(theory, term.right)
+        if theory is not None:
+            if left.dom != right.dom:
+                raise PairDomainMismatch(f"pair components need one domain, "
+                                         f"got {type_str(left.dom)} and {type_str(right.dom)}")
+            limit = PAIR_COMPONENT_RANK_LIMIT[theory.effect]
+            if left.rank > limit or right.rank > limit:
+                raise PairRankViolation(
+                    f"pair components must have rank <= {limit} under {theory.effect}, "
+                    f"got ranks ({left.rank}, {right.rank})")
+        normal = (term if left.term is term.left and right.term is term.right
+                  else Pair(left.term, right.term))
+        found = Analysis((left.dom, Prod(left.cod, right.cod), max(left.rank, right.rank),
+                          (normal,), normal, (left, right)))
+    elif kind is Id:
+        _check_type_declared(theory, term.ty)
+        found = Analysis((term.ty, term.ty, 0, (), term, ()))
+    elif kind is Proj1 or kind is Proj2:
+        _check_type_declared(theory, term.left_ty)
+        _check_type_declared(theory, term.right_ty)
+        found = Analysis((Prod(term.left_ty, term.right_ty),
+                          term.left_ty if kind is Proj1 else term.right_ty, 0, (term,), term, ()))
+    elif kind is Bang:
+        _check_type_declared(theory, term.ty)
+        found = (Analysis((Unit, Unit, 0, (), Id(Unit), ())) if term.ty == Unit
+                 else Analysis((term.ty, Unit, 0, (term,), term, ())))
+    else:
+        raise TypeError(f"not a term: {term!r}")
+    if theory is not None:
+        theory._analyses[term] = theory._analyses[found.term] = found
+    return found
+
+
 def analyze_term(theory: Theory, term: DecoratedTerm) -> tuple[TypeExpr, TypeExpr, Decoration]:
     """Domain, codomain and inferred rank of a term, or a CalculusError."""
-    if isinstance(term, Id):
-        _check_type_declared(theory, term.ty)
-        return term.ty, term.ty, 0
-    if isinstance(term, Op):
-        sym = theory.op(term.name)
-        return sym.dom, sym.cod, sym.decoration
-    if isinstance(term, Comp):
-        fdom, fcod, frank = analyze_term(theory, term.first)
-        gdom, gcod, grank = analyze_term(theory, term.after)
-        if fcod != gdom:
-            raise CompositionTypeMismatch(fcod, gdom)
-        return fdom, gcod, max(frank, grank)
-    if isinstance(term, Pair):
-        ldom, lcod, lrank = analyze_term(theory, term.left)
-        rdom, rcod, rrank = analyze_term(theory, term.right)
-        if ldom != rdom:
-            raise PairDomainMismatch(
-                f"pair components need one domain, got {type_str(ldom)} and {type_str(rdom)}"
-            )
-        limit = PAIR_COMPONENT_RANK_LIMIT[theory.effect]
-        if lrank > limit or rrank > limit:
-            raise PairRankViolation(
-                f"pair components must have rank <= {limit} under {theory.effect}, "
-                f"got ranks ({lrank}, {rrank})"
-            )
-        return ldom, Prod(lcod, rcod), max(lrank, rrank)
-    if isinstance(term, Proj1):
-        _check_type_declared(theory, term.left_ty)
-        _check_type_declared(theory, term.right_ty)
-        return Prod(term.left_ty, term.right_ty), term.left_ty, 0
-    if isinstance(term, Proj2):
-        _check_type_declared(theory, term.left_ty)
-        _check_type_declared(theory, term.right_ty)
-        return Prod(term.left_ty, term.right_ty), term.right_ty, 0
-    if isinstance(term, Bang):
-        _check_type_declared(theory, term.ty)
-        return term.ty, Unit, 0
-    raise TypeError(f"not a term: {term!r}")
+    found = analysis(theory, term)
+    return found.dom, found.cod, found.rank
 
 
 def wf_term(theory: Theory, term: DecoratedTerm) -> tuple[TypeExpr, TypeExpr]:

@@ -35,6 +35,8 @@ from .calculus import (
     Strength,
     analyze_term,
     check_equation_wf,
+    cut,
+    quoted,
     rank_name,
     term_str,
     type_str,
@@ -211,18 +213,13 @@ def cmd_model_check(args) -> int:
     return 1
 
 
-def _quoted(text: str) -> str:
-    """text quoted for an error message, cut to its first 40 characters."""
-    return repr(text[:40]) + ("..." if len(text) > 40 else "")
-
-
 def _effect(text: str) -> EffectKind:
     """Argument type of validate-rules' effect."""
     try:
         return EffectKind(text)
     except ValueError:
         raise argparse.ArgumentTypeError(
-            f"invalid choice: {_quoted(text)} (choose from "
+            f"invalid choice: {quoted(text)} (choose from "
             f"{', '.join(repr(e.value) for e in EffectKind)})") from None
 
 
@@ -231,7 +228,7 @@ def _at_least_one(text: str) -> int:
     try:
         value = int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {_quoted(text)}") from None
+        raise argparse.ArgumentTypeError(f"not an integer: {quoted(text)}") from None
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
     return value
@@ -379,7 +376,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args, extra = parser.parse_known_args(argv)
+    if extra:
+        parser.error(f"unrecognized arguments: {cut(' '.join(extra))}")
     try:
         return args.func(args)
     except ParseError as error:

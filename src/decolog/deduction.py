@@ -36,6 +36,8 @@ from functools import partial
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from .calculus import (
+    Analysis,
+    Atoms,
     Bang,
     BaseType,
     CalculusError,
@@ -56,16 +58,11 @@ from .calculus import (
     TypeExpr,
     Unit,
     UnitType,
-    _spine,
-    analyze_term,
+    analysis,
     check_equation_wf,
-    compose,
-    infer_decoration,
-    normalize,
     rank_name,
-    strong,
+    rebuild,
     term_str,
-    wf_term,
 )
 from .semantics import Bounds, Table, _composer, _Layout, _layouts, _Program
 
@@ -188,18 +185,17 @@ def _need_premises(d: Derivation, n: int, path: tuple[int, ...]) -> None:
 
 
 def _term_param(theory: Theory, d: Derivation, key: str,
-                path: tuple[int, ...]) -> DecoratedTerm:
+                path: tuple[int, ...]) -> Analysis:
     params = d.param_map()
     if key not in params:
         raise IllFormedParameter(path, f"{d.rule} needs parameter {key}")
     term = params[key]
-    if not isinstance(term, (Id, Op, Comp, Pair, Proj1, Proj2, Bang)):
+    if not isinstance(term, DecoratedTerm):
         raise IllFormedParameter(path, f"parameter {key} of {d.rule} must be a term")
     try:
-        wf_term(theory, term)
+        return analysis(theory, term)
     except CalculusError as e:
         raise IllFormedParameter(path, f"parameter {key} of {d.rule}: {e}")
-    return normalize(term)
 
 
 def _strength_of(eq: DecoratedEquation, want: Strength, d: Derivation,
@@ -242,8 +238,8 @@ def _conclude(theory: Theory, d: Derivation,
 
     if rule == REFL:
         _need_premises(d, 0, path)
-        t = _term_param(theory, d, "term", path)
-        return strong(t, t)
+        t = _term_param(theory, d, "term", path).term
+        return DecoratedEquation(Strength.STRONG, t, t)
 
     if rule == AXIOM:
         _need_premises(d, 0, path)
@@ -251,7 +247,9 @@ def _conclude(theory: Theory, d: Derivation,
         name = params.get("name")
         if not isinstance(name, str):
             raise IllFormedParameter(path, "axiom needs a string parameter name")
-        return theory.axiom(name).equation.normalized()
+        eq = theory.axiom(name).equation
+        return DecoratedEquation(eq.strength, analysis(theory, eq.lhs).term,
+                                 analysis(theory, eq.rhs).term)
 
     if rule == SYM:
         _need_premises(d, 1, path)
@@ -288,7 +286,7 @@ def _conclude(theory: Theory, d: Derivation,
         p = premises[0]
         _strength_of(p, Strength.WEAK, d, 1, path)
         for param, side in (("lhs", p.lhs), ("rhs", p.rhs)):
-            _rank_within(effect, rule, param, infer_decoration(theory, side), path)
+            _rank_within(effect, rule, param, analysis(theory, side).rank, path)
         return DecoratedEquation(Strength.STRONG, p.lhs, p.rhs)
 
     if rule in (SUBST_STRONG, WEAK_SUBST, REPL_STRONG, WEAK_REPL):
@@ -301,17 +299,18 @@ def _conclude(theory: Theory, d: Derivation,
         weak_rule = rule in (WEAK_SUBST, WEAK_REPL)
         _strength_of(p, Strength.WEAK if weak_rule else Strength.STRONG, d, 1, path)
         if weak_rule:
-            _rank_within(effect, rule, param, infer_decoration(theory, t), path)
+            _rank_within(effect, rule, param, t.rank, path)
         if subst:
-            return DecoratedEquation(p.strength, compose(p.lhs, t), compose(p.rhs, t))
-        return DecoratedEquation(p.strength, compose(t, p.lhs), compose(t, p.rhs))
+            return DecoratedEquation(p.strength, rebuild(analysis(theory, p.lhs).atoms, t.term),
+                                     rebuild(analysis(theory, p.rhs).atoms, t.term))
+        return DecoratedEquation(p.strength, rebuild(t.atoms, p.lhs), rebuild(t.atoms, p.rhs))
 
     if rule == PAIR_CONG_STRONG:
         _need_premises(d, 2, path)
         p1, p2 = premises
         _strength_of(p1, Strength.STRONG, d, 1, path)
         _strength_of(p2, Strength.STRONG, d, 2, path)
-        return strong(Pair(p1.lhs, p2.lhs), Pair(p1.rhs, p2.rhs))
+        return DecoratedEquation(Strength.STRONG, Pair(p1.lhs, p2.lhs), Pair(p1.rhs, p2.rhs))
 
     if rule == PAIR_PROJ:
         _need_premises(d, 0, path)
@@ -320,10 +319,9 @@ def _conclude(theory: Theory, d: Derivation,
         side = d.param_map().get("side")
         if side not in (1, 2):
             raise IllFormedParameter(path, "pair_proj needs side=1 or side=2")
-        _, fcod, _ = analyze_term(theory, f)
-        _, gcod, _ = analyze_term(theory, g)
-        proj = Proj1(fcod, gcod) if side == 1 else Proj2(fcod, gcod)
-        return strong(Comp(proj, Pair(f, g)), f if side == 1 else g)
+        proj = (Proj1 if side == 1 else Proj2)(f.cod, g.cod)
+        return DecoratedEquation(Strength.STRONG, Comp(proj, Pair(f.term, g.term)),
+                                 (f if side == 1 else g).term)
 
     if rule == PAIR_COMP_LOWRANK:
         _need_premises(d, 0, path)
@@ -331,23 +329,25 @@ def _conclude(theory: Theory, d: Derivation,
         g = _term_param(theory, d, "g", path)
         w = _term_param(theory, d, "w", path)
         limit = PAIR_COMPONENT_RANK_LIMIT[effect]
-        for label, t in (("f.w", Comp(f, w)), ("g.w", Comp(g, w))):
-            r = infer_decoration(theory, t)
-            if r > limit:
+        composed = []
+        for label, t in (("f.w", f), ("g.w", g)):
+            tw = analysis(theory, Comp(t.term, w.term))
+            if tw.rank > limit:
                 raise RuleMisapplied(
-                    path, f"pair_comp_lowrank: component {label} has rank {r}, "
+                    path, f"pair_comp_lowrank: component {label} has rank {tw.rank}, "
                           f"pairs under {effect} allow at most {limit}")
-        return strong(Comp(Pair(f, g), w), Pair(Comp(f, w), Comp(g, w)))
+            composed.append(tw.term)
+        return DecoratedEquation(Strength.STRONG, rebuild((Pair(f.term, g.term),), w.term),
+                                 Pair(*composed))
 
     if rule in (UNIT_STRONG_LOWRANK, UNIT_WEAK):
         _need_premises(d, 0, path)
         f = _term_param(theory, d, "f", path)
-        fdom, fcod, r = analyze_term(theory, f)
-        if not isinstance(fcod, UnitType):
+        if not isinstance(f.cod, UnitType):
             raise RuleMisapplied(path, f"{rule} needs a term into Unit")
-        _rank_within(effect, rule, "f", r, path)
+        _rank_within(effect, rule, "f", f.rank, path)
         out = Strength.STRONG if rule == UNIT_STRONG_LOWRANK else Strength.WEAK
-        return DecoratedEquation(out, normalize(f), normalize(Bang(fdom)))
+        return DecoratedEquation(out, f.term, analysis(theory, Bang(f.dom)).term)
 
     raise RuleMisapplied(path, f"unknown rule {rule!r}")
 
@@ -364,20 +364,19 @@ def _conclude(theory: Theory, d: Derivation,
 #
 # Every term the search touches is in normal form, and all terms on one
 # side share one domain, so the search holds a term as its tuple of spine
-# atoms (the empty tuple for the identity).  A rewrite splices atoms; a term
-# is rebuilt with _spine only where a derivation or a pair names it.  A move
+# atoms (the empty tuple for the identity), read off the theory's term
+# analyses, as are the types and ranks of the atoms.  A rewrite splices
+# atoms; a term is rebuilt only where a derivation or a pair names it.  A move
 # carries a builder for its derivation, which prove calls only for the
 # moves it keeps.
 
-Atoms = tuple[DecoratedTerm, ...]
 Move = tuple[Atoms, Callable[[], Derivation], Strength]
 
 
 class _Rewriter:
-    """What one prove call reuses across expansions: the normalized axiom
-    sides indexed by source spine, each with its step (the axiom, or its
-    sym) and target, the lengths of those sources, and analyze_term
-    memoized per atom.
+    """What one prove call reuses across expansions: the axiom sides
+    indexed by source spine, each with its step (the axiom, or its sym) and
+    target, and the lengths of those sources.
 
     Within one source the sides keep declaration order, an axiom's
     left-to-right use before its right-to-left one.  A side whose target
@@ -387,49 +386,27 @@ class _Rewriter:
         self.theory = theory
         self.sides: dict[Atoms, list] = {}
         for ax in theory.axioms:
-            eq = ax.equation.normalized()
+            eq = ax.equation
             weak_step = eq.strength is Strength.WEAK
-            lhs, rhs = _normal_spine(eq.lhs), _normal_spine(eq.rhs)
+            lhs, rhs = analysis(theory, eq.lhs).atoms, analysis(theory, eq.rhs).atoms
             axiom = deriv(AXIOM, name=ax.name)
             for src, dst, step in ((lhs, rhs, axiom), (rhs, lhs, deriv(SYM, axiom))):
                 if src and src != dst:
                     self.sides.setdefault(src, []).append((step, weak_step, dst))
         self.lengths = frozenset(map(len, self.sides))
         self.longest = max(self.lengths, default=0)
-        self._analysis: dict[DecoratedTerm, tuple] = {}
-
-    def analyze(self, atom: DecoratedTerm) -> tuple[TypeExpr, TypeExpr, int]:
-        found = self._analysis.get(atom)
-        if found is None:
-            found = self._analysis[atom] = analyze_term(self.theory, atom)
-        return found
 
     def layout(self, atoms: Atoms,
                dom: TypeExpr) -> tuple[list[TypeExpr], list[int]]:
         """Boundary types t[0..n] (t[n] = dom, t[i] = cod of atoms[i]) and
         the rank of every atom."""
-        bounds = [dom] * (len(atoms) + 1)
-        ranks = [0] * len(atoms)
-        for k, atom in enumerate(atoms):
-            _, bounds[k], ranks[k] = self.analyze(atom)
-        return bounds, ranks
+        found = [analysis(self.theory, atom) for atom in atoms]
+        return [a.cod for a in found] + [dom], [a.rank for a in found]
 
 
-def _normal_spine(term: DecoratedTerm) -> Atoms:
-    """The composition factors of a term already in normal form, outermost
-    first (none for an identity), read off its right-associated chain."""
-    atoms = []
-    while isinstance(term, Comp):
-        atoms.append(term.after)
-        term = term.first
-    if not isinstance(term, Id):
-        atoms.append(term)
-    return tuple(atoms)
-
-
-def _term_of(atoms: Atoms, dom: TypeExpr) -> DecoratedTerm:
-    """The normal term with these (normal) spine atoms."""
-    return _spine(atoms) if atoms else Id(dom)
+def _spine(atoms: Atoms) -> DecoratedTerm:
+    """The normal term of one or more spine atoms."""
+    return rebuild(atoms[:-1], atoms[-1])
 
 
 def _in_context(step: Derivation, weak_step: bool,
@@ -515,7 +492,8 @@ def _pair_rewrites(rw: _Rewriter, atoms: Atoms,
     The atoms form a well-formed term, so a move can fail only on the rank
     of a pair component it creates: f . w and g . w when w moves into
     <f, g>, and the rewritten component of a congruence step."""
-    limit = PAIR_COMPONENT_RANK_LIMIT[rw.theory.effect]
+    theory = rw.theory
+    limit = PAIR_COMPONENT_RANK_LIMIT[theory.effect]
     n = len(atoms)
 
     def emit(i, j, new_atoms, build):
@@ -528,30 +506,29 @@ def _pair_rewrites(rw: _Rewriter, atoms: Atoms,
         if isinstance(a, (Proj1, Proj2)) and k + 1 < n and isinstance(atoms[k + 1], Pair):
             p = atoms[k + 1]
             side = 1 if isinstance(a, Proj1) else 2
-            kept = p.left if side == 1 else p.right
-            yield emit(k, k + 2, _normal_spine(kept),
+            kept = analysis(theory, p).parts[side - 1]
+            yield emit(k, k + 2, kept.atoms,
                        partial(deriv, PAIR_PROJ, f=p.left, g=p.right, side=side))
 
         if isinstance(a, Pair):
-            sl, sr = _normal_spine(a.left), _normal_spine(a.right)
-            if k + 1 < n and rw.analyze(atoms[k + 1])[2] <= limit:
+            sl, sr = (part.atoms for part in analysis(theory, a).parts)
+            if k + 1 < n and analysis(theory, atoms[k + 1]).rank <= limit:
                 w = atoms[k + 1]
                 yield emit(k, k + 2, (Pair(_spine(sl + (w,)), _spine(sr + (w,))),),
                            partial(deriv, PAIR_COMP_LOWRANK, f=a.left, g=a.right, w=w))
             if sl and sr and sl[-1] == sr[-1]:
                 w = sl[-1]
-                _, wcod, _ = rw.analyze(w)
-                f2, g2 = _term_of(sl[:-1], wcod), _term_of(sr[:-1], wcod)
+                wcod = analysis(theory, w).cod
+                f2, g2 = rebuild(sl[:-1], Id(wcod)), rebuild(sr[:-1], Id(wcod))
                 yield emit(k, k + 1, (Pair(f2, g2), w),
                            partial(deriv, SYM, deriv(PAIR_COMP_LOWRANK, f=f2, g=g2, w=w)))
-            for side in (0, 1):
-                comp = a.left if side == 0 else a.right
+            for side, comp_atoms in ((0, sl), (1, sr)):
                 other = a.right if side == 0 else a.left
                 for sub_atoms, build, _ in _all_moves(
-                        rw, _normal_spine(comp), bounds[k + 1], allow_weak=False):
-                    if max((rw.analyze(x)[2] for x in sub_atoms), default=0) > limit:
+                        rw, comp_atoms, bounds[k + 1], allow_weak=False):
+                    if max((analysis(theory, x).rank for x in sub_atoms), default=0) > limit:
                         continue
-                    sub_term = _term_of(sub_atoms, bounds[k + 1])
+                    sub_term = rebuild(sub_atoms, Id(bounds[k + 1]))
                     new_atom = Pair(sub_term, other) if side == 0 else Pair(other, sub_term)
                     yield emit(k, k + 1, (new_atom,), partial(_cong_step, build, other, side))
 
@@ -602,7 +579,7 @@ def prove(theory: Theory, goal: DecoratedEquation, max_depth: int = 8,
         return found
 
     rw = _Rewriter(theory)
-    starts = _normal_spine(eq.lhs), _normal_spine(eq.rhs)
+    starts = analysis(theory, eq.lhs).atoms, analysis(theory, eq.rhs).atoms
     # reached[side]: atoms of a term -> (derivation of `start ? term`,
     # is_weak); the seed entry holds None for "no steps yet"
     reached = [{start: (None, False)} for start in starts]

@@ -26,7 +26,6 @@ from .calculus import (
     DecoratedTerm,
     EffectKind,
     Id,
-    Op,
     OperationSymbol,
     Pair,
     Prod,
@@ -35,8 +34,9 @@ from .calculus import (
     Record,
     Theory,
     TypeExpr,
-    normalize,
+    analysis,
     rank_name,
+    rebuild,
     term_str,
     type_str,
 )
@@ -93,8 +93,6 @@ _PRODUCT_RULES = frozenset({
     UNIT_WEAK,
 })
 
-_TERM_NODES = (Id, Op, Comp, Pair, Proj1, Proj2, Bang)
-
 
 def _type_offenders(ty: TypeExpr) -> list[str]:
     if isinstance(ty, Prod):
@@ -117,14 +115,11 @@ def _term_offenders(term: DecoratedTerm) -> list[str]:
     return []
 
 
-def _swap(term: DecoratedTerm) -> DecoratedTerm:
-    if isinstance(term, Comp):
-        return Comp(_swap(term.first), _swap(term.after))
-    return term
-
-
 def _dual_term(term: DecoratedTerm) -> DecoratedTerm:
-    return normalize(_swap(term))
+    """The term's spine atoms in reverse order, rebuilt: the identity on
+    its codomain when there are none."""
+    found = analysis(None, term)
+    return rebuild(found.atoms[::-1], Id(found.cod))
 
 
 def dualize_term(term: DecoratedTerm) -> DecoratedTerm:
@@ -207,7 +202,7 @@ def _derivation_offenders(d: Derivation, path: tuple[int, ...]) -> list[str]:
     if d.rule in _PRODUCT_RULES:
         out.append(f"rule {d.rule} at {path_str(path)}")
     for key, value in d.params:
-        if isinstance(value, _TERM_NODES):
+        if isinstance(value, DecoratedTerm):
             out.extend(f"{o} (parameter {key} at {path_str(path)})"
                        for o in _term_offenders(value))
     for i, premise in enumerate(d.premises):
@@ -220,7 +215,7 @@ def _dual_derivation(d: Derivation) -> Derivation:
     rename = _PARAM_RENAME.get(d.rule, {})
     params = []
     for key, value in d.params:
-        if isinstance(value, _TERM_NODES):
+        if isinstance(value, DecoratedTerm):
             value = _dual_term(value)
         params.append((rename.get(key, key), value))
     return Derivation(rule, tuple(params),

@@ -81,13 +81,11 @@ from .calculus import (
     Unit,
     compose,
     keyword_matches_effect,
-    pair,
+    quoted,
     rank_name,
     rank_of_keyword,
-    strong,
     term_str,
     type_str,
-    weak,
 )
 from .deduction import Derivation
 from .semantics import (
@@ -210,7 +208,7 @@ class _Stream:
         tok = self.tokens[self.pos]
         found = tok == want if want in _SYMS else _kind(tok) == want
         if not found:
-            raise self.fail(f"expected {want!r}, got {tok or 'end of input'!r}")
+            raise self.fail(f"expected {want!r}, got {quoted(tok or 'end of input')}")
         self.pos += 1
         return tok
 
@@ -223,7 +221,7 @@ class _Stream:
     def end_line(self) -> None:
         tok = self.tokens[self.pos]
         if tok and tok != "\n":
-            raise self.fail(f"unexpected {tok!r} at end of stanza")
+            raise self.fail(f"unexpected {quoted(tok)} at end of stanza")
         while self.tokens[self.pos] == "\n":
             self.pos += 1
 
@@ -246,7 +244,7 @@ def _parsed(text: str, what: str, parse, *args):
         tokenize(text)
         raise
     if s.peek():
-        raise s.fail(f"unexpected {s.peek()!r} after {what}")
+        raise s.fail(f"unexpected {quoted(s.peek())} after {what}")
     return found
 
 
@@ -317,7 +315,7 @@ def _parse_primary(s: _Stream, defs: dict[str, DecoratedTerm],
         s.expect(">")
         if 1 + max(_depth(left), _depth(right)) > MAX_DEPTH:
             raise _too_deep(s, "term")
-        return pair(left, right)
+        return Pair(left, right)
     name = s.expect("IDENT")
     if name in ("id", "bang"):
         s.expect("(")
@@ -351,7 +349,7 @@ def _parse_term(s: _Stream, defs: dict[str, DecoratedTerm],
 def _parse_equation(s: _Stream, defs: dict[str, DecoratedTerm]) -> DecoratedEquation:
     word = s.expect("IDENT")
     if word not in ("strong", "weak"):
-        raise s.fail(f"expected 'strong' or 'weak', got {word!r}", s.pos - 1)
+        raise s.fail(f"expected 'strong' or 'weak', got {quoted(word)}", s.pos - 1)
     strength = Strength.STRONG if word == "strong" else Strength.WEAK
     lhs = _parse_term(s, defs)
     op = s.expect("SYM")
@@ -360,8 +358,7 @@ def _parse_equation(s: _Stream, defs: dict[str, DecoratedTerm]) -> DecoratedEqua
     if (op == "==") != (strength is Strength.STRONG):
         raise s.fail(f"operator {op!r} does not match {word!r}", s.pos - 1)
     rhs = _parse_term(s, defs)
-    build = strong if strength is Strength.STRONG else weak
-    return build(lhs, rhs)
+    return DecoratedEquation(strength, lhs, rhs)
 
 
 def parse_equation(text: str, theory: Theory) -> DecoratedEquation:
@@ -399,7 +396,7 @@ def _parse_theory(s: _Stream) -> Theory:
             try:
                 declared = EffectKind(name)
             except ValueError:
-                raise s.fail(f"unknown effect {name!r}", at + 1) from None
+                raise s.fail(f"unknown effect {quoted(name)}", at + 1) from None
             if effect is not None:
                 raise s.fail("duplicate effect stanza", at)
             effect = declared
@@ -416,11 +413,11 @@ def _parse_theory(s: _Stream) -> Theory:
             word = s.expect("IDENT")
             rank = rank_of_keyword(word)
             if rank is None:
-                raise s.fail(f"unknown decoration keyword {word!r}", s.pos - 1)
+                raise s.fail(f"unknown decoration keyword {quoted(word)}", s.pos - 1)
             if not keyword_matches_effect(effect, word):
                 line, _ = s.position(s.pos - 1)
                 raise TheoryError(
-                    f"line {line}: keyword {word!r} does not belong "
+                    f"line {line}: keyword {quoted(word)} does not belong "
                     f"to effect {effect}")
             operations.append(OperationSymbol(name, dom, cod, rank))
         elif kw == "def":
@@ -437,7 +434,7 @@ def _parse_theory(s: _Stream) -> Theory:
                 name = f"ax{len(axioms) + 1}"
             axioms.append(Axiom(name, _parse_equation(s, defs)))
         else:
-            raise s.fail(f"unknown stanza keyword {kw!r}", at)
+            raise s.fail(f"unknown stanza keyword {quoted(kw)}", at)
         s.end_line()
     if effect is None:
         raise s.fail("missing effect declaration")
@@ -494,7 +491,7 @@ def _parse_element(s: _Stream, level: int = 0) -> Element:
     if s.take_sym("*"):
         return UNIT
     if _kind(tok) != "INT":
-        raise s.fail(f"expected an element, got {tok!r}")
+        raise s.fail(f"expected an element, got {quoted(tok)}")
     return s.integer()
 
 
@@ -543,17 +540,17 @@ def _parse_model(s: _Stream, theory: Theory) -> FiniteModel:
         elif kw == "carrier":
             name = s.expect("IDENT")
             if name in carriers:
-                raise s.fail(f"duplicate carrier {name!r}", at)
+                raise s.fail(f"duplicate carrier {quoted(name)}", at)
             carriers[name] = _parse_int_set(s)
         elif kw == "table":
             name = s.expect("IDENT")
             if name in tables:
-                raise s.fail(f"duplicate table {name!r}", at)
+                raise s.fail(f"duplicate table {quoted(name)}", at)
             try:
                 sym = theory.op(name)
             except UndeclaredSymbol:
                 raise ModelMismatch(
-                    f"table for undeclared operation {name!r}") from None
+                    f"table for undeclared operation {quoted(name)}") from None
             s.end_line()
             mapping: dict = {}
             while s.peek() not in ("", "carrier", "effectcarrier", "table"):
@@ -567,7 +564,7 @@ def _parse_model(s: _Stream, theory: Theory) -> FiniteModel:
                 s.end_line()
             tables[name] = OperationTable(theory.effect, sym.decoration, mapping)
         else:
-            raise s.fail(f"unknown stanza keyword {kw!r}", at)
+            raise s.fail(f"unknown stanza keyword {quoted(kw)}", at)
     if effect_carrier is None:
         raise s.fail("missing effectcarrier declaration")
     return FiniteModel(effect=theory.effect, carriers=carriers,
@@ -628,7 +625,7 @@ def _parse_deriv_node(s: _Stream, defs: dict[str, DecoratedTerm],
             else:
                 params.append(("term", term))
         else:
-            raise s.fail(f"unexpected {s.peek()!r} in rule body")
+            raise s.fail(f"unexpected {quoted(s.peek())} in rule body")
     return Derivation(rule, tuple(params), tuple(premises))
 
 

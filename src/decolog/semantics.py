@@ -52,24 +52,22 @@ from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 from .calculus import (
     Bang,
     BaseType,
-    Comp,
     DecoratedEquation,
     DecoratedTerm,
     EffectKind,
-    Id,
     Op,
     OperationSymbol,
     Pair,
     Prod,
     Proj1,
-    Proj2,
     Record,
     Strength,
     Theory,
     TypeExpr,
-    Unit,
+    analysis,
     analyze_term,
     check_equation_wf,
+    quoted,
     type_str,
 )
 
@@ -402,17 +400,17 @@ class _Layout:
         raw = []
         for x in ins:
             if x not in table.mapping:
-                raise ModelMismatch(f"table for {sym.name!r} has no row for {x!r}")
+                raise ModelMismatch(f"table for {sym.name!r} has no row for {quoted(x)}")
             y = index.get(table.mapping[x])
             if y is None:
                 raise ModelMismatch(f"table for {sym.name!r} produces "
-                                    f"{table.mapping[x]!r} outside its codomain")
+                                    f"{quoted(table.mapping[x])} outside its codomain")
             raw.append(y)
         if len(table.mapping) != len(raw):
             known = set(ins)
             for x in table.mapping:
                 if x not in known:
-                    raise ModelMismatch(f"table for {sym.name!r} has a row for {x!r} "
+                    raise ModelMismatch(f"table for {sym.name!r} has a row for {quoted(x)} "
                                         "outside its domain")
         return tuple(raw)
 
@@ -501,51 +499,33 @@ class _Program:
         self._equations = []
         for eq in equations:
             report = check_equation_wf(theory, eq)
-            self._equations.append((
-                eq.strength, report,
-                self._factors(eq.lhs, report.dom, used),
-                self._factors(eq.rhs, report.dom, used)))
-        self._terms = []
-        for term in terms:
-            dom, cod, rank = analyze_term(theory, term)
-            self._terms.append((self._factors(term, dom, used), dom, cod, rank))
+            self._equations.append((eq.strength, report, self._factors(eq.lhs, used),
+                                    self._factors(eq.rhs, used)))
+        self._terms = [(self._factors(term, used), *analyze_term(theory, term)) for term in terms]
         self.used = tuple(sorted(used))
         self._slots = {position: slot for slot, position in enumerate(self.used)}
 
-    def _factors(self, term: DecoratedTerm, dom: TypeExpr, used: set) -> tuple:
-        out: list = []
-        self._flatten(term, dom, out, used)
+    def _factors(self, term: DecoratedTerm, used: set) -> tuple:
+        """A term's factors, first applied first: the spine atoms of its
+        analysis reversed, operations as ("op", position), whose positions
+        go into used, and a pair as ("pair", dom, left factors, left cod,
+        right factors, right cod)."""
+        out = []
+        for atom in reversed(analysis(self.theory, term).atoms):
+            if isinstance(atom, Op):
+                position = self._positions[atom.name]
+                used.add(position)
+                out.append(("op", position))
+            elif isinstance(atom, Pair):
+                left, right = analysis(self.theory, atom).parts
+                out.append(("pair", left.dom, self._factors(left.term, used), left.cod,
+                            self._factors(right.term, used), right.cod))
+            elif isinstance(atom, Bang):
+                out.append(("bang", atom.ty))
+            else:
+                out.append(("p1" if isinstance(atom, Proj1) else "p2",
+                            atom.left_ty, atom.right_ty))
         return tuple(out)
-
-    def _flatten(self, term: DecoratedTerm, dom: TypeExpr, out: list, used: set) -> TypeExpr:
-        """Append term's factors to out, first applied first, and return its
-        codomain.  Identities drop out."""
-        if isinstance(term, Comp):
-            mid = self._flatten(term.first, dom, out, used)
-            return self._flatten(term.after, mid, out, used)
-        if isinstance(term, Id):
-            return dom
-        if isinstance(term, Op):
-            position = self._positions[term.name]
-            used.add(position)
-            out.append(("op", position))
-            return self.theory.operations[position].cod
-        if isinstance(term, Pair):
-            left, right = [], []
-            lcod = self._flatten(term.left, dom, left, used)
-            rcod = self._flatten(term.right, dom, right, used)
-            out.append(("pair", dom, tuple(left), lcod, tuple(right), rcod))
-            return Prod(lcod, rcod)
-        if isinstance(term, Proj1):
-            out.append(("p1", term.left_ty, term.right_ty))
-            return term.left_ty
-        if isinstance(term, Proj2):
-            out.append(("p2", term.left_ty, term.right_ty))
-            return term.right_ty
-        if isinstance(term, Bang):
-            out.append(("bang", term.ty))
-            return Unit
-        raise TypeError(f"not a term: {term!r}")
 
     def at(self, layout: _Layout) -> tuple[list[_Check], list[_Side],
                                            Callable[[Iterable[Table]], list[Table]]]:

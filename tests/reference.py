@@ -24,6 +24,10 @@ loop was tuned: every expansion re-normalizes the axiom sides, rebuilds
 every window's context terms and derivation, and re-checks each pair step
 from the leaves.  All of these are slow and obviously right.
 
+The term walks are decolog.calculus' analyze_term and normalize, and
+the evaluator's factor lists, as they were before one memoized analysis
+answered all of them (see "Term analysis" below).
+
 The text front end is decolog.files' parsing as it was before the
 one scanner: a character-by-character tokenize that builds one positioned
 Token per token, and a _Stream over those tokens.  Its verdicts part from
@@ -38,6 +42,7 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from dataclasses import dataclass
+from functools import reduce
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from decolog.calculus import (
@@ -47,6 +52,8 @@ from decolog.calculus import (
     BaseType,
     CalculusError,
     Comp,
+    CompositionTypeMismatch,
+    Decoration,
     DecoratedEquation,
     DecoratedTerm,
     EffectKind,
@@ -54,6 +61,8 @@ from decolog.calculus import (
     Op,
     OperationSymbol,
     Pair,
+    PairDomainMismatch,
+    PairRankViolation,
     Prod,
     Proj1,
     Proj2,
@@ -64,13 +73,13 @@ from decolog.calculus import (
     UndeclaredSymbol,
     Unit,
     UnitType,
-    analyze_term,
+    _check_type_declared,
     check_equation_wf,
     compose,
     infer_decoration,
     keyword_matches_effect,
-    normalize,
     pair,
+    type_str,
     rank_of_keyword,
     strong,
     weak,
@@ -201,6 +210,180 @@ def check_factoring(effect: EffectKind, rank: int, mapping: Mapping) -> Optional
                 return f"pure term reads the state at input {a!r}"
             by_value[a] = b
     return None
+
+
+# ---------------------------------------------------------------------------
+# Term analysis: one walk per question
+# ---------------------------------------------------------------------------
+#
+# decolog.calculus answers every question about a term from one memoized
+# walk, calculus.analysis.  Below are the separate walks it replaced, as
+# they were: analyze_term for types and rank; normalize, _atoms,
+# _leftmost_id_type and _spine for the normal form; deduction's
+# _normal_spine, which read the spine back off a normal term; semantics'
+# _Program._flatten for the evaluator's factor lists; and duality's _swap
+# under normalize for the mirror term.
+
+def analyze_term(theory: Theory, term: DecoratedTerm) -> tuple[TypeExpr, TypeExpr, Decoration]:
+    """Domain, codomain and inferred rank of a term, or a CalculusError."""
+    if isinstance(term, Id):
+        _check_type_declared(theory, term.ty)
+        return term.ty, term.ty, 0
+    if isinstance(term, Op):
+        sym = theory.op(term.name)
+        return sym.dom, sym.cod, sym.decoration
+    if isinstance(term, Comp):
+        fdom, fcod, frank = analyze_term(theory, term.first)
+        gdom, gcod, grank = analyze_term(theory, term.after)
+        if fcod != gdom:
+            raise CompositionTypeMismatch(fcod, gdom)
+        return fdom, gcod, max(frank, grank)
+    if isinstance(term, Pair):
+        ldom, lcod, lrank = analyze_term(theory, term.left)
+        rdom, rcod, rrank = analyze_term(theory, term.right)
+        if ldom != rdom:
+            raise PairDomainMismatch(
+                f"pair components need one domain, got {type_str(ldom)} and {type_str(rdom)}"
+            )
+        limit = PAIR_COMPONENT_RANK_LIMIT[theory.effect]
+        if lrank > limit or rrank > limit:
+            raise PairRankViolation(
+                f"pair components must have rank <= {limit} under {theory.effect}, "
+                f"got ranks ({lrank}, {rrank})"
+            )
+        return ldom, Prod(lcod, rcod), max(lrank, rrank)
+    if isinstance(term, Proj1):
+        _check_type_declared(theory, term.left_ty)
+        _check_type_declared(theory, term.right_ty)
+        return Prod(term.left_ty, term.right_ty), term.left_ty, 0
+    if isinstance(term, Proj2):
+        _check_type_declared(theory, term.left_ty)
+        _check_type_declared(theory, term.right_ty)
+        return Prod(term.left_ty, term.right_ty), term.right_ty, 0
+    if isinstance(term, Bang):
+        _check_type_declared(theory, term.ty)
+        return term.ty, Unit, 0
+    raise TypeError(f"not a term: {term!r}")
+
+
+def normalize(term: DecoratedTerm) -> DecoratedTerm:
+    """Canonical form: compositions right-associated with identity factors
+    dropped, Bang(Unit) collapsed to Id(Unit).  Associativity and identity
+    laws are definitional, so equality of normal forms is the term equality
+    used everywhere else.
+    """
+    if isinstance(term, Comp):
+        atoms = list(_atoms(term))
+        if not atoms:
+            return Id(_leftmost_id_type(term))
+        return _spine(atoms)
+    if isinstance(term, Pair):
+        return Pair(normalize(term.left), normalize(term.right))
+    if isinstance(term, Bang) and isinstance(term.ty, UnitType):
+        return Id(Unit)
+    return term
+
+
+def _atoms(term: DecoratedTerm) -> Iterator[DecoratedTerm]:
+    """Non-identity composition factors, outermost (last applied) first."""
+    if isinstance(term, Comp):
+        yield from _atoms(term.after)
+        yield from _atoms(term.first)
+    elif isinstance(term, Id):
+        return
+    else:
+        t = normalize(term)
+        if not isinstance(t, Id):
+            yield t
+
+
+def _leftmost_id_type(term: DecoratedTerm) -> TypeExpr:
+    # Only reached when every factor is an identity; any factor's type works
+    # for well-formed input.
+    while isinstance(term, Comp):
+        term = term.first
+    assert isinstance(term, Id) or (
+        isinstance(term, Bang) and isinstance(term.ty, UnitType)
+    )
+    return Unit if isinstance(term, Bang) else term.ty
+
+
+def _spine(atoms: list[DecoratedTerm]) -> DecoratedTerm:
+    return reduce(lambda acc, a: Comp(a, acc), reversed(atoms[:-1]), atoms[-1]) \
+        if len(atoms) > 1 else atoms[0]
+
+
+def normal_spine(term: DecoratedTerm) -> tuple[DecoratedTerm, ...]:
+    """The composition factors of a term already in normal form, outermost
+    first (none for an identity), read off its right-associated chain."""
+    atoms = []
+    while isinstance(term, Comp):
+        atoms.append(term.after)
+        term = term.first
+    if not isinstance(term, Id):
+        atoms.append(term)
+    return tuple(atoms)
+
+
+class FactorLists:
+    """The evaluator's factor lists of one theory's terms, as
+    decolog.semantics._Program built them: ("op", position), ("p1", l, r),
+    ("p2", l, r), ("bang", ty) and ("pair", dom, left, lcod, right, rcod),
+    first applied first, with the positions of the operations used."""
+
+    def __init__(self, theory: Theory):
+        self.theory = theory
+        self._positions = {sym.name: i for i, sym in enumerate(theory.operations)}
+        self.used: set[int] = set()
+
+    def factors(self, term: DecoratedTerm) -> tuple:
+        dom, _, _ = analyze_term(self.theory, term)
+        return self._factors(term, dom, self.used)
+
+    def _factors(self, term: DecoratedTerm, dom: TypeExpr, used: set) -> tuple:
+        out: list = []
+        self._flatten(term, dom, out, used)
+        return tuple(out)
+
+    def _flatten(self, term: DecoratedTerm, dom: TypeExpr, out: list, used: set) -> TypeExpr:
+        """Append term's factors to out, first applied first, and return its
+        codomain.  Identities drop out."""
+        if isinstance(term, Comp):
+            mid = self._flatten(term.first, dom, out, used)
+            return self._flatten(term.after, mid, out, used)
+        if isinstance(term, Id):
+            return dom
+        if isinstance(term, Op):
+            position = self._positions[term.name]
+            used.add(position)
+            out.append(("op", position))
+            return self.theory.operations[position].cod
+        if isinstance(term, Pair):
+            left, right = [], []
+            lcod = self._flatten(term.left, dom, left, used)
+            rcod = self._flatten(term.right, dom, right, used)
+            out.append(("pair", dom, tuple(left), lcod, tuple(right), rcod))
+            return Prod(lcod, rcod)
+        if isinstance(term, Proj1):
+            out.append(("p1", term.left_ty, term.right_ty))
+            return term.left_ty
+        if isinstance(term, Proj2):
+            out.append(("p2", term.left_ty, term.right_ty))
+            return term.right_ty
+        if isinstance(term, Bang):
+            out.append(("bang", term.ty))
+            return Unit
+        raise TypeError(f"not a term: {term!r}")
+
+
+def _swap(term: DecoratedTerm) -> DecoratedTerm:
+    if isinstance(term, Comp):
+        return Comp(_swap(term.first), _swap(term.after))
+    return term
+
+
+def dual_term(term: DecoratedTerm) -> DecoratedTerm:
+    return normalize(_swap(term))
 
 
 # ---------------------------------------------------------------------------

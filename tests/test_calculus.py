@@ -11,6 +11,7 @@ from decolog.calculus import (
     BaseType,
     Comp,
     CompositionTypeMismatch,
+    DecoratedEquation,
     EffectKind,
     Id,
     Op,
@@ -28,6 +29,7 @@ from decolog.calculus import (
     Theory,
     UndeclaredSymbol,
     Unit,
+    analysis,
     analyze_term,
     check_equation_wf,
     compose,
@@ -39,7 +41,7 @@ from decolog.calculus import (
     weak,
     wf_term,
 )
-from decolog.deduction import Derivation, _normal_spine
+from decolog.deduction import Derivation
 from decolog.semantics import Bounds, ModelMismatch, OperationTable, SemanticsError
 
 from gen import random_raw_term, random_theory, random_wf_terms
@@ -127,7 +129,7 @@ class TestNormalization:
     def test_compose_builds_normal_form(self):
         t = compose(Op("f"), Op("g"), Op("h"))
         assert t == Comp(Op("f"), Comp(Op("g"), Op("h")))
-        assert _normal_spine(t) == (Op("f"), Op("g"), Op("h"))
+        assert analysis(None, t).atoms == (Op("f"), Op("g"), Op("h"))
 
 
 class TestAnalyzeTerm:
@@ -188,6 +190,70 @@ class TestAnalyzeTerm:
                 assert r >= infer_decoration(theory, t.first)
 
 
+def _subterms(term):
+    yield term
+    for part in term[1:]:
+        if isinstance(part, (Id, Op, Comp, Pair, Proj1, Proj2, Bang)):
+            yield from _subterms(part)
+
+
+class TestAnalysisMemo:
+    """A theory memoizes its term analyses: a success is walked once, a
+    failure every time, and nothing else about the theory changes."""
+
+    def test_each_distinct_subterm_is_walked_at_most_once(self, monkeypatch):
+        import decolog.calculus as calculus
+        walked = []
+        original = calculus.analysis
+
+        def counted(theory, term):
+            if theory is not None and term not in theory.__dict__["_analyses"]:
+                walked.append(term)
+            return original(theory, term)
+        monkeypatch.setattr(calculus, "analysis", counted)
+        f, g = Op("f"), Op("g")
+        fg = Comp(f, Comp(g, Id(Int)))
+        theory = Theory(EffectKind.STATES, ("Int",), (
+            OperationSymbol("f", Int, Int, 1), OperationSymbol("g", Int, Int, 0)), (
+            Axiom("a", strong(Comp(Comp(f, g), Id(Int)), fg)),
+            Axiom("b", DecoratedEquation(Strength.WEAK, Comp(fg, fg), Comp(Id(Int), fg)))))
+        goal = DecoratedEquation(Strength.STRONG, Pair(fg, Comp(g, fg)), Pair(fg, fg))
+        for _ in range(2):
+            for ax in theory.axioms:
+                check_equation_wf(theory, ax.equation)
+            check_equation_wf(theory, goal)
+        sides = [side for eq in [ax.equation for ax in theory.axioms] + [goal]
+                 for side in (eq.lhs, eq.rhs)]
+        subterms = {sub for side in sides for sub in _subterms(side)}
+        assert set(walked) <= subterms
+        assert len(walked) == len(set(walked)) > 0
+        assert goal.lhs in walked and Comp(g, fg) in walked
+        # a success is kept under the term's normal form too
+        walked.clear()
+        for side in sides:
+            assert analyze_term(theory, normalize(side)) == analyze_term(theory, side)
+        assert walked == []
+
+    def test_failures_are_not_kept(self, bank):
+        bad = Pair(Op("balance"), Comp(Op("deposit"), Op("deposit")))
+        for _ in range(2):
+            with pytest.raises(CompositionTypeMismatch):
+                analyze_term(bank, bad)
+        assert bad not in bank.__dict__["_analyses"]
+        assert Op("balance") in bank.__dict__["_analyses"]
+
+    def test_memo_is_invisible(self, bank):
+        fresh = Theory(bank.effect, bank.base_types, bank.operations)
+        term = compose(Op("balance"), Op("deposit"), Op("seven"))
+        analyze_term(bank, term)
+        assert term in bank.__dict__["_analyses"]
+        assert (bank, hash(bank), repr(bank)) == (fresh, hash(fresh), repr(fresh))
+        assert pickle.dumps(bank) == pickle.dumps(fresh)
+        for twin in (copy.copy(bank), copy.deepcopy(bank), pickle.loads(pickle.dumps(bank))):
+            assert twin == bank and twin.__dict__["_analyses"] == {}
+            assert analyze_term(twin, term) == (Unit, Int, 2)
+
+
 class TestEquations:
     def test_bank_weak_equation_ranks(self, bank):
         f = compose(Op("balance"), Op("deposit"), Op("seven"))
@@ -240,6 +306,18 @@ class TestTheory:
         assert bank.op("balance").decoration == 1
         with pytest.raises(UndeclaredSymbol):
             bank.op("overdraft")
+
+
+class TestLongNames:
+    @pytest.mark.parametrize("lookup, what", [
+        (Theory.op, "operation"), (Theory.axiom, "axiom"), (Theory.definition, "definition"),
+    ], ids=["op", "axiom", "definition"])
+    def test_undeclared_name_is_cut(self, bank, lookup, what):
+        with pytest.raises(UndeclaredSymbol) as error:
+            lookup(bank, "q" * 1200)
+        assert str(error.value) == f"{what} '" + "q" * 40 + "'... is not declared"
+        with pytest.raises(UndeclaredSymbol, match=f"^{what} '" + "q" * 40 + "' is not"):
+            lookup(bank, "q" * 40)
 
 
 class TestRecord:

@@ -273,6 +273,57 @@ class TestModelCheck:
         assert proc.stderr.startswith(message) and proc.stderr.count("\n") == 1
 
 
+class TestLongEchoes:
+    """An error that echoes an input shows at most its first 40 characters,
+    and "..." after them; a shorter echo is shown whole."""
+
+    LONG_NAME = "q" * 1200
+    LONG_INT = "5" * 4000
+
+    def _model(self, tmp_path, old, new):
+        path = tmp_path / "long.model"
+        path.write_text(corpus_path("bank_mod4.model").read_text().replace(old, new, 1))
+        return str(path)
+
+    def test_undeclared_operation(self, capsys):
+        code, out, err = run(capsys, "model-check", BANK, BANK_MODEL,
+                             f"weak {self.LONG_NAME} ~ seven")
+        assert (code, out) == (1, "")
+        assert err == "error: operation '" + "q" * 40 + "'... is not declared\n"
+
+    def test_table_value(self, capsys, tmp_path):
+        model = self._model(tmp_path, "* -> 3", "* -> " + self.LONG_INT)
+        code, out, err = run(capsys, "model-check", BANK, model, "weak f ~ g")
+        assert (code, out) == (3, "")
+        assert err == ("model mismatch: table for 'seven' produces " + "5" * 40
+                       + "... outside its codomain\n")
+
+    def test_row_outside_the_domain(self, capsys, tmp_path):
+        model = self._model(tmp_path, "(0, 0) -> 0", f"(0, 0) -> 0\n  ({self.LONG_INT}, 0) -> 0")
+        code, out, err = run(capsys, "model-check", BANK, model, "weak f ~ g")
+        assert (code, out) == (3, "")
+        assert err == ("model mismatch: table for 'plus' has a row for (" + "5" * 39
+                       + "... outside its domain\n")
+
+    def test_row_label_parse_error(self, capsys, tmp_path):
+        model = self._model(tmp_path, "(0, 0) -> 0", f"{self.LONG_NAME} -> 0")
+        code, out, err = run(capsys, "model-check", BANK, model, "weak f ~ g")
+        assert (code, out) == (2, "")
+        assert err == "parse error: line 9, col 3: expected an element, got '" + "q" * 40 + "'...\n"
+
+    @pytest.mark.parametrize("extra, shown", [
+        ([LONG_NAME], "q" * 40 + "..."),
+        (["x", "y"], "x y"),
+        (["q" * 40], "q" * 40),
+    ], ids=["long", "short", "at-the-limit"])
+    def test_unrecognized_arguments(self, capsys, extra, shown):
+        with pytest.raises(SystemExit) as stop:
+            main(["check", BANK, *extra])
+        assert stop.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            "decolog: error: unrecognized arguments: " + shown)
+
+
 class TestFindCex:
     def test_strong_separation_found(self, capsys):
         code, out, _ = run(capsys, "find-cex", BANK, "strong f == g")

@@ -14,6 +14,10 @@ over random theories.
 The reference and the generators keep their own label layout, so a layout
 bug in the library cannot hide in both sides of a comparison; a guard test
 holds their imports from decolog.semantics to the shared data.
+
+For the term analysis: types and rank or the error, the normal form, the
+evaluator's factor lists and the mirror term, against the separate walks
+it replaced, on well-typed terms, reshaped ones and ill-typed mutants.
 """
 import ast
 import inspect
@@ -26,12 +30,25 @@ import pytest
 import gen
 import reference
 from decolog.calculus import (
+    PAIR_COMPONENT_RANK_LIMIT,
     Axiom,
+    Bang,
+    BaseType,
     CalculusError,
+    Comp,
     DecoratedEquation,
+    DecoratedTerm,
     EffectKind,
+    Id,
+    Pair,
+    Proj1,
+    Proj2,
     Strength,
     Theory,
+    Unit,
+    analyze_term,
+    normalize,
+    quoted,
     term_str,
 )
 from decolog.deduction import (
@@ -44,6 +61,7 @@ from decolog.deduction import (
     check_derivation,
     prove,
 )
+from decolog.duality import _dual_term
 from decolog.files import (
     MAX_INT_DIGITS,
     ParseError,
@@ -179,6 +197,132 @@ def test_random_theories(effect):
         filtered += len(models) < count_interpretations(theory, bounds)
     # the batch exercises both outcomes and the axiom filter
     assert 0 < found < cases and filtered > 0
+
+
+# ---------------------------------------------------------------------------
+# The term analysis
+# ---------------------------------------------------------------------------
+
+UNDECLARED = BaseType("Undeclared")
+
+
+def _grouped(rng, factors):
+    """The composition of factors, first applied first, associated at
+    random."""
+    if len(factors) == 1:
+        return factors[0]
+    k = rng.randrange(1, len(factors))
+    return Comp(_grouped(rng, factors[k:]), _grouped(rng, factors[:k]))
+
+
+def _factors(rng, theory, term):
+    """A well-typed term's factors, first applied first, with identities
+    (and bang(Unit) where a factor ends in Unit) put in between, and pair
+    components given the same treatment."""
+    ty = reference.analyze_term(theory, term)[0]
+    out = [Id(ty)] if rng.random() < 0.3 else []
+    for atom in reversed(reference.normal_spine(reference.normalize(term))):
+        if isinstance(atom, Pair):
+            atom = Pair(_reshaped(rng, theory, atom.left), _reshaped(rng, theory, atom.right))
+        out.append(atom)
+        ty = reference.analyze_term(theory, atom)[1]
+        if rng.random() < 0.3:
+            out.append(Bang(Unit) if ty == Unit and rng.random() < 0.5 else Id(ty))
+    return out or [Id(ty)]
+
+
+def _reshaped(rng, theory, term):
+    """A well-typed term with term's normal form in another shape."""
+    return _grouped(rng, _factors(rng, theory, term))
+
+
+def _mutants(rng, theory, terms):
+    """Ill-typed terms, by kind: an undeclared identity inside a
+    composition, a bang(Unit) factor, an over-rank pair component and a
+    composition type mismatch two pairs deep."""
+    limit = PAIR_COMPONENT_RANK_LIMIT[theory.effect]
+    for term in terms:
+        factors = _factors(rng, theory, term)
+        for kind, extra in (("undeclared", Id(UNDECLARED)), ("bang-unit", Bang(Unit))):
+            at = rng.randrange(len(factors) + 1)
+            yield kind, _grouped(rng, factors[:at] + [extra] + factors[at:])
+        dom, _, rank = reference.analyze_term(theory, term)
+        if rank > limit:
+            other = rng.choice([t for t in terms
+                                if reference.analyze_term(theory, t)[0] == dom] + [Id(dom)])
+            sides = (term, other) if rng.random() < 0.5 else (other, term)
+            yield "over-rank", Comp(Pair(*sides), Id(dom)) if rng.random() < 0.5 else Pair(*sides)
+        after = rng.choice(terms)
+        if reference.analyze_term(theory, after)[0] != reference.analyze_term(theory, term)[1]:
+            deep = Comp(after, term)
+            yield "deep-mismatch", Pair(Pair(Id(dom), deep) if rng.random() < 0.5
+                                        else Pair(deep, Id(dom)), Id(dom))
+
+
+def _verdict(walk, *args):
+    """A walk's result, or its CalculusError's class and text."""
+    try:
+        return "ok", walk(*args)
+    except CalculusError as error:
+        return type(error).__name__, str(error)
+
+
+def _term_cases():
+    """(theory, terms) over the corpus and seeded random theories."""
+    for name in sorted(CORPUS):
+        theory_file, _, goals = CORPUS[name]
+        theory = parse_theory(corpus_path(theory_file).read_text())
+        terms = [term for _, term in theory.definitions]
+        terms += [side for text in goals for side in _sides(theory, parse_equation(text, theory))]
+        yield theory, terms
+    rng = random.Random(909)
+    for i in range(30):
+        effect = list(EffectKind)[i % 2]
+        theory = gen.random_theory(rng, effect, n_ops=4, n_axioms=2)
+        sides = list(_sides(theory, theory.axioms[0].equation))
+        yield theory, sides + gen.random_wf_terms(rng, theory, 8)
+
+
+def test_term_analysis():
+    """analysis against the separate walks it replaced: the same types and
+    rank, or the same error class and text; the same normal form; the same
+    factor lists; and the same mirror term.  Each theory's memo is warm from
+    the cases before, so a cached success cannot change which error a later
+    term raises first."""
+    rng = random.Random(11)
+    kinds = Counter()
+    for theory, terms in _term_cases():
+        cases = [("well-typed", t) for t in terms]
+        cases += [("reshaped", _reshaped(rng, theory, t)) for t in terms]
+        cases += list(_mutants(rng, theory, terms))
+        cases += [("raw", gen.random_raw_term(rng)) for _ in range(10)]
+        for kind, term in cases:
+            got = _verdict(analyze_term, theory, term)
+            assert got == _verdict(reference.analyze_term, theory, term), (kind, term_str(term))
+            assert _verdict(analyze_term, theory, term) == got
+            normal = normalize(term)
+            assert normal == reference.normalize(term), (kind, term_str(term))
+            if got[0] == "ok":
+                program = semantics._Program(theory, (), (term,))
+                expected = reference.FactorLists(theory)
+                assert program._terms[0][0] == expected.factors(normal), term_str(term)
+                assert program.used == tuple(sorted(expected.used))
+            if not any(isinstance(t, (Pair, Proj1, Proj2, Bang)) for t in _subterms(term)):
+                assert _dual_term(term) == reference.dual_term(term), term_str(term)
+            kinds[kind, got[0]] += 1
+    # every mutation raises what it was made for at least once
+    for kind, error in (("undeclared", "UndeclaredSymbol"),
+                        ("bang-unit", "CompositionTypeMismatch"), ("bang-unit", "ok"),
+                        ("over-rank", "PairRankViolation"),
+                        ("deep-mismatch", "CompositionTypeMismatch")):
+        assert kinds[kind, error] > 0, (kind, error, kinds)
+
+
+def _subterms(term):
+    yield term
+    for part in term[1:]:
+        if isinstance(part, DecoratedTerm):
+            yield from _subterms(part)
 
 
 # ---------------------------------------------------------------------------
@@ -486,13 +630,28 @@ CHANGED_CLASSES = (
 )
 
 
+#: A token longer than an error message echoes: the library shows its
+#: first 40 characters and "...", where the reference echoed it whole.
+LONG_TOKEN = "q" * 1200
+
+
+def _cut_echo(outcome):
+    """An outcome with every whole echo of LONG_TOKEN in its message cut."""
+    if outcome[0] == "ok":
+        return outcome
+    message = outcome[1].replace(repr(LONG_TOKEN), quoted(LONG_TOKEN))
+    return (outcome[0], message, *outcome[2:])
+
+
 @pytest.mark.parametrize("name", sorted(PARSERS))
 def test_front_end_changed_classes(name, front_end_inputs):
     """Inserted before any token of a valid input, each changed class gives
     the library's located ParseError, where the reference gave another
-    verdict."""
+    verdict; and LONG_TOKEN gives the reference's verdict with its echo
+    cut, which is another verdict at least once."""
     library, ref = PARSERS[name]
-    rng = random.Random(name)
+    rng, long_rng = random.Random(name), random.Random(f"{name} long")
+    cut = 0
     for theory, text in front_end_inputs[name]:
         places = [t for t in reference.tokenize(text) if t.kind not in ("NL", "EOF")]
         starts = [0] + [i + 1 for i, c in enumerate(text) if c == "\n"]
@@ -505,6 +664,15 @@ def test_front_end_changed_classes(name, front_end_inputs):
                                f"line {tok.line}, col {tok.col + 1 + offset}: {message}",
                                tok.line, tok.col + 1 + offset), mutated
                 assert _outcome(ref, *_args(theory, mutated)) != got
+        for tok in long_rng.sample(places, min(len(places), 6)):
+            at = starts[tok.line - 1] + tok.col - 1
+            mutated = text[:at] + f" {LONG_TOKEN} " + text[at:]
+            got = _outcome(library, *_args(theory, mutated))
+            want = _outcome(ref, *_args(theory, mutated))
+            assert got == _cut_echo(want), mutated
+            assert got[0] == "ok" or len(got[1]) < 200, got
+            cut += got != want
+    assert cut > 0
 
 
 #: What the reference and the generators may share with decolog.semantics:

@@ -7,8 +7,9 @@ a command ends with a documented exit code and at most a one-line error (or
 argparse's usage message), never a traceback.  A second draw replaces a
 token with input at the edges of the lexical grammar and the depth limit
 (non-ASCII digits and letters, integers too long for int(), elements
-nested past MAX_DEPTH) and searches with carrier bounds far past the
-enumeration ceiling.
+nested past MAX_DEPTH, a 1,200-character identifier and a 4,000-digit
+integer that int() still takes), gives one command an extra 1,200-character
+argument, and searches with carrier bounds far past the enumeration ceiling.
 """
 import random
 import re
@@ -73,8 +74,10 @@ INPUTS = ("theory", "model", "derivation", "equation", "term", "effect")
 INJECTIONS = (
     "²", "①", "٣", "Ⅷ", "é", "λx", "9" * 5000, "-" + "9" * 5000,
     "(" * 300 + "0" + ")" * 300, "(" * 1200 + "0" + ")" * 1200,
-    "ok(" * 300 + "0" + ")" * 300,
+    "ok(" * 300 + "0" + ")" * 300, "q" * 1200, "4" * 4000,
 )
+#: The extra argument one command of each injected case gets.
+EXTRA_ARGUMENT = "q" * 1200
 #: Carrier bounds inject's cases search with: all far past the ceiling.
 FAR_CARRIERS = ("30", "50", "200", str(10 ** 20))
 
@@ -158,7 +161,9 @@ def test_injected_inputs_end_with_a_short_error(seed, tmp_path, capsys, monkeypa
     rng = random.Random(1000 + seed)
     ran = 0
     for _ in range(20):
-        for argv in _cases(rng, tmp_path, inject, INPUTS, FAR_CARRIERS):
+        argvs = _cases(rng, tmp_path, inject, INPUTS, FAR_CARRIERS)
+        rng.choice(argvs).append(EXTRA_ARGUMENT)
+        for argv in argvs:
             code, err = _run(argv, capsys)
             assert code in EXIT_CODES, (argv, code, err)
             assert "Traceback" not in err, (argv, err)

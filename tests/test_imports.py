@@ -44,3 +44,48 @@ def test_cli_start_up_leaves_out_dataclasses_and_inspect():
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, check=True)
     assert proc.stdout == "[]\n"
+
+
+#: The functions of src/ that may test whether a term is a composition: the
+#: term analysis, which every engine reads, and three scans that ask
+#: nothing of it (the printer, the parser's depth count and the duality's
+#: offender scan).
+TERM_WALKS = {("calculus.py", "analysis"), ("calculus.py", "term_str"),
+              ("files.py", "_depth"), ("duality.py", "_term_offenders")}
+
+
+def composition_tests(source: str) -> list[str]:
+    """The functions that test a term against Comp: by isinstance (alone
+    or in a tuple), or by comparing something with Comp."""
+    found = []
+    for func in ast.walk(ast.parse(source)):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for node in ast.walk(func):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance":
+                tested = node.args[1:]
+                tested = tested[0].elts if tested and isinstance(tested[0], ast.Tuple) else tested
+            elif isinstance(node, ast.Compare):
+                tested = [node.left, *node.comparators]
+            else:
+                continue
+            if any(isinstance(t, ast.Name) and t.id == "Comp" for t in tested):
+                found.append(func.name)
+                break
+    return found
+
+
+def test_one_term_walk():
+    """Only the term analysis walks a term's compositions: every other
+    function reads its atoms, types and ranks from it."""
+    walks = {(path.name, name) for path in sorted((ROOT / "src" / "decolog").glob("*.py"))
+             for name in composition_tests(path.read_text(encoding="utf-8"))}
+    assert walks - TERM_WALKS == set()
+
+
+def test_walk_scan_sees_every_kind_of_test():
+    source = ("def a(t): return isinstance(t, Comp)\n"
+              "def b(t): return isinstance(t, (Id, Comp))\n"
+              "def c(t): return t.__class__ is Comp\n"
+              "def d(t): return Comp(t, t)\n")
+    assert composition_tests(source) == ["a", "b", "c"]

@@ -31,10 +31,15 @@ def cut(text: str) -> str:
 
 def quoted(value: object) -> str:
     """value as an error message echoes it: a string in quotes, anything
-    else as its repr, either cut by cut()."""
+    else as its repr, either cut by cut(); a value whose repr Python
+    refuses (an int past sys.get_int_max_str_digits(), or anything that
+    holds one) as its type."""
     if isinstance(value, str):
         return repr(value[:ECHO_LIMIT]) + ("..." if len(value) > ECHO_LIMIT else "")
-    return cut(repr(value))
+    try:
+        return cut(repr(value))
+    except ValueError:
+        return f"<{type(value).__name__} too large to print>"
 
 
 class CalculusError(ValueError):

@@ -825,7 +825,7 @@ def _component_ranks(effect):
 def _pair_proj(layout):
     ranks = _component_ranks(layout.effect)
     pair = layout.pairer(layout.size(A), layout.size(B), layout.size(C))
-    p1, p2 = layout.constant(("p1", B, C)), layout.constant(("p2", B, C))
+    p1, p2 = layout.constant(Proj1(B, C)), layout.constant(Proj2(B, C))
     gs = _tables(layout, ranks, A, C)
     for f in _tables(layout, ranks, A, B):
         picks = [_composer(pair(f, g)) for g in gs]
@@ -861,7 +861,7 @@ def _pair_comp(layout):
 
 def _unit(strength, ranks, layout):
     view = (lambda t: t) if strength is Strength.STRONG else _weak_view(layout, A, Unit)
-    canonical = view(layout.constant(("bang", A)))
+    canonical = view(layout.constant(Bang(A)))
     fs = _tables(layout, ranks, A, Unit)
     return [((), fs, [view(f) == canonical for f in fs])]
 

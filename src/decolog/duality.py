@@ -78,13 +78,6 @@ DUAL_RULES = {
     WEAK_REPL: WEAK_SUBST,
 }
 
-_PARAM_RENAME = {
-    SUBST_STRONG: {"g": "h"},
-    REPL_STRONG: {"h": "g"},
-    WEAK_SUBST: {"g": "h"},
-    WEAK_REPL: {"h": "g"},
-}
-
 _PRODUCT_RULES = frozenset({
     PAIR_CONG_STRONG,
     PAIR_PROJ,
@@ -212,7 +205,9 @@ def _derivation_offenders(d: Derivation, path: tuple[int, ...]) -> list[str]:
 
 def _dual_derivation(d: Derivation) -> Derivation:
     rule = DUAL_RULES.get(d.rule, d.rule)
-    rename = _PARAM_RENAME.get(d.rule, {})
+    # a rule that trades places trades its term parameter too: substitution
+    # precomposes g, replacement postcomposes h
+    rename = {"g": "h", "h": "g"} if rule != d.rule else {}
     params = []
     for key, value in d.params:
         if isinstance(value, DecoratedTerm):

@@ -50,11 +50,13 @@ from operator import add, itemgetter, sub
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from .calculus import (
+    Analysis,
     Bang,
     BaseType,
     DecoratedEquation,
     DecoratedTerm,
     EffectKind,
+    Id,
     Op,
     OperationSymbol,
     Pair,
@@ -65,7 +67,6 @@ from .calculus import (
     Theory,
     TypeExpr,
     analysis,
-    analyze_term,
     check_equation_wf,
     quoted,
     type_str,
@@ -251,38 +252,21 @@ class _Layout:
         blocks = tuple(tuple(range(b * k, b * k + k)) for b in range(m))
         return lambda raw: tuple(itertools.chain.from_iterable(map(blocks.__getitem__, raw)))
 
-    def _pure(self, raw: Table, m: int) -> Table:
+    def constant(self, builtin: DecoratedTerm) -> Table:
+        """The rank-2 table of a builtin: an identity, a bang or a
+        projection."""
+        kind = builtin.__class__
+        if kind is Id:
+            n = self.size(builtin.ty)
+            return tuple(range(n + self.k if self.exceptions else n * self.k))
+        if kind is Bang:
+            raw, m = (0,) * self.size(builtin.ty), 1
+        else:
+            nl, nr = self.size(builtin.left_ty), self.size(builtin.right_ty)
+            raw, m = ((tuple(p // nr for p in range(nl * nr)), nl) if kind is Proj1
+                      else (tuple(p % nr for p in range(nl * nr)), nr))
         lift = self.lifter(0, len(raw), m)
         return raw if lift is None else lift(raw)
-
-    def identity(self, ty: TypeExpr) -> Table:
-        n = self.size(ty)
-        return tuple(range(n + self.k if self.exceptions else n * self.k))
-
-    def steps(self, factors: tuple, dom: TypeExpr, slots: Mapping[int, int]) -> tuple:
-        """Compiled factors specialised to this layout: operations become
-        slots, builtins become tables and pairs become pair steps."""
-        return (tuple(slots[f[1]] if f[0] == "op" else self._step(f, slots) for f in factors)
-                or (self.identity(dom),))
-
-    def _step(self, factor: tuple, slots: Mapping[int, int]):
-        if factor[0] != "pair":
-            return self.constant(factor)
-        _, dom, left, lcod, right, rcod = factor
-        lsteps = self.steps(left, dom, slots)
-        rsteps = self.steps(right, dom, slots)
-        pair = self.pairer(self.size(dom), self.size(lcod), self.size(rcod))
-        return lambda tables: pair(_run(lsteps, tables), _run(rsteps, tables))
-
-    def constant(self, factor: tuple) -> Table:
-        """The rank-2 table of a builtin factor: ("bang", ty), ("p1", l, r)
-        or ("p2", l, r)."""
-        if factor[0] == "bang":
-            return self._pure((0,) * self.size(factor[1]), 1)
-        nl, nr = self.size(factor[1]), self.size(factor[2])
-        if factor[0] == "p1":
-            return self._pure(tuple(p // nr for p in range(nl * nr)), nl)
-        return self._pure(tuple(p % nr for p in range(nl * nr)), nr)
 
     def pairer(self, n: int, ml: int, mr: int) -> Callable[[Table, Table], Table]:
         """The map from the rank-2 tables of two pair components (n values
@@ -434,12 +418,11 @@ class _Side:
     """One term specialised to one layout."""
     __slots__ = ("layout", "steps", "conserves", "rank", "dom", "cod")
 
-    def __init__(self, layout: _Layout, factors: tuple, dom: TypeExpr,
-                 cod: TypeExpr, rank: int, slots: Mapping[int, int]):
-        self.layout = layout
-        self.steps = layout.steps(factors, dom, slots)
-        self.conserves = layout.conservation(rank, layout.size(dom), layout.size(cod))
-        self.rank, self.dom, self.cod = rank, dom, cod
+    def __init__(self, layout: _Layout, steps: tuple, found: Analysis):
+        self.layout, self.steps = layout, steps
+        self.dom, self.cod, self.rank = found.dom, found.cod, found.rank
+        self.conserves = layout.conservation(found.rank, layout.size(found.dom),
+                                             layout.size(found.cod))
 
     def run(self, tables: Sequence[Table]) -> Table:
         t = _run(self.steps, tables)
@@ -487,58 +470,60 @@ def violation_witness(lhs: Sequence[int], rhs: Sequence[int]) -> Optional[int]:
 
 
 class _Program:
-    """Equations and terms of one theory compiled once: well-formedness,
-    ranks and factor lists, none of which depend on a model.  at() then
-    specialises them to one carrier assignment."""
+    """Equations and terms of one theory compiled once: well-formedness and
+    the analysis of every side and term, none of which depend on a model.
+    at() then specialises their atoms to one carrier assignment."""
 
     def __init__(self, theory: Theory, equations: Iterable[DecoratedEquation],
                  terms: Iterable[DecoratedTerm] = ()):
         self.theory = theory
-        self._positions = {sym.name: i for i, sym in enumerate(theory.operations)}
-        used: set[int] = set()
+        self._parts: dict[Pair, tuple[Analysis, Analysis]] = {}
+        names: set[str] = set()
         self._equations = []
         for eq in equations:
-            report = check_equation_wf(theory, eq)
-            self._equations.append((eq.strength, report, self._factors(eq.lhs, used),
-                                    self._factors(eq.rhs, used)))
-        self._terms = [(self._factors(term, used), *analyze_term(theory, term)) for term in terms]
-        self.used = tuple(sorted(used))
-        self._slots = {position: slot for slot, position in enumerate(self.used)}
+            check_equation_wf(theory, eq)
+            self._equations.append((eq.strength, self._uses(analysis(theory, eq.lhs), names),
+                                    self._uses(analysis(theory, eq.rhs), names)))
+        self._terms = [self._uses(analysis(theory, term), names) for term in terms]
+        self.used = tuple(i for i, sym in enumerate(theory.operations) if sym.name in names)
+        self._slots = {theory.operations[i].name: slot for slot, i in enumerate(self.used)}
 
-    def _factors(self, term: DecoratedTerm, used: set) -> tuple:
-        """A term's factors, first applied first: the spine atoms of its
-        analysis reversed, operations as ("op", position), whose positions
-        go into used, and a pair as ("pair", dom, left factors, left cod,
-        right factors, right cod)."""
-        out = []
-        for atom in reversed(analysis(self.theory, term).atoms):
-            if isinstance(atom, Op):
-                position = self._positions[atom.name]
-                used.add(position)
-                out.append(("op", position))
-            elif isinstance(atom, Pair):
-                left, right = analysis(self.theory, atom).parts
-                out.append(("pair", left.dom, self._factors(left.term, used), left.cod,
-                            self._factors(right.term, used), right.cod))
-            elif isinstance(atom, Bang):
-                out.append(("bang", atom.ty))
-            else:
-                out.append(("p1" if isinstance(atom, Proj1) else "p2",
-                            atom.left_ty, atom.right_ty))
-        return tuple(out)
+    def _uses(self, found: Analysis, names: set) -> Analysis:
+        """found, after putting the names of its operations into names and
+        the analyses of its pairs' parts into _parts."""
+        for atom in found.atoms:
+            if atom.__class__ is Op:
+                names.add(atom.name)
+            elif atom.__class__ is Pair:
+                parts = self._parts[atom] = analysis(self.theory, atom).parts
+                for part in parts:
+                    self._uses(part, names)
+        return found
+
+    def _steps(self, layout: _Layout, found: Analysis) -> tuple:
+        """found's atoms specialised to layout, first applied first: an
+        operation is its slot, a pair a pair step and a builtin its table."""
+        steps = tuple(self._slots[atom.name] if atom.__class__ is Op
+                      else self._pair(layout, *self._parts[atom]) if atom.__class__ is Pair
+                      else layout.constant(atom) for atom in reversed(found.atoms))
+        return steps or (layout.constant(Id(found.dom)),)
+
+    def _pair(self, layout: _Layout, left: Analysis, right: Analysis) -> Callable:
+        """The step that pairs the tables of two pair components."""
+        lsteps, rsteps = self._steps(layout, left), self._steps(layout, right)
+        pair = layout.pairer(layout.size(left.dom), layout.size(left.cod), layout.size(right.cod))
+        return lambda tables: pair(_run(lsteps, tables), _run(rsteps, tables))
 
     def at(self, layout: _Layout) -> tuple[list[_Check], list[_Side],
                                            Callable[[Iterable[Table]], list[Table]]]:
         """The equations and the terms specialised to layout, and the lift
         of the used operations' raw tables to their rank-2 tables."""
-        slots = self._slots
-        checks = [_Check(_Side(layout, lhs, report.dom, report.cod, report.lhs_rank, slots),
-                         _Side(layout, rhs, report.dom, report.cod, report.rhs_rank, slots),
-                         layout.weak_view(layout.size(report.dom), layout.size(report.cod))
+        checks = [_Check(_Side(layout, self._steps(layout, lhs), lhs),
+                         _Side(layout, self._steps(layout, rhs), rhs),
+                         layout.weak_view(layout.size(lhs.dom), layout.size(lhs.cod))
                          if strength is Strength.WEAK else None)
-                  for strength, report, lhs, rhs in self._equations]
-        sides = [_Side(layout, factors, dom, cod, rank, slots)
-                 for factors, dom, cod, rank in self._terms]
+                  for strength, lhs, rhs in self._equations]
+        sides = [_Side(layout, self._steps(layout, found), found) for found in self._terms]
         lifters = [layout.lifter(*layout.shape(self.theory.operations[i])) for i in self.used]
 
         def lift(raws: Iterable[Table]) -> list[Table]:

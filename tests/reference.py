@@ -24,9 +24,9 @@ loop was tuned: every expansion re-normalizes the axiom sides, rebuilds
 every window's context terms and derivation, and re-checks each pair step
 from the leaves.  All of these are slow and obviously right.
 
-The term walks are decolog.calculus' analyze_term and normalize, and
-the evaluator's factor lists, as they were before one memoized analysis
-answered all of them (see "Term analysis" below).
+The term walks are decolog.calculus' analyze_term and normalize as they
+were before one memoized analysis answered both (see "Term analysis"
+below).
 
 The text front end is decolog.files' parsing as it was before the
 one scanner: a character-by-character tokenize that builds one positioned
@@ -220,9 +220,9 @@ def check_factoring(effect: EffectKind, rank: int, mapping: Mapping) -> Optional
 # walk, calculus.analysis.  Below are the separate walks it replaced, as
 # they were: analyze_term for types and rank; normalize, _atoms,
 # _leftmost_id_type and _spine for the normal form; deduction's
-# _normal_spine, which read the spine back off a normal term; semantics'
-# _Program._flatten for the evaluator's factor lists; and duality's _swap
-# under normalize for the mirror term.
+# _normal_spine, which read the spine back off a normal term; and
+# duality's _swap under normalize for the mirror term.  operations_used
+# gives the operations whose tables the evaluator reads for a term.
 
 def analyze_term(theory: Theory, term: DecoratedTerm) -> tuple[TypeExpr, TypeExpr, Decoration]:
     """Domain, codomain and inferred rank of a term, or a CalculusError."""
@@ -325,55 +325,20 @@ def normal_spine(term: DecoratedTerm) -> tuple[DecoratedTerm, ...]:
     return tuple(atoms)
 
 
-class FactorLists:
-    """The evaluator's factor lists of one theory's terms, as
-    decolog.semantics._Program built them: ("op", position), ("p1", l, r),
-    ("p2", l, r), ("bang", ty) and ("pair", dom, left, lcod, right, rcod),
-    first applied first, with the positions of the operations used."""
-
-    def __init__(self, theory: Theory):
-        self.theory = theory
-        self._positions = {sym.name: i for i, sym in enumerate(theory.operations)}
-        self.used: set[int] = set()
-
-    def factors(self, term: DecoratedTerm) -> tuple:
-        dom, _, _ = analyze_term(self.theory, term)
-        return self._factors(term, dom, self.used)
-
-    def _factors(self, term: DecoratedTerm, dom: TypeExpr, used: set) -> tuple:
-        out: list = []
-        self._flatten(term, dom, out, used)
-        return tuple(out)
-
-    def _flatten(self, term: DecoratedTerm, dom: TypeExpr, out: list, used: set) -> TypeExpr:
-        """Append term's factors to out, first applied first, and return its
-        codomain.  Identities drop out."""
-        if isinstance(term, Comp):
-            mid = self._flatten(term.first, dom, out, used)
-            return self._flatten(term.after, mid, out, used)
-        if isinstance(term, Id):
-            return dom
-        if isinstance(term, Op):
-            position = self._positions[term.name]
-            used.add(position)
-            out.append(("op", position))
-            return self.theory.operations[position].cod
-        if isinstance(term, Pair):
-            left, right = [], []
-            lcod = self._flatten(term.left, dom, left, used)
-            rcod = self._flatten(term.right, dom, right, used)
-            out.append(("pair", dom, tuple(left), lcod, tuple(right), rcod))
-            return Prod(lcod, rcod)
-        if isinstance(term, Proj1):
-            out.append(("p1", term.left_ty, term.right_ty))
-            return term.left_ty
-        if isinstance(term, Proj2):
-            out.append(("p2", term.left_ty, term.right_ty))
-            return term.right_ty
-        if isinstance(term, Bang):
-            out.append(("bang", term.ty))
-            return Unit
-        raise TypeError(f"not a term: {term!r}")
+def operations_used(theory: Theory, term: DecoratedTerm) -> tuple[int, ...]:
+    """Positions in theory.operations of the operations a term names, in
+    increasing order: the slots of the evaluator's tables."""
+    names = set()
+    stack = [term]
+    while stack:
+        t = stack.pop()
+        if isinstance(t, Op):
+            names.add(t.name)
+        elif isinstance(t, Comp):
+            stack += (t.after, t.first)
+        elif isinstance(t, Pair):
+            stack += (t.left, t.right)
+    return tuple(i for i, sym in enumerate(theory.operations) if sym.name in names)
 
 
 def _swap(term: DecoratedTerm) -> DecoratedTerm:

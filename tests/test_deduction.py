@@ -54,7 +54,7 @@ from decolog.deduction import (
     validate_rules,
 )
 from decolog.duality import DUAL_EFFECT, DUAL_RULES
-from decolog.semantics import _Layout, holds
+from decolog.semantics import _Layout, _Program, holds
 
 from gen import random_derivation
 
@@ -510,20 +510,15 @@ class TestSweepChecksTheEvaluator:
 
     @pytest.mark.parametrize("effect", list(EffectKind))
     def test_factors_applied_in_reverse_order(self, monkeypatch, effect):
-        steps = _Layout.steps
-        monkeypatch.setattr(_Layout, "steps", lambda self, *args: steps(self, *args)[::-1])
+        steps = _Program._steps
+        monkeypatch.setattr(_Program, "_steps", lambda self, *args: steps(self, *args)[::-1])
         assert _at_size_2(effect, SUBST_STRONG)[1] > 0
 
     @pytest.mark.parametrize("effect", list(EffectKind))
     def test_pair_components_swapped(self, monkeypatch, effect):
-        step = _Layout._step
-
-        def swapped(self, factor, slots):
-            if factor[0] == "pair":
-                _, dom, left, lcod, right, rcod = factor
-                factor = ("pair", dom, right, rcod, left, lcod)
-            return step(self, factor, slots)
-        monkeypatch.setattr(_Layout, "_step", swapped)
+        pair = _Program._pair
+        monkeypatch.setattr(_Program, "_pair",
+                            lambda self, layout, left, right: pair(self, layout, right, left))
         assert _at_size_2(effect, PAIR_CONG_STRONG)[1] > 0
 
     @pytest.mark.parametrize("effect", list(EffectKind))

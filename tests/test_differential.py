@@ -16,8 +16,9 @@ bug in the library cannot hide in both sides of a comparison; a guard test
 holds their imports from decolog.semantics to the shared data.
 
 For the term analysis: types and rank or the error, the normal form, the
-evaluator's factor lists and the mirror term, against the separate walks
-it replaced, on well-typed terms, reshaped ones and ill-typed mutants.
+operations the evaluator reads and the mirror term, against the separate
+walks it replaced, on well-typed terms, reshaped ones and ill-typed
+mutants.
 """
 import ast
 import inspect
@@ -286,7 +287,7 @@ def _term_cases():
 def test_term_analysis():
     """analysis against the separate walks it replaced: the same types and
     rank, or the same error class and text; the same normal form; the same
-    factor lists; and the same mirror term.  Each theory's memo is warm from
+    operations used by the evaluator; and the same mirror term.  Each theory's memo is warm from
     the cases before, so a cached success cannot change which error a later
     term raises first."""
     rng = random.Random(11)
@@ -304,9 +305,7 @@ def test_term_analysis():
             assert normal == reference.normalize(term), (kind, term_str(term))
             if got[0] == "ok":
                 program = semantics._Program(theory, (), (term,))
-                expected = reference.FactorLists(theory)
-                assert program._terms[0][0] == expected.factors(normal), term_str(term)
-                assert program.used == tuple(sorted(expected.used))
+                assert program.used == reference.operations_used(theory, term), term_str(term)
             if not any(isinstance(t, (Pair, Proj1, Proj2, Bang)) for t in _subterms(term)):
                 assert _dual_term(term) == reference.dual_term(term), term_str(term)
             kinds[kind, got[0]] += 1

@@ -1,6 +1,7 @@
 """No module imports a name at top level that it never uses, and starting
 the command line imports no module it does not need."""
 import ast
+import importlib
 import os
 import subprocess
 import sys
@@ -89,3 +90,39 @@ def test_walk_scan_sees_every_kind_of_test():
               "def c(t): return t.__class__ is Comp\n"
               "def d(t): return Comp(t, t)\n")
     assert composition_tests(source) == ["a", "b", "c"]
+
+
+def traced_names(source: str) -> list[tuple[str, str]]:
+    """The (module, function) pairs a tracer source rebinds by name: each
+    entry of Tracer.TIMED, and each _patch call given both as literals."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ClassDef) and node.name == "Tracer":
+            for stmt in node.body:
+                if (isinstance(stmt, ast.Assign)
+                        and any(getattr(t, "id", None) == "TIMED" for t in stmt.targets)):
+                    found += [tuple(ast.literal_eval(e)[:2]) for e in stmt.value.elts]
+        elif (isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "_patch"
+              and all(isinstance(a, ast.Constant) for a in node.args[:2])):
+            found.append((node.args[0].value, node.args[1].value))
+    return found
+
+
+def test_traced_names_exist():
+    """Every function the benchmark's tracer rebinds exists in decolog: a
+    renamed one would not be traced, and its metrics would read 0."""
+    names = traced_names((ROOT / "perfbench" / "tracing.py").read_text(encoding="utf-8"))
+    assert ("calculus", "analyze_term") in names and ("semantics", "_candidates") in names
+    missing = [(module, name) for module, name in names
+               if not hasattr(importlib.import_module(f"decolog.{module}"), name)]
+    assert missing == []
+
+
+def test_traced_scan_sees_both_kinds_of_name():
+    source = ("class Tracer:\n"
+              "    TIMED = (('files', 'parse', True), ('semantics', 'holds', False))\n"
+              "    def go(self, m, n):\n"
+              "        self._patch('semantics', '_candidates', False, None)\n"
+              "        self._patch(m, n, True, None)\n")
+    assert traced_names(source) == [("files", "parse"), ("semantics", "holds"),
+                                    ("semantics", "_candidates")]

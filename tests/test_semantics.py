@@ -351,6 +351,27 @@ class TestValidateModel:
             validate_model(theory, FiniteModel(ST, {"Int": (0, 0, 1, 2)}, Z4,
                                                bank_mod4.tables))
 
+    @pytest.mark.parametrize("call", [
+        lambda theory, model, f, g: validate_model(theory, model),
+        lambda theory, model, f, g: holds(model, theory, weak(f, g)),
+        lambda theory, model, f, g: eval_term(model, theory, g),
+        lambda theory, model, f, g: first_violation(model, theory, weak(f, g)),
+    ], ids=["validate_model", "holds", "eval_term", "first_violation"])
+    @pytest.mark.parametrize("where", ["table", "carrier"])
+    def test_huge_integer_echo(self, bank, bank_mod4, call, where):
+        # repr refuses an int of more than 4,300 digits, alone or in a tuple
+        theory, f, g = bank
+        huge = 10 ** 5000
+        if where == "table":
+            tables = {**bank_mod4.tables, "seven": OperationTable(ST, 0, {UNIT: huge})}
+            model = FiniteModel(ST, bank_mod4.carriers, Z4, tables)
+        else:
+            model = FiniteModel(ST, {"Int": (huge, 1, 2, 3)}, Z4, bank_mod4.tables)
+        with pytest.raises(ModelMismatch, match="too large to print") as err:
+            call(theory, model, f, g)
+        message = str(err.value)
+        assert "\n" not in message and len(message) < 200
+
 
 TINY = Theory(effect=ST, base_types=("B",),
               operations=(OperationSymbol("u", BaseType("B"), BaseType("B"), 0),))
@@ -452,14 +473,14 @@ class TestCounterexample:
         import decolog.semantics
         theory, f, g = bank
         calls = []
-        original = decolog.calculus.analyze_term
+        original = decolog.calculus.analysis
 
         def counted(*args):
             calls.append(args)
             return original(*args)
 
         for module in (decolog.calculus, decolog.semantics):
-            monkeypatch.setattr(module, "analyze_term", counted)
+            monkeypatch.setattr(module, "analysis", counted)
         counts = []
         for bound in (1, 2):
             calls.clear()

@@ -143,7 +143,7 @@ class Record(tuple):
         return self[1:]
 
     def __setattr__(self, name: str, *value: object) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
+        raise AttributeError(f"cannot assign to field {quoted(name)}")
     __delattr__ = __setattr__
 
 
@@ -252,7 +252,7 @@ def term_str(term: DecoratedTerm) -> str:
         return f"p2({type_str(term.left_ty)}, {type_str(term.right_ty)})"
     if isinstance(term, Bang):
         return f"bang({type_str(term.ty)})"
-    raise TypeError(f"not a term: {term!r}")
+    raise TypeError(f"not a term: {quoted(term)}")
 
 
 def normalize(term: DecoratedTerm) -> DecoratedTerm:
@@ -326,7 +326,7 @@ class OperationSymbol(Record):
 
     def __post_init__(self):
         if self.decoration not in (0, 1, 2):
-            raise TheoryError(f"decoration rank must be 0, 1 or 2, got {self.decoration}")
+            raise TheoryError(f"decoration rank must be 0, 1 or 2, got {quoted(self.decoration)}")
 
 
 class Axiom(Record):
@@ -364,16 +364,16 @@ class Theory(Record):
             raise TheoryError("duplicate base type declaration")
         for sym in self.operations:
             if sym.name in RESERVED_NAMES:
-                raise TheoryError(f"operation may not shadow builtin {sym.name!r}")
+                raise TheoryError(f"operation may not shadow builtin {quoted(sym.name)}")
             if sym.name in ops:
-                raise TheoryError(f"duplicate operation {sym.name!r}")
+                raise TheoryError(f"duplicate operation {quoted(sym.name)}")
             ops[sym.name] = sym
         seen = set(ops)
         for name, _ in self.definitions:
             if name in RESERVED_NAMES:
-                raise TheoryError(f"definition may not shadow builtin {name!r}")
+                raise TheoryError(f"definition may not shadow builtin {quoted(name)}")
             if name in seen:
-                raise TheoryError(f"definition {name!r} clashes with another symbol")
+                raise TheoryError(f"definition {quoted(name)} clashes with another symbol")
             seen.add(name)
         axnames = [ax.name for ax in self.axioms]
         if len(set(axnames)) != len(axnames):
@@ -417,7 +417,7 @@ def _check_type_declared(theory: Optional[Theory], t: TypeExpr) -> None:
         return
     if isinstance(t, BaseType):
         if t.name not in theory.base_types:
-            raise UndeclaredSymbol(f"base type {t.name!r} is not declared")
+            raise UndeclaredSymbol(f"base type {quoted(t.name)} is not declared")
     elif isinstance(t, Prod):
         _check_type_declared(theory, t.left)
         _check_type_declared(theory, t.right)
@@ -512,7 +512,7 @@ def analysis(theory: Optional[Theory], term: DecoratedTerm) -> Analysis:
         found = (Analysis((Unit, Unit, 0, (), Id(Unit), ())) if term.ty == Unit
                  else Analysis((term.ty, Unit, 0, (term,), term, ())))
     else:
-        raise TypeError(f"not a term: {term!r}")
+        raise TypeError(f"not a term: {quoted(term)}")
     if theory is not None:
         theory._analyses[term] = theory._analyses[found.term] = found
     return found

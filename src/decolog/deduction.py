@@ -60,6 +60,7 @@ from .calculus import (
     UnitType,
     analysis,
     check_equation_wf,
+    quoted,
     rank_name,
     rebuild,
     term_str,
@@ -88,12 +89,44 @@ UNIT_STRONG_LOWRANK = "unit_strong_lowrank"
 UNIT_WEAK = "unit_weak"
 AXIOM = "axiom"
 
-ALL_RULES = (
-    REFL, SYM, TRANS_STRONG, TRANS_WEAK, TRANS_MIXED, STRONG_TO_WEAK,
-    WEAK_TO_STRONG_LOWRANK, SUBST_STRONG, REPL_STRONG, WEAK_SUBST, WEAK_REPL,
-    PAIR_CONG_STRONG, PAIR_PROJ, PAIR_COMP_LOWRANK, UNIT_STRONG_LOWRANK,
-    UNIT_WEAK, AXIOM,
-)
+
+class Rule(Record):
+    """One rule's shape: the strength each premise must have (None for
+    either), its term parameters in check order, and its mirror under the
+    exceptions/states duality (None for the rules about pairs and Unit,
+    which have none)."""
+    __slots__ = ()
+    premises: tuple[Optional[Strength], ...]
+    params: tuple[str, ...]
+    dual: Optional[str]
+
+
+_S, _W = Strength.STRONG, Strength.WEAK
+
+#: The rule catalogue.  The checker reads each node's premise count, term
+#: parameters and premise strengths from it, in that order, before the
+#: rule's own conditions; the duality reads each rule's mirror.
+RULES: Mapping[str, Rule] = {
+    REFL: Rule((), ("term",), REFL),
+    SYM: Rule((None,), (), SYM),
+    TRANS_STRONG: Rule((_S, _S), (), TRANS_STRONG),
+    TRANS_WEAK: Rule((_W, _W), (), TRANS_WEAK),
+    TRANS_MIXED: Rule((None, None), (), TRANS_MIXED),
+    STRONG_TO_WEAK: Rule((_S,), (), STRONG_TO_WEAK),
+    WEAK_TO_STRONG_LOWRANK: Rule((_W,), (), WEAK_TO_STRONG_LOWRANK),
+    SUBST_STRONG: Rule((_S,), ("g",), REPL_STRONG),
+    REPL_STRONG: Rule((_S,), ("h",), SUBST_STRONG),
+    WEAK_SUBST: Rule((_W,), ("g",), WEAK_REPL),
+    WEAK_REPL: Rule((_W,), ("h",), WEAK_SUBST),
+    PAIR_CONG_STRONG: Rule((_S, _S), (), None),
+    PAIR_PROJ: Rule((), ("f", "g"), None),
+    PAIR_COMP_LOWRANK: Rule((), ("f", "g", "w"), None),
+    UNIT_STRONG_LOWRANK: Rule((), ("f",), None),
+    UNIT_WEAK: Rule((), ("f",), None),
+    AXIOM: Rule((), (), AXIOM),
+}
+
+ALL_RULES = tuple(RULES)
 
 #: The effect's side conditions: the largest rank of g in weak_subst, of h
 #: in weak_repl, of f in the unit laws and of each side of
@@ -179,11 +212,6 @@ def _eq_str(eq: DecoratedEquation) -> str:
     return f"{term_str(eq.lhs)} {middle} {term_str(eq.rhs)}"
 
 
-def _need_premises(d: Derivation, n: int, path: tuple[int, ...]) -> None:
-    if len(d.premises) != n:
-        raise RuleMisapplied(path, f"{d.rule} takes {n} premise(s), got {len(d.premises)}")
-
-
 def _term_param(theory: Theory, d: Derivation, key: str,
                 path: tuple[int, ...]) -> Analysis:
     params = d.param_map()
@@ -198,13 +226,6 @@ def _term_param(theory: Theory, d: Derivation, key: str,
         raise IllFormedParameter(path, f"parameter {key} of {d.rule}: {e}")
 
 
-def _strength_of(eq: DecoratedEquation, want: Strength, d: Derivation,
-                 idx: int, path: tuple[int, ...]) -> None:
-    if eq.strength is not want:
-        raise RuleMisapplied(
-            path, f"premise {idx} of {d.rule} must be {want}, got {eq.strength}")
-
-
 def _rank_within(effect: EffectKind, rule: str, param: str, rank: int,
                  path: tuple[int, ...]) -> None:
     limit = RANK_LIMITS[effect][rule]
@@ -215,36 +236,44 @@ def _rank_within(effect: EffectKind, rule: str, param: str, rank: int,
 
 
 def _check(theory: Theory, d: Derivation, path: tuple[int, ...]) -> DecoratedEquation:
-    if d.rule not in ALL_RULES:
-        raise RuleMisapplied(path, f"unknown rule {d.rule!r}")
+    rule = RULES.get(d.rule)
+    if rule is None:
+        raise RuleMisapplied(path, f"unknown rule {quoted(d.rule)}")
     # a loop, not a comprehension: one stack frame per level keeps a
     # derivation nested files.MAX_DEPTH deep well inside the recursion limit
     premises = []
     for i, p in enumerate(d.premises):
         premises.append(_check(theory, p, path + (i,)))
+    if len(premises) != len(rule.premises):
+        raise RuleMisapplied(
+            path, f"{d.rule} takes {len(rule.premises)} premise(s), got {len(premises)}")
+    terms = {key: _term_param(theory, d, key, path) for key in rule.params}
+    for i, (p, want) in enumerate(zip(premises, rule.premises), 1):
+        if want is not None and p.strength is not want:
+            raise RuleMisapplied(
+                path, f"premise {i} of {d.rule} must be {want}, got {p.strength}")
     try:
-        eq = _conclude(theory, d, premises, path)
+        eq = _conclude(theory, d, premises, terms, path)
         check_equation_wf(theory, eq)
         return eq
     except CalculusError as e:
         raise RuleMisapplied(path, f"{d.rule}: {e}")
 
 
-def _conclude(theory: Theory, d: Derivation,
-              premises: list[DecoratedEquation],
-              path: tuple[int, ...]) -> DecoratedEquation:
+def _conclude(theory: Theory, d: Derivation, premises: list[DecoratedEquation],
+              terms: dict[str, Analysis], path: tuple[int, ...]) -> DecoratedEquation:
+    """The conclusion of a node that has passed the checks RULES sets, or
+    the first of the rule's own conditions it fails.  terms maps each term
+    parameter's name to its analysis."""
     effect = theory.effect
     rule = d.rule
 
     if rule == REFL:
-        _need_premises(d, 0, path)
-        t = _term_param(theory, d, "term", path).term
-        return DecoratedEquation(Strength.STRONG, t, t)
+        t, = terms.values()
+        return DecoratedEquation(Strength.STRONG, t.term, t.term)
 
     if rule == AXIOM:
-        _need_premises(d, 0, path)
-        params = d.param_map()
-        name = params.get("name")
+        name = d.param_map().get("name")
         if not isinstance(name, str):
             raise IllFormedParameter(path, "axiom needs a string parameter name")
         eq = theory.axiom(name).equation
@@ -252,70 +281,43 @@ def _conclude(theory: Theory, d: Derivation,
                                  analysis(theory, eq.rhs).term)
 
     if rule == SYM:
-        _need_premises(d, 1, path)
         return premises[0].flipped()
 
     if rule in (TRANS_STRONG, TRANS_WEAK, TRANS_MIXED):
-        _need_premises(d, 2, path)
         p1, p2 = premises
-        if rule == TRANS_STRONG:
-            _strength_of(p1, Strength.STRONG, d, 1, path)
-            _strength_of(p2, Strength.STRONG, d, 2, path)
-            out = Strength.STRONG
-        elif rule == TRANS_WEAK:
-            _strength_of(p1, Strength.WEAK, d, 1, path)
-            _strength_of(p2, Strength.WEAK, d, 2, path)
-            out = Strength.WEAK
-        else:
-            if {p1.strength, p2.strength} != {Strength.STRONG, Strength.WEAK}:
-                raise RuleMisapplied(
-                    path, "trans_mixed takes one strong and one weak premise")
-            out = Strength.WEAK
+        if rule == TRANS_MIXED and {p1.strength, p2.strength} != {Strength.STRONG, Strength.WEAK}:
+            raise RuleMisapplied(path, "trans_mixed takes one strong and one weak premise")
         if p1.rhs != p2.lhs:
             raise RuleMisapplied(
                 path, f"middle terms differ: {_eq_str(p1)} then {_eq_str(p2)}")
+        out = Strength.STRONG if rule == TRANS_STRONG else Strength.WEAK
         return DecoratedEquation(out, p1.lhs, p2.rhs)
 
     if rule == STRONG_TO_WEAK:
-        _need_premises(d, 1, path)
-        _strength_of(premises[0], Strength.STRONG, d, 1, path)
         return DecoratedEquation(Strength.WEAK, premises[0].lhs, premises[0].rhs)
 
     if rule == WEAK_TO_STRONG_LOWRANK:
-        _need_premises(d, 1, path)
         p = premises[0]
-        _strength_of(p, Strength.WEAK, d, 1, path)
         for param, side in (("lhs", p.lhs), ("rhs", p.rhs)):
             _rank_within(effect, rule, param, analysis(theory, side).rank, path)
         return DecoratedEquation(Strength.STRONG, p.lhs, p.rhs)
 
     if rule in (SUBST_STRONG, WEAK_SUBST, REPL_STRONG, WEAK_REPL):
         # substitution precomposes g, replacement postcomposes h
-        _need_premises(d, 1, path)
-        p = premises[0]
-        subst = rule in (SUBST_STRONG, WEAK_SUBST)
-        param = "g" if subst else "h"
-        t = _term_param(theory, d, param, path)
-        weak_rule = rule in (WEAK_SUBST, WEAK_REPL)
-        _strength_of(p, Strength.WEAK if weak_rule else Strength.STRONG, d, 1, path)
-        if weak_rule:
+        p, ((param, t),) = premises[0], terms.items()
+        if rule in (WEAK_SUBST, WEAK_REPL):
             _rank_within(effect, rule, param, t.rank, path)
-        if subst:
+        if rule in (SUBST_STRONG, WEAK_SUBST):
             return DecoratedEquation(p.strength, rebuild(analysis(theory, p.lhs).atoms, t.term),
                                      rebuild(analysis(theory, p.rhs).atoms, t.term))
         return DecoratedEquation(p.strength, rebuild(t.atoms, p.lhs), rebuild(t.atoms, p.rhs))
 
     if rule == PAIR_CONG_STRONG:
-        _need_premises(d, 2, path)
         p1, p2 = premises
-        _strength_of(p1, Strength.STRONG, d, 1, path)
-        _strength_of(p2, Strength.STRONG, d, 2, path)
         return DecoratedEquation(Strength.STRONG, Pair(p1.lhs, p2.lhs), Pair(p1.rhs, p2.rhs))
 
     if rule == PAIR_PROJ:
-        _need_premises(d, 0, path)
-        f = _term_param(theory, d, "f", path)
-        g = _term_param(theory, d, "g", path)
+        f, g = terms.values()
         side = d.param_map().get("side")
         if side not in (1, 2):
             raise IllFormedParameter(path, "pair_proj needs side=1 or side=2")
@@ -324,10 +326,7 @@ def _conclude(theory: Theory, d: Derivation,
                                  (f if side == 1 else g).term)
 
     if rule == PAIR_COMP_LOWRANK:
-        _need_premises(d, 0, path)
-        f = _term_param(theory, d, "f", path)
-        g = _term_param(theory, d, "g", path)
-        w = _term_param(theory, d, "w", path)
+        f, g, w = terms.values()
         limit = PAIR_COMPONENT_RANK_LIMIT[effect]
         composed = []
         for label, t in (("f.w", f), ("g.w", g)):
@@ -341,15 +340,14 @@ def _conclude(theory: Theory, d: Derivation,
                                  Pair(*composed))
 
     if rule in (UNIT_STRONG_LOWRANK, UNIT_WEAK):
-        _need_premises(d, 0, path)
-        f = _term_param(theory, d, "f", path)
+        (param, f), = terms.items()
         if not isinstance(f.cod, UnitType):
             raise RuleMisapplied(path, f"{rule} needs a term into Unit")
-        _rank_within(effect, rule, "f", f.rank, path)
+        _rank_within(effect, rule, param, f.rank, path)
         out = Strength.STRONG if rule == UNIT_STRONG_LOWRANK else Strength.WEAK
         return DecoratedEquation(out, f.term, analysis(theory, Bang(f.dom)).term)
 
-    raise RuleMisapplied(path, f"unknown rule {rule!r}")
+    raise RuleMisapplied(path, f"unknown rule {quoted(rule)}")
 
 
 # ---------------------------------------------------------------------------

@@ -40,20 +40,7 @@ from .calculus import (
     term_str,
     type_str,
 )
-from .deduction import (
-    Derivation,
-    PAIR_COMP_LOWRANK,
-    PAIR_CONG_STRONG,
-    PAIR_PROJ,
-    REPL_STRONG,
-    SUBST_STRONG,
-    UNIT_STRONG_LOWRANK,
-    UNIT_WEAK,
-    WEAK_REPL,
-    WEAK_SUBST,
-    check_derivation,
-    path_str,
-)
+from .deduction import RULES, Derivation, check_derivation, path_str
 
 
 class NotDualizable(ValueError):
@@ -69,22 +56,10 @@ DUAL_EFFECT = {
     EffectKind.STATES: EffectKind.EXCEPTIONS,
 }
 
-#: Rules that trade places under the mirror.  Everything not listed here and
-#: not product- or unit-specific is its own dual.
-DUAL_RULES = {
-    SUBST_STRONG: REPL_STRONG,
-    REPL_STRONG: SUBST_STRONG,
-    WEAK_SUBST: WEAK_REPL,
-    WEAK_REPL: WEAK_SUBST,
-}
-
-_PRODUCT_RULES = frozenset({
-    PAIR_CONG_STRONG,
-    PAIR_PROJ,
-    PAIR_COMP_LOWRANK,
-    UNIT_STRONG_LOWRANK,
-    UNIT_WEAK,
-})
+#: Rules that trade places under the mirror, read off deduction.RULES.  Every
+#: other rule with a dual is its own.
+DUAL_RULES = {name: rule.dual for name, rule in RULES.items()
+              if rule.dual not in (None, name)}
 
 
 def _type_offenders(ty: TypeExpr) -> list[str]:
@@ -192,7 +167,7 @@ def duality_map(theory: Theory) -> DualityMap:
 
 def _derivation_offenders(d: Derivation, path: tuple[int, ...]) -> list[str]:
     out = []
-    if d.rule in _PRODUCT_RULES:
+    if d.rule in RULES and RULES[d.rule].dual is None:
         out.append(f"rule {d.rule} at {path_str(path)}")
     for key, value in d.params:
         if isinstance(value, DecoratedTerm):
@@ -204,7 +179,7 @@ def _derivation_offenders(d: Derivation, path: tuple[int, ...]) -> list[str]:
 
 
 def _dual_derivation(d: Derivation) -> Derivation:
-    rule = DUAL_RULES.get(d.rule, d.rule)
+    rule = RULES[d.rule].dual
     # a rule that trades places trades its term parameter too: substitution
     # precomposes g, replacement postcomposes h
     rename = {"g": "h", "h": "g"} if rule != d.rule else {}

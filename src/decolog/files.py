@@ -163,7 +163,7 @@ def tokenize(text: str) -> list[Token]:
         col = (at if comment < 0 else comment) - line_start + 1
         kind = _kind(value)
         if kind == "SYM" and value not in _SYMS:
-            raise ParseError(f"unexpected character {value[0]!r}", line, col)
+            raise ParseError(f"unexpected character {quoted(value[0])}", line, col)
         if kind == "INT" and len(value.lstrip("-")) > MAX_INT_DIGITS:
             raise ParseError(f"integer longer than {MAX_INT_DIGITS} digits", line, col)
         tokens.append(Token(kind, value, line, col))
@@ -208,7 +208,7 @@ class _Stream:
         tok = self.tokens[self.pos]
         found = tok == want if want in _SYMS else _kind(tok) == want
         if not found:
-            raise self.fail(f"expected {want!r}, got {quoted(tok or 'end of input')}")
+            raise self.fail(f"expected {quoted(want)}, got {quoted(tok or 'end of input')}")
         self.pos += 1
         return tok
 
@@ -354,9 +354,9 @@ def _parse_equation(s: _Stream, defs: dict[str, DecoratedTerm]) -> DecoratedEqua
     lhs = _parse_term(s, defs)
     op = s.expect("SYM")
     if op not in ("==", "~", "≈"):
-        raise s.fail(f"expected '==' or '~', got {op!r}", s.pos - 1)
+        raise s.fail(f"expected '==' or '~', got {quoted(op)}", s.pos - 1)
     if (op == "==") != (strength is Strength.STRONG):
-        raise s.fail(f"operator {op!r} does not match {word!r}", s.pos - 1)
+        raise s.fail(f"operator {quoted(op)} does not match {quoted(word)}", s.pos - 1)
     rhs = _parse_term(s, defs)
     return DecoratedEquation(strength, lhs, rhs)
 

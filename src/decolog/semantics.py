@@ -120,7 +120,7 @@ class OperationTable(Record):
 
     def __post_init__(self):
         if self.rank not in (0, 1, 2):
-            raise ModelMismatch(f"table rank must be 0, 1 or 2, got {self.rank}")
+            raise ModelMismatch(f"table rank must be 0, 1 or 2, got {quoted(self.rank)}")
 
 
 class FiniteModel(Record):
@@ -190,9 +190,9 @@ class _Layout:
         for name in theory.base_types:
             carrier = model.carriers.get(name)
             if not carrier:
-                raise ModelMismatch(f"missing or empty carrier for base type {name!r}")
+                raise ModelMismatch(f"missing or empty carrier for base type {quoted(name)}")
             if len(set(carrier)) != len(carrier):
-                raise ModelMismatch(f"carrier for {name!r} has duplicate labels")
+                raise ModelMismatch(f"carrier for {quoted(name)} has duplicate labels")
         if not model.effect_carrier:
             raise ModelMismatch("effect carrier must be non-empty")
         if len(set(model.effect_carrier)) != len(model.effect_carrier):
@@ -203,7 +203,7 @@ class _Layout:
         if isinstance(ty, BaseType):
             carrier = self.carriers.get(ty.name)
             if carrier is None:
-                raise UnknownBaseType(f"no carrier for base type {ty.name!r}")
+                raise UnknownBaseType(f"no carrier for base type {quoted(ty.name)}")
             return len(carrier)
         if isinstance(ty, Prod):
             return self.size(ty.left) * self.size(ty.right)
@@ -332,7 +332,7 @@ class _Layout:
         if isinstance(ty, BaseType):
             carrier = self.carriers.get(ty.name)
             if carrier is None:
-                raise UnknownBaseType(f"no carrier for base type {ty.name!r}")
+                raise UnknownBaseType(f"no carrier for base type {quoted(ty.name)}")
             return carrier
         if isinstance(ty, Prod):
             return tuple(itertools.product(self.values(ty.left), self.values(ty.right)))
@@ -374,27 +374,27 @@ class _Layout:
         it is missing, has the wrong shape, misses a row, has a row outside
         its domain or produces a value outside its codomain."""
         if table is None:
-            raise ModelMismatch(f"no table for operation {sym.name!r}")
+            raise ModelMismatch(f"no table for operation {quoted(sym.name)}")
         if table.rank != sym.decoration or table.effect is not self.effect:
             raise ModelMismatch(
-                f"table for {sym.name!r} has shape ({table.effect}, rank {table.rank}), "
+                f"table for {quoted(sym.name)} has shape ({table.effect}, rank {table.rank}), "
                 f"declared ({self.effect}, rank {sym.decoration})")
         ins, outs = self.raw_labels(sym)
         index = {y: i for i, y in enumerate(outs)}
         raw = []
         for x in ins:
             if x not in table.mapping:
-                raise ModelMismatch(f"table for {sym.name!r} has no row for {quoted(x)}")
+                raise ModelMismatch(f"table for {quoted(sym.name)} has no row for {quoted(x)}")
             y = index.get(table.mapping[x])
             if y is None:
-                raise ModelMismatch(f"table for {sym.name!r} produces "
+                raise ModelMismatch(f"table for {quoted(sym.name)} produces "
                                     f"{quoted(table.mapping[x])} outside its codomain")
             raw.append(y)
         if len(table.mapping) != len(raw):
             known = set(ins)
             for x in table.mapping:
                 if x not in known:
-                    raise ModelMismatch(f"table for {sym.name!r} has a row for {quoted(x)} "
+                    raise ModelMismatch(f"table for {quoted(sym.name)} has a row for {quoted(x)} "
                                         "outside its domain")
         return tuple(raw)
 
@@ -592,8 +592,8 @@ class Bounds(Record):
     def __post_init__(self):
         if min(self.base, self.effect) < 1:
             raise SemanticsError(
-                f"carrier bounds must be at least 1, got base {self.base!r}, "
-                f"effect {self.effect!r}")
+                f"carrier bounds must be at least 1, got base {quoted(self.base)}, "
+                f"effect {quoted(self.effect)}")
 
 
 def _layouts(effect: EffectKind, base_types: Sequence[str], bounds: Bounds,

@@ -413,3 +413,13 @@ class TestRecord:
         ax = Axiom("a", strong(Id(Unit), Id(Unit)))
         with pytest.raises(TheoryError, match="duplicate axiom name"):
             Theory(EffectKind.STATES, axioms=(ax, ax))
+
+    @pytest.mark.parametrize("make,error", [
+        (lambda huge: Bounds(-huge, 1), SemanticsError),
+        (lambda huge: OperationTable(EffectKind.STATES, huge, {}), ModelMismatch),
+        (lambda huge: OperationSymbol("f", Unit, Unit, huge), TheoryError),
+    ], ids=["Bounds", "OperationTable", "OperationSymbol"])
+    def test_check_rejects_a_huge_integer(self, make, error):
+        # repr refuses an int of more than 4,300 digits
+        with pytest.raises(error, match="<int too large to print>"):
+            make(10 ** 5000)

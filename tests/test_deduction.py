@@ -21,6 +21,7 @@ from decolog.calculus import (
 )
 from decolog import deduction
 from decolog.deduction import (
+    ALL_RULES,
     AXIOM,
     ConclusionMismatch,
     DeductionError,
@@ -277,6 +278,56 @@ class TestChecker:
             check_derivation(theory, deriv(
                 SUBST_STRONG, deriv(REFL, term=Op("seven")),
                 g=compose(Op("seven"), Op("seven"))))
+
+    @pytest.mark.parametrize("rule", ALL_RULES)
+    def test_one_premise_too_many(self, bank, rule):
+        theory, _, _ = bank
+        strengths, params = SHAPES[rule]
+        premises = [PREMISE[Strength.STRONG]] * (len(strengths) + 1)
+        with pytest.raises(RuleMisapplied, match=rf"^at root: {rule} takes {len(strengths)} "
+                           rf"premise\(s\), got {len(strengths) + 1}$"):
+            check_derivation(theory, deriv(rule, *premises, **params))
+
+    @pytest.mark.parametrize("rule", ALL_RULES)
+    def test_each_fixed_premise_strength(self, bank, rule):
+        theory, _, _ = bank
+        strengths, params = SHAPES[rule]
+        right = [PREMISE[want or Strength.STRONG] for want in strengths]
+        for i, want in enumerate(strengths, 1):
+            if want is None:
+                continue
+            got = Strength.WEAK if want is Strength.STRONG else Strength.STRONG
+            premises = right[:i - 1] + [PREMISE[got]] + right[i:]
+            with pytest.raises(RuleMisapplied, match=rf"^at root: premise {i} of {rule} "
+                               rf"must be {want}, got {got}$"):
+                check_derivation(theory, deriv(rule, *premises, **params))
+
+
+#: A premise of each strength in the bank theory.
+PREMISE = {Strength.STRONG: deriv(REFL, term=Op("seven")),
+           Strength.WEAK: deriv(STRONG_TO_WEAK, deriv(REFL, term=Op("seven")))}
+
+#: Each rule's premise strengths (None: either), written out here rather
+#: than read from the checker, and parameters it accepts in the bank theory.
+SHAPES = {
+    REFL: ((), {"term": Op("seven")}),
+    SYM: ((None,), {}),
+    TRANS_STRONG: ((Strength.STRONG, Strength.STRONG), {}),
+    TRANS_WEAK: ((Strength.WEAK, Strength.WEAK), {}),
+    TRANS_MIXED: ((None, None), {}),
+    STRONG_TO_WEAK: ((Strength.STRONG,), {}),
+    WEAK_TO_STRONG_LOWRANK: ((Strength.WEAK,), {}),
+    SUBST_STRONG: ((Strength.STRONG,), {"g": Id(Unit)}),
+    REPL_STRONG: ((Strength.STRONG,), {"h": Id(Int)}),
+    WEAK_SUBST: ((Strength.WEAK,), {"g": Id(Unit)}),
+    WEAK_REPL: ((Strength.WEAK,), {"h": Id(Int)}),
+    PAIR_CONG_STRONG: ((Strength.STRONG, Strength.STRONG), {}),
+    PAIR_PROJ: ((), {"f": Op("seven"), "g": Op("balance"), "side": 1}),
+    PAIR_COMP_LOWRANK: ((), {"f": Id(Int), "g": Id(Int), "w": Op("seven")}),
+    UNIT_STRONG_LOWRANK: ((), {"f": Bang(Int)}),
+    UNIT_WEAK: ((), {"f": Bang(Int)}),
+    AXIOM: ((), {"name": "ax1"}),
+}
 
 
 class TestSoundness:

@@ -155,19 +155,40 @@ def test_mutated_inputs_end_with_a_documented_exit(seed, tmp_path, capsys, monke
     assert ran == 25 * 8
 
 
+def _long_name_cases(tmp_path) -> list[list[str]]:
+    """Three commands whose error echoes a 1,200-character name: an
+    operation declared twice, an undeclared base type and an unknown rule.
+    The random injection rarely puts the name in these places."""
+    name = "q" * 1200
+    op = f"op {name} : Int -> Int pure\n"
+    texts = {"dup.dth": f"effect states\ntype Int\n{op}{op}",
+             "type.dth": f"effect states\ntype Int\nop f : {name} -> Int pure\n",
+             "rule.drv": f"({name})\n"}
+    for file, text in texts.items():
+        (tmp_path / file).write_text(text)
+    dup, ty, rule = (str(tmp_path / file) for file in texts)
+    return [["check", dup], ["check", ty], ["verify", str(corpus_path("bank.dth")), rule]]
+
+
+def _assert_short_error(argv, capsys):
+    code, err = _run(argv, capsys)
+    assert code in EXIT_CODES, (argv, code, err)
+    assert "Traceback" not in err, (argv, err)
+    assert err.startswith("usage:") or err.count("\n") <= 1, (argv, err)
+    assert all(len(line) <= 500 for line in err.splitlines()), (argv, err[:1000])
+
+
 @pytest.mark.parametrize("seed", range(3))
 def test_injected_inputs_end_with_a_short_error(seed, tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("DECOLOG_MAX_ENUM", "2000")
+    for argv in _long_name_cases(tmp_path):
+        _assert_short_error(argv, capsys)
     rng = random.Random(1000 + seed)
     ran = 0
     for _ in range(20):
         argvs = _cases(rng, tmp_path, inject, INPUTS, FAR_CARRIERS)
         rng.choice(argvs).append(EXTRA_ARGUMENT)
         for argv in argvs:
-            code, err = _run(argv, capsys)
-            assert code in EXIT_CODES, (argv, code, err)
-            assert "Traceback" not in err, (argv, err)
-            assert err.startswith("usage:") or err.count("\n") <= 1, (argv, err)
-            assert all(len(line) <= 500 for line in err.splitlines()), (argv, err[:1000])
+            _assert_short_error(argv, capsys)
             ran += 1
     assert ran == 20 * 8

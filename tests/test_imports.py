@@ -126,3 +126,24 @@ def test_traced_scan_sees_both_kinds_of_name():
               "        self._patch(m, n, True, None)\n")
     assert traced_names(source) == [("files", "parse"), ("semantics", "holds"),
                                     ("semantics", "_candidates")]
+
+
+def raised_reprs(source: str) -> list[int]:
+    """The lines of a raise whose f-string echoes a value with !r, which
+    no length limit cuts: calculus.quoted echoes it instead."""
+    return [node.lineno for stmt in ast.walk(ast.parse(source)) if isinstance(stmt, ast.Raise)
+            for node in ast.walk(stmt)
+            if isinstance(node, ast.FormattedValue) and node.conversion == ord("r")]
+
+
+def test_no_raise_echoes_a_repr():
+    found = {path.name: raised_reprs(path.read_text(encoding="utf-8"))
+             for path in sorted((ROOT / "src" / "decolog").glob("*.py"))}
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def test_repr_scan_sees_a_raised_repr():
+    source = ("def a(x): raise ValueError(f'bad {x!r}')\n"
+              "def b(x): raise E(x, f'{x}: {quoted(x)}')\n"
+              "def c(x): return f'{x!r}'\n")
+    assert raised_reprs(source) == [1]

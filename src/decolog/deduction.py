@@ -65,7 +65,7 @@ from .calculus import (
     rebuild,
     term_str,
 )
-from .semantics import Bounds, Table, _composer, _Layout, _layouts, _Program
+from .semantics import Bounds, Table, _composer, _Layout, _layouts, _lift, _Program
 
 # ---------------------------------------------------------------------------
 # Rule identifiers
@@ -700,8 +700,8 @@ def _program(effect: EffectKind, term: DecoratedTerm, *ops: OperationSymbol) -> 
 def _denotation(program: _Program, layout: _Layout) -> Callable[..., Table]:
     """The map from the raw tables of a program's ops to the rank-2 table
     of its term at layout."""
-    _, (side,), lift = program.at(layout)
-    return lambda *raws: side.run(lift(raws))
+    _, (side,), lifters = program.at(layout)
+    return lambda *raws: side.run(_lift(lifters, raws))
 
 
 #: One block of combos: the tables they share, the last table of each and

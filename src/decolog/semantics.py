@@ -42,6 +42,12 @@ enumerate_models and the sweep take their carrier assignments from _layouts
 and their raw tables from _Layout.raw_tables.  A given model is checked by
 _Layout.of_model (its carriers) and _Layout.number (its tables), in
 validate_model and in every evaluation call alike.
+
+The search is one staged walk, _candidates: depth first over the operation
+tables in declaration order, in the canonical order itertools.product would
+give.  Each axiom is checked once the last table it reads is assigned, and
+a failure skips the subtree below, as does a goal of find_counterexample
+that holds.  _check_ceiling still counts raw interpretations.
 """
 from __future__ import annotations
 
@@ -480,10 +486,16 @@ class _Program:
         self._parts: dict[Pair, tuple[Analysis, Analysis]] = {}
         names: set[str] = set()
         self._equations = []
+        #: per equation, the index of the last operation it reads (-1: none)
+        self.last = []
         for eq in equations:
             check_equation_wf(theory, eq)
-            self._equations.append((eq.strength, self._uses(analysis(theory, eq.lhs), names),
-                                    self._uses(analysis(theory, eq.rhs), names)))
+            reads: set[str] = set()
+            self._equations.append((eq.strength, self._uses(analysis(theory, eq.lhs), reads),
+                                    self._uses(analysis(theory, eq.rhs), reads)))
+            self.last.append(max((i for i, sym in enumerate(theory.operations)
+                                  if sym.name in reads), default=-1))
+            names |= reads
         self._terms = [self._uses(analysis(theory, term), names) for term in terms]
         self.used = tuple(i for i, sym in enumerate(theory.operations) if sym.name in names)
         self._slots = {theory.operations[i].name: slot for slot, i in enumerate(self.used)}
@@ -514,10 +526,9 @@ class _Program:
         pair = layout.pairer(layout.size(left.dom), layout.size(left.cod), layout.size(right.cod))
         return lambda tables: pair(_run(lsteps, tables), _run(rsteps, tables))
 
-    def at(self, layout: _Layout) -> tuple[list[_Check], list[_Side],
-                                           Callable[[Iterable[Table]], list[Table]]]:
-        """The equations and the terms specialised to layout, and the lift
-        of the used operations' raw tables to their rank-2 tables."""
+    def at(self, layout: _Layout) -> tuple[list[_Check], list[_Side], list[Optional[Callable]]]:
+        """The equations and the terms specialised to layout, and the lifter
+        of each used operation (see _lift)."""
         checks = [_Check(_Side(layout, self._steps(layout, lhs), lhs),
                          _Side(layout, self._steps(layout, rhs), rhs),
                          layout.weak_view(layout.size(lhs.dom), layout.size(lhs.cod))
@@ -525,19 +536,21 @@ class _Program:
                   for strength, lhs, rhs in self._equations]
         sides = [_Side(layout, self._steps(layout, found), found) for found in self._terms]
         lifters = [layout.lifter(*layout.shape(self.theory.operations[i])) for i in self.used]
-
-        def lift(raws: Iterable[Table]) -> list[Table]:
-            return [raw if f is None else f(raw) for raw, f in zip(raws, lifters)]
-        return checks, sides, lift
+        return checks, sides, lifters
 
     def numbered(self, model: FiniteModel) -> tuple[list[_Check], list[_Side], list[Table]]:
         """Check a given model's carriers, specialise to them and number,
         from its labelled tables, the tables the program uses."""
         layout = _Layout.of_model(self.theory, model)
-        checks, sides, lift = self.at(layout)
+        checks, sides, lifters = self.at(layout)
         symbols = [self.theory.operations[i] for i in self.used]
-        return checks, sides, lift([layout.number(sym, model.tables.get(sym.name))
-                                    for sym in symbols])
+        return checks, sides, _lift(lifters, [layout.number(sym, model.tables.get(sym.name))
+                                              for sym in symbols])
+
+
+def _lift(lifters: Sequence[Optional[Callable]], raws: Iterable[Table]) -> list[Table]:
+    """Raw tables lifted to rank 2, each by its lifter (None: as it is)."""
+    return [raw if f is None else f(raw) for raw, f in zip(raws, lifters)]
 
 
 # ---------------------------------------------------------------------------
@@ -627,16 +640,6 @@ def count_interpretations(theory: Theory, bounds: Bounds) -> int:
     return sum(_layout_counts(theory, bounds))
 
 
-def _candidates(theory: Theory, bounds: Bounds) -> Iterator[tuple[_Layout, tuple]]:
-    """Every raw interpretation within bounds, in canonical order, as its
-    layout and one raw table per operation (_Layout.raw_tables' order, the
-    first operation's table varying slowest)."""
-    for layout in _layouts(theory.effect, theory.base_types, bounds):
-        spaces = [layout.raw_tables(*layout.shape(sym)) for sym in theory.operations]
-        for assignment in itertools.product(*spaces):
-            yield layout, assignment
-
-
 def _check_ceiling(theory: Theory, bounds: Bounds, max_interpretations: int) -> None:
     """BoundsTooLarge when more raw interpretations than the ceiling lie
     within bounds: each layout holds one at least, so too many layouts need
@@ -648,27 +651,61 @@ def _check_ceiling(theory: Theory, bounds: Bounds, max_interpretations: int) -> 
                              f"within bounds, ceiling is {max_interpretations}")
 
 
+def _candidates(program: _Program, layout: _Layout, checks: list[_Check],
+                lifters: list[Optional[Callable]]) -> Iterator[tuple[tuple, list[Table]]]:
+    """The staged walk over one layout: depth first over the operations in
+    declaration order, each level trying its raw tables in raw_tables'
+    order.  A level lifts its table and runs the checks of the equations
+    whose last operation it is (one that reads none runs before the walk);
+    a failed check skips the subtree below.  An axiom fails when it does
+    not hold, an equation after them (a goal) when it holds.  With a goal
+    only the used operations are walked, the others keeping their first
+    raw table, the least completion.  Yields each complete assignment that
+    passes: one raw table per operation, and the used ones' rank-2 tables."""
+    ops = program.theory.operations
+    n_axioms = len(program.theory.axioms)
+    stages: dict[int, list] = {}
+    for n, (check, last) in enumerate(zip(checks, program.last)):
+        stages.setdefault(last, []).append((check.holds, n < n_axioms))
+    tables: list = [None] * len(program.used)
+    if any(holds(tables) != want for holds, want in stages.get(-1, ())):
+        return
+    slots = {i: slot for slot, i in enumerate(program.used)}
+    walked = program.used if len(checks) > n_axioms else range(len(ops))
+    levels = [(i, layout.shape(ops[i]), slots.get(i), lifters[slots[i]] if i in slots else None,
+               stages.get(i, ())) for i in walked]
+    assignment = [next(layout.raw_tables(*layout.shape(sym))) for sym in ops]
+
+    def walk(depth: int) -> Iterator[tuple[tuple, list[Table]]]:
+        if depth == len(levels):
+            yield tuple(assignment), list(tables)
+            return
+        i, shape, slot, lift, stage = levels[depth]
+        for raw in layout.raw_tables(*shape):
+            assignment[i] = raw
+            if slot is not None:
+                tables[slot] = raw if lift is None else lift(raw)
+            for holds, want in stage:
+                if holds(tables) != want:
+                    break
+            else:
+                yield from walk(depth + 1)
+    yield from walk(0)
+
+
 def _admitted(program: _Program, bounds: Bounds
               ) -> Iterator[tuple[_Layout, tuple, list[Table], list[_Check]]]:
-    """The one loop over admitted candidates: every candidate within bounds
-    that satisfies the theory's axioms, in canonical order, with its
-    layout, its raw tables, the rank-2 tables of the operations the program
-    uses, and the checks of the program's equations after the axioms (the
-    program lists the theory's axioms first)."""
+    """The one loop over admitted candidates: in canonical order, every
+    candidate within bounds that _candidates lets through (it satisfies the
+    theory's axioms, and violates the goal when the program lists one after
+    them), with its layout, its raw tables, the rank-2 tables of the
+    operations the program uses, and the checks of the equations after the
+    axioms."""
     theory = program.theory
-    n_axioms = len(theory.axioms)
-    used = program.used
-    current = None
-    for layout, assignment in _candidates(theory, bounds):
-        if layout is not current:
-            current = layout
-            checks, _, lift = program.at(layout)
-            axioms, rest = checks[:n_axioms], checks[n_axioms:]
-        tables = lift(map(assignment.__getitem__, used))
-        for check in axioms:
-            if not check.holds(tables):
-                break
-        else:
+    for layout in _layouts(theory.effect, theory.base_types, bounds):
+        checks, _, lifters = program.at(layout)
+        rest = checks[len(theory.axioms):]
+        for assignment, tables in _candidates(program, layout, checks, lifters):
             yield layout, assignment, tables, rest
 
 
@@ -705,7 +742,5 @@ def find_counterexample(theory: Theory, eq: DecoratedEquation,
     _check_ceiling(theory, bounds, max_interpretations)
     program = _Program(theory, [ax.equation for ax in theory.axioms] + [eq])
     for layout, assignment, tables, (goal,) in _admitted(program, bounds):
-        found = goal.witness(tables)
-        if found is not None:
-            return Counterexample(layout.model(theory, assignment), eq, *found)
+        return Counterexample(layout.model(theory, assignment), eq, *goal.witness(tables))
     return None

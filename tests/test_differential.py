@@ -3,8 +3,10 @@
 Every comparison runs both implementations on the same input.  For the
 numbered kernel: eval_term on each axiom and goal side, first_violation,
 find_counterexample (model text, witness and both values) and the full
-list of enumerate_models, on the shipped corpus and a seeded batch of
-random theories from gen.py, all at carrier sizes of at most 2.  For the
+list of enumerate_models, on the shipped corpus, a seeded batch of random
+theories from gen.py, a second batch with 2 to 4 operations and 1 to 3
+axioms, so that the staged search checks axioms at different levels, and
+fixed theories for its edge cases, all at carrier sizes of at most 2.  For the
 rule-soundness sweep: every ScenarioResult of both effects at carriers up
 to 1 and 2.  For the prover: the printed derivation, or the DepthExhausted
 message with its rewrite count, on the corpus goals, goals with nested
@@ -174,6 +176,13 @@ def _random_case(rng, effect):
     if axiom is None or goal is None:
         return None
     theory = Theory(effect, theory.base_types, theory.operations, (Axiom("ax0", axiom),))
+    return _bounded(theory, goal)
+
+
+def _bounded(theory, goal):
+    """theory and goal with the largest bounds up to carrier 2 whose raw
+    interpretation count stays under CASE_CEILING; None when even carrier
+    1 is too large."""
     for base, eff in ((2, 2), (1, 2), (1, 1)):
         bounds = Bounds(base, eff)
         if count_interpretations(theory, bounds) <= CASE_CEILING:
@@ -198,6 +207,86 @@ def test_random_theories(effect):
         filtered += len(models) < count_interpretations(theory, bounds)
     # the batch exercises both outcomes and the axiom filter
     assert 0 < found < cases and filtered > 0
+
+
+def _staged_case(rng, effect):
+    """A random theory of 2 to 4 operations with 1 to 3 axioms and a goal
+    over it, within bounds as _bounded picks them; None when a draw
+    misses."""
+    theory = gen.random_theory(rng, effect, n_ops=rng.randint(2, 4))
+    equations = [_equation(rng, theory) for _ in range(rng.randint(1, 3) + 1)]
+    if None in equations:
+        return None
+    axioms = tuple(Axiom(f"ax{i}", eq) for i, eq in enumerate(equations[1:]))
+    return _bounded(Theory(effect, theory.base_types, theory.operations, axioms), equations[0])
+
+
+@pytest.mark.parametrize("effect", list(EffectKind))
+def test_staged_search_random_theories(effect):
+    """The staged walk checks each axiom once the last table it reads is
+    assigned; with several operations and axioms, they sit at different
+    levels of the walk."""
+    rng = random.Random(1515 if effect is EffectKind.STATES else 5151)
+    cases = found = staged = 0
+    while cases < 40:
+        case = _staged_case(rng, effect)
+        if case is None:
+            continue
+        theory, goal, bounds = case
+        _, refuted = _assert_same_search(theory, goal, bounds)
+        cases += 1
+        found += refuted
+        levels = semantics._Program(theory, [ax.equation for ax in theory.axioms]).last
+        staged += len(set(levels)) > 1
+    assert 0 < found < cases and staged > 0
+
+
+#: Theories whose searches place checks where the staged walk has edge
+#: cases, each with goals that are refuted and goals that are not.
+STAGED_CASES = {
+    # u0 and u1 are read by no equation: the search keeps their first
+    # table, and enumerate_models still sweeps them in declaration order.
+    "unused operations": ("""effect exceptions
+type A
+op u0 : A -> A propagator
+op f : A -> A propagator
+op u1 : Unit -> A propagator
+op g : A -> A propagator
+axiom strong f . g == g . f
+""", ("strong f == g", "weak g . f ~ f . g", "strong f . f == f", "weak u0 ~ u0 . u0")),
+    # The axiom reads no operation: it holds only where |A| is 1, so every
+    # other carrier assignment is skipped whole, as is every one where a
+    # goal of builtins holds.
+    "axiom over builtins": ("""effect states
+type A
+type B
+op f : A -> B modifier
+op g : B -> B pure
+axiom strong p1(A, A) == p2(A, A)
+""", ("strong p1(B, B) == p2(B, B)", "weak p1(A, A) ~ p2(A, A)", "strong g . f == f",
+      "weak g . g . f ~ g . f")),
+    # h, the last operation the axiom reads, occurs only inside a pair.
+    "deepest operation in a pair": ("""effect states
+type A
+op f : A -> A pure
+op h : A -> A observer
+op k : A -> A modifier
+axiom strong p2(A, A) . <f, h> == f
+""", ("strong h == f", "weak f ~ id(A)", "weak k . h ~ k . f", "strong k . f == h . k")),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STAGED_CASES))
+def test_staged_search_edge_cases(name):
+    source, goals = STAGED_CASES[name]
+    theory = parse_theory(source)
+    outcomes = set()
+    for text in goals:
+        goal = parse_equation(text, theory)
+        for bounds in (Bounds(1, 2), Bounds(2, 1), Bounds(2, 2)):
+            if count_interpretations(theory, bounds) <= 20 * CASE_CEILING:
+                outcomes.add(_assert_same_search(theory, goal, bounds)[1])
+    assert outcomes == {False, True}
 
 
 # ---------------------------------------------------------------------------

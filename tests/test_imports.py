@@ -147,3 +147,47 @@ def test_repr_scan_sees_a_raised_repr():
               "def b(x): raise E(x, f'{x}: {quoted(x)}')\n"
               "def c(x): return f'{x!r}'\n")
     assert raised_reprs(source) == [1]
+
+
+#: The one model-space walk: only _candidates iterates raw tables, and only
+#: _admitted iterates _candidates, so no second generate-and-test loop can
+#: grow beside the staged one.
+MODEL_SPACE_CALLS = {("_candidates", "raw_tables"), ("_admitted", "_candidates")}
+
+
+def calls_of(source: str, callees: set[str]) -> set[tuple[str, str]]:
+    """The (function, callee) pairs where a module-level function or a
+    method, nested functions included, calls one of callees by name or as
+    an attribute."""
+    found = set()
+    tree = ast.parse(source)
+    functions = [(node.name, node) for node in tree.body
+                 if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    functions += [(f"{cls.name}.{node.name}", node) for cls in tree.body
+                  if isinstance(cls, ast.ClassDef) for node in cls.body
+                  if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    for name, func in functions:
+        for node in ast.walk(func):
+            if isinstance(node, ast.Call):
+                callee = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                if callee in callees:
+                    found.add((name, callee))
+    return found
+
+
+def test_one_model_space_walk():
+    source = (ROOT / "src" / "decolog" / "semantics.py").read_text(encoding="utf-8")
+    assert calls_of(source, {"raw_tables", "_candidates"}) == MODEL_SPACE_CALLS
+
+
+def test_model_space_scan_sees_every_kind_of_call():
+    source = ("def _candidates(layout):\n"
+              "    def walk(): yield from layout.raw_tables(1, 1, 1)\n"
+              "    return walk()\n"
+              "def _admitted(p): return [c for c in _candidates(p)]\n"
+              "class L:\n"
+              "    def spaces(self): return product(*[self.raw_tables(*s) for s in x])\n"
+              "def other(p): return next(_candidates(p)), raw_shape(p)\n")
+    assert calls_of(source, {"raw_tables", "_candidates"}) == {
+        ("_candidates", "raw_tables"), ("_admitted", "_candidates"),
+        ("L.spaces", "raw_tables"), ("other", "_candidates")}

@@ -40,6 +40,8 @@ from decolog.semantics import (
     validate_model,
 )
 
+from decolog import semantics
+from decolog.files import parse_equation, parse_theory
 from gen import random_theory
 from reference import RankNotIncreasing, coerce, weak_equal
 
@@ -494,3 +496,66 @@ class TestCounterexample:
         with pytest.raises(BoundsTooLarge):
             find_counterexample(theory, weak(f, g), Bounds(base=3, effect=3),
                                 max_interpretations=100)
+
+
+#: The shape of a generated benchmark theory: an axiom over va, declared
+#: first, then two over sa.
+STAGED = """effect exceptions
+type TC
+type TZ
+op va : TC -> TC pure
+{extra}op sa : TZ -> TZ catcher
+axiom weak va . va ~ va
+axiom strong sa == sa . sa
+axiom weak id(TZ) ~ sa . sa
+"""
+
+
+class TestStagedSearch:
+    """The search checks each axiom once the tables it reads are assigned
+    and skips the subtree below one that fails."""
+
+    @staticmethod
+    def holds_calls(monkeypatch, search) -> int:
+        calls = []
+        original = semantics._Check.holds
+
+        def counted(self, tables):
+            calls.append(1)
+            return original(self, tables)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(semantics._Check, "holds", counted)
+            search()
+        return len(calls)
+
+    def test_a_failed_axiom_skips_its_subtree(self, monkeypatch):
+        theory = parse_theory(STAGED.format(extra=""))
+        goal = parse_equation("strong va . va == va", theory)
+        total = count_interpretations(theory, Bounds())
+        # every candidate costs at least one check when each is tested whole;
+        # here the va axiom runs once per va table, and the goal skips every
+        # sa table
+        for search in (lambda: list(enumerate_models(theory)),
+                       lambda: find_counterexample(theory, goal)):
+            assert 0 < self.holds_calls(monkeypatch, search) < total
+
+    @pytest.mark.parametrize("goal, refuted", [
+        ("strong sa . sa == sa", False), ("strong va . va == va", False),
+        ("strong sa == id(TZ)", True), ("strong va == id(TC)", True)])
+    def test_an_unused_operation_costs_the_search_nothing(self, monkeypatch, goal, refuted):
+        counts, found = [], []
+        for extra in ("", "op un : TC -> TZ propagator\n"):
+            theory = parse_theory(STAGED.format(extra=extra))
+            eq = parse_equation(goal, theory)
+            counts.append(self.holds_calls(
+                monkeypatch, lambda: found.append(find_counterexample(theory, eq))))
+        assert counts[0] == counts[1] > 0
+        plain, extended = found
+        assert (plain is not None, extended is not None) == (refuted, refuted)
+        if refuted:
+            # the unused table is the least one; the rest is the same model
+            tables = dict(extended.model.tables)
+            assert tables.pop("un").mapping == {x: ("ok", 0) for x in tables["va"].mapping}
+            assert tables == plain.model.tables
+            assert extended.witness == plain.witness and extended.lhs_value == plain.lhs_value

@@ -16,7 +16,8 @@ Exit codes: 0 success (proved, holds, countermodel found, all rules sound);
 refuted rule, ill-formed input); 2 syntax error, unreadable file, or a bad
 setting (--depth, --max-carrier or DECOLOG_MAX_ENUM not an integer of at
 least 1, or a validate-rules --max-carrier above 2);
-3 model/theory mismatch.  --json swaps the human report on stdout for a
+3 model/theory mismatch; 130 interrupted (SIGINT); 141 stdout closed
+early (a broken pipe).  --json swaps the human report on stdout for a
 machine-readable one; errors always go to stderr as text.
 
 The environment variable DECOLOG_MAX_ENUM overrides the ceiling on how many
@@ -382,6 +383,14 @@ def main(argv: list[str] | None = None) -> int:
         parser.error(f"unrecognized arguments: {cut(' '.join(extra))}")
     try:
         return args.func(args)
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        return 130
+    except BrokenPipeError:
+        # the reader is gone: send what is still buffered to devnull, so
+        # the flush at exit stays quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except ParseError as error:
         print(f"parse error: {error}", file=sys.stderr)
         return 2

@@ -24,8 +24,8 @@ does, so both unit laws require f pure.
 
 These side conditions, and the rank bound of weak_to_strong_lowrank, are
 one table: RANK_LIMITS.  The checker enforces it, the prover's weak and
-unit moves obey it, and validate_rules sweeps exactly it, replaying every
-rule schema against exhaustively enumerated finite interpretations: the
+unit moves obey it, and validate_rules sweeps exactly it, over the rules
+it lists, against exhaustively enumerated finite interpretations: the
 instances within a limit hold in every model, and those past it have
 countermodels.
 """
@@ -954,10 +954,10 @@ def _run_scenario(effect: EffectKind, sc: _Scenario,
 
 
 def validate_rules(effect: EffectKind, max_carrier: int = 2) -> ValidationReport:
-    """Sweep every rule schema over all finite interpretations with carriers
-    up to max_carrier (1 or 2).  Scenarios expecting soundness must show
-    zero violations; scenarios for excluded instances must produce at least
-    one countermodel."""
+    """Sweep refl, sym (weak premises only), trans_weak, weak_to_strong_lowrank,
+    subst_strong, weak_subst, weak_repl, the three pair rules and the two unit
+    laws (not trans_strong, trans_mixed, strong_to_weak, repl_strong or axiom)
+    over all finite interpretations with carriers up to max_carrier (1 or 2)."""
     if not 1 <= max_carrier <= MAX_SWEEP_CARRIER:
         raise DeductionError(
             f"max_carrier must be between 1 and {MAX_SWEEP_CARRIER}, got {max_carrier}")

@@ -47,7 +47,9 @@ The search is one staged walk, _candidates: depth first over the operation
 tables in declaration order, in the canonical order itertools.product would
 give.  Each axiom is checked once the last table it reads is assigned, and
 a failure skips the subtree below, as does a goal of find_counterexample
-that holds.  _check_ceiling still counts raw interpretations.
+that holds.  _check_ceiling counts the raw interpretations of the tables
+the walk visits, _Program.walked: every table for enumerate_models, those
+of the operations its equations read for find_counterexample.
 """
 from __future__ import annotations
 
@@ -183,7 +185,6 @@ class _Layout:
         self.k = len(eff_elems)
         self._labels: dict = {}
         self._raw_labels: dict = {}
-        self._decoders: Optional[list] = None
 
     @classmethod
     def of_model(cls, theory: Theory, model: FiniteModel) -> "_Layout":
@@ -405,19 +406,13 @@ class _Layout:
         return tuple(raw)
 
     def model(self, theory: Theory, assignment: Sequence[Table]) -> FiniteModel:
-        """The labelled model of one raw table per operation."""
-        if self._decoders is None:
-            self._decoders = []
-            for sym in theory.operations:
-                ins, outs = self.raw_labels(sym)
-                # outputs labelled 0, 1, ... are their own numbers
-                decode = None if outs == tuple(range(len(outs))) else outs.__getitem__
-                self._decoders.append((sym.name, sym.decoration, ins, decode))
-        effect = self.effect
-        tables = {name: OperationTable(effect, rank,
-                                       dict(zip(ins, raw if decode is None else map(decode, raw))))
-                  for (name, rank, ins, decode), raw in zip(self._decoders, assignment)}
-        return FiniteModel(effect, self.carriers, self.eff_elems, tables)
+        """The labelled model of one raw table per operation, decoded by raw_labels."""
+        tables = {}
+        for sym, raw in zip(theory.operations, assignment):
+            ins, outs = self.raw_labels(sym)
+            tables[sym.name] = OperationTable(self.effect, sym.decoration,
+                                              dict(zip(ins, map(outs.__getitem__, raw))))
+        return FiniteModel(self.effect, self.carriers, self.eff_elems, tables)
 
 
 class _Side:
@@ -498,6 +493,9 @@ class _Program:
             names |= reads
         self._terms = [self._uses(analysis(theory, term), names) for term in terms]
         self.used = tuple(i for i, sym in enumerate(theory.operations) if sym.name in names)
+        #: the operations a search walks: the used ones if a goal follows the axioms, else all
+        self.walked = (self.used if len(self._equations) > len(theory.axioms)
+                       else tuple(range(len(theory.operations))))
         self._slots = {theory.operations[i].name: slot for slot, i in enumerate(self.used)}
 
     def _uses(self, found: Analysis, names: set) -> Analysis:
@@ -625,11 +623,12 @@ def _layouts(effect: EffectKind, base_types: Sequence[str], bounds: Bounds,
             yield _Layout(effect, carriers, tuple(range(eff_size)))
 
 
-def _layout_counts(theory: Theory, bounds: Bounds) -> Iterator[int]:
-    """Raw interpretation count of each layout, in _layouts' order."""
+def _layout_counts(theory: Theory, bounds: Bounds,
+                   ops: Sequence[OperationSymbol]) -> Iterator[int]:
+    """Raw interpretation count of ops' tables in each layout, in _layouts' order."""
     for layout in _layouts(theory.effect, theory.base_types, bounds):
         count = 1
-        for sym in theory.operations:
+        for sym in ops:
             n_in, n_out = layout.raw_shape(*layout.shape(sym))
             count *= n_out ** n_in
         yield count
@@ -637,15 +636,18 @@ def _layout_counts(theory: Theory, bounds: Bounds) -> Iterator[int]:
 
 def count_interpretations(theory: Theory, bounds: Bounds) -> int:
     """Raw interpretation count within bounds, before any axiom filtering."""
-    return sum(_layout_counts(theory, bounds))
+    return sum(_layout_counts(theory, bounds, theory.operations))
 
 
-def _check_ceiling(theory: Theory, bounds: Bounds, max_interpretations: int) -> None:
-    """BoundsTooLarge when more raw interpretations than the ceiling lie
-    within bounds: each layout holds one at least, so too many layouts need
-    no count, and the count stops once its running total passes it."""
+def _check_ceiling(program: _Program, bounds: Bounds, max_interpretations: int) -> None:
+    """BoundsTooLarge when the tables of program.walked (the others keep
+    their first) have more raw interpretations within bounds than the
+    ceiling: each layout holds one at least, so too many layouts need no
+    count, and the count stops once its running total passes it."""
+    theory = program.theory
     layouts = bounds.base ** len(theory.base_types) * bounds.effect
-    totals = itertools.accumulate(_layout_counts(theory, bounds))
+    walked = [theory.operations[i] for i in program.walked]
+    totals = itertools.accumulate(_layout_counts(theory, bounds, walked))
     if layouts > max_interpretations or any(t > max_interpretations for t in totals):
         raise BoundsTooLarge(f"more than {max_interpretations} interpretations "
                              f"within bounds, ceiling is {max_interpretations}")
@@ -658,9 +660,9 @@ def _candidates(program: _Program, layout: _Layout, checks: list[_Check],
     order.  A level lifts its table and runs the checks of the equations
     whose last operation it is (one that reads none runs before the walk);
     a failed check skips the subtree below.  An axiom fails when it does
-    not hold, an equation after them (a goal) when it holds.  With a goal
-    only the used operations are walked, the others keeping their first
-    raw table, the least completion.  Yields each complete assignment that
+    not hold, an equation after them (a goal) when it holds.  Only
+    program.walked is walked, every other operation keeping its first raw
+    table, the least completion.  Yields each complete assignment that
     passes: one raw table per operation, and the used ones' rank-2 tables."""
     ops = program.theory.operations
     n_axioms = len(program.theory.axioms)
@@ -670,10 +672,9 @@ def _candidates(program: _Program, layout: _Layout, checks: list[_Check],
     tables: list = [None] * len(program.used)
     if any(holds(tables) != want for holds, want in stages.get(-1, ())):
         return
-    slots = {i: slot for slot, i in enumerate(program.used)}
-    walked = program.used if len(checks) > n_axioms else range(len(ops))
-    levels = [(i, layout.shape(ops[i]), slots.get(i), lifters[slots[i]] if i in slots else None,
-               stages.get(i, ())) for i in walked]
+    slots = [program._slots.get(ops[i].name) for i in program.walked]
+    levels = [(i, layout.shape(ops[i]), slot, None if slot is None else lifters[slot],
+               stages.get(i, ())) for i, slot in zip(program.walked, slots)]
     assignment = [next(layout.raw_tables(*layout.shape(sym))) for sym in ops]
 
     def walk(depth: int) -> Iterator[tuple[tuple, list[Table]]]:
@@ -699,14 +700,12 @@ def _admitted(program: _Program, bounds: Bounds
     candidate within bounds that _candidates lets through (it satisfies the
     theory's axioms, and violates the goal when the program lists one after
     them), with its layout, its raw tables, the rank-2 tables of the
-    operations the program uses, and the checks of the equations after the
-    axioms."""
+    operations the program uses, and the layout's checks of its equations."""
     theory = program.theory
     for layout in _layouts(theory.effect, theory.base_types, bounds):
         checks, _, lifters = program.at(layout)
-        rest = checks[len(theory.axioms):]
         for assignment, tables in _candidates(program, layout, checks, lifters):
-            yield layout, assignment, tables, rest
+            yield layout, assignment, tables, checks
 
 
 def enumerate_models(theory: Theory, bounds: Bounds = Bounds(), *,
@@ -717,8 +716,9 @@ def enumerate_models(theory: Theory, bounds: Bounds = Bounds(), *,
 
     Refuses to start when the raw interpretation count exceeds the ceiling.
     """
-    _check_ceiling(theory, bounds, max_interpretations)
-    admitted = _admitted(_Program(theory, [ax.equation for ax in theory.axioms]), bounds)
+    program = _Program(theory, [ax.equation for ax in theory.axioms])
+    _check_ceiling(program, bounds, max_interpretations)
+    admitted = _admitted(program, bounds)
     return (layout.model(theory, assignment) for layout, assignment, _, _ in admitted)
 
 
@@ -739,8 +739,8 @@ def find_counterexample(theory: Theory, eq: DecoratedEquation,
     violates the equation, with the first input where the sides disagree.
     None when the bounded search is exhausted.
     """
-    _check_ceiling(theory, bounds, max_interpretations)
     program = _Program(theory, [ax.equation for ax in theory.axioms] + [eq])
-    for layout, assignment, tables, (goal,) in _admitted(program, bounds):
-        return Counterexample(layout.model(theory, assignment), eq, *goal.witness(tables))
+    _check_ceiling(program, bounds, max_interpretations)
+    for layout, assignment, tables, checks in _admitted(program, bounds):
+        return Counterexample(layout.model(theory, assignment), eq, *checks[-1].witness(tables))
     return None

@@ -1,6 +1,7 @@
 """Command line behavior: outputs, JSON reports, exit codes."""
 import json
 import os
+import signal
 import subprocess
 import sys
 import time
@@ -491,3 +492,43 @@ class TestEntryPoints:
         with pytest.raises(SystemExit) as err:
             main(["frobnicate"])
         assert err.value.code == 2
+
+    def test_interrupt_exits_130_without_a_traceback(self):
+        # bank has 3.1e10 raw interpretations at carrier 3, far more than
+        # two seconds of search; SIGINT is reset to its default in the
+        # child, as a shell that starts it in the background ignores it
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "decolog.cli", "find-cex", BANK, "weak f ~ g",
+             "--max-carrier", "3"],
+            env={**os.environ, "DECOLOG_MAX_ENUM": "100000000000"},
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_DFL))
+        try:
+            time.sleep(2)
+            assert proc.poll() is None
+            proc.send_signal(signal.SIGINT)
+            out, err = proc.communicate(timeout=30)
+        finally:
+            proc.kill()
+            proc.wait()
+        assert (proc.returncode, out) == (130, "")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+    def test_closed_stdout_exits_141_quietly(self, tmp_path, capsys):
+        path = tmp_path / "wide.dth"
+        path.write_text("effect states\ntype Int\n"
+                        + "".join(f"op o{i} : Int -> Int pure\n" for i in range(20000)))
+        proc = subprocess.Popen([sys.executable, "-m", "decolog.cli", "check", str(path)],
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+        try:
+            assert proc.stdout.readline() == "effect states\n"
+            proc.stdout.close()
+            err = proc.stderr.read()
+            proc.wait(timeout=30)
+        finally:
+            proc.kill()
+            proc.wait()
+        assert (proc.returncode, err) == (141, "")
+        # a file that cannot be read is still an input error
+        code, _, err = run(capsys, "check", str(tmp_path / "missing.dth"))
+        assert code == 2 and err.startswith("cannot read input")

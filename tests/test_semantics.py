@@ -12,6 +12,7 @@ from decolog.calculus import (
     OperationSymbol,
     Prod,
     Proj1,
+    SideTypeMismatch,
     Theory,
     Unit,
     compose,
@@ -41,7 +42,7 @@ from decolog.semantics import (
 )
 
 from decolog import semantics
-from decolog.files import parse_equation, parse_theory
+from decolog.files import corpus_path, parse_equation, parse_theory
 from gen import random_theory
 from reference import RankNotIncreasing, coerce, weak_equal
 
@@ -497,6 +498,12 @@ class TestCounterexample:
             find_counterexample(theory, weak(f, g), Bounds(base=3, effect=3),
                                 max_interpretations=100)
 
+    def test_ill_formed_goal_is_reported_before_the_ceiling(self, bank):
+        theory, f, _ = bank
+        with pytest.raises(SideTypeMismatch):
+            find_counterexample(theory, strong(f, Op("plus")), Bounds(10 ** 9, 10 ** 9),
+                                max_interpretations=1)
+
 
 #: The shape of a generated benchmark theory: an axiom over va, declared
 #: first, then two over sa.
@@ -559,3 +566,35 @@ class TestStagedSearch:
             assert tables.pop("un").mapping == {x: ("ok", 0) for x in tables["va"].mapping}
             assert tables == plain.model.tables
             assert extended.witness == plain.witness and extended.lhs_value == plain.lhs_value
+
+    def test_the_ceiling_counts_only_the_walked_tables(self):
+        # the plain theory has 1,570 raw interpretations, and un raises the
+        # count to 19,586; a goal's search never walks un, so the plain
+        # theory's count is the ceiling it needs
+        ceiling = count_interpretations(parse_theory(STAGED.format(extra="")), Bounds())
+        theory = parse_theory(STAGED.format(extra="op un : TC -> TZ propagator\n"))
+        assert (ceiling, count_interpretations(theory, Bounds())) == (1570, 19586)
+        refuted = find_counterexample(theory, parse_equation("strong sa == id(TZ)", theory),
+                                      max_interpretations=ceiling)
+        assert refuted is not None and refuted.witness == ("exc", 0)
+        assert find_counterexample(theory, parse_equation("strong sa . sa == sa", theory),
+                                   max_interpretations=ceiling) is None
+        # enumerate_models walks every table, un's among them
+        with pytest.raises(BoundsTooLarge):
+            enumerate_models(theory, max_interpretations=ceiling)
+
+
+@pytest.mark.parametrize("name, admitted", [("bank.dth", 341), ("throwcatch.dth", 74)])
+def test_found_models_renumber_to_their_raw_tables(name, admitted):
+    # _Layout.model decodes and _Layout.number encodes through one table,
+    # raw_labels, so every admitted model renumbers to the assignment found
+    theory = parse_theory(corpus_path(name).read_text())
+    program = semantics._Program(theory, [ax.equation for ax in theory.axioms])
+    models = 0
+    for layout, assignment, _, _ in semantics._admitted(program, Bounds(2, 2)):
+        model = layout.model(theory, assignment)
+        renumbered = _Layout.of_model(theory, model)
+        assert tuple(renumbered.number(sym, model.tables[sym.name])
+                     for sym in theory.operations) == assignment
+        models += 1
+    assert models == admitted

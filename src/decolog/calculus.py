@@ -395,12 +395,6 @@ class Theory(Record):
                 return ax
         raise UndeclaredSymbol(f"axiom {quoted(name)} is not declared")
 
-    def definition(self, name: str) -> DecoratedTerm:
-        for dname, term in self.definitions:
-            if dname == name:
-                return term
-        raise UndeclaredSymbol(f"definition {quoted(name)} is not declared")
-
     def validate(self) -> None:
         """Check every declaration, definition and axiom for well-formedness."""
         for sym in self.operations:

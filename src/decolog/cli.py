@@ -9,7 +9,9 @@ Commands
                                  does the equation hold in the model
     find-cex THEORY EQUATION     countermodel search over small carriers
     dualize THEORY               mirror theory plus symbol correspondence
-    validate-rules EFFECT        sweep the rule catalog against all models
+    validate-rules EFFECT        sweep every rule but trans_strong, trans_mixed,
+                                 strong_to_weak, repl_strong and axiom
+                                 against all small models
 
 Exit codes: 0 success (proved, holds, countermodel found, all rules sound);
 1 semantic failure (rejected derivation, violated equation, nothing found,
@@ -368,7 +370,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("theory")
 
     p = add("validate-rules", cmd_validate_rules,
-            "sweep the rule catalog against all small models")
+            "sweep every rule but trans_strong, trans_mixed, strong_to_weak, "
+            "repl_strong and axiom against all small models")
     p.add_argument("effect", type=_effect, choices=list(EffectKind))
     p.add_argument("--max-carrier", type=_sweep_carrier, default=2,
                    help=f"carrier size bound, at most {MAX_SWEEP_CARRIER} (default 2)")

@@ -29,15 +29,16 @@ the order _Layout.labels lists the inputs:
 Composition looks first's entries up in after (itemgetter(*first)(after)),
 strong equality is tuple equality, and weak equality compares the ok block
 (exceptions) or the value column v // |S| (states).  Each equation is
-compiled once per search and specialised once per carrier-size assignment;
-labels are decoded only where a caller sees them: eval_term's mapping, the
-models enumerate_models yields, a Counterexample and the examples of the
-rule-soundness sweep in deduction.py, which runs on the same parts.
+compiled once per search and specialised once per carrier-size assignment.
+The rule sweep in deduction.py enters through _denotation, a term's rank-2
+table as a function of raw tables.  Tables leave through _Layout.decode,
+only where a caller sees labels: eval_term's mapping, the models
+enumerate_models yields, a Counterexample and the sweep's examples.
 
 _Layout is the one model codec and the one way through the model space.
 Only it maps labels to numbers: _Layout.values lists a type's elements,
 _Layout.labels the rank-2 elements over a type and _Layout.raw_labels the
-inputs and outputs of an operation's raw table.  find_counterexample,
+inputs and outputs of a raw table, by signature.  find_counterexample,
 enumerate_models and the sweep take their carrier assignments from _layouts
 and their raw tables from _Layout.raw_tables.  A given model is checked by
 _Layout.of_model (its carriers) and _Layout.number (its tables), in
@@ -49,11 +50,13 @@ give.  Each axiom is checked once the last table it reads is assigned, and
 a failure skips the subtree below, as does a goal of find_counterexample
 that holds.  _check_ceiling counts the raw interpretations of the tables
 the walk visits, _Program.walked: every table for enumerate_models, those
-of the operations its equations read for find_counterexample.
+of the operations its equations read for find_counterexample.  It bounds
+the cells (input rows) of a layout's tables too, as every table is built.
 """
 from __future__ import annotations
 
 import itertools
+import math
 from operator import add, itemgetter, sub
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
@@ -183,7 +186,6 @@ class _Layout:
         self.carriers = carriers
         self.eff_elems = eff_elems
         self.k = len(eff_elems)
-        self._labels: dict = {}
         self._raw_labels: dict = {}
 
     @classmethod
@@ -348,33 +350,31 @@ class _Layout:
     def labels(self, ty: TypeExpr) -> tuple:
         """Rank-2 elements over ty in numbering order: ok(a) for every value
         and then exc(e) for every exception, or (a, s) row-major."""
-        got = self._labels.get(ty)
-        if got is None:
-            values = self.values(ty)
-            if self.exceptions:
-                got = tuple(map(ok, values)) + tuple(map(exc, self.eff_elems))
-            else:
-                got = tuple(itertools.product(values, self.eff_elems))
-            self._labels[ty] = got
-        return got
+        values = self.values(ty)
+        if self.exceptions:
+            return tuple(map(ok, values)) + tuple(map(exc, self.eff_elems))
+        return tuple(itertools.product(values, self.eff_elems))
 
-    def decode(self, dom: TypeExpr, cod: TypeExpr, t: Table) -> dict:
-        return dict(zip(self.labels(dom), map(self.labels(cod).__getitem__, t)))
-
-    def raw_labels(self, sym: OperationSymbol) -> tuple[tuple, tuple]:
-        """The inputs and the outputs of sym's raw table, in numbering order
-        (raw_shape counts them)."""
-        got = self._raw_labels.get(sym.name)
+    def raw_labels(self, rank: int, dom: TypeExpr, cod: TypeExpr) -> tuple[tuple, tuple]:
+        """The inputs and the outputs of a raw table of the given rank from
+        dom to cod, in numbering order (raw_shape counts them)."""
+        key = rank, dom, cod
+        got = self._raw_labels.get(key)
         if got is None:
-            rank, dom, cod = sym.decoration, sym.dom, sym.cod
             if rank == 0:
                 got = self.values(dom), self.values(cod)
             elif self.exceptions:
                 got = (self.values(dom) if rank == 1 else self.labels(dom)), self.labels(cod)
             else:
                 got = self.labels(dom), (self.values(cod) if rank == 1 else self.labels(cod))
-            self._raw_labels[sym.name] = got
+            self._raw_labels[key] = got
         return got
+
+    def decode(self, rank: int, dom: TypeExpr, cod: TypeExpr, t: Table) -> dict:
+        """A numbered table of the given rank from dom to cod (a raw table,
+        or at rank 2 any rank-2 table) as a map from labels to labels."""
+        ins, outs = self.raw_labels(rank, dom, cod)
+        return dict(zip(ins, map(outs.__getitem__, t)))
 
     def number(self, sym: OperationSymbol, table: Optional[OperationTable]) -> Table:
         """A model's table for sym in numbered form, or ModelMismatch when
@@ -386,7 +386,7 @@ class _Layout:
             raise ModelMismatch(
                 f"table for {quoted(sym.name)} has shape ({table.effect}, rank {table.rank}), "
                 f"declared ({self.effect}, rank {sym.decoration})")
-        ins, outs = self.raw_labels(sym)
+        ins, outs = self.raw_labels(sym.decoration, sym.dom, sym.cod)
         index = {y: i for i, y in enumerate(outs)}
         raw = []
         for x in ins:
@@ -406,12 +406,10 @@ class _Layout:
         return tuple(raw)
 
     def model(self, theory: Theory, assignment: Sequence[Table]) -> FiniteModel:
-        """The labelled model of one raw table per operation, decoded by raw_labels."""
-        tables = {}
-        for sym, raw in zip(theory.operations, assignment):
-            ins, outs = self.raw_labels(sym)
-            tables[sym.name] = OperationTable(self.effect, sym.decoration,
-                                              dict(zip(ins, map(outs.__getitem__, raw))))
+        """The labelled model of one raw table per operation."""
+        tables = {sym.name: OperationTable(self.effect, sym.decoration,
+                                           self.decode(sym.decoration, sym.dom, sym.cod, raw))
+                  for sym, raw in zip(theory.operations, assignment)}
         return FiniteModel(self.effect, self.carriers, self.eff_elems, tables)
 
 
@@ -458,8 +456,8 @@ class _Check:
         if x is None:
             return None
         side = self.lhs
-        cod = side.layout.labels(side.cod)
-        return side.layout.labels(side.dom)[x], cod[lhs[x]], cod[rhs[x]]
+        ins, outs = side.layout.raw_labels(2, side.dom, side.cod)
+        return ins[x], outs[lhs[x]], outs[rhs[x]]
 
 
 def violation_witness(lhs: Sequence[int], rhs: Sequence[int]) -> Optional[int]:
@@ -551,6 +549,15 @@ def _lift(lifters: Sequence[Optional[Callable]], raws: Iterable[Table]) -> list[
     return [raw if f is None else f(raw) for raw, f in zip(raws, lifters)]
 
 
+def _denotation(layout: _Layout, term: DecoratedTerm,
+                *ops: OperationSymbol) -> Callable[..., Table]:
+    """The map from one raw table per op to the rank-2 table of term at
+    layout, as the evaluator computes it over a theory of ops."""
+    theory = Theory(layout.effect, tuple(layout.carriers), ops)
+    _, (side,), lifters = _Program(theory, (), (term,)).at(layout)
+    return lambda *raws: side.run(_lift(lifters, raws))
+
+
 # ---------------------------------------------------------------------------
 # Evaluation in a given model
 # ---------------------------------------------------------------------------
@@ -570,7 +577,7 @@ def eval_term(model: FiniteModel, theory: Theory, term: DecoratedTerm) -> Operat
     cannot touch."""
     _, (side,), tables = _Program(theory, (), (term,)).numbered(model)
     return OperationTable(theory.effect, 2,
-                          side.layout.decode(side.dom, side.cod, side.run(tables)))
+                          side.layout.decode(2, side.dom, side.cod, side.run(tables)))
 
 
 def holds(model: FiniteModel, theory: Theory, eq: DecoratedEquation) -> bool:
@@ -623,34 +630,39 @@ def _layouts(effect: EffectKind, base_types: Sequence[str], bounds: Bounds,
             yield _Layout(effect, carriers, tuple(range(eff_size)))
 
 
-def _layout_counts(theory: Theory, bounds: Bounds,
-                   ops: Sequence[OperationSymbol]) -> Iterator[int]:
-    """Raw interpretation count of ops' tables in each layout, in _layouts' order."""
-    for layout in _layouts(theory.effect, theory.base_types, bounds):
-        count = 1
-        for sym in ops:
-            n_in, n_out = layout.raw_shape(*layout.shape(sym))
-            count *= n_out ** n_in
-        yield count
+def _shapes(layout: _Layout, ops: Sequence[OperationSymbol]) -> list[tuple[int, int]]:
+    """The input and output counts of ops' raw tables at layout."""
+    return [layout.raw_shape(*layout.shape(sym)) for sym in ops]
 
 
 def count_interpretations(theory: Theory, bounds: Bounds) -> int:
     """Raw interpretation count within bounds, before any axiom filtering."""
-    return sum(_layout_counts(theory, bounds, theory.operations))
+    return sum(math.prod(n_out ** n_in for n_in, n_out in _shapes(layout, theory.operations))
+               for layout in _layouts(theory.effect, theory.base_types, bounds))
 
 
 def _check_ceiling(program: _Program, bounds: Bounds, max_interpretations: int) -> None:
     """BoundsTooLarge when the tables of program.walked (the others keep
     their first) have more raw interpretations within bounds than the
-    ceiling: each layout holds one at least, so too many layouts need no
-    count, and the count stops once its running total passes it."""
-    theory = program.theory
-    layouts = bounds.base ** len(theory.base_types) * bounds.effect
-    walked = [theory.operations[i] for i in program.walked]
-    totals = itertools.accumulate(_layout_counts(theory, bounds, walked))
-    if layouts > max_interpretations or any(t > max_interpretations for t in totals):
-        raise BoundsTooLarge(f"more than {max_interpretations} interpretations "
-                             f"within bounds, ceiling is {max_interpretations}")
+    ceiling, or else when one layout's tables hold more cells (input rows)
+    than it.  The count starts at the number of layouts, each holding one
+    at least, and stops once it passes; a table of n_in rows and n_out
+    outputs passes alone, uncounted, if 2 ** (n_in * (n_out.bit_length() - 1)) does."""
+    theory, cap = program.theory, max_interpretations
+    total, cells = bounds.base ** len(theory.base_types) * bounds.effect, 0
+    for layout in _layouts(theory.effect, theory.base_types, bounds):
+        if total > cap:
+            break
+        shapes = _shapes(layout, theory.operations)
+        walked = [shapes[i] for i in program.walked]
+        total += math.prod(n_out ** n_in if n_in * (n_out.bit_length() - 1) < cap.bit_length()
+                           else cap + 1 for n_in, n_out in walked) - 1
+        cells = max(cells, sum(n_in for n_in, _ in shapes))
+    if total > cap:
+        raise BoundsTooLarge(f"more than {cap} interpretations within bounds, ceiling is {cap}")
+    if cells > cap:
+        raise BoundsTooLarge(f"more than {cap} table cells in one carrier assignment within "
+                             f"bounds, ceiling is {cap}")
 
 
 def _candidates(program: _Program, layout: _Layout, checks: list[_Check],

@@ -310,8 +310,8 @@ class TestTheory:
 
 class TestLongNames:
     @pytest.mark.parametrize("lookup, what", [
-        (Theory.op, "operation"), (Theory.axiom, "axiom"), (Theory.definition, "definition"),
-    ], ids=["op", "axiom", "definition"])
+        (Theory.op, "operation"), (Theory.axiom, "axiom"),
+    ], ids=["op", "axiom"])
     def test_undeclared_name_is_cut(self, bank, lookup, what):
         with pytest.raises(UndeclaredSymbol) as error:
             lookup(bank, "q" * 1200)

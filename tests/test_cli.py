@@ -362,6 +362,16 @@ class TestFindCex:
         assert err == ("error: more than 10000000 interpretations within bounds, "
                        "ceiling is 10000000\n")
 
+    def test_too_many_table_cells_is_one_line(self, capsys, monkeypatch, tmp_path):
+        path = tmp_path / "wide.dth"
+        path.write_text("effect states\ntype A\nop u : A -> A pure\n"
+                        f"op w : {' * '.join(['A'] * 18)} -> A pure\n")
+        monkeypatch.setenv("DECOLOG_MAX_ENUM", str(10 ** 5))
+        code, out, err = run(capsys, "find-cex", str(path), "strong u . u == u")
+        assert (code, out) == (1, "")
+        assert err == ("error: more than 100000 table cells in one carrier assignment within "
+                       "bounds, ceiling is 100000\n")
+
     def test_carrier_range_too_long_to_list(self, capsys, monkeypatch):
         """A ceiling above the number of carrier assignments lets the sizes
         be counted out, one at a time: 99,999,999,999,999,999,999 of them

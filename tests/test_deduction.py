@@ -486,6 +486,13 @@ class TestValidateRules:
             validate_rules(EffectKind.STATES, max_carrier=0)
 
     @pytest.mark.parametrize("effect", list(EffectKind))
+    def test_swept_and_unswept_rules_are_the_catalogue(self, effect):
+        # a rule added to the catalogue with no scenario fails here
+        swept = {sc.rule for sc in _scenarios(effect)}
+        unswept = {TRANS_STRONG, TRANS_MIXED, STRONG_TO_WEAK, REPL_STRONG, AXIOM}
+        assert swept.isdisjoint(unswept) and swept | unswept == set(ALL_RULES)
+
+    @pytest.mark.parametrize("effect", list(EffectKind))
     def test_carrier_bound_above_2_is_rejected(self, effect):
         # at 3 the sweep would run for days
         with pytest.raises(DeductionError, match="between 1 and 2"):

@@ -191,3 +191,22 @@ def test_model_space_scan_sees_every_kind_of_call():
     assert calls_of(source, {"raw_tables", "_candidates"}) == {
         ("_candidates", "raw_tables"), ("_admitted", "_candidates"),
         ("L.spaces", "raw_tables"), ("other", "_candidates")}
+
+
+def test_one_way_into_the_evaluator():
+    """Only semantics compiles terms (_Program) and lifts raw tables (_lift):
+    the rule sweep asks semantics._denotation for a term's table."""
+    calls = {path.name: calls_of(path.read_text(encoding="utf-8"), {"_Program", "_lift"})
+             for path in sorted((ROOT / "src" / "decolog").glob("*.py"))
+             if path.name != "semantics.py"}
+    assert {name: found for name, found in calls.items() if found} == {}
+
+
+def test_one_way_out_of_the_evaluator():
+    """Numbers become labels only through _Layout.raw_labels, which alone
+    builds rank-2 labels, and which only decode, number and a check's
+    witness read."""
+    source = (ROOT / "src" / "decolog" / "semantics.py").read_text(encoding="utf-8")
+    assert calls_of(source, {"labels"}) == {("_Layout.raw_labels", "labels")}
+    assert {caller for caller, _ in calls_of(source, {"raw_labels"})} == {
+        "_Layout.decode", "_Layout.number", "_Check.witness"}

@@ -1,5 +1,6 @@
 """Finite models: evaluation, satisfaction, enumeration, countermodels."""
 import random
+import time
 
 import pytest
 
@@ -503,6 +504,41 @@ class TestCounterexample:
         with pytest.raises(SideTypeMismatch):
             find_counterexample(theory, strong(f, Op("plus")), Bounds(10 ** 9, 10 ** 9),
                                 max_interpretations=1)
+
+    def test_a_wide_table_is_refused_at_once(self):
+        # w's table at |A| = 2 has 2 ** 23 rows of 4 outputs: a count of
+        # 4 ** (2 ** 23) takes seconds to build, and passes the ceiling
+        theory = parse_theory(f"effect exceptions\ntype A\nop w : {wide(23)} -> A propagator\n")
+        started = time.perf_counter()
+        with pytest.raises(BoundsTooLarge) as error:
+            find_counterexample(theory, parse_equation("strong w == w", theory), Bounds(2, 2))
+        assert time.perf_counter() - started < 1
+        assert str(error.value) == ("more than 10000000 interpretations within bounds, "
+                                    "ceiling is 10000000")
+
+    def test_the_ceiling_bounds_the_cells_a_search_builds(self):
+        # the goal never reads w, but the search builds w's first table,
+        # 2 ** factors rows at |A| = 2, and a found model decodes it
+        def search(factors, ceiling):
+            theory = parse_theory(f"effect states\ntype A\nop u : A -> A pure\n"
+                                  f"op w : {wide(factors)} -> A pure\n")
+            return find_counterexample(theory, parse_equation("strong u . u == u", theory),
+                                       Bounds(2, 1), max_interpretations=ceiling)
+
+        with pytest.raises(BoundsTooLarge) as error:
+            search(18, 10 ** 5)
+        assert str(error.value) == ("more than 100000 table cells in one carrier assignment "
+                                    "within bounds, ceiling is 100000")
+        found = search(16, semantics.DEFAULT_MAX_INTERPRETATIONS)
+        assert (found.witness, found.lhs_value, found.rhs_value) == ((0, 0), (0, 0), (1, 0))
+        assert found.model.tables["u"].mapping == {0: 1, 1: 0}
+        w = found.model.tables["w"].mapping
+        assert len(w) == 2 ** 16 and set(w.values()) == {0}
+
+
+def wide(factors: int) -> str:
+    """The product type of factors copies of A."""
+    return " * ".join(["A"] * factors)
 
 
 #: The shape of a generated benchmark theory: an axiom over va, declared

@@ -19,8 +19,9 @@ refuted rule, ill-formed input); 2 syntax error, unreadable file, or a bad
 setting (--depth, --max-carrier or DECOLOG_MAX_ENUM not an integer of at
 least 1, or a validate-rules --max-carrier above 2);
 3 model/theory mismatch; 130 interrupted (SIGINT); 141 stdout closed
-early (a broken pipe).  --json swaps the human report on stdout for a
-machine-readable one; errors always go to stderr as text.
+early (a broken pipe).  Each command returns its exit code and its report,
+and main alone prints the report: the text lines, or with --json a
+machine-readable object instead.  Errors always go to stderr as text.
 
 The environment variable DECOLOG_MAX_ENUM overrides the ceiling on how many
 interpretations a countermodel search may enumerate.
@@ -117,15 +118,12 @@ def _model_json(model: FiniteModel) -> dict:
     }
 
 
-def _emit(args, payload: dict, lines: list[str]) -> None:
-    if args.json:
-        print(json.dumps(payload, indent=2))
-    else:
-        for line in lines:
-            print(line)
+#: What a command returns for main to print: its exit code, its --json
+#: object and its text lines (at least one).
+Report = tuple[int, dict, list[str]]
 
 
-def cmd_check(args) -> int:
+def cmd_check(args) -> Report:
     theory = _load_theory(args.theory)
     lines = [f"effect {theory.effect}"]
     ops_json = []
@@ -156,64 +154,55 @@ def cmd_check(args) -> int:
                             "lhs_rank": report.lhs_rank,
                             "rhs_rank": report.rhs_rank})
     lines.append("ok")
-    _emit(args, {"ok": True, "effect": theory.effect.value,
-                 "types": list(theory.base_types), "operations": ops_json,
-                 "definitions": defs_json, "axioms": axioms_json}, lines)
-    return 0
+    return 0, {"ok": True, "effect": theory.effect.value,
+               "types": list(theory.base_types), "operations": ops_json,
+               "definitions": defs_json, "axioms": axioms_json}, lines
 
 
-def cmd_decorate(args) -> int:
+def cmd_decorate(args) -> Report:
     theory = _load_theory(args.theory)
     term = parse_term(args.term, theory)
     dom, cod, rank = analyze_term(theory, term)
-    _emit(args,
-          {"term": term_str(term), "dom": type_str(dom), "cod": type_str(cod),
-           "rank": rank, "keyword": rank_name(theory.effect, rank)},
-          [f"{term_str(term)} : {_signature(theory, dom, cod, rank)}"])
-    return 0
+    return (0,
+            {"term": term_str(term), "dom": type_str(dom), "cod": type_str(cod),
+             "rank": rank, "keyword": rank_name(theory.effect, rank)},
+            [f"{term_str(term)} : {_signature(theory, dom, cod, rank)}"])
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> Report:
     theory = _load_theory(args.theory)
     derivation = parse_derivation(_read(args.derivation), theory)
     judgment = check_derivation(theory, derivation)
-    _emit(args,
-          {"ok": True, **_equation_json(judgment.equation),
-           "dom": type_str(judgment.dom), "cod": type_str(judgment.cod)},
-          [_judgment_line(judgment.equation)])
-    return 0
+    return (0,
+            {"ok": True, **_equation_json(judgment.equation),
+             "dom": type_str(judgment.dom), "cod": type_str(judgment.cod)},
+            [_judgment_line(judgment.equation)])
 
 
-def cmd_prove(args) -> int:
+def cmd_prove(args) -> Report:
     theory = _load_theory(args.theory)
     goal = parse_equation(args.equation, theory)
     derivation = prove(theory, goal, max_depth=args.depth)
     text = print_derivation(derivation)
-    _emit(args,
-          {"found": True, **_equation_json(goal), "derivation": text},
-          [text])
-    return 0
+    return 0, {"found": True, **_equation_json(goal), "derivation": text}, [text]
 
 
-def cmd_model_check(args) -> int:
+def cmd_model_check(args) -> Report:
     theory = _load_theory(args.theory)
     model = parse_model(_read(args.model), theory)
     validate_model(theory, model)
     eq = parse_equation(args.equation, theory)
     found = first_violation(model, theory, eq)
     if found is None:
-        _emit(args, {"holds": True, **_equation_json(eq)},
-              [f"holds: {_judgment_line(eq)}"])
-        return 0
+        return 0, {"holds": True, **_equation_json(eq)}, [f"holds: {_judgment_line(eq)}"]
     point, lhs_value, rhs_value = found
-    _emit(args,
-          {"holds": False, **_equation_json(eq),
-           "witness": element_str(point), "lhs_value": element_str(lhs_value),
-           "rhs_value": element_str(rhs_value)},
-          [f"violated: {_judgment_line(eq)}",
-           f"  at {element_str(point)}: lhs gives {element_str(lhs_value)}, "
-           f"rhs gives {element_str(rhs_value)}"])
-    return 1
+    return (1,
+            {"holds": False, **_equation_json(eq),
+             "witness": element_str(point), "lhs_value": element_str(lhs_value),
+             "rhs_value": element_str(rhs_value)},
+            [f"violated: {_judgment_line(eq)}",
+             f"  at {element_str(point)}: lhs gives {element_str(lhs_value)}, "
+             f"rhs gives {element_str(rhs_value)}"])
 
 
 def _effect(text: str) -> EffectKind:
@@ -257,33 +246,31 @@ def _enum_ceiling() -> int:
         raise argparse.ArgumentTypeError(f"DECOLOG_MAX_ENUM {error}") from None
 
 
-def cmd_find_cex(args) -> int:
+def cmd_find_cex(args) -> Report:
     ceiling = _enum_ceiling()
     theory = _load_theory(args.theory)
     eq = parse_equation(args.equation, theory)
     bounds = Bounds(base=args.max_carrier, effect=args.max_carrier)
     found = find_counterexample(theory, eq, bounds, max_interpretations=ceiling)
     if found is None:
-        _emit(args,
-              {"found": False, **_equation_json(eq),
-               "max_carrier": args.max_carrier},
-              [f"no countermodel with carriers up to {args.max_carrier}"])
-        return 1
-    _emit(args,
-          {"found": True, **_equation_json(eq),
-           "model": _model_json(found.model),
-           "witness": element_str(found.witness),
-           "lhs_value": element_str(found.lhs_value),
-           "rhs_value": element_str(found.rhs_value)},
-          [f"countermodel for {_judgment_line(eq)}",
-           print_model(found.model).rstrip("\n"),
-           f"witness {element_str(found.witness)}: lhs gives "
-           f"{element_str(found.lhs_value)}, rhs gives "
-           f"{element_str(found.rhs_value)}"])
-    return 0
+        return (1,
+                {"found": False, **_equation_json(eq),
+                 "max_carrier": args.max_carrier},
+                [f"no countermodel with carriers up to {args.max_carrier}"])
+    return (0,
+            {"found": True, **_equation_json(eq),
+             "model": _model_json(found.model),
+             "witness": element_str(found.witness),
+             "lhs_value": element_str(found.lhs_value),
+             "rhs_value": element_str(found.rhs_value)},
+            [f"countermodel for {_judgment_line(eq)}",
+             print_model(found.model).rstrip("\n"),
+             f"witness {element_str(found.witness)}: lhs gives "
+             f"{element_str(found.lhs_value)}, rhs gives "
+             f"{element_str(found.rhs_value)}"])
 
 
-def cmd_dualize(args) -> int:
+def cmd_dualize(args) -> Report:
     theory = _load_theory(args.theory)
     mapping = duality_map(theory)
     text = print_theory(mapping.target)
@@ -291,16 +278,15 @@ def cmd_dualize(args) -> int:
     lines = [text.rstrip("\n"), "# correspondence:"]
     for name, source, target in rows:
         lines.append(f"#   {name} : {source}  <->  {name} : {target}")
-    _emit(args,
-          {"effect": mapping.target.effect.value, "theory": text,
-           "correspondence": [
-               {"name": name, "source": source, "target": target}
-               for name, source, target in rows]},
-          lines)
-    return 0
+    return (0,
+            {"effect": mapping.target.effect.value, "theory": text,
+             "correspondence": [
+                 {"name": name, "source": source, "target": target}
+                 for name, source, target in rows]},
+            lines)
 
 
-def cmd_validate_rules(args) -> int:
+def cmd_validate_rules(args) -> Report:
     effect = args.effect
     report = validate_rules(effect, max_carrier=args.max_carrier)
     lines = []
@@ -318,10 +304,10 @@ def cmd_validate_rules(args) -> int:
         })
     lines.append("all rules validated" if report.ok
                  else "RULE VALIDATION FAILED")
-    _emit(args, {"ok": report.ok, "effect": effect.value,
-                 "max_carrier": args.max_carrier, "results": results_json},
-          lines)
-    return 0 if report.ok else 1
+    return (0 if report.ok else 1,
+            {"ok": report.ok, "effect": effect.value,
+             "max_carrier": args.max_carrier, "results": results_json},
+            lines)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -385,7 +371,9 @@ def main(argv: list[str] | None = None) -> int:
     if extra:
         parser.error(f"unrecognized arguments: {cut(' '.join(extra))}")
     try:
-        return args.func(args)
+        code, payload, lines = args.func(args)
+        print(json.dumps(payload, indent=2) if args.json else "\n".join(lines))
+        return code
     except KeyboardInterrupt:
         print("interrupted", file=sys.stderr)
         return 130

@@ -36,7 +36,6 @@ from functools import partial
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from .calculus import (
-    Analysis,
     Atoms,
     Bang,
     BaseType,
@@ -92,9 +91,9 @@ AXIOM = "axiom"
 
 class Rule(Record):
     """One rule's shape: the strength each premise must have (None for
-    either), its term parameters in check order, and its mirror under the
-    exceptions/states duality (None for the rules about pairs and Unit,
-    which have none)."""
+    either), every parameter it takes in check order (name an axiom name,
+    side the int 1 or 2, any other a term) and its mirror under the
+    exceptions/states duality (None for the pair and Unit rules)."""
     __slots__ = ()
     premises: tuple[Optional[Strength], ...]
     params: tuple[str, ...]
@@ -103,7 +102,7 @@ class Rule(Record):
 
 _S, _W = Strength.STRONG, Strength.WEAK
 
-#: The rule catalogue.  The checker reads each node's premise count, term
+#: The rule catalogue.  The checker reads each node's premise count,
 #: parameters and premise strengths from it, in that order, before the
 #: rule's own conditions; the duality reads each rule's mirror.
 RULES: Mapping[str, Rule] = {
@@ -119,11 +118,11 @@ RULES: Mapping[str, Rule] = {
     WEAK_SUBST: Rule((_W,), ("g",), WEAK_REPL),
     WEAK_REPL: Rule((_W,), ("h",), WEAK_SUBST),
     PAIR_CONG_STRONG: Rule((_S, _S), (), None),
-    PAIR_PROJ: Rule((), ("f", "g"), None),
+    PAIR_PROJ: Rule((), ("f", "g", "side"), None),
     PAIR_COMP_LOWRANK: Rule((), ("f", "g", "w"), None),
     UNIT_STRONG_LOWRANK: Rule((), ("f",), None),
     UNIT_WEAK: Rule((), ("f",), None),
-    AXIOM: Rule((), (), AXIOM),
+    AXIOM: Rule((), ("name",), AXIOM),
 }
 
 ALL_RULES = tuple(RULES)
@@ -212,16 +211,22 @@ def _eq_str(eq: DecoratedEquation) -> str:
     return f"{term_str(eq.lhs)} {middle} {term_str(eq.rhs)}"
 
 
-def _term_param(theory: Theory, d: Derivation, key: str,
-                path: tuple[int, ...]) -> Analysis:
+def _param(theory: Theory, d: Derivation, key: str, path: tuple[int, ...]) -> object:
+    """d's parameter key: an axiom name, a projection side or a term's analysis."""
     params = d.param_map()
+    value = params.get(key)
+    if key == "name" and not isinstance(value, str):
+        raise IllFormedParameter(path, "axiom needs a string parameter name")
+    if key == "side" and (type(value) is not int or value not in (1, 2)):
+        raise IllFormedParameter(path, "pair_proj needs side=1 or side=2")
+    if key in ("name", "side"):
+        return value
     if key not in params:
         raise IllFormedParameter(path, f"{d.rule} needs parameter {key}")
-    term = params[key]
-    if not isinstance(term, DecoratedTerm):
+    if not isinstance(value, DecoratedTerm):
         raise IllFormedParameter(path, f"parameter {key} of {d.rule} must be a term")
     try:
-        return analysis(theory, term)
+        return analysis(theory, value)
     except CalculusError as e:
         raise IllFormedParameter(path, f"parameter {key} of {d.rule}: {e}")
 
@@ -247,13 +252,19 @@ def _check(theory: Theory, d: Derivation, path: tuple[int, ...]) -> DecoratedEqu
     if len(premises) != len(rule.premises):
         raise RuleMisapplied(
             path, f"{d.rule} takes {len(rule.premises)} premise(s), got {len(premises)}")
-    terms = {key: _term_param(theory, d, key, path) for key in rule.params}
+    given = [key for key, _ in d.params]
+    for key in given:
+        if key not in rule.params:
+            raise IllFormedParameter(path, f"{d.rule} takes no parameter {quoted(key)}")
+        if given.count(key) > 1:
+            raise IllFormedParameter(path, f"parameter {quoted(key)} of {d.rule} given twice")
+    params = {key: _param(theory, d, key, path) for key in rule.params}
     for i, (p, want) in enumerate(zip(premises, rule.premises), 1):
         if want is not None and p.strength is not want:
             raise RuleMisapplied(
                 path, f"premise {i} of {d.rule} must be {want}, got {p.strength}")
     try:
-        eq = _conclude(theory, d, premises, terms, path)
+        eq = _conclude(theory, d, premises, params, path)
         check_equation_wf(theory, eq)
         return eq
     except CalculusError as e:
@@ -261,22 +272,19 @@ def _check(theory: Theory, d: Derivation, path: tuple[int, ...]) -> DecoratedEqu
 
 
 def _conclude(theory: Theory, d: Derivation, premises: list[DecoratedEquation],
-              terms: dict[str, Analysis], path: tuple[int, ...]) -> DecoratedEquation:
+              params: dict[str, object], path: tuple[int, ...]) -> DecoratedEquation:
     """The conclusion of a node that has passed the checks RULES sets, or
-    the first of the rule's own conditions it fails.  terms maps each term
-    parameter's name to its analysis."""
+    the first of the rule's own conditions it fails.  params maps each
+    parameter's name to its value, a term parameter's to its analysis."""
     effect = theory.effect
     rule = d.rule
 
     if rule == REFL:
-        t, = terms.values()
+        t, = params.values()
         return DecoratedEquation(Strength.STRONG, t.term, t.term)
 
     if rule == AXIOM:
-        name = d.param_map().get("name")
-        if not isinstance(name, str):
-            raise IllFormedParameter(path, "axiom needs a string parameter name")
-        eq = theory.axiom(name).equation
+        eq = theory.axiom(params["name"]).equation
         return DecoratedEquation(eq.strength, analysis(theory, eq.lhs).term,
                                  analysis(theory, eq.rhs).term)
 
@@ -304,7 +312,7 @@ def _conclude(theory: Theory, d: Derivation, premises: list[DecoratedEquation],
 
     if rule in (SUBST_STRONG, WEAK_SUBST, REPL_STRONG, WEAK_REPL):
         # substitution precomposes g, replacement postcomposes h
-        p, ((param, t),) = premises[0], terms.items()
+        p, ((param, t),) = premises[0], params.items()
         if rule in (WEAK_SUBST, WEAK_REPL):
             _rank_within(effect, rule, param, t.rank, path)
         if rule in (SUBST_STRONG, WEAK_SUBST):
@@ -317,16 +325,13 @@ def _conclude(theory: Theory, d: Derivation, premises: list[DecoratedEquation],
         return DecoratedEquation(Strength.STRONG, Pair(p1.lhs, p2.lhs), Pair(p1.rhs, p2.rhs))
 
     if rule == PAIR_PROJ:
-        f, g = terms.values()
-        side = d.param_map().get("side")
-        if side not in (1, 2):
-            raise IllFormedParameter(path, "pair_proj needs side=1 or side=2")
+        f, g, side = params.values()
         proj = (Proj1 if side == 1 else Proj2)(f.cod, g.cod)
         return DecoratedEquation(Strength.STRONG, Comp(proj, Pair(f.term, g.term)),
                                  (f if side == 1 else g).term)
 
     if rule == PAIR_COMP_LOWRANK:
-        f, g, w = terms.values()
+        f, g, w = params.values()
         limit = PAIR_COMPONENT_RANK_LIMIT[effect]
         composed = []
         for label, t in (("f.w", f), ("g.w", g)):
@@ -339,15 +344,13 @@ def _conclude(theory: Theory, d: Derivation, premises: list[DecoratedEquation],
         return DecoratedEquation(Strength.STRONG, rebuild((Pair(f.term, g.term),), w.term),
                                  Pair(*composed))
 
-    if rule in (UNIT_STRONG_LOWRANK, UNIT_WEAK):
-        (param, f), = terms.items()
-        if not isinstance(f.cod, UnitType):
-            raise RuleMisapplied(path, f"{rule} needs a term into Unit")
-        _rank_within(effect, rule, param, f.rank, path)
-        out = Strength.STRONG if rule == UNIT_STRONG_LOWRANK else Strength.WEAK
-        return DecoratedEquation(out, f.term, analysis(theory, Bang(f.dom)).term)
-
-    raise RuleMisapplied(path, f"unknown rule {quoted(rule)}")
+    # UNIT_STRONG_LOWRANK or UNIT_WEAK: _check has looked the rule up
+    (param, f), = params.items()
+    if not isinstance(f.cod, UnitType):
+        raise RuleMisapplied(path, f"{rule} needs a term into Unit")
+    _rank_within(effect, rule, param, f.rank, path)
+    out = Strength.STRONG if rule == UNIT_STRONG_LOWRANK else Strength.WEAK
+    return DecoratedEquation(out, f.term, analysis(theory, Bang(f.dom)).term)
 
 
 # ---------------------------------------------------------------------------

@@ -180,9 +180,8 @@ def _derivation_offenders(d: Derivation, path: tuple[int, ...]) -> list[str]:
 
 def _dual_derivation(d: Derivation) -> Derivation:
     rule = RULES[d.rule].dual
-    # a rule that trades places trades its term parameter too: substitution
-    # precomposes g, replacement postcomposes h
-    rename = {"g": "h", "h": "g"} if rule != d.rule else {}
+    # a rule that trades places trades its parameter too: subst's g is repl's h
+    rename = dict(zip(RULES[d.rule].params, RULES[rule].params))
     params = []
     for key, value in d.params:
         if isinstance(value, DecoratedTerm):

@@ -1,10 +1,13 @@
-"""Command line behavior: outputs, JSON reports, exit codes."""
+"""Command line behavior: outputs, JSON reports, exit codes, and the
+README's account of the JSON reports and of library use."""
 import json
 import os
+import re
 import signal
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -175,6 +178,18 @@ class TestVerify:
         assert (code, out) == (2, "")
         assert err.count("\n") == 1
         assert f"derivation nested deeper than {MAX_DEPTH}" in err
+
+
+    @pytest.mark.parametrize("theory, text", [
+        (BANK, "(refl term=seven term=balance)"),
+        (TC, "(subst_strong (refl catchZero) g=throw h=zero)")], ids=["twice", "not_taken"])
+    def test_parameter_given_twice_or_not_taken_exits_1(self, capsys, tmp_path,
+                                                        theory, text):
+        path = tmp_path / "extra.drv"
+        path.write_text(text + "\n")
+        code, out, err = run(capsys, "verify", theory, str(path))
+        assert (code, out) == (1, "")
+        assert err.count("\n") == 1 and err.startswith("error: at root: ")
 
 
 class TestProve:
@@ -542,3 +557,70 @@ class TestEntryPoints:
         # a file that cannot be read is still an input error
         code, _, err = run(capsys, "check", str(tmp_path / "missing.dth"))
         assert code == 2 and err.startswith("cannot read input")
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+#: The corpus commands of the cli-model-check benchmark workload, each
+#: file named relative to the shipped corpus.
+CORPUS_COMMANDS = (
+    ["check", "bank.dth"],
+    ["check", "--json", "throwcatch.dth"],
+    ["decorate", "bank.dth", "f"],
+    ["decorate", "bank.dth", "g"],
+    ["decorate", "--json", "throwcatch.dth", "catchZero . throw"],
+    ["verify", "bank.dth", "bank_proof.drv"],
+    ["verify", "--json", "throwcatch.dth", "throwcatch_proof.drv"],
+    ["prove", "bank.dth", "weak f ~ g"],
+    ["prove", "--json", "throwcatch.dth", "weak catchZero . catchZero . throw ~ zero"],
+    ["model-check", "bank.dth", "bank_mod4.model", "strong f == g"],
+    ["model-check", "bank.dth", "bank_mod4.model", "weak f ~ g"],
+    ["model-check", "--json", "throwcatch.dth", "throwcatch_mod2.model",
+     "weak catchZero . throw ~ zero"],
+    ["find-cex", "bank.dth", "strong f == g"],
+    ["find-cex", "bank.dth", "weak f ~ g"],
+    ["find-cex", "--json", "throwcatch.dth", "strong catchZero == id(Int)"],
+    ["dualize", "throwcatch.dth"],
+    ["dualize", "bank.dth"],
+    ["validate-rules", "exceptions", "--max-carrier", "1"],
+    ["validate-rules", "states", "--max-carrier", "1"],
+)
+
+
+def readme_section(title: str) -> str:
+    return README.read_text(encoding="utf-8").split(f"\n## {title}\n", 1)[1].split("\n## ", 1)[0]
+
+
+def documented_key_sets() -> dict[str, list[set[str]]]:
+    """Each command's --json key sets as the README's "JSON reports" lists
+    them: an item names the command, the keys every report has, and after
+    each semicolon the keys one kind of report adds.  Parentheses describe
+    nested values and name no keys."""
+    sets = {}
+    for item in re.findall(r"^- (.*(?:\n  .*)*)", readme_section("JSON reports"), re.M):
+        parts = [re.findall(r"`([^`]+)`", part)
+                 for part in re.sub(r"\([^)]*\)", "", item).split(";")]
+        command, *base = parts[0]
+        sets[command] = [set(base)] + [set(base) | set(more) for more in parts[1:]]
+    return sets
+
+
+class TestReadme:
+    def test_json_reports_name_every_command(self):
+        assert set(documented_key_sets()) == {argv[0] for argv in CORPUS_COMMANDS}
+
+    @pytest.mark.parametrize("argv", CORPUS_COMMANDS, ids=" ".join)
+    def test_text_and_json_agree(self, capsys, argv):
+        argv = [str(corpus_path(a)) if a.endswith((".dth", ".model", ".drv")) else a
+                for a in argv if a != "--json"]
+        code, text, _ = run(capsys, *argv)
+        json_code, out, _ = run(capsys, *argv, "--json")
+        assert code == json_code
+        if not out:  # a refusal prints nothing on stdout either way
+            assert text == ""
+            return
+        assert set(json.loads(out)) in documented_key_sets()[argv[0]]
+
+    def test_library_example_runs(self):
+        example, = re.findall(r"```python\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+        exec(compile(example, str(README), "exec"), {})

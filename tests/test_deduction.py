@@ -302,6 +302,32 @@ class TestChecker:
                                rf"must be {want}, got {got}$"):
                 check_derivation(theory, deriv(rule, *premises, **params))
 
+    @pytest.mark.parametrize("rule", ALL_RULES)
+    def test_each_parameter_taken_once(self, bank, rule):
+        theory, _, _ = bank
+        strengths, params = SHAPES[rule]
+        premises = tuple(PREMISE[want or Strength.STRONG] for want in strengths)
+        extra = ("zz", Op("seven"))
+        with pytest.raises(IllFormedParameter,
+                           match=rf"^at root: {rule} takes no parameter 'zz'$"):
+            check_derivation(theory, Derivation(rule, (*params.items(), extra), premises))
+        if params:
+            first = next(iter(params.items()))
+            with pytest.raises(IllFormedParameter, match=rf"^at root: parameter "
+                               rf"'{first[0]}' of {rule} given twice$"):
+                check_derivation(theory, Derivation(rule, (first, *params.items()),
+                                                    premises))
+        else:
+            with pytest.raises(IllFormedParameter,
+                               match=rf"^at root: {rule} takes no parameter 'zz'$"):
+                check_derivation(theory, Derivation(rule, (extra, extra), premises))
+        # True == 1, but a side must be the int itself: side=True would
+        # print as a parameter that does not parse back
+        message = ("pair_proj needs side=1 or side=2" if rule == PAIR_PROJ
+                   else f"{rule} takes no parameter 'side'")
+        with pytest.raises(IllFormedParameter, match=rf"^at root: {message}$"):
+            check_derivation(theory, deriv(rule, *premises, **{**params, "side": True}))
+
 
 #: A premise of each strength in the bank theory.
 PREMISE = {Strength.STRONG: deriv(REFL, term=Op("seven")),

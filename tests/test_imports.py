@@ -210,3 +210,17 @@ def test_one_way_out_of_the_evaluator():
     assert calls_of(source, {"labels"}) == {("_Layout.raw_labels", "labels")}
     assert {caller for caller, _ in calls_of(source, {"raw_labels"})} == {
         "_Layout.decode", "_Layout.number", "_Check.witness"}
+
+
+def test_one_way_out_of_the_command_line():
+    """Each command returns its exit code and report; cli.main alone reads
+    --json and prints."""
+    source = (ROOT / "src" / "decolog" / "cli.py").read_text(encoding="utf-8")
+    assert {caller for caller, _ in calls_of(source, {"print"})} == {"main"}
+    assert calls_of(source, {"_emit"}) == set()
+    readers = {func.name for func in ast.parse(source).body
+               if isinstance(func, ast.FunctionDef)
+               for node in ast.walk(func)
+               if isinstance(node, ast.Attribute) and node.attr == "json"
+               and getattr(node.value, "id", None) == "args"}
+    assert readers == {"main"}

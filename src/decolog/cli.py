@@ -15,9 +15,10 @@ Commands
 
 Exit codes: 0 success (proved, holds, countermodel found, all rules sound);
 1 semantic failure (rejected derivation, violated equation, nothing found,
-refuted rule, ill-formed input); 2 syntax error, unreadable file, or a bad
-setting (--depth, --max-carrier or DECOLOG_MAX_ENUM not an integer of at
-least 1, or a validate-rules --max-carrier above 2);
+refuted rule, ill-formed input, a proof nested deeper than verify reads);
+2 syntax error, unreadable file, or a bad setting (--depth, --max-carrier
+or DECOLOG_MAX_ENUM not an integer of at least 1, or a validate-rules
+--max-carrier above 2);
 3 model/theory mismatch; 130 interrupted (SIGINT); 141 stdout closed
 early (a broken pipe).  Each command returns its exit code and its report,
 and main alone prints the report: the text lines, or with --json a
@@ -48,12 +49,14 @@ from .calculus import (
 from .deduction import (
     MAX_SWEEP_CARRIER,
     DeductionError,
+    Derivation,
     check_derivation,
     prove,
     validate_rules,
 )
 from .duality import NotDualizable, duality_map
 from .files import (
+    MAX_DEPTH,
     ParseError,
     element_str,
     parse_derivation,
@@ -179,10 +182,25 @@ def cmd_verify(args) -> Report:
             [_judgment_line(judgment.equation)])
 
 
+def _levels(d: Derivation) -> int:
+    """Rules on the derivation's longest path to a leaf, counted with a
+    loop, since a found proof may be nested too deep to walk recursively."""
+    deepest, todo = 0, [(d, 1)]
+    while todo:
+        d, level = todo.pop()
+        deepest = max(deepest, level)
+        todo.extend((p, level + 1) for p in d.premises)
+    return deepest
+
+
 def cmd_prove(args) -> Report:
     theory = _load_theory(args.theory)
     goal = parse_equation(args.equation, theory)
     derivation = prove(theory, goal, max_depth=args.depth)
+    levels = _levels(derivation)
+    if levels > MAX_DEPTH:
+        raise DeductionError(f"found a proof nested {levels} levels deep, but verify "
+                             f"reads derivations only up to {MAX_DEPTH} levels")
     text = print_derivation(derivation)
     return 0, {"found": True, **_equation_json(goal), "derivation": text}, [text]
 

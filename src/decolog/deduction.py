@@ -369,7 +369,7 @@ def _conclude(theory: Theory, d: Derivation, premises: list[DecoratedEquation],
 # analyses, as are the types and ranks of the atoms.  A rewrite splices
 # atoms; a term is rebuilt only where a derivation or a pair names it.  A move
 # carries a builder for its derivation, which prove calls only for the
-# moves it keeps.
+# moves on the path where the two searches meet.
 
 Move = tuple[Atoms, Callable[[], Derivation], Strength]
 
@@ -554,6 +554,27 @@ def _chain(base: Optional[Derivation], base_weak: bool,
     return deriv(TRANS_MIXED, base, step)
 
 
+# A term prove has reached: (parent node, builder of the step from the
+# parent, step is weak, `start ? term` is weak); the start's node is
+# (None, None, False, False).
+_Node = tuple
+
+
+def _derivation(node: _Node, start: DecoratedTerm) -> Derivation:
+    """`start ? term` for the term of this node: the steps on its path from
+    the start, chained in order.  Loops, since a path can be max_depth long."""
+    path = []
+    while node[0] is not None:
+        path.append(node)
+        node = node[0]
+    if not path:
+        return deriv(REFL, term=start)
+    found, weak = None, False
+    for _, build, step_weak, combined_weak in reversed(path):
+        found, weak = _chain(found, weak, build(), step_weak), combined_weak
+    return found
+
+
 def prove(theory: Theory, goal: DecoratedEquation, max_depth: int = 8,
           max_nodes: int = 4000) -> Derivation:
     """Search for a derivation of the goal; DepthExhausted when the bounded
@@ -562,7 +583,9 @@ def prove(theory: Theory, goal: DecoratedEquation, max_depth: int = 8,
 
     The search order, the rewrite count in the DepthExhausted message and
     the derivation found are fixed by the order in which moves are
-    generated.  The result always passes check_derivation against the
+    generated.  Each reached term keeps a link to the node it was reached
+    from, and derivations are built only along the path where the two
+    sides meet.  The result always passes check_derivation against the
     goal."""
     if max_depth < 1 or max_nodes < 1:
         raise DeductionError(
@@ -581,9 +604,10 @@ def prove(theory: Theory, goal: DecoratedEquation, max_depth: int = 8,
 
     rw = _Rewriter(theory)
     starts = analysis(theory, eq.lhs).atoms, analysis(theory, eq.rhs).atoms
-    # reached[side]: atoms of a term -> (derivation of `start ? term`,
-    # is_weak); the seed entry holds None for "no steps yet"
-    reached = [{start: (None, False)} for start in starts]
+    # reached[side]: atoms of a term -> its node.  An upgrade from weak to
+    # strong replaces the entry; children already reached keep the node
+    # they were reached from.
+    reached = [{start: (None, None, False, False)} for start in starts]
     frontiers = [deque([(start, 0)]) for start in starts]
     nodes = 0
 
@@ -591,15 +615,11 @@ def prove(theory: Theory, goal: DecoratedEquation, max_depth: int = 8,
         left, right = reached[0].get(atoms), reached[1].get(atoms)
         if left is None or right is None:
             return None
-        dl, wl = left
-        dr, wr = right
+        wl, wr = left[3], right[3]
         if (wl or wr) and not want_weak:
             return None
-        if dl is None:
-            dl, wl = deriv(REFL, term=eq.lhs), False
-        if dr is None:
-            dr, wr = deriv(REFL, term=eq.rhs), False
-        out = _chain(dl, wl, deriv(SYM, dr), wr)
+        out = _chain(_derivation(left, eq.lhs), wl,
+                     deriv(SYM, _derivation(right, eq.rhs)), wr)
         if want_weak and not (wl or wr):
             out = deriv(STRONG_TO_WEAK, out)
         return out
@@ -611,16 +631,16 @@ def prove(theory: Theory, goal: DecoratedEquation, max_depth: int = 8,
             atoms, depth = frontiers[side].popleft()
             if depth >= max_depth:
                 continue
-            base, base_weak = reached[side][atoms]
+            node = reached[side][atoms]
+            base_weak = node[3]
             for new_atoms, build, strength in _all_moves(rw, atoms, dom, want_weak):
                 nodes += 1
                 step_weak = strength is Strength.WEAK
                 combined_weak = base_weak or step_weak
                 prev = reached[side].get(new_atoms)
-                if prev is not None and (not prev[1] or combined_weak):
+                if prev is not None and (not prev[3] or combined_weak):
                     continue
-                reached[side][new_atoms] = (_chain(base, base_weak, build(), step_weak),
-                                            combined_weak)
+                reached[side][new_atoms] = (node, build, step_weak, combined_weak)
                 frontiers[side].append((new_atoms, depth + 1))
                 done = meet(new_atoms)
                 if done is not None:

@@ -214,6 +214,31 @@ class TestProve:
         assert data["found"] is True
         assert "derivation" in data
 
+    def _prove_chain(self, capsys, tmp_path, n):
+        """prove a0 == a{n-1} over the axioms a{i} == a{i+1}: a proof about
+        n / 2 levels deep."""
+        path = tmp_path / "chain.dth"
+        path.write_text("effect states\ntype A\n"
+                        + "".join(f"op a{i} : A -> A pure\n" for i in range(n))
+                        + "".join(f"axiom strong a{i} == a{i + 1}\n" for i in range(n - 1)))
+        return str(path), run(capsys, "prove", str(path), f"strong a0 == a{n - 1}",
+                              "--depth", "1000")
+
+    def test_proof_at_the_depth_limit_verifies(self, capsys, tmp_path):
+        theory, (code, out, _) = self._prove_chain(capsys, tmp_path, 396)
+        assert code == 0
+        proof = tmp_path / "chain.drv"
+        proof.write_text(out)
+        code, out, _ = run(capsys, "verify", theory, str(proof))
+        assert (code, out) == (0, "strong: a0 == a395\n")
+
+    @pytest.mark.parametrize("n", [397, 500, 700])
+    def test_proof_deeper_than_verify_reads_exits_1(self, capsys, tmp_path, n):
+        _, (code, out, err) = self._prove_chain(capsys, tmp_path, n)
+        assert (code, out) == (1, "")
+        assert err.count("\n") == 1 and err.startswith("error: found a proof nested ")
+        assert f"up to {MAX_DEPTH} levels" in err
+
     @pytest.mark.parametrize("depth", ["0", "-1"])
     def test_depth_below_1_is_a_usage_error(self, capsys, depth):
         with pytest.raises(SystemExit) as err:

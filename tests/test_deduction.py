@@ -1,5 +1,6 @@
 """Derivation checking, proof search, and rule validation."""
 import random
+import re
 
 import pytest
 
@@ -455,6 +456,49 @@ class TestProve:
         # provable goal, but not within one step
         with pytest.raises(DepthExhausted):
             prove(theory, weak(f, g), max_depth=1)
+
+    def test_failed_search_builds_no_more_derivations_with_more_nodes(self, monkeypatch):
+        """Derivations are built only where the two sides meet, so a search
+        cut by the node bound builds as many at 50 nodes as at 2,000."""
+        A = BaseType("A")
+        theory = Theory(
+            effect=EffectKind.STATES,
+            base_types=("A",),
+            operations=tuple(OperationSymbol(name, A, A, 0) for name in "abc"),
+            axioms=(Axiom("ab", strong(compose(Op("a"), Op("b")),
+                                       compose(Op("b"), Op("a")))),
+                    Axiom("aa", strong(Op("a"), compose(Op("a"), Op("a"))))),
+        )
+        built = []
+        new = Derivation.__new__
+        monkeypatch.setattr(Derivation, "__new__",
+                            lambda cls, *args: built.append(1) or new(cls, *args))
+        counts = []
+        for max_nodes in (50, 2000):
+            built.clear()
+            with pytest.raises(DepthExhausted) as exhausted:
+                prove(theory, strong(compose(Op("a"), Op("b")), Op("c")),
+                      max_depth=20, max_nodes=max_nodes)
+            tried = int(re.search(r"\((\d+) rewrites", str(exhausted.value)).group(1))
+            assert tried >= max_nodes
+            counts.append(len(built))
+        assert counts[0] == counts[1]
+
+    def test_proof_of_a_long_chain_checks(self):
+        """A 700-term chain takes 699 steps, about 350 from each side; the
+        proof assembled along that path is nested 352 levels deep."""
+        A = BaseType("A")
+        n = 700
+        theory = Theory(
+            effect=EffectKind.STATES,
+            base_types=("A",),
+            operations=tuple(OperationSymbol(f"a{i}", A, A, 0) for i in range(n)),
+            axioms=tuple(Axiom(f"ax{i}", strong(Op(f"a{i}"), Op(f"a{i + 1}")))
+                         for i in range(n - 1)),
+        )
+        goal = strong(Op("a0"), Op(f"a{n - 1}"))
+        d = prove(theory, goal, max_depth=1000, max_nodes=100_000)
+        check_derivation(theory, d, expected=goal)
 
     @pytest.mark.parametrize("bounds", [{"max_depth": 0}, {"max_depth": -1},
                                         {"max_nodes": 0}])

@@ -487,8 +487,9 @@ def test_prove_nested_pairs(levels):
 
 
 #: Goals at the edges of the side conditions the search must respect:
-#: windows into Unit of every rank under both effects, and a pair component
-#: whose strong rewrite would break the pair rank limit.
+#: windows into Unit of every rank under both effects, a pair component
+#: whose strong rewrite would break the pair rank limit, and a term upgraded
+#: from weak to strong after it was expanded.
 EDGE_CASES = (
     ("bank.dth", (
         "strong bang(Int) . balance == id(Unit)",
@@ -511,6 +512,28 @@ axiom strong r . r == m
         "strong <r . r, r> == <r, r . r>",
         "strong p1(A, A) . <r . r, r> . r == r . r . r . r",
         "strong p2(A, A) . <r, r . r> . r == m . r",
+    )),
+    # The left side reaches b weakly, expands it into d, and only then
+    # upgrades b to strong through c; the right side meets it at d, so the
+    # proof runs through the weak b that d was reached from.
+    ("""effect states
+type A
+op a : A -> A pure
+op b : A -> A pure
+op c : A -> A pure
+op d : A -> A pure
+op e : A -> A pure
+op f : A -> A pure
+op g : A -> A pure
+axiom weak a ~ b
+axiom strong a == c
+axiom strong c == b
+axiom strong b == d
+axiom strong e == f
+axiom strong f == g
+axiom strong g == d
+""", (
+        "weak a ~ e",
     )),
 )
 

@@ -49,8 +49,8 @@ from .calculus import (
 from .deduction import (
     MAX_SWEEP_CARRIER,
     DeductionError,
-    Derivation,
     check_derivation,
+    fold,
     prove,
     validate_rules,
 )
@@ -182,22 +182,11 @@ def cmd_verify(args) -> Report:
             [_judgment_line(judgment.equation)])
 
 
-def _levels(d: Derivation) -> int:
-    """Rules on the derivation's longest path to a leaf, counted with a
-    loop, since a found proof may be nested too deep to walk recursively."""
-    deepest, todo = 0, [(d, 1)]
-    while todo:
-        d, level = todo.pop()
-        deepest = max(deepest, level)
-        todo.extend((p, level + 1) for p in d.premises)
-    return deepest
-
-
 def cmd_prove(args) -> Report:
     theory = _load_theory(args.theory)
     goal = parse_equation(args.equation, theory)
     derivation = prove(theory, goal, max_depth=args.depth)
-    levels = _levels(derivation)
+    levels = fold(derivation, lambda node, path, below: 1 + max(below, default=0))
     if levels > MAX_DEPTH:
         raise DeductionError(f"found a proof nested {levels} levels deep, but verify "
                              f"reads derivations only up to {MAX_DEPTH} levels")

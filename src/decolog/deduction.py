@@ -2,8 +2,10 @@
 
 A derivation is a tree: each node names an inference rule, carries the
 rule's explicit parameters (terms, an axiom name, a projection side), and
-lists its premise subtrees.  check_derivation walks the tree and computes
-the conclusion bottom-up, rejecting any node whose side conditions fail.
+lists its premise subtrees.  fold is the one walk over the tree, with an
+explicit stack, so no depth exhausts the recursion limit; check_derivation
+folds a derivation into its conclusion, rejecting any node whose side
+conditions fail.
 
 The side conditions are where the two effects genuinely differ.  Weak
 equations compose on one side only:
@@ -181,6 +183,31 @@ def deriv(rule: str, *premises: Derivation, **params: object) -> Derivation:
     return Derivation(rule, tuple(params.items()), premises)
 
 
+def fold(d: Derivation, leave: Callable[[Derivation, tuple[int, ...], list], object],
+         enter: Optional[Callable[[Derivation, tuple[int, ...]], object]] = None) -> object:
+    """The root's leave result, depth first with an explicit stack: enter(node,
+    path) runs before the node's premises and leave(node, path, below) after
+    them, below holding their leave results; path is premise indices from the root."""
+    if enter is not None:
+        enter(d, ())
+    stack = [(d, (), iter(d.premises), [])]
+    while True:
+        node, path, todo, below = stack[-1]
+        for premise in todo:  # premises not yet walked; a leaf is left at once
+            sub = path + (len(below),)
+            if enter is not None:
+                enter(premise, sub)
+            if premise.premises:
+                stack.append((premise, sub, iter(premise.premises), []))
+                break
+            below.append(leave(premise, sub, []))
+        else:
+            stack.pop()
+            if not stack:
+                return leave(node, path, below)
+            stack[-1][3].append(leave(node, path, below))
+
+
 class Judgment(Record):
     __slots__ = ()
     equation: DecoratedEquation
@@ -198,7 +225,7 @@ def check_derivation(theory: Theory, derivation: Derivation,
 
     When `expected` is given the root conclusion must match it exactly
     (same strength, same sides up to normalization)."""
-    eq = _check(theory, derivation, ())
+    eq = fold(derivation, partial(_check, theory), _known_rule)
     report = check_equation_wf(theory, eq)
     if expected is not None and eq != expected.normalized():
         raise ConclusionMismatch(
@@ -240,15 +267,15 @@ def _rank_within(effect: EffectKind, rule: str, param: str, rank: int,
                   f"got rank {rank} ({rank_name(effect, rank)})")
 
 
-def _check(theory: Theory, d: Derivation, path: tuple[int, ...]) -> DecoratedEquation:
-    rule = RULES.get(d.rule)
-    if rule is None:
+def _known_rule(d: Derivation, path: tuple[int, ...]) -> None:
+    # fold's enter: an unknown rule is reported before anything in its premises
+    if d.rule not in RULES:
         raise RuleMisapplied(path, f"unknown rule {quoted(d.rule)}")
-    # a loop, not a comprehension: one stack frame per level keeps a
-    # derivation nested files.MAX_DEPTH deep well inside the recursion limit
-    premises = []
-    for i, p in enumerate(d.premises):
-        premises.append(_check(theory, p, path + (i,)))
+
+
+def _check(theory: Theory, d: Derivation, path: tuple[int, ...],
+           premises: list[DecoratedEquation]) -> DecoratedEquation:
+    rule = RULES[d.rule]
     if len(premises) != len(rule.premises):
         raise RuleMisapplied(
             path, f"{d.rule} takes {len(rule.premises)} premise(s), got {len(premises)}")
@@ -344,7 +371,7 @@ def _conclude(theory: Theory, d: Derivation, premises: list[DecoratedEquation],
         return DecoratedEquation(Strength.STRONG, rebuild((Pair(f.term, g.term),), w.term),
                                  Pair(*composed))
 
-    # UNIT_STRONG_LOWRANK or UNIT_WEAK: _check has looked the rule up
+    # UNIT_STRONG_LOWRANK or UNIT_WEAK: _known_rule has looked the rule up
     (param, f), = params.items()
     if not isinstance(f.cod, UnitType):
         raise RuleMisapplied(path, f"{rule} needs a term into Unit")
@@ -877,22 +904,22 @@ def _unit(strength, ranks, layout):
     return [((), fs, [view(f) == canonical for f in fs])]
 
 
-#: What each effect's side-condition scenarios show, by rule and expectation.
+#: What each side-condition scenario shows, by effect, rule and expectation; {} is the limit.
 _SIDE_CLAIMS = {
     EffectKind.EXCEPTIONS: {
-        (WEAK_SUBST, EXPECT_SOUND): "pure g precomposes with a weak equation",
+        (WEAK_SUBST, EXPECT_SOUND): "{} g precomposes with a weak equation",
         (WEAK_SUBST, EXPECT_COUNTERMODEL): "an impure g distinguishes weakly equal terms",
         (WEAK_REPL, EXPECT_SOUND): "any h postcomposes with a weak equation",
-        (UNIT_STRONG_LOWRANK, EXPECT_SOUND): "pure terms into Unit are canonical",
+        (UNIT_STRONG_LOWRANK, EXPECT_SOUND): "{} terms into Unit are canonical",
         (UNIT_STRONG_LOWRANK, EXPECT_COUNTERMODEL): "a propagator into Unit may raise",
-        (UNIT_WEAK, EXPECT_SOUND): "pure terms into Unit are weakly canonical",
+        (UNIT_WEAK, EXPECT_SOUND): "{} terms into Unit are weakly canonical",
         (UNIT_WEAK, EXPECT_COUNTERMODEL): "a propagator into Unit may raise even weakly",
     },
     EffectKind.STATES: {
         (WEAK_SUBST, EXPECT_SOUND): "any g precomposes with a weak equation",
-        (WEAK_REPL, EXPECT_SOUND): "pure h postcomposes with a weak equation",
+        (WEAK_REPL, EXPECT_SOUND): "{} h postcomposes with a weak equation",
         (WEAK_REPL, EXPECT_COUNTERMODEL): "an impure h distinguishes weakly equal terms",
-        (UNIT_STRONG_LOWRANK, EXPECT_SOUND): "rank <= 1 terms into Unit are canonical",
+        (UNIT_STRONG_LOWRANK, EXPECT_SOUND): "{} terms into Unit are canonical",
         (UNIT_STRONG_LOWRANK, EXPECT_COUNTERMODEL): "a modifier into Unit is not canonical",
         (UNIT_WEAK, EXPECT_SOUND): "every term into Unit is weakly canonical",
     },
@@ -911,9 +938,9 @@ def _scenarios(effect: EffectKind) -> tuple[_Scenario, ...]:
         _Scenario(SYM, "weak equality is symmetric", EXPECT_SOUND, f1_f2, _sym_weak),
         _Scenario(TRANS_WEAK, "weak equality chains", EXPECT_SOUND,
                   f1_f2 + (("f3", A, B),), _trans_weak),
-        _Scenario(WEAK_TO_STRONG_LOWRANK, "weak agreement at rank <= 1 is already strong",
+        _Scenario(WEAK_TO_STRONG_LOWRANK, f"weak agreement at rank <= {top} is already strong",
                   EXPECT_SOUND, f1_f2, partial(_weak_to_strong, top)),
-        _Scenario(WEAK_TO_STRONG_LOWRANK, "at rank 2 weak agreement is strictly weaker",
+        _Scenario(WEAK_TO_STRONG_LOWRANK, f"at rank {top + 1} weak agreement is strictly weaker",
                   EXPECT_COUNTERMODEL, f1_f2, partial(_weak_to_strong, top + 1)),
         _Scenario(SUBST_STRONG, "strong equality precomposes", EXPECT_SOUND,
                   (("f", A, B), ("g", Z, A)), _subst_strong),
@@ -930,8 +957,9 @@ def _scenarios(effect: EffectKind) -> tuple[_Scenario, ...]:
         for expectation, swept in ((EXPECT_SOUND, RANKS[:limits[rule] + 1]),
                                    (EXPECT_COUNTERMODEL, RANKS[limits[rule] + 1:])):
             if swept:
-                out.append(_Scenario(rule, claims[rule, expectation], expectation, tables,
-                                     partial(blocks, swept)))
+                claim = claims[rule, expectation].format(
+                    f"rank <= {limits[rule]}" if limits[rule] else "pure")
+                out.append(_Scenario(rule, claim, expectation, tables, partial(blocks, swept)))
     return tuple(out)
 
 

@@ -16,6 +16,7 @@ the empty product on one side and the empty copairing target on the other.
 """
 from __future__ import annotations
 
+from functools import partial
 from typing import Iterator
 
 from .calculus import (
@@ -33,14 +34,13 @@ from .calculus import (
     Proj2,
     Record,
     Theory,
-    TypeExpr,
     analysis,
     rank_name,
     rebuild,
     term_str,
     type_str,
 )
-from .deduction import RULES, Derivation, check_derivation, path_str
+from .deduction import RULES, Derivation, check_derivation, fold, path_str
 
 
 class NotDualizable(ValueError):
@@ -62,12 +62,6 @@ DUAL_RULES = {name: rule.dual for name, rule in RULES.items()
               if rule.dual not in (None, name)}
 
 
-def _type_offenders(ty: TypeExpr) -> list[str]:
-    if isinstance(ty, Prod):
-        return [f"product type {type_str(ty)}"]
-    return []
-
-
 def _term_offenders(term: DecoratedTerm) -> list[str]:
     if isinstance(term, Comp):
         return _term_offenders(term.after) + _term_offenders(term.first)
@@ -78,8 +72,8 @@ def _term_offenders(term: DecoratedTerm) -> list[str]:
         return [f"projection {term_str(term)}"]
     if isinstance(term, Bang):
         return [f"{term_str(term)}"]
-    if isinstance(term, Id):
-        return _type_offenders(term.ty)
+    if isinstance(term, Id) and isinstance(term.ty, Prod):
+        return [f"product type {type_str(term.ty)}"]
     return []
 
 
@@ -108,15 +102,11 @@ def dualize_theory(theory: Theory) -> Theory:
     """The mirror theory: effect flipped, every arrow reversed, every name,
     rank, and axiom strength kept.  Applying the transform twice gives back
     the original theory exactly."""
-    offenders: list[str] = []
-    for sym in theory.operations:
-        for ty in (sym.dom, sym.cod):
-            offenders.extend(_type_offenders(ty))
-    for _, term in theory.definitions:
-        offenders.extend(_term_offenders(term))
-    for ax in theory.axioms:
-        offenders.extend(_term_offenders(ax.equation.lhs))
-        offenders.extend(_term_offenders(ax.equation.rhs))
+    # an operation's types offend as the identities on them do
+    terms = ([Id(ty) for sym in theory.operations for ty in (sym.dom, sym.cod)]
+             + [term for _, term in theory.definitions]
+             + [side for ax in theory.axioms for side in (ax.equation.lhs, ax.equation.rhs)])
+    offenders = [o for term in terms for o in _term_offenders(term)]
     if offenders:
         raise NotDualizable(offenders)
     return Theory(
@@ -165,20 +155,16 @@ def duality_map(theory: Theory) -> DualityMap:
     return DualityMap(source=theory, target=dualize_theory(theory))
 
 
-def _derivation_offenders(d: Derivation, path: tuple[int, ...]) -> list[str]:
-    out = []
+def _derivation_offenders(found: list[str], d: Derivation, path: tuple[int, ...]) -> None:
     if d.rule in RULES and RULES[d.rule].dual is None:
-        out.append(f"rule {d.rule} at {path_str(path)}")
+        found.append(f"rule {d.rule} at {path_str(path)}")
     for key, value in d.params:
         if isinstance(value, DecoratedTerm):
-            out.extend(f"{o} (parameter {key} at {path_str(path)})"
-                       for o in _term_offenders(value))
-    for i, premise in enumerate(d.premises):
-        out.extend(_derivation_offenders(premise, path + (i,)))
-    return out
+            found.extend(f"{o} (parameter {key} at {path_str(path)})"
+                         for o in _term_offenders(value))
 
 
-def _dual_derivation(d: Derivation) -> Derivation:
+def _dual_derivation(d: Derivation, path: tuple[int, ...], duals: list[Derivation]) -> Derivation:
     rule = RULES[d.rule].dual
     # a rule that trades places trades its parameter too: subst's g is repl's h
     rename = dict(zip(RULES[d.rule].params, RULES[rule].params))
@@ -187,8 +173,7 @@ def _dual_derivation(d: Derivation) -> Derivation:
         if isinstance(value, DecoratedTerm):
             value = _dual_term(value)
         params.append((rename.get(key, key), value))
-    return Derivation(rule, tuple(params),
-                      tuple(_dual_derivation(p) for p in d.premises))
+    return Derivation(rule, tuple(params), tuple(duals))
 
 
 def dualize_derivation(m: DualityMap, d: Derivation) -> Derivation:
@@ -198,10 +183,11 @@ def dualize_derivation(m: DualityMap, d: Derivation) -> Derivation:
     The input must check under m.source; the image is checked under m.target
     before it is returned, so a returned derivation is always valid.
     """
-    offenders = _derivation_offenders(d, ())
+    offenders: list[str] = []
+    fold(d, lambda node, path, below: None, partial(_derivation_offenders, offenders))
     if offenders:
         raise NotDualizable(offenders)
     check_derivation(m.source, d)
-    image = _dual_derivation(d)
+    image = fold(d, _dual_derivation)
     check_derivation(m.target, image)
     return image

@@ -87,7 +87,7 @@ from .calculus import (
     term_str,
     type_str,
 )
-from .deduction import Derivation
+from .deduction import Derivation, fold
 from .semantics import (
     EXC,
     FiniteModel,
@@ -255,10 +255,10 @@ def _parsed(text: str, what: str, parse, *args):
 #: Deepest term, type, model element or derivation the parsers accept.  A
 #: composition counts its factors' depths added up, a pair or a product one
 #: more than its deeper component, and every bracket one level on its own
-#: (an element's `ok(` and `exc(` too); a derivation counts one level per
-#: rule on its longest path to a leaf, and the terms inside it have their
-#: own budget.  All of these are walked recursively everywhere in the
-#: library, so the limit stays far below Python's recursion limit of 1000.
+#: (an element's `ok(` and `exc(` too); a derivation counts one level per rule
+#: on its longest path to a leaf, its terms having their own budget.  Terms,
+#: types and elements are walked recursively, well below the recursion limit;
+#: only the parser recurses on a derivation, which deduction.fold walks.
 MAX_DEPTH = 200
 
 
@@ -633,16 +633,13 @@ def parse_derivation(text: str, theory: Theory) -> Derivation:
     return _parsed(text, "derivation", _parse_deriv_node, dict(theory.definitions))
 
 
-def _param_str(value: object) -> str:
-    if isinstance(value, (str, int)):
-        return str(value)
-    return term_str(value)
-
-
 def print_derivation(d: Derivation, indent: int = 0) -> str:
-    pad = "  " * indent
-    head = " ".join([d.rule] + [f"{key}={_param_str(v)}" for key, v in d.params])
-    if not d.premises:
-        return f"{pad}({head})"
-    body = "\n".join(print_derivation(p, indent + 1) for p in d.premises)
-    return f"{pad}({head}\n{body})"
+    lines: list[str] = []
+
+    def enter(node: Derivation, path: tuple[int, ...]) -> None:
+        head = " ".join([node.rule] + [f"{key}={v if isinstance(v, (str, int)) else term_str(v)}"
+                                       for key, v in node.params])
+        lines.append("  " * (indent + len(path)) + "(" + head)
+
+    fold(d, lambda node, path, below: lines.append(lines.pop() + ")"), enter)
+    return "\n".join(lines)

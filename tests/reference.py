@@ -28,6 +28,12 @@ The term walks are decolog.calculus' analyze_term and normalize as they
 were before one memoized analysis answered both (see "Term analysis"
 below).
 
+The derivation walks are the checker's _check, print_derivation and the
+duality's _derivation_offenders and _dual_derivation as they were before
+deduction.fold replaced them: each recurses once per level, so each stops
+at Python's recursion limit on a deep enough derivation.  The reference
+prover checks its pair steps with this _check.
+
 The text front end is decolog.files' parsing as it was before the
 one scanner: a character-by-character tokenize that builds one positioned
 Token per token, and a _Stream over those tokens.  Its verdicts part from
@@ -79,9 +85,11 @@ from decolog.calculus import (
     infer_decoration,
     keyword_matches_effect,
     pair,
+    quoted,
     type_str,
     rank_of_keyword,
     strong,
+    term_str,
     weak,
 )
 from decolog.deduction import (
@@ -104,14 +112,20 @@ from decolog.deduction import (
     WEAK_REPL,
     WEAK_SUBST,
     WEAK_TO_STRONG_LOWRANK,
+    RULES,
     DeductionError,
     DepthExhausted,
     Derivation,
+    IllFormedParameter,
+    RuleMisapplied,
     ScenarioResult,
-    _check,
+    _conclude,
+    _param,
     check_derivation,
     deriv,
+    path_str,
 )
+from decolog.duality import DualityMap, NotDualizable, _dual_term, _term_offenders
 from decolog.files import MAX_DEPTH, ParseError, element_str
 from decolog.semantics import (
     DEFAULT_MAX_INTERPRETATIONS,
@@ -1181,6 +1195,93 @@ def _run_scenario(effect: EffectKind, sc: _Scenario,
                                       sc.expectation, checked, violations, example)
     return ScenarioResult(sc.rule, effect, sc.description, sc.expectation,
                           checked, violations, example)
+
+
+# ---------------------------------------------------------------------------
+# Derivation walks
+# ---------------------------------------------------------------------------
+
+def _check(theory: Theory, d: Derivation, path: tuple[int, ...]) -> DecoratedEquation:
+    rule = RULES.get(d.rule)
+    if rule is None:
+        raise RuleMisapplied(path, f"unknown rule {quoted(d.rule)}")
+    # a loop, not a comprehension: one stack frame per level keeps a
+    # derivation nested files.MAX_DEPTH deep well inside the recursion limit
+    premises = []
+    for i, p in enumerate(d.premises):
+        premises.append(_check(theory, p, path + (i,)))
+    if len(premises) != len(rule.premises):
+        raise RuleMisapplied(
+            path, f"{d.rule} takes {len(rule.premises)} premise(s), got {len(premises)}")
+    given = [key for key, _ in d.params]
+    for key in given:
+        if key not in rule.params:
+            raise IllFormedParameter(path, f"{d.rule} takes no parameter {quoted(key)}")
+        if given.count(key) > 1:
+            raise IllFormedParameter(path, f"parameter {quoted(key)} of {d.rule} given twice")
+    params = {key: _param(theory, d, key, path) for key in rule.params}
+    for i, (p, want) in enumerate(zip(premises, rule.premises), 1):
+        if want is not None and p.strength is not want:
+            raise RuleMisapplied(
+                path, f"premise {i} of {d.rule} must be {want}, got {p.strength}")
+    try:
+        eq = _conclude(theory, d, premises, params, path)
+        check_equation_wf(theory, eq)
+        return eq
+    except CalculusError as e:
+        raise RuleMisapplied(path, f"{d.rule}: {e}")
+
+
+def _param_str(value: object) -> str:
+    if isinstance(value, (str, int)):
+        return str(value)
+    return term_str(value)
+
+
+def print_derivation(d: Derivation, indent: int = 0) -> str:
+    pad = "  " * indent
+    head = " ".join([d.rule] + [f"{key}={_param_str(v)}" for key, v in d.params])
+    if not d.premises:
+        return f"{pad}({head})"
+    body = "\n".join(print_derivation(p, indent + 1) for p in d.premises)
+    return f"{pad}({head}\n{body})"
+
+
+def _derivation_offenders(d: Derivation, path: tuple[int, ...]) -> list[str]:
+    out = []
+    if d.rule in RULES and RULES[d.rule].dual is None:
+        out.append(f"rule {d.rule} at {path_str(path)}")
+    for key, value in d.params:
+        if isinstance(value, DecoratedTerm):
+            out.extend(f"{o} (parameter {key} at {path_str(path)})"
+                       for o in _term_offenders(value))
+    for i, premise in enumerate(d.premises):
+        out.extend(_derivation_offenders(premise, path + (i,)))
+    return out
+
+
+def _dual_derivation(d: Derivation) -> Derivation:
+    rule = RULES[d.rule].dual
+    # a rule that trades places trades its parameter too: subst's g is repl's h
+    rename = dict(zip(RULES[d.rule].params, RULES[rule].params))
+    params = []
+    for key, value in d.params:
+        if isinstance(value, DecoratedTerm):
+            value = _dual_term(value)
+        params.append((rename.get(key, key), value))
+    return Derivation(rule, tuple(params),
+                      tuple(_dual_derivation(p) for p in d.premises))
+
+
+def dualize_derivation(m: DualityMap, d: Derivation) -> Derivation:
+    """duality.dualize_derivation over the walks above."""
+    offenders = _derivation_offenders(d, ())
+    if offenders:
+        raise NotDualizable(offenders)
+    _check(m.source, d, ())
+    image = _dual_derivation(d)
+    _check(m.target, image, ())
+    return image
 
 
 # ---------------------------------------------------------------------------

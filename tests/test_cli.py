@@ -215,14 +215,14 @@ class TestProve:
         assert "derivation" in data
 
     def _prove_chain(self, capsys, tmp_path, n):
-        """prove a0 == a{n-1} over the axioms a{i} == a{i+1}: a proof about
-        n / 2 levels deep."""
+        """prove a0 == a{n-1} over the axioms a{i} == a{i+1}, at --depth 1000
+        or n if larger: a proof about n / 2 levels deep."""
         path = tmp_path / "chain.dth"
         path.write_text("effect states\ntype A\n"
                         + "".join(f"op a{i} : A -> A pure\n" for i in range(n))
                         + "".join(f"axiom strong a{i} == a{i + 1}\n" for i in range(n - 1)))
         return str(path), run(capsys, "prove", str(path), f"strong a0 == a{n - 1}",
-                              "--depth", "1000")
+                              "--depth", str(max(n, 1000)))
 
     def test_proof_at_the_depth_limit_verifies(self, capsys, tmp_path):
         theory, (code, out, _) = self._prove_chain(capsys, tmp_path, 396)
@@ -232,7 +232,7 @@ class TestProve:
         code, out, _ = run(capsys, "verify", theory, str(proof))
         assert (code, out) == (0, "strong: a0 == a395\n")
 
-    @pytest.mark.parametrize("n", [397, 500, 700])
+    @pytest.mark.parametrize("n", [397, 500, 700, 2000])
     def test_proof_deeper_than_verify_reads_exits_1(self, capsys, tmp_path, n):
         _, (code, out, err) = self._prove_chain(capsys, tmp_path, n)
         assert (code, out) == (1, "")

@@ -52,10 +52,12 @@ from decolog.deduction import (
     _scenarios,
     check_derivation,
     deriv,
+    fold,
     prove,
     validate_rules,
 )
-from decolog.duality import DUAL_EFFECT, DUAL_RULES
+from decolog.duality import DUAL_EFFECT, DUAL_RULES, dualize_derivation, duality_map
+from decolog.files import print_derivation
 from decolog.semantics import _Layout, _Program, holds
 
 from gen import random_derivation
@@ -485,20 +487,28 @@ class TestProve:
         assert counts[0] == counts[1]
 
     def test_proof_of_a_long_chain_checks(self):
-        """A 700-term chain takes 699 steps, about 350 from each side; the
-        proof assembled along that path is nested 352 levels deep."""
+        """An n-term chain takes n - 1 steps, about n / 2 from each side, so
+        the proof is nested about n / 2 levels deep: 352 at n=700, 552 at
+        n=1100 and 1002 at n=2000.  Checking, printing and dualizing walk it
+        without recursion, whatever its depth."""
         A = BaseType("A")
-        n = 700
-        theory = Theory(
-            effect=EffectKind.STATES,
-            base_types=("A",),
-            operations=tuple(OperationSymbol(f"a{i}", A, A, 0) for i in range(n)),
-            axioms=tuple(Axiom(f"ax{i}", strong(Op(f"a{i}"), Op(f"a{i + 1}")))
-                         for i in range(n - 1)),
-        )
-        goal = strong(Op("a0"), Op(f"a{n - 1}"))
-        d = prove(theory, goal, max_depth=1000, max_nodes=100_000)
-        check_derivation(theory, d, expected=goal)
+        for n in (700, 1100, 2000):
+            theory = Theory(
+                effect=EffectKind.STATES,
+                base_types=("A",),
+                operations=tuple(OperationSymbol(f"a{i}", A, A, 0) for i in range(n)),
+                axioms=tuple(Axiom(f"ax{i}", strong(Op(f"a{i}"), Op(f"a{i + 1}")))
+                             for i in range(n - 1)),
+            )
+            goal = strong(Op("a0"), Op(f"a{n - 1}"))
+            d = prove(theory, goal, max_depth=n, max_nodes=10**6)
+            assert check_derivation(theory, d, expected=goal).equation == goal
+            assert fold(d, lambda node, path, below: 1 + max(below, default=0)) > n // 2
+            text = print_derivation(d)
+            assert len(text.splitlines()) == fold(d, lambda node, path, below: 1 + sum(below))
+            m = duality_map(theory)
+            image = dualize_derivation(m, d)
+            assert check_derivation(m.target, image).equation == goal
 
     @pytest.mark.parametrize("bounds", [{"max_depth": 0}, {"max_depth": -1},
                                         {"max_nodes": 0}])
@@ -615,6 +625,9 @@ class TestRankLimits:
         monkeypatch.setitem(RANK_LIMITS[effect], rule, limit + 1)
         check_derivation(theory, _instance(rule, limit + 1))
         assert _at_size_2(effect, rule, stop=True)[1] > 0
+        # the sound scenario's description names the raised limit
+        sc, = (sc for sc in _scenarios(effect) if sc.rule == rule and sc.expectation == "sound")
+        assert f"rank <= {limit + 1}" in sc.description
 
     @pytest.mark.parametrize("effect,rule,limit", BOUNDED)
     def test_first_excluded_rank_alone_has_a_countermodel(self, monkeypatch, effect, rule, limit):

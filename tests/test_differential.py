@@ -20,7 +20,10 @@ holds their imports from decolog.semantics to the shared data.
 For the term analysis: types and rank or the error, the normal form, the
 operations the evaluator reads and the mirror term, against the separate
 walks it replaced, on well-typed terms, reshaped ones and ill-typed
-mutants.
+mutants.  For the derivation walks: the conclusion or the error, the
+printed text and the dual or the error, against the recursive walks
+deduction.fold replaced, on random derivations and copies broken at one
+or two nodes.
 """
 import ast
 import inspect
@@ -43,6 +46,7 @@ from decolog.calculus import (
     DecoratedTerm,
     EffectKind,
     Id,
+    Op,
     Pair,
     Proj1,
     Proj2,
@@ -56,15 +60,20 @@ from decolog.calculus import (
 )
 from decolog.deduction import (
     EXPECT_SOUND,
+    STRONG_TO_WEAK,
+    TRANS_STRONG,
     WEAK_REPL,
     WEAK_SUBST,
+    DeductionError,
     DepthExhausted,
+    Derivation,
     _run_scenario,
     _scenarios,
     check_derivation,
+    deriv,
     prove,
 )
-from decolog.duality import _dual_term
+from decolog.duality import NotDualizable, _dual_term, dualize_derivation, duality_map
 from decolog.files import (
     MAX_INT_DIGITS,
     ParseError,
@@ -580,6 +589,95 @@ def test_prove_random_theories(effect):
         cut += tried is not None and int(tried.group(1)) >= PAIR_NODES
     # the batch exercises found proofs and searches cut by the node bound
     assert proved >= 15 and cut >= 5
+
+
+# ---------------------------------------------------------------------------
+# Derivation walks
+# ---------------------------------------------------------------------------
+
+def _nodes(d, path=()):
+    """Every node of d with its path, root first."""
+    yield path, d
+    for i, premise in enumerate(d.premises):
+        yield from _nodes(premise, path + (i,))
+
+
+def _replaced(d, path, node):
+    """d with the node at path replaced."""
+    if not path:
+        return node
+    premises = list(d.premises)
+    premises[path[0]] = _replaced(premises[path[0]], path[1:], node)
+    return Derivation(d.rule, d.params, tuple(premises))
+
+
+def _broken(rng, node):
+    """node broken one way: an unknown rule over a premise with a wrong
+    premise count, a wrong premise count, an unknown, repeated or
+    ill-formed parameter, or a premise of the wrong strength."""
+    kind = rng.randrange(6)
+    extra = Derivation(node.rule, node.params, node.premises + (node,))
+    if kind == 0:
+        return Derivation("no_such_rule", node.params, (extra,))
+    if kind == 1:
+        return extra if not node.premises or rng.random() < 0.5 else Derivation(
+            node.rule, node.params, node.premises[1:])
+    if kind == 2:
+        return Derivation(node.rule, node.params + (("no_such_key", Id(Unit)),), node.premises)
+    if kind == 3 and node.params:
+        return Derivation(node.rule, node.params + node.params[:1], node.premises)
+    if kind == 4 and node.params:
+        (key, _), *rest = node.params
+        return Derivation(node.rule, ((key, Op("no_such_op")), *rest), node.premises)
+    # a weak second premise, or, when node is weak, a weak premise below it
+    return deriv(TRANS_STRONG, node, deriv(STRONG_TO_WEAK, node))
+
+
+def _walk_outcome(walk, *args):
+    """A walk's result, or its error's type and text."""
+    try:
+        return "ok", walk(*args)
+    except (DeductionError, NotDualizable) as error:
+        return type(error).__name__, str(error)
+
+
+@pytest.mark.parametrize("effect", list(EffectKind))
+def test_derivation_walks(effect):
+    """deduction.fold's checker, printer and duality against the recursive
+    walks it replaced, on random derivations and on copies with one node
+    broken once or twice, and sometimes a second node broken too: the same
+    conclusion or the same error text, the same printed text, and the same
+    dual or the same error with its offenders."""
+    rng = random.Random(91 if effect is EffectKind.STATES else 92)
+    seen = Counter()
+    for _ in range(40):
+        theory = gen.random_theory(rng, effect, products=False, n_axioms=2)
+        m = duality_map(theory)
+        d = gen.random_derivation(rng, theory, steps=10, products=rng.random() < 0.5)
+        nodes = list(_nodes(d))
+        cases = [d]
+        for _ in range(6):
+            path, node = rng.choice(nodes)
+            for _ in range(rng.randint(1, 2)):
+                node = _broken(rng, node)
+            broken = _replaced(d, path, node)
+            # half the time a second node, off that one's path and subtree
+            apart = [(q, n) for q, n in nodes if path[:len(q)] != q and q[:len(path)] != path]
+            if apart and rng.random() < 0.5:
+                q, n = rng.choice(apart)
+                broken = _replaced(broken, q, _broken(rng, n))
+            cases.append(broken)
+        for case in cases:
+            checked = _walk_outcome(lambda: check_derivation(theory, case).equation)
+            assert checked == _walk_outcome(reference._check, theory, case, ())
+            indent = rng.randrange(3)
+            assert print_derivation(case, indent) == reference.print_derivation(case, indent)
+            dual = _walk_outcome(dualize_derivation, m, case)
+            assert dual == _walk_outcome(reference.dualize_derivation, m, case)
+            seen[checked[0], dual[0]] += 1
+    # valid and broken derivations, dualizable and not, all occur
+    assert {("ok", "ok"), ("ok", "NotDualizable"), ("RuleMisapplied", "RuleMisapplied"),
+            ("IllFormedParameter", "IllFormedParameter")} <= set(seen), seen
 
 
 # ---------------------------------------------------------------------------

@@ -92,6 +92,55 @@ def test_walk_scan_sees_every_kind_of_test():
     assert composition_tests(source) == ["a", "b", "c"]
 
 
+#: The functions of src/ that read an attribute named premises: fold, the
+#: one walk over a derivation, and the checker's leave, which reads only
+#: its rule's premise strengths (Rule.premises).
+PREMISE_READERS = {("deduction.py", "fold"), ("deduction.py", "_check")}
+
+
+def premise_walks(source: str) -> tuple[set[str], set[str]]:
+    """The functions, methods and nested functions included, that read an
+    attribute named premises, and those of them that call themselves, by
+    name or as an attribute."""
+    readers, recursive = set(), set()
+    for func in ast.walk(ast.parse(source)):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        inside = list(ast.walk(func))
+        if not any(isinstance(node, ast.Attribute) and node.attr == "premises"
+                   for node in inside):
+            continue
+        readers.add(func.name)
+        if any(isinstance(node, ast.Call) and func.name in (getattr(node.func, "id", None),
+                                                            getattr(node.func, "attr", None))
+               for node in inside):
+            recursive.add(func.name)
+    return readers, recursive
+
+
+def test_one_derivation_walk():
+    """No function of src/ that reads a derivation's premises calls itself,
+    and only deduction.fold reads them: the checker, the printer, the
+    duality and the command line walk a derivation through fold's
+    callbacks, so no depth exhausts the recursion limit."""
+    found = {path.name: premise_walks(path.read_text(encoding="utf-8"))
+             for path in sorted((ROOT / "src" / "decolog").glob("*.py"))}
+    assert {(name, f) for name, (_, recursive) in found.items() for f in recursive} == set()
+    assert {(name, f) for name, (readers, _) in found.items() for f in readers} == PREMISE_READERS
+
+
+def test_derivation_walk_scan_sees_every_kind_of_call():
+    source = ("def a(d): return [a(p) for p in d.premises]\n"
+              "def b(d):\n"
+              "    def c(p): return [c(q) for q in p.premises]\n"
+              "    return c(d)\n"
+              "class K:\n"
+              "    def e(self, d): return [self.e(p) for p in d.premises]\n"
+              "def f(d): return len(d.premises)\n"
+              "def g(d): return g(d.rule)\n")
+    assert premise_walks(source) == ({"a", "b", "c", "e", "f"}, {"a", "c", "e"})
+
+
 def traced_names(source: str) -> list[tuple[str, str]]:
     """The (module, function) pairs a tracer source rebinds by name: each
     entry of Tracer.TIMED, and each _patch call given both as literals."""

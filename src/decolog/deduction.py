@@ -35,6 +35,7 @@ from __future__ import annotations
 
 from collections import deque
 from functools import partial
+from itertools import accumulate, chain
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from .calculus import (
@@ -55,6 +56,7 @@ from .calculus import (
     Proj2,
     Record,
     Strength,
+    TERM_CLASSES,
     Theory,
     TypeExpr,
     Unit,
@@ -250,7 +252,7 @@ def _param(theory: Theory, d: Derivation, key: str, path: tuple[int, ...]) -> ob
         return value
     if key not in params:
         raise IllFormedParameter(path, f"{d.rule} needs parameter {key}")
-    if not isinstance(value, DecoratedTerm):
+    if not isinstance(value, TERM_CLASSES):
         raise IllFormedParameter(path, f"parameter {key} of {d.rule} must be a term")
     try:
         return analysis(theory, value)
@@ -392,19 +394,26 @@ def _conclude(theory: Theory, d: Derivation, premises: list[DecoratedEquation],
 #
 # Every term the search touches is in normal form, and all terms on one
 # side share one domain, so the search holds a term as its tuple of spine
-# atoms (the empty tuple for the identity), read off the theory's term
-# analyses, as are the types and ranks of the atoms.  A rewrite splices
-# atoms; a term is rebuilt only where a derivation or a pair names it.  A move
-# carries a builder for its derivation, which prove calls only for the
-# moves on the path where the two searches meet.
+# atoms (the empty tuple for the identity).  Each atom's type and rank is
+# read off the theory's analysis the first time one prove call meets it.
+# A rewrite splices atoms; a term is rebuilt only where a derivation or a
+# pair names it.  The axiom sides are found by a window's first atom, so a
+# window starting elsewhere than into Unit costs one slice per axiom source
+# that starts with its atom.  A move carries a builder for its derivation,
+# which prove calls only for the moves on the path where the two searches
+# meet, and whether its step is weak.
 
-Move = tuple[Atoms, Callable[[], Derivation], Strength]
+Move = tuple[Atoms, Callable[[], Derivation], bool]
+
+_NO_HEADS: dict = {}
 
 
 class _Rewriter:
-    """What one prove call reuses across expansions: the axiom sides
-    indexed by source spine, each with its step (the axiom, or its sym) and
-    target, and the lengths of those sources.
+    """What one prove call reuses across expansions: the axiom sides by
+    their source's first atom, then by its length, shortest first, as
+    (source, sides), each side its step (the axiom, or its sym), whether
+    the step is weak and its target; and each atom met so far with its
+    codomain, rank and whether it is a pair.
 
     Within one source the sides keep declaration order, an axiom's
     left-to-right use before its right-to-left one.  A side whose target
@@ -412,7 +421,7 @@ class _Rewriter:
 
     def __init__(self, theory: Theory):
         self.theory = theory
-        self.sides: dict[Atoms, list] = {}
+        sides: dict[Atoms, list] = {}
         for ax in theory.axioms:
             eq = ax.equation
             weak_step = eq.strength is Strength.WEAK
@@ -420,16 +429,27 @@ class _Rewriter:
             axiom = deriv(AXIOM, name=ax.name)
             for src, dst, step in ((lhs, rhs, axiom), (rhs, lhs, deriv(SYM, axiom))):
                 if src and src != dst:
-                    self.sides.setdefault(src, []).append((step, weak_step, dst))
-        self.lengths = frozenset(map(len, self.sides))
-        self.longest = max(self.lengths, default=0)
+                    sides.setdefault(src, []).append((step, weak_step, dst))
+        self.by_head: dict[DecoratedTerm, dict[int, list]] = {}
+        for src in sorted(sides, key=len):
+            self.by_head.setdefault(src[0], {}).setdefault(len(src), []).append((src, sides[src]))
+        self.known: dict[DecoratedTerm, tuple[TypeExpr, int, bool]] = {}
 
-    def layout(self, atoms: Atoms,
-               dom: TypeExpr) -> tuple[list[TypeExpr], list[int]]:
-        """Boundary types t[0..n] (t[n] = dom, t[i] = cod of atoms[i]) and
-        the rank of every atom."""
-        found = [analysis(self.theory, atom) for atom in atoms]
-        return [a.cod for a in found] + [dom], [a.rank for a in found]
+    def info(self, atom: DecoratedTerm) -> tuple[TypeExpr, int, bool]:
+        """The atom's codomain, its rank and whether it is a pair."""
+        found = self.known.get(atom)
+        if found is None:
+            a = analysis(self.theory, atom)
+            self.known[atom] = found = (a.cod, a.rank, atom.__class__ is Pair)
+        return found
+
+    def layout(self, atoms: Atoms, dom: TypeExpr) -> tuple[tuple, tuple, bool]:
+        """Boundary types t[0..n] (t[n] = dom, t[i] = cod of atoms[i]), the
+        rank of every atom, and whether any atom is a pair."""
+        known = self.known
+        found = [known.get(a) or self.info(a) for a in atoms]
+        cods, ranks, pairs = zip(*found) if found else ((), (), ())
+        return (*cods, dom), ranks, True in pairs
 
 
 def _spine(atoms: Atoms) -> DecoratedTerm:
@@ -457,51 +477,58 @@ def _unit_step(weak_step: bool, atoms: Atoms,
     return _in_context(deriv(rule, f=_spine(atoms[i:j])), weak_step, atoms, i, j)
 
 
-def _window_rewrites(rw: _Rewriter, atoms: Atoms,
-                     bounds: list[TypeExpr], ranks: list[int],
+def _window_rewrites(rw: _Rewriter, atoms: Atoms, bounds: tuple, ranks: tuple,
                      allow_weak: bool) -> Iterator[Move]:
     """All one-step rewrites of the spine: windows by start, then end, each
-    rewritten by the axiom sides in order, then by the unit law."""
+    rewritten by the axiom sides in order, then by the unit law.  Only a
+    window into Unit has a unit move, so at any other start the windows
+    tried are the lengths of the axiom sources that begin with its atom."""
     n = len(atoms)
     limits = RANK_LIMITS[rw.theory.effect]
-    # largest rank among the factors before position i / from position j on
-    before = [0] * (n + 1)
-    after = [0] * (n + 1)
-    for k in range(n):
-        before[k + 1] = max(before[k], ranks[k])
-        after[n - 1 - k] = max(after[n - k], ranks[n - 1 - k])
-
-    def weak_context_ok(i: int, j: int) -> bool:
-        # the factors from j on are substituted, those before i replace
-        return after[j] <= limits[WEAK_SUBST] and before[i] <= limits[WEAK_REPL]
+    # largest rank among the factors before position i / from position j on:
+    # a weak step's context substitutes the factors from j on and replaces
+    # by those before i
+    before = list(accumulate(ranks, max, initial=0))
+    after = list(accumulate(reversed(ranks), max, initial=0))[::-1]
+    subst_limit, repl_limit = limits[WEAK_SUBST], limits[WEAK_REPL]
+    by_head = rw.by_head
 
     for i in range(n):
-        into_unit = isinstance(bounds[i], UnitType)
+        heads = by_head.get(atoms[i], _NO_HEADS)
+        if bounds[i].__class__ is not UnitType:
+            for length, group in heads.items():
+                j = i + length
+                if j > n:
+                    break
+                for src, found in group:
+                    if atoms[i:j] == src:
+                        weak_ok = allow_weak and after[j] <= subst_limit and before[i] <= repl_limit
+                        for step, weak_step, dst in found:
+                            if weak_ok or not weak_step:
+                                yield (atoms[:i] + dst + atoms[j:],
+                                       partial(_in_context, step, weak_step, atoms, i, j), weak_step)
+            continue
         window_rank = 0
-        for j in range(i + 1, (n if into_unit else min(n, i + rw.longest)) + 1):
+        for j in range(i + 1, n + 1):
             window_rank = max(window_rank, ranks[j - 1])
-            if j - i in rw.lengths:
-                for step, weak_step, dst in rw.sides.get(atoms[i:j], ()):
-                    if weak_step and not (allow_weak and weak_context_ok(i, j)):
-                        continue
-                    yield (atoms[:i] + dst + atoms[j:],
-                           partial(_in_context, step, weak_step, atoms, i, j),
-                           Strength.WEAK if weak_step else Strength.STRONG)
-
-            if into_unit:
-                replacement = () if isinstance(bounds[j], UnitType) else (Bang(bounds[j]),)
-                if atoms[i:j] == replacement:
-                    continue
-                if window_rank <= limits[UNIT_STRONG_LOWRANK]:
-                    weak_step = False
-                elif (allow_weak and window_rank <= limits[UNIT_WEAK]
-                      and weak_context_ok(i, j)):
-                    weak_step = True
-                else:
-                    continue
-                yield (atoms[:i] + replacement + atoms[j:],
-                       partial(_unit_step, weak_step, atoms, i, j),
-                       Strength.WEAK if weak_step else Strength.STRONG)
+            weak_ok = allow_weak and after[j] <= subst_limit and before[i] <= repl_limit
+            for src, found in heads[j - i] if j - i in heads else ():
+                if atoms[i:j] == src:
+                    for step, weak_step, dst in found:
+                        if weak_ok or not weak_step:
+                            yield (atoms[:i] + dst + atoms[j:],
+                                   partial(_in_context, step, weak_step, atoms, i, j), weak_step)
+            replacement = () if bounds[j].__class__ is UnitType else (Bang(bounds[j]),)
+            if atoms[i:j] == replacement:
+                continue
+            if window_rank <= limits[UNIT_STRONG_LOWRANK]:
+                weak_step = False
+            elif weak_ok and window_rank <= limits[UNIT_WEAK]:
+                weak_step = True
+            else:
+                continue
+            yield (atoms[:i] + replacement + atoms[j:],
+                   partial(_unit_step, weak_step, atoms, i, j), weak_step)
 
 
 def _cong_step(build: Callable[[], Derivation], other: DecoratedTerm,
@@ -512,8 +539,8 @@ def _cong_step(build: Callable[[], Derivation], other: DecoratedTerm,
     return deriv(PAIR_CONG_STRONG, *((build(), refl) if side == 0 else (refl, build())))
 
 
-def _pair_rewrites(rw: _Rewriter, atoms: Atoms,
-                   bounds: list[TypeExpr]) -> Iterator[Move]:
+def _pair_rewrites(rw: _Rewriter, atoms: Atoms, bounds: tuple,
+                   ranks: tuple) -> Iterator[Move]:
     """Strong rewrites involving pairs: projection collapse, moving a factor
     in and out of a pair, and congruence steps inside components.
 
@@ -527,7 +554,7 @@ def _pair_rewrites(rw: _Rewriter, atoms: Atoms,
     def emit(i, j, new_atoms, build):
         """The move replacing atoms[i:j], its step built by build."""
         return (atoms[:i] + new_atoms + atoms[j:],
-                lambda: _in_context(build(), False, atoms, i, j), Strength.STRONG)
+                lambda: _in_context(build(), False, atoms, i, j), False)
 
     for k in range(n):
         a = atoms[k]
@@ -540,13 +567,13 @@ def _pair_rewrites(rw: _Rewriter, atoms: Atoms,
 
         if isinstance(a, Pair):
             sl, sr = (part.atoms for part in analysis(theory, a).parts)
-            if k + 1 < n and analysis(theory, atoms[k + 1]).rank <= limit:
+            if k + 1 < n and ranks[k + 1] <= limit:
                 w = atoms[k + 1]
                 yield emit(k, k + 2, (Pair(_spine(sl + (w,)), _spine(sr + (w,))),),
                            partial(deriv, PAIR_COMP_LOWRANK, f=a.left, g=a.right, w=w))
             if sl and sr and sl[-1] == sr[-1]:
                 w = sl[-1]
-                wcod = analysis(theory, w).cod
+                wcod = rw.info(w)[0]
                 f2, g2 = rebuild(sl[:-1], Id(wcod)), rebuild(sr[:-1], Id(wcod))
                 yield emit(k, k + 1, (Pair(f2, g2), w),
                            partial(deriv, SYM, deriv(PAIR_COMP_LOWRANK, f=f2, g=g2, w=w)))
@@ -554,7 +581,7 @@ def _pair_rewrites(rw: _Rewriter, atoms: Atoms,
                 other = a.right if side == 0 else a.left
                 for sub_atoms, build, _ in _all_moves(
                         rw, comp_atoms, bounds[k + 1], allow_weak=False):
-                    if max((analysis(theory, x).rank for x in sub_atoms), default=0) > limit:
+                    if max((rw.info(x)[1] for x in sub_atoms), default=0) > limit:
                         continue
                     sub_term = rebuild(sub_atoms, Id(bounds[k + 1]))
                     new_atom = Pair(sub_term, other) if side == 0 else Pair(other, sub_term)
@@ -564,10 +591,11 @@ def _pair_rewrites(rw: _Rewriter, atoms: Atoms,
 def _all_moves(rw: _Rewriter, atoms: Atoms, dom: TypeExpr,
                allow_weak: bool) -> Iterator[Move]:
     """Every one-step rewrite of the normal term with these atoms and
-    domain, as (new atoms, derivation builder, strength of the step)."""
-    bounds, ranks = rw.layout(atoms, dom)
-    yield from _window_rewrites(rw, atoms, bounds, ranks, allow_weak)
-    yield from _pair_rewrites(rw, atoms, bounds)
+    domain, as (new atoms, derivation builder, step is weak).  Every pair
+    rewrite, a projection's included, acts on a pair among the atoms."""
+    bounds, ranks, paired = rw.layout(atoms, dom)
+    moves = _window_rewrites(rw, atoms, bounds, ranks, allow_weak)
+    return chain(moves, _pair_rewrites(rw, atoms, bounds, ranks)) if paired else moves
 
 
 def _chain(base: Optional[Derivation], base_weak: bool,
@@ -660,9 +688,8 @@ def prove(theory: Theory, goal: DecoratedEquation, max_depth: int = 8,
                 continue
             node = reached[side][atoms]
             base_weak = node[3]
-            for new_atoms, build, strength in _all_moves(rw, atoms, dom, want_weak):
+            for new_atoms, build, step_weak in _all_moves(rw, atoms, dom, want_weak):
                 nodes += 1
-                step_weak = strength is Strength.WEAK
                 combined_weak = base_weak or step_weak
                 prev = reached[side].get(new_atoms)
                 if prev is not None and (not prev[3] or combined_weak):

@@ -33,6 +33,7 @@ from .calculus import (
     Proj1,
     Proj2,
     Record,
+    TERM_CLASSES,
     Theory,
     analysis,
     rank_name,
@@ -159,7 +160,7 @@ def _derivation_offenders(found: list[str], d: Derivation, path: tuple[int, ...]
     if d.rule in RULES and RULES[d.rule].dual is None:
         found.append(f"rule {d.rule} at {path_str(path)}")
     for key, value in d.params:
-        if isinstance(value, DecoratedTerm):
+        if isinstance(value, TERM_CLASSES):
             found.extend(f"{o} (parameter {key} at {path_str(path)})"
                          for o in _term_offenders(value))
 
@@ -170,7 +171,7 @@ def _dual_derivation(d: Derivation, path: tuple[int, ...], duals: list[Derivatio
     rename = dict(zip(RULES[d.rule].params, RULES[rule].params))
     params = []
     for key, value in d.params:
-        if isinstance(value, DecoratedTerm):
+        if isinstance(value, TERM_CLASSES):
             value = _dual_term(value)
         params.append((rename.get(key, key), value))
     return Derivation(rule, tuple(params), tuple(duals))

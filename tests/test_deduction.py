@@ -1,6 +1,5 @@
 """Derivation checking, proof search, and rule validation."""
 import random
-import re
 
 import pytest
 
@@ -461,7 +460,9 @@ class TestProve:
 
     def test_failed_search_builds_no_more_derivations_with_more_nodes(self, monkeypatch):
         """Derivations are built only where the two sides meet, so a search
-        cut by the node bound builds as many at 50 nodes as at 2,000."""
+        cut by the node bound builds as many at 50 nodes as at 2,000.  The
+        rewrite counts are pinned: the move order decides how far the last
+        expansions overshoot the bound."""
         A = BaseType("A")
         theory = Theory(
             effect=EffectKind.STATES,
@@ -476,13 +477,14 @@ class TestProve:
         monkeypatch.setattr(Derivation, "__new__",
                             lambda cls, *args: built.append(1) or new(cls, *args))
         counts = []
-        for max_nodes in (50, 2000):
+        for max_nodes, tried in ((50, 58), (2000, 2010)):
             built.clear()
             with pytest.raises(DepthExhausted) as exhausted:
                 prove(theory, strong(compose(Op("a"), Op("b")), Op("c")),
                       max_depth=20, max_nodes=max_nodes)
-            tried = int(re.search(r"\((\d+) rewrites", str(exhausted.value)).group(1))
-            assert tried >= max_nodes
+            assert str(exhausted.value) == (
+                f"no derivation found within depth 20 ({tried} rewrites tried); "
+                "the goal may still be derivable")
             counts.append(len(built))
         assert counts[0] == counts[1]
 

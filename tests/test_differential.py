@@ -11,7 +11,8 @@ rule-soundness sweep: every ScenarioResult of both effects at carriers up
 to 1 and 2.  For the prover: the printed derivation, or the DepthExhausted
 message with its rewrite count, on the corpus goals, goals with nested
 pairs, and the conclusions of random derivations and random goal pairs
-over random theories.
+over random theories; and for every term those searches and an edge
+theory's expand, its list of moves in order.
 
 The reference and the generators keep their own label layout, so a layout
 bug in the library cannot hide in both sides of a comparison; a guard test
@@ -37,6 +38,7 @@ import gen
 import reference
 from decolog.calculus import (
     PAIR_COMPONENT_RANK_LIMIT,
+    RANK_NAMES,
     Axiom,
     Bang,
     BaseType,
@@ -59,9 +61,18 @@ from decolog.calculus import (
     term_str,
 )
 from decolog.deduction import (
+    AXIOM,
     EXPECT_SOUND,
+    PAIR_COMP_LOWRANK,
+    PAIR_CONG_STRONG,
+    PAIR_PROJ,
+    REPL_STRONG,
     STRONG_TO_WEAK,
+    SUBST_STRONG,
+    SYM,
     TRANS_STRONG,
+    UNIT_STRONG_LOWRANK,
+    UNIT_WEAK,
     WEAK_REPL,
     WEAK_SUBST,
     DeductionError,
@@ -88,7 +99,7 @@ from decolog.files import (
     print_theory,
     tokenize,
 )
-from decolog import semantics
+from decolog import deduction, semantics
 from decolog.semantics import (
     Bounds,
     SemanticsError,
@@ -589,6 +600,117 @@ def test_prove_random_theories(effect):
         cut += tried is not None and int(tried.group(1)) >= PAIR_NODES
     # the batch exercises found proofs and searches cut by the node bound
     assert proved >= 15 and cut >= 5
+
+
+# ---------------------------------------------------------------------------
+# The prover's moves
+# ---------------------------------------------------------------------------
+
+def _edge_theory(effect):
+    """Operations A -> A of each rank, and axiom sides that start at a
+    window into Unit with lengths 2 and 3, so that at one start the unit
+    moves come between the axiom moves."""
+    ranks = RANK_NAMES[effect]
+    return parse_theory(f"""effect {effect.value}
+type A
+op p : A -> A {ranks[0]}
+op q : A -> A {ranks[1]}
+op r : A -> A {ranks[2]}
+op z : A -> Unit pure
+op u : Unit -> A pure
+axiom weak q . p ~ p . q
+axiom strong z . p == z . q
+axiom weak z . p . p ~ z
+axiom strong u . z . r == r . u . z
+""")
+
+
+#: Goals over _edge_theory: the weak side q . p in contexts of every rank
+#: before and after it, at and one past each effect's RANK_LIMITS for the
+#: weak congruences, and windows into Unit of every rank, at and past the
+#: limits of the unit laws.
+EDGE_GOALS = (
+    tuple(f"weak {h} . q . p . {g} ~ {h} . p . q . {g}" for h in "pqr" for g in "pqr")
+    + tuple(f"strong z . {x} == z" for x in "pqr")
+    + tuple(f"weak u . z . {x} . p ~ u . z" for x in "pqr")
+    + tuple(f"strong {x} . u . z . p == u . z . p . {x}" for x in "pqr"))
+
+
+def _step_rule(d):
+    """The rule of a move's step, below the substitution and replacement
+    nodes that put it in context and below a sym."""
+    while d.rule in (SUBST_STRONG, REPL_STRONG, WEAK_SUBST, WEAK_REPL, SYM):
+        d = d.premises[0]
+    return d.rule
+
+
+def _move_cases():
+    """(theory, goal, node bound) for the move-level comparison: the corpus
+    and side-condition goals, the edge theory of each effect, and seeded
+    random theories with pairs and Unit and random word theories."""
+    for theory_file, _, goals in CORPUS.values():
+        theory = parse_theory(corpus_path(theory_file).read_text())
+        yield from ((theory, parse_equation(text, theory), 4000) for text in goals)
+    for source, goals in EDGE_CASES:
+        theory = parse_theory(corpus_path(source).read_text() if source.endswith(".dth") else source)
+        yield from ((theory, parse_equation(text, theory), 4000) for text in goals)
+    for effect in EffectKind:
+        theory = _edge_theory(effect)
+        yield from ((theory, parse_equation(text, theory), PAIR_NODES) for text in EDGE_GOALS)
+        rng = random.Random(79 if effect is EffectKind.STATES else 80)
+        for _ in range(8):
+            theory = gen.random_theory(rng, effect, n_ops=rng.randint(2, 4),
+                                       n_axioms=rng.randint(1, 3))
+            derived = _derived_goal(rng, theory)
+            if derived is not None:
+                yield theory, derived, PAIR_NODES
+            theory = gen.random_word_theory(rng, effect)
+            dom = theory.operations[0].dom
+            lhs, _ = gen.random_term(rng, theory, dom, depth=6, products=False)
+            rhs, _ = gen.random_term(rng, theory, dom, depth=6, products=False)
+            yield theory, DecoratedEquation(rng.choice(list(Strength)), lhs, rhs), PAIR_NODES
+
+
+def test_prove_moves(monkeypatch):
+    """For every term prove expands, its pair components included, the
+    moves of deduction._all_moves against reference._all_moves (the
+    reference's window rewrites, then its pair rewrites): the same list,
+    each move compared by its term, the strength of its step and its built
+    derivation.  The whole-proof comparisons see only the first path on
+    which the two searches meet."""
+    expanded = []
+    all_moves = deduction._all_moves
+
+    def recorded(rw, atoms, dom, allow_weak):
+        expanded.append((rw, atoms, dom, allow_weak))
+        return all_moves(rw, atoms, dom, allow_weak)
+
+    monkeypatch.setattr(deduction, "_all_moves", recorded)
+    seen, rules, unit_between = set(), Counter(), 0
+    for theory, goal, max_nodes in _move_cases():
+        expanded.clear()
+        try:
+            prove(theory, goal, max_nodes=max_nodes)
+        except DepthExhausted:
+            pass
+        for rw, atoms, dom, allow_weak in expanded:
+            if (theory, atoms, dom, allow_weak) in seen:
+                continue
+            seen.add((theory, atoms, dom, allow_weak))
+            found = [(reference.from_spine(new, dom), build(),
+                      Strength.WEAK if weak else Strength.STRONG)
+                     for new, build, weak in all_moves(rw, atoms, dom, allow_weak)]
+            term = reference.from_spine(atoms, dom)
+            assert found == list(reference._all_moves(theory, term, dom, allow_weak)), term_str(term)
+            steps = [(_step_rule(d), strength) for _, d, strength in found]
+            rules.update(steps)
+            kinds = "".join("a" if rule == AXIOM else "u" if rule.startswith("unit") else "."
+                            for rule, _ in steps)
+            unit_between += re.search("a.*u.*a", kinds) is not None
+    # every kind of move, weak ones included, and unit moves between axiom moves
+    assert {rule for rule, _ in rules} >= {AXIOM, UNIT_STRONG_LOWRANK, UNIT_WEAK, PAIR_PROJ,
+                                           PAIR_COMP_LOWRANK, PAIR_CONG_STRONG}
+    assert rules[AXIOM, Strength.WEAK] and rules[UNIT_WEAK, Strength.WEAK] and unit_between
 
 
 # ---------------------------------------------------------------------------

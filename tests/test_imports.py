@@ -6,8 +6,11 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from typing import Union, get_origin
 
 import pytest
+
+from decolog import calculus
 
 ROOT = Path(__file__).resolve().parent.parent
 MODULES = ([p for p in sorted((ROOT / "src" / "decolog").glob("*.py")) if p.name != "__init__.py"]
@@ -90,6 +93,40 @@ def test_walk_scan_sees_every_kind_of_test():
               "def c(t): return t.__class__ is Comp\n"
               "def d(t): return Comp(t, t)\n")
     assert composition_tests(source) == ["a", "b", "c"]
+
+
+#: The typing.Union aliases of calculus: isinstance against one goes
+#: through Union.__instancecheck__, several times slower than a tuple of
+#: classes (calculus.TERM_CLASSES for terms).
+UNION_ALIASES = {name for name, value in vars(calculus).items() if get_origin(value) is Union}
+
+
+def union_checks(source: str) -> list[int]:
+    """The lines of an isinstance call whose second argument is a Union
+    alias, alone or in a tuple."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance":
+            tested = node.args[1:]
+            tested = tested[0].elts if tested and isinstance(tested[0], ast.Tuple) else tested
+            if any(getattr(t, "id", None) in UNION_ALIASES for t in tested):
+                found.append(node.lineno)
+    return found
+
+
+def test_no_isinstance_against_a_union():
+    assert {"DecoratedTerm", "TypeExpr"} <= UNION_ALIASES
+    found = {path.name: union_checks(path.read_text(encoding="utf-8"))
+             for path in sorted((ROOT / "src" / "decolog").glob("*.py"))}
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def test_union_scan_sees_every_kind_of_test():
+    source = ("def a(t): return isinstance(t, DecoratedTerm)\n"
+              "def b(t): return isinstance(t, (str, TypeExpr))\n"
+              "def c(t): return isinstance(t, TERM_CLASSES)\n"
+              "def d(t): return isinstance(t, Comp) or DecoratedTerm\n")
+    assert union_checks(source) == [1, 2]
 
 
 #: The functions of src/ that read an attribute named premises: fold, the

@@ -136,8 +136,22 @@ class Record(tuple):
         return self
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{n}={v!r}" for n, v in zip(self._fields, self[1:]))
-        return f"{type(self).__qualname__}({fields})"
+        """Built with a stack, as a tuple's repr recurses in C: Records and
+        plain tuples inside are taken apart here, anything else is its repr."""
+        out, todo = [], [self]
+        while todo:
+            item = todo.pop()
+            if item.__class__ is str:
+                out.append(item)
+                continue
+            record = isinstance(item, Record)
+            parts = [f"{type(item).__qualname__}(" if record else "("]
+            for i, (name, value) in enumerate(zip(item._fields if record else ("",) * len(item),
+                                                  item[1:] if record else item)):
+                nested = value.__class__ is tuple or type(value).__repr__ is Record.__repr__
+                parts += ", " if i else "", name and f"{name}=", value if nested else repr(value)
+            todo += reversed(parts + [",)" if len(item) == 1 and not record else ")"])
+        return "".join(out)
 
     def __getnewargs__(self) -> tuple:
         return self[1:]
@@ -182,6 +196,18 @@ def type_str(t: TypeExpr) -> str:
     if isinstance(t.right, Prod):
         right = f"({right})"
     return f"{left} * {right}"
+
+
+def base_names(t: TypeExpr) -> list[str]:
+    """The names of t's base types, left to right, repeats kept."""
+    names, todo = [], [t]
+    while todo:
+        t = todo.pop()
+        if t.__class__ is Prod:
+            todo += t.right, t.left
+        elif t.__class__ is BaseType:
+            names.append(t.name)
+    return names
 
 
 # ---------------------------------------------------------------------------
@@ -409,14 +435,9 @@ class Theory(Record):
 
 
 def _check_type_declared(theory: Optional[Theory], t: TypeExpr) -> None:
-    if theory is None:
-        return
-    if isinstance(t, BaseType):
-        if t.name not in theory.base_types:
-            raise UndeclaredSymbol(f"base type {quoted(t.name)} is not declared")
-    elif isinstance(t, Prod):
-        _check_type_declared(theory, t.left)
-        _check_type_declared(theory, t.right)
+    for name in base_names(t) if theory is not None else ():
+        if name not in theory.base_types:
+            raise UndeclaredSymbol(f"base type {quoted(name)} is not declared")
 
 
 # ---------------------------------------------------------------------------

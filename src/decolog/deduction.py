@@ -180,6 +180,19 @@ class Derivation(Record):
     def param_map(self) -> dict:
         return dict(self.params)
 
+    def __eq__(self, other: object) -> bool:
+        """Node by node: fold flattens each side into each node's rule,
+        parameters and premise count, premises first, since tuple equality
+        recurses in C and a deep derivation passes the recursion limit."""
+        if not isinstance(other, Derivation):
+            return NotImplemented
+        flat: tuple[list, list] = ([], [])
+        for d, nodes in zip((self, other), flat):
+            fold(d, lambda node, path, below: nodes.append((node.rule, node.params, len(below))))
+        return flat[0] == flat[1]
+
+    __hash__ = Record.__hash__
+
 
 def deriv(rule: str, *premises: Derivation, **params: object) -> Derivation:
     return Derivation(rule, tuple(params.items()), premises)

@@ -48,17 +48,25 @@ The search is one staged walk, _candidates: depth first over the operation
 tables in declaration order, in the canonical order itertools.product would
 give.  Each axiom is checked once the last table it reads is assigned, and
 a failure skips the subtree below, as does a goal of find_counterexample
-that holds.  _check_ceiling counts the raw interpretations of the tables
-the walk visits, _Program.walked: every table for enumerate_models, those
-of the operations its equations read for find_counterexample.  It bounds
-the cells (input rows) of a layout's tables too, as every table is built.
+that holds.  find_counterexample, which reports one countermodel, walks
+one labelling per orbit.  Evaluation commutes with relabelling carriers (no
+term names an element; identities, bangs, projections, lifts, pairs and
+weak views are natural), so the first candidate admitted is the least of
+its orbit, and a subtree is skipped where a relabelling makes the walked
+tables so far smaller, table by table (lex-leader pruning; Crawford et al.,
+KR 1996).  A base type that no walked table and no equation reads keeps
+size 1: a larger carrier walks the same tables later.  _check_ceiling
+counts the raw interpretations of the tables the walk visits,
+_Program.walked (every table for enumerate_models, those its equations
+read for find_counterexample), in the layouts it visits, and their cells
+(input rows), as every table is built.
 """
 from __future__ import annotations
 
 import itertools
 import math
 from operator import add, itemgetter, sub
-from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Callable, Collection, Iterable, Iterator, Mapping, Optional, Sequence
 
 from .calculus import (
     Analysis,
@@ -78,6 +86,7 @@ from .calculus import (
     Theory,
     TypeExpr,
     analysis,
+    base_names,
     check_equation_wf,
     quoted,
     type_str,
@@ -238,6 +247,36 @@ class _Layout:
         canonical domain order."""
         n_in, n_out = self.raw_shape(rank, n, m)
         return itertools.product(range(n_out), repeat=n_in)
+
+    def relabellings(self, ops: Sequence[OperationSymbol]) -> Iterator["_Layout"]:
+        """This layout with its labels permuted, once per permutation other
+        than the identity of the carriers that ops' tables read: the base
+        types in their signatures, and the effect's if one has rank 1 or 2."""
+        names = tuple(dict.fromkeys(n for sym in ops for n in base_names(Prod(sym.dom, sym.cod))))
+        perms = itertools.product(*map(itertools.permutations, map(self.carriers.get, names)),
+                                  itertools.permutations(self.eff_elems)
+                                  if any(sym.decoration for sym in ops) else (self.eff_elems,))
+        next(perms)
+        for *carriers, eff_elems in perms:
+            yield _Layout(self.effect, {**self.carriers, **dict(zip(names, carriers))}, eff_elems)
+
+    def relabeller(self, image: "_Layout", sym: OperationSymbol) -> Optional[Callable]:
+        """The map from a raw table of sym to its image under the permutation
+        that gives image (one of relabellings); None when that is the identity."""
+        e = tuple(map(self.eff_elems.index, image.eff_elems))
+
+        def moved(ty: TypeExpr, lift: bool) -> tuple:  # p[x]: the number of x's image
+            at = {y: i for i, y in enumerate(self.values(ty))}
+            p = tuple(map(at.__getitem__, image.values(ty)))
+            return (p if not lift else p + tuple(len(p) + s for s in e) if self.exceptions
+                    else tuple(a * self.k + s for a in p for s in e))
+        rank = sym.decoration
+        ins = moved(sym.dom, rank == 2 or rank == 1 and not self.exceptions)
+        outs = moved(sym.cod, rank == 2 or rank == 1 and self.exceptions)
+        if ins == tuple(range(len(ins))) and outs == tuple(range(len(outs))):
+            return None
+        pick = _composer(tuple(sorted(range(len(ins)), key=ins.__getitem__)))
+        return lambda raw: tuple(map(outs.__getitem__, pick(raw)))
 
     def tail(self, m: int) -> Table:
         """The exc block of a rank-2 codomain over m values."""
@@ -599,6 +638,11 @@ def first_violation(model: FiniteModel, theory: Theory,
 
 DEFAULT_MAX_INTERPRETATIONS = 10 ** 7
 
+#: Most relabellings of one layout that a search prunes by.  Any of them
+#: prune exactly, and past a few thousand their maps cost more to build
+#: than the walk they save.
+MAX_TWINS = 5040
+
 
 class Bounds(Record):
     """Carrier size limits: base for every base type, effect for the effect
@@ -615,15 +659,15 @@ class Bounds(Record):
 
 
 def _layouts(effect: EffectKind, base_types: Sequence[str], bounds: Bounds,
-             carriers: Optional[dict] = None) -> Iterator[_Layout]:
+             least: Collection[str] = (), carriers: Optional[dict] = None) -> Iterator[_Layout]:
     """One layout per carrier-size assignment: base types in the given order,
     the first varying slowest, with the effect carrier last, and carriers
-    numbered 0, 1, ...  Sizes are counted out one at a time, as a bound may
-    be too large for its range to be listed."""
+    numbered 0, 1, ...; a type in least keeps size 1.  Sizes are counted out
+    one at a time, as a bound may be too large for its range to be listed."""
     carriers = carriers or {}
     if base_types:
-        for n in range(1, bounds.base + 1):
-            yield from _layouts(effect, base_types[1:], bounds,
+        for n in range(1, 2 if base_types[0] in least else bounds.base + 1):
+            yield from _layouts(effect, base_types[1:], bounds, least,
                                 {**carriers, base_types[0]: tuple(range(n))})
     else:
         for eff_size in range(1, bounds.effect + 1):
@@ -641,16 +685,17 @@ def count_interpretations(theory: Theory, bounds: Bounds) -> int:
                for layout in _layouts(theory.effect, theory.base_types, bounds))
 
 
-def _check_ceiling(program: _Program, bounds: Bounds, max_interpretations: int) -> None:
+def _check_ceiling(program: _Program, bounds: Bounds, cap: int, least: Collection = ()) -> None:
     """BoundsTooLarge when the tables of program.walked (the others keep
-    their first) have more raw interpretations within bounds than the
-    ceiling, or else when one layout's tables hold more cells (input rows)
-    than it.  The count starts at the number of layouts, each holding one
-    at least, and stops once it passes; a table of n_in rows and n_out
-    outputs passes alone, uncounted, if 2 ** (n_in * (n_out.bit_length() - 1)) does."""
-    theory, cap = program.theory, max_interpretations
-    total, cells = bounds.base ** len(theory.base_types) * bounds.effect, 0
-    for layout in _layouts(theory.effect, theory.base_types, bounds):
+    their first) have more raw interpretations than the ceiling cap in the
+    layouts searched (least at size 1), or else when one of those layouts'
+    tables hold more cells (input rows) than it.  The count starts at the
+    number of layouts, each holding one at least, and stops once it passes;
+    a table of n_in rows and n_out outputs passes alone, uncounted, if
+    2 ** (n_in * (n_out.bit_length() - 1)) does."""
+    theory = program.theory
+    total, cells = bounds.base ** (len(theory.base_types) - len(least)) * bounds.effect, 0
+    for layout in _layouts(theory.effect, theory.base_types, bounds, least):
         if total > cap:
             break
         shapes = _shapes(layout, theory.operations)
@@ -666,7 +711,8 @@ def _check_ceiling(program: _Program, bounds: Bounds, max_interpretations: int) 
 
 
 def _candidates(program: _Program, layout: _Layout, checks: list[_Check],
-                lifters: list[Optional[Callable]]) -> Iterator[tuple[tuple, list[Table]]]:
+                lifters: list[Optional[Callable]],
+                twins: Iterable[_Layout] = ()) -> Iterator[tuple[tuple, list[Table]]]:
     """The staged walk over one layout: depth first over the operations in
     declaration order, each level trying its raw tables in raw_tables'
     order.  A level lifts its table and runs the checks of the equations
@@ -675,7 +721,14 @@ def _candidates(program: _Program, layout: _Layout, checks: list[_Check],
     not hold, an equation after them (a goal) when it holds.  Only
     program.walked is walked, every other operation keeping its first raw
     table, the least completion.  Yields each complete assignment that
-    passes: one raw table per operation, and the used ones' rank-2 tables."""
+    passes: one raw table per operation, and the used ones' rank-2 tables.
+
+    Given twins, relabellings of layout, a level whose checks pass also
+    skips its subtree when a twin that fixes the tables above makes its own
+    smaller: each completion has a smaller twin the checks treat alike.  A
+    twin's map of a level is built when first needed, only the first
+    MAX_TWINS twins are tried, and no level tries them when every level
+    below it has one table only."""
     ops = program.theory.operations
     n_axioms = len(program.theory.axioms)
     stages: dict[int, list] = {}
@@ -688,8 +741,10 @@ def _candidates(program: _Program, layout: _Layout, checks: list[_Check],
     levels = [(i, layout.shape(ops[i]), slot, None if slot is None else lifters[slot],
                stages.get(i, ())) for i, slot in zip(program.walked, slots)]
     assignment = [next(layout.raw_tables(*layout.shape(sym))) for sym in ops]
+    tried = max((depth for depth, level in enumerate(levels)
+                 if layout.raw_shape(*level[1])[1] > 1), default=0)
 
-    def walk(depth: int) -> Iterator[tuple[tuple, list[Table]]]:
+    def walk(depth: int, fixing: list) -> Iterator[tuple[tuple, list[Table]]]:
         if depth == len(levels):
             yield tuple(assignment), list(tables)
             return
@@ -702,21 +757,36 @@ def _candidates(program: _Program, layout: _Layout, checks: list[_Check],
                 if holds(tables) != want:
                     break
             else:
-                yield from walk(depth + 1)
-    yield from walk(0)
+                below = []
+                for image, maps in fixing if depth < tried else ():
+                    relabel = maps[depth]
+                    if relabel is False:
+                        relabel = maps[depth] = layout.relabeller(image, ops[i])
+                    twin = raw if relabel is None else relabel(raw)
+                    if twin < raw:
+                        break
+                    if twin == raw:
+                        below.append((image, maps))
+                else:
+                    yield from walk(depth + 1, below)
+    first = itertools.islice(twins, MAX_TWINS if tried else 0)
+    yield from walk(0, [(image, [False] * len(levels)) for image in first])
 
 
-def _admitted(program: _Program, bounds: Bounds
-              ) -> Iterator[tuple[_Layout, tuple, list[Table], list[_Check]]]:
+def _admitted(program: _Program, bounds: Bounds, least: Collection[str] = (),
+              orbits: bool = False) -> Iterator[tuple[_Layout, tuple, list[Table], list[_Check]]]:
     """The one loop over admitted candidates: in canonical order, every
     candidate within bounds that _candidates lets through (it satisfies the
     theory's axioms, and violates the goal when the program lists one after
     them), with its layout, its raw tables, the rank-2 tables of the
-    operations the program uses, and the layout's checks of its equations."""
+    operations the program uses, and the layout's checks of its equations.
+    Types in least keep size 1; orbits prunes by relabellings (_candidates)."""
     theory = program.theory
-    for layout in _layouts(theory.effect, theory.base_types, bounds):
+    walked = [theory.operations[i] for i in program.walked]
+    for layout in _layouts(theory.effect, theory.base_types, bounds, least):
         checks, _, lifters = program.at(layout)
-        for assignment, tables in _candidates(program, layout, checks, lifters):
+        twins = layout.relabellings(walked) if orbits else ()
+        for assignment, tables in _candidates(program, layout, checks, lifters, twins):
             yield layout, assignment, tables, checks
 
 
@@ -752,7 +822,12 @@ def find_counterexample(theory: Theory, eq: DecoratedEquation,
     None when the bounded search is exhausted.
     """
     program = _Program(theory, [ax.equation for ax in theory.axioms] + [eq])
-    _check_ceiling(program, bounds, max_interpretations)
-    for layout, assignment, tables, checks in _admitted(program, bounds):
+    # least: the types no walked table and no equation reads, as every type
+    # in a side is built from its domain's and its operations'
+    read = [Prod(sym.dom, sym.cod) for sym in map(theory.operations.__getitem__, program.walked)]
+    least = set(theory.base_types).difference(
+        *map(base_names, read + [lhs.dom for _, lhs, _ in program._equations]))
+    _check_ceiling(program, bounds, max_interpretations, least)
+    for layout, assignment, tables, checks in _admitted(program, bounds, least, orbits=True):
         return Counterexample(layout.model(theory, assignment), eq, *checks[-1].witness(tables))
     return None

@@ -395,6 +395,33 @@ class TestRecord:
             "OperationTable(effect=<EffectKind.STATES: 'states'>, rank=1, mapping={0: 1})",
         ]
 
+    def test_repr_of_a_deep_value(self):
+        """repr walks with a stack, so a term nested deeper than the
+        recursion limit prints, and nested tuples keep Python's own text."""
+        comp, pair = Op("f"), Op("f")
+        for _ in range(5000):
+            comp = Comp(Op("g"), comp)
+        for _ in range(3000):
+            pair = Pair(pair, Id(Int))
+        assert repr(comp) == "Comp(after=Op(name='g'), first=" * 5000 + "Op(name='f')" + ")" * 5000
+        assert repr(pair).startswith("Pair(left=Pair(left=") and repr(pair).count("Id(ty=") == 3000
+        leaf = Derivation("refl", (("term", Op("f")),))
+        assert repr(Derivation("sym", (), (leaf,))) == (
+            "Derivation(rule='sym', params=(), premises=(Derivation(rule='refl', "
+            "params=(('term', Op(name='f')),), premises=()),))")
+
+    def test_derivation_equality_is_by_structure(self):
+        leaf = Derivation("refl", (("term", Op("f")),))
+        other = Derivation("refl", (("term", Op("g")),))
+        sym = Derivation("sym", (), (leaf,))
+        assert sym == Derivation("sym", (), (Derivation("refl", (("term", Op("f")),)),))
+        assert hash(sym) == hash(Derivation("sym", (), (leaf,)))
+        assert sym != Derivation("sym", (), (other,))
+        assert not sym == Derivation("sym", (), (other,))
+        assert sym != Derivation("sym", (), (leaf, leaf)) and sym != leaf
+        assert (Derivation("trans", (), (leaf, sym)) != Derivation("trans", (), (sym, leaf)))
+        assert sym != Op("f") and sym != "sym"
+
     def test_copy_and_pickle_round_trip(self, bank):
         for value in self.VALUES + (bank,):
             for twin in (copy.copy(value), copy.deepcopy(value),

@@ -491,8 +491,8 @@ class TestProve:
     def test_proof_of_a_long_chain_checks(self):
         """An n-term chain takes n - 1 steps, about n / 2 from each side, so
         the proof is nested about n / 2 levels deep: 352 at n=700, 552 at
-        n=1100 and 1002 at n=2000.  Checking, printing and dualizing walk it
-        without recursion, whatever its depth."""
+        n=1100 and 1002 at n=2000.  Checking, printing, dualizing, comparing
+        and repr walk it without recursion, whatever its depth."""
         A = BaseType("A")
         for n in (700, 1100, 2000):
             theory = Theory(
@@ -511,6 +511,9 @@ class TestProve:
             m = duality_map(theory)
             image = dualize_derivation(m, d)
             assert check_derivation(m.target, image).equation == goal
+            back = dualize_derivation(duality_map(m.target), image)
+            assert back == d and not back != d and hash(back) == hash(d)
+            assert back != deriv("refl", term=Op("a0")) and repr(back) == repr(d)
 
     @pytest.mark.parametrize("bounds", [{"max_depth": 0}, {"max_depth": -1},
                                         {"max_nodes": 0}])

@@ -309,6 +309,132 @@ def test_staged_search_edge_cases(name):
     assert outcomes == {False, True}
 
 
+#: Largest raw interpretation count of an orbit case: carrier 3 fits for
+#: small theories, and the reference keeps each case to a few milliseconds.
+ORBIT_CEILING = 1000
+
+#: Bounds an orbit case tries, largest first.
+ORBIT_BOUNDS = (Bounds(3, 3), Bounds(3, 2), Bounds(2, 3), Bounds(2, 2), Bounds(2, 1),
+                Bounds(1, 2), Bounds(1, 1))
+
+
+def _with_unread(rng, theory):
+    """theory with one or two more base types that nothing reads, each
+    declared before, between or after the others, and where they went."""
+    types, places = list(theory.base_types), set()
+    for name in ("U0", "U1")[:rng.randint(1, 2)]:
+        at = rng.randint(0, len(types))
+        places.add("before" if at == 0 else "after" if at == len(types) else "between")
+        types.insert(at, name)
+    return Theory(theory.effect, tuple(types), theory.operations, theory.axioms), places
+
+
+def _orbit_case(rng, effect):
+    """A theory of one or two operations, with an axiom half of the time and
+    unread types, a goal over it, the largest of ORBIT_BOUNDS within
+    ORBIT_CEILING and where the unread types went; None when a draw misses.
+    A third of the goals restate the axiom, so that some searches run to
+    exhaustion; the others map into a type other than Unit, where sides of
+    rank at most 1 always agree under states."""
+    theory = gen.random_theory(rng, effect, n_ops=rng.randint(1, 2))
+    axiom, goal = _equation(rng, theory), _equation(rng, theory)
+    if axiom is None or goal is None or analyze_term(theory, goal.lhs)[1] == Unit:
+        return None
+    if rng.random() < 1 / 3:
+        goal = DecoratedEquation(rng.choice(list(Strength)), axiom.rhs, axiom.lhs)
+    axioms = (Axiom("ax0", axiom),) if rng.random() < 0.5 else ()
+    theory, places = _with_unread(rng, Theory(effect, theory.base_types, theory.operations,
+                                              axioms))
+    for bounds in ORBIT_BOUNDS:
+        if count_interpretations(theory, bounds) <= ORBIT_CEILING:
+            return theory, goal, bounds, places
+    return None
+
+
+@pytest.mark.parametrize("effect", list(EffectKind))
+def test_orbit_search(effect):
+    """find_counterexample skips labellings that a relabelling of the
+    carriers makes smaller, and walks unread types at size 1 only; its
+    first countermodel is still the exhaustive search's, and
+    enumerate_models still lists every model."""
+    rng = random.Random(3131 if effect is EffectKind.STATES else 1313)
+    cases = found = carrier3 = 0
+    places = set()
+    while cases < 40:
+        case = _orbit_case(rng, effect)
+        if case is None:
+            continue
+        theory, goal, bounds, where = case
+        _, refuted = _assert_same_search(theory, goal, bounds)
+        cases += 1
+        found += refuted
+        carrier3 += 3 in bounds[1:]
+        places |= where
+    assert places == {"before", "between", "after"}
+    assert cases // 5 <= found < cases and carrier3 >= cases // 4
+
+
+#: Theories where pruning by relabellings has edge cases, each with goals
+#: that are refuted and goals that are not.
+ORBIT_CASES = {
+    # The first countermodel at |A| = 1, |B| = 2 has f = ok(0) and g the
+    # constant 1.  Swapping B's labels makes g smaller, but it makes f, an
+    # earlier table, larger: that twin is larger, so g must not be cut.
+    "a twin larger before it is smaller": ("""effect exceptions
+type A
+type U
+type B
+op f : A -> B propagator
+op g : B -> B pure
+op h : A -> B propagator
+axiom strong g . f == h
+""", ("strong f == g . h", "strong h == g . g . f", "weak h ~ g . f", "strong f == h")),
+    # k's inputs are pairs, which a relabelling of A moves both halves of,
+    # and the goals pair, project and compare weakly.
+    "builtins over a relabelled type": ("""effect states
+type A
+op f : A -> A observer
+op k : A * A -> A pure
+axiom strong k . <id(A), id(A)> == id(A)
+""", ("strong k == p1(A, A)", "strong k . <f, f> == f", "weak f . k ~ k")),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORBIT_CASES))
+def test_orbit_search_edge_cases(name):
+    source, goals = ORBIT_CASES[name]
+    theory = parse_theory(source)
+    outcomes = set()
+    for text in goals:
+        goal = parse_equation(text, theory)
+        for bounds in (Bounds(2, 1), Bounds(1, 2), Bounds(2, 2), Bounds(3, 1)):
+            if count_interpretations(theory, bounds) <= 20 * CASE_CEILING:
+                outcomes.add(_assert_same_search(theory, goal, bounds)[1])
+    assert outcomes == {False, True}
+
+
+@pytest.mark.parametrize("cap", [1, 5])
+def test_orbit_search_by_fewer_twins(cap, monkeypatch):
+    """A layout prunes by at most MAX_TWINS relabellings, the first ones
+    its generator gives, and any set of them prunes exactly."""
+    pulled = []
+    relabellings = semantics._Layout.relabellings
+
+    def counted(layout, ops):
+        pulled.append(0)
+        for twin in relabellings(layout, ops):
+            pulled[-1] += 1
+            yield twin
+    monkeypatch.setattr(semantics, "MAX_TWINS", cap)
+    monkeypatch.setattr(semantics._Layout, "relabellings", counted)
+    for name in sorted(ORBIT_CASES):
+        source, goals = ORBIT_CASES[name]
+        theory = parse_theory(source)
+        for text in goals:
+            _assert_same_search(theory, parse_equation(text, theory), Bounds(2, 2))
+    assert max(pulled) == cap
+
+
 # ---------------------------------------------------------------------------
 # The term analysis
 # ---------------------------------------------------------------------------

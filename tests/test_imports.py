@@ -241,18 +241,22 @@ def test_repr_scan_sees_a_raised_repr():
 MODEL_SPACE_CALLS = {("_candidates", "raw_tables"), ("_admitted", "_candidates")}
 
 
+def functions_of(source: str) -> list[tuple[str, ast.AST]]:
+    """A module's functions and methods by name, a method as Class.name."""
+    tree = ast.parse(source)
+    functions = [(node.name, node) for node in tree.body
+                 if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    return functions + [(f"{cls.name}.{node.name}", node) for cls in tree.body
+                        if isinstance(cls, ast.ClassDef) for node in cls.body
+                        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+
+
 def calls_of(source: str, callees: set[str]) -> set[tuple[str, str]]:
     """The (function, callee) pairs where a module-level function or a
     method, nested functions included, calls one of callees by name or as
     an attribute."""
     found = set()
-    tree = ast.parse(source)
-    functions = [(node.name, node) for node in tree.body
-                 if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
-    functions += [(f"{cls.name}.{node.name}", node) for cls in tree.body
-                  if isinstance(cls, ast.ClassDef) for node in cls.body
-                  if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
-    for name, func in functions:
+    for name, func in functions_of(source):
         for node in ast.walk(func):
             if isinstance(node, ast.Call):
                 callee = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
@@ -264,6 +268,37 @@ def calls_of(source: str, callees: set[str]) -> set[tuple[str, str]]:
 def test_one_model_space_walk():
     source = (ROOT / "src" / "decolog" / "semantics.py").read_text(encoding="utf-8")
     assert calls_of(source, {"raw_tables", "_candidates"}) == MODEL_SPACE_CALLS
+
+
+def orbit_searches(source: str) -> set[str]:
+    """The functions that call _admitted with orbits given, by keyword or
+    as its fourth argument."""
+    return {name for name, func in functions_of(source) for node in ast.walk(func)
+            if isinstance(node, ast.Call)
+            and (getattr(node.func, "id", None) or getattr(node.func, "attr", None)) == "_admitted"
+            and (len(node.args) > 3 or any(k.arg == "orbits" for k in node.keywords))}
+
+
+def test_only_the_countermodel_search_prunes_by_orbits():
+    """Pruning by relabellings leaves out models, so only find_counterexample,
+    which reports the first, turns it on: enumerate_models and the rule
+    sweep list every model.  Only _admitted builds the relabellings it
+    hands to _candidates."""
+    sources = {path.name: path.read_text(encoding="utf-8")
+               for path in sorted((ROOT / "src" / "decolog").glob("*.py"))}
+    assert {(name, f) for name, source in sources.items()
+            for f in orbit_searches(source)} == {("semantics.py", "find_counterexample")}
+    assert {(name, f) for name, source in sources.items()
+            for f, _ in calls_of(source, {"relabellings"})} == {("semantics.py", "_admitted")}
+
+
+def test_orbit_scan_sees_every_kind_of_call():
+    source = ("def a(p, b): return _admitted(p, b, (), orbits=True)\n"
+              "def b(p, b): return list(_admitted(p, b, (), True))\n"
+              "def c(p, b): return semantics._admitted(p, b, least)\n"
+              "class K:\n"
+              "    def d(self, p): return semantics._admitted(p, Bounds(), orbits=False)\n")
+    assert orbit_searches(source) == {"a", "b", "K.d"}
 
 
 def test_model_space_scan_sees_every_kind_of_call():

@@ -1,4 +1,5 @@
 """Finite models: evaluation, satisfaction, enumeration, countermodels."""
+import math
 import random
 import time
 
@@ -536,9 +537,9 @@ class TestCounterexample:
         assert len(w) == 2 ** 16 and set(w.values()) == {0}
 
 
-def wide(factors: int) -> str:
-    """The product type of factors copies of A."""
-    return " * ".join(["A"] * factors)
+def wide(factors: int, name: str = "A") -> str:
+    """The product type of factors copies of name."""
+    return " * ".join([name] * factors)
 
 
 #: The shape of a generated benchmark theory: an axiom over va, declared
@@ -618,6 +619,103 @@ class TestStagedSearch:
         # enumerate_models walks every table, un's among them
         with pytest.raises(BoundsTooLarge):
             enumerate_models(theory, max_interpretations=ceiling)
+
+
+#: An exhausted search at Bounds(3, 3) with room for types that nothing
+#: reads, declared before and after A.
+UNREAD = """effect exceptions
+{before}type A
+{after}op t : A -> A propagator
+op g : A -> A propagator
+axiom strong g . t == t
+"""
+
+
+class TestOrbitSearch:
+    """find_counterexample walks one labelling per orbit: it skips a subtree
+    when a relabelling of the carriers maps the walked tables so far to
+    smaller ones, and gives each base type that nothing reads its least
+    carrier.  tests/test_differential.py holds its answers to the
+    exhaustive search."""
+
+    @staticmethod
+    def search(theory, goal, bounds=Bounds(3, 3), **ceiling):
+        return find_counterexample(theory, parse_equation(goal, theory), bounds, **ceiling)
+
+    def test_an_unread_type_costs_the_search_nothing(self, monkeypatch):
+        layouts, found, models = [], [], []
+        original = semantics._Program.at
+        for before, after in (("", ""), ("type U\n", ""),
+                              ("type U\n", "type V\nop w : V * V -> U pure\n")):
+            theory = parse_theory(UNREAD.format(before=before, after=after))
+            with monkeypatch.context() as patch:
+                patch.setattr(semantics._Program, "at",
+                              lambda self, layout: layouts.append(layout) or original(self, layout))
+                found.append(self.search(theory, "strong g . g . t == t"))
+            models.append(self.search(theory, "strong g . t == g"))
+        # one layout per size of A and of the effect carrier, each time
+        assert found == [None] * 3 and len(layouts) == 27
+        assert {tuple(layout.carriers.get("U", ())) for layout in layouts} == {(), (0,)}
+        # the countermodel is the plain one with the least carriers and tables added
+        plain, unread, both = models
+        assert (unread.witness, unread.lhs_value, unread.rhs_value) == (
+            plain.witness, plain.lhs_value, plain.rhs_value)
+        assert dict(both.model.carriers) == {**plain.model.carriers, "U": (0,), "V": (0,)}
+        assert both.model.tables["w"].mapping == {(0, 0): 0}
+        assert {name: both.model.tables[name] for name in "tg"} == dict(plain.model.tables)
+
+    def test_relabelled_twins_are_skipped(self, bank, monkeypatch):
+        theory, f, g = bank
+        program = semantics._Program(theory, [ax.equation for ax in theory.axioms] + [weak(f, g)])
+        calls = []
+        original = semantics._Check.holds
+        monkeypatch.setattr(semantics._Check, "holds",
+                            lambda self, tables: calls.append(1) or original(self, tables))
+        assert find_counterexample(theory, weak(f, g)) is None
+        pruned, calls[:] = len(calls), []
+        # the same walk, every labelling of it
+        assert list(semantics._admitted(program, Bounds())) == []
+        assert (pruned, len(calls)) == (962, 2458)
+
+    def test_the_ceiling_counts_only_the_layouts_walked(self):
+        # U's carrier stays at size 1, so a search needs the plain theory's
+        # ceiling; w, over U alone, has a 3 ** 9-row table at |U| = 3
+        plain = parse_theory(UNREAD.format(before="", after=""))
+        theory = parse_theory(UNREAD.format(before="type U\n",
+                                            after=f"op w : {wide(9, 'U')} -> U pure\n"))
+        ceiling = count_interpretations(plain, Bounds(3, 3))
+        assert count_interpretations(theory, Bounds(3, 3)) > 3 * ceiling
+        assert self.search(theory, "strong g . g . t == t", max_interpretations=ceiling) is None
+        with pytest.raises(BoundsTooLarge):
+            self.search(theory, "strong g . g . t == t", max_interpretations=ceiling - 1)
+        with pytest.raises(BoundsTooLarge):
+            enumerate_models(theory, Bounds(3, 3), max_interpretations=10 ** 7)
+
+    @pytest.mark.parametrize("effect", list(EffectKind))
+    def test_a_twin_is_the_relabelled_table(self, effect):
+        # a raw table decoded in a twin (each label at a number replaced by
+        # its image) and numbered back is the relabeller's image of it
+        rng = random.Random(len(effect.value))
+        A, B = BaseType("A"), BaseType("B")
+        for _ in range(60):
+            layout = _Layout(effect, {"A": tuple(range(rng.randint(1, 3))),
+                                      "B": tuple(range(rng.randint(1, 2)))},
+                             tuple(range(rng.randint(1, 3))))
+            sym = OperationSymbol("f", rng.choice((A, B, Prod(A, B), Unit)),
+                                  rng.choice((A, B, Prod(B, A), Unit)), rng.randint(0, 2))
+            ins, outs = layout.raw_shape(*layout.shape(sym))
+            # a rank-2 operation over both types, so every carrier is permuted
+            twins = list(layout.relabellings([sym, OperationSymbol("h", A, B, 2)]))
+            sizes = [len(c) for c in layout.carriers.values()] + [layout.k]
+            assert len(twins) == math.prod(map(math.factorial, sizes)) - 1
+            pure = list(layout.relabellings([OperationSymbol("u", A, A, 0)]))
+            assert len(pure) == math.factorial(len(layout.carriers["A"])) - 1
+            for twin in twins[:12]:
+                relabel = layout.relabeller(twin, sym)
+                raw = tuple(rng.randrange(outs) for _ in range(ins))
+                image = layout.number(sym, OperationTable(
+                    effect, sym.decoration, twin.decode(sym.decoration, sym.dom, sym.cod, raw)))
+                assert (raw if relabel is None else relabel(raw)) == image
 
 
 @pytest.mark.parametrize("name, admitted", [("bank.dth", 341), ("throwcatch.dth", 74)])

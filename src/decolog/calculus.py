@@ -10,14 +10,17 @@ with the effect.  Rank 0 is "pure" for both effects; rank 1 is "propagator"
 (may raise) or "observer" (may read the state); rank 2 is "catcher" (may
 recover) or "modifier" (may write the state).  No type of exceptions and no
 type of states exists anywhere in this syntax: the ranks are the only trace
-of the effect.
+of the effect.  The analysis, the printers, the parser's depth count, the
+duality's offender scan and the evaluator's type sizes and values are each
+a callback of walk, which keeps its own stack, so no depth of a term or a
+type exhausts the recursion limit in them.
 """
 from __future__ import annotations
 
 import enum
-from functools import reduce
+from functools import partial, reduce
 from operator import itemgetter
-from typing import Mapping, Optional, Union
+from typing import Callable, Mapping, Optional, Union
 
 
 #: Most characters of an input that an error message echoes.
@@ -185,19 +188,6 @@ TypeExpr = Union[BaseType, UnitType, Prod]
 Unit = UnitType()
 
 
-def type_str(t: TypeExpr) -> str:
-    """Render a type; products associate to the left."""
-    if isinstance(t, BaseType):
-        return t.name
-    if isinstance(t, UnitType):
-        return "Unit"
-    left = type_str(t.left)
-    right = type_str(t.right)
-    if isinstance(t.right, Prod):
-        right = f"({right})"
-    return f"{left} * {right}"
-
-
 def base_names(t: TypeExpr) -> list[str]:
     """The names of t's base types, left to right, repeats kept."""
     names, todo = [], [t]
@@ -263,24 +253,75 @@ DecoratedTerm = Union[TERM_CLASSES]
 Atoms = tuple[DecoratedTerm, ...]
 
 
+#: Where a walk finds a node's parts, by class: their places in the node's
+#: tuple, in visiting order.  TERM_PARTS is analysis' order, a composition's
+#: first factor before the later one, and TEXT_PARTS the reading order.
+TERM_PARTS = {Comp: (2, 1), Pair: (1, 2)}
+TEXT_PARTS = {Comp: (1, 2), Pair: (1, 2)}
+TYPE_PARTS = {Prod: (1, 2)}
+_PENDING = object()
+
+
+def walk(root: object, leave: Callable, memo: Optional[Mapping] = None,
+         parts: Mapping = TERM_PARTS) -> object:
+    """leave's value at root, post-order with an explicit stack: leave(node,
+    *below) runs after the parts that parts names, below holding their
+    values in visiting order.  A node memo holds is not walked again."""
+    stack, node = [], root  # a frame: [node, its second part, its first part's value]
+    while True:
+        found = None if memo is None else memo.get(node)
+        if found is None:
+            at = parts.get(node.__class__)
+            if at is not None:
+                stack.append([node, node[at[1]], _PENDING])
+                node = node[at[0]]
+                continue
+            found = leave(node)
+        while stack:  # found is the value of the part a frame waits for
+            frame = stack[-1]
+            if frame[2] is _PENDING:
+                frame[2], node = found, frame[1]
+                break
+            stack.pop()
+            found = leave(frame[0], frame[2], found)
+        else:
+            return found
+
+
+#: The text of a node from its parts', or from its types' for a builtin.
+_FORMATS = {Pair: "<{}, {}>", Prod: "{} * {}", UnitType: "Unit",
+            Id: "id({})", Bang: "bang({})", Proj1: "p1({}, {})", Proj2: "p2({}, {})"}
+
+
+def _text(kinds: tuple, node: object, a: Optional[str] = None, b: Optional[str] = None) -> str:
+    """term_str's and type_str's callback: a node's text from its parts', a and b."""
+    kind = node.__class__
+    if a is not None:  # a composition, a pair or a product, which only a walk of its kind descends
+        if kind is Prod and node.right.__class__ is Prod:  # products associate to the left
+            return f"{a} * ({b})"
+        return f"{a} . {b}" if kind is Comp else _FORMATS[kind].format(a, b)
+    if kind not in kinds:
+        if kinds is TERM_CLASSES:
+            raise TypeError(f"not a term: {quoted(node)}")
+        left, right = type_str(node.left), type_str(node.right)  # a non-type reads as a product
+        return f"{left} * ({right})" if isinstance(node.right, Prod) else f"{left} * {right}"
+    if kind is Op or kind is BaseType:
+        return node.name
+    return _FORMATS[kind].format(*map(type_str, node[1:]))  # Unit, or a builtin with its types
+
+
+_TYPE_TEXT, _TERM_TEXT = partial(_text, (BaseType, UnitType, Prod)), partial(_text, TERM_CLASSES)
+
+
+def type_str(t: TypeExpr) -> str:
+    """Render a type; products associate to the left."""
+    return t.name if t.__class__ is BaseType else walk(t, _TYPE_TEXT, parts=TYPE_PARTS)
+
+
 def term_str(term: DecoratedTerm) -> str:
     """Render a term in the surface syntax: `f . g` for composition, `<f, g>`
     for pairs, and explicit types on the builtins."""
-    if isinstance(term, Comp):
-        return term_str(term.after) + " . " + term_str(term.first)
-    if isinstance(term, Op):
-        return term.name
-    if isinstance(term, Id):
-        return f"id({type_str(term.ty)})"
-    if isinstance(term, Pair):
-        return f"<{term_str(term.left)}, {term_str(term.right)}>"
-    if isinstance(term, Proj1):
-        return f"p1({type_str(term.left_ty)}, {type_str(term.right_ty)})"
-    if isinstance(term, Proj2):
-        return f"p2({type_str(term.left_ty)}, {type_str(term.right_ty)})"
-    if isinstance(term, Bang):
-        return f"bang({type_str(term.ty)})"
-    raise TypeError(f"not a term: {quoted(term)}")
+    return walk(term, _TERM_TEXT, parts=TEXT_PARTS)
 
 
 def normalize(term: DecoratedTerm) -> DecoratedTerm:
@@ -471,19 +512,22 @@ class Analysis(tuple):
 
 
 def analysis(theory: Optional[Theory], term: DecoratedTerm) -> Analysis:
-    """The analysis of a term, or the first CalculusError of its walk.  The
-    walk takes the term as given, each part before the check that joins
-    them: the first factor before the later one, the left component before
-    the right.  A theory keeps every success, under the term and under its
-    normal form, for as long as it lives.  Without a theory nothing is
-    checked or kept, and an operation's types are None."""
-    if theory is not None:
-        found = theory._analyses.get(term)
-        if found is not None:
-            return found
+    """The analysis of a term, or the first CalculusError of its walk, which
+    takes each part before the check that joins them: the first factor
+    before the later one, the left component before the right.  A theory
+    keeps every success, under the term and its normal form, and the walk
+    takes a kept part as it is.  Without a theory nothing is checked or
+    kept, and an operation's types are None."""
+    memo = None if theory is None else theory._analyses
+    return memo and memo.get(term) or walk(term, partial(_analysis, theory), memo)
+
+
+def _analysis(theory: Optional[Theory], term: DecoratedTerm,
+              a: Optional[Analysis] = None, b: Optional[Analysis] = None) -> Analysis:
+    """analysis' callback: term's analysis from its parts', a and b."""
     kind = term.__class__
     if kind is Comp:
-        first, after = analysis(theory, term.first), analysis(theory, term.after)
+        first, after = a, b
         if theory is not None and first.cod != after.dom:
             raise CompositionTypeMismatch(first.cod, after.dom)
         rank = max(first.rank, after.rank)
@@ -502,7 +546,7 @@ def analysis(theory: Optional[Theory], term: DecoratedTerm) -> Analysis:
             sym = theory.op(term.name)
             found = Analysis((sym.dom, sym.cod, sym.decoration, (term,), term, ()))
     elif kind is Pair:
-        left, right = analysis(theory, term.left), analysis(theory, term.right)
+        left, right = a, b
         if theory is not None:
             if left.dom != right.dom:
                 raise PairDomainMismatch(f"pair components need one domain, "

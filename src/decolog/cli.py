@@ -98,9 +98,14 @@ def _judgment_line(eq) -> str:
     return f"{eq.strength.value}: {_compact(eq.lhs)} {op} {_compact(eq.rhs)}"
 
 
-def _signature(theory, dom, cod, rank) -> str:
-    word = rank_name(theory.effect, rank)
-    return f"{type_str(dom)} -> {type_str(cod)} [{word}, rank {rank}]"
+def _typed(theory, dom, cod, rank) -> dict:
+    """A signature's --json fields: its types, its rank and the rank's word."""
+    return {"dom": type_str(dom), "cod": type_str(cod), "rank": rank,
+            "keyword": rank_name(theory.effect, rank)}
+
+
+def _signature(typed: dict) -> str:
+    return f"{typed['dom']} -> {typed['cod']} [{typed['keyword']}, rank {typed['rank']}]"
 
 
 def _equation_json(eq) -> dict:
@@ -121,6 +126,11 @@ def _model_json(model: FiniteModel) -> dict:
     }
 
 
+def _witness_json(point, lhs_value, rhs_value) -> dict:
+    return {"witness": element_str(point), "lhs_value": element_str(lhs_value),
+            "rhs_value": element_str(rhs_value)}
+
+
 #: What a command returns for main to print: its exit code, its --json
 #: object and its text lines (at least one).
 Report = tuple[int, dict, list[str]]
@@ -131,19 +141,14 @@ def cmd_check(args) -> Report:
     lines = [f"effect {theory.effect}"]
     ops_json = []
     for sym in theory.operations:
-        lines.append(f"op {sym.name} : "
-                     f"{_signature(theory, sym.dom, sym.cod, sym.decoration)}")
-        ops_json.append({"name": sym.name, "dom": type_str(sym.dom),
-                         "cod": type_str(sym.cod), "rank": sym.decoration,
-                         "keyword": rank_name(theory.effect, sym.decoration)})
+        ops_json.append({"name": sym.name,
+                         **_typed(theory, sym.dom, sym.cod, sym.decoration)})
+        lines.append(f"op {sym.name} : {_signature(ops_json[-1])}")
     defs_json = []
     for name, term in theory.definitions:
-        dom, cod, rank = analyze_term(theory, term)
-        lines.append(f"def {name} : {_signature(theory, dom, cod, rank)}")
         defs_json.append({"name": name, "term": term_str(term),
-                          "dom": type_str(dom), "cod": type_str(cod),
-                          "rank": rank,
-                          "keyword": rank_name(theory.effect, rank)})
+                          **_typed(theory, *analyze_term(theory, term))})
+        lines.append(f"def {name} : {_signature(defs_json[-1])}")
     axioms_json = []
     for ax in theory.axioms:
         report = check_equation_wf(theory, ax.equation)
@@ -165,11 +170,8 @@ def cmd_check(args) -> Report:
 def cmd_decorate(args) -> Report:
     theory = _load_theory(args.theory)
     term = parse_term(args.term, theory)
-    dom, cod, rank = analyze_term(theory, term)
-    return (0,
-            {"term": term_str(term), "dom": type_str(dom), "cod": type_str(cod),
-             "rank": rank, "keyword": rank_name(theory.effect, rank)},
-            [f"{term_str(term)} : {_signature(theory, dom, cod, rank)}"])
+    typed = {"term": term_str(term), **_typed(theory, *analyze_term(theory, term))}
+    return 0, typed, [f"{typed['term']} : {_signature(typed)}"]
 
 
 def cmd_verify(args) -> Report:
@@ -202,14 +204,12 @@ def cmd_model_check(args) -> Report:
     found = first_violation(model, theory, eq)
     if found is None:
         return 0, {"holds": True, **_equation_json(eq)}, [f"holds: {_judgment_line(eq)}"]
-    point, lhs_value, rhs_value = found
+    witness = _witness_json(*found)
     return (1,
-            {"holds": False, **_equation_json(eq),
-             "witness": element_str(point), "lhs_value": element_str(lhs_value),
-             "rhs_value": element_str(rhs_value)},
+            {"holds": False, **_equation_json(eq), **witness},
             [f"violated: {_judgment_line(eq)}",
-             f"  at {element_str(point)}: lhs gives {element_str(lhs_value)}, "
-             f"rhs gives {element_str(rhs_value)}"])
+             f"  at {witness['witness']}: lhs gives {witness['lhs_value']}, "
+             f"rhs gives {witness['rhs_value']}"])
 
 
 def _effect(text: str) -> EffectKind:
@@ -264,17 +264,14 @@ def cmd_find_cex(args) -> Report:
                 {"found": False, **_equation_json(eq),
                  "max_carrier": args.max_carrier},
                 [f"no countermodel with carriers up to {args.max_carrier}"])
+    witness = _witness_json(found.witness, found.lhs_value, found.rhs_value)
     return (0,
             {"found": True, **_equation_json(eq),
-             "model": _model_json(found.model),
-             "witness": element_str(found.witness),
-             "lhs_value": element_str(found.lhs_value),
-             "rhs_value": element_str(found.rhs_value)},
+             "model": _model_json(found.model), **witness},
             [f"countermodel for {_judgment_line(eq)}",
              print_model(found.model).rstrip("\n"),
-             f"witness {element_str(found.witness)}: lhs gives "
-             f"{element_str(found.lhs_value)}, rhs gives "
-             f"{element_str(found.rhs_value)}"])
+             f"witness {witness['witness']}: lhs gives "
+             f"{witness['lhs_value']}, rhs gives {witness['rhs_value']}"])
 
 
 def cmd_dualize(args) -> Report:
@@ -324,43 +321,29 @@ def _build_parser() -> argparse.ArgumentParser:
                     "and states.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, func, help_text):
+    def add(name, func, help_text, *positional):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--json", action="store_true",
                        help="machine-readable report on stdout")
+        for arg in positional:
+            p.add_argument(arg)
         p.set_defaults(func=func)
         return p
 
-    p = add("check", cmd_check, "well-formedness and decoration report")
-    p.add_argument("theory")
-
-    p = add("decorate", cmd_decorate, "infer a term's decoration")
-    p.add_argument("theory")
-    p.add_argument("term")
-
-    p = add("verify", cmd_verify, "check a derivation file")
-    p.add_argument("theory")
-    p.add_argument("derivation")
-
-    p = add("prove", cmd_prove, "search for a derivation")
-    p.add_argument("theory")
-    p.add_argument("equation")
+    add("check", cmd_check, "well-formedness and decoration report", "theory")
+    add("decorate", cmd_decorate, "infer a term's decoration", "theory", "term")
+    add("verify", cmd_verify, "check a derivation file", "theory", "derivation")
+    p = add("prove", cmd_prove, "search for a derivation", "theory", "equation")
     p.add_argument("--depth", type=_at_least_one, default=8,
                    help="search depth bound (default 8)")
 
-    p = add("model-check", cmd_model_check, "evaluate an equation in a model")
-    p.add_argument("theory")
-    p.add_argument("model")
-    p.add_argument("equation")
-
-    p = add("find-cex", cmd_find_cex, "search for a countermodel")
-    p.add_argument("theory")
-    p.add_argument("equation")
+    add("model-check", cmd_model_check, "evaluate an equation in a model",
+        "theory", "model", "equation")
+    p = add("find-cex", cmd_find_cex, "search for a countermodel", "theory", "equation")
     p.add_argument("--max-carrier", type=_at_least_one, default=2,
                    help="carrier size bound (default 2)")
 
-    p = add("dualize", cmd_dualize, "mirror a theory into the other effect")
-    p.add_argument("theory")
+    add("dualize", cmd_dualize, "mirror a theory into the other effect", "theory")
 
     p = add("validate-rules", cmd_validate_rules,
             "sweep every rule but trans_strong, trans_mixed, strong_to_weak, "

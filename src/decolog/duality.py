@@ -40,6 +40,7 @@ from .calculus import (
     rebuild,
     term_str,
     type_str,
+    walk,
 )
 from .deduction import RULES, Derivation, check_derivation, fold, path_str
 
@@ -63,19 +64,19 @@ DUAL_RULES = {name: rule.dual for name, rule in RULES.items()
               if rule.dual not in (None, name)}
 
 
+#: How an offender is named, but an identity on a product type.
+_OFFENCES = {Pair: "pair ", Proj1: "projection ", Proj2: "projection ", Bang: ""}
+
+
 def _term_offenders(term: DecoratedTerm) -> list[str]:
-    if isinstance(term, Comp):
-        return _term_offenders(term.after) + _term_offenders(term.first)
-    if isinstance(term, Pair):
-        return ([f"pair {term_str(term)}"]
-                + _term_offenders(term.left) + _term_offenders(term.right))
-    if isinstance(term, (Proj1, Proj2)):
-        return [f"projection {term_str(term)}"]
-    if isinstance(term, Bang):
-        return [f"{term_str(term)}"]
-    if isinstance(term, Id) and isinstance(term.ty, Prod):
-        return [f"product type {type_str(term.ty)}"]
-    return []
+    """What term holds that has no mirror, outermost first and in reading
+    order, each named once the walk has found them all."""
+    found = walk(term, lambda t, a=None, b=None: (
+        b + a if t.__class__ is Comp else [t, *a, *b] if a is not None
+        else [t] if t.__class__ in _OFFENCES or t.__class__ is Id and t.ty.__class__ is Prod
+        else []))
+    return [f"product type {type_str(t.ty)}" if t.__class__ is Id
+            else _OFFENCES[t.__class__] + term_str(t) for t in found]
 
 
 def _dual_term(term: DecoratedTerm) -> DecoratedTerm:

@@ -74,6 +74,7 @@ from .calculus import (
     Proj1,
     Proj2,
     Strength,
+    TERM_PARTS,
     Theory,
     TheoryError,
     TypeExpr,
@@ -86,6 +87,7 @@ from .calculus import (
     rank_of_keyword,
     term_str,
     type_str,
+    walk,
 )
 from .deduction import Derivation, fold
 from .semantics import (
@@ -256,9 +258,9 @@ def _parsed(text: str, what: str, parse, *args):
 #: composition counts its factors' depths added up, a pair or a product one
 #: more than its deeper component, and every bracket one level on its own
 #: (an element's `ok(` and `exc(` too); a derivation counts one level per rule
-#: on its longest path to a leaf, its terms having their own budget.  Terms,
-#: types and elements are walked recursively, well below the recursion limit;
-#: only the parser recurses on a derivation, which deduction.fold walks.
+#: on its longest path to a leaf, its terms having their own budget.  The
+#: parser recurses; calculus.walk, deduction.fold and element_str use a
+#: stack, but == on two deep values still recurses, in C.
 MAX_DEPTH = 200
 
 
@@ -293,11 +295,8 @@ def _parse_type(s: _Stream, level: int = 0) -> TypeExpr:
 
 def _depth(term: DecoratedTerm) -> int:
     """Depth of a term as MAX_DEPTH counts it."""
-    if isinstance(term, Comp):
-        return _depth(term.after) + _depth(term.first)
-    if isinstance(term, Pair):
-        return 1 + max(_depth(term.left), _depth(term.right))
-    return 1
+    return 1 if term.__class__ not in TERM_PARTS else walk(
+        term, lambda t, a=0, b=0: a + b if t.__class__ is Comp else 1 + max(a, b))
 
 
 def _parse_primary(s: _Stream, defs: dict[str, DecoratedTerm],
@@ -496,13 +495,17 @@ def _parse_element(s: _Stream, level: int = 0) -> Element:
 
 
 def element_str(e: Element) -> str:
-    if e == UNIT:
-        return "*"
-    if isinstance(e, tuple):
-        if len(e) == 2 and e[0] in (OK, EXC):
-            return f"{e[0]}({element_str(e[1])})"
-        return "(" + ", ".join(element_str(x) for x in e) + ")"
-    return str(e)
+    """e in model-file syntax, with a stack of (element, the text after it)."""
+    out, todo = [], [(e, "")]
+    while todo:
+        e, after = todo.pop()
+        if e != UNIT and isinstance(e, tuple) and e:
+            tagged = len(e) == 2 and e[0] in (OK, EXC)
+            out.append(f"{e[0]}(" if tagged else "(")
+            todo += [(e[-1], ")" + after)] + [(x, ", ") for x in reversed(e[tagged:-1])]
+        else:
+            out.append(("*" if e == UNIT else str(e)) + after)
+    return "".join(out)
 
 
 def _parse_int_set(s: _Stream) -> tuple[int, ...]:

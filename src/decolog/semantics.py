@@ -83,6 +83,7 @@ from .calculus import (
     Proj1,
     Record,
     Strength,
+    TYPE_PARTS,
     Theory,
     TypeExpr,
     analysis,
@@ -90,6 +91,7 @@ from .calculus import (
     check_equation_wf,
     quoted,
     type_str,
+    walk,
 )
 
 Element = object
@@ -218,14 +220,19 @@ class _Layout:
         return cls(theory.effect, model.carriers, model.effect_carrier)
 
     def size(self, ty: TypeExpr) -> int:
-        if isinstance(ty, BaseType):
-            carrier = self.carriers.get(ty.name)
-            if carrier is None:
-                raise UnknownBaseType(f"no carrier for base type {quoted(ty.name)}")
-            return len(carrier)
-        if isinstance(ty, Prod):
-            return self.size(ty.left) * self.size(ty.right)
-        return 1
+        """The number of ty's values; _carrier refuses a base type without one."""
+        kind = ty.__class__
+        if kind is not Prod:  # a base type or Unit, at once
+            return len(self.carriers.get(ty.name) or self._carrier(ty)) if kind is BaseType else 1
+        return walk(ty, lambda t, a=1, b=1: len(self._carrier(t)) if t.__class__ is BaseType
+                    else a * b, parts=TYPE_PARTS)
+
+    def _carrier(self, ty: BaseType) -> tuple:
+        """ty's carrier, or UnknownBaseType."""
+        carrier = self.carriers.get(ty.name)
+        if carrier is None:
+            raise UnknownBaseType(f"no carrier for base type {quoted(ty.name)}")
+        return carrier
 
     def shape(self, sym: OperationSymbol) -> tuple[int, int, int]:
         """sym's rank and its numbers of values in and out."""
@@ -377,14 +384,9 @@ class _Layout:
         """The elements of ty in numbering order: a base type's carrier,
         Unit's one element, a product's pairs with the left component
         varying slowest."""
-        if isinstance(ty, BaseType):
-            carrier = self.carriers.get(ty.name)
-            if carrier is None:
-                raise UnknownBaseType(f"no carrier for base type {quoted(ty.name)}")
-            return carrier
-        if isinstance(ty, Prod):
-            return tuple(itertools.product(self.values(ty.left), self.values(ty.right)))
-        return (UNIT,)
+        return self._carrier(ty) if ty.__class__ is BaseType else walk(
+            ty, lambda t, a=None, b=None: self._carrier(t) if t.__class__ is BaseType
+            else (UNIT,) if a is None else tuple(itertools.product(a, b)), parts=TYPE_PARTS)
 
     def labels(self, ty: TypeExpr) -> tuple:
         """Rank-2 elements over ty in numbering order: ok(a) for every value
@@ -538,13 +540,13 @@ class _Program:
     def _uses(self, found: Analysis, names: set) -> Analysis:
         """found, after putting the names of its operations into names and
         the analyses of its pairs' parts into _parts."""
-        for atom in found.atoms:
-            if atom.__class__ is Op:
-                names.add(atom.name)
-            elif atom.__class__ is Pair:
-                parts = self._parts[atom] = analysis(self.theory, atom).parts
-                for part in parts:
-                    self._uses(part, names)
+        todo = [found]
+        while todo:
+            for atom in todo.pop().atoms:
+                if atom.__class__ is Op:
+                    names.add(atom.name)
+                elif atom.__class__ is Pair:
+                    todo += self._parts.setdefault(atom, analysis(self.theory, atom).parts)
         return found
 
     def _steps(self, layout: _Layout, found: Analysis) -> tuple:
@@ -659,19 +661,24 @@ class Bounds(Record):
 
 
 def _layouts(effect: EffectKind, base_types: Sequence[str], bounds: Bounds,
-             least: Collection[str] = (), carriers: Optional[dict] = None) -> Iterator[_Layout]:
+             least: Collection[str] = ()) -> Iterator[_Layout]:
     """One layout per carrier-size assignment: base types in the given order,
     the first varying slowest, with the effect carrier last, and carriers
     numbered 0, 1, ...; a type in least keeps size 1.  Sizes are counted out
     one at a time, as a bound may be too large for its range to be listed."""
-    carriers = carriers or {}
-    if base_types:
-        for n in range(1, 2 if base_types[0] in least else bounds.base + 1):
-            yield from _layouts(effect, base_types[1:], bounds, least,
-                                {**carriers, base_types[0]: tuple(range(n))})
-    else:
+    carriers = dict.fromkeys(base_types, (0,))
+    while True:
         for eff_size in range(1, bounds.effect + 1):
             yield _Layout(effect, carriers, tuple(range(eff_size)))
+        carriers = dict(carriers)  # the last carrier below its bound grows, later ones restart
+        for name in reversed(base_types):
+            n = len(carriers[name])
+            if n < (1 if name in least else bounds.base):
+                carriers[name] = tuple(range(n + 1))
+                break
+            carriers[name] = (0,)
+        else:
+            return
 
 
 def _shapes(layout: _Layout, ops: Sequence[OperationSymbol]) -> list[tuple[int, int]]:
@@ -738,18 +745,21 @@ def _candidates(program: _Program, layout: _Layout, checks: list[_Check],
     if any(holds(tables) != want for holds, want in stages.get(-1, ())):
         return
     slots = [program._slots.get(ops[i].name) for i in program.walked]
-    levels = [(i, layout.shape(ops[i]), slot, None if slot is None else lifters[slot],
-               stages.get(i, ())) for i, slot in zip(program.walked, slots)]
+    levels = [(depth, i, layout.shape(ops[i]), slot, None if slot is None else lifters[slot],
+               stages.get(i, ())) for depth, (i, slot) in enumerate(zip(program.walked, slots))]
     assignment = [next(layout.raw_tables(*layout.shape(sym))) for sym in ops]
-    tried = max((depth for depth, level in enumerate(levels)
-                 if layout.raw_shape(*level[1])[1] > 1), default=0)
+    tried = max((level[0] for level in levels if layout.raw_shape(*level[2])[1] > 1), default=0)
 
-    def walk(depth: int, fixing: list) -> Iterator[tuple[tuple, list[Table]]]:
-        if depth == len(levels):
-            yield tuple(assignment), list(tables)
-            return
-        i, shape, slot, lift, stage = levels[depth]
-        for raw in layout.raw_tables(*shape):
+    if not levels:
+        yield tuple(assignment), list(tables)
+        return
+    first = itertools.islice(twins, MAX_TWINS if tried else 0)
+    # per level walked into: its raw tables not yet tried, the twins that fix those above, itself
+    stack = [(layout.raw_tables(*levels[0][2]),
+              [(image, [False] * len(levels)) for image in first], levels[0])]
+    while stack:
+        raws, fixing, (depth, i, _, slot, lift, stage) = stack[-1]
+        for raw in raws:
             assignment[i] = raw
             if slot is not None:
                 tables[slot] = raw if lift is None else lift(raw)
@@ -768,9 +778,13 @@ def _candidates(program: _Program, layout: _Layout, checks: list[_Check],
                     if twin == raw:
                         below.append((image, maps))
                 else:
-                    yield from walk(depth + 1, below)
-    first = itertools.islice(twins, MAX_TWINS if tried else 0)
-    yield from walk(0, [(image, [False] * len(levels)) for image in first])
+                    if depth + 1 < len(levels):
+                        level = levels[depth + 1]
+                        stack.append((layout.raw_tables(*level[2]), below, level))
+                        break
+                    yield tuple(assignment), list(tables)
+        else:
+            stack.pop()
 
 
 def _admitted(program: _Program, bounds: Bounds, least: Collection[str] = (),

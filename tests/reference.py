@@ -28,6 +28,12 @@ The term walks are decolog.calculus' analyze_term and normalize as they
 were before one memoized analysis answered both (see "Term analysis"
 below).
 
+The term and type walks are calculus' analysis, term_str and type_str,
+duality's _term_offenders, files' element_str and _depth, and semantics'
+_Layout.size, _Layout.values and _Program._uses, copied as they were
+before calculus.walk and plain loops replaced them (_Layout's two in the
+class Layout, _uses in the class Uses): each recurses once per level.
+
 The derivation walks are the checker's _check, print_derivation and the
 duality's _derivation_offenders and _dual_derivation as they were before
 deduction.fold replaced them: each recurses once per level, so each stops
@@ -53,6 +59,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from decolog.calculus import (
     PAIR_COMPONENT_RANK_LIMIT,
+    Analysis,
     Axiom,
     Bang,
     BaseType,
@@ -86,10 +93,9 @@ from decolog.calculus import (
     keyword_matches_effect,
     pair,
     quoted,
-    type_str,
     rank_of_keyword,
+    rebuild,
     strong,
-    term_str,
     weak,
 )
 from decolog.deduction import (
@@ -125,8 +131,8 @@ from decolog.deduction import (
     deriv,
     path_str,
 )
-from decolog.duality import DualityMap, NotDualizable, _dual_term, _term_offenders
-from decolog.files import MAX_DEPTH, ParseError, element_str
+from decolog.duality import DualityMap, NotDualizable, _dual_term
+from decolog.files import MAX_DEPTH, ParseError
 from decolog.semantics import (
     DEFAULT_MAX_INTERPRETATIONS,
     EXC,
@@ -363,6 +369,189 @@ def _swap(term: DecoratedTerm) -> DecoratedTerm:
 
 def dual_term(term: DecoratedTerm) -> DecoratedTerm:
     return normalize(_swap(term))
+
+
+# ---------------------------------------------------------------------------
+# Term and type walks: one recursive function each
+# ---------------------------------------------------------------------------
+# calculus' analysis, type_str and term_str, duality's _term_offenders,
+# files' element_str (and _depth, with the parser below), and
+# semantics' _Layout.size, _Layout.values and _Program._uses, as they were
+# before calculus.walk and plain loops replaced them: each recurses once
+# per level, so each stops at Python's recursion limit on a deep enough
+# value.
+
+def analysis(theory: Optional[Theory], term: DecoratedTerm) -> Analysis:
+    """The analysis of a term, or the first CalculusError of its walk.  The
+    walk takes the term as given, each part before the check that joins
+    them: the first factor before the later one, the left component before
+    the right.  A theory keeps every success, under the term and under its
+    normal form, for as long as it lives.  Without a theory nothing is
+    checked or kept, and an operation's types are None."""
+    if theory is not None:
+        found = theory._analyses.get(term)
+        if found is not None:
+            return found
+    kind = term.__class__
+    if kind is Comp:
+        first, after = analysis(theory, term.first), analysis(theory, term.after)
+        if theory is not None and first.cod != after.dom:
+            raise CompositionTypeMismatch(first.cod, after.dom)
+        rank = max(first.rank, after.rank)
+        if first.atoms and after.atoms:
+            normal = (term if len(after.atoms) == 1 and after.term is term.after
+                      and first.term is term.first else rebuild(after.atoms, first.term))
+            found = Analysis((first.dom, after.cod, rank, after.atoms + first.atoms, normal, ()))
+        else:
+            # an identity side drops out, and the normal form is the other's
+            kept = after if after.atoms else first
+            found = Analysis((first.dom, after.cod, rank, kept.atoms, kept.term, kept.parts))
+    elif kind is Op:
+        if theory is None:
+            found = Analysis((None, None, 0, (term,), term, ()))
+        else:
+            sym = theory.op(term.name)
+            found = Analysis((sym.dom, sym.cod, sym.decoration, (term,), term, ()))
+    elif kind is Pair:
+        left, right = analysis(theory, term.left), analysis(theory, term.right)
+        if theory is not None:
+            if left.dom != right.dom:
+                raise PairDomainMismatch(f"pair components need one domain, "
+                                         f"got {type_str(left.dom)} and {type_str(right.dom)}")
+            limit = PAIR_COMPONENT_RANK_LIMIT[theory.effect]
+            if left.rank > limit or right.rank > limit:
+                raise PairRankViolation(
+                    f"pair components must have rank <= {limit} under {theory.effect}, "
+                    f"got ranks ({left.rank}, {right.rank})")
+        normal = (term if left.term is term.left and right.term is term.right
+                  else Pair(left.term, right.term))
+        found = Analysis((left.dom, Prod(left.cod, right.cod), max(left.rank, right.rank),
+                          (normal,), normal, (left, right)))
+    elif kind is Id:
+        _check_type_declared(theory, term.ty)
+        found = Analysis((term.ty, term.ty, 0, (), term, ()))
+    elif kind is Proj1 or kind is Proj2:
+        _check_type_declared(theory, term.left_ty)
+        _check_type_declared(theory, term.right_ty)
+        found = Analysis((Prod(term.left_ty, term.right_ty),
+                          term.left_ty if kind is Proj1 else term.right_ty, 0, (term,), term, ()))
+    elif kind is Bang:
+        _check_type_declared(theory, term.ty)
+        found = (Analysis((Unit, Unit, 0, (), Id(Unit), ())) if term.ty == Unit
+                 else Analysis((term.ty, Unit, 0, (term,), term, ())))
+    else:
+        raise TypeError(f"not a term: {quoted(term)}")
+    if theory is not None:
+        theory._analyses[term] = theory._analyses[found.term] = found
+    return found
+
+
+def type_str(t: TypeExpr) -> str:
+    """Render a type; products associate to the left."""
+    if isinstance(t, BaseType):
+        return t.name
+    if isinstance(t, UnitType):
+        return "Unit"
+    left = type_str(t.left)
+    right = type_str(t.right)
+    if isinstance(t.right, Prod):
+        right = f"({right})"
+    return f"{left} * {right}"
+
+
+def term_str(term: DecoratedTerm) -> str:
+    """Render a term in the surface syntax: `f . g` for composition, `<f, g>`
+    for pairs, and explicit types on the builtins."""
+    if isinstance(term, Comp):
+        return term_str(term.after) + " . " + term_str(term.first)
+    if isinstance(term, Op):
+        return term.name
+    if isinstance(term, Id):
+        return f"id({type_str(term.ty)})"
+    if isinstance(term, Pair):
+        return f"<{term_str(term.left)}, {term_str(term.right)}>"
+    if isinstance(term, Proj1):
+        return f"p1({type_str(term.left_ty)}, {type_str(term.right_ty)})"
+    if isinstance(term, Proj2):
+        return f"p2({type_str(term.left_ty)}, {type_str(term.right_ty)})"
+    if isinstance(term, Bang):
+        return f"bang({type_str(term.ty)})"
+    raise TypeError(f"not a term: {quoted(term)}")
+
+
+def _term_offenders(term: DecoratedTerm) -> list[str]:
+    if isinstance(term, Comp):
+        return _term_offenders(term.after) + _term_offenders(term.first)
+    if isinstance(term, Pair):
+        return ([f"pair {term_str(term)}"]
+                + _term_offenders(term.left) + _term_offenders(term.right))
+    if isinstance(term, (Proj1, Proj2)):
+        return [f"projection {term_str(term)}"]
+    if isinstance(term, Bang):
+        return [f"{term_str(term)}"]
+    if isinstance(term, Id) and isinstance(term.ty, Prod):
+        return [f"product type {type_str(term.ty)}"]
+    return []
+
+
+def element_str(e: Element) -> str:
+    if e == UNIT:
+        return "*"
+    if isinstance(e, tuple):
+        if len(e) == 2 and e[0] in (OK, EXC):
+            return f"{e[0]}({element_str(e[1])})"
+        return "(" + ", ".join(element_str(x) for x in e) + ")"
+    return str(e)
+
+
+class Layout:
+    """semantics._Layout's size and values over given carriers."""
+
+    def __init__(self, carriers: Mapping[str, tuple]):
+        self.carriers = carriers
+
+    def size(self, ty: TypeExpr) -> int:
+        if isinstance(ty, BaseType):
+            carrier = self.carriers.get(ty.name)
+            if carrier is None:
+                raise UnknownBaseType(f"no carrier for base type {quoted(ty.name)}")
+            return len(carrier)
+        if isinstance(ty, Prod):
+            return self.size(ty.left) * self.size(ty.right)
+        return 1
+
+    def values(self, ty: TypeExpr) -> tuple:
+        """The elements of ty in numbering order: a base type's carrier,
+        Unit's one element, a product's pairs with the left component
+        varying slowest."""
+        if isinstance(ty, BaseType):
+            carrier = self.carriers.get(ty.name)
+            if carrier is None:
+                raise UnknownBaseType(f"no carrier for base type {quoted(ty.name)}")
+            return carrier
+        if isinstance(ty, Prod):
+            return tuple(itertools.product(self.values(ty.left), self.values(ty.right)))
+        return (UNIT,)
+
+
+class Uses:
+    """semantics._Program's _uses over one theory."""
+
+    def __init__(self, theory: Theory):
+        self.theory = theory
+        self._parts: dict = {}
+
+    def _uses(self, found: Analysis, names: set) -> Analysis:
+        """found, after putting the names of its operations into names and
+        the analyses of its pairs' parts into _parts."""
+        for atom in found.atoms:
+            if atom.__class__ is Op:
+                names.add(atom.name)
+            elif atom.__class__ is Pair:
+                parts = self._parts[atom] = analysis(self.theory, atom).parts
+                for part in parts:
+                    self._uses(part, names)
+        return found
 
 
 # ---------------------------------------------------------------------------

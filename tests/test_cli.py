@@ -425,6 +425,28 @@ class TestFindCex:
         assert err == (f"error: more than {ceiling} interpretations within bounds, "
                        f"ceiling is {ceiling}\n")
 
+    def test_many_base_types(self, capsys, tmp_path):
+        """The carrier sizes of 1,200 base types are counted out with a loop."""
+        path = tmp_path / "types.dth"
+        path.write_text("effect exceptions\ntype A\n"
+                        + "".join(f"type U{i}\n" for i in range(1200))
+                        + "op t : A -> A propagator\nop g : A -> A propagator\n"
+                          "axiom strong g . t == t\n")
+        code, out, err = run(capsys, "find-cex", str(path), "strong g == t")
+        assert (code, err) == (0, "")
+        assert out.startswith("countermodel for strong: g == t\n")
+        assert "carrier U1199 = {0}\n" in out
+
+    def test_many_operations(self, capsys, tmp_path):
+        """The search walks 1,200 operations, one level each, with a stack."""
+        path = tmp_path / "ops.dth"
+        path.write_text("effect exceptions\ntype A\n"
+                        + "".join(f"op f{i} : A -> A pure\n" for i in range(1200))
+                        + "".join(f"axiom strong f{i} == f{i}\n" for i in range(1200)))
+        code, out, err = run(capsys, "find-cex", str(path), "strong f1199 == f0",
+                             "--max-carrier", "1")
+        assert (code, out, err) == (1, "no countermodel with carriers up to 1\n", "")
+
     @pytest.mark.parametrize("value", ["abc", "0", "-3", "1e7"])
     def test_bad_enum_ceiling_is_a_usage_error(self, capsys, monkeypatch, value):
         monkeypatch.setenv("DECOLOG_MAX_ENUM", value)

@@ -21,16 +21,20 @@ holds their imports from decolog.semantics to the shared data.
 For the term analysis: types and rank or the error, the normal form, the
 operations the evaluator reads and the mirror term, against the separate
 walks it replaced, on well-typed terms, reshaped ones and ill-typed
-mutants.  For the derivation walks: the conclusion or the error, the
-printed text and the dual or the error, against the recursive walks
-deduction.fold replaced, on random derivations and copies broken at one
-or two nodes.
+mutants.  For the term and type walks: every walk calculus.walk or a loop
+replaced, against its recursive copy, on the same terms and on random
+types, carriers and elements, and each on values nested thousands of
+levels deep, where the copies stop at the recursion limit.  For the
+derivation walks: the conclusion or the error, the printed text and the
+dual or the error, against the recursive walks deduction.fold replaced,
+on random derivations and copies broken at one or two nodes.
 """
 import ast
 import inspect
 import random
 import re
 from collections import Counter
+from functools import partial
 
 import pytest
 
@@ -49,16 +53,20 @@ from decolog.calculus import (
     EffectKind,
     Id,
     Op,
+    OperationSymbol,
     Pair,
+    Prod,
     Proj1,
     Proj2,
     Strength,
     Theory,
     Unit,
+    analysis,
     analyze_term,
     normalize,
     quoted,
     term_str,
+    type_str,
 )
 from decolog.deduction import (
     AXIOM,
@@ -84,11 +92,13 @@ from decolog.deduction import (
     deriv,
     prove,
 )
-from decolog.duality import NotDualizable, _dual_term, dualize_derivation, duality_map
+from decolog.duality import (NotDualizable, _dual_term, dualize_derivation, dualize_term,
+                             duality_map)
 from decolog.files import (
     MAX_INT_DIGITS,
     ParseError,
     corpus_path,
+    element_str,
     parse_derivation,
     parse_equation,
     parse_model,
@@ -99,8 +109,11 @@ from decolog.files import (
     print_theory,
     tokenize,
 )
-from decolog import deduction, semantics
+from decolog import deduction, duality, files, semantics
 from decolog.semantics import (
+    EXC,
+    OK,
+    UNIT,
     Bounds,
     SemanticsError,
     count_interpretations,
@@ -557,6 +570,121 @@ def _subterms(term):
     for part in term[1:]:
         if isinstance(part, DecoratedTerm):
             yield from _subterms(part)
+
+
+# ---------------------------------------------------------------------------
+# The term and type walks
+# ---------------------------------------------------------------------------
+
+def _result(f, *args):
+    """f's value, or its error's class and text."""
+    try:
+        return "ok", f(*args)
+    except Exception as error:
+        return type(error).__name__, str(error)
+
+
+#: Terms and types with a part that is neither: the first one a recursive
+#: walk meets is the one its error names.
+NOT_TERMS = [BaseType("A"), Unit, Prod(Unit, BaseType("A")), 7, "f",
+             Comp(Op("f"), BaseType("A")), Comp(1, 2), Comp(Comp(1, Op("f")), 2),
+             Pair(1, Pair(2, Op("f"))), Pair(Pair(Proj1(Unit, Unit), 1), Comp(2, Bang(Unit))),
+             Comp(Pair(1, Op("f")), Pair(Op("g"), 2)), Pair(Id(Prod(Unit, Unit)), [1])]
+
+
+def _elements(rng, layout, ty):
+    """ty's values and rank-2 labels at layout, and some of them nested."""
+    values = layout.values(ty) + layout.labels(ty)
+    picked = rng.sample(values, min(3, len(values)))
+    return list(values) + [tuple(picked), (OK, tuple(picked)), (EXC, (OK, picked[0]))]
+
+
+def test_term_walks():
+    """Every walk that calculus.walk or a loop replaced, against its
+    recursive copy in reference.py: the same value, or the same error class
+    and text.  analysis runs on two copies of each theory whose memos start
+    empty and take the same cases in the same order, so they stay equal;
+    the printers, the offender scan and the depth count run on every case
+    and on terms and types with a part that is neither; _uses on each
+    well-typed case; size, values and element_str on random types at
+    random carriers, one of them missing at times."""
+    rng = random.Random(23)
+    for theory, terms in _term_cases():
+        cases = terms + [_reshaped(rng, theory, t) for t in terms]
+        cases += [t for _, t in _mutants(rng, theory, terms)]
+        cases += [gen.random_raw_term(rng) for _ in range(10)]
+        mine, theirs = theory, Theory(*theory[1:])
+        mine.__dict__["_analyses"].clear()
+        theirs.__dict__["_analyses"].clear()
+        for term in cases:
+            got = _result(analysis, mine, term)
+            assert got == _result(reference.analysis, theirs, term), term_str(term)
+            assert analysis(None, term) == reference.analysis(None, term)
+            if got[0] == "ok":
+                names, old = set(), reference.Uses(theirs)
+                program = semantics._Program(mine, ())
+                assert program._uses(got[1], names) == old._uses(got[1], want := set())
+                assert (names, program._parts) == (want, old._parts)
+        for term in NOT_TERMS:
+            assert _result(analysis, mine, term) == _result(reference.analysis, theirs, term)
+            assert _result(analysis, None, term) == _result(reference.analysis, None, term)
+        assert mine.__dict__["_analyses"] == theirs.__dict__["_analyses"]
+        for term in cases + NOT_TERMS:
+            for walk, old in ((term_str, reference.term_str), (files._depth, reference._depth),
+                              (duality._term_offenders, reference._term_offenders)):
+                assert _result(walk, term) == _result(old, term), (walk, term)
+    for i in range(200):
+        ty = gen.random_type(rng, 3)
+        carriers = {name: tuple(range(rng.randint(1, 3))) for name in gen.BASE_POOL
+                    if i % 5 or rng.random() < 0.7}
+        layout = semantics._Layout(list(EffectKind)[i % 2], carriers, (0, 1))
+        old = reference.Layout(carriers)
+        assert type_str(ty) == reference.type_str(ty)
+        for walk, old_walk in ((layout.size, old.size), (layout.values, old.values)):
+            assert _result(walk, ty) == _result(old_walk, ty), (ty, carriers)
+        if _result(layout.size, ty)[0] == "ok":
+            for e in _elements(rng, layout, ty):
+                assert element_str(e) == reference.element_str(e)
+    # a non-type still reads as a product, as the recursive type_str read it
+    for thing in NOT_TERMS + [Op("f"), Id(Op("f")), Pair(BaseType("A"), Prod(Unit, Unit))]:
+        assert _result(type_str, thing) == _result(reference.type_str, thing), thing
+        assert _result(term_str, thing) == _result(reference.term_str, thing), thing
+    assert _result(type_str, Op("f")) == ("AttributeError", "'Op' object has no attribute 'left'")
+    assert element_str(()) == reference.element_str(()) == "()"
+    assert element_str(("a", (UNIT,))) == reference.element_str(("a", (UNIT,))) == "(a, (*))"
+
+
+def test_deep_values():
+    """A 5,000-level composition, a 3,000-level pair and a 3,000-level
+    product: the walks return where their recursive copies stop at the
+    recursion limit.  Nothing here compares two deep values with ==, which
+    recurses in C."""
+    f, a = Op("f"), BaseType("A")
+    comp, pair, prod = f, f, a
+    for _ in range(4999):
+        comp = Comp(f, comp)
+    for _ in range(3000):
+        pair, prod = Pair(pair, f), Prod(prod, a)
+    theory = Theory(EffectKind.EXCEPTIONS, ("A",), (OperationSymbol("f", a, a, 0),))
+    found = analysis(theory, comp)
+    assert (found.dom, found.cod, found.rank, len(found.atoms)) == (a, a, 0, 5000)
+    assert normalize(comp) is comp and found.term is comp
+    text = " . ".join(["f"] * 5000)
+    assert term_str(comp) == text and term_str(dualize_term(comp)) == text
+    assert files._depth(comp) == 5000 and files._depth(pair) == 3001
+    found = analysis(theory, pair)
+    assert found.term is pair and found.dom == a
+    assert term_str(pair) == "<" * 3000 + "f" + ", f>" * 3000
+    assert type_str(prod) == type_str(found.cod) == " * ".join(["A"] * 3001)
+    small = semantics._Layout(EffectKind.EXCEPTIONS, {"A": (0,)}, (0,))
+    (value,) = small.values(prod)
+    assert small.size(prod) == 1 and element_str(value) == "(" * 3000 + "0" + ", 0)" * 3000
+    assert semantics._Layout(EffectKind.STATES, {"A": (0, 1)}, (0,)).size(prod) == 2 ** 3001
+    for walk, term in ((reference.term_str, comp), (reference.type_str, prod),
+                       (partial(reference.analysis, None), pair), (reference._depth, comp),
+                       (reference.Layout({"A": (0,)}).values, prod), (reference.element_str, value)):
+        with pytest.raises(RecursionError):
+            walk(term)
 
 
 # ---------------------------------------------------------------------------

@@ -50,49 +50,49 @@ def test_cli_start_up_leaves_out_dataclasses_and_inspect():
     assert proc.stdout == "[]\n"
 
 
-#: The functions of src/ that may test whether a term is a composition: the
-#: term analysis, which every engine reads, and three scans that ask
-#: nothing of it (the printer, the parser's depth count and the duality's
-#: offender scan).
-TERM_WALKS = {("calculus.py", "analysis"), ("calculus.py", "term_str"),
-              ("files.py", "_depth"), ("duality.py", "_term_offenders")}
+#: The functions of src/ that call themselves: only the parser's, which
+#: files.MAX_DEPTH bounds.
+RECURSIVE = {("files.py", "_parse_element"), ("files.py", "_parse_deriv_node")}
 
 
-def composition_tests(source: str) -> list[str]:
-    """The functions that test a term against Comp: by isinstance (alone
-    or in a tuple), or by comparing something with Comp."""
-    found = []
+def self_calls(source: str) -> set[str]:
+    """The functions, methods and nested functions included, that call
+    themselves: by name, or as an attribute of self."""
+    found = set()
     for func in ast.walk(ast.parse(source)):
         if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
             continue
         for node in ast.walk(func):
-            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance":
-                tested = node.args[1:]
-                tested = tested[0].elts if tested and isinstance(tested[0], ast.Tuple) else tested
-            elif isinstance(node, ast.Compare):
-                tested = [node.left, *node.comparators]
-            else:
-                continue
-            if any(isinstance(t, ast.Name) and t.id == "Comp" for t in tested):
-                found.append(func.name)
-                break
+            if isinstance(node, ast.Call) and (
+                    getattr(node.func, "id", None) == func.name
+                    or isinstance(node.func, ast.Attribute) and node.func.attr == func.name
+                    and getattr(node.func.value, "id", None) == "self"):
+                found.add(func.name)
     return found
 
 
 def test_one_term_walk():
-    """Only the term analysis walks a term's compositions: every other
-    function reads its atoms, types and ranks from it."""
-    walks = {(path.name, name) for path in sorted((ROOT / "src" / "decolog").glob("*.py"))
-             for name in composition_tests(path.read_text(encoding="utf-8"))}
-    assert walks - TERM_WALKS == set()
+    """No function of src/ calls itself but the depth-bounded parser:
+    terms and types are walked by calculus.walk and derivations by
+    deduction.fold, each with an explicit stack, and the rest loop, so no
+    depth of a value exhausts the recursion limit."""
+    found = {(path.name, name) for path in sorted((ROOT / "src" / "decolog").glob("*.py"))
+             for name in self_calls(path.read_text(encoding="utf-8"))}
+    assert found == RECURSIVE
 
 
-def test_walk_scan_sees_every_kind_of_test():
-    source = ("def a(t): return isinstance(t, Comp)\n"
-              "def b(t): return isinstance(t, (Id, Comp))\n"
-              "def c(t): return t.__class__ is Comp\n"
-              "def d(t): return Comp(t, t)\n")
-    assert composition_tests(source) == ["a", "b", "c"]
+def test_recursion_scan_sees_every_kind_of_call():
+    source = ("def a(t): return a(t.left) + 1\n"
+              "def b(t):\n"
+              "    def c(u): return [c(v) for v in u]\n"
+              "    return c(t)\n"
+              "class K(Base):\n"
+              "    def __init__(self): super().__init__()\n"
+              "    def e(self, t): return self.e(t.after)\n"
+              "    def holds(self, check): return check.holds(self)\n"
+              "def f(t): return g(t)\n"
+              "def g(t): yield from g(t)\n")
+    assert self_calls(source) == {"a", "c", "e", "g"}
 
 
 #: The typing.Union aliases of calculus: isinstance against one goes

@@ -1,4 +1,5 @@
 """Finite models: evaluation, satisfaction, enumeration, countermodels."""
+import itertools
 import math
 import random
 import time
@@ -32,6 +33,7 @@ from decolog.semantics import (
     UNIT,
     UnknownBaseType,
     _Layout,
+    _layouts,
     count_interpretations,
     enumerate_models,
     eval_term,
@@ -424,6 +426,21 @@ class TestEnumeration:
         theory, _, _ = bank
         assert count_interpretations(theory, Bounds(base=2, effect=2)) == 2117
 
+    def test_many_base_types(self):
+        # 1,200 base types: the carrier sizes are counted out with a loop
+        a, t, g = BaseType("A"), Op("t"), Op("g")
+        theory = Theory(EffectKind.EXCEPTIONS, ("A", *(f"U{i}" for i in range(1200))),
+                        (OperationSymbol("t", a, a, 1), OperationSymbol("g", a, a, 1)),
+                        (Axiom("ax1", strong(compose(g, t), t)),))
+        assert count_interpretations(theory, Bounds(1, 1)) == 4
+        assert len(list(enumerate_models(theory, Bounds(1, 1)))) == 3
+
+    def test_layouts_in_canonical_order(self):
+        # the first base type varies slowest, the effect carrier fastest
+        layouts = _layouts(ST, ("A", "B", "C"), Bounds(3, 2), least={"B"})
+        sizes = [tuple(map(len, layout.carriers.values())) + (layout.k,) for layout in layouts]
+        assert sizes == list(itertools.product(range(1, 4), [1], range(1, 4), range(1, 3)))
+
     def test_enumerated_models_validate(self):
         rng = random.Random(7)
         for _ in range(3):
@@ -473,26 +490,34 @@ class TestCounterexample:
         assert find_counterexample(theory, weak(f, g), Bounds(base=2, effect=2)) is None
 
     def test_analysis_does_not_grow_with_candidates(self, bank, monkeypatch):
-        # every equation is analysed once per search, never once per model
+        # every equation is analysed once per search, never once per model,
+        # and each of its parts is walked once, from a cold memo each time
         import decolog.calculus
         import decolog.semantics
         theory, f, g = bank
-        calls = []
-        original = decolog.calculus.analysis
+        calls, walked = [], []
+        original, callback = decolog.calculus.analysis, decolog.calculus._analysis
 
         def counted(*args):
             calls.append(args)
             return original(*args)
 
+        def counted_walk(*args):
+            walked.append(args[1])
+            return callback(*args)
+
         for module in (decolog.calculus, decolog.semantics):
             monkeypatch.setattr(module, "analysis", counted)
+        monkeypatch.setattr(decolog.calculus, "_analysis", counted_walk)
         counts = []
         for bound in (1, 2):
+            theory.__dict__["_analyses"].clear()
             calls.clear()
+            walked.clear()
             assert find_counterexample(theory, weak(f, g), Bounds(bound, bound)) is None
-            counts.append(len(calls))
+            counts.append((len(calls), len(walked)))
         assert count_interpretations(theory, Bounds(2, 2)) == 2117
-        assert 0 < counts[0] == counts[1]
+        assert 0 < counts[0][0] == counts[1][0] and 0 < counts[0][1] == counts[1][1]
 
     def test_ceiling_guard(self, bank):
         theory, f, g = bank

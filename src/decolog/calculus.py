@@ -415,9 +415,9 @@ class Theory(Record):
     Definitions are transparent: the stored term is fully expanded, so no
     term anywhere refers to a definition by name.
     """
-    # No __slots__: the instance __dict__ holds the op index and the memo of
-    # term analyses, which __post_init__ sets up and which no copy or pickle
-    # carries; Record.__setattr__ keeps everything else out.
+    # No __slots__: the instance __dict__ holds the op index and the term
+    # analysis memo, which __post_init__ sets up, and duality_map's mirror;
+    # no copy or pickle carries them, and Record.__setattr__ keeps all else out.
     effect: EffectKind
     base_types: tuple[str, ...] = ()
     operations: tuple[OperationSymbol, ...] = ()

@@ -33,6 +33,7 @@ countermodels.
 """
 from __future__ import annotations
 
+import sys
 from collections import deque
 from functools import partial
 from itertools import accumulate, chain
@@ -406,27 +407,33 @@ def _conclude(theory: Theory, d: Derivation, premises: list[DecoratedEquation],
 # whose surrounding context the weak congruences can legalize.
 #
 # Every term the search touches is in normal form, and all terms on one
-# side share one domain, so the search holds a term as its tuple of spine
-# atoms (the empty tuple for the identity).  Each atom's type and rank is
-# read off the theory's analysis the first time one prove call meets it.
-# A rewrite splices atoms; a term is rebuilt only where a derivation or a
-# pair names it.  The axiom sides are found by a window's first atom, so a
-# window starting elsewhere than into Unit costs one slice per axiom source
-# that starts with its atom.  A move carries a builder for its derivation,
-# which prove calls only for the moves on the path where the two searches
-# meet, and whether its step is weak.
+# side share one domain, so the search holds a term as the word of its
+# spine atoms: a str with one character per atom, the code one prove call
+# gives an atom when it first meets it, with its type and rank (the empty
+# word is the identity).  A str caches its hash, and a window matches an
+# axiom source, found by the window's first code, by str.startswith.  A
+# rewrite splices words; atoms are decoded only where a derivation or a
+# new pair names them.  A move carries its step as plain data, which
+# _built turns into a derivation only for the moves on the path where the
+# two searches meet, and whether its step is weak.  A search that meets
+# more atoms than there are codes gives up as one out of nodes does.
 
-Move = tuple[Atoms, Callable[[], Derivation], bool]
+#: The codes of one prove call: one per character a str can hold.
+_CODES = sys.maxunicode + 1
 
-_NO_HEADS: dict = {}
+Move = tuple[str, object, bool]
+
+
+class _OutOfCodes(Exception):
+    """One prove call met more distinct atoms than there are codes."""
 
 
 class _Rewriter:
-    """What one prove call reuses across expansions: the axiom sides by
-    their source's first atom, then by its length, shortest first, as
-    (source, sides), each side its step (the axiom, or its sym), whether
-    the step is weak and its target; and each atom met so far with its
-    codomain, rank and whether it is a pair.
+    """What one prove call reuses across expansions: the code of each atom
+    met so far, the atoms by code, and each code's codomain, rank and
+    whether it is a pair; and the axiom sides by their source's first code,
+    shortest source first, as (length, source, sides), each side its step
+    (the axiom, or its sym), whether the step is weak and its target.
 
     Within one source the sides keep declaration order, an axiom's
     left-to-right use before its right-to-left one.  A side whose target
@@ -434,35 +441,58 @@ class _Rewriter:
 
     def __init__(self, theory: Theory):
         self.theory = theory
-        sides: dict[Atoms, list] = {}
+        self.codes: dict[DecoratedTerm, str] = {}
+        self.atoms: list[DecoratedTerm] = []
+        self.known: dict[str, tuple[TypeExpr, int, bool]] = {}
+        sides: dict[str, list] = {}
         for ax in theory.axioms:
             eq = ax.equation
             weak_step = eq.strength is Strength.WEAK
-            lhs, rhs = analysis(theory, eq.lhs).atoms, analysis(theory, eq.rhs).atoms
+            lhs, rhs = (self.word(analysis(theory, side).atoms) for side in (eq.lhs, eq.rhs))
             axiom = deriv(AXIOM, name=ax.name)
             for src, dst, step in ((lhs, rhs, axiom), (rhs, lhs, deriv(SYM, axiom))):
                 if src and src != dst:
                     sides.setdefault(src, []).append((step, weak_step, dst))
-        self.by_head: dict[DecoratedTerm, dict[int, list]] = {}
+        self.by_head: dict[str, list] = {}
         for src in sorted(sides, key=len):
-            self.by_head.setdefault(src[0], {}).setdefault(len(src), []).append((src, sides[src]))
-        self.known: dict[DecoratedTerm, tuple[TypeExpr, int, bool]] = {}
+            self.by_head.setdefault(src[0], []).append((len(src), src, sides[src]))
 
-    def info(self, atom: DecoratedTerm) -> tuple[TypeExpr, int, bool]:
-        """The atom's codomain, its rank and whether it is a pair."""
-        found = self.known.get(atom)
+    def code(self, atom: DecoratedTerm) -> str:
+        """The atom's code, given the first time the atom is met."""
+        found = self.codes.get(atom)
         if found is None:
+            if len(self.atoms) >= _CODES:
+                raise _OutOfCodes
             a = analysis(self.theory, atom)
-            self.known[atom] = found = (a.cod, a.rank, atom.__class__ is Pair)
+            found = self.codes[atom] = chr(len(self.atoms))
+            self.atoms.append(atom)
+            self.known[found] = (a.cod, a.rank, atom.__class__ is Pair)
         return found
 
-    def layout(self, atoms: Atoms, dom: TypeExpr) -> tuple[tuple, tuple, bool]:
-        """Boundary types t[0..n] (t[n] = dom, t[i] = cod of atoms[i]), the
-        rank of every atom, and whether any atom is a pair."""
+    def word(self, atoms: Atoms) -> str:
+        return "".join(map(self.code, atoms))
+
+    def decode(self, word: str) -> Atoms:
+        return tuple(map(self.atoms.__getitem__, map(ord, word)))
+
+    def layout(self, word: str, dom: TypeExpr) -> tuple[tuple, tuple, bool]:
+        """Boundary types t[0..n] (t[n] = dom, t[i] = cod of the i-th atom),
+        the rank of every atom, and whether any atom is a pair."""
         known = self.known
-        found = [known.get(a) or self.info(a) for a in atoms]
+        found = [known[c] for c in word]
         cods, ranks, pairs = zip(*found) if found else ((), (), ())
         return (*cods, dom), ranks, True in pairs
+
+
+def _built(rw: _Rewriter, step: object) -> Derivation:
+    """The derivation of a step kept as plain data: a Derivation as it is,
+    (builder, *args) as builder(rw, *args)."""
+    return step if step.__class__ is Derivation else step[0](rw, *step[1:])
+
+
+def _rule(rw: _Rewriter, rule: str, params: tuple, *premises: object) -> Derivation:
+    """The rule's node with these (name, value) parameters over the steps."""
+    return Derivation(rule, params, tuple(_built(rw, p) for p in premises))
 
 
 def _spine(atoms: Atoms) -> DecoratedTerm:
@@ -470,11 +500,12 @@ def _spine(atoms: Atoms) -> DecoratedTerm:
     return rebuild(atoms[:-1], atoms[-1])
 
 
-def _in_context(step: Derivation, weak_step: bool,
-                atoms: Atoms, i: int, j: int) -> Derivation:
-    """Embed a step rewriting atoms[i:j] into the rest of the spine:
+def _in_context(rw: _Rewriter, step: object, weak_step: bool,
+                word: str, i: int, j: int) -> Derivation:
+    """Embed a step rewriting word[i:j] into the rest of the spine:
     substitution of the factors applied before the window, replacement by
     the factors applied after it."""
+    atoms, step = rw.decode(word), _built(rw, step)
     if j < len(atoms):
         step = deriv(WEAK_SUBST if weak_step else SUBST_STRONG, step,
                      g=_spine(atoms[j:]))
@@ -484,19 +515,19 @@ def _in_context(step: Derivation, weak_step: bool,
     return step
 
 
-def _unit_step(weak_step: bool, atoms: Atoms,
+def _unit_step(rw: _Rewriter, weak_step: bool, word: str,
                i: int, j: int) -> Derivation:
     rule = UNIT_WEAK if weak_step else UNIT_STRONG_LOWRANK
-    return _in_context(deriv(rule, f=_spine(atoms[i:j])), weak_step, atoms, i, j)
+    return _in_context(rw, deriv(rule, f=_spine(rw.decode(word[i:j]))), weak_step, word, i, j)
 
 
-def _window_rewrites(rw: _Rewriter, atoms: Atoms, bounds: tuple, ranks: tuple,
+def _window_rewrites(rw: _Rewriter, word: str, bounds: tuple, ranks: tuple,
                      allow_weak: bool) -> Iterator[Move]:
     """All one-step rewrites of the spine: windows by start, then end, each
     rewritten by the axiom sides in order, then by the unit law.  Only a
     window into Unit has a unit move, so at any other start the windows
     tried are the lengths of the axiom sources that begin with its atom."""
-    n = len(atoms)
+    n = len(word)
     limits = RANK_LIMITS[rw.theory.effect]
     # largest rank among the factors before position i / from position j on:
     # a weak step's context substitutes the factors from j on and replaces
@@ -507,32 +538,31 @@ def _window_rewrites(rw: _Rewriter, atoms: Atoms, bounds: tuple, ranks: tuple,
     by_head = rw.by_head
 
     for i in range(n):
-        heads = by_head.get(atoms[i], _NO_HEADS)
+        heads = by_head.get(word[i], ())
         if bounds[i].__class__ is not UnitType:
-            for length, group in heads.items():
+            for length, src, found in heads:
                 j = i + length
                 if j > n:
                     break
-                for src, found in group:
-                    if atoms[i:j] == src:
-                        weak_ok = allow_weak and after[j] <= subst_limit and before[i] <= repl_limit
-                        for step, weak_step, dst in found:
-                            if weak_ok or not weak_step:
-                                yield (atoms[:i] + dst + atoms[j:],
-                                       partial(_in_context, step, weak_step, atoms, i, j), weak_step)
+                if word.startswith(src, i):
+                    weak_ok = allow_weak and after[j] <= subst_limit and before[i] <= repl_limit
+                    for step, weak_step, dst in found:
+                        if weak_ok or not weak_step:
+                            yield (word[:i] + dst + word[j:],
+                                   (_in_context, step, weak_step, word, i, j), weak_step)
             continue
         window_rank = 0
         for j in range(i + 1, n + 1):
             window_rank = max(window_rank, ranks[j - 1])
             weak_ok = allow_weak and after[j] <= subst_limit and before[i] <= repl_limit
-            for src, found in heads[j - i] if j - i in heads else ():
-                if atoms[i:j] == src:
+            for length, src, found in heads:
+                if i + length == j and word.startswith(src, i):
                     for step, weak_step, dst in found:
                         if weak_ok or not weak_step:
-                            yield (atoms[:i] + dst + atoms[j:],
-                                   partial(_in_context, step, weak_step, atoms, i, j), weak_step)
-            replacement = () if bounds[j].__class__ is UnitType else (Bang(bounds[j]),)
-            if atoms[i:j] == replacement:
+                            yield (word[:i] + dst + word[j:],
+                                   (_in_context, step, weak_step, word, i, j), weak_step)
+            replacement = "" if bounds[j].__class__ is UnitType else rw.code(Bang(bounds[j]))
+            if word[i:j] == replacement:
                 continue
             if window_rank <= limits[UNIT_STRONG_LOWRANK]:
                 weak_step = False
@@ -540,19 +570,11 @@ def _window_rewrites(rw: _Rewriter, atoms: Atoms, bounds: tuple, ranks: tuple,
                 weak_step = True
             else:
                 continue
-            yield (atoms[:i] + replacement + atoms[j:],
-                   partial(_unit_step, weak_step, atoms, i, j), weak_step)
+            yield (word[:i] + replacement + word[j:],
+                   (_unit_step, weak_step, word, i, j), weak_step)
 
 
-def _cong_step(build: Callable[[], Derivation], other: DecoratedTerm,
-              side: int) -> Derivation:
-    """pair_cong_strong of a component's step and the other component's
-    refl, the rewritten component on the given side (0 left, 1 right)."""
-    refl = deriv(REFL, term=other)
-    return deriv(PAIR_CONG_STRONG, *((build(), refl) if side == 0 else (refl, build())))
-
-
-def _pair_rewrites(rw: _Rewriter, atoms: Atoms, bounds: tuple,
+def _pair_rewrites(rw: _Rewriter, word: str, bounds: tuple,
                    ranks: tuple) -> Iterator[Move]:
     """Strong rewrites involving pairs: projection collapse, moving a factor
     in and out of a pair, and congruence steps inside components.
@@ -560,14 +582,14 @@ def _pair_rewrites(rw: _Rewriter, atoms: Atoms, bounds: tuple,
     The atoms form a well-formed term, so a move can fail only on the rank
     of a pair component it creates: f . w and g . w when w moves into
     <f, g>, and the rewritten component of a congruence step."""
-    theory = rw.theory
+    theory, known = rw.theory, rw.known
     limit = PAIR_COMPONENT_RANK_LIMIT[theory.effect]
+    atoms = rw.decode(word)
     n = len(atoms)
 
-    def emit(i, j, new_atoms, build):
-        """The move replacing atoms[i:j], its step built by build."""
-        return (atoms[:i] + new_atoms + atoms[j:],
-                lambda: _in_context(build(), False, atoms, i, j), False)
+    def emit(i, j, new_word, step):
+        """The move replacing word[i:j] by new_word, its step in context."""
+        return (word[:i] + new_word + word[j:], (_in_context, step, False, word, i, j), False)
 
     for k in range(n):
         a = atoms[k]
@@ -575,40 +597,41 @@ def _pair_rewrites(rw: _Rewriter, atoms: Atoms, bounds: tuple,
             p = atoms[k + 1]
             side = 1 if isinstance(a, Proj1) else 2
             kept = analysis(theory, p).parts[side - 1]
-            yield emit(k, k + 2, kept.atoms,
-                       partial(deriv, PAIR_PROJ, f=p.left, g=p.right, side=side))
+            yield emit(k, k + 2, rw.word(kept.atoms),
+                       (_rule, PAIR_PROJ, (("f", p.left), ("g", p.right), ("side", side))))
 
         if isinstance(a, Pair):
-            sl, sr = (part.atoms for part in analysis(theory, a).parts)
+            pl, pr = (part.atoms for part in analysis(theory, a).parts)
+            sl, sr = rw.word(pl), rw.word(pr)
             if k + 1 < n and ranks[k + 1] <= limit:
                 w = atoms[k + 1]
-                yield emit(k, k + 2, (Pair(_spine(sl + (w,)), _spine(sr + (w,))),),
-                           partial(deriv, PAIR_COMP_LOWRANK, f=a.left, g=a.right, w=w))
+                yield emit(k, k + 2, rw.code(Pair(_spine(pl + (w,)), _spine(pr + (w,)))),
+                           (_rule, PAIR_COMP_LOWRANK, (("f", a.left), ("g", a.right), ("w", w))))
             if sl and sr and sl[-1] == sr[-1]:
-                w = sl[-1]
-                wcod = rw.info(w)[0]
-                f2, g2 = rebuild(sl[:-1], Id(wcod)), rebuild(sr[:-1], Id(wcod))
-                yield emit(k, k + 1, (Pair(f2, g2), w),
-                           partial(deriv, SYM, deriv(PAIR_COMP_LOWRANK, f=f2, g=g2, w=w)))
-            for side, comp_atoms in ((0, sl), (1, sr)):
+                w, wcod = pl[-1], known[sl[-1]][0]
+                f2, g2 = rebuild(pl[:-1], Id(wcod)), rebuild(pr[:-1], Id(wcod))
+                yield emit(k, k + 1, rw.code(Pair(f2, g2)) + sl[-1], (_rule, SYM, (), (
+                    _rule, PAIR_COMP_LOWRANK, (("f", f2), ("g", g2), ("w", w)))))
+            for side, comp in ((0, sl), (1, sr)):
                 other = a.right if side == 0 else a.left
-                for sub_atoms, build, _ in _all_moves(
-                        rw, comp_atoms, bounds[k + 1], allow_weak=False):
-                    if max((rw.info(x)[1] for x in sub_atoms), default=0) > limit:
+                refl = (_rule, REFL, (("term", other),))
+                for sub_word, step, _ in _all_moves(rw, comp, bounds[k + 1], allow_weak=False):
+                    if max((known[c][1] for c in sub_word), default=0) > limit:
                         continue
-                    sub_term = rebuild(sub_atoms, Id(bounds[k + 1]))
-                    new_atom = Pair(sub_term, other) if side == 0 else Pair(other, sub_term)
-                    yield emit(k, k + 1, (new_atom,), partial(_cong_step, build, other, side))
+                    sub_term = rebuild(rw.decode(sub_word), Id(bounds[k + 1]))
+                    new_atom, steps = ((Pair(sub_term, other), (step, refl)) if side == 0
+                                       else (Pair(other, sub_term), (refl, step)))
+                    yield emit(k, k + 1, rw.code(new_atom), (_rule, PAIR_CONG_STRONG, (), *steps))
 
 
-def _all_moves(rw: _Rewriter, atoms: Atoms, dom: TypeExpr,
+def _all_moves(rw: _Rewriter, word: str, dom: TypeExpr,
                allow_weak: bool) -> Iterator[Move]:
-    """Every one-step rewrite of the normal term with these atoms and
-    domain, as (new atoms, derivation builder, step is weak).  Every pair
-    rewrite, a projection's included, acts on a pair among the atoms."""
-    bounds, ranks, paired = rw.layout(atoms, dom)
-    moves = _window_rewrites(rw, atoms, bounds, ranks, allow_weak)
-    return chain(moves, _pair_rewrites(rw, atoms, bounds, ranks)) if paired else moves
+    """Every one-step rewrite of the normal term with this word and domain,
+    as (new word, step, step is weak).  Every pair rewrite, a projection's
+    included, acts on a pair among the atoms."""
+    bounds, ranks, paired = rw.layout(word, dom)
+    moves = _window_rewrites(rw, word, bounds, ranks, allow_weak)
+    return chain(moves, _pair_rewrites(rw, word, bounds, ranks)) if paired else moves
 
 
 def _chain(base: Optional[Derivation], base_weak: bool,
@@ -622,15 +645,16 @@ def _chain(base: Optional[Derivation], base_weak: bool,
     return deriv(TRANS_MIXED, base, step)
 
 
-# A term prove has reached: (parent node, builder of the step from the
-# parent, step is weak, `start ? term` is weak); the start's node is
+# A term prove has reached: (parent node, the step from the parent as plain
+# data, step is weak, `start ? term` is weak); the start's node is
 # (None, None, False, False).
 _Node = tuple
 
 
-def _derivation(node: _Node, start: DecoratedTerm) -> Derivation:
+def _derivation(rw: _Rewriter, node: _Node, start: DecoratedTerm) -> Derivation:
     """`start ? term` for the term of this node: the steps on its path from
-    the start, chained in order.  Loops, since a path can be max_depth long."""
+    the start, built and chained in order.  Loops, since a path can be
+    max_depth long."""
     path = []
     while node[0] is not None:
         path.append(node)
@@ -638,8 +662,8 @@ def _derivation(node: _Node, start: DecoratedTerm) -> Derivation:
     if not path:
         return deriv(REFL, term=start)
     found, weak = None, False
-    for _, build, step_weak, combined_weak in reversed(path):
-        found, weak = _chain(found, weak, build(), step_weak), combined_weak
+    for _, step, step_weak, combined_weak in reversed(path):
+        found, weak = _chain(found, weak, _built(rw, step), step_weak), combined_weak
     return found
 
 
@@ -670,52 +694,53 @@ def prove(theory: Theory, goal: DecoratedEquation, max_depth: int = 8,
         check_derivation(theory, found, expected=eq)
         return found
 
-    rw = _Rewriter(theory)
-    starts = analysis(theory, eq.lhs).atoms, analysis(theory, eq.rhs).atoms
-    # reached[side]: atoms of a term -> its node.  An upgrade from weak to
-    # strong replaces the entry; children already reached keep the node
-    # they were reached from.
-    reached = [{start: (None, None, False, False)} for start in starts]
-    frontiers = [deque([(start, 0)]) for start in starts]
-    nodes = 0
-
-    def meet(atoms: Atoms) -> Optional[Derivation]:
-        left, right = reached[0].get(atoms), reached[1].get(atoms)
-        if left is None or right is None:
-            return None
+    def meet(word: str) -> Optional[Derivation]:
+        """The proof through a word both sides have reached, if its
+        strength is the goal's."""
+        left, right = reached[0][word], reached[1][word]
         wl, wr = left[3], right[3]
         if (wl or wr) and not want_weak:
             return None
-        out = _chain(_derivation(left, eq.lhs), wl,
-                     deriv(SYM, _derivation(right, eq.rhs)), wr)
+        out = _chain(_derivation(rw, left, eq.lhs), wl,
+                     deriv(SYM, _derivation(rw, right, eq.rhs)), wr)
         if want_weak and not (wl or wr):
             out = deriv(STRONG_TO_WEAK, out)
         return out
 
-    while any(frontiers) and nodes < max_nodes:
-        for side in (0, 1):
-            if not frontiers[side]:
-                continue
-            atoms, depth = frontiers[side].popleft()
-            if depth >= max_depth:
-                continue
-            node = reached[side][atoms]
-            base_weak = node[3]
-            for new_atoms, build, step_weak in _all_moves(rw, atoms, dom, want_weak):
-                nodes += 1
-                combined_weak = base_weak or step_weak
-                prev = reached[side].get(new_atoms)
-                if prev is not None and (not prev[3] or combined_weak):
+    nodes = 0
+    try:
+        rw = _Rewriter(theory)
+        starts = tuple(rw.word(analysis(theory, side).atoms) for side in (eq.lhs, eq.rhs))
+        # reached[side]: word of a term -> its node.  An upgrade from weak to
+        # strong replaces the entry; children already reached keep the node
+        # they were reached from.
+        reached = [{start: (None, None, False, False)} for start in starts]
+        frontiers = [deque([(start, 0)]) for start in starts]
+        while any(frontiers) and nodes < max_nodes:
+            for side in (0, 1):
+                if not frontiers[side]:
                     continue
-                reached[side][new_atoms] = (node, build, step_weak, combined_weak)
-                frontiers[side].append((new_atoms, depth + 1))
-                done = meet(new_atoms)
-                if done is not None:
-                    check_derivation(theory, done, expected=eq)
-                    return done
-                if nodes >= max_nodes:
-                    break
-
+                word, depth = frontiers[side].popleft()
+                if depth >= max_depth:
+                    continue
+                node = reached[side][word]
+                base_weak = node[3]
+                for new_word, step, step_weak in _all_moves(rw, word, dom, want_weak):
+                    nodes += 1
+                    combined_weak = base_weak or step_weak
+                    prev = reached[side].get(new_word)
+                    if prev is not None and (not prev[3] or combined_weak):
+                        continue
+                    reached[side][new_word] = (node, step, step_weak, combined_weak)
+                    frontiers[side].append((new_word, depth + 1))
+                    done = meet(new_word) if new_word in reached[1 - side] else None
+                    if done is not None:
+                        check_derivation(theory, done, expected=eq)
+                        return done
+                    if nodes >= max_nodes:
+                        break
+    except _OutOfCodes:
+        pass
     raise DepthExhausted(
         f"no derivation found within depth {max_depth} ({nodes} rewrites tried); "
         "the goal may still be derivable")

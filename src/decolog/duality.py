@@ -154,7 +154,12 @@ class DualityMap(Record):
 
 
 def duality_map(theory: Theory) -> DualityMap:
-    return DualityMap(source=theory, target=dualize_theory(theory))
+    """The theory and its mirror, built on the first call and kept in the
+    theory's instance dict, which no ==, hash, repr, copy or pickle reads."""
+    mirror = theory.__dict__.get("_mirror")
+    if mirror is None:
+        mirror = theory.__dict__["_mirror"] = dualize_theory(theory)
+    return DualityMap(source=theory, target=mirror)
 
 
 def _derivation_offenders(found: list[str], d: Derivation, path: tuple[int, ...]) -> None:

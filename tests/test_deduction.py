@@ -488,6 +488,30 @@ class TestProve:
             counts.append(len(built))
         assert counts[0] == counts[1]
 
+    def test_search_out_of_codes_gives_up(self, monkeypatch):
+        """prove codes each distinct atom it meets as one character of a
+        str.  A search that needs more codes than there are characters ends
+        in DepthExhausted with its rewrites counted, not in chr's
+        ValueError.  Here the limit is lowered to 6 codes: the pair goal's
+        congruence moves make a new pair atom each, so the search meets the
+        limit after 2 of the 12 rewrites it tries without one."""
+        A = BaseType("A")
+        theory = Theory(
+            effect=EffectKind.STATES,
+            base_types=("A",),
+            operations=tuple(OperationSymbol(name, A, A, 0) for name in "abc"),
+            axioms=(Axiom("ab", strong(compose(Op("a"), Op("a")), Op("b"))),),
+        )
+        goal = strong(pair(compose(Op("a"), Op("a"), Op("a")), Op("a")), pair(Op("c"), Op("c")))
+        monkeypatch.setattr(deduction, "_CODES", 6)
+        for tried in (2, 12):
+            with pytest.raises(DepthExhausted) as exhausted:
+                prove(theory, goal)
+            assert str(exhausted.value) == (
+                f"no derivation found within depth 8 ({tried} rewrites tried); "
+                "the goal may still be derivable")
+            monkeypatch.undo()
+
     def test_proof_of_a_long_chain_checks(self):
         """An n-term chain takes n - 1 steps, about n / 2 from each side, so
         the proof is nested about n / 2 levels deep: 352 at n=700, 552 at

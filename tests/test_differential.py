@@ -890,6 +890,19 @@ EDGE_GOALS = (
     + tuple(f"strong {x} . u . z . p == u . z . p . {x}" for x in "pqr"))
 
 
+def _wide_theory(effect):
+    """300 operations A -> A of cycling ranks and the axioms
+    o_i . o_i+1 == o_i+2, weak for odd i.  prove codes the atoms of the
+    axioms in order, so the last operations have codes past 255, two bytes
+    wide in a str."""
+    ranks = RANK_NAMES[effect]
+    return parse_theory("\n".join(
+        [f"effect {effect.value}", "type A"]
+        + [f"op o{i} : A -> A {ranks[i % 3]}" for i in range(300)]
+        + [f"axiom {'weak' if i % 2 else 'strong'} o{i} . o{i + 1} {'~' if i % 2 else '=='} "
+           f"o{i + 2}" for i in range(298)]))
+
+
 def _step_rule(d):
     """The rule of a move's step, below the substitution and replacement
     nodes that put it in context and below a sym."""
@@ -900,8 +913,9 @@ def _step_rule(d):
 
 def _move_cases():
     """(theory, goal, node bound) for the move-level comparison: the corpus
-    and side-condition goals, the edge theory of each effect, and seeded
-    random theories with pairs and Unit and random word theories."""
+    and side-condition goals, the edge and wide theories of each effect,
+    and seeded random theories with pairs and Unit and random word
+    theories."""
     for theory_file, _, goals in CORPUS.values():
         theory = parse_theory(corpus_path(theory_file).read_text())
         yield from ((theory, parse_equation(text, theory), 4000) for text in goals)
@@ -911,6 +925,9 @@ def _move_cases():
     for effect in EffectKind:
         theory = _edge_theory(effect)
         yield from ((theory, parse_equation(text, theory), PAIR_NODES) for text in EDGE_GOALS)
+        theory = _wide_theory(effect)
+        goal = parse_equation("weak o295 . o296 . o297 . o298 ~ o297 . o299", theory)
+        yield theory, goal, PAIR_NODES
         rng = random.Random(79 if effect is EffectKind.STATES else 80)
         for _ in range(8):
             theory = gen.random_theory(rng, effect, n_ops=rng.randint(2, 4),
@@ -931,31 +948,35 @@ def test_prove_moves(monkeypatch):
     reference's window rewrites, then its pair rewrites): the same list,
     each move compared by its term, the strength of its step and its built
     derivation.  The whole-proof comparisons see only the first path on
-    which the two searches meet."""
+    which the two searches meet.  A word's codes are its prove call's own,
+    so terms are compared by their decoded atoms; some words that have
+    moves hold codes past 255."""
     expanded = []
     all_moves = deduction._all_moves
 
-    def recorded(rw, atoms, dom, allow_weak):
-        expanded.append((rw, atoms, dom, allow_weak))
-        return all_moves(rw, atoms, dom, allow_weak)
+    def recorded(rw, word, dom, allow_weak):
+        expanded.append((rw, word, dom, allow_weak))
+        return all_moves(rw, word, dom, allow_weak)
 
     monkeypatch.setattr(deduction, "_all_moves", recorded)
-    seen, rules, unit_between = set(), Counter(), 0
+    seen, rules, unit_between, wide = set(), Counter(), 0, 0
     for theory, goal, max_nodes in _move_cases():
         expanded.clear()
         try:
             prove(theory, goal, max_nodes=max_nodes)
         except DepthExhausted:
             pass
-        for rw, atoms, dom, allow_weak in expanded:
+        for rw, word, dom, allow_weak in expanded:
+            atoms = rw.decode(word)
             if (theory, atoms, dom, allow_weak) in seen:
                 continue
             seen.add((theory, atoms, dom, allow_weak))
-            found = [(reference.from_spine(new, dom), build(),
+            found = [(reference.from_spine(rw.decode(new), dom), deduction._built(rw, step),
                       Strength.WEAK if weak else Strength.STRONG)
-                     for new, build, weak in all_moves(rw, atoms, dom, allow_weak)]
+                     for new, step, weak in all_moves(rw, word, dom, allow_weak)]
             term = reference.from_spine(atoms, dom)
             assert found == list(reference._all_moves(theory, term, dom, allow_weak)), term_str(term)
+            wide += bool(found) and max(map(ord, word)) > 255
             steps = [(_step_rule(d), strength) for _, d, strength in found]
             rules.update(steps)
             kinds = "".join("a" if rule == AXIOM else "u" if rule.startswith("unit") else "."
@@ -965,6 +986,7 @@ def test_prove_moves(monkeypatch):
     assert {rule for rule, _ in rules} >= {AXIOM, UNIT_STRONG_LOWRANK, UNIT_WEAK, PAIR_PROJ,
                                            PAIR_COMP_LOWRANK, PAIR_CONG_STRONG}
     assert rules[AXIOM, Strength.WEAK] and rules[UNIT_WEAK, Strength.WEAK] and unit_between
+    assert wide
 
 
 # ---------------------------------------------------------------------------

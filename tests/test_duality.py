@@ -1,4 +1,6 @@
 """The exceptions/states mirror on theories and derivations."""
+import copy
+import pickle
 import random
 
 import pytest
@@ -10,6 +12,7 @@ from decolog.calculus import (
     Id,
     Op,
     Strength,
+    Theory,
     Unit,
     compose,
 )
@@ -115,6 +118,33 @@ class TestDualityMap:
         assert "observer" in by_name["throw"][1]
         assert "catcher" in by_name["catchZero"][0]
         assert "modifier" in by_name["catchZero"][1]
+
+    def test_mirror_is_kept_with_the_theory(self, throwcatch):
+        """duality_map builds a theory's mirror once, and the mirror is no
+        part of the theory's value: ==, hash, repr, copy and pickle ignore
+        it, and a copy builds its own."""
+        theory, _ = throwcatch
+        m = duality_map(theory)
+        assert duality_map(theory).target is m.target
+        assert m.target == dualize_theory(theory)
+        assert duality_map(m.target).target == theory
+        fresh = Theory(theory.effect, theory.base_types, theory.operations, theory.axioms,
+                       theory.definitions)
+        assert "_mirror" in theory.__dict__ and "_mirror" not in fresh.__dict__
+        assert (theory, hash(theory), repr(theory)) == (fresh, hash(fresh), repr(fresh))
+        assert pickle.dumps(theory) == pickle.dumps(fresh)
+        for twin in (copy.copy(theory), copy.deepcopy(theory), pickle.loads(pickle.dumps(theory))):
+            assert twin == theory and "_mirror" not in twin.__dict__
+            assert duality_map(twin).target == m.target
+
+    def test_theory_without_a_mirror_is_refused_on_every_call(self, bank):
+        theory, _, _ = bank
+        refusals = []
+        for _ in range(2):
+            with pytest.raises(NotDualizable) as err:
+                duality_map(theory)
+            refusals.append((str(err.value), err.value.offenders))
+        assert refusals[0] == refusals[1] and "_mirror" not in theory.__dict__
 
 
 class TestDualizeDerivation:

@@ -54,31 +54,56 @@ def test_cli_start_up_leaves_out_dataclasses_and_inspect():
 #: files.MAX_DEPTH bounds.
 RECURSIVE = {("files.py", "_parse_element"), ("files.py", "_parse_deriv_node")}
 
+#: The pairs of functions of src/ that call each other: the parser's term
+#: and type levels, which files.MAX_DEPTH bounds, and, once per level of
+#: nested pairs, the evaluator's steps of a pair and the prover's moves
+#: inside a pair's components.
+MUTUAL = {("files.py", ("_parse_primary", "_parse_term")),
+          ("files.py", ("_parse_type_atom", "_parse_type_depth")),
+          ("semantics.py", ("_pair", "_steps")),
+          ("deduction.py", ("_all_moves", "_pair_rewrites"))}
 
-def self_calls(source: str) -> set[str]:
-    """The functions, methods and nested functions included, that call
-    themselves: by name, or as an attribute of self."""
-    found = set()
+
+def calls(source: str) -> dict[str, set[str]]:
+    """Each function, methods and nested functions included, with the names
+    it calls: by name, or as an attribute of self."""
+    graph: dict[str, set[str]] = {}
     for func in ast.walk(ast.parse(source)):
         if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
             continue
+        called = graph.setdefault(func.name, set())
         for node in ast.walk(func):
-            if isinstance(node, ast.Call) and (
-                    getattr(node.func, "id", None) == func.name
-                    or isinstance(node.func, ast.Attribute) and node.func.attr == func.name
-                    and getattr(node.func.value, "id", None) == "self"):
-                found.add(func.name)
-    return found
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+                called.add(node.func.id)
+            elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                  and getattr(node.func.value, "id", None) == "self"):
+                called.add(node.func.attr)
+    return graph
+
+
+def self_calls(source: str) -> set[str]:
+    """The functions that call themselves."""
+    return {name for name, called in calls(source).items() if name in called}
+
+
+def call_cycles(source: str) -> set[tuple[str, str]]:
+    """The pairs of two functions that call each other, each pair sorted."""
+    graph = calls(source)
+    return {tuple(sorted((f, g))) for f, called in graph.items() for g in called
+            if g != f and f in graph.get(g, ())}
 
 
 def test_one_term_walk():
-    """No function of src/ calls itself but the depth-bounded parser:
-    terms and types are walked by calculus.walk and derivations by
-    deduction.fold, each with an explicit stack, and the rest loop, so no
-    depth of a value exhausts the recursion limit."""
-    found = {(path.name, name) for path in sorted((ROOT / "src" / "decolog").glob("*.py"))
-             for name in self_calls(path.read_text(encoding="utf-8"))}
-    assert found == RECURSIVE
+    """No function of src/ calls itself, and no two call each other, but
+    the depth-bounded parser and the known walks over pairs: terms and
+    types are walked by calculus.walk and derivations by deduction.fold,
+    each with an explicit stack, and the rest loop, so no depth of a
+    composition or a derivation exhausts the recursion limit."""
+    sources = {path.name: path.read_text(encoding="utf-8")
+               for path in sorted((ROOT / "src" / "decolog").glob("*.py"))}
+    assert {(name, f) for name, source in sources.items() for f in self_calls(source)} == RECURSIVE
+    assert {(name, pair) for name, source in sources.items()
+            for pair in call_cycles(source)} == MUTUAL
 
 
 def test_recursion_scan_sees_every_kind_of_call():
@@ -93,6 +118,21 @@ def test_recursion_scan_sees_every_kind_of_call():
               "def f(t): return g(t)\n"
               "def g(t): yield from g(t)\n")
     assert self_calls(source) == {"a", "c", "e", "g"}
+    assert call_cycles(source) == set()
+
+
+def test_cycle_scan_sees_two_functions_that_call_each_other():
+    source = ("def f(t): return g(t.left)\n"
+              "def g(t): return [f(u) for u in t]\n"
+              "class K:\n"
+              "    def p(self, t): return self.q(t)\n"
+              "    def q(self, t):\n"
+              "        def inner(u): return self.p(u)\n"
+              "        return inner(t)\n"
+              "def h(t): return f(t)\n"
+              "def k(t): return other.h(t)\n")
+    assert call_cycles(source) == {("f", "g"), ("p", "q")}
+    assert self_calls(source) == set()
 
 
 #: The typing.Union aliases of calculus: isinstance against one goes

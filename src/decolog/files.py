@@ -636,13 +636,13 @@ def parse_derivation(text: str, theory: Theory) -> Derivation:
     return _parsed(text, "derivation", _parse_deriv_node, dict(theory.definitions))
 
 
-def print_derivation(d: Derivation, indent: int = 0) -> str:
+def print_derivation(d: Derivation) -> str:
     lines: list[str] = []
 
     def enter(node: Derivation, path: tuple[int, ...]) -> None:
         head = " ".join([node.rule] + [f"{key}={v if isinstance(v, (str, int)) else term_str(v)}"
                                        for key, v in node.params])
-        lines.append("  " * (indent + len(path)) + "(" + head)
+        lines.append("  " * len(path) + "(" + head)
 
     fold(d, lambda node, path, below: lines.append(lines.pop() + ")"), enter)
     return "\n".join(lines)

@@ -28,38 +28,32 @@ the order _Layout.labels lists the inputs:
 
 Composition looks first's entries up in after (itemgetter(*first)(after)),
 strong equality is tuple equality, and weak equality compares the ok block
-(exceptions) or the value column v // |S| (states).  Each equation is
-compiled once per search and specialised once per carrier-size assignment.
+(exceptions) or the value column v // |S| (states).  Each equation side
+and term is compiled once per search into one flat tuple of atoms, first
+applied first, a pair laid out as a mark, its left component's atoms, a
+mark, its right one's and its parts; the tuple is specialised once per
+carrier-size assignment, and _run runs it in one loop, each component from
+no table, so no depth of nested pairs recurses.
 The rule sweep in deduction.py enters through _denotation, a term's rank-2
 table as a function of raw tables.  Tables leave through _Layout.decode,
 only where a caller sees labels: eval_term's mapping, the models
 enumerate_models yields, a Counterexample and the sweep's examples.
 
 _Layout is the one model codec and the one way through the model space.
-Only it maps labels to numbers: _Layout.values lists a type's elements,
-_Layout.labels the rank-2 elements over a type and _Layout.raw_labels the
-inputs and outputs of a raw table, by signature.  find_counterexample,
-enumerate_models and the sweep take their carrier assignments from _layouts
-and their raw tables from _Layout.raw_tables.  A given model is checked by
-_Layout.of_model (its carriers) and _Layout.number (its tables), in
-validate_model and in every evaluation call alike.
+Only it maps labels to numbers (values, labels, raw_labels).  The searches
+and the sweep take their carrier assignments from _layouts and their raw
+tables from _Layout.raw_tables.  A given model is checked by of_model (its
+carriers) and number (its tables), in validate_model and every evaluation.
 
 The search is one staged walk, _candidates: depth first over the operation
 tables in declaration order, in the canonical order itertools.product would
-give.  Each axiom is checked once the last table it reads is assigned, and
-a failure skips the subtree below, as does a goal of find_counterexample
-that holds.  find_counterexample, which reports one countermodel, walks
-one labelling per orbit.  Evaluation commutes with relabelling carriers (no
-term names an element; identities, bangs, projections, lifts, pairs and
-weak views are natural), so the first candidate admitted is the least of
-its orbit, and a subtree is skipped where a relabelling makes the walked
-tables so far smaller, table by table (lex-leader pruning; Crawford et al.,
-KR 1996).  A base type that no walked table and no equation reads keeps
-size 1: a larger carrier walks the same tables later.  _check_ceiling
-counts the raw interpretations of the tables the walk visits,
-_Program.walked (every table for enumerate_models, those its equations
-read for find_counterexample), in the layouts it visits, and their cells
-(input rows), as every table is built.
+give, checking each equation once the last table it reads is assigned.
+find_counterexample walks one labelling per orbit: evaluation commutes with
+relabelling carriers (no term names an element), so it skips a subtree
+where a relabelling makes the tables so far smaller (lex-leader pruning;
+Crawford et al., KR 1996), and keeps at size 1 a base type that nothing it
+walks reads.  _check_ceiling bounds the raw interpretations and the cells
+of the tables the walk visits (_Program.walked) in the layouts it visits.
 """
 from __future__ import annotations
 
@@ -171,16 +165,17 @@ def _composer(first: Table) -> Callable[[Table], Table]:
 
 
 def _run(steps: tuple, tables: Sequence[Table]) -> Table:
-    """Rank-2 table of specialised steps, first applied first: a step is a
-    slot into the candidate's lifted tables, a constant table, or a pair
-    step that builds its table from the candidate's."""
-    t = None
+    """Rank-2 table of specialised steps (_Program._steps), first applied first:
+    a pair runs each component from no table, stacking the one before, then pairs."""
+    t = stack = None
     for step in steps:
         kind = step.__class__
         if kind is int:
             step = tables[step]
+        elif step is None:  # a mark: t waits on a stack of (table, rest) pairs
+            stack, t = (t, stack), None
         elif kind is not tuple:
-            step = step(tables)
+            step, (t, stack) = step(stack[0], t), stack[1]  # left's and right's; t the waiting one
         t = step if t is None else _composer(t)(step)
     return t
 
@@ -398,10 +393,15 @@ class _Layout:
 
     def raw_labels(self, rank: int, dom: TypeExpr, cod: TypeExpr) -> tuple[tuple, tuple]:
         """The inputs and the outputs of a raw table of the given rank from
-        dom to cod, in numbering order (raw_shape counts them)."""
+        dom to cod, in numbering order (raw_shape counts them), or
+        BoundsTooLarge, before listing, past DEFAULT_MAX_INTERPRETATIONS."""
         key = rank, dom, cod
         got = self._raw_labels.get(key)
         if got is None:
+            cap = DEFAULT_MAX_INTERPRETATIONS
+            if max(self.raw_shape(rank, self.size(dom), self.size(cod))) > cap:
+                raise BoundsTooLarge(f"more than {cap} inputs or outputs in one table, "
+                                     f"ceiling is {cap}")
             if rank == 0:
                 got = self.values(dom), self.values(cod)
             elif self.exceptions:
@@ -510,70 +510,74 @@ def violation_witness(lhs: Sequence[int], rhs: Sequence[int]) -> Optional[int]:
 
 
 class _Program:
-    """Equations and terms of one theory compiled once: well-formedness and
-    the analysis of every side and term, none of which depend on a model.
-    at() then specialises their atoms to one carrier assignment."""
+    """Equations and terms of one theory compiled once: well-formedness, and
+    the analysis and flat tuple (_compile) of every side and term, none of
+    which depend on a model.  at() specialises them to one layout."""
 
     def __init__(self, theory: Theory, equations: Iterable[DecoratedEquation],
                  terms: Iterable[DecoratedTerm] = ()):
         self.theory = theory
-        self._parts: dict[Pair, tuple[Analysis, Analysis]] = {}
         names: set[str] = set()
-        self._equations = []
+        self._equations = []  # per equation, its strength and each side's _compile
         #: per equation, the index of the last operation it reads (-1: none)
         self.last = []
         for eq in equations:
             check_equation_wf(theory, eq)
             reads: set[str] = set()
-            self._equations.append((eq.strength, self._uses(analysis(theory, eq.lhs), reads),
-                                    self._uses(analysis(theory, eq.rhs), reads)))
+            self._equations.append((eq.strength, self._compile(analysis(theory, eq.lhs), reads),
+                                    self._compile(analysis(theory, eq.rhs), reads)))
             self.last.append(max((i for i, sym in enumerate(theory.operations)
                                   if sym.name in reads), default=-1))
             names |= reads
-        self._terms = [self._uses(analysis(theory, term), names) for term in terms]
+        self._terms = [self._compile(analysis(theory, term), names) for term in terms]
         self.used = tuple(i for i, sym in enumerate(theory.operations) if sym.name in names)
         #: the operations a search walks: the used ones if a goal follows the axioms, else all
         self.walked = (self.used if len(self._equations) > len(theory.axioms)
                        else tuple(range(len(theory.operations))))
         self._slots = {theory.operations[i].name: slot for slot, i in enumerate(self.used)}
 
-    def _uses(self, found: Analysis, names: set) -> Analysis:
-        """found, after putting the names of its operations into names and
-        the analyses of its pairs' parts into _parts."""
-        todo = [found]
+    def _compile(self, found: Analysis, names: set) -> tuple[Analysis, tuple]:
+        """found, and its atoms in one flat tuple, first applied first: Id of
+        its domain for an identity, and for a pair a mark (None), its left
+        component, a mark, its right one and its parts.  Fills names."""
+        flat, todo = [], [found]
         while todo:
-            for atom in todo.pop().atoms:
-                if atom.__class__ is Op:
-                    names.add(atom.name)
-                elif atom.__class__ is Pair:
-                    todo += self._parts.setdefault(atom, analysis(self.theory, atom).parts)
-        return found
+            item = todo.pop()
+            if item.__class__ is Pair:  # inside a composition; its analysis holds its parts
+                item = analysis(self.theory, item)
+            if item.__class__ is not Analysis:
+                flat.append(item)
+                if item.__class__ is Op:
+                    names.add(item.name)
+            elif item.parts:
+                todo += (item.parts, item.parts[1], None, item.parts[0], None)
+            else:  # its atoms, outermost first, so popped last
+                todo += item.atoms or (Id(item.dom),)
+        return found, tuple(flat)
 
-    def _steps(self, layout: _Layout, found: Analysis) -> tuple:
-        """found's atoms specialised to layout, first applied first: an
-        operation is its slot, a pair a pair step and a builtin its table."""
-        steps = tuple(self._slots[atom.name] if atom.__class__ is Op
-                      else self._pair(layout, *self._parts[atom]) if atom.__class__ is Pair
-                      else layout.constant(atom) for atom in reversed(found.atoms))
-        return steps or (layout.constant(Id(found.dom)),)
-
-    def _pair(self, layout: _Layout, left: Analysis, right: Analysis) -> Callable:
-        """The step that pairs the tables of two pair components."""
-        lsteps, rsteps = self._steps(layout, left), self._steps(layout, right)
-        pair = layout.pairer(layout.size(left.dom), layout.size(left.cod), layout.size(right.cod))
-        return lambda tables: pair(_run(lsteps, tables), _run(rsteps, tables))
+    def _steps(self, layout: _Layout, flat: tuple) -> tuple:
+        """A _compile tuple specialised to layout: an operation is its slot, a
+        builtin its table, a mark itself and a pair's parts its pairer."""
+        sizes, steps = {}, []  # sizes: by the id of a pair's parts, its codomain's size
+        for atom in flat:
+            if atom.__class__ is tuple:  # a part that is a pair has its parts earlier in flat
+                ml, mr = (sizes.get(id(part.parts)) or layout.size(part.cod) for part in atom)
+                sizes[id(atom)] = ml * mr
+            steps.append(self._slots[atom.name] if atom.__class__ is Op else atom if atom is None
+                         else layout.pairer(layout.size(atom[0].dom), ml, mr)
+                         if atom.__class__ is tuple else layout.constant(atom))
+        return tuple(steps)
 
     def at(self, layout: _Layout) -> tuple[list[_Check], list[_Side], list[Optional[Callable]]]:
         """The equations and the terms specialised to layout, and the lifter
         of each used operation (see _lift)."""
-        checks = [_Check(_Side(layout, self._steps(layout, lhs), lhs),
-                         _Side(layout, self._steps(layout, rhs), rhs),
-                         layout.weak_view(layout.size(lhs.dom), layout.size(lhs.cod))
+        side = lambda found, flat: _Side(layout, self._steps(layout, flat), found)
+        checks = [_Check(side(*lhs), side(*rhs),
+                         layout.weak_view(layout.size(lhs[0].dom), layout.size(lhs[0].cod))
                          if strength is Strength.WEAK else None)
                   for strength, lhs, rhs in self._equations]
-        sides = [_Side(layout, self._steps(layout, found), found) for found in self._terms]
         lifters = [layout.lifter(*layout.shape(self.theory.operations[i])) for i in self.used]
-        return checks, sides, lifters
+        return checks, [side(*term) for term in self._terms], lifters
 
     def numbered(self, model: FiniteModel) -> tuple[list[_Check], list[_Side], list[Table]]:
         """Check a given model's carriers, specialise to them and number,
@@ -808,10 +812,7 @@ def enumerate_models(theory: Theory, bounds: Bounds = Bounds(), *,
                      max_interpretations: int = DEFAULT_MAX_INTERPRETATIONS
                      ) -> Iterator[FiniteModel]:
     """All axiom-satisfying models within bounds, in a stable canonical
-    order.
-
-    Refuses to start when the raw interpretation count exceeds the ceiling.
-    """
+    order; BoundsTooLarge, before any, past the ceiling (_check_ceiling)."""
     program = _Program(theory, [ax.equation for ax in theory.axioms])
     _check_ceiling(program, bounds, max_interpretations)
     admitted = _admitted(program, bounds)
@@ -832,15 +833,14 @@ def find_counterexample(theory: Theory, eq: DecoratedEquation,
                         max_interpretations: int = DEFAULT_MAX_INTERPRETATIONS
                         ) -> Optional[Counterexample]:
     """First model in canonical order that satisfies every axiom but
-    violates the equation, with the first input where the sides disagree.
-    None when the bounded search is exhausted.
-    """
+    violates the equation, with the first input where the sides disagree;
+    None when the bounded search is exhausted."""
     program = _Program(theory, [ax.equation for ax in theory.axioms] + [eq])
     # least: the types no walked table and no equation reads, as every type
     # in a side is built from its domain's and its operations'
     read = [Prod(sym.dom, sym.cod) for sym in map(theory.operations.__getitem__, program.walked)]
     least = set(theory.base_types).difference(
-        *map(base_names, read + [lhs.dom for _, lhs, _ in program._equations]))
+        *map(base_names, read + [lhs.dom for _, (lhs, _), _ in program._equations]))
     _check_ceiling(program, bounds, max_interpretations, least)
     for layout, assignment, tables, checks in _admitted(program, bounds, least, orbits=True):
         return Counterexample(layout.model(theory, assignment), eq, *checks[-1].witness(tables))

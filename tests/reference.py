@@ -535,7 +535,8 @@ class Layout:
 
 
 class Uses:
-    """semantics._Program's _uses over one theory."""
+    """semantics._Program's _uses over one theory, which _Program._compile
+    replaced: the operation names and the pairs' parts of a term."""
 
     def __init__(self, theory: Theory):
         self.theory = theory

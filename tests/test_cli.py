@@ -272,6 +272,24 @@ class TestModelCheck:
         assert code == 3
         assert "model mismatch" in err
 
+    @pytest.mark.parametrize("rows", [2, 0])
+    def test_table_too_wide_to_list(self, capsys, tmp_path, rows):
+        """A table with more outputs, or more rows, than the ceiling is
+        refused before its labels are listed, whatever rows the model has."""
+        wide = " * ".join(["A"] * 30)
+        signature = f"A -> {wide}" if rows else f"{wide} -> A"
+        (tmp_path / "wide.dth").write_text(f"effect states\ntype A\nop f : {signature} pure\n")
+        table = "".join(f"  {v} -> {'(' * 29}{v}{f', {v})' * 29}\n" for v in range(rows))
+        (tmp_path / "wide.model").write_text(
+            f"effectcarrier = {{0}}\ncarrier A = {{0, 1}}\ntable f\n{table}")
+        started = time.perf_counter()
+        code, out, err = run(capsys, "model-check", str(tmp_path / "wide.dth"),
+                             str(tmp_path / "wide.model"), "strong f == f")
+        assert time.perf_counter() - started < 1
+        assert (code, out) == (1, "")
+        assert err == ("error: more than 10000000 inputs or outputs in one table, "
+                       "ceiling is 10000000\n")
+
     def test_json_violation(self, capsys):
         code, out, _ = run(capsys, "model-check", BANK, BANK_MODEL,
                            "strong f == g", "--json")
@@ -411,6 +429,22 @@ class TestFindCex:
         assert (code, out) == (1, "")
         assert err == ("error: more than 100000 table cells in one carrier assignment within "
                        "bounds, ceiling is 100000\n")
+
+    def test_countermodel_too_wide_to_list(self, capsys, tmp_path):
+        """A countermodel is found, but the goal's codomain, 31 factors of a
+        two-element carrier, has more values than the ceiling: it is refused
+        before its labels are listed."""
+        path = tmp_path / "pairs.dth"
+        path.write_text("effect states\ntype A\nop f : A -> A pure\nop g : A -> A pure\n")
+        lhs, rhs = "f", "g"
+        for _ in range(30):
+            lhs, rhs = f"<{lhs}, f>", f"<{rhs}, f>"
+        started = time.perf_counter()
+        code, out, err = run(capsys, "find-cex", str(path), f"strong {lhs} == {rhs}")
+        assert time.perf_counter() - started < 1
+        assert (code, out) == (1, "")
+        assert err == ("error: more than 10000000 inputs or outputs in one table, "
+                       "ceiling is 10000000\n")
 
     def test_carrier_range_too_long_to_list(self, capsys, monkeypatch):
         """A ceiling above the number of carrier assignments lets the sizes

@@ -686,9 +686,13 @@ class TestSweepChecksTheEvaluator:
 
     @pytest.mark.parametrize("effect", list(EffectKind))
     def test_pair_components_swapped(self, monkeypatch, effect):
-        pair = _Program._pair
-        monkeypatch.setattr(_Program, "_pair",
-                            lambda self, layout, left, right: pair(self, layout, right, left))
+        # every pair step of the compiled form joins its right component's
+        # table to its left's (a slot, a constant table or a mark is kept)
+        steps = _Program._steps
+        swap = lambda step: (step if step is None or step.__class__ in (int, tuple)
+                             else lambda left, right: step(right, left))
+        monkeypatch.setattr(_Program, "_steps",
+                            lambda self, *args: tuple(map(swap, steps(self, *args))))
         assert _at_size_2(effect, PAIR_CONG_STRONG)[1] > 0
 
     @pytest.mark.parametrize("effect", list(EffectKind))

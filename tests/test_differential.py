@@ -605,9 +605,10 @@ def test_term_walks():
     and text.  analysis runs on two copies of each theory whose memos start
     empty and take the same cases in the same order, so they stay equal;
     the printers, the offender scan and the depth count run on every case
-    and on terms and types with a part that is neither; _uses on each
-    well-typed case; size, values and element_str on random types at
-    random carriers, one of them missing at times."""
+    and on terms and types with a part that is neither; _Program._compile
+    on each well-typed case, for the operation names and the pairs' parts;
+    size, values and element_str on random types at random carriers, one
+    of them missing at times."""
     rng = random.Random(23)
     for theory, terms in _term_cases():
         cases = terms + [_reshaped(rng, theory, t) for t in terms]
@@ -622,9 +623,9 @@ def test_term_walks():
             assert analysis(None, term) == reference.analysis(None, term)
             if got[0] == "ok":
                 names, old = set(), reference.Uses(theirs)
-                program = semantics._Program(mine, ())
-                assert program._uses(got[1], names) == old._uses(got[1], want := set())
-                assert (names, program._parts) == (want, old._parts)
+                found, flat = semantics._Program(mine, ())._compile(got[1], names)
+                assert found is old._uses(got[1], want := set()) and names == want
+                assert {part for part in flat if part.__class__ is tuple} == {*old._parts.values()}
         for term in NOT_TERMS:
             assert _result(analysis, mine, term) == _result(reference.analysis, theirs, term)
             assert _result(analysis, None, term) == _result(reference.analysis, None, term)
@@ -657,8 +658,11 @@ def test_term_walks():
 def test_deep_values():
     """A 5,000-level composition, a 3,000-level pair and a 3,000-level
     product: the walks return where their recursive copies stop at the
-    recursion limit.  Nothing here compares two deep values with ==, which
-    recurses in C."""
+    recursion limit.  The evaluator, which runs a pair's components in its
+    one loop and sizes a pair from its parts, evaluates the pair and decides
+    an equation between two 600-level pairs.  Nothing here compares two
+    deep values with ==, which recurses in C, but check_equation_wf the
+    equation's two 601-factor codomains."""
     f, a = Op("f"), BaseType("A")
     comp, pair, prod = f, f, a
     for _ in range(4999):
@@ -680,6 +684,17 @@ def test_deep_values():
     (value,) = small.values(prod)
     assert small.size(prod) == 1 and element_str(value) == "(" * 3000 + "0" + ", 0)" * 3000
     assert semantics._Layout(EffectKind.STATES, {"A": (0, 1)}, (0,)).size(prod) == 2 ** 3001
+    one = semantics.FiniteModel(EffectKind.EXCEPTIONS, {"A": (0,)}, (0,),
+                                {"f": semantics.OperationTable(EffectKind.EXCEPTIONS, 0, {0: 0})})
+    got = eval_term(one, theory, pair).mapping
+    assert list(map(element_str, got.items())) == [
+        f"(ok(0), ok({element_str(value)}))", "(exc(0), exc(0))"]
+    lhs, rhs = Comp(f, f), Id(a)  # neither equals a part of pair
+    for _ in range(600):
+        lhs, rhs = Pair(lhs, f), Pair(rhs, f)
+    eq = DecoratedEquation(Strength.STRONG, lhs, rhs)
+    assert semantics.holds(one, theory, eq) and first_violation(one, theory, eq) is None
+    assert find_counterexample(theory, eq, Bounds(1, 1)) is None
     for walk, term in ((reference.term_str, comp), (reference.type_str, prod),
                        (partial(reference.analysis, None), pair), (reference._depth, comp),
                        (reference.Layout({"A": (0,)}).values, prod), (reference.element_str, value)):
@@ -1068,8 +1083,7 @@ def test_derivation_walks(effect):
         for case in cases:
             checked = _walk_outcome(lambda: check_derivation(theory, case).equation)
             assert checked == _walk_outcome(reference._check, theory, case, ())
-            indent = rng.randrange(3)
-            assert print_derivation(case, indent) == reference.print_derivation(case, indent)
+            assert print_derivation(case) == reference.print_derivation(case)
             dual = _walk_outcome(dualize_derivation, m, case)
             assert dual == _walk_outcome(reference.dualize_derivation, m, case)
             seen[checked[0], dual[0]] += 1

@@ -56,11 +56,9 @@ RECURSIVE = {("files.py", "_parse_element"), ("files.py", "_parse_deriv_node")}
 
 #: The pairs of functions of src/ that call each other: the parser's term
 #: and type levels, which files.MAX_DEPTH bounds, and, once per level of
-#: nested pairs, the evaluator's steps of a pair and the prover's moves
-#: inside a pair's components.
+#: nested pairs, the prover's moves inside a pair's components.
 MUTUAL = {("files.py", ("_parse_primary", "_parse_term")),
           ("files.py", ("_parse_type_atom", "_parse_type_depth")),
-          ("semantics.py", ("_pair", "_steps")),
           ("deduction.py", ("_all_moves", "_pair_rewrites"))}
 
 

@@ -532,8 +532,8 @@ def _analysis(theory: Optional[Theory], term: DecoratedTerm,
             raise CompositionTypeMismatch(first.cod, after.dom)
         rank = max(first.rank, after.rank)
         if first.atoms and after.atoms:
-            normal = (term if len(after.atoms) == 1 and after.term is term.after
-                      and first.term is term.first else rebuild(after.atoms, first.term))
+            normal = (term if len(after.atoms) == 1 and _normal_is(after, term.after)
+                      and _normal_is(first, term.first) else rebuild(after.atoms, first.term))
             found = Analysis((first.dom, after.cod, rank, after.atoms + first.atoms, normal, ()))
         else:
             # an identity side drops out, and the normal form is the other's
@@ -556,7 +556,7 @@ def _analysis(theory: Optional[Theory], term: DecoratedTerm,
                 raise PairRankViolation(
                     f"pair components must have rank <= {limit} under {theory.effect}, "
                     f"got ranks ({left.rank}, {right.rank})")
-        normal = (term if left.term is term.left and right.term is term.right
+        normal = (term if _normal_is(left, term.left) and _normal_is(right, term.right)
                   else Pair(left.term, right.term))
         found = Analysis((left.dom, Prod(left.cod, right.cod), max(left.rank, right.rank),
                           (normal,), normal, (left, right)))
@@ -577,6 +577,11 @@ def _analysis(theory: Optional[Theory], term: DecoratedTerm,
     if theory is not None:
         theory._analyses[term] = theory._analyses[found.term] = found
     return found
+
+
+def _normal_is(found: Analysis, part: DecoratedTerm) -> bool:
+    """Whether found.term is part, or is a leaf equal to it (the memo keeps the first of those)."""
+    return found.term is part or found.term.__class__ not in (Comp, Pair) and found.term == part
 
 
 def analyze_term(theory: Theory, term: DecoratedTerm) -> tuple[TypeExpr, TypeExpr, Decoration]:

@@ -29,7 +29,8 @@ one table: RANK_LIMITS.  The checker enforces it, the prover's weak and
 unit moves obey it, and validate_rules sweeps exactly it, over the rules
 it lists, against exhaustively enumerated finite interpretations: the
 instances within a limit hold in every model, and those past it have
-countermodels.
+countermodels.  A weak premise pairs a table with each table of its rank
+that semantics' one weak equality, _Layout.weak_view, cannot tell apart.
 """
 from __future__ import annotations
 
@@ -807,6 +808,16 @@ def _weak_view(layout: _Layout, dom: TypeExpr, cod: TypeExpr) -> Callable[[Table
     return layout.weak_view(layout.size(dom), layout.size(cod)) or (lambda t: t)
 
 
+def _weak_classes(layout: _Layout, rank: int, dom: TypeExpr, cod: TypeExpr) -> list[tuple]:
+    """_tables of the one rank, in raw order, each with its class: those of
+    them with its weak view, which no weak equation tells apart, in raw order."""
+    view, classes = _weak_view(layout, dom, cod), {}
+    found = [(t, classes.setdefault(view(t), [])) for t in _tables(layout, (rank,), dom, cod)]
+    for t, same in found:
+        same.append(t)
+    return found
+
+
 #: One block of combos: the tables they share, the last table of each and
 #: whether the conclusion holds for each.
 Block = tuple[tuple, list, list]
@@ -861,24 +872,19 @@ def _refl(layout):
 
 def _sym_weak(layout):
     view = _weak_view(layout, A, B)
-    for f1 in _tables(layout, (2,), A, B):
-        f2s = list(layout.weak_variants(f1, layout.size(B)))
+    for f1, f2s in _weak_classes(layout, 2, A, B):
         yield (f1,), f2s, [view(f2) == view(f1) for f2 in f2s]
 
 
 def _trans_weak(layout):
     view = _weak_view(layout, A, B)
-    for f1 in _tables(layout, (2,), A, B):
-        for f2 in layout.weak_variants(f1, layout.size(B)):
-            f3s = list(layout.weak_variants(f2, layout.size(B)))
-            yield (f1, f2), f3s, [view(f1) == view(f3) for f3 in f3s]
+    for f1, f2s in _weak_classes(layout, 2, A, B):
+        for f2 in f2s:  # f2's class is f1's
+            yield (f1, f2), f2s, [view(f1) == view(f3) for f3 in f2s]
 
 
 def _weak_to_strong(rank, layout):
-    # keep only variants that still factor at the rank
-    factors = layout.conservation(rank, layout.size(A), layout.size(B)) or (lambda t: True)
-    for f1 in _tables(layout, (rank,), A, B):
-        f2s = [f2 for f2 in layout.weak_variants(f1, layout.size(B)) if factors(f2)]
+    for f1, f2s in _weak_classes(layout, rank, A, B):  # the variants that factor at rank
         yield (f1,), f2s, [f1 == f2 for f2 in f2s]
 
 
@@ -899,23 +905,23 @@ def _weak_subst(g_ranks, layout):
     view = _weak_view(layout, Z, B)
     gs = _tables(layout, g_ranks, Z, A)
     g_picks = [_composer(g) for g in gs]
-    for f1 in _tables(layout, (2,), A, B):
+    for f1, f2s in _weak_classes(layout, 2, A, B):
         # f1 . g is shared by every weak variant f2
         f1gs = [view(pick(f1)) for pick in g_picks]
-        for f2 in layout.weak_variants(f1, layout.size(B)):
-            if f2 != f1:
+        for f2 in f2s:
+            if f2 is not f1:
                 yield (f1, f2), gs, [view(pick(f2)) == f1g for pick, f1g in zip(g_picks, f1gs)]
 
 
 def _weak_repl(h_ranks, layout):
     view = _weak_view(layout, A, C)
     hs = _tables(layout, h_ranks, B, C)
-    for f1 in _tables(layout, (2,), A, B):
+    for f1, f2s in _weak_classes(layout, 2, A, B):
         # h . f1 is shared by every weak variant f2
         pick = _composer(f1)
         hf1s = [view(pick(h)) for h in hs]
-        for f2 in layout.weak_variants(f1, layout.size(B)):
-            if f2 != f1:
+        for f2 in f2s:
+            if f2 is not f1:
                 pick = _composer(f2)
                 yield (f1, f2), hs, [view(pick(h)) == hf1 for h, hf1 in zip(hs, hf1s)]
 

@@ -331,8 +331,9 @@ class _Layout:
 
     def conservation(self, rank: int, n: int, m: int) -> Optional[Callable[[Table], bool]]:
         """Test that a rank-2 table over n values in and m out leaves alone
-        what a term of the given rank may not touch; None when there is
-        nothing to test (always at rank 2)."""
+        what a term of the given rank may not touch, the evaluator's check
+        of itself (_Side.run); None when there is nothing to test (always
+        at rank 2)."""
         k = self.k
         if rank == 2:
             return None
@@ -362,18 +363,6 @@ class _Layout:
             return None
         values = tuple(b for b in range(m) for _ in range(k))
         return lambda t: _composer(t)(values)
-
-    def weak_variants(self, t: Table, m: int) -> Iterator[Table]:
-        """Every rank-2 table over m values out whose weak view is t's, t
-        among them: the exc rows run free (exceptions), or the state of
-        every row does (states)."""
-        k = self.k
-        if self.exceptions:
-            head = t[:len(t) - k]
-            return (head + tail for tail in itertools.product(range(m + k), repeat=k))
-        values = tuple(v - v % k for v in t)
-        return (tuple(map(add, values, states))
-                for states in itertools.product(range(k), repeat=len(t)))
 
     def values(self, ty: TypeExpr) -> tuple:
         """The elements of ty in numbering order: a base type's carrier,

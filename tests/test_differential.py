@@ -63,6 +63,7 @@ from decolog.calculus import (
     Unit,
     analysis,
     analyze_term,
+    check_equation_wf,
     normalize,
     quoted,
     term_str,
@@ -700,6 +701,26 @@ def test_deep_values():
                        (reference.Layout({"A": (0,)}).values, prod), (reference.element_str, value)):
         with pytest.raises(RecursionError):
             walk(term)
+
+
+def test_deep_terms_with_fresh_leaves():
+    """A 1,000-level composition and pair whose every leaf is a new Op,
+    each on a new theory: the memo hands back the first equal leaf's
+    analysis, whose term counts as the part itself, so no level builds an
+    equal copy of itself for the memo to compare with == in C."""
+    a = BaseType("A")
+
+    def fresh():
+        return Theory(EffectKind.EXCEPTIONS, ("A",), (OperationSymbol("f", a, a, 0),
+                                                     OperationSymbol("g", a, a, 0)))
+    comp, pair, other = Op("f"), Op("f"), Op("g")
+    for _ in range(999):
+        comp, pair, other = Comp(Op("f"), comp), Pair(pair, Op("f")), Comp(Op("g"), other)
+    assert analysis(fresh(), comp).term is comp and analysis(fresh(), pair).term is pair
+    eq = DecoratedEquation(Strength.STRONG, comp, other)
+    report = check_equation_wf(fresh(), eq)
+    assert (report.dom, report.cod, report.lhs_rank, report.rhs_rank) == (a, a, 0, 0)
+    assert find_counterexample(fresh(), eq, Bounds(1, 1)) is None
 
 
 # ---------------------------------------------------------------------------

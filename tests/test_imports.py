@@ -371,6 +371,39 @@ def test_one_way_out_of_the_evaluator():
         "_Layout.decode", "_Layout.number", "_Check.witness"}
 
 
+def uncalled_methods(source: str, cls: str) -> list[str]:
+    """The methods of a module's class, but its dunders, that no call in
+    the module names, by name or as an attribute."""
+    called = {getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+              for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Call)}
+    return [name for name, _ in functions_of(source) if name.startswith(f"{cls}.")
+            and not name.endswith("__") and name.split(".", 1)[1] not in called]
+
+
+def test_the_model_codec_keeps_no_sweep_only_method():
+    """Every method of semantics._Layout, the one model codec, is called in
+    semantics itself: one that only the rule sweep called would say again
+    what the evaluator already says, as weak_variants restated weak
+    equality beside weak_view."""
+    source = (ROOT / "src" / "decolog" / "semantics.py").read_text(encoding="utf-8")
+    assert uncalled_methods(source, "_Layout") == []
+
+
+def test_uncalled_scan_sees_every_kind_of_call():
+    source = ("class L:\n"
+              "    def __init__(self): pass\n"
+              "    def a(self): return self.b\n"
+              "    def b(self): return c(self)\n"
+              "    @classmethod\n"
+              "    def d(cls): return cls()\n"
+              "    def e(self): return self.f()\n"
+              "    def f(self): pass\n"
+              "class LL:\n"
+              "    def g(self): return L.d()\n"
+              "def c(x): return x.g(), x.b\n")
+    assert uncalled_methods(source, "L") == ["L.a", "L.b", "L.e"]
+
+
 def test_one_way_out_of_the_command_line():
     """Each command returns its exit code and report; cli.main alone reads
     --json and prints."""

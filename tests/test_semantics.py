@@ -293,18 +293,6 @@ class TestWeakEqual:
         assert view(a) != view((4, 2))
 
 
-@pytest.mark.parametrize("effect", [EX, ST])
-@pytest.mark.parametrize("n, m, k", [(1, 1, 1), (2, 1, 2), (1, 2, 2), (2, 2, 2), (1, 3, 1)])
-def test_weak_variants_are_the_tables_with_the_same_weak_view(effect, n, m, k):
-    layout = _Layout(effect, {}, tuple(range(k)))
-    view = layout.weak_view(n, m) or (lambda t: t)
-    tables = list(layout.raw_tables(2, n, m))
-    for t in tables:
-        variants = list(layout.weak_variants(t, m))
-        assert len(variants) == len(set(variants))
-        assert set(variants) == {u for u in tables if view(u) == view(t)}
-
-
 class TestValidateModel:
     def test_accepts_good_models(self, bank, bank_mod4, throwcatch):
         theory, _, _ = bank

@@ -452,6 +452,10 @@ class Theory(Record):
     def __getstate__(self) -> None:
         return None
 
+    def _compiled(self) -> dict:
+        """The engines' compiled state: a dict in the analysis memo, emptied with it."""
+        return self._analyses.setdefault(Theory._compiled, {})
+
     def op(self, name: str) -> OperationSymbol:
         found = self._op_index.get(name)
         if found is None:

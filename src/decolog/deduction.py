@@ -438,25 +438,31 @@ class _Rewriter:
 
     Within one source the sides keep declaration order, an axiom's
     left-to-right use before its right-to-left one.  A side whose target
-    equals its source never rewrites anything and is left out."""
+    equals its source never rewrites anything and is left out.  The theory's
+    compiled state keeps the axioms' codes and sides: each call copies the codes."""
 
     def __init__(self, theory: Theory):
         self.theory = theory
-        self.codes: dict[DecoratedTerm, str] = {}
-        self.atoms: list[DecoratedTerm] = []
-        self.known: dict[str, tuple[TypeExpr, int, bool]] = {}
+        codes, atoms, known, self.by_head = theory._compiled().get(_Rewriter) or self._index()
+        self.codes, self.atoms, self.known = dict(codes), list(atoms), dict(known)
+
+    def _index(self) -> tuple:
+        """The theory's axiom index, coded into this rewriter and kept."""
+        self.codes, self.atoms, self.known = {}, [], {}
         sides: dict[str, list] = {}
-        for ax in theory.axioms:
+        for ax in self.theory.axioms:
             eq = ax.equation
             weak_step = eq.strength is Strength.WEAK
-            lhs, rhs = (self.word(analysis(theory, side).atoms) for side in (eq.lhs, eq.rhs))
-            axiom = deriv(AXIOM, name=ax.name)
-            for src, dst, step in ((lhs, rhs, axiom), (rhs, lhs, deriv(SYM, axiom))):
+            lhs, rhs = (self.word(analysis(self.theory, side).atoms) for side in (eq.lhs, eq.rhs))
+            axiom = (_rule, AXIOM, (("name", ax.name),))
+            for src, dst, step in ((lhs, rhs, axiom), (rhs, lhs, (_rule, SYM, (), axiom))):
                 if src and src != dst:
                     sides.setdefault(src, []).append((step, weak_step, dst))
-        self.by_head: dict[str, list] = {}
+        heads: dict[str, list] = {}
         for src in sorted(sides, key=len):
-            self.by_head.setdefault(src[0], []).append((len(src), src, sides[src]))
+            heads.setdefault(src[0], []).append((len(src), src, sides[src]))
+        index = self.theory._compiled()[_Rewriter] = self.codes, self.atoms, self.known, heads
+        return index
 
     def code(self, atom: DecoratedTerm) -> str:
         """The atom's code, given the first time the atom is met."""

@@ -29,11 +29,13 @@ the order _Layout.labels lists the inputs:
 Composition looks first's entries up in after (itemgetter(*first)(after)),
 strong equality is tuple equality, and weak equality compares the ok block
 (exceptions) or the value column v // |S| (states).  Each equation side
-and term is compiled once per search into one flat tuple of atoms, first
-applied first, a pair laid out as a mark, its left component's atoms, a
-mark, its right one's and its parts; the tuple is specialised once per
-carrier-size assignment, and _run runs it in one loop, each component from
-no table, so no depth of nested pairs recurses.
+and term is compiled once per theory (Theory._compiled keeps it) into one
+flat tuple of atoms, first applied first, a pair laid out as a mark, its
+left component's atoms, a mark, its right one's and its parts; the tuple
+is specialised once per carrier-size assignment, and _run runs it in one
+loop, each component from no table, so no depth of nested pairs recurses.
+Every evaluation still checks its model's carriers and numbers its tables,
+and every run of a side checks the conservation law of its rank (_Side.run).
 The rule sweep in deduction.py enters through _denotation, a term's rank-2
 table as a function of raw tables.  Tables leave through _Layout.decode,
 only where a caller sees labels: eval_term's mapping, the models
@@ -180,17 +182,27 @@ def _run(steps: tuple, tables: Sequence[Table]) -> Table:
     return t
 
 
+def _kept(method: Callable) -> Callable:
+    """A _Layout method of sizes, its result kept in layout.memo unless None."""
+    def kept(layout: "_Layout", *sizes: int):
+        key = method.__name__, layout.k, *sizes
+        found = layout.memo.get(key) or method(layout, *sizes)
+        if found is not None:
+            layout.memo[key] = found
+        return found
+    return kept
+
+
 class _Layout:
     """The numbering of one carrier assignment: type sizes, the builtins'
     constant tables, the lift of raw tables to rank 2, and the labels that
-    decode numbers back for reports."""
+    decode numbers back for reports.  memo keeps what reads only sizes (_kept)."""
 
     def __init__(self, effect: EffectKind, carriers: Mapping[str, tuple],
-                 eff_elems: tuple):
-        self.effect = effect
+                 eff_elems: tuple, memo: Optional[dict] = None):
+        self.effect, self.memo = effect, {} if memo is None else memo
         self.exceptions = effect is EffectKind.EXCEPTIONS
-        self.carriers = carriers
-        self.eff_elems = eff_elems
+        self.carriers, self.eff_elems = carriers, eff_elems
         self.k = len(eff_elems)
         self._raw_labels: dict = {}
 
@@ -212,7 +224,7 @@ class _Layout:
             raise ModelMismatch("effect carrier must be non-empty")
         if len(set(model.effect_carrier)) != len(model.effect_carrier):
             raise ModelMismatch("effect carrier has duplicate labels")
-        return cls(theory.effect, model.carriers, model.effect_carrier)
+        return cls(theory.effect, model.carriers, model.effect_carrier, theory._compiled())
 
     def size(self, ty: TypeExpr) -> int:
         """The number of ty's values; _carrier refuses a base type without one."""
@@ -284,6 +296,7 @@ class _Layout:
         """The exc block of a rank-2 codomain over m values."""
         return tuple(range(m, m + self.k))
 
+    @_kept
     def lifter(self, rank: int, n: int, m: int) -> Optional[Callable[[Table], Table]]:
         """The map from a raw table of the given rank (n values in, m out,
         numbered like raw_labels) to its rank-2 table;
@@ -318,6 +331,7 @@ class _Layout:
         lift = self.lifter(0, len(raw), m)
         return raw if lift is None else lift(raw)
 
+    @_kept
     def pairer(self, n: int, ml: int, mr: int) -> Callable[[Table, Table], Table]:
         """The map from the rank-2 tables of two pair components (n values
         in, ml and mr out) to the rank-2 table of their pair."""
@@ -329,6 +343,7 @@ class _Layout:
         column = tuple(range(self.k)) * n
         return lambda lhs, rhs: tuple(map(add, map(mr.__mul__, map(sub, lhs, column)), rhs))
 
+    @_kept
     def conservation(self, rank: int, n: int, m: int) -> Optional[Callable[[Table], bool]]:
         """Test that a rank-2 table over n values in and m out leaves alone
         what a term of the given rank may not touch, the evaluator's check
@@ -351,6 +366,7 @@ class _Layout:
         return lambda t: (tuple(map(k.__rmod__, t)) == column
                           and all(t[s::k] == tuple(map(s.__add__, t[::k])) for s in shifts))
 
+    @_kept
     def weak_view(self, n: int, m: int) -> Optional[Callable[[Table], Sequence[int]]]:
         """The part of a rank-2 table over n values in and m out that a weak
         equation compares: the ok block, or the value column (the table
@@ -444,14 +460,12 @@ class _Layout:
 
 
 class _Side:
-    """One term specialised to one layout."""
-    __slots__ = ("layout", "steps", "conserves", "rank", "dom", "cod")
+    """One term specialised to one carrier-size assignment."""
+    __slots__ = ("steps", "conserves", "rank", "dom", "cod")
 
     def __init__(self, layout: _Layout, steps: tuple, found: Analysis):
-        self.layout, self.steps = layout, steps
-        self.dom, self.cod, self.rank = found.dom, found.cod, found.rank
-        self.conserves = layout.conservation(found.rank, layout.size(found.dom),
-                                             layout.size(found.cod))
+        self.steps, self.dom, self.cod, self.rank = steps, found.dom, found.cod, found.rank
+        self.conserves = layout.conservation(found.rank, *map(layout.size, (found.dom, found.cod)))
 
     def run(self, tables: Sequence[Table]) -> Table:
         t = _run(self.steps, tables)
@@ -463,7 +477,7 @@ class _Side:
 
 
 class _Check:
-    """One equation specialised to one layout."""
+    """One equation specialised to one carrier-size assignment."""
     __slots__ = ("lhs", "rhs", "view")
 
     def __init__(self, lhs: _Side, rhs: _Side, view):
@@ -475,9 +489,9 @@ class _Check:
         view = self.view
         return lhs == rhs if view is None else view(lhs) == view(rhs)
 
-    def witness(self, tables: Sequence[Table]) -> Optional[tuple[Element, Element, Element]]:
+    def witness(self, tables: Sequence[Table], layout: _Layout) -> Optional[tuple]:
         """None when the equation holds, else the first input where its
-        sides disagree with both outputs, decoded."""
+        sides disagree with both outputs, decoded by layout's labels."""
         lhs = self.lhs.run(tables)
         rhs = self.rhs.run(tables)
         view = self.view
@@ -485,8 +499,7 @@ class _Check:
              else violation_witness(view(lhs), view(rhs)))
         if x is None:
             return None
-        side = self.lhs
-        ins, outs = side.layout.raw_labels(2, side.dom, side.cod)
+        ins, outs = layout.raw_labels(2, self.lhs.dom, self.lhs.cod)
         return ins[x], outs[lhs[x]], outs[rhs[x]]
 
 
@@ -501,29 +514,34 @@ def violation_witness(lhs: Sequence[int], rhs: Sequence[int]) -> Optional[int]:
 class _Program:
     """Equations and terms of one theory compiled once: well-formedness, and
     the analysis and flat tuple (_compile) of every side and term, none of
-    which depend on a model.  at() specialises them to one layout."""
+    which depend on a model.  at() specialises them to carrier sizes; the
+    theory's compiled state keeps each equation compiled, with its checks."""
+    __slots__ = ("theory", "_equations", "_terms", "last", "used", "walked", "least", "passed")
 
     def __init__(self, theory: Theory, equations: Iterable[DecoratedEquation],
                  terms: Iterable[DecoratedTerm] = ()):
-        self.theory = theory
-        names: set[str] = set()
-        self._equations = []  # per equation, its strength and each side's _compile
-        #: per equation, the index of the last operation it reads (-1: none)
-        self.last = []
+        self.theory, ops, names = theory, theory.operations, set()
+        self._equations = entries = []  # per equation: strength, sides' _compile, reads, checks
         for eq in equations:
-            check_equation_wf(theory, eq)
-            reads: set[str] = set()
-            self._equations.append((eq.strength, self._compile(analysis(theory, eq.lhs), reads),
-                                    self._compile(analysis(theory, eq.rhs), reads)))
-            self.last.append(max((i for i, sym in enumerate(theory.operations)
-                                  if sym.name in reads), default=-1))
-            names |= reads
-        self._terms = [self._compile(analysis(theory, term), names) for term in terms]
-        self.used = tuple(i for i, sym in enumerate(theory.operations) if sym.name in names)
+            entry = theory._compiled().get(eq)
+            if entry is None:
+                check_equation_wf(theory, eq)
+                reads: set[str] = set()
+                sides = [self._compile(analysis(theory, side), reads) for side in (eq.lhs, eq.rhs)]
+                entry = theory._compiled()[eq] = (eq.strength, *sides, tuple(
+                    i for i, sym in enumerate(ops) if sym.name in reads), {})
+            entries.append(entry)
+        self._terms = tuple(self._compile(analysis(theory, term), names) for term in terms)
+        #: per equation, the index of the last operation it reads (-1: none)
+        self.last = tuple(max(entry[3], default=-1) for entry in entries)
+        self.used = tuple(i for i, sym in enumerate(ops) if sym.name in names
+                          or any(i in entry[3] for entry in entries))
         #: the operations a search walks: the used ones if a goal follows the axioms, else all
-        self.walked = (self.used if len(self._equations) > len(theory.axioms)
-                       else tuple(range(len(theory.operations))))
-        self._slots = {theory.operations[i].name: slot for slot, i in enumerate(self.used)}
+        self.walked = self.used if len(entries) > len(theory.axioms) else tuple(range(len(ops)))
+        #: the base types that no walked table and no equation's domain reads, so no side does
+        self.least = tuple(sorted(frozenset(theory.base_types).difference(*map(base_names, [
+            Prod(ops[i].dom, ops[i].cod) for i in self.walked] + [e[1][0].dom for e in entries]))))
+        self.passed = ()  # the (bounds, ceiling, least) that passed _check_ceiling
 
     def _compile(self, found: Analysis, names: set) -> tuple[Analysis, tuple]:
         """found, and its atoms in one flat tuple, first applied first: Id of
@@ -545,42 +563,58 @@ class _Program:
         return found, tuple(flat)
 
     def _steps(self, layout: _Layout, flat: tuple) -> tuple:
-        """A _compile tuple specialised to layout: an operation is its slot, a
-        builtin its table, a mark itself and a pair's parts its pairer."""
-        sizes, steps = {}, []  # sizes: by the id of a pair's parts, its codomain's size
+        """A _compile tuple specialised to layout: an operation is its index,
+        a builtin its table, a mark itself and a pair's parts its pairer."""
+        ops, sizes, steps = self.theory.operations, {}, []  # sizes: a pair's cod size by id(parts)
         for atom in flat:
             if atom.__class__ is tuple:  # a part that is a pair has its parts earlier in flat
                 ml, mr = (sizes.get(id(part.parts)) or layout.size(part.cod) for part in atom)
                 sizes[id(atom)] = ml * mr
-            steps.append(self._slots[atom.name] if atom.__class__ is Op else atom if atom is None
+            steps.append(ops.index(self.theory.op(atom.name)) if atom.__class__ is Op
+                         else atom if atom is None
                          else layout.pairer(layout.size(atom[0].dom), ml, mr)
                          if atom.__class__ is tuple else layout.constant(atom))
         return tuple(steps)
 
     def at(self, layout: _Layout) -> tuple[list[_Check], list[_Side], list[Optional[Callable]]]:
-        """The equations and the terms specialised to layout, and the lifter
-        of each used operation (see _lift)."""
+        """The equations and the terms specialised to layout's carrier sizes, by
+        which the theory's compiled state keeps each check and the lifters (_lift)."""
+        sizes = (*map(len, map(layout.carriers.get, self.theory.base_types)), layout.k)
         side = lambda found, flat: _Side(layout, self._steps(layout, flat), found)
-        checks = [_Check(side(*lhs), side(*rhs),
-                         layout.weak_view(layout.size(lhs[0].dom), layout.size(lhs[0].cod))
-                         if strength is Strength.WEAK else None)
-                  for strength, lhs, rhs in self._equations]
-        lifters = [layout.lifter(*layout.shape(self.theory.operations[i])) for i in self.used]
+        checks = [kept.get(sizes) or kept.setdefault(sizes, _Check(side(*lhs), side(*rhs), (
+                      layout.weak_view(layout.size(lhs[0].dom), layout.size(lhs[0].cod))
+                      if strength is Strength.WEAK else None)))
+                  for strength, lhs, rhs, _, kept in self._equations]
+        state, key = self.theory._compiled(), ("lifters", *sizes)
+        lifters = state.get(key) or state.setdefault(key, [
+            layout.lifter(*layout.shape(sym)) for sym in self.theory.operations])
         return checks, [side(*term) for term in self._terms], lifters
 
-    def numbered(self, model: FiniteModel) -> tuple[list[_Check], list[_Side], list[Table]]:
+    def numbered(self, model: FiniteModel) -> tuple[_Layout, list[_Check], list[_Side], list]:
         """Check a given model's carriers, specialise to them and number,
-        from its labelled tables, the tables the program uses."""
+        from its labelled tables, the tables the program uses (else None)."""
         layout = _Layout.of_model(self.theory, model)
         checks, sides, lifters = self.at(layout)
-        symbols = [self.theory.operations[i] for i in self.used]
-        return checks, sides, _lift(lifters, [layout.number(sym, model.tables.get(sym.name))
-                                              for sym in symbols])
+        raws = [layout.number(sym, model.tables.get(sym.name)) if i in self.used else None
+                for i, sym in enumerate(self.theory.operations)]
+        return layout, checks, sides, _lift(lifters, raws)
 
 
-def _lift(lifters: Sequence[Optional[Callable]], raws: Iterable[Table]) -> list[Table]:
+def _program(theory: Theory, equations: tuple = (), terms: tuple = (),
+             axioms: bool = False) -> _Program:
+    """The program of the theory's axioms (if axioms), equations and terms,
+    kept in the theory's compiled state; a failure is not kept, so it recurs."""
+    key, state = (axioms, equations, terms), theory._compiled()
+    program = state.get(key)
+    if program is None:
+        program = state[key] = _Program(
+            theory, [ax.equation for ax in theory.axioms if axioms] + list(equations), terms)
+    return program
+
+
+def _lift(lifters: Sequence[Optional[Callable]], raws: Iterable[Optional[Table]]) -> list:
     """Raw tables lifted to rank 2, each by its lifter (None: as it is)."""
-    return [raw if f is None else f(raw) for raw, f in zip(raws, lifters)]
+    return [raw if f is None or raw is None else f(raw) for raw, f in zip(raws, lifters)]
 
 
 def _denotation(layout: _Layout, term: DecoratedTerm,
@@ -609,13 +643,12 @@ def eval_term(model: FiniteModel, theory: Theory, term: DecoratedTerm) -> Operat
     """Rank-2 denotation of a term, its inputs in canonical order.  The
     result is checked to conserve whatever the term's inferred rank says it
     cannot touch."""
-    _, (side,), tables = _Program(theory, (), (term,)).numbered(model)
-    return OperationTable(theory.effect, 2,
-                          side.layout.decode(2, side.dom, side.cod, side.run(tables)))
+    layout, _, (side,), tables = _program(theory, terms=(term,)).numbered(model)
+    return OperationTable(theory.effect, 2, layout.decode(2, side.dom, side.cod, side.run(tables)))
 
 
 def holds(model: FiniteModel, theory: Theory, eq: DecoratedEquation) -> bool:
-    (check,), _, tables = _Program(theory, (eq,)).numbered(model)
+    _, (check,), _, tables = _program(theory, (eq,)).numbered(model)
     return check.holds(tables)
 
 
@@ -623,8 +656,8 @@ def first_violation(model: FiniteModel, theory: Theory,
                     eq: DecoratedEquation) -> Optional[tuple[Element, Element, Element]]:
     """None when the equation holds in the model, else the first input in
     canonical order where its sides disagree, with both outputs."""
-    (check,), _, tables = _Program(theory, (eq,)).numbered(model)
-    return check.witness(tables)
+    layout, (check,), _, tables = _program(theory, (eq,)).numbered(model)
+    return check.witness(tables, layout)
 
 
 # ---------------------------------------------------------------------------
@@ -654,7 +687,7 @@ class Bounds(Record):
 
 
 def _layouts(effect: EffectKind, base_types: Sequence[str], bounds: Bounds,
-             least: Collection[str] = ()) -> Iterator[_Layout]:
+             least: Collection[str] = (), memo: Optional[dict] = None) -> Iterator[_Layout]:
     """One layout per carrier-size assignment: base types in the given order,
     the first varying slowest, with the effect carrier last, and carriers
     numbered 0, 1, ...; a type in least keeps size 1.  Sizes are counted out
@@ -662,7 +695,7 @@ def _layouts(effect: EffectKind, base_types: Sequence[str], bounds: Bounds,
     carriers = dict.fromkeys(base_types, (0,))
     while True:
         for eff_size in range(1, bounds.effect + 1):
-            yield _Layout(effect, carriers, tuple(range(eff_size)))
+            yield _Layout(effect, carriers, tuple(range(eff_size)), memo)
         carriers = dict(carriers)  # the last carrier below its bound grows, later ones restart
         for name in reversed(base_types):
             n = len(carriers[name])
@@ -692,7 +725,9 @@ def _check_ceiling(program: _Program, bounds: Bounds, cap: int, least: Collectio
     tables hold more cells (input rows) than it.  The count starts at the
     number of layouts, each holding one at least, and stops once it passes;
     a table of n_in rows and n_out outputs passes alone, uncounted, if
-    2 ** (n_in * (n_out.bit_length() - 1)) does."""
+    2 ** (n_in * (n_out.bit_length() - 1)) does.  The program keeps each pass."""
+    if (bounds, cap, least) in program.passed:
+        return
     theory = program.theory
     total, cells = bounds.base ** (len(theory.base_types) - len(least)) * bounds.effect, 0
     for layout in _layouts(theory.effect, theory.base_types, bounds, least):
@@ -708,6 +743,7 @@ def _check_ceiling(program: _Program, bounds: Bounds, cap: int, least: Collectio
     if cells > cap:
         raise BoundsTooLarge(f"more than {cap} table cells in one carrier assignment within "
                              f"bounds, ceiling is {cap}")
+    program.passed += (bounds, cap, least),
 
 
 def _candidates(program: _Program, layout: _Layout, checks: list[_Check],
@@ -721,7 +757,7 @@ def _candidates(program: _Program, layout: _Layout, checks: list[_Check],
     not hold, an equation after them (a goal) when it holds.  Only
     program.walked is walked, every other operation keeping its first raw
     table, the least completion.  Yields each complete assignment that
-    passes: one raw table per operation, and the used ones' rank-2 tables.
+    passes: one raw table per operation, and the rank-2 tables by index.
 
     Given twins, relabellings of layout, a level whose checks pass also
     skips its subtree when a twin that fixes the tables above makes its own
@@ -734,12 +770,11 @@ def _candidates(program: _Program, layout: _Layout, checks: list[_Check],
     stages: dict[int, list] = {}
     for n, (check, last) in enumerate(zip(checks, program.last)):
         stages.setdefault(last, []).append((check.holds, n < n_axioms))
-    tables: list = [None] * len(program.used)
+    tables: list = [None] * len(ops)
     if any(holds(tables) != want for holds, want in stages.get(-1, ())):
         return
-    slots = [program._slots.get(ops[i].name) for i in program.walked]
-    levels = [(depth, i, layout.shape(ops[i]), slot, None if slot is None else lifters[slot],
-               stages.get(i, ())) for depth, (i, slot) in enumerate(zip(program.walked, slots))]
+    levels = [(depth, i, layout.shape(ops[i]), lifters[i], stages.get(i, ()))
+              for depth, i in enumerate(program.walked)]
     assignment = [next(layout.raw_tables(*layout.shape(sym))) for sym in ops]
     tried = max((level[0] for level in levels if layout.raw_shape(*level[2])[1] > 1), default=0)
 
@@ -751,11 +786,10 @@ def _candidates(program: _Program, layout: _Layout, checks: list[_Check],
     stack = [(layout.raw_tables(*levels[0][2]),
               [(image, [False] * len(levels)) for image in first], levels[0])]
     while stack:
-        raws, fixing, (depth, i, _, slot, lift, stage) = stack[-1]
+        raws, fixing, (depth, i, _, lift, stage) = stack[-1]
         for raw in raws:
             assignment[i] = raw
-            if slot is not None:
-                tables[slot] = raw if lift is None else lift(raw)
+            tables[i] = raw if lift is None else lift(raw)
             for holds, want in stage:
                 if holds(tables) != want:
                     break
@@ -790,7 +824,7 @@ def _admitted(program: _Program, bounds: Bounds, least: Collection[str] = (),
     Types in least keep size 1; orbits prunes by relabellings (_candidates)."""
     theory = program.theory
     walked = [theory.operations[i] for i in program.walked]
-    for layout in _layouts(theory.effect, theory.base_types, bounds, least):
+    for layout in _layouts(theory.effect, theory.base_types, bounds, least, theory._compiled()):
         checks, _, lifters = program.at(layout)
         twins = layout.relabellings(walked) if orbits else ()
         for assignment, tables in _candidates(program, layout, checks, lifters, twins):
@@ -802,7 +836,7 @@ def enumerate_models(theory: Theory, bounds: Bounds = Bounds(), *,
                      ) -> Iterator[FiniteModel]:
     """All axiom-satisfying models within bounds, in a stable canonical
     order; BoundsTooLarge, before any, past the ceiling (_check_ceiling)."""
-    program = _Program(theory, [ax.equation for ax in theory.axioms])
+    program = _program(theory, axioms=True)
     _check_ceiling(program, bounds, max_interpretations)
     admitted = _admitted(program, bounds)
     return (layout.model(theory, assignment) for layout, assignment, _, _ in admitted)
@@ -824,13 +858,9 @@ def find_counterexample(theory: Theory, eq: DecoratedEquation,
     """First model in canonical order that satisfies every axiom but
     violates the equation, with the first input where the sides disagree;
     None when the bounded search is exhausted."""
-    program = _Program(theory, [ax.equation for ax in theory.axioms] + [eq])
-    # least: the types no walked table and no equation reads, as every type
-    # in a side is built from its domain's and its operations'
-    read = [Prod(sym.dom, sym.cod) for sym in map(theory.operations.__getitem__, program.walked)]
-    least = set(theory.base_types).difference(
-        *map(base_names, read + [lhs.dom for _, (lhs, _), _ in program._equations]))
-    _check_ceiling(program, bounds, max_interpretations, least)
-    for layout, assignment, tables, checks in _admitted(program, bounds, least, orbits=True):
-        return Counterexample(layout.model(theory, assignment), eq, *checks[-1].witness(tables))
+    program = _program(theory, (eq,), axioms=True)
+    _check_ceiling(program, bounds, max_interpretations, program.least)
+    for layout, assignment, tables, checks in _admitted(program, bounds, program.least, True):
+        return Counterexample(layout.model(theory, assignment), eq,
+                              *checks[-1].witness(tables, layout))
     return None

@@ -2,6 +2,7 @@
 import copy
 import pickle
 import random
+from collections import Counter
 
 import pytest
 
@@ -41,8 +42,10 @@ from decolog.calculus import (
     weak,
     wf_term,
 )
-from decolog.deduction import Derivation
-from decolog.semantics import Bounds, ModelMismatch, OperationTable, SemanticsError
+from decolog import deduction, semantics
+from decolog.deduction import Derivation, prove
+from decolog.semantics import (Bounds, BoundsTooLarge, ModelMismatch, OperationTable,
+                               SemanticsError, find_counterexample, holds)
 
 from gen import random_raw_term, random_theory, random_wf_terms
 
@@ -253,6 +256,60 @@ class TestAnalysisMemo:
         for twin in (copy.copy(bank), copy.deepcopy(bank), pickle.loads(pickle.dumps(bank))):
             assert twin == bank and twin.__dict__["_analyses"] == {}
             assert analyze_term(twin, term) == (Unit, Int, 2)
+
+    @staticmethod
+    def with_axiom(bank):
+        """bank with the axiom tying deposit to addition, built anew."""
+        return Theory(bank.effect, bank.base_types, bank.operations, (Axiom("ax1", weak(
+            compose(Op("balance"), Op("deposit")),
+            compose(Op("plus"), pair(Id(Int), compose(Op("balance"), Bang(Int)))))),))
+
+    def test_compiled_state_is_invisible_and_keeps_no_failure(self, bank, bank_mod4):
+        """What the engines compile from a theory (Theory._compiled) is no
+        more seen than the memo it is kept in, and no failure is kept: an
+        ill-typed equation and a search past the ceiling are refused on
+        every call."""
+        theory, fresh = self.with_axiom(bank), self.with_axiom(bank)
+        f = compose(Op("balance"), Op("deposit"), Op("seven"))
+        g = compose(Op("plus"), pair(Op("seven"), Op("balance")))
+        assert find_counterexample(theory, strong(f, g)) is not None
+        assert holds(bank_mod4, theory, weak(f, g))
+        assert prove(theory, weak(f, g)).rule
+        assert Theory._compiled in theory.__dict__["_analyses"]
+        assert (theory, hash(theory), repr(theory)) == (fresh, hash(fresh), repr(fresh))
+        assert pickle.dumps(theory) == pickle.dumps(fresh)
+        for twin in (copy.copy(theory), copy.deepcopy(theory), pickle.loads(pickle.dumps(theory))):
+            assert twin == theory and Theory._compiled not in twin.__dict__["_analyses"]
+        kept = dict(theory._compiled())
+        bad = strong(f, Op("plus"))
+        for call in (lambda: holds(bank_mod4, theory, bad), lambda: prove(theory, bad),
+                     lambda: find_counterexample(theory, bad)):
+            refusals = []
+            for _ in range(2):
+                with pytest.raises(SideTypeMismatch) as refused:
+                    call()
+                refusals.append(str(refused.value))
+            assert refusals[0] == refusals[1]
+        assert theory._compiled() == kept
+        for _ in range(2):
+            with pytest.raises(BoundsTooLarge, match="ceiling is 100$"):
+                find_counterexample(theory, weak(f, g), Bounds(3, 3), max_interpretations=100)
+
+    def test_compiled_state_is_reused(self, bank, bank_mod4, monkeypatch):
+        """Equal equations built apart share one program, and the prove
+        calls on one theory one axiom index: a state keyed by identity
+        would never be reused."""
+        built = Counter()
+        for cls, name in ((semantics._Program, "__init__"), (deduction._Rewriter, "_index")):
+            monkeypatch.setattr(cls, name, lambda self, *args, name=name, original=getattr(
+                cls, name): built.update([name]) or original(self, *args))
+        theory = self.with_axiom(bank)
+        goals = [weak(compose(Op("balance"), Op("deposit"), Op("seven")),
+                      compose(Op("plus"), pair(Op("seven"), Op("balance")))) for _ in range(2)]
+        assert goals[0] == goals[1] and goals[0] is not goals[1]
+        assert [holds(bank_mod4, theory, goal) for goal in goals] == [True, True]
+        assert prove(theory, goals[0]) == prove(theory, goals[1])
+        assert built == {"__init__": 1, "_index": 1}
 
 
 class TestEquations:

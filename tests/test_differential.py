@@ -450,6 +450,100 @@ def test_orbit_search_by_fewer_twins(cap, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# The compiled state
+# ---------------------------------------------------------------------------
+
+def _rename(value):
+    """A label with every carrier element n in it renamed to "x{n}"."""
+    return (f"x{value}" if value.__class__ is int
+            else tuple(map(_rename, value)) if value.__class__ is tuple else value)
+
+
+def _renamed(model):
+    """model with its labels renamed (_rename) in its carriers and tables:
+    the same carrier sizes, in the same order, and no label in common."""
+    tables = {name: semantics.OperationTable(table.effect, table.rank, {
+        _rename(x): _rename(y) for x, y in table.mapping.items()})
+        for name, table in model.tables.items()}
+    carriers = {name: _rename(carrier) for name, carrier in model.carriers.items()}
+    return semantics.FiniteModel(model.effect, carriers, _rename(model.effect_carrier), tables)
+
+
+def _engine_calls(theory, goal, bounds, models):
+    """Every engine call on a theory equal to theory, each a function of
+    that theory: both searches, one past the ceiling, the prover, and
+    holds, first_violation and eval_term on each model for each axiom and
+    the goal and each of their sides."""
+    calls = [lambda t: _report(find_counterexample(t, goal, bounds)),
+             lambda t: find_counterexample(t, goal, Bounds(3, 3), max_interpretations=10),
+             lambda t: list(enumerate_models(t, bounds)),
+             lambda t: print_derivation(prove(t, goal, max_nodes=400))]
+    for model in models:
+        for eq in [ax.equation for ax in theory.axioms] + [goal]:
+            calls += [partial(lambda t, m, e: semantics.holds(m, t, e), m=model, e=eq),
+                      partial(lambda t, m, e: first_violation(m, t, e), m=model, e=eq)]
+            calls += [partial(lambda t, m, side: eval_term(m, t, side).mapping, m=model, side=side)
+                      for side in (eq.lhs, eq.rhs)]
+    return calls
+
+
+def _assert_warm_answers_as_fresh(rng, theory, goal, bounds, models):
+    """Each engine call answers on a theory that every call has warmed, in
+    another order, as it does on a fresh copy of the theory: the same value,
+    or the same error and text.  Each model comes with a renamed twin, whose
+    first violation is the model's renamed."""
+    models = [twin for model in models for twin in (model, _renamed(model))]
+    for model, twin in zip(models[::2], models[1::2]):
+        for eq in [ax.equation for ax in theory.axioms] + [goal]:
+            assert first_violation(twin, theory, eq) == _rename(first_violation(model, theory, eq))
+    calls = _engine_calls(theory, goal, bounds, models)
+    fresh = [_result(call, Theory(*theory[1:])) for call in calls]
+    warm = Theory(*theory[1:])
+    order = list(range(len(calls)))
+    rng.shuffle(order)
+    for i in order + list(range(len(calls))):
+        assert _result(calls[i], warm) == fresh[i], i
+    return fresh
+
+
+#: The answers each batch of calls gives: values, among them None or False
+#: (no countermodel, no violation, an equation that fails), and the
+#: ceiling's and the prover's refusals.
+WARM_KINDS = {("ok", False), ("ok", True), ("BoundsTooLarge", False), ("DepthExhausted", False)}
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS))
+def test_warm_theory_answers_as_fresh_corpus(name):
+    rng = random.Random(27)
+    theory_file, model_file, goals = CORPUS[name]
+    theory = parse_theory(corpus_path(theory_file).read_text())
+    shipped = parse_model(corpus_path(model_file).read_text(), theory)
+    models = [shipped] + list(enumerate_models(theory, Bounds(2, 2)))[:2]
+    kinds = Counter()
+    for text in goals:
+        for kind, value in _assert_warm_answers_as_fresh(
+                rng, theory, parse_equation(text, theory), Bounds(2, 2), models):
+            kinds[kind, value is None or value is False] += 1
+    assert set(kinds) == WARM_KINDS
+
+
+@pytest.mark.parametrize("effect", list(EffectKind))
+def test_warm_theory_answers_as_fresh_random(effect):
+    rng = random.Random(270 if effect is EffectKind.STATES else 271)
+    cases, kinds = 0, Counter()
+    while cases < 12:
+        case = _random_case(rng, effect)
+        if case is None:
+            continue
+        theory, goal, bounds = case
+        models = list(enumerate_models(theory, bounds))[:1] + [gen.random_model(rng, theory)]
+        for kind, value in _assert_warm_answers_as_fresh(rng, theory, goal, bounds, models):
+            kinds[kind, value is None or value is False] += 1
+        cases += 1
+    assert set(kinds) == WARM_KINDS
+
+
+# ---------------------------------------------------------------------------
 # The term analysis
 # ---------------------------------------------------------------------------
 

@@ -416,3 +416,50 @@ def test_one_way_out_of_the_command_line():
                if isinstance(node, ast.Attribute) and node.attr == "json"
                and getattr(node.value, "id", None) == "args"}
     assert readers == {"main"}
+
+
+#: The keys src/ writes into a Theory's instance __dict__: the op index, the
+#: analysis memo, which also keeps the engines' compiled state
+#: (Theory._compiled), and duality_map's mirror.
+THEORY_STATE = {"_op_index", "_analyses", "_mirror"}
+
+
+def dict_writes(source: str) -> set[str]:
+    """The keys a module writes into an instance dict (x.__dict__ or
+    vars(x)) by assignment or setdefault, each a string constant or else
+    its source; any other call that changes such a dict, as its source."""
+    def is_dict(node: ast.AST) -> bool:
+        return (getattr(node, "attr", None) == "__dict__"
+                or getattr(getattr(node, "func", None), "id", None) == "vars")
+    keys = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            keys += [target.slice for target in targets
+                     if isinstance(target, ast.Subscript) and is_dict(target.value)]
+        elif isinstance(node, ast.Call) and is_dict(getattr(node.func, "value", None)):
+            method = node.func.attr
+            keys += (node.args[:1] if method == "setdefault"
+                     else [node] if method not in ("get", "items", "keys", "values") else [])
+    return {key.value if isinstance(key, ast.Constant) else ast.unparse(key) for key in keys}
+
+
+def test_one_place_for_hidden_theory_state():
+    """No module keeps state of its own in a theory: what it computes from
+    one goes into the memo or the mirror, which no ==, hash, repr, copy or
+    pickle sees (tests/test_calculus.py, TestAnalysisMemo)."""
+    written = set().union(*(dict_writes(path.read_text(encoding="utf-8"))
+                            for path in (ROOT / "src" / "decolog").glob("*.py")))
+    assert written == THEORY_STATE
+
+
+def test_state_scan_sees_every_kind_of_write():
+    source = ("def a(t): t.__dict__['x'] = 1\n"
+              "def b(t): ops = t.__dict__['y'] = {}\n"
+              "def c(t): return t.__dict__.setdefault('z', {})\n"
+              "def d(t, k): vars(t)[k] = 2\n"
+              "def e(t): t.__dict__.update(w=3)\n"
+              "def f(t): t.__dict__['v'] += 1\n"
+              "def g(t): return t.__dict__.get('u'), t.__dict__['s'], t.memo['r']\n"
+              "def h(t): return vars(t).keys()\n")
+    assert dict_writes(source) == {"x", "y", "z", "k", "t.__dict__.update(w=3)", "v"}

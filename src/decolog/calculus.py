@@ -10,10 +10,11 @@ with the effect.  Rank 0 is "pure" for both effects; rank 1 is "propagator"
 (may raise) or "observer" (may read the state); rank 2 is "catcher" (may
 recover) or "modifier" (may write the state).  No type of exceptions and no
 type of states exists anywhere in this syntax: the ranks are the only trace
-of the effect.  The analysis, the printers, the parser's depth count, the
-duality's offender scan and the evaluator's type sizes and values are each
-a callback of walk, which keeps its own stack, so no depth of a term or a
-type exhausts the recursion limit in them.
+of the effect.  Types and terms are interned (Interned), so == never walks
+them.  The analysis, the printers, the parser's depth count, the duality's
+offender scan and the evaluator's type sizes and values are each a callback
+of walk, which keeps its own stack, so no depth of a term or a type
+exhausts the recursion limit in them.
 """
 from __future__ import annotations
 
@@ -114,11 +115,13 @@ def keyword_matches_effect(effect: EffectKind, keyword: str) -> bool:
 
 
 class Record(tuple):
-    """An immutable value stored as the tuple (class, *fields), so equality and
-    hashing run in C.  Subclasses annotate their fields (defaults last), set
-    `__slots__ = ()`, and may check each new value in `__post_init__`."""
+    """An immutable value stored as the tuple (class, *fields).  Subclasses
+    annotate their fields (defaults last), set `__slots__ = ()`, and may
+    check each new value in `__post_init__`.  Interned's _table keys a value
+    by its fields and their classes, a plain tuple's items' too (1 is not True)."""
     __slots__ = ()
     __post_init__ = None
+    _table = None
 
     def __init_subclass__(cls):
         cls._fields = tuple(cls.__dict__.get("__annotations__", ()))
@@ -132,11 +135,24 @@ class Record(tuple):
             if (len(args) > len(cls._fields) or given.keys() != set(cls._fields)
                     or kwargs.keys() & set(cls._fields[:len(args)])):
                 raise TypeError(f"{cls.__name__}() takes the fields {', '.join(cls._fields)}")
-            args = map(given.__getitem__, cls._fields)
+            args = tuple(map(given.__getitem__, cls._fields))
+        key = None
+        if cls._table is not None:
+            classes, todo = [], list(args)
+            for value in todo:  # a plain tuple's items join todo, so they are visited too
+                classes.append(value.__class__)
+                todo += value if value.__class__ is tuple else ()
+            key = (cls, *args, *classes)
+            try:
+                found = cls._table.get(key)
+            except TypeError:  # a field that cannot be hashed: the value is not interned
+                found = key = None
+            if found is not None:
+                return found
         self = tuple.__new__(cls, (cls, *args))
         if cls.__post_init__:
             self.__post_init__()
-        return self
+        return self if key is None else cls._table.setdefault(key, self)
 
     def __repr__(self) -> str:
         """Built with a stack, as a tuple's repr recurses in C: Records and
@@ -164,20 +180,31 @@ class Record(tuple):
     __delattr__ = __setattr__
 
 
+class Interned(Record):
+    """A Record whose equal values are one object (hash-consing), compared and
+    hashed by identity; one with a field that cannot be hashed is not interned."""
+    __slots__ = ()
+    _table = {}  # one for every interned class in the process, never emptied
+    __hash__, __ne__ = object.__hash__, object.__ne__  # __ne__ inverts __eq__
+
+    def __eq__(self, other: object) -> bool:
+        return self is other
+
+
 # ---------------------------------------------------------------------------
 # Types
 # ---------------------------------------------------------------------------
 
-class BaseType(Record):
+class BaseType(Interned):
     __slots__ = ()
     name: str
 
 
-class UnitType(Record):
+class UnitType(Interned):
     __slots__ = ()
 
 
-class Prod(Record):
+class Prod(Interned):
     __slots__ = ()
     left: "TypeExpr"
     right: "TypeExpr"
@@ -204,42 +231,42 @@ def base_names(t: TypeExpr) -> list[str]:
 # Terms
 # ---------------------------------------------------------------------------
 
-class Id(Record):
+class Id(Interned):
     __slots__ = ()
     ty: TypeExpr
 
 
-class Op(Record):
+class Op(Interned):
     __slots__ = ()
     name: str
 
 
-class Comp(Record):
+class Comp(Interned):
     """after ∘ first: apply `first`, then `after`."""
     __slots__ = ()
     after: "DecoratedTerm"
     first: "DecoratedTerm"
 
 
-class Pair(Record):
+class Pair(Interned):
     __slots__ = ()
     left: "DecoratedTerm"
     right: "DecoratedTerm"
 
 
-class Proj1(Record):
+class Proj1(Interned):
     __slots__ = ()
     left_ty: TypeExpr
     right_ty: TypeExpr
 
 
-class Proj2(Record):
+class Proj2(Interned):
     __slots__ = ()
     left_ty: TypeExpr
     right_ty: TypeExpr
 
 
-class Bang(Record):
+class Bang(Interned):
     """The unique pure map ty -> Unit."""
     __slots__ = ()
     ty: TypeExpr
@@ -343,10 +370,10 @@ def rebuild(atoms: Atoms, inner: DecoratedTerm) -> DecoratedTerm:
 
 
 def compose(*factors: DecoratedTerm) -> DecoratedTerm:
-    """compose(f, g, h) is f ∘ g ∘ h (h applied first), normalized."""
+    """compose(f, g, h) is f ∘ g ∘ h (h applied first), built right-nested, then normalized."""
     if not factors:
         raise ValueError("compose() needs at least one factor")
-    return normalize(reduce(Comp, factors))
+    return normalize(reduce(lambda inner, after: Comp(after, inner), reversed(factors)))
 
 
 def pair(left: DecoratedTerm, right: DecoratedTerm) -> Pair:
@@ -504,15 +531,9 @@ class Analysis(tuple):
     and rebuilt as a term.  An atom is an operation, a projection, a bang
     out of a type other than Unit or a pair of normal terms; an identity
     has none.  When the normal form is a pair, parts holds the analyses of
-    its components.  One is made per subterm walked, so it is the plain
-    tuple (dom, cod, rank, atoms, term, parts), not a Record."""
+    its components.  One is made per subterm walked, so it is a plain tuple."""
     __slots__ = ()
-    dom = property(itemgetter(0))
-    cod = property(itemgetter(1))
-    rank = property(itemgetter(2))
-    atoms = property(itemgetter(3))
-    term = property(itemgetter(4))
-    parts = property(itemgetter(5))
+    dom, cod, rank, atoms, term, parts = (property(itemgetter(i)) for i in range(6))
 
 
 def analysis(theory: Optional[Theory], term: DecoratedTerm) -> Analysis:
@@ -536,8 +557,8 @@ def _analysis(theory: Optional[Theory], term: DecoratedTerm,
             raise CompositionTypeMismatch(first.cod, after.dom)
         rank = max(first.rank, after.rank)
         if first.atoms and after.atoms:
-            normal = (term if len(after.atoms) == 1 and _normal_is(after, term.after)
-                      and _normal_is(first, term.first) else rebuild(after.atoms, first.term))
+            normal = (term if len(after.atoms) == 1 and after.term is term.after
+                      and first.term is term.first else rebuild(after.atoms, first.term))
             found = Analysis((first.dom, after.cod, rank, after.atoms + first.atoms, normal, ()))
         else:
             # an identity side drops out, and the normal form is the other's
@@ -560,7 +581,7 @@ def _analysis(theory: Optional[Theory], term: DecoratedTerm,
                 raise PairRankViolation(
                     f"pair components must have rank <= {limit} under {theory.effect}, "
                     f"got ranks ({left.rank}, {right.rank})")
-        normal = (term if _normal_is(left, term.left) and _normal_is(right, term.right)
+        normal = (term if left.term is term.left and right.term is term.right
                   else Pair(left.term, right.term))
         found = Analysis((left.dom, Prod(left.cod, right.cod), max(left.rank, right.rank),
                           (normal,), normal, (left, right)))
@@ -581,11 +602,6 @@ def _analysis(theory: Optional[Theory], term: DecoratedTerm,
     if theory is not None:
         theory._analyses[term] = theory._analyses[found.term] = found
     return found
-
-
-def _normal_is(found: Analysis, part: DecoratedTerm) -> bool:
-    """Whether found.term is part, or is a leaf equal to it (the memo keeps the first of those)."""
-    return found.term is part or found.term.__class__ not in (Comp, Pair) and found.term == part
 
 
 def analyze_term(theory: Theory, term: DecoratedTerm) -> tuple[TypeExpr, TypeExpr, Decoration]:

@@ -50,6 +50,7 @@ from .calculus import (
     DecoratedTerm,
     EffectKind,
     Id,
+    Interned,
     Op,
     OperationSymbol,
     PAIR_COMPONENT_RANK_LIMIT,
@@ -173,7 +174,7 @@ def path_str(path: tuple[int, ...]) -> str:
     return "root" if not path else "premise " + ".".join(map(str, path))
 
 
-class Derivation(Record):
+class Derivation(Interned):
     __slots__ = ()
     rule: str
     params: tuple[tuple[str, object], ...] = ()
@@ -181,19 +182,6 @@ class Derivation(Record):
 
     def param_map(self) -> dict:
         return dict(self.params)
-
-    def __eq__(self, other: object) -> bool:
-        """Node by node: fold flattens each side into each node's rule,
-        parameters and premise count, premises first, since tuple equality
-        recurses in C and a deep derivation passes the recursion limit."""
-        if not isinstance(other, Derivation):
-            return NotImplemented
-        flat: tuple[list, list] = ([], [])
-        for d, nodes in zip((self, other), flat):
-            fold(d, lambda node, path, below: nodes.append((node.rule, node.params, len(below))))
-        return flat[0] == flat[1]
-
-    __hash__ = Record.__hash__
 
 
 def deriv(rule: str, *premises: Derivation, **params: object) -> Derivation:
@@ -645,11 +633,8 @@ def _chain(base: Optional[Derivation], base_weak: bool,
            step: Derivation, step_weak: bool) -> Derivation:
     if base is None:
         return step
-    if not base_weak and not step_weak:
-        return deriv(TRANS_STRONG, base, step)
-    if base_weak and step_weak:
-        return deriv(TRANS_WEAK, base, step)
-    return deriv(TRANS_MIXED, base, step)
+    return deriv(TRANS_WEAK if base_weak and step_weak else TRANS_MIXED if base_weak or step_weak
+                 else TRANS_STRONG, base, step)
 
 
 # A term prove has reached: (parent node, the step from the parent as plain

@@ -259,8 +259,8 @@ def _parsed(text: str, what: str, parse, *args):
 #: more than its deeper component, and every bracket one level on its own
 #: (an element's `ok(` and `exc(` too); a derivation counts one level per rule
 #: on its longest path to a leaf, its terms having their own budget.  The
-#: parser recurses; calculus.walk, deduction.fold and element_str use a
-#: stack, but == on two deep values still recurses, in C.
+#: parser recurses, as the prover does per level of pairs; calculus.walk,
+#: deduction.fold and element_str use a stack, and == on terms is identity.
 MAX_DEPTH = 200
 
 

@@ -30,10 +30,8 @@ Composition looks first's entries up in after (itemgetter(*first)(after)),
 strong equality is tuple equality, and weak equality compares the ok block
 (exceptions) or the value column v // |S| (states).  Each equation side
 and term is compiled once per theory (Theory._compiled keeps it) into one
-flat tuple of atoms, first applied first, a pair laid out as a mark, its
-left component's atoms, a mark, its right one's and its parts; the tuple
-is specialised once per carrier-size assignment, and _run runs it in one
-loop, each component from no table, so no depth of nested pairs recurses.
+flat tuple of atoms (_compile), specialised once per carrier-size
+assignment, which _run runs in one loop, so no depth of pairs recurses.
 Every evaluation still checks its model's carriers and numbers its tables,
 and every run of a side checks the conservation law of its rank (_Side.run).
 The rule sweep in deduction.py enters through _denotation, a term's rank-2
@@ -202,15 +200,14 @@ class _Layout:
                  eff_elems: tuple, memo: Optional[dict] = None):
         self.effect, self.memo = effect, {} if memo is None else memo
         self.exceptions = effect is EffectKind.EXCEPTIONS
-        self.carriers, self.eff_elems = carriers, eff_elems
-        self.k = len(eff_elems)
+        self.carriers, self.eff_elems, self.k = carriers, eff_elems, len(eff_elems)
         self._raw_labels: dict = {}
 
     @classmethod
-    def of_model(cls, theory: Theory, model: FiniteModel) -> "_Layout":
-        """The layout of a given model's carriers, or ModelMismatch when the
-        model is for another effect, or a carrier is missing, empty or
-        repeats a label."""
+    def of_model(cls, theory: Theory, model: FiniteModel, memo: Optional[dict] = None) -> _Layout:
+        """The layout of a given model's carriers, keeping what reads only
+        sizes in memo, or ModelMismatch when the model is for another
+        effect, or a carrier is missing, empty or repeats a label."""
         if model.effect is not theory.effect:
             raise ModelMismatch(
                 f"model is for effect {model.effect}, theory for {theory.effect}")
@@ -224,7 +221,7 @@ class _Layout:
             raise ModelMismatch("effect carrier must be non-empty")
         if len(set(model.effect_carrier)) != len(model.effect_carrier):
             raise ModelMismatch("effect carrier has duplicate labels")
-        return cls(theory.effect, model.carriers, model.effect_carrier, theory._compiled())
+        return cls(theory.effect, model.carriers, model.effect_carrier, memo)
 
     def size(self, ty: TypeExpr) -> int:
         """The number of ty's values; _carrier refuses a base type without one."""
@@ -513,91 +510,96 @@ def violation_witness(lhs: Sequence[int], rhs: Sequence[int]) -> Optional[int]:
 
 class _Program:
     """Equations and terms of one theory compiled once: well-formedness, and
-    the analysis and flat tuple (_compile) of every side and term, none of
-    which depend on a model.  at() specialises them to carrier sizes; the
-    theory's compiled state keeps each equation compiled, with its checks."""
-    __slots__ = ("theory", "_equations", "_terms", "last", "used", "walked", "least", "passed")
+    the analysis and flat tuple (_compile) of every side and term.  at()
+    specialises them to carrier sizes.  A program keeps what it reads of its
+    theory (memo: its closures of sizes and lifters), not the theory, so the
+    compiled state that keeps it refers back to nothing."""
+    __slots__ = ("effect", "base_types", "ops", "axioms", "memo",
+                 "_equations", "_terms", "last", "used", "walked", "least", "passed")
 
     def __init__(self, theory: Theory, equations: Iterable[DecoratedEquation],
                  terms: Iterable[DecoratedTerm] = ()):
-        self.theory, ops, names = theory, theory.operations, set()
+        self.effect, self.base_types, ops = theory.effect, theory.base_types, theory.operations
+        self.ops, self.axioms, names = ops, len(theory.axioms), set()
+        self.memo = theory._compiled().setdefault(_Layout, {})
         self._equations = entries = []  # per equation: strength, sides' _compile, reads, checks
         for eq in equations:
             entry = theory._compiled().get(eq)
             if entry is None:
                 check_equation_wf(theory, eq)
                 reads: set[str] = set()
-                sides = [self._compile(analysis(theory, side), reads) for side in (eq.lhs, eq.rhs)]
+                sides = [_compile(theory, analysis(theory, s), reads) for s in (eq.lhs, eq.rhs)]
                 entry = theory._compiled()[eq] = (eq.strength, *sides, tuple(
                     i for i, sym in enumerate(ops) if sym.name in reads), {})
             entries.append(entry)
-        self._terms = tuple(self._compile(analysis(theory, term), names) for term in terms)
+        self._terms = tuple(_compile(theory, analysis(theory, term), names) for term in terms)
         #: per equation, the index of the last operation it reads (-1: none)
         self.last = tuple(max(entry[3], default=-1) for entry in entries)
         self.used = tuple(i for i, sym in enumerate(ops) if sym.name in names
                           or any(i in entry[3] for entry in entries))
         #: the operations a search walks: the used ones if a goal follows the axioms, else all
-        self.walked = self.used if len(entries) > len(theory.axioms) else tuple(range(len(ops)))
+        self.walked = self.used if len(entries) > self.axioms else tuple(range(len(ops)))
         #: the base types that no walked table and no equation's domain reads, so no side does
-        self.least = tuple(sorted(frozenset(theory.base_types).difference(*map(base_names, [
+        self.least = tuple(sorted(frozenset(self.base_types).difference(*map(base_names, [
             Prod(ops[i].dom, ops[i].cod) for i in self.walked] + [e[1][0].dom for e in entries]))))
         self.passed = ()  # the (bounds, ceiling, least) that passed _check_ceiling
 
-    def _compile(self, found: Analysis, names: set) -> tuple[Analysis, tuple]:
-        """found, and its atoms in one flat tuple, first applied first: Id of
-        its domain for an identity, and for a pair a mark (None), its left
-        component, a mark, its right one and its parts.  Fills names."""
-        flat, todo = [], [found]
-        while todo:
-            item = todo.pop()
-            if item.__class__ is Pair:  # inside a composition; its analysis holds its parts
-                item = analysis(self.theory, item)
-            if item.__class__ is not Analysis:
-                flat.append(item)
-                if item.__class__ is Op:
-                    names.add(item.name)
-            elif item.parts:
-                todo += (item.parts, item.parts[1], None, item.parts[0], None)
-            else:  # its atoms, outermost first, so popped last
-                todo += item.atoms or (Id(item.dom),)
-        return found, tuple(flat)
-
     def _steps(self, layout: _Layout, flat: tuple) -> tuple:
-        """A _compile tuple specialised to layout: an operation is its index,
-        a builtin its table, a mark itself and a pair's parts its pairer."""
-        ops, sizes, steps = self.theory.operations, {}, []  # sizes: a pair's cod size by id(parts)
+        """A _compile tuple specialised to layout: an operation's index and a
+        mark stay, a builtin is its table and a pair's parts its pairer."""
+        sizes, steps = {}, []  # sizes: a pair's cod size by id(parts)
         for atom in flat:
             if atom.__class__ is tuple:  # a part that is a pair has its parts earlier in flat
                 ml, mr = (sizes.get(id(part.parts)) or layout.size(part.cod) for part in atom)
                 sizes[id(atom)] = ml * mr
-            steps.append(ops.index(self.theory.op(atom.name)) if atom.__class__ is Op
-                         else atom if atom is None
+            steps.append(atom if atom is None or atom.__class__ is int
                          else layout.pairer(layout.size(atom[0].dom), ml, mr)
                          if atom.__class__ is tuple else layout.constant(atom))
         return tuple(steps)
 
     def at(self, layout: _Layout) -> tuple[list[_Check], list[_Side], list[Optional[Callable]]]:
         """The equations and the terms specialised to layout's carrier sizes, by
-        which the theory's compiled state keeps each check and the lifters (_lift)."""
-        sizes = (*map(len, map(layout.carriers.get, self.theory.base_types)), layout.k)
+        which the theory's compiled state keeps each check and memo the lifters."""
+        sizes = (*map(len, map(layout.carriers.get, self.base_types)), layout.k)
         side = lambda found, flat: _Side(layout, self._steps(layout, flat), found)
         checks = [kept.get(sizes) or kept.setdefault(sizes, _Check(side(*lhs), side(*rhs), (
                       layout.weak_view(layout.size(lhs[0].dom), layout.size(lhs[0].cod))
                       if strength is Strength.WEAK else None)))
                   for strength, lhs, rhs, _, kept in self._equations]
-        state, key = self.theory._compiled(), ("lifters", *sizes)
-        lifters = state.get(key) or state.setdefault(key, [
-            layout.lifter(*layout.shape(sym)) for sym in self.theory.operations])
+        key = ("lifters", *sizes)
+        lifters = self.memo.get(key) or self.memo.setdefault(key, [
+            layout.lifter(*layout.shape(sym)) for sym in self.ops])
         return checks, [side(*term) for term in self._terms], lifters
 
-    def numbered(self, model: FiniteModel) -> tuple[_Layout, list[_Check], list[_Side], list]:
+    def numbered(self, theory: Theory, model: FiniteModel) -> tuple[_Layout, list, list, list]:
         """Check a given model's carriers, specialise to them and number,
         from its labelled tables, the tables the program uses (else None)."""
-        layout = _Layout.of_model(self.theory, model)
+        layout = _Layout.of_model(theory, model, self.memo)
         checks, sides, lifters = self.at(layout)
         raws = [layout.number(sym, model.tables.get(sym.name)) if i in self.used else None
-                for i, sym in enumerate(self.theory.operations)]
+                for i, sym in enumerate(self.ops)]
         return layout, checks, sides, _lift(lifters, raws)
+
+
+def _compile(theory: Theory, found: Analysis, names: set) -> tuple[Analysis, tuple]:
+    """found, and its atoms in one flat tuple, first applied first: an
+    operation's index, Id of its domain for an identity, and for a pair a
+    mark (None), its left component, a mark, its right one and its parts; fills names."""
+    flat, todo = [], [found]
+    while todo:
+        item = todo.pop()
+        if item.__class__ is Pair:  # inside a composition; its analysis holds its parts
+            item = analysis(theory, item)
+        if item.__class__ is Op:
+            flat.append(theory.operations.index(theory.op(item.name)))
+            names.add(item.name)
+        elif item.__class__ is not Analysis:
+            flat.append(item)
+        elif item.parts:
+            todo += (item.parts, item.parts[1], None, item.parts[0], None)
+        else:  # its atoms, outermost first, so popped last
+            todo += item.atoms or (Id(item.dom),)
+    return found, tuple(flat)
 
 
 def _program(theory: Theory, equations: tuple = (), terms: tuple = (),
@@ -643,12 +645,12 @@ def eval_term(model: FiniteModel, theory: Theory, term: DecoratedTerm) -> Operat
     """Rank-2 denotation of a term, its inputs in canonical order.  The
     result is checked to conserve whatever the term's inferred rank says it
     cannot touch."""
-    layout, _, (side,), tables = _program(theory, terms=(term,)).numbered(model)
+    layout, _, (side,), tables = _program(theory, terms=(term,)).numbered(theory, model)
     return OperationTable(theory.effect, 2, layout.decode(2, side.dom, side.cod, side.run(tables)))
 
 
 def holds(model: FiniteModel, theory: Theory, eq: DecoratedEquation) -> bool:
-    _, (check,), _, tables = _program(theory, (eq,)).numbered(model)
+    _, (check,), _, tables = _program(theory, (eq,)).numbered(theory, model)
     return check.holds(tables)
 
 
@@ -656,7 +658,7 @@ def first_violation(model: FiniteModel, theory: Theory,
                     eq: DecoratedEquation) -> Optional[tuple[Element, Element, Element]]:
     """None when the equation holds in the model, else the first input in
     canonical order where its sides disagree, with both outputs."""
-    layout, (check,), _, tables = _program(theory, (eq,)).numbered(model)
+    layout, (check,), _, tables = _program(theory, (eq,)).numbered(theory, model)
     return check.witness(tables, layout)
 
 
@@ -728,12 +730,11 @@ def _check_ceiling(program: _Program, bounds: Bounds, cap: int, least: Collectio
     2 ** (n_in * (n_out.bit_length() - 1)) does.  The program keeps each pass."""
     if (bounds, cap, least) in program.passed:
         return
-    theory = program.theory
-    total, cells = bounds.base ** (len(theory.base_types) - len(least)) * bounds.effect, 0
-    for layout in _layouts(theory.effect, theory.base_types, bounds, least):
+    total, cells = bounds.base ** (len(program.base_types) - len(least)) * bounds.effect, 0
+    for layout in _layouts(program.effect, program.base_types, bounds, least):
         if total > cap:
             break
-        shapes = _shapes(layout, theory.operations)
+        shapes = _shapes(layout, program.ops)
         walked = [shapes[i] for i in program.walked]
         total += math.prod(n_out ** n_in if n_in * (n_out.bit_length() - 1) < cap.bit_length()
                            else cap + 1 for n_in, n_out in walked) - 1
@@ -765,8 +766,7 @@ def _candidates(program: _Program, layout: _Layout, checks: list[_Check],
     twin's map of a level is built when first needed, only the first
     MAX_TWINS twins are tried, and no level tries them when every level
     below it has one table only."""
-    ops = program.theory.operations
-    n_axioms = len(program.theory.axioms)
+    ops, n_axioms = program.ops, program.axioms
     stages: dict[int, list] = {}
     for n, (check, last) in enumerate(zip(checks, program.last)):
         stages.setdefault(last, []).append((check.holds, n < n_axioms))
@@ -822,9 +822,8 @@ def _admitted(program: _Program, bounds: Bounds, least: Collection[str] = (),
     them), with its layout, its raw tables, the rank-2 tables of the
     operations the program uses, and the layout's checks of its equations.
     Types in least keep size 1; orbits prunes by relabellings (_candidates)."""
-    theory = program.theory
-    walked = [theory.operations[i] for i in program.walked]
-    for layout in _layouts(theory.effect, theory.base_types, bounds, least, theory._compiled()):
+    walked = [program.ops[i] for i in program.walked]
+    for layout in _layouts(program.effect, program.base_types, bounds, least, program.memo):
         checks, _, lifters = program.at(layout)
         twins = layout.relabellings(walked) if orbits else ()
         for assignment, tables in _candidates(program, layout, checks, lifters, twins):

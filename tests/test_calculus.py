@@ -1,5 +1,6 @@
 """Terms, types, decorations, theories."""
 import copy
+import gc
 import pickle
 import random
 from collections import Counter
@@ -295,6 +296,24 @@ class TestAnalysisMemo:
             with pytest.raises(BoundsTooLarge, match="ceiling is 100$"):
                 find_counterexample(theory, weak(f, g), Bounds(3, 3), max_interpretations=100)
 
+    def test_a_dropped_theory_is_freed_at_once(self, bank):
+        """The compiled state refers back to no theory (a _Program keeps
+        what it reads of its theory, not the theory), so dropping a theory
+        frees its state by reference counting and leaves the cycle
+        collector nothing."""
+        theory = self.with_axiom(bank)
+        goal = strong(compose(Op("balance"), Op("deposit"), Op("seven")),
+                      compose(Op("plus"), pair(Op("seven"), Op("balance"))))
+        gc.collect()
+        gc.disable()
+        try:
+            assert find_counterexample(theory, goal) is not None
+            assert semantics._program(theory, (goal,), axioms=True).memo is not None
+            del theory, goal
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
     def test_compiled_state_is_reused(self, bank, bank_mod4, monkeypatch):
         """Equal equations built apart share one program, and the prove
         calls on one theory one axiom index: a state keyed by identity
@@ -398,9 +417,45 @@ class TestRecord:
     def test_equal_values_have_equal_hashes(self):
         a = Comp(Op("f"), Pair(Id(Int), Op("g")))
         b = Comp(Op("f"), Pair(Id(Int), Op("g")))
-        assert a == b and a is not b
+        assert a == b and a is b
         assert hash(a) == hash(b)
         assert {a: 1}[b] == 1
+
+    def test_interning_is_exact_about_classes(self):
+        """Equal values are one object only when their fields are of one
+        class too: 1 == True, but Op(1) is not Op(True), and a derivation's
+        side=True stays True, which the checker refuses, after an equal
+        side=1 derivation was built."""
+        assert Op(1) is Op(1) and Op(1) is not Op(True) and Op(1) != Op(True)
+        assert Op(True).name is True and Op(1.0) is not Op(1)
+        f = Op("f")
+        args = dict(f=f, g=f, side=1)
+        ok = deduction.deriv(deduction.PAIR_PROJ, **args)
+        bad = deduction.deriv(deduction.PAIR_PROJ, **{**args, "side": True})
+        assert bad is not ok and bad != ok and bad.param_map()["side"] is True
+        assert deduction.deriv(deduction.PAIR_PROJ, **args) is ok
+        theory = Theory(EffectKind.STATES, ("Int",), (OperationSymbol("f", Int, Int, 0),))
+        assert deduction.check_derivation(theory, ok).equation.rhs is f
+        with pytest.raises(deduction.IllFormedParameter, match="side=1 or side=2"):
+            deduction.check_derivation(theory, bad)
+        nested = Derivation("sym", (("x", (1, (True,))),))
+        assert nested is not Derivation("sym", (("x", (1, (1,))),))
+        assert nested is Derivation("sym", (("x", (1, (True,))),))
+
+    def test_a_value_with_an_unhashable_field_is_not_interned(self):
+        """Pair(f, [1]) is built and equals only itself; analysis refuses it
+        as before: as no term, or, with a theory, when its memo hashes [1]."""
+        odd = Pair(Op("f"), [1])
+        assert odd == odd and odd != Pair(Op("f"), [1]) and odd[1:] == (Op("f"), [1])
+        with pytest.raises(TypeError, match="not a term"):
+            analysis(None, odd)
+        with pytest.raises(TypeError, match="unhashable type: 'list'"):
+            analysis(Theory(EffectKind.STATES, ("Int",), (OperationSymbol("f", Int, Int, 0),)),
+                     odd)
+
+    def test_a_value_is_no_plain_tuple(self):
+        assert Op("f") != (Op, "f") and (Op, "f") != Op("f")
+        assert not Op("f") == (Op, "f") and tuple(Op("f")) == (Op, "f")
 
     def test_fields_and_new_attributes_cannot_be_assigned(self, bank):
         for value, name in ((Op("f"), "name"), (Op("f"), "other"),
@@ -412,7 +467,11 @@ class TestRecord:
         assert Op("f").name == "f"
 
     def test_only_theory_has_an_instance_dict(self):
-        classes = Record.__subclasses__()
+        classes, todo = [], [Record]
+        while todo:  # the interned classes are Record's grandchildren
+            below = todo.pop().__subclasses__()
+            classes += below
+            todo += below
         assert len(classes) >= 25
         assert [c.__name__ for c in classes if "__slots__" not in vars(c)] == ["Theory"]
         assert not hasattr(Op("f"), "__dict__")

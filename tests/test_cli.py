@@ -586,6 +586,45 @@ class TestValidateRules:
             {"sound", "countermodel"}
 
 
+#: Runs each command line of a JSON list, printing its exit code.  With a
+#: first argument of 1 it first builds and keeps 20,000 unrelated terms, then
+#: every name in the corpus files as an operation and a base type, last name
+#: first, so its objects sit at other addresses and in another order.
+SHIFTED_RUN = """
+import json, re, sys
+from decolog.calculus import BaseType, Comp, Op
+from decolog.cli import main
+from decolog.files import corpus_path
+if sys.argv[1] == "1":
+    kept = [Comp(Op(f"x{i}"), Op("y")) for i in range(20000)]
+    text = "".join(corpus_path(name).read_text() for name in ("bank.dth", "throwcatch.dth"))
+    kept += [kind(name) for name in reversed(re.findall(r"[A-Za-z_]\\w*", text))
+             for kind in (Op, BaseType)]
+for argv in json.loads(sys.argv[2]):
+    print("exit", main(argv), flush=True)
+"""
+
+
+def test_no_output_depends_on_an_identity_hash():
+    """Terms, types and derivations hash by identity, which moves with the
+    addresses a process hands out, and with it the order of any set of
+    them: two processes that intern unrelated terms first or not, under
+    other string hash seeds, print the same reports."""
+    commands = [["find-cex", BANK, "strong f == g"], ["find-cex", TC, "weak catchZero ~ id(Int)"],
+                ["find-cex", BANK, "weak f ~ g", "--json"], ["prove", BANK, "weak f ~ g"],
+                ["prove", TC, "weak catchZero . throw ~ zero", "--json"],
+                ["dualize", BANK], ["dualize", TC, "--json"],
+                ["validate-rules", "exceptions", "--max-carrier", "1"],
+                ["validate-rules", "states", "--max-carrier", "1", "--json"]]
+    outs = [subprocess.run([sys.executable, "-c", SHIFTED_RUN, shifted, json.dumps(commands)],
+                           env={**os.environ, "PYTHONHASHSEED": seed},
+                           capture_output=True, text=True, check=True).stdout
+            for shifted, seed in (("0", "1"), ("1", "2"))]
+    assert outs[0] == outs[1]
+    assert [line for line in outs[0].splitlines() if line.startswith("exit")] == [
+        "exit 0", "exit 1", "exit 1", "exit 0", "exit 0", "exit 1", "exit 0", "exit 0", "exit 1"]
+
+
 class TestEntryPoints:
     def test_module_invocation(self):
         proc = subprocess.run(

@@ -718,7 +718,7 @@ def test_term_walks():
             assert analysis(None, term) == reference.analysis(None, term)
             if got[0] == "ok":
                 names, old = set(), reference.Uses(theirs)
-                found, flat = semantics._Program(mine, ())._compile(got[1], names)
+                found, flat = semantics._compile(mine, got[1], names)
                 assert found is old._uses(got[1], want := set()) and names == want
                 assert {part for part in flat if part.__class__ is tuple} == {*old._parts.values()}
         for term in NOT_TERMS:
@@ -755,9 +755,8 @@ def test_deep_values():
     product: the walks return where their recursive copies stop at the
     recursion limit.  The evaluator, which runs a pair's components in its
     one loop and sizes a pair from its parts, evaluates the pair and decides
-    an equation between two 600-level pairs.  Nothing here compares two
-    deep values with ==, which recurses in C, but check_equation_wf the
-    equation's two 601-factor codomains."""
+    an equation between two 600-level pairs, whose two 601-factor codomains
+    check_equation_wf compares (by identity, as types are interned)."""
     f, a = Op("f"), BaseType("A")
     comp, pair, prod = f, f, a
     for _ in range(4999):
@@ -798,10 +797,9 @@ def test_deep_values():
 
 
 def test_deep_terms_with_fresh_leaves():
-    """A 1,000-level composition and pair whose every leaf is a new Op,
-    each on a new theory: the memo hands back the first equal leaf's
-    analysis, whose term counts as the part itself, so no level builds an
-    equal copy of itself for the memo to compare with == in C."""
+    """A 1,000-level composition and pair whose every leaf is a new call to
+    Op, each on a new theory: equal leaves are one object, so the memo's
+    analysis of a leaf is the part itself and no level is rebuilt."""
     a = BaseType("A")
 
     def fresh():

@@ -1,4 +1,4 @@
-"""Seeded fuzzing of the command line.
+"""Seeded fuzzing of the command line, and of the library with deep values.
 
 Corpus theories, models, derivations, equations and terms are mutated
 (tokens dropped, duplicated or swapped, nesting deepened, text truncated,
@@ -10,14 +10,24 @@ token with input at the edges of the lexical grammar and the depth limit
 nested past MAX_DEPTH, a 1,200-character identifier and a 4,000-digit
 integer that int() still takes), gives one command an extra 1,200-character
 argument, and searches with carrier bounds far past the enumeration ceiling.
+A third draw builds terms in the library thousands of levels deeper than
+the parser accepts and feeds them to the public calls.
 """
+import copy
+import pickle
 import random
 import re
 
 import pytest
 
+from decolog.calculus import (CalculusError, Comp, DecoratedEquation, EffectKind, Op, Pair,
+                              Strength, analysis, check_equation_wf, strong, term_str, weak)
 from decolog.cli import main
-from decolog.files import corpus_path
+from decolog.deduction import DeductionError, check_derivation, deriv, prove
+from decolog.duality import NotDualizable, dualize_term
+from decolog.files import corpus_path, parse_theory, print_derivation
+from decolog.semantics import (Bounds, FiniteModel, OperationTable, SemanticsError, eval_term,
+                               find_counterexample, holds)
 
 #: theory, model, derivation, equations and terms of each corpus family
 FAMILIES = {
@@ -192,3 +202,84 @@ def test_injected_inputs_end_with_a_short_error(seed, tmp_path, capsys, monkeypa
             _assert_short_error(argv, capsys)
             ran += 1
     assert ran == 20 * 8
+
+
+# ---------------------------------------------------------------------------
+# Deep library values
+# ---------------------------------------------------------------------------
+
+DEEP_THEORY = """effect states
+type A
+op f : A -> A pure
+op g : A -> A observer
+op h : A -> A modifier
+axiom strong f . f == f
+"""
+#: What a library call may raise on a deep value: a documented error.
+DOCUMENTED = (CalculusError, SemanticsError, DeductionError, NotDualizable)
+
+
+def deep_values(seed: int, comp_depth: int = 5000, pair_depth: int = 3000):
+    """A composition comp_depth levels deep, each new factor outermost, and
+    a pair pair_depth levels deep, each level of the pair on a random side,
+    every level a new call for its leaf, drawn with random.Random(seed)."""
+    rng = random.Random(seed)
+    comp = Op(rng.choice("fgh"))
+    for _ in range(comp_depth - 1):
+        comp = Comp(Op(rng.choice("fgh")), comp)
+    pair = Op(rng.choice("fg"))
+    for _ in range(pair_depth):
+        leaf = Op(rng.choice("fg"))
+        pair = Pair(pair, leaf) if rng.random() < 0.5 else Pair(leaf, pair)
+    return comp, pair
+
+
+def _call(call, *args):
+    """call's value, or the documented error it raised."""
+    try:
+        return call(*args)
+    except DOCUMENTED as error:
+        return error
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_deep_library_values_never_exhaust_the_recursion_limit(seed):
+    """Values far deeper than the parser's MAX_DEPTH, built in the library:
+    every call returns or raises a documented error, never RecursionError.
+    Only the parser and the prover's pair moves recurse (a pair goes to
+    neither here); pickle and copy recurse however equality works, so they
+    get 200 levels."""
+    theory = parse_theory(DEEP_THEORY)
+    comp, pair = deep_values(seed)
+    twin, twin_pair = deep_values(seed)  # built apart, so the same objects
+    assert comp == twin and comp is twin and hash(comp) == hash(twin)
+    assert pair == twin_pair and pair is twin_pair and hash(pair) == hash(twin_pair)
+    assert comp != pair and comp != Comp(Op("f"), comp) and len({comp, twin, pair}) == 2
+    other = Comp(Op("f"), deep_values(seed + 1)[0])
+    tables = {"f": {0: 0}, "g": {(0, 0): 0}, "h": {(0, 0): (0, 0)}}  # ranks 0, 1, 2 at size 1
+    model = FiniteModel(EffectKind.STATES, {"A": (0,)}, (0,), {
+        name: OperationTable(EffectKind.STATES, rank, tables[name])
+        for rank, name in enumerate("fgh")})
+    for term in (comp, pair):
+        found = _call(analysis, theory, term)
+        assert not isinstance(found, DOCUMENTED) and found.term is term
+        assert term_str(term).count("f") + term_str(term).count("g") > 1000
+        assert not isinstance(_call(eval_term, model, theory, term), Exception)
+    for eq in (strong(comp, other), weak(comp, twin), strong(pair, twin_pair),
+               DecoratedEquation(Strength.STRONG, Pair(comp, Op("f")), Pair(Op("g"), pair))):
+        _call(check_equation_wf, theory, eq)
+        _call(holds, model, theory, eq)
+        _call(find_counterexample, theory, eq, Bounds(1, 1))
+    assert holds(model, theory, weak(comp, twin))
+    assert find_counterexample(theory, strong(pair, twin_pair), Bounds(1, 1)) is None
+    assert dualize_term(dualize_term(comp)) is comp
+    for eq in (strong(comp, twin), weak(comp, other)):
+        _call(prove, theory, eq, 2, 50)
+    proof = prove(theory, strong(comp, twin))
+    assert proof == deriv("refl", term=comp) and proof is deriv("refl", term=twin)
+    assert check_derivation(theory, proof).equation == strong(comp, twin)
+    assert print_derivation(proof).startswith("(refl term=")
+    small, small_pair = deep_values(seed, 200, 200)
+    for value in (small, small_pair, deriv("sym", deriv("refl", term=small_pair))):
+        for copied in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+            assert copied is value

@@ -463,3 +463,42 @@ def test_state_scan_sees_every_kind_of_write():
               "def g(t): return t.__dict__.get('u'), t.__dict__['s'], t.memo['r']\n"
               "def h(t): return vars(t).keys()\n")
     assert dict_writes(source) == {"x", "y", "z", "k", "t.__dict__.update(w=3)", "v"}
+
+
+def equality_classes(source: str) -> set[str]:
+    """The classes whose bodies define __eq__, __ne__ or __hash__, by def
+    or by assignment (one target of several included)."""
+    found = set()
+    for cls in ast.walk(ast.parse(source)):
+        for item in cls.body if isinstance(cls, ast.ClassDef) else ():
+            if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                names = {item.name}
+            elif isinstance(item, (ast.Assign, ast.AnnAssign)):
+                names = {node.id for node in ast.walk(item)
+                         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)}
+            else:
+                continue
+            if names & {"__eq__", "__ne__", "__hash__"}:
+                found.add(cls.name)
+    return found
+
+
+def test_one_equality():
+    """Equal terms, types and derivations are one object (calculus.Interned),
+    so equality and hashing are by identity: no other class of src/ defines
+    its own, and the plain Records keep the tuple's."""
+    assert {(path.name, cls) for path in sorted((ROOT / "src" / "decolog").glob("*.py"))
+            for cls in equality_classes(path.read_text(encoding="utf-8"))} == {
+        ("calculus.py", "Interned")}
+
+
+def test_equality_scan_sees_every_kind_of_definition():
+    source = ("class A:\n    def __eq__(self, other): return True\n"
+              "class B(tuple):\n    __hash__ = tuple.__hash__\n"
+              "class C:\n    x, __ne__ = 1, None\n"
+              "class D:\n    __hash__: object = None\n"
+              "class E:\n    class F:\n        async def __hash__(self): pass\n"
+              "        __eq__ = None\n"
+              "class G:\n    def other(self): return self.__eq__ == __hash__\n"
+              "    __slots__ = ()\n    y: int = 1\n")
+    assert equality_classes(source) == {"A", "B", "C", "D", "F"}

@@ -293,10 +293,10 @@ def walk(root: object, leave: Callable, memo: Optional[Mapping] = None,
          parts: Mapping = TERM_PARTS) -> object:
     """leave's value at root, post-order with an explicit stack: leave(node,
     *below) runs after the parts that parts names, below holding their
-    values in visiting order.  A node memo holds is not walked again."""
+    values in visiting order.  An interned node memo holds is not walked again."""
     stack, node = [], root  # a frame: [node, its second part, its first part's value]
     while True:
-        found = None if memo is None else memo.get(node)
+        found = memo.get(node) if memo is not None and isinstance(node, Interned) else None
         if found is None:
             at = parts.get(node.__class__)
             if at is not None:
@@ -544,7 +544,8 @@ def analysis(theory: Optional[Theory], term: DecoratedTerm) -> Analysis:
     takes a kept part as it is.  Without a theory nothing is checked or
     kept, and an operation's types are None."""
     memo = None if theory is None else theory._analyses
-    return memo and memo.get(term) or walk(term, partial(_analysis, theory), memo)
+    return (memo and isinstance(term, Interned) and memo.get(term)
+            or walk(term, partial(_analysis, theory), memo))
 
 
 def _analysis(theory: Optional[Theory], term: DecoratedTerm,

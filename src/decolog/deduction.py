@@ -229,8 +229,11 @@ def check_derivation(theory: Theory, derivation: Derivation,
     """Conclusion of a derivation, or an error naming the offending node.
 
     When `expected` is given the root conclusion must match it exactly
-    (same strength, same sides up to normalization)."""
-    eq = fold(derivation, partial(_check, theory), _known_rule)
+    (same strength, same sides up to normalization).  The theory's compiled
+    state keeps the conclusion of every node that has checked, and no
+    failure, so a node is checked once per theory and every error recurs."""
+    kept = theory._compiled().setdefault(Derivation, {})
+    eq = kept.get(derivation) or fold(derivation, partial(_check, theory, kept), _known_rule)
     report = check_equation_wf(theory, eq)
     if expected is not None and eq != expected.normalized():
         raise ConclusionMismatch(
@@ -278,8 +281,10 @@ def _known_rule(d: Derivation, path: tuple[int, ...]) -> None:
         raise RuleMisapplied(path, f"unknown rule {quoted(d.rule)}")
 
 
-def _check(theory: Theory, d: Derivation, path: tuple[int, ...],
+def _check(theory: Theory, kept: dict, d: Derivation, path: tuple[int, ...],
            premises: list[DecoratedEquation]) -> DecoratedEquation:
+    if d in kept:
+        return kept[d]
     rule = RULES[d.rule]
     if len(premises) != len(rule.premises):
         raise RuleMisapplied(
@@ -298,9 +303,10 @@ def _check(theory: Theory, d: Derivation, path: tuple[int, ...],
     try:
         eq = _conclude(theory, d, premises, params, path)
         check_equation_wf(theory, eq)
-        return eq
     except CalculusError as e:
         raise RuleMisapplied(path, f"{d.rule}: {e}")
+    kept[d] = eq
+    return eq
 
 
 def _conclude(theory: Theory, d: Derivation, premises: list[DecoratedEquation],

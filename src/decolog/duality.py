@@ -188,7 +188,9 @@ def dualize_derivation(m: DualityMap, d: Derivation) -> Derivation:
     and vice versa, term parameters are reversed, everything else is kept.
 
     The input must check under m.source; the image is checked under m.target
-    before it is returned, so a returned derivation is always valid.
+    before it is returned, so a returned derivation is always valid.  Each
+    theory keeps the nodes it has checked, so an input the source has checked
+    before, as prove's result has been, is read back, not checked again.
     """
     offenders: list[str] = []
     fold(d, lambda node, path, below: None, partial(_derivation_offenders, offenders))

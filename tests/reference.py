@@ -71,6 +71,7 @@ from decolog.calculus import (
     DecoratedTerm,
     EffectKind,
     Id,
+    Interned,
     Op,
     OperationSymbol,
     Pair,
@@ -386,9 +387,9 @@ def analysis(theory: Optional[Theory], term: DecoratedTerm) -> Analysis:
     walk takes the term as given, each part before the check that joins
     them: the first factor before the later one, the left component before
     the right.  A theory keeps every success, under the term and under its
-    normal form, for as long as it lives.  Without a theory nothing is
-    checked or kept, and an operation's types are None."""
-    if theory is not None:
+    normal form, for as long as it lives, and looks up only interned values.
+    Without a theory nothing is checked or kept, and an operation's types are None."""
+    if theory is not None and isinstance(term, Interned):
         found = theory._analyses.get(term)
         if found is not None:
             return found

@@ -56,7 +56,7 @@ from decolog.deduction import (
     validate_rules,
 )
 from decolog.duality import DUAL_EFFECT, DUAL_RULES, dualize_derivation, duality_map
-from decolog.files import print_derivation
+from decolog.files import corpus_path, parse_equation, parse_theory, print_derivation
 from decolog.semantics import _Layout, _Program, holds
 
 from gen import random_derivation
@@ -280,6 +280,38 @@ class TestChecker:
             check_derivation(theory, deriv(
                 SUBST_STRONG, deriv(REFL, term=Op("seven")),
                 g=compose(Op("seven"), Op("seven"))))
+
+    def test_no_failure_is_kept(self, bank, bank_proof, throwcatch, throwcatch_proof):
+        """A node misapplied over a derivation that has checked fails the
+        same way on the theory that checked it, twice, and on a fresh equal
+        theory, before and after the memo is emptied, and the derivation
+        still checks: one premise where trans_strong takes two, a
+        weak_subst past its rank limit, and one whose conclusion is ill typed."""
+        cases = [(bank[0], bank_proof, deriv(TRANS_STRONG, bank_proof)),
+                 (bank[0], bank_proof, deriv(WEAK_SUBST, bank_proof, g=Op("plus"))),
+                 (throwcatch[0], throwcatch_proof,
+                  deriv(WEAK_SUBST, throwcatch_proof, g=Op("throw")))]
+
+        def outcome(theory, d):
+            try:
+                return check_derivation(theory, d)
+            except DeductionError as error:
+                return type(error), error.path, str(error)
+
+        seen = set()
+        for theory, d, bad in cases * 2:
+            judgment = check_derivation(theory, d)
+            fresh = Theory(*theory[1:])
+            failed = outcome(fresh, bad)
+            assert failed[0] is RuleMisapplied and failed[1] == ()
+            assert outcome(theory, bad) == outcome(theory, bad) == failed
+            assert check_derivation(theory, d) == judgment == check_derivation(fresh, d)
+            seen.add(failed[2])
+            theory._analyses.clear()
+        assert seen == {
+            "at root: trans_strong takes 2 premise(s), got 1",
+            "at root: weak_subst: cannot compose: first factor produces Int but second expects Unit",
+            "at root: weak_subst under exceptions allows g up to rank 0, got rank 1 (propagator)"}
 
     @pytest.mark.parametrize("rule", ALL_RULES)
     def test_one_premise_too_many(self, bank, rule):
@@ -538,6 +570,33 @@ class TestProve:
             back = dualize_derivation(duality_map(m.target), image)
             assert back == d and not back != d and hash(back) == hash(d)
             assert back != deriv("refl", term=Op("a0")) and repr(back) == repr(d)
+
+    def test_each_node_is_checked_once_per_theory(self, monkeypatch):
+        """prove checks its proof, and the caller's check and dualize's check
+        of it read that verdict: _conclude runs once for each distinct node
+        in the source theory, and once for each distinct node of the image in
+        the mirror."""
+        theory = parse_theory(corpus_path("throwcatch.dth").read_text())
+        goal = parse_equation("weak catchZero . catchZero . throw ~ zero", theory)
+        calls = []
+        conclude = deduction._conclude
+        monkeypatch.setattr(deduction, "_conclude",
+                            lambda t, d, *rest: calls.append((t, d)) or conclude(t, d, *rest))
+        d = prove(theory, goal)
+        check_derivation(theory, d, expected=goal)
+        m = duality_map(theory)
+        image = dualize_derivation(m, d)
+        check_derivation(m.target, image)
+
+        def nodes(d):
+            found = set()
+            fold(d, lambda node, path, below: found.add(node))
+            return found
+
+        for t, proof in ((theory, d), (m.target, image)):
+            checked = [node for on, node in calls if on is t]
+            assert len(checked) == len(set(checked)) and set(checked) == nodes(proof)
+        assert len(calls) == len(nodes(d)) + len(nodes(image)) == 16
 
     @pytest.mark.parametrize("bounds", [{"max_depth": 0}, {"max_depth": -1},
                                         {"max_nodes": 0}])

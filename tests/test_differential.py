@@ -1205,6 +1205,49 @@ def test_derivation_walks(effect):
             ("IllFormedParameter", "IllFormedParameter")} <= set(seen), seen
 
 
+@pytest.mark.parametrize("products", [False, True])
+@pytest.mark.parametrize("n_ops,n_axioms", [(2, 1), (4, 2)])
+def test_kept_verdicts_change_no_outcome(products, n_ops, n_axioms):
+    """A theory keeps the conclusion of every node it has checked, and that
+    changes no outcome.  On random theories shaped as test_oracle.py draws
+    them, and on wider ones, each random derivation, the proof prove finds
+    of its conclusion, and copies with one node broken: the theory that has
+    checked all that came before, asked twice, gives the Judgment or the
+    error type and text that a fresh equal theory gives, and so does its mirror."""
+    seen = Counter()
+    for seed in range(30):
+        rng = random.Random(seed)
+        try:
+            theory = gen.random_theory(rng, rng.choice(list(EffectKind)), n_ops=n_ops,
+                                       products=products, n_axioms=n_axioms)
+        except ValueError:  # no axiom can be drawn over these operations
+            continue
+        for _ in range(3):
+            d = gen.random_derivation(rng, theory, steps=12, products=products)
+            cases = [d]
+            try:
+                cases.append(prove(theory, check_derivation(theory, d).equation))
+            except DepthExhausted:
+                pass
+            nodes = list(_nodes(d))
+            for _ in range(4):
+                path, node = rng.choice(nodes)
+                cases.append(_replaced(d, path, _broken(rng, node)))
+            for case in cases:
+                fresh = Theory(*theory[1:])
+                got = _walk_outcome(check_derivation, fresh, case)
+                for _ in range(2):
+                    assert _walk_outcome(check_derivation, theory, case) == got, (seed, case)
+                if not products:
+                    dual = _walk_outcome(dualize_derivation, duality_map(fresh), case)
+                    assert _walk_outcome(dualize_derivation, duality_map(theory), case) == dual
+                    seen["dual " + dual[0]] += 1
+                seen[got[0]] += 1
+    # valid and broken derivations, dualizable or not, all occur
+    assert {"ok", "RuleMisapplied", "IllFormedParameter"} <= set(seen), seen
+    assert products or {"dual ok", "dual RuleMisapplied", "dual IllFormedParameter"} <= set(seen)
+
+
 # ---------------------------------------------------------------------------
 # The text front end
 # ---------------------------------------------------------------------------

@@ -33,7 +33,9 @@ and term is compiled once per theory (Theory._compiled keeps it) into one
 flat tuple of atoms (_compile), specialised once per carrier-size
 assignment, which _run runs in one loop, so no depth of pairs recurses.
 Every evaluation still checks its model's carriers and numbers its tables,
-and every run of a side checks the conservation law of its rank (_Side.run).
+and every table a side computes is checked against the conservation law of
+its rank (_Side.run); a side returns its last such table again while the
+tables it reads are equal, and never keeps a table that failed.
 The rule sweep in deduction.py enters through _denotation, a term's rank-2
 table as a function of raw tables.  Tables leave through _Layout.decode,
 only where a caller sees labels: eval_term's mapping, the models
@@ -457,19 +459,27 @@ class _Layout:
 
 
 class _Side:
-    """One term specialised to one carrier-size assignment."""
-    __slots__ = ("steps", "conserves", "rank", "dom", "cod")
+    """One term specialised to one carrier-size assignment.  last keeps its
+    last checked run: the tables it read (reads picks them) and the table
+    computed from them, which run returns while the tables read are equal."""
+    __slots__ = ("steps", "conserves", "rank", "dom", "cod", "reads", "last")
 
     def __init__(self, layout: _Layout, steps: tuple, found: Analysis):
         self.steps, self.dom, self.cod, self.rank = steps, found.dom, found.cod, found.rank
         self.conserves = layout.conservation(found.rank, *map(layout.size, (found.dom, found.cod)))
+        read = sorted({step for step in steps if step.__class__ is int})
+        self.reads, self.last = itemgetter(*read) if read else None, None
 
     def run(self, tables: Sequence[Table]) -> Table:
+        key, last = () if self.reads is None else self.reads(tables), self.last
+        if last is not None and key == last[0]:
+            return last[1]
         t = _run(self.steps, tables)
         if self.conserves is not None and not self.conserves(t):
             raise FactoringInvariantError(
                 f"the rank-2 table of a rank-{self.rank} term {type_str(self.dom)} -> "
                 f"{type_str(self.cod)} breaks the conservation law of its rank")
+        self.last = key, t  # one store, so a thread reads a whole pair
         return t
 
 

@@ -14,6 +14,10 @@ pairs, and the conclusions of random derivations and random goal pairs
 over random theories; and for every term those searches and an edge
 theory's expand, its list of moves in order.
 
+Each compiled side keeps its last value: warm searches, two interleaved
+enumerations and verdicts on models rebuilt or renamed between calls
+answer as fresh ones and as the reference do.
+
 The reference and the generators keep their own label layout, so a layout
 bug in the library cannot hide in both sides of a comparison; a guard test
 holds their imports from decolog.semantics to the shared data.
@@ -31,6 +35,7 @@ on random derivations and copies broken at one or two nodes.
 """
 import ast
 import inspect
+import itertools
 import random
 import re
 from collections import Counter
@@ -541,6 +546,87 @@ def test_warm_theory_answers_as_fresh_random(effect):
             kinds[kind, value is None or value is False] += 1
         cases += 1
     assert set(kinds) == WARM_KINDS
+
+
+# ---------------------------------------------------------------------------
+# The kept side values
+# ---------------------------------------------------------------------------
+
+def _rebuilt(theory, model):
+    """A model equal to model, its carriers, tables and labels built apart."""
+    return parse_model(print_model(model), theory)
+
+
+def _assert_kept_values_change_no_search(rng, theory, goals, bounds):
+    """Every compiled side of a theory keeps its last value (semantics._Side),
+    and the searches share the axioms' sides.  On one warm theory, each
+    search, in a shuffled order and then in the reverse one, answers as on a
+    fresh equal theory, and two enumerate_models generators interleaved item
+    by item, one a step ahead, list what each lists alone.  Returns the
+    models and how many goals were refuted."""
+    searches = [lambda t: list(enumerate_models(t, bounds))] + [
+        partial(lambda t, g: _report(find_counterexample(t, g, bounds)), g=goal)
+        for goal in goals]
+    fresh = [search(Theory(*theory[1:])) for search in searches]
+    warm = Theory(*theory[1:])
+    order = list(range(len(searches)))
+    rng.shuffle(order)
+    for i in order + order[::-1]:
+        assert searches[i](warm) == fresh[i], i
+    models, behind, ahead = fresh[0], enumerate_models(warm, bounds), enumerate_models(warm, bounds)
+    first = list(itertools.islice(ahead, 1))
+    pairs = list(itertools.zip_longest(behind, ahead))  # one item of each in turn
+    assert [model for model, _ in pairs if model is not None] == models
+    assert first + [model for _, model in pairs if model is not None] == models
+    return models, sum(found is not None for found in fresh[1:])
+
+
+def _assert_kept_values_change_no_verdict(theory, goals, models):
+    """holds and first_violation on a sequence of models, each followed by an
+    equal one built apart and a renamed twin (the same numbered tables under
+    other labels), and then the sequence reversed, answer as reference.py
+    does for every axiom and goal."""
+    sequence = [twin for model in models
+                for twin in (model, _rebuilt(theory, model), _renamed(model))]
+    equations = [ax.equation for ax in theory.axioms] + list(goals)
+    for model in sequence + sequence[::-1]:
+        for eq in equations:
+            assert semantics.holds(model, theory, eq) == reference.holds(model, theory, eq)
+            assert (first_violation(model, theory, eq)
+                    == reference.first_violation(model, theory, eq))
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS))
+def test_kept_values_change_no_outcome_corpus(name):
+    rng = random.Random(30)
+    theory_file, model_file, texts = CORPUS[name]
+    theory = parse_theory(corpus_path(theory_file).read_text())
+    goals = [parse_equation(text, theory) for text in texts]
+    models, refuted = _assert_kept_values_change_no_search(rng, theory, goals, Bounds(2, 2))
+    assert 0 < refuted < len(goals)
+    shipped = parse_model(corpus_path(model_file).read_text(), theory)
+    _assert_kept_values_change_no_verdict(theory, goals, [shipped] + models[:12])
+
+
+@pytest.mark.parametrize("effect", list(EffectKind))
+def test_kept_values_change_no_outcome_random(effect):
+    rng = random.Random(300 if effect is EffectKind.STATES else 301)
+    cases = searched = refuted = listed = 0
+    while cases < 16:
+        case = _staged_case(rng, effect)
+        if case is None:
+            continue
+        theory, goal, bounds = case
+        goals = [goal] + [eq for eq in (_equation(rng, theory) for _ in range(2)) if eq]
+        models, found = _assert_kept_values_change_no_search(rng, theory, goals, bounds)
+        _assert_kept_values_change_no_verdict(
+            theory, goals, models[:4] + [gen.random_model(rng, theory)])
+        cases += 1
+        searched += len(goals)
+        refuted += found
+        listed += len(models) > 1
+    # the batch meets countermodels, exhausted searches and several models
+    assert 0 < refuted < searched and listed > 0
 
 
 # ---------------------------------------------------------------------------

@@ -308,6 +308,24 @@ def test_one_model_space_walk():
     assert calls_of(source, {"raw_tables", "_candidates"}) == MODEL_SPACE_CALLS
 
 
+def test_one_way_to_run_a_side():
+    """Only _Side.run runs a side's steps (_run), so no evaluation skips the
+    side's kept value or the conservation check before a value is kept."""
+    source = (ROOT / "src" / "decolog" / "semantics.py").read_text(encoding="utf-8")
+    assert calls_of(source, {"_run"}) == {("_Side.run", "_run")}
+
+
+def test_run_scan_sees_every_kind_of_call():
+    source = ("class S:\n"
+              "    def run(self, t): return _run(self.steps, t)\n"
+              "    def peek(self, t):\n"
+              "        def inner(u): return semantics._run(self.steps, u)\n"
+              "        return inner(t)\n"
+              "def f(s, t): return (lambda: _run(s, t))()\n"
+              "def g(s, t): return s.run(t), _running(s), _run\n")
+    assert calls_of(source, {"_run"}) == {("S.run", "_run"), ("S.peek", "_run"), ("f", "_run")}
+
+
 def orbit_searches(source: str) -> set[str]:
     """The functions that call _admitted with orbits given, by keyword or
     as its fourth argument."""

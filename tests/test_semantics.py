@@ -18,6 +18,7 @@ from decolog.calculus import (
     SideTypeMismatch,
     Theory,
     Unit,
+    analysis,
     compose,
     pair,
     strong,
@@ -26,6 +27,7 @@ from decolog.calculus import (
 from decolog.semantics import (
     Bounds,
     BoundsTooLarge,
+    FactoringInvariantError,
     FiniteModel,
     ModelMismatch,
     OperationTable,
@@ -261,6 +263,22 @@ class TestFactoring:
     def test_clean_tables_pass(self):
         assert conserves(ST, 0, {(0, 0): (1, 0), (0, 1): (1, 1)})
         assert conserves(EX, 0, {ok(0): ok(1), exc(0): exc(0)})
+
+    def test_a_failed_table_is_never_kept(self):
+        # a side keeps its last value only once it passes the check: a pure
+        # f whose rank-2 table raises on ok(0) fails on every run
+        theory = Theory(EX, ("Int",), (OperationSymbol("f", Int, Int, 0),))
+        side = semantics._Side(_Layout(EX, {"Int": Z2}, (0,)), (0,), analysis(theory, Op("f")))
+        raises, swaps = [(2, 0, 2)], [(1, 0, 2)]
+        texts = []
+        for _ in range(2):
+            with pytest.raises(FactoringInvariantError) as error:
+                side.run(raises)
+            texts.append(str(error.value))
+        assert texts[0] == texts[1] and "rank-0 term Int -> Int" in texts[0]
+        assert side.run(swaps) == (1, 0, 2) == side.run([(1, 0, 2)])
+        with pytest.raises(FactoringInvariantError):
+            side.run(raises)
 
 
 class TestWeakEqual:
@@ -632,6 +650,34 @@ class TestStagedSearch:
         # enumerate_models walks every table, un's among them
         with pytest.raises(BoundsTooLarge):
             enumerate_models(theory, max_interpretations=ceiling)
+
+
+class TestKeptSides:
+    """A compiled side keeps its last value: the search runs a side again
+    only when a table it reads has changed."""
+
+    def test_a_side_is_run_again_only_for_new_tables(self, monkeypatch):
+        theory = parse_theory(corpus_path("throwcatch.dth").read_text())
+        goal = parse_equation("weak catchZero . catchZero ~ id(Int)", theory)
+        runs, layouts, sides = [], [], []
+        run, at, side_run = semantics._run, semantics._Program.at, semantics._Side.run
+
+        def counted(steps, tables):
+            runs.append(steps)
+            return run(steps, tables)
+        monkeypatch.setattr(semantics, "_run", counted)
+        monkeypatch.setattr(semantics._Program, "at",
+                            lambda self, layout: layouts.append(layout) or at(self, layout))
+        monkeypatch.setattr(semantics._Side, "run",
+                            lambda self, tables: sides.append(1) or side_run(self, tables))
+        assert find_counterexample(theory, goal) is None
+        # id(Int) in the first axiom and in the goal reads no operation: each
+        # runs once per carrier-size assignment, and the sides together run
+        # less often than they are asked for
+        reading_none = [id(steps) for steps in runs if not any(s.__class__ is int for s in steps)]
+        assert len(layouts) == 4
+        assert len(reading_none) == len(set(reading_none)) == 2 * len(layouts)
+        assert len(runs) < len(sides)
 
 
 #: An exhausted search at Bounds(3, 3) with room for types that nothing

@@ -443,8 +443,8 @@ class Theory(Record):
     term anywhere refers to a definition by name.
     """
     # No __slots__: the instance __dict__ holds the op index and the term
-    # analysis memo, which __post_init__ sets up, and duality_map's mirror;
-    # no copy or pickle carries them, and Record.__setattr__ keeps all else out.
+    # analysis memo, where the compiled state and the mirror live; no copy or
+    # pickle carries them, and Record.__setattr__ keeps all else out.
     effect: EffectKind
     base_types: tuple[str, ...] = ()
     operations: tuple[OperationSymbol, ...] = ()

@@ -17,7 +17,7 @@ the empty product on one side and the empty copairing target on the other.
 from __future__ import annotations
 
 from functools import partial
-from typing import Iterator
+from typing import Iterator, Optional
 
 from .calculus import (
     Axiom,
@@ -79,10 +79,10 @@ def _term_offenders(term: DecoratedTerm) -> list[str]:
             else _OFFENCES[t.__class__] + term_str(t) for t in found]
 
 
-def _dual_term(term: DecoratedTerm) -> DecoratedTerm:
-    """The term's spine atoms in reverse order, rebuilt: the identity on
-    its codomain when there are none."""
-    found = analysis(None, term)
+def _dual_term(term: DecoratedTerm, theory: Optional[Theory] = None) -> DecoratedTerm:
+    """The term's spine atoms in reverse order, rebuilt: the identity on its
+    codomain when there are none.  A theory gives the analysis it keeps."""
+    found = analysis(theory, term)
     return rebuild(found.atoms[::-1], Id(found.cod))
 
 
@@ -155,10 +155,10 @@ class DualityMap(Record):
 
 def duality_map(theory: Theory) -> DualityMap:
     """The theory and its mirror, built on the first call and kept in the
-    theory's instance dict, which no ==, hash, repr, copy or pickle reads."""
-    mirror = theory.__dict__.get("_mirror")
+    theory's compiled state, which no ==, hash, repr, copy or pickle reads."""
+    mirror = theory._compiled().get(DualityMap)
     if mirror is None:
-        mirror = theory.__dict__["_mirror"] = dualize_theory(theory)
+        mirror = theory._compiled()[DualityMap] = dualize_theory(theory)
     return DualityMap(source=theory, target=mirror)
 
 
@@ -171,14 +171,15 @@ def _derivation_offenders(found: list[str], d: Derivation, path: tuple[int, ...]
                          for o in _term_offenders(value))
 
 
-def _dual_derivation(d: Derivation, path: tuple[int, ...], duals: list[Derivation]) -> Derivation:
+def _dual_derivation(theory: Theory, d: Derivation, path: tuple[int, ...],
+                     duals: list[Derivation]) -> Derivation:
     rule = RULES[d.rule].dual
     # a rule that trades places trades its parameter too: subst's g is repl's h
     rename = dict(zip(RULES[d.rule].params, RULES[rule].params))
     params = []
     for key, value in d.params:
         if isinstance(value, TERM_CLASSES):
-            value = _dual_term(value)
+            value = _dual_term(value, theory)
         params.append((rename.get(key, key), value))
     return Derivation(rule, tuple(params), tuple(duals))
 
@@ -187,16 +188,22 @@ def dualize_derivation(m: DualityMap, d: Derivation) -> Derivation:
     """The mirror derivation: substitution nodes become replacement nodes
     and vice versa, term parameters are reversed, everything else is kept.
 
-    The input must check under m.source; the image is checked under m.target
-    before it is returned, so a returned derivation is always valid.  Each
-    theory keeps the nodes it has checked, so an input the source has checked
-    before, as prove's result has been, is read back, not checked again.
+    The input is checked under m.source on every call, and the image under
+    m.target before it is kept, so a returned derivation is always valid.
+    Each theory keeps the nodes it has checked, as prove's result has been,
+    and the mirror's compiled state keeps each image, so an input checked or
+    dualized before is read back, not checked or built again.  No refusal or
+    failed check is kept, so each recurs.
     """
+    images = m.target._compiled().setdefault((DualityMap, Derivation), {})
+    if d in images:
+        check_derivation(m.source, d)
+        return images[d]
     offenders: list[str] = []
     fold(d, lambda node, path, below: None, partial(_derivation_offenders, offenders))
     if offenders:
         raise NotDualizable(offenders)
     check_derivation(m.source, d)
-    image = fold(d, _dual_derivation)
+    image = fold(d, partial(_dual_derivation, m.source))
     check_derivation(m.target, image)
-    return image
+    return images.setdefault(d, image)

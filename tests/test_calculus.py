@@ -45,6 +45,7 @@ from decolog.calculus import (
 )
 from decolog import deduction, semantics
 from decolog.deduction import Derivation, prove
+from decolog.duality import DualityMap, dualize_derivation, duality_map
 from decolog.semantics import (Bounds, BoundsTooLarge, ModelMismatch, OperationTable,
                                SemanticsError, find_counterexample, holds)
 
@@ -310,6 +311,24 @@ class TestAnalysisMemo:
             assert find_counterexample(theory, goal) is not None
             assert semantics._program(theory, (goal,), axioms=True).memo is not None
             del theory, goal
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    def test_a_dropped_dualized_theory_is_freed_at_once(self, throwcatch):
+        """The mirror and the images it keeps refer back to no theory, so a
+        theory that has dualized a proof leaves the cycle collector nothing."""
+        theory = Theory(throwcatch.effect, throwcatch.base_types, throwcatch.operations, (
+            Axiom("ax1", weak(Op("catchZero"), Id(Int))),
+            Axiom("ax2", weak(compose(Op("catchZero"), Op("throw")), Op("zero")))))
+        goal = weak(compose(Op("catchZero"), Op("catchZero"), Op("throw")), Op("zero"))
+        gc.collect()
+        gc.disable()
+        try:
+            m = duality_map(theory)
+            image = dualize_derivation(m, prove(theory, goal))
+            assert m.target._compiled()[DualityMap, Derivation] and image.rule
+            del theory, goal, m, image
             assert gc.collect() == 0
         finally:
             gc.enable()

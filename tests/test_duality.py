@@ -2,6 +2,7 @@
 import copy
 import pickle
 import random
+from collections import Counter
 
 import pytest
 
@@ -16,6 +17,7 @@ from decolog.calculus import (
     Unit,
     compose,
 )
+from decolog import duality
 from decolog.deduction import (
     AXIOM,
     PAIR_PROJ,
@@ -25,16 +27,20 @@ from decolog.deduction import (
     UNIT_WEAK,
     WEAK_REPL,
     WEAK_SUBST,
+    DeductionError,
+    Derivation,
     check_derivation,
     deriv,
 )
 from decolog.duality import (
+    DualityMap,
     NotDualizable,
     duality_map,
     dualize_derivation,
     dualize_term,
     dualize_theory,
 )
+from decolog.files import parse_derivation, print_derivation
 
 from gen import random_derivation, random_theory
 
@@ -120,9 +126,9 @@ class TestDualityMap:
         assert "modifier" in by_name["catchZero"][1]
 
     def test_mirror_is_kept_with_the_theory(self, throwcatch):
-        """duality_map builds a theory's mirror once, and the mirror is no
-        part of the theory's value: ==, hash, repr, copy and pickle ignore
-        it, and a copy builds its own."""
+        """duality_map builds a theory's mirror once and keeps it in the
+        theory's compiled state, so it is no part of the theory's value:
+        ==, hash, repr, copy and pickle ignore it, and a copy builds its own."""
         theory, _ = throwcatch
         m = duality_map(theory)
         assert duality_map(theory).target is m.target
@@ -130,11 +136,11 @@ class TestDualityMap:
         assert duality_map(m.target).target == theory
         fresh = Theory(theory.effect, theory.base_types, theory.operations, theory.axioms,
                        theory.definitions)
-        assert "_mirror" in theory.__dict__ and "_mirror" not in fresh.__dict__
+        assert theory._compiled()[DualityMap] is m.target and DualityMap not in fresh._compiled()
         assert (theory, hash(theory), repr(theory)) == (fresh, hash(fresh), repr(fresh))
         assert pickle.dumps(theory) == pickle.dumps(fresh)
         for twin in (copy.copy(theory), copy.deepcopy(theory), pickle.loads(pickle.dumps(theory))):
-            assert twin == theory and "_mirror" not in twin.__dict__
+            assert twin == theory and DualityMap not in twin._compiled()
             assert duality_map(twin).target == m.target
 
     def test_theory_without_a_mirror_is_refused_on_every_call(self, bank):
@@ -144,7 +150,7 @@ class TestDualityMap:
             with pytest.raises(NotDualizable) as err:
                 duality_map(theory)
             refusals.append((str(err.value), err.value.offenders))
-        assert refusals[0] == refusals[1] and "_mirror" not in theory.__dict__
+        assert refusals[0] == refusals[1] and DualityMap not in theory._compiled()
 
 
 class TestDualizeDerivation:
@@ -202,6 +208,68 @@ class TestDualizeDerivation:
         with pytest.raises(NotDualizable) as err:
             dualize_derivation(m, bad)
         assert any("premise 1" in o for o in err.value.offenders)
+
+
+class TestKeptImages:
+    """The mirror theory keeps each image dualize_derivation has checked,
+    keyed by the interned source derivation, and nothing that failed."""
+
+    @staticmethod
+    def counted(monkeypatch) -> Counter:
+        calls = Counter()
+        original = duality._dual_derivation
+        monkeypatch.setattr(duality, "_dual_derivation", lambda *args: (
+            calls.update(["node"]) or original(*args)))
+        return calls
+
+    @staticmethod
+    def proof():
+        return deriv(TRANS_WEAK,
+                     deriv(WEAK_REPL, deriv(AXIOM, name="ax2"), h=Op("catchZero")),
+                     deriv(WEAK_SUBST, deriv(AXIOM, name="ax1"), g=Op("zero")))
+
+    def test_a_repeat_is_read_back(self, throwcatch, monkeypatch):
+        """An equal derivation built apart is dualized without a fold, to
+        the same object; emptying the mirror's memo builds it again."""
+        m = duality_map(copy.copy(throwcatch[0]))
+        calls = self.counted(monkeypatch)
+        image = dualize_derivation(m, self.proof())
+        assert calls["node"] == 5
+        apart = parse_derivation(print_derivation(self.proof()), m.source)
+        assert apart == self.proof() and dualize_derivation(m, apart) is image
+        assert calls["node"] == 5
+        m.target._analyses.clear()
+        assert duality_map(m.source).target is m.target
+        assert dualize_derivation(m, apart) == image and calls["node"] == 10
+
+    def test_a_refusal_is_never_kept(self, throwcatch, monkeypatch):
+        m = duality_map(copy.copy(throwcatch[0]))
+        calls = self.counted(monkeypatch)
+        bad = deriv(TRANS_WEAK, self.proof(), deriv(UNIT_WEAK, f=Bang(Int)))
+        refusals = []
+        for _ in range(2):
+            with pytest.raises(NotDualizable) as err:
+                dualize_derivation(m, bad)
+            refusals.append((str(err.value), err.value.offenders))
+        assert refusals[0] == refusals[1] and calls["node"] == 0
+        assert m.target._compiled()[DualityMap, Derivation] == {}
+
+    def test_a_kept_image_does_not_skip_the_source_check(self, throwcatch):
+        """A map whose source does not derive the input refuses it on every
+        call, also once the real map has kept the input's image."""
+        theory = copy.copy(throwcatch[0])
+        m = duality_map(theory)
+        other = DualityMap(source=Theory(theory.effect, theory.base_types, theory.operations),
+                           target=m.target)
+        refusals = []
+        for real in (False, True, True):
+            if real:
+                image = dualize_derivation(m, self.proof())
+            with pytest.raises(DeductionError) as err:
+                dualize_derivation(other, self.proof())
+            refusals.append((type(err.value), err.value.path, str(err.value)))
+        assert refusals == [refusals[0]] * 3 and "ax2" in refusals[0][2]
+        assert m.target._compiled()[DualityMap, Derivation] == {self.proof(): image}
 
 
 class TestValidityPreservation:

@@ -436,10 +436,10 @@ def test_one_way_out_of_the_command_line():
     assert readers == {"main"}
 
 
-#: The keys src/ writes into a Theory's instance __dict__: the op index, the
-#: analysis memo, which also keeps the engines' compiled state
-#: (Theory._compiled), and duality_map's mirror.
-THEORY_STATE = {"_op_index", "_analyses", "_mirror"}
+#: The keys src/ writes into a Theory's instance __dict__: the op index and
+#: the analysis memo, which also keeps the engines' compiled state
+#: (Theory._compiled), duality_map's mirror among it.
+THEORY_STATE = {"_op_index", "_analyses"}
 
 
 def dict_writes(source: str) -> set[str]:
@@ -464,7 +464,7 @@ def dict_writes(source: str) -> set[str]:
 
 def test_one_place_for_hidden_theory_state():
     """No module keeps state of its own in a theory: what it computes from
-    one goes into the memo or the mirror, which no ==, hash, repr, copy or
+    one, the mirror too, goes into the memo, which no ==, hash, repr, copy or
     pickle sees (tests/test_calculus.py, TestAnalysisMemo)."""
     written = set().union(*(dict_writes(path.read_text(encoding="utf-8"))
                             for path in (ROOT / "src" / "decolog").glob("*.py")))

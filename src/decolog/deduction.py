@@ -676,13 +676,35 @@ def prove(theory: Theory, goal: DecoratedEquation, max_depth: int = 8,
     generated.  Each reached term keeps a link to the node it was reached
     from, and derivations are built only along the path where the two
     sides meet.  The result always passes check_derivation against the
-    goal."""
-    if max_depth < 1 or max_nodes < 1:
+    goal.  The theory's compiled state keeps each outcome by normalized goal
+    and both bounds, the checked derivation or a give-up's rewrite count, so a
+    repeat is a lookup; a refusal, or a search out of atom codes, is not kept."""
+    if not (max_depth >= 1 and max_nodes >= 1):  # a NaN bound too
         raise DeductionError(
             f"prove needs max_depth and max_nodes of at least 1, "
             f"got {max_depth} and {max_nodes}")
     eq = goal.normalized()
     dom = check_equation_wf(theory, eq).dom
+    kept = theory._compiled().setdefault((DecoratedEquation, Derivation), {})
+    found = kept.get(key := (eq, max_depth, max_nodes))
+    if isinstance(found, Derivation):
+        check_derivation(theory, found, expected=eq)
+    elif found is None:
+        try:
+            found = kept[key] = _search(theory, eq, dom, max_depth, max_nodes)
+        except _OutOfCodes as out:
+            found = out.args[0]
+    if isinstance(found, int):
+        raise DepthExhausted(
+            f"no derivation found within depth {max_depth} ({found} rewrites tried); "
+            "the goal may still be derivable")
+    return found
+
+
+def _search(theory: Theory, eq: DecoratedEquation, dom: TypeExpr, max_depth: int,
+            max_nodes: int) -> Derivation | int:
+    """prove's search for the normalized goal eq: the checked derivation, or the
+    rewrites tried when the bounds cut it (_OutOfCodes carries them if codes run out)."""
     want_weak = eq.strength is Strength.WEAK
 
     if eq.lhs == eq.rhs:
@@ -738,10 +760,8 @@ def prove(theory: Theory, goal: DecoratedEquation, max_depth: int = 8,
                     if nodes >= max_nodes:
                         break
     except _OutOfCodes:
-        pass
-    raise DepthExhausted(
-        f"no derivation found within depth {max_depth} ({nodes} rewrites tried); "
-        "the goal may still be derivable")
+        raise _OutOfCodes(nodes) from None
+    return nodes
 
 
 # ---------------------------------------------------------------------------

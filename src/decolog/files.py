@@ -54,6 +54,7 @@ from __future__ import annotations
 
 import re
 import sys
+from functools import reduce
 from pathlib import Path
 from typing import NamedTuple
 
@@ -80,8 +81,8 @@ from .calculus import (
     TypeExpr,
     UndeclaredSymbol,
     Unit,
-    compose,
     keyword_matches_effect,
+    normalize,
     quoted,
     rank_name,
     rank_of_keyword,
@@ -299,18 +300,18 @@ def _depth(term: DecoratedTerm) -> int:
         term, lambda t, a=0, b=0: a + b if t.__class__ is Comp else 1 + max(a, b))
 
 
-def _parse_primary(s: _Stream, defs: dict[str, DecoratedTerm],
+def _parse_primary(s: _Stream, defs: dict[str, DecoratedTerm], memo: dict,
                    level: int) -> DecoratedTerm:
     if s.peek() in ("(", "<") and level >= MAX_DEPTH:
         raise _too_deep(s, "term")
     if s.take_sym("("):
-        term = _parse_term(s, defs, level + 1)
+        term = _parse_term(s, defs, memo, level + 1)
         s.expect(")")
         return term
     if s.take_sym("<"):
-        left = _parse_term(s, defs, level + 1)
+        left = _parse_term(s, defs, memo, level + 1)
         s.expect(",")
-        right = _parse_term(s, defs, level + 1)
+        right = _parse_term(s, defs, memo, level + 1)
         s.expect(">")
         if 1 + max(_depth(left), _depth(right)) > MAX_DEPTH:
             raise _too_deep(s, "term")
@@ -333,42 +334,45 @@ def _parse_primary(s: _Stream, defs: dict[str, DecoratedTerm],
     return Op(name)
 
 
-def _parse_term(s: _Stream, defs: dict[str, DecoratedTerm],
+def _parse_term(s: _Stream, defs: dict[str, DecoratedTerm], memo: dict,
                 level: int = 0) -> DecoratedTerm:
-    factors = [_parse_primary(s, defs, level)]
+    """A term, normalized: read off the theory's analysis memo when it holds the term."""
+    factors = [_parse_primary(s, defs, memo, level)]
     depth = _depth(factors[0])
     while s.take_sym(".", "∘"):
-        factors.append(_parse_primary(s, defs, level))
+        factors.append(_parse_primary(s, defs, memo, level))
         depth += _depth(factors[-1])
         if depth > MAX_DEPTH:
             raise _too_deep(s, "term")
-    return compose(*factors)
+    term = reduce(lambda inner, after: Comp(after, inner), reversed(factors))
+    found = memo.get(term)
+    return normalize(term) if found is None else found.term
 
 
-def _parse_equation(s: _Stream, defs: dict[str, DecoratedTerm]) -> DecoratedEquation:
+def _parse_equation(s: _Stream, defs: dict[str, DecoratedTerm], memo: dict) -> DecoratedEquation:
     word = s.expect("IDENT")
     if word not in ("strong", "weak"):
         raise s.fail(f"expected 'strong' or 'weak', got {quoted(word)}", s.pos - 1)
     strength = Strength.STRONG if word == "strong" else Strength.WEAK
-    lhs = _parse_term(s, defs)
+    lhs = _parse_term(s, defs, memo)
     op = s.expect("SYM")
     if op not in ("==", "~", "≈"):
         raise s.fail(f"expected '==' or '~', got {quoted(op)}", s.pos - 1)
     if (op == "==") != (strength is Strength.STRONG):
         raise s.fail(f"operator {quoted(op)} does not match {quoted(word)}", s.pos - 1)
-    rhs = _parse_term(s, defs)
+    rhs = _parse_term(s, defs, memo)
     return DecoratedEquation(strength, lhs, rhs)
 
 
 def parse_equation(text: str, theory: Theory) -> DecoratedEquation:
     """`strong <term> == <term>` or `weak <term> ~ <term>`, with def names
     expanded from the theory."""
-    return _parsed(text, "equation", _parse_equation, dict(theory.definitions))
+    return _parsed(text, "equation", _parse_equation, dict(theory.definitions), theory._analyses)
 
 
 def parse_term(text: str, theory: Theory) -> DecoratedTerm:
     """A single term, with def names expanded from the theory."""
-    return _parsed(text, "term", _parse_term, dict(theory.definitions))
+    return _parsed(text, "term", _parse_term, dict(theory.definitions), theory._analyses)
 
 
 # ---------------------------------------------------------------------------
@@ -422,7 +426,7 @@ def _parse_theory(s: _Stream) -> Theory:
         elif kw == "def":
             name = s.expect("IDENT")
             s.expect("=")
-            term = _parse_term(s, defs)
+            term = _parse_term(s, defs, {})
             defs[name] = term
             definitions.append((name, term))
         elif kw == "axiom":
@@ -431,7 +435,7 @@ def _parse_theory(s: _Stream) -> Theory:
                 s.expect(":")
             else:
                 name = f"ax{len(axioms) + 1}"
-            axioms.append(Axiom(name, _parse_equation(s, defs)))
+            axioms.append(Axiom(name, _parse_equation(s, defs, {})))
         else:
             raise s.fail(f"unknown stanza keyword {quoted(kw)}", at)
         s.end_line()
@@ -592,7 +596,7 @@ def print_model(model: FiniteModel) -> str:
 # Derivation files
 # ---------------------------------------------------------------------------
 
-def _parse_deriv_node(s: _Stream, defs: dict[str, DecoratedTerm],
+def _parse_deriv_node(s: _Stream, defs: dict[str, DecoratedTerm], memo: dict,
                       level: int = 0) -> Derivation:
     if level >= MAX_DEPTH:
         raise _too_deep(s, "derivation")
@@ -603,7 +607,7 @@ def _parse_deriv_node(s: _Stream, defs: dict[str, DecoratedTerm],
     while not s.take_sym(")"):
         kind = _kind(s.peek())
         if s.peek() == "(":
-            premises.append(_parse_deriv_node(s, defs, level + 1))
+            premises.append(_parse_deriv_node(s, defs, memo, level + 1))
         elif kind == "IDENT" and s.peek(1) == "=":
             key = s.expect("IDENT")
             s.expect("=")
@@ -612,14 +616,14 @@ def _parse_deriv_node(s: _Stream, defs: dict[str, DecoratedTerm],
             elif key == "side":
                 value = s.integer()
             else:
-                value = _parse_term(s, defs)
+                value = _parse_term(s, defs, memo)
             params.append((key, value))
         elif kind in ("IDENT", "INT") or s.peek() == "<":
             # bare body: a term, or the spelled-out `lhs == rhs` of refl
-            term = _parse_term(s, defs)
+            term = _parse_term(s, defs, memo)
             if s.take_sym("=="):
                 op = s.pos - 1
-                other = _parse_term(s, defs)
+                other = _parse_term(s, defs, memo)
                 if other != term:
                     raise s.fail("the sides of a refl body must be the "
                                  "same term", op)
@@ -633,7 +637,8 @@ def _parse_deriv_node(s: _Stream, defs: dict[str, DecoratedTerm],
 
 
 def parse_derivation(text: str, theory: Theory) -> Derivation:
-    return _parsed(text, "derivation", _parse_deriv_node, dict(theory.definitions))
+    return _parsed(text, "derivation", _parse_deriv_node, dict(theory.definitions),
+                   theory._analyses)
 
 
 def print_derivation(d: Derivation) -> str:

@@ -44,7 +44,7 @@ from decolog.calculus import (
     wf_term,
 )
 from decolog import deduction, semantics
-from decolog.deduction import Derivation, prove
+from decolog.deduction import DepthExhausted, Derivation, prove
 from decolog.duality import DualityMap, dualize_derivation, duality_map
 from decolog.semantics import (Bounds, BoundsTooLarge, ModelMismatch, OperationTable,
                                SemanticsError, find_counterexample, holds)
@@ -267,22 +267,28 @@ class TestAnalysisMemo:
             compose(Op("plus"), pair(Id(Int), compose(Op("balance"), Bang(Int)))))),))
 
     def test_compiled_state_is_invisible_and_keeps_no_failure(self, bank, bank_mod4):
-        """What the engines compile from a theory (Theory._compiled) is no
-        more seen than the memo it is kept in, and no failure is kept: an
-        ill-typed equation and a search past the ceiling are refused on
-        every call."""
+        """What the engines compile from a theory (Theory._compiled), prove's
+        kept outcomes among it, is no more seen than the memo it is kept in.
+        prove keeps a proof and a bounded give-up, but no refusal is kept:
+        an ill-typed equation and a search past the ceiling are refused on
+        every call, and an ill-typed prove leaves the kept outcomes as they
+        were."""
         theory, fresh = self.with_axiom(bank), self.with_axiom(bank)
         f = compose(Op("balance"), Op("deposit"), Op("seven"))
         g = compose(Op("plus"), pair(Op("seven"), Op("balance")))
         assert find_counterexample(theory, strong(f, g)) is not None
         assert holds(bank_mod4, theory, weak(f, g))
         assert prove(theory, weak(f, g)).rule
+        with pytest.raises(DepthExhausted):
+            prove(theory, weak(f, g), max_depth=1)
+        proofs = theory._compiled()[DecoratedEquation, Derivation]
+        assert set(proofs) == {(weak(f, g).normalized(), depth, 4000) for depth in (8, 1)}
         assert Theory._compiled in theory.__dict__["_analyses"]
         assert (theory, hash(theory), repr(theory)) == (fresh, hash(fresh), repr(fresh))
         assert pickle.dumps(theory) == pickle.dumps(fresh)
         for twin in (copy.copy(theory), copy.deepcopy(theory), pickle.loads(pickle.dumps(theory))):
             assert twin == theory and Theory._compiled not in twin.__dict__["_analyses"]
-        kept = dict(theory._compiled())
+        kept, kept_proofs = dict(theory._compiled()), dict(proofs)
         bad = strong(f, Op("plus"))
         for call in (lambda: holds(bank_mod4, theory, bad), lambda: prove(theory, bad),
                      lambda: find_counterexample(theory, bad)):
@@ -292,7 +298,7 @@ class TestAnalysisMemo:
                     call()
                 refusals.append(str(refused.value))
             assert refusals[0] == refusals[1]
-        assert theory._compiled() == kept
+        assert theory._compiled() == kept and proofs == kept_proofs
         for _ in range(2):
             with pytest.raises(BoundsTooLarge, match="ceiling is 100$"):
                 find_counterexample(theory, weak(f, g), Bounds(3, 3), max_interpretations=100)

@@ -418,6 +418,16 @@ class TestSoundness:
         assert holds(tc_model, tc_theory, eq2)
 
 
+@pytest.fixture
+def expanded(monkeypatch):
+    """A list that grows by one each time prove expands a term."""
+    calls = []
+    moves = deduction._all_moves
+    monkeypatch.setattr(deduction, "_all_moves",
+                        lambda *args, **kw: calls.append(1) or moves(*args, **kw))
+    return calls
+
+
 class TestProve:
     def test_bank_weak_goal(self, bank):
         theory, f, g = bank
@@ -544,6 +554,75 @@ class TestProve:
                 "the goal may still be derivable")
             monkeypatch.undo()
 
+    def test_a_repeated_goal_is_a_lookup(self, expanded, monkeypatch):
+        """A second prove of one goal on one theory with the same bounds
+        expands no term and returns the same object, after checking it
+        against the goal (a lookup); a fresh equal theory searches again and
+        finds the same derivation."""
+        theory = parse_theory(corpus_path("throwcatch.dth").read_text())
+        goal = parse_equation("weak catchZero . catchZero . throw ~ zero", theory)
+        d = prove(theory, goal)
+        searched = len(expanded)
+        assert searched > 0
+        checks = []
+        check = deduction.check_derivation
+        monkeypatch.setattr(deduction, "check_derivation",
+                            lambda *args, **kw: checks.append((args, kw)) or check(*args, **kw))
+        assert prove(theory, goal) is d and len(expanded) == searched
+        assert checks == [((theory, d), {"expected": goal.normalized()})]
+        assert check_derivation(theory, d, expected=goal).equation == goal.normalized()
+        fresh = Theory(*theory[1:])
+        assert fresh == theory and fresh is not theory
+        assert prove(fresh, goal) is d and len(expanded) == 2 * searched
+
+    @pytest.mark.parametrize("order", [(50, 2000), (2000, 50)])
+    def test_a_give_up_recurs_with_its_own_text(self, expanded, order):
+        """A search the bounds cut gives up again with the same class and
+        text, without expanding a term; each node bound is searched on its
+        own, in either order, and keeps its own rewrite count."""
+        A = BaseType("A")
+        theory = Theory(
+            effect=EffectKind.STATES,
+            base_types=("A",),
+            operations=tuple(OperationSymbol(name, A, A, 0) for name in "abc"),
+            axioms=(Axiom("ab", strong(compose(Op("a"), Op("b")),
+                                       compose(Op("b"), Op("a")))),
+                    Axiom("aa", strong(Op("a"), compose(Op("a"), Op("a"))))),
+        )
+        goal = strong(compose(Op("a"), Op("b")), Op("c"))
+        tried, searched = {50: 58, 2000: 2010}, set()
+        for max_nodes in order + order:
+            before = len(expanded)
+            with pytest.raises(DepthExhausted) as exhausted:
+                prove(theory, goal, max_depth=20, max_nodes=max_nodes)
+            assert type(exhausted.value) is DepthExhausted
+            assert str(exhausted.value) == (
+                f"no derivation found within depth 20 ({tried[max_nodes]} rewrites tried); "
+                "the goal may still be derivable")
+            assert (len(expanded) > before) == (max_nodes not in searched)
+            searched.add(max_nodes)
+
+    def test_a_kept_give_up_names_the_callers_depth(self, expanded):
+        """The give-up kept for max_depth 8 is read back for 8.0, which is
+        the same bound, and its message gives the bound as the caller did."""
+        A = BaseType("A")
+        theory = Theory(
+            effect=EffectKind.STATES,
+            base_types=("A",),
+            operations=tuple(OperationSymbol(name, A, A, 0) for name in "abc"),
+            axioms=(Axiom("ab", strong(compose(Op("a"), Op("a")), Op("b"))),),
+        )
+        goal = strong(pair(compose(Op("a"), Op("a"), Op("a")), Op("a")), pair(Op("c"), Op("c")))
+        texts, counts = [], []
+        for max_depth in (8, 8.0, 8):
+            with pytest.raises(DepthExhausted) as exhausted:
+                prove(theory, goal, max_depth=max_depth)
+            texts.append(str(exhausted.value))
+            counts.append(len(expanded))
+        assert texts == [f"no derivation found within depth {depth} (12 rewrites tried); "
+                         "the goal may still be derivable" for depth in ("8", "8.0", "8")]
+        assert counts[0] > 0 and counts == counts[:1] * 3
+
     def test_proof_of_a_long_chain_checks(self):
         """An n-term chain takes n - 1 steps, about n / 2 from each side, so
         the proof is nested about n / 2 levels deep: 352 at n=700, 552 at
@@ -599,7 +678,8 @@ class TestProve:
         assert len(calls) == len(nodes(d)) + len(nodes(image)) == 16
 
     @pytest.mark.parametrize("bounds", [{"max_depth": 0}, {"max_depth": -1},
-                                        {"max_nodes": 0}])
+                                        {"max_nodes": 0}, {"max_depth": float("nan")},
+                                        {"max_nodes": float("nan")}])
     def test_bounds_below_1_are_refused(self, bank, bounds):
         theory, f, _ = bank
         # even a goal that needs no search: a bound below 1 checks nothing

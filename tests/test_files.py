@@ -4,7 +4,9 @@ import random
 import pytest
 
 from decolog.calculus import (
+    Bang,
     BaseType,
+    Comp,
     EffectKind,
     Op,
     Prod,
@@ -12,6 +14,7 @@ from decolog.calculus import (
     TheoryError,
     compose,
 )
+from decolog import files
 from decolog.deduction import check_derivation, deriv, REFL, AXIOM
 from decolog.duality import dualize_derivation, duality_map
 from decolog.files import (
@@ -344,6 +347,24 @@ class TestDerivationFiles:
                              ("throwcatch_proof.drv", throwcatch_file)):
             d = parse_derivation(corpus_path(name).read_text(), theory)
             assert parse_derivation(print_derivation(d), theory) == d
+
+    def test_a_checked_derivation_is_read_back_from_the_memo(self, monkeypatch):
+        """Parsing against a theory takes a term's normal form from the
+        theory's analysis memo when it holds the term, as it holds every term
+        of a derivation the theory has checked, so it normalizes only the
+        bare axiom name, which it reads as a term first; a fresh equal theory
+        normalizes the terms its axioms lack and reads the same derivation."""
+        text = corpus_path("bank_proof.drv").read_text()
+        theory, fresh = (parse_theory(corpus_path("bank.dth").read_text()) for _ in "ab")
+        d = parse_derivation(text, theory)
+        check_derivation(theory, d)
+        normalized = []
+        normalize = files.normalize
+        monkeypatch.setattr(files, "normalize",
+                            lambda term: normalized.append(term) or normalize(term))
+        assert parse_derivation(text, theory) is d and normalized == [Op("ax1")]
+        assert parse_derivation(text, fresh) is d
+        assert Comp(Bang(Int), Op("seven")) in normalized[1:]
 
     def test_trailing_junk(self, bank_file):
         with pytest.raises(ParseError):

@@ -252,6 +252,60 @@ def test_traced_scan_sees_both_kinds_of_name():
                                     ("semantics", "_candidates")]
 
 
+def compiled_key_names(source: str) -> set[str]:
+    """The names and attributes read in each key a module stores or looks up
+    in a theory's compiled state: x._compiled()[k], .get(k), .setdefault(k,
+    ...) or .pop(k), on the call itself or on a name assigned from it."""
+    def is_compiled(node: ast.AST) -> bool:
+        return isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "_compiled"
+    tree, bound = ast.parse(source), set()
+    for node in ast.walk(tree):
+        todo = [(target, node.value) for target in getattr(node, "targets", ())]
+        while todo:
+            target, value = todo.pop()
+            if isinstance(target, ast.Tuple) and isinstance(value, ast.Tuple):
+                todo += zip(target.elts, value.elts)
+            elif isinstance(target, ast.Name) and is_compiled(value):
+                bound.add(target.id)
+
+    def is_state(node: ast.AST) -> bool:
+        return is_compiled(node) or getattr(node, "id", None) in bound
+    keys = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Subscript) and is_state(node.value):
+            keys.append(node.slice)
+        elif (isinstance(node, ast.Call) and node.args
+              and is_state(getattr(node.func, "value", None))
+              and node.func.attr in ("get", "setdefault", "pop")):
+            keys.append(node.args[0])
+    return {getattr(n, "id", None) or n.attr for key in keys for n in ast.walk(key)
+            if isinstance(n, (ast.Name, ast.Attribute))}
+
+
+def test_no_compiled_state_is_keyed_by_a_traced_function():
+    """No key of a theory's compiled state names a function the benchmark's
+    tracer rebinds: while it is traced, the name stands for the tracer's
+    wrapper, so what was kept under the function would be missed."""
+    traced = {name for _, name in traced_names(
+        (ROOT / "perfbench" / "tracing.py").read_text(encoding="utf-8"))}
+    keys = set().union(*(compiled_key_names(path.read_text(encoding="utf-8"))
+                         for path in (ROOT / "src" / "decolog").glob("*.py")))
+    assert {"Derivation", "DecoratedEquation", "DualityMap", "_Rewriter", "_Layout"} <= keys
+    assert "prove" in traced and keys & traced == set()
+
+
+def test_compiled_key_scan_sees_every_kind_of_key():
+    source = ("def a(t): return t._compiled()[prove]\n"
+              "def b(t): t._compiled()[Rw] = 1\n"
+              "def c(t): return t._compiled().setdefault((Map, m.holds), {})\n"
+              "def d(t): return t._compiled().get(eq)\n"
+              "def e(t):\n"
+              "    k, state = K, t._compiled()\n"
+              "    return state[k], state.pop(x)\n"
+              "def f(t): return t.memo[y], t._compiled().items(), t.other().get(z), K[w]\n")
+    assert compiled_key_names(source) == {"prove", "Rw", "Map", "m", "holds", "eq", "k", "x"}
+
+
 def raised_reprs(source: str) -> list[int]:
     """The lines of a raise whose f-string echoes a value with !r, which
     no length limit cuts: calculus.quoted echoes it instead."""

@@ -89,13 +89,14 @@ def _load_theory(path: str):
     return parse_theory(_read(path))
 
 
-def _compact(term) -> str:
-    return term_str(term).replace(" . ", "∘").replace(", ", ",")
+def _sides(eq) -> str:
+    """eq's sides joined by == (strong) or ≈ (weak), compacted: a . b as a∘b."""
+    op = "==" if eq.strength is Strength.STRONG else "≈"
+    return f"{term_str(eq.lhs)} {op} {term_str(eq.rhs)}".replace(" . ", "∘").replace(", ", ",")
 
 
 def _judgment_line(eq) -> str:
-    op = "==" if eq.strength is Strength.STRONG else "≈"
-    return f"{eq.strength.value}: {_compact(eq.lhs)} {op} {_compact(eq.rhs)}"
+    return f"{eq.strength.value}: {_sides(eq)}"
 
 
 def _typed(theory, dom, cod, rank) -> dict:
@@ -152,10 +153,7 @@ def cmd_check(args) -> Report:
     axioms_json = []
     for ax in theory.axioms:
         report = check_equation_wf(theory, ax.equation)
-        op = "==" if ax.equation.strength is Strength.STRONG else "≈"
-        lines.append(f"axiom {ax.name} : {_compact(ax.equation.lhs)} {op} "
-                     f"{_compact(ax.equation.rhs)} "
-                     f"[{ax.equation.strength.value}, "
+        lines.append(f"axiom {ax.name} : {_sides(ax.equation)} [{ax.equation.strength.value}, "
                      f"ranks {report.lhs_rank}/{report.rhs_rank}]")
         axioms_json.append({"name": ax.name,
                             **_equation_json(ax.equation),

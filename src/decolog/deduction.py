@@ -1079,8 +1079,13 @@ def validate_rules(effect: EffectKind, max_carrier: int = 2) -> ValidationReport
     subst_strong, weak_subst, weak_repl, the three pair rules and the two unit
     laws (not trans_strong, trans_mixed, strong_to_weak, repl_strong or axiom)
     over all finite interpretations with carriers up to max_carrier (1 or 2)."""
-    if not 1 <= max_carrier <= MAX_SWEEP_CARRIER:
+    try:
+        outside = not 1 <= max_carrier <= MAX_SWEEP_CARRIER
+    except TypeError:  # not a number, so refused below as not an int
+        outside = False
+    if outside or not isinstance(max_carrier, int):
         raise DeductionError(
-            f"max_carrier must be between 1 and {MAX_SWEEP_CARRIER}, got {max_carrier}")
+            f"max_carrier must be between 1 and {MAX_SWEEP_CARRIER}, got {max_carrier}" if outside
+            else f"max_carrier must be an integer, got {quoted(max_carrier)}")
     return ValidationReport(effect, tuple(_run_scenario(effect, sc, max_carrier)
                                           for sc in _scenarios(effect)))

@@ -90,7 +90,7 @@ from .calculus import (
     type_str,
     walk,
 )
-from .deduction import Derivation, fold
+from .deduction import Derivation, _eq_str, fold
 from .semantics import (
     EXC,
     FiniteModel,
@@ -462,9 +462,7 @@ def print_theory(theory: Theory) -> str:
 
 
 def print_equation(eq: DecoratedEquation) -> str:
-    word, op = (("strong", "==") if eq.strength is Strength.STRONG
-                else ("weak", "~"))
-    return f"{word} {term_str(eq.lhs)} {op} {term_str(eq.rhs)}"
+    return f"{eq.strength.value} {_eq_str(eq)}"
 
 
 # ---------------------------------------------------------------------------

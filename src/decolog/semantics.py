@@ -182,34 +182,21 @@ def _run(steps: tuple, tables: Sequence[Table]) -> Table:
     return t
 
 
-def _kept(method: Callable) -> Callable:
-    """A _Layout method of sizes, its result kept in layout.memo unless None."""
-    def kept(layout: "_Layout", *sizes: int):
-        key = method.__name__, layout.k, *sizes
-        found = layout.memo.get(key) or method(layout, *sizes)
-        if found is not None:
-            layout.memo[key] = found
-        return found
-    return kept
-
-
 class _Layout:
-    """The numbering of one carrier assignment: type sizes, the builtins'
-    constant tables, the lift of raw tables to rank 2, and the labels that
-    decode numbers back for reports.  memo keeps what reads only sizes (_kept)."""
+    """The numbering of one carrier assignment, a plain value that keeps only
+    its labels (raw_labels): type sizes, the builtins' constant tables, the
+    lift of raw tables to rank 2, and the labels that decode numbers back."""
 
-    def __init__(self, effect: EffectKind, carriers: Mapping[str, tuple],
-                 eff_elems: tuple, memo: Optional[dict] = None):
-        self.effect, self.memo = effect, {} if memo is None else memo
-        self.exceptions = effect is EffectKind.EXCEPTIONS
+    def __init__(self, effect: EffectKind, carriers: Mapping[str, tuple], eff_elems: tuple):
+        self.effect, self.exceptions = effect, effect is EffectKind.EXCEPTIONS
         self.carriers, self.eff_elems, self.k = carriers, eff_elems, len(eff_elems)
         self._raw_labels: dict = {}
 
     @classmethod
-    def of_model(cls, theory: Theory, model: FiniteModel, memo: Optional[dict] = None) -> _Layout:
-        """The layout of a given model's carriers, keeping what reads only
-        sizes in memo, or ModelMismatch when the model is for another
-        effect, or a carrier is missing, empty or repeats a label."""
+    def of_model(cls, theory: Theory, model: FiniteModel) -> _Layout:
+        """The layout of a given model's carriers, or ModelMismatch when the
+        model is for another effect, or a carrier is missing, empty or
+        repeats a label."""
         if model.effect is not theory.effect:
             raise ModelMismatch(
                 f"model is for effect {model.effect}, theory for {theory.effect}")
@@ -223,7 +210,7 @@ class _Layout:
             raise ModelMismatch("effect carrier must be non-empty")
         if len(set(model.effect_carrier)) != len(model.effect_carrier):
             raise ModelMismatch("effect carrier has duplicate labels")
-        return cls(theory.effect, model.carriers, model.effect_carrier, memo)
+        return cls(theory.effect, model.carriers, model.effect_carrier)
 
     def size(self, ty: TypeExpr) -> int:
         """The number of ty's values; _carrier refuses a base type without one."""
@@ -291,11 +278,6 @@ class _Layout:
         pick = _composer(tuple(sorted(range(len(ins)), key=ins.__getitem__)))
         return lambda raw: tuple(map(outs.__getitem__, pick(raw)))
 
-    def tail(self, m: int) -> Table:
-        """The exc block of a rank-2 codomain over m values."""
-        return tuple(range(m, m + self.k))
-
-    @_kept
     def lifter(self, rank: int, n: int, m: int) -> Optional[Callable[[Table], Table]]:
         """The map from a raw table of the given rank (n values in, m out,
         numbered like raw_labels) to its rank-2 table;
@@ -303,8 +285,8 @@ class _Layout:
         k = self.k
         if rank == 2:
             return None
-        if self.exceptions:
-            tail = self.tail(m)
+        if self.exceptions:  # the exc block of the codomain follows the values
+            tail = tuple(range(m, m + k))
             return lambda raw: raw + tail
         if k == 1:
             return None
@@ -330,19 +312,17 @@ class _Layout:
         lift = self.lifter(0, len(raw), m)
         return raw if lift is None else lift(raw)
 
-    @_kept
     def pairer(self, n: int, ml: int, mr: int) -> Callable[[Table, Table], Table]:
         """The map from the rank-2 tables of two pair components (n values
         in, ml and mr out) to the rank-2 table of their pair."""
         # Components have rank <= 1, so they leave exceptions and the state
         # alone: only their values are paired.
         if self.exceptions:
-            tail = self.tail(ml * mr)
+            tail = tuple(range(ml * mr, ml * mr + self.k))
             return lambda lhs, rhs: tuple(map(add, map(mr.__mul__, lhs[:n]), rhs)) + tail
         column = tuple(range(self.k)) * n
         return lambda lhs, rhs: tuple(map(add, map(mr.__mul__, map(sub, lhs, column)), rhs))
 
-    @_kept
     def conservation(self, rank: int, n: int, m: int) -> Optional[Callable[[Table], bool]]:
         """Test that a rank-2 table over n values in and m out leaves alone
         what a term of the given rank may not touch, the evaluator's check
@@ -352,7 +332,7 @@ class _Layout:
         if rank == 2:
             return None
         if self.exceptions:
-            tail = self.tail(m)
+            tail = tuple(range(m, m + k))
             if rank == 1 or n == 0:
                 return lambda t: t[n:] == tail
             return lambda t: t[n:] == tail and max(t[:n]) < m
@@ -365,7 +345,6 @@ class _Layout:
         return lambda t: (tuple(map(k.__rmod__, t)) == column
                           and all(t[s::k] == tuple(map(s.__add__, t[::k])) for s in shifts))
 
-    @_kept
     def weak_view(self, n: int, m: int) -> Optional[Callable[[Table], Sequence[int]]]:
         """The part of a rank-2 table over n values in and m out that a weak
         equation compares: the ok block, or the value column (the table
@@ -522,16 +501,16 @@ class _Program:
     """Equations and terms of one theory compiled once: well-formedness, and
     the analysis and flat tuple (_compile) of every side and term.  at()
     specialises them to carrier sizes.  A program keeps what it reads of its
-    theory (memo: its closures of sizes and lifters), not the theory, so the
-    compiled state that keeps it refers back to nothing."""
-    __slots__ = ("effect", "base_types", "ops", "axioms", "memo",
+    theory (lifters: the theory's lifter list per carrier sizes), not the
+    theory, so the compiled state that keeps it refers back to nothing."""
+    __slots__ = ("effect", "base_types", "ops", "axioms", "lifters",
                  "_equations", "_terms", "last", "used", "walked", "least", "passed")
 
     def __init__(self, theory: Theory, equations: Iterable[DecoratedEquation],
                  terms: Iterable[DecoratedTerm] = ()):
         self.effect, self.base_types, ops = theory.effect, theory.base_types, theory.operations
         self.ops, self.axioms, names = ops, len(theory.axioms), set()
-        self.memo = theory._compiled().setdefault(_Layout, {})
+        self.lifters = theory._compiled().setdefault(_Layout, {})
         self._equations = entries = []  # per equation: strength, sides' _compile, reads, checks
         for eq in equations:
             entry = theory._compiled().get(eq)
@@ -568,23 +547,22 @@ class _Program:
         return tuple(steps)
 
     def at(self, layout: _Layout) -> tuple[list[_Check], list[_Side], list[Optional[Callable]]]:
-        """The equations and the terms specialised to layout's carrier sizes, by
-        which the theory's compiled state keeps each check and memo the lifters."""
+        """The equations, the terms and the lifters specialised to layout's carrier
+        sizes, by which the theory's compiled state keeps each check and lifter list."""
         sizes = (*map(len, map(layout.carriers.get, self.base_types)), layout.k)
         side = lambda found, flat: _Side(layout, self._steps(layout, flat), found)
         checks = [kept.get(sizes) or kept.setdefault(sizes, _Check(side(*lhs), side(*rhs), (
                       layout.weak_view(layout.size(lhs[0].dom), layout.size(lhs[0].cod))
                       if strength is Strength.WEAK else None)))
                   for strength, lhs, rhs, _, kept in self._equations]
-        key = ("lifters", *sizes)
-        lifters = self.memo.get(key) or self.memo.setdefault(key, [
+        lifters = self.lifters.get(sizes) or self.lifters.setdefault(sizes, [
             layout.lifter(*layout.shape(sym)) for sym in self.ops])
         return checks, [side(*term) for term in self._terms], lifters
 
     def numbered(self, theory: Theory, model: FiniteModel) -> tuple[_Layout, list, list, list]:
         """Check a given model's carriers, specialise to them and number,
         from its labelled tables, the tables the program uses (else None)."""
-        layout = _Layout.of_model(theory, model, self.memo)
+        layout = _Layout.of_model(theory, model)
         checks, sides, lifters = self.at(layout)
         raws = [layout.number(sym, model.tables.get(sym.name)) if i in self.used else None
                 for i, sym in enumerate(self.ops)]
@@ -692,14 +670,18 @@ class Bounds(Record):
     effect: int = 2
 
     def __post_init__(self):
-        if min(self.base, self.effect) < 1:
+        try:
+            small = min(self.base, self.effect) < 1
+        except TypeError:  # not numbers, so refused below as not ints
+            small = False
+        if small or not all(isinstance(n, int) for n in (self.base, self.effect)):
             raise SemanticsError(
-                f"carrier bounds must be at least 1, got base {quoted(self.base)}, "
-                f"effect {quoted(self.effect)}")
+                f"carrier bounds must be {'at least 1' if small else 'integers'}, got base "
+                f"{quoted(self.base)}, effect {quoted(self.effect)}")
 
 
 def _layouts(effect: EffectKind, base_types: Sequence[str], bounds: Bounds,
-             least: Collection[str] = (), memo: Optional[dict] = None) -> Iterator[_Layout]:
+             least: Collection[str] = ()) -> Iterator[_Layout]:
     """One layout per carrier-size assignment: base types in the given order,
     the first varying slowest, with the effect carrier last, and carriers
     numbered 0, 1, ...; a type in least keeps size 1.  Sizes are counted out
@@ -707,7 +689,7 @@ def _layouts(effect: EffectKind, base_types: Sequence[str], bounds: Bounds,
     carriers = dict.fromkeys(base_types, (0,))
     while True:
         for eff_size in range(1, bounds.effect + 1):
-            yield _Layout(effect, carriers, tuple(range(eff_size)), memo)
+            yield _Layout(effect, carriers, tuple(range(eff_size)))
         carriers = dict(carriers)  # the last carrier below its bound grows, later ones restart
         for name in reversed(base_types):
             n = len(carriers[name])
@@ -738,6 +720,8 @@ def _check_ceiling(program: _Program, bounds: Bounds, cap: int, least: Collectio
     number of layouts, each holding one at least, and stops once it passes;
     a table of n_in rows and n_out outputs passes alone, uncounted, if
     2 ** (n_in * (n_out.bit_length() - 1)) does.  The program keeps each pass."""
+    if not isinstance(cap, int):
+        raise SemanticsError(f"the interpretation ceiling must be an integer, got {quoted(cap)}")
     if (bounds, cap, least) in program.passed:
         return
     total, cells = bounds.base ** (len(program.base_types) - len(least)) * bounds.effect, 0
@@ -833,7 +817,7 @@ def _admitted(program: _Program, bounds: Bounds, least: Collection[str] = (),
     operations the program uses, and the layout's checks of its equations.
     Types in least keep size 1; orbits prunes by relabellings (_candidates)."""
     walked = [program.ops[i] for i in program.walked]
-    for layout in _layouts(program.effect, program.base_types, bounds, least, program.memo):
+    for layout in _layouts(program.effect, program.base_types, bounds, least):
         checks, _, lifters = program.at(layout)
         twins = layout.relabellings(walked) if orbits else ()
         for assignment, tables in _candidates(program, layout, checks, lifters, twins):

@@ -315,7 +315,7 @@ class TestAnalysisMemo:
         gc.disable()
         try:
             assert find_counterexample(theory, goal) is not None
-            assert semantics._program(theory, (goal,), axioms=True).memo is not None
+            assert semantics._program(theory, (goal,), axioms=True).lifters
             del theory, goal
             assert gc.collect() == 0
         finally:

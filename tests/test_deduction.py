@@ -746,6 +746,16 @@ class TestValidateRules:
         with pytest.raises(DeductionError, match="between 1 and 2"):
             validate_rules(effect, max_carrier=3)
 
+    def test_carrier_bound_that_is_not_an_int_is_rejected(self):
+        # unrefused, "1" would raise TypeError and 1.5 be swept; an out-of-range text stays
+        for bound in ("1", 1.5, None):
+            with pytest.raises(DeductionError, match="^max_carrier must be an integer, got "):
+                validate_rules(EffectKind.STATES, max_carrier=bound)
+        for outside in (0, 0.5, float("nan")):
+            with pytest.raises(DeductionError, match=f"^max_carrier must be between 1 and 2, "
+                               f"got {outside}$"):
+                validate_rules(EffectKind.STATES, max_carrier=outside)
+
 
 def _at_size_2(effect, rule, stop=False):
     """Models checked, violations and example of rule's sound scenario with

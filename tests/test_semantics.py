@@ -2,6 +2,7 @@
 import itertools
 import math
 import random
+import re
 import time
 
 import pytest
@@ -21,6 +22,7 @@ from decolog.calculus import (
     analysis,
     compose,
     pair,
+    quoted,
     strong,
     weak,
 )
@@ -415,10 +417,36 @@ class TestEnumeration:
 
     @pytest.mark.parametrize("bounds", [
         dict(base=0), dict(effect=0), dict(base=3, effect=-1), dict(base=-1, effect=-1),
+        dict(base=float("nan")), dict(base=2.5), dict(base="2", effect=2), dict(effect=None),
     ])
     def test_bounds_below_1_are_rejected(self, bounds):
         with pytest.raises(SemanticsError):
             list(enumerate_models(TINY, Bounds(**bounds)))
+
+    def test_bounds_that_are_not_ints_are_rejected(self):
+        # unrefused, a NaN bound would search nothing and answer None, and 2.5 size 3
+        goal = strong(Op("u"), Id(BaseType("B")))
+        assert find_counterexample(TINY, goal, Bounds(2, 1)) is not None
+        for base, effect in ((float("nan"), 1), (2.5, 1), ("2", 2), (2, 2.5), (2, None)):
+            with pytest.raises(SemanticsError, match="^carrier bounds must be integers, got "
+                               f"base {re.escape(quoted(base))}, effect {quoted(effect)}$"):
+                find_counterexample(TINY, goal, Bounds(base, effect))
+        for base, effect in ((0, 1), (0.5, 2), (2, float("-inf"))):
+            with pytest.raises(SemanticsError, match="^carrier bounds must be at least 1, got "
+                               f"base {quoted(base)}, effect {quoted(effect)}$"):
+                Bounds(base, effect)
+        assert Bounds(True, True) == Bounds(1, 1)
+
+    @pytest.mark.parametrize("cap", [2.5, float("nan"), "1000", None])
+    def test_a_ceiling_that_is_not_an_int_is_rejected(self, cap):
+        goal = strong(Op("u"), Id(BaseType("B")))
+        for search in (lambda: list(enumerate_models(TINY, max_interpretations=cap)),
+                       lambda: find_counterexample(TINY, goal, max_interpretations=cap)):
+            with pytest.raises(SemanticsError, match="^the interpretation ceiling must be an "
+                               f"integer, got {re.escape(quoted(cap))}$"):
+                search()
+        with pytest.raises(BoundsTooLarge, match="ceiling is True$"):  # bool is an int
+            find_counterexample(TINY, goal, max_interpretations=True)
 
     def test_bounds_too_large(self, bank):
         theory, _, _ = bank
@@ -678,6 +706,26 @@ class TestKeptSides:
         assert len(layouts) == 4
         assert len(reading_none) == len(set(reading_none)) == 2 * len(layouts)
         assert len(runs) < len(sides)
+
+    def test_a_warm_search_builds_nothing_from_sizes(self, bank, bank_mod4, monkeypatch):
+        """A layout builds its lifters, pairers, conservation tests and weak
+        views only when a check, a side or a lifter list is first specialised
+        to carrier sizes, which the theory keeps: so a second search and a
+        second holds on the same theory build none, and no layout needs to
+        keep them."""
+        theory, f, g = bank
+        theory = Theory(theory.effect, theory.base_types, theory.operations, theory.axioms)
+        built = []
+        for name in ("lifter", "pairer", "conservation", "weak_view"):
+            def counted(layout, *sizes, name=name, method=getattr(_Layout, name)):
+                built.append(name)
+                return method(layout, *sizes)
+            monkeypatch.setattr(_Layout, name, counted)
+        for want in ({"lifter", "pairer", "conservation", "weak_view"}, set()):
+            built.clear()
+            assert find_counterexample(theory, strong(f, g)) is not None
+            assert holds(bank_mod4, theory, weak(f, g))
+            assert set(built) == want
 
 
 #: An exhausted search at Bounds(3, 3) with room for types that nothing

@@ -235,10 +235,18 @@ def check_derivation(theory: Theory, derivation: Derivation,
     kept = theory._compiled().setdefault(Derivation, {})
     eq = kept.get(derivation) or fold(derivation, partial(_check, theory, kept), _known_rule)
     report = check_equation_wf(theory, eq)
-    if expected is not None and eq != expected.normalized():
+    if expected is not None and eq != (expected := _normal(theory, expected)):
         raise ConclusionMismatch(
-            f"derivation concludes {_eq_str(eq)}, expected {_eq_str(expected.normalized())}")
+            f"derivation concludes {_eq_str(eq)}, expected {_eq_str(expected)}")
     return Judgment(eq, report.dom, report.cod)
+
+
+def _normal(theory: Theory, goal: DecoratedEquation) -> DecoratedEquation:
+    """goal.normalized(), read off the theory's analysis memo when it holds both sides."""
+    lhs, rhs = ((theory._analyses.get(side) if isinstance(side, Interned) else None
+                 for side in goal[2:]) if goal.__class__ is DecoratedEquation else (None, None))
+    return (goal.normalized() if lhs is None or rhs is None
+            else DecoratedEquation(goal.strength, lhs.term, rhs.term))
 
 
 def _eq_str(eq: DecoratedEquation) -> str:
@@ -669,7 +677,7 @@ def prove(theory: Theory, goal: DecoratedEquation, max_depth: int = 8,
           max_nodes: int = 4000) -> Derivation:
     """Search for a derivation of the goal; DepthExhausted when the bounded
     bidirectional search gives up (which decides nothing).  Both bounds must
-    be at least 1.
+    be numbers of at least 1.
 
     The search order, the rewrite count in the DepthExhausted message and
     the derivation found are fixed by the order in which moves are
@@ -679,11 +687,13 @@ def prove(theory: Theory, goal: DecoratedEquation, max_depth: int = 8,
     goal.  The theory's compiled state keeps each outcome by normalized goal
     and both bounds, the checked derivation or a give-up's rewrite count, so a
     repeat is a lookup; a refusal, or a search out of atom codes, is not kept."""
-    if not (max_depth >= 1 and max_nodes >= 1):  # a NaN bound too
-        raise DeductionError(
-            f"prove needs max_depth and max_nodes of at least 1, "
-            f"got {max_depth} and {max_nodes}")
-    eq = goal.normalized()
+    try:
+        if not (max_depth >= 1 and max_nodes >= 1):  # a NaN bound too
+            raise TypeError
+    except TypeError:  # below 1, or not a number
+        raise DeductionError(f"prove needs max_depth and max_nodes of at least 1, "
+                             f"got {quoted(max_depth)} and {quoted(max_nodes)}") from None
+    eq = _normal(theory, goal)
     dom = check_equation_wf(theory, eq).dom
     kept = theory._compiled().setdefault((DecoratedEquation, Derivation), {})
     found = kept.get(key := (eq, max_depth, max_nodes))

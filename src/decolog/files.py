@@ -74,6 +74,7 @@ from .calculus import (
     Prod,
     Proj1,
     Proj2,
+    RESERVED_NAMES,
     Strength,
     TERM_PARTS,
     Theory,
@@ -150,7 +151,7 @@ def _kind(tok: str) -> str:
         return "INT"
     if first.isalpha() or first == "_":
         return "IDENT"
-    return {"": "EOF", "\n": "NL"}.get(tok, "SYM")
+    return "NL" if tok == "\n" else "SYM" if tok else "EOF"
 
 
 def tokenize(text: str) -> list[Token]:
@@ -300,18 +301,21 @@ def _depth(term: DecoratedTerm) -> int:
         term, lambda t, a=0, b=0: a + b if t.__class__ is Comp else 1 + max(a, b))
 
 
-def _parse_primary(s: _Stream, defs: dict[str, DecoratedTerm], memo: dict,
+def _parse_primary(s: _Stream, names: dict[str, DecoratedTerm], memo: dict,
                    level: int) -> DecoratedTerm:
-    if s.peek() in ("(", "<") and level >= MAX_DEPTH:
+    if (found := names.get(tok := s.peek())) is not None and tok not in RESERVED_NAMES:
+        s.pos += 1  # a declared name, which is an identifier, so no bracket
+        return found
+    if tok in ("(", "<") and level >= MAX_DEPTH:
         raise _too_deep(s, "term")
     if s.take_sym("("):
-        term = _parse_term(s, defs, memo, level + 1)
+        term = _parse_term(s, names, memo, level + 1)
         s.expect(")")
         return term
     if s.take_sym("<"):
-        left = _parse_term(s, defs, memo, level + 1)
+        left = _parse_term(s, names, memo, level + 1)
         s.expect(",")
-        right = _parse_term(s, defs, memo, level + 1)
+        right = _parse_term(s, names, memo, level + 1)
         s.expect(">")
         if 1 + max(_depth(left), _depth(right)) > MAX_DEPTH:
             raise _too_deep(s, "term")
@@ -329,18 +333,16 @@ def _parse_primary(s: _Stream, defs: dict[str, DecoratedTerm], memo: dict,
         right = _parse_type(s, level)
         s.expect(")")
         return (Proj1 if name == "p1" else Proj2)(left, right)
-    if name in defs:
-        return defs[name]
     return Op(name)
 
 
-def _parse_term(s: _Stream, defs: dict[str, DecoratedTerm], memo: dict,
+def _parse_term(s: _Stream, names: dict[str, DecoratedTerm], memo: dict,
                 level: int = 0) -> DecoratedTerm:
     """A term, normalized: read off the theory's analysis memo when it holds the term."""
-    factors = [_parse_primary(s, defs, memo, level)]
+    factors = [_parse_primary(s, names, memo, level)]
     depth = _depth(factors[0])
     while s.take_sym(".", "∘"):
-        factors.append(_parse_primary(s, defs, memo, level))
+        factors.append(_parse_primary(s, names, memo, level))
         depth += _depth(factors[-1])
         if depth > MAX_DEPTH:
             raise _too_deep(s, "term")
@@ -349,30 +351,40 @@ def _parse_term(s: _Stream, defs: dict[str, DecoratedTerm], memo: dict,
     return normalize(term) if found is None else found.term
 
 
-def _parse_equation(s: _Stream, defs: dict[str, DecoratedTerm], memo: dict) -> DecoratedEquation:
+def _parse_equation(s: _Stream, names: dict[str, DecoratedTerm], memo: dict) -> DecoratedEquation:
     word = s.expect("IDENT")
     if word not in ("strong", "weak"):
         raise s.fail(f"expected 'strong' or 'weak', got {quoted(word)}", s.pos - 1)
     strength = Strength.STRONG if word == "strong" else Strength.WEAK
-    lhs = _parse_term(s, defs, memo)
+    lhs = _parse_term(s, names, memo)
     op = s.expect("SYM")
     if op not in ("==", "~", "≈"):
         raise s.fail(f"expected '==' or '~', got {quoted(op)}", s.pos - 1)
     if (op == "==") != (strength is Strength.STRONG):
         raise s.fail(f"operator {quoted(op)} does not match {quoted(word)}", s.pos - 1)
-    rhs = _parse_term(s, defs, memo)
+    rhs = _parse_term(s, names, memo)
     return DecoratedEquation(strength, lhs, rhs)
 
 
 def parse_equation(text: str, theory: Theory) -> DecoratedEquation:
     """`strong <term> == <term>` or `weak <term> ~ <term>`, with def names
     expanded from the theory."""
-    return _parsed(text, "equation", _parse_equation, dict(theory.definitions), theory._analyses)
+    return _parsed(text, "equation", _parse_equation, _names(theory), theory._analyses)
 
 
 def parse_term(text: str, theory: Theory) -> DecoratedTerm:
     """A single term, with def names expanded from the theory."""
-    return _parsed(text, "term", _parse_term, dict(theory.definitions), theory._analyses)
+    return _parsed(text, "term", _parse_term, _names(theory), theory._analyses)
+
+
+def _names(theory: Theory) -> dict[str, DecoratedTerm]:
+    """Each operation's Op and each definition's term by its name, kept in the compiled
+    state: only names an identifier token can be, and no operation named by a str subclass."""
+    if Op not in theory._compiled():
+        ops = [(sym.name, Op(sym.name)) for sym in theory.operations if sym.name.__class__ is str]
+        theory._compiled()[Op] = {name: term for name, term in ops + list(theory.definitions)
+                                  if isinstance(name, str) and _kind(name) == "IDENT"}
+    return theory._compiled()[Op]
 
 
 # ---------------------------------------------------------------------------
@@ -594,7 +606,7 @@ def print_model(model: FiniteModel) -> str:
 # Derivation files
 # ---------------------------------------------------------------------------
 
-def _parse_deriv_node(s: _Stream, defs: dict[str, DecoratedTerm], memo: dict,
+def _parse_deriv_node(s: _Stream, names: dict[str, DecoratedTerm], memo: dict,
                       level: int = 0) -> Derivation:
     if level >= MAX_DEPTH:
         raise _too_deep(s, "derivation")
@@ -602,26 +614,24 @@ def _parse_deriv_node(s: _Stream, defs: dict[str, DecoratedTerm], memo: dict,
     rule = s.expect("IDENT")
     params: list[tuple[str, object]] = []
     premises: list[Derivation] = []
-    while not s.take_sym(")"):
-        kind = _kind(s.peek())
-        if s.peek() == "(":
-            premises.append(_parse_deriv_node(s, defs, memo, level + 1))
-        elif kind == "IDENT" and s.peek(1) == "=":
-            key = s.expect("IDENT")
-            s.expect("=")
-            if key == "name":
+    while (tok := s.peek()) != ")":
+        if tok == "(":
+            premises.append(_parse_deriv_node(s, names, memo, level + 1))
+        elif s.peek(1) == "=" and _kind(tok) == "IDENT":
+            s.pos += 2
+            if tok == "name":
                 value: object = s.expect("IDENT")
-            elif key == "side":
+            elif tok == "side":
                 value = s.integer()
             else:
-                value = _parse_term(s, defs, memo)
-            params.append((key, value))
-        elif kind in ("IDENT", "INT") or s.peek() == "<":
+                value = _parse_term(s, names, memo)
+            params.append((tok, value))
+        elif tok == "<" or _kind(tok) in ("IDENT", "INT"):
             # bare body: a term, or the spelled-out `lhs == rhs` of refl
-            term = _parse_term(s, defs, memo)
+            term = _parse_term(s, names, memo)
             if s.take_sym("=="):
                 op = s.pos - 1
-                other = _parse_term(s, defs, memo)
+                other = _parse_term(s, names, memo)
                 if other != term:
                     raise s.fail("the sides of a refl body must be the "
                                  "same term", op)
@@ -630,13 +640,13 @@ def _parse_deriv_node(s: _Stream, defs: dict[str, DecoratedTerm], memo: dict,
             else:
                 params.append(("term", term))
         else:
-            raise s.fail(f"unexpected {quoted(s.peek())} in rule body")
+            raise s.fail(f"unexpected {quoted(tok)} in rule body")
+    s.pos += 1
     return Derivation(rule, tuple(params), tuple(premises))
 
 
 def parse_derivation(text: str, theory: Theory) -> Derivation:
-    return _parsed(text, "derivation", _parse_deriv_node, dict(theory.definitions),
-                   theory._analyses)
+    return _parsed(text, "derivation", _parse_deriv_node, _names(theory), theory._analyses)
 
 
 def print_derivation(d: Derivation) -> str:

@@ -467,6 +467,26 @@ class TestRecord:
         assert nested is not Derivation("sym", (("x", (1, (1,))),))
         assert nested is Derivation("sym", (("x", (1, (True,))),))
 
+    def test_interning_keeps_each_fields_class_in_its_place(self):
+        """A str subclass equal to a str is a class of its own, and so is
+        each place: two records that swap a plain value and an equal
+        subclass value between their fields, or 1 and True between a
+        derivation's params, are two values, which a key holding the
+        classes without their places would make one."""
+        class S(str):
+            pass
+        assert Op(S("f")) is Op(S("f")) and Op(S("f")) is not Op("f")
+        assert Op(S("f")).name.__class__ is S and Op("f").name.__class__ is str
+        left, right = Proj1("a", S("b")), Proj1(S("a"), "b")
+        assert left is not right and left != right
+        assert left is Proj1("a", S("b")) and right is Proj1(S("a"), "b")
+        assert [p.left_ty.__class__ for p in (left, right)] == [str, S]
+        first = Derivation("sym", (("x", 1), ("y", True)))
+        second = Derivation("sym", (("x", True), ("y", 1)))
+        assert first is not second and first != second
+        assert first is Derivation("sym", (("x", 1), ("y", True)))
+        assert [value.__class__ for _, value in second.params] == [bool, int]
+
     def test_a_value_with_an_unhashable_field_is_not_interned(self):
         """Pair(f, [1]) is built and equals only itself; analysis refuses it
         as no term, with a theory or without, and the theory's memo is never

@@ -1,19 +1,26 @@
 """Derivation checking, proof search, and rule validation."""
 import random
+from itertools import product
 
 import pytest
 
+from decolog import calculus
 from decolog.calculus import (
     Bang,
     BaseType,
+    Comp,
+    DecoratedEquation,
     EffectKind,
     Id,
     Op,
     OperationSymbol,
     Axiom,
+    Pair,
     Strength,
     Theory,
+    UndeclaredSymbol,
     Unit,
+    analyze_term,
     compose,
     pair,
     strong,
@@ -685,6 +692,94 @@ class TestProve:
         # even a goal that needs no search: a bound below 1 checks nothing
         with pytest.raises(DeductionError, match="at least 1"):
             prove(theory, strong(f, f), **bounds)
+
+    @pytest.mark.parametrize("bounds, given", [({"max_depth": "8"}, "'8' and 4000"),
+                                               ({"max_nodes": "9"}, "8 and '9'"),
+                                               ({"max_depth": None}, "None and 4000")])
+    def test_bounds_that_are_not_numbers_are_refused(self, bounds, given, expanded):
+        """A bound that is not a number is refused before the lookup, as one
+        below 1 is, and nothing is kept; 8 and 8.0 are still one bound."""
+        theory = parse_theory(corpus_path("throwcatch.dth").read_text())
+        goal = parse_equation("weak catchZero . catchZero . throw ~ zero", theory)
+        with pytest.raises(DeductionError) as refused:
+            prove(theory, goal, **bounds)
+        assert str(refused.value) == f"prove needs max_depth and max_nodes of at least 1, got {given}"
+        assert theory._compiled().get((DecoratedEquation, Derivation)) is None and not expanded
+        d, searched = prove(theory, goal, max_depth=8.0), len(expanded)
+        assert prove(theory, goal) is d and len(expanded) == searched > 0
+
+
+class TestGoalNormalForm:
+    """prove and check_derivation(expected=...) read a goal's normal form from
+    the theory's analysis memo when it holds both sides, and normalize the
+    goal otherwise, so what they return or raise is what they did when they
+    always normalized it."""
+
+    @pytest.fixture
+    def walks(self, monkeypatch):
+        """The theory of each calculus._analysis step, None for a theory-less walk."""
+        theories = []
+        step = calculus._analysis
+        monkeypatch.setattr(calculus, "_analysis",
+                            lambda theory, *args: theories.append(theory) or step(theory, *args))
+        return theories
+
+    @staticmethod
+    def throwcatch():
+        theory = parse_theory(corpus_path("throwcatch.dth").read_text())
+        return theory, parse_equation("weak catchZero . catchZero . throw ~ zero", theory)
+
+    def test_a_warm_goal_is_not_walked_again(self, walks):
+        theory, goal = self.throwcatch()
+        d = prove(theory, goal)
+        walks.clear()
+        assert prove(theory, goal) is d
+        assert check_derivation(theory, d, expected=goal).equation == goal
+        assert walks == []
+
+    def test_a_goal_the_memo_lacks_is_normalized(self, walks):
+        """Left-nested sides are in no memo: both calls normalize them."""
+        theory, normal = self.throwcatch()
+        goal = DecoratedEquation(Strength.WEAK, Comp(Comp(Op("catchZero"), Op("catchZero")),
+                                                     Op("throw")), Op("zero"))
+        assert goal != normal and goal.normalized() == normal
+        for _ in "ab":
+            walks.clear()
+            d = prove(theory, goal)
+            assert None in walks and d is prove(theory, normal)
+            walks.clear()
+            assert check_derivation(theory, d, expected=goal).equation == normal
+            assert None in walks
+
+    def test_an_ill_formed_goal_fails_as_before(self):
+        """An undeclared operation fails the goal's check, or the expected
+        comparison; an identity over an undeclared type is dropped by
+        normalization first, so that goal proves; a side with a field that
+        cannot be hashed is no term, and neither is a list."""
+        theory, goal = self.throwcatch()
+        d = prove(theory, goal)
+        for _ in "ab":
+            undeclared = strong(Op("nope"), Op("nope"))
+            with pytest.raises(UndeclaredSymbol, match="^operation 'nope' is not declared$"):
+                prove(theory, undeclared)
+            with pytest.raises(ConclusionMismatch) as mismatch:
+                check_derivation(theory, d, expected=undeclared)
+            assert str(mismatch.value) == ("derivation concludes catchZero . catchZero . throw "
+                                           "~ zero, expected nope == nope")
+            dropped = Comp(Op("zero"), Id(BaseType("Nope")))
+            with pytest.raises(UndeclaredSymbol, match="'Nope' is not declared"):
+                analyze_term(theory, dropped)
+            refl = prove(theory, DecoratedEquation(Strength.STRONG, dropped, Op("zero")))
+            assert refl == deriv(REFL, term=Op("zero"))
+            assert check_derivation(theory, refl, expected=DecoratedEquation(
+                Strength.STRONG, Op("zero"), dropped)).equation == strong(Op("zero"), Op("zero"))
+            for odd, call in product((Pair(Op("zero"), [1]), [1]),
+                                     (lambda eq: prove(theory, eq),
+                                      lambda eq: check_derivation(theory, d, expected=eq))):
+                with pytest.raises(TypeError, match=r"^not a term: \[1\]$"):
+                    call(DecoratedEquation(Strength.WEAK, odd, Op("zero")))
+                with pytest.raises(TypeError, match=r"^not a term: \[1\]$"):
+                    call(DecoratedEquation(Strength.WEAK, Op("zero"), odd))
 
 
 @pytest.fixture(scope="session")

@@ -9,8 +9,10 @@ from decolog.calculus import (
     Comp,
     EffectKind,
     Op,
+    OperationSymbol,
     Prod,
     Strength,
+    Theory,
     TheoryError,
     compose,
 )
@@ -130,6 +132,14 @@ class TestTheoryFiles:
         assert throwcatch_file.operations == theory.operations
         assert throwcatch_file.axioms == theory.axioms
 
+    def test_a_definition_named_by_a_builtin_does_not_shadow_it(self):
+        """The file reads on with id(T) as the builtin, and the theory then
+        refuses the definition's name."""
+        text = ("effect states\ntype Int\nop g : Int -> Int pure\ndef id = g\n"
+                "axiom strong id(Int) == id(Int)\n")
+        with pytest.raises(TheoryError, match="^definition may not shadow builtin 'id'$"):
+            parse_theory(text)
+
     def test_axioms_autonamed_in_order(self, throwcatch_file):
         assert [ax.name for ax in throwcatch_file.axioms] == ["ax1", "ax2"]
 
@@ -222,6 +232,25 @@ class TestEquationStrings:
     def test_print_round_trip(self, bank_file):
         eq = parse_equation("weak f ~ g", bank_file)
         assert parse_equation(print_equation(eq), bank_file) == eq
+
+    def test_a_name_reads_as_its_declaration(self):
+        """A declared operation's name reads as its Op and a definition's as
+        its term, after the builtins; a token no declaration spells (an
+        undeclared name, an operation named by a str subclass, a definition
+        named by a bracket) reads as it would without it."""
+        class S(str):
+            pass
+        theory = Theory(EffectKind.STATES, ("Int",),
+                        (OperationSymbol(S("f"), Int, Int, 0), OperationSymbol("g", Int, Int, 0)),
+                        definitions=(("(", Op("g")), ("h", compose(Op("g"), Op("g")))))
+        assert parse_term("g . h", theory) == compose(Op("g"), Op("g"), Op("g"))
+        assert parse_term("(g)", theory) is Op("g") and parse_term("k", theory) is Op("k")
+        found = parse_term("f", theory)
+        assert found is Op("f") and found.name.__class__ is str
+        d = parse_derivation("(trans_strong (refl h) (axiom ax1) side=2 t=id(Int) . f)", theory)
+        assert d.params == (("side", 2), ("t", Op("f")))
+        assert [p.params for p in d.premises] == [(("term", compose(Op("g"), Op("g"))),),
+                                                  (("name", "ax1"),)]
 
 
 class TestModelFiles:

@@ -282,6 +282,39 @@ def compiled_key_names(source: str) -> set[str]:
             if isinstance(n, (ast.Name, ast.Attribute))}
 
 
+def normalizing_calls(source: str) -> list[str]:
+    """The innermost function around each call of .normalized() or
+    normalize() in a module, "" for one outside any function, sorted."""
+    found, todo = [], [(ast.parse(source), "")]
+    while todo:
+        node, where = todo.pop()
+        if isinstance(node, ast.Call):
+            called = getattr(node.func, "attr", None) or getattr(node.func, "id", None)
+            if called in ("normalized", "normalize"):
+                found.append(where)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        todo += [(child, where) for child in ast.iter_child_nodes(node)]
+    return sorted(found)
+
+
+def test_the_prover_and_checker_normalize_a_goal_in_one_place():
+    """deduction.py normalizes a goal only in _normal, which reads the
+    sides' normal forms from the theory's memo first, so no other path
+    walks a goal the memo already holds."""
+    source = (ROOT / "src" / "decolog" / "deduction.py").read_text(encoding="utf-8")
+    assert normalizing_calls(source) == ["_normal"]
+
+
+def test_normalizing_scan_sees_every_kind_of_call():
+    source = ("def a(g): return g.normalized()\n"
+              "def b(g):\n"
+              "    def c(): return normalize(g.lhs)\n"
+              "    return c, g.normalized\n"
+              "x = y.normalized()\n")
+    assert normalizing_calls(source) == ["", "a", "c"]
+
+
 def test_no_compiled_state_is_keyed_by_a_traced_function():
     """No key of a theory's compiled state names a function the benchmark's
     tracer rebinds: while it is traced, the name stands for the tracer's

@@ -351,13 +351,20 @@ def term_str(term: DecoratedTerm) -> str:
     return walk(term, _TERM_TEXT, parts=TEXT_PARTS)
 
 
+_NORMAL = {}  # each normal form normalize found, by term: never emptied, like Interned._table
+
+
 def normalize(term: DecoratedTerm) -> DecoratedTerm:
     """Canonical form: compositions right-associated with identity factors
     dropped, Bang(Unit) collapsed to Id(Unit).  Associativity and identity
     laws are definitional, so equality of normal forms is the term equality
-    used everywhere else.  Read off the term's analysis, without a theory.
-    """
-    return analysis(None, term).term
+    used everywhere else.  Read off the term's analysis, without a theory,
+    once per term: _NORMAL keeps each success, and a failure recurs."""
+    found = _NORMAL.get(term) if isinstance(term, Interned) else None
+    if found is None:
+        found = analysis(None, term).term  # the walk refuses anything but a term
+        _NORMAL[term] = _NORMAL[found] = found
+    return found
 
 
 def rebuild(atoms: Atoms, inner: DecoratedTerm) -> DecoratedTerm:
@@ -397,6 +404,10 @@ class DecoratedEquation(Record):
     strength: Strength
     lhs: DecoratedTerm
     rhs: DecoratedTerm
+
+    def __post_init__(self):
+        if not isinstance(self.strength, Strength):
+            raise TheoryError(f"strength must be a Strength, got {quoted(self.strength)}")
 
     def normalized(self) -> "DecoratedEquation":
         return DecoratedEquation(self.strength, normalize(self.lhs), normalize(self.rhs))
@@ -454,6 +465,8 @@ class Theory(Record):
     def __post_init__(self):
         ops = self.__dict__["_op_index"] = {}
         self.__dict__["_analyses"] = {}
+        if not isinstance(self.effect, EffectKind):
+            raise TheoryError(f"effect must be an EffectKind, got {quoted(self.effect)}")
         if "Unit" in self.base_types:
             raise TheoryError("base type may not be named Unit")
         if len(set(self.base_types)) != len(self.base_types):

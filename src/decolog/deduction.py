@@ -235,18 +235,10 @@ def check_derivation(theory: Theory, derivation: Derivation,
     kept = theory._compiled().setdefault(Derivation, {})
     eq = kept.get(derivation) or fold(derivation, partial(_check, theory, kept), _known_rule)
     report = check_equation_wf(theory, eq)
-    if expected is not None and eq != (expected := _normal(theory, expected)):
+    if expected is not None and eq != (expected := expected.normalized()):
         raise ConclusionMismatch(
             f"derivation concludes {_eq_str(eq)}, expected {_eq_str(expected)}")
     return Judgment(eq, report.dom, report.cod)
-
-
-def _normal(theory: Theory, goal: DecoratedEquation) -> DecoratedEquation:
-    """goal.normalized(), read off the theory's analysis memo when it holds both sides."""
-    lhs, rhs = ((theory._analyses.get(side) if isinstance(side, Interned) else None
-                 for side in goal[2:]) if goal.__class__ is DecoratedEquation else (None, None))
-    return (goal.normalized() if lhs is None or rhs is None
-            else DecoratedEquation(goal.strength, lhs.term, rhs.term))
 
 
 def _eq_str(eq: DecoratedEquation) -> str:
@@ -693,7 +685,7 @@ def prove(theory: Theory, goal: DecoratedEquation, max_depth: int = 8,
     except TypeError:  # below 1, or not a number
         raise DeductionError(f"prove needs max_depth and max_nodes of at least 1, "
                              f"got {quoted(max_depth)} and {quoted(max_nodes)}") from None
-    eq = _normal(theory, goal)
+    eq = goal.normalized()
     dom = check_equation_wf(theory, eq).dom
     kept = theory._compiled().setdefault((DecoratedEquation, Derivation), {})
     found = kept.get(key := (eq, max_depth, max_nodes))
@@ -1089,6 +1081,8 @@ def validate_rules(effect: EffectKind, max_carrier: int = 2) -> ValidationReport
     subst_strong, weak_subst, weak_repl, the three pair rules and the two unit
     laws (not trans_strong, trans_mixed, strong_to_weak, repl_strong or axiom)
     over all finite interpretations with carriers up to max_carrier (1 or 2)."""
+    if not isinstance(effect, EffectKind):
+        raise DeductionError(f"effect must be an EffectKind, got {quoted(effect)}")
     try:
         outside = not 1 <= max_carrier <= MAX_SWEEP_CARRIER
     except TypeError:  # not a number, so refused below as not an int

@@ -301,21 +301,20 @@ def _depth(term: DecoratedTerm) -> int:
         term, lambda t, a=0, b=0: a + b if t.__class__ is Comp else 1 + max(a, b))
 
 
-def _parse_primary(s: _Stream, names: dict[str, DecoratedTerm], memo: dict,
-                   level: int) -> DecoratedTerm:
+def _parse_primary(s: _Stream, names: dict[str, DecoratedTerm], level: int) -> DecoratedTerm:
     if (found := names.get(tok := s.peek())) is not None and tok not in RESERVED_NAMES:
         s.pos += 1  # a declared name, which is an identifier, so no bracket
         return found
     if tok in ("(", "<") and level >= MAX_DEPTH:
         raise _too_deep(s, "term")
     if s.take_sym("("):
-        term = _parse_term(s, names, memo, level + 1)
+        term = _parse_term(s, names, level + 1)
         s.expect(")")
         return term
     if s.take_sym("<"):
-        left = _parse_term(s, names, memo, level + 1)
+        left = _parse_term(s, names, level + 1)
         s.expect(",")
-        right = _parse_term(s, names, memo, level + 1)
+        right = _parse_term(s, names, level + 1)
         s.expect(">")
         if 1 + max(_depth(left), _depth(right)) > MAX_DEPTH:
             raise _too_deep(s, "term")
@@ -336,45 +335,43 @@ def _parse_primary(s: _Stream, names: dict[str, DecoratedTerm], memo: dict,
     return Op(name)
 
 
-def _parse_term(s: _Stream, names: dict[str, DecoratedTerm], memo: dict,
-                level: int = 0) -> DecoratedTerm:
-    """A term, normalized: read off the theory's analysis memo when it holds the term."""
-    factors = [_parse_primary(s, names, memo, level)]
+def _parse_term(s: _Stream, names: dict[str, DecoratedTerm], level: int = 0) -> DecoratedTerm:
+    """A term, normalized: a term read before is a lookup in normalize's table."""
+    factors = [_parse_primary(s, names, level)]
     depth = _depth(factors[0])
     while s.take_sym(".", "∘"):
-        factors.append(_parse_primary(s, names, memo, level))
+        factors.append(_parse_primary(s, names, level))
         depth += _depth(factors[-1])
         if depth > MAX_DEPTH:
             raise _too_deep(s, "term")
     term = reduce(lambda inner, after: Comp(after, inner), reversed(factors))
-    found = memo.get(term)
-    return normalize(term) if found is None else found.term
+    return normalize(term)
 
 
-def _parse_equation(s: _Stream, names: dict[str, DecoratedTerm], memo: dict) -> DecoratedEquation:
+def _parse_equation(s: _Stream, names: dict[str, DecoratedTerm]) -> DecoratedEquation:
     word = s.expect("IDENT")
     if word not in ("strong", "weak"):
         raise s.fail(f"expected 'strong' or 'weak', got {quoted(word)}", s.pos - 1)
     strength = Strength.STRONG if word == "strong" else Strength.WEAK
-    lhs = _parse_term(s, names, memo)
+    lhs = _parse_term(s, names)
     op = s.expect("SYM")
     if op not in ("==", "~", "≈"):
         raise s.fail(f"expected '==' or '~', got {quoted(op)}", s.pos - 1)
     if (op == "==") != (strength is Strength.STRONG):
         raise s.fail(f"operator {quoted(op)} does not match {quoted(word)}", s.pos - 1)
-    rhs = _parse_term(s, names, memo)
+    rhs = _parse_term(s, names)
     return DecoratedEquation(strength, lhs, rhs)
 
 
 def parse_equation(text: str, theory: Theory) -> DecoratedEquation:
     """`strong <term> == <term>` or `weak <term> ~ <term>`, with def names
     expanded from the theory."""
-    return _parsed(text, "equation", _parse_equation, _names(theory), theory._analyses)
+    return _parsed(text, "equation", _parse_equation, _names(theory))
 
 
 def parse_term(text: str, theory: Theory) -> DecoratedTerm:
     """A single term, with def names expanded from the theory."""
-    return _parsed(text, "term", _parse_term, _names(theory), theory._analyses)
+    return _parsed(text, "term", _parse_term, _names(theory))
 
 
 def _names(theory: Theory) -> dict[str, DecoratedTerm]:
@@ -438,7 +435,7 @@ def _parse_theory(s: _Stream) -> Theory:
         elif kw == "def":
             name = s.expect("IDENT")
             s.expect("=")
-            term = _parse_term(s, defs, {})
+            term = _parse_term(s, defs)
             defs[name] = term
             definitions.append((name, term))
         elif kw == "axiom":
@@ -447,7 +444,7 @@ def _parse_theory(s: _Stream) -> Theory:
                 s.expect(":")
             else:
                 name = f"ax{len(axioms) + 1}"
-            axioms.append(Axiom(name, _parse_equation(s, defs, {})))
+            axioms.append(Axiom(name, _parse_equation(s, defs)))
         else:
             raise s.fail(f"unknown stanza keyword {quoted(kw)}", at)
         s.end_line()
@@ -606,8 +603,7 @@ def print_model(model: FiniteModel) -> str:
 # Derivation files
 # ---------------------------------------------------------------------------
 
-def _parse_deriv_node(s: _Stream, names: dict[str, DecoratedTerm], memo: dict,
-                      level: int = 0) -> Derivation:
+def _parse_deriv_node(s: _Stream, names: dict[str, DecoratedTerm], level: int = 0) -> Derivation:
     if level >= MAX_DEPTH:
         raise _too_deep(s, "derivation")
     s.expect("(")
@@ -616,7 +612,7 @@ def _parse_deriv_node(s: _Stream, names: dict[str, DecoratedTerm], memo: dict,
     premises: list[Derivation] = []
     while (tok := s.peek()) != ")":
         if tok == "(":
-            premises.append(_parse_deriv_node(s, names, memo, level + 1))
+            premises.append(_parse_deriv_node(s, names, level + 1))
         elif s.peek(1) == "=" and _kind(tok) == "IDENT":
             s.pos += 2
             if tok == "name":
@@ -624,14 +620,14 @@ def _parse_deriv_node(s: _Stream, names: dict[str, DecoratedTerm], memo: dict,
             elif tok == "side":
                 value = s.integer()
             else:
-                value = _parse_term(s, names, memo)
+                value = _parse_term(s, names)
             params.append((tok, value))
         elif tok == "<" or _kind(tok) in ("IDENT", "INT"):
             # bare body: a term, or the spelled-out `lhs == rhs` of refl
-            term = _parse_term(s, names, memo)
+            term = _parse_term(s, names)
             if s.take_sym("=="):
                 op = s.pos - 1
-                other = _parse_term(s, names, memo)
+                other = _parse_term(s, names)
                 if other != term:
                     raise s.fail("the sides of a refl body must be the "
                                  "same term", op)
@@ -646,7 +642,7 @@ def _parse_deriv_node(s: _Stream, names: dict[str, DecoratedTerm], memo: dict,
 
 
 def parse_derivation(text: str, theory: Theory) -> Derivation:
-    return _parsed(text, "derivation", _parse_deriv_node, _names(theory), theory._analyses)
+    return _parsed(text, "derivation", _parse_deriv_node, _names(theory))
 
 
 def print_derivation(d: Derivation) -> str:

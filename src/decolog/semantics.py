@@ -498,18 +498,17 @@ def violation_witness(lhs: Sequence[int], rhs: Sequence[int]) -> Optional[int]:
 
 
 class _Program:
-    """Equations and terms of one theory compiled once: well-formedness, and
-    the analysis and flat tuple (_compile) of every side and term.  at()
-    specialises them to carrier sizes.  A program keeps what it reads of its
-    theory (lifters: the theory's lifter list per carrier sizes), not the
-    theory, so the compiled state that keeps it refers back to nothing."""
+    """Equations of one theory compiled once: well-formedness, and the
+    analysis and flat tuple (_compile) of every side.  at() specialises them
+    to carrier sizes.  A program keeps what it reads of its theory (lifters:
+    the theory's lifter list per carrier sizes), not the theory, so the
+    compiled state that keeps it refers back to nothing."""
     __slots__ = ("effect", "base_types", "ops", "axioms", "lifters",
-                 "_equations", "_terms", "last", "used", "walked", "least", "passed")
+                 "_equations", "last", "used", "walked", "least", "passed")
 
-    def __init__(self, theory: Theory, equations: Iterable[DecoratedEquation],
-                 terms: Iterable[DecoratedTerm] = ()):
+    def __init__(self, theory: Theory, equations: Iterable[DecoratedEquation]):
         self.effect, self.base_types, ops = theory.effect, theory.base_types, theory.operations
-        self.ops, self.axioms, names = ops, len(theory.axioms), set()
+        self.ops, self.axioms = ops, len(theory.axioms)
         self.lifters = theory._compiled().setdefault(_Layout, {})
         self._equations = entries = []  # per equation: strength, sides' _compile, reads, checks
         for eq in equations:
@@ -521,11 +520,9 @@ class _Program:
                 entry = theory._compiled()[eq] = (eq.strength, *sides, tuple(
                     i for i, sym in enumerate(ops) if sym.name in reads), {})
             entries.append(entry)
-        self._terms = tuple(_compile(theory, analysis(theory, term), names) for term in terms)
         #: per equation, the index of the last operation it reads (-1: none)
         self.last = tuple(max(entry[3], default=-1) for entry in entries)
-        self.used = tuple(i for i, sym in enumerate(ops) if sym.name in names
-                          or any(i in entry[3] for entry in entries))
+        self.used = tuple(i for i in range(len(ops)) if any(i in entry[3] for entry in entries))
         #: the operations a search walks: the used ones if a goal follows the axioms, else all
         self.walked = self.used if len(entries) > self.axioms else tuple(range(len(ops)))
         #: the base types that no walked table and no equation's domain reads, so no side does
@@ -546,9 +543,9 @@ class _Program:
                          if atom.__class__ is tuple else layout.constant(atom))
         return tuple(steps)
 
-    def at(self, layout: _Layout) -> tuple[list[_Check], list[_Side], list[Optional[Callable]]]:
-        """The equations, the terms and the lifters specialised to layout's carrier
-        sizes, by which the theory's compiled state keeps each check and lifter list."""
+    def at(self, layout: _Layout) -> tuple[list[_Check], list[Optional[Callable]]]:
+        """The equations and the lifters specialised to layout's carrier sizes,
+        by which the theory's compiled state keeps each check and lifter list."""
         sizes = (*map(len, map(layout.carriers.get, self.base_types)), layout.k)
         side = lambda found, flat: _Side(layout, self._steps(layout, flat), found)
         checks = [kept.get(sizes) or kept.setdefault(sizes, _Check(side(*lhs), side(*rhs), (
@@ -557,16 +554,16 @@ class _Program:
                   for strength, lhs, rhs, _, kept in self._equations]
         lifters = self.lifters.get(sizes) or self.lifters.setdefault(sizes, [
             layout.lifter(*layout.shape(sym)) for sym in self.ops])
-        return checks, [side(*term) for term in self._terms], lifters
+        return checks, lifters
 
-    def numbered(self, theory: Theory, model: FiniteModel) -> tuple[_Layout, list, list, list]:
+    def numbered(self, theory: Theory, model: FiniteModel) -> tuple[_Layout, list, list]:
         """Check a given model's carriers, specialise to them and number,
         from its labelled tables, the tables the program uses (else None)."""
         layout = _Layout.of_model(theory, model)
-        checks, sides, lifters = self.at(layout)
+        checks, lifters = self.at(layout)
         raws = [layout.number(sym, model.tables.get(sym.name)) if i in self.used else None
                 for i, sym in enumerate(self.ops)]
-        return layout, checks, sides, _lift(lifters, raws)
+        return layout, checks, _lift(lifters, raws)
 
 
 def _compile(theory: Theory, found: Analysis, names: set) -> tuple[Analysis, tuple]:
@@ -590,15 +587,14 @@ def _compile(theory: Theory, found: Analysis, names: set) -> tuple[Analysis, tup
     return found, tuple(flat)
 
 
-def _program(theory: Theory, equations: tuple = (), terms: tuple = (),
-             axioms: bool = False) -> _Program:
-    """The program of the theory's axioms (if axioms), equations and terms,
-    kept in the theory's compiled state; a failure is not kept, so it recurs."""
-    key, state = (axioms, equations, terms), theory._compiled()
+def _program(theory: Theory, equations: tuple = (), axioms: bool = False) -> _Program:
+    """The program of the theory's axioms (if axioms) and equations, kept in
+    the theory's compiled state; a failure is not kept, so it recurs."""
+    key, state = (axioms, equations), theory._compiled()
     program = state.get(key)
     if program is None:
         program = state[key] = _Program(
-            theory, [ax.equation for ax in theory.axioms if axioms] + list(equations), terms)
+            theory, [ax.equation for ax in theory.axioms if axioms] + list(equations))
     return program
 
 
@@ -612,8 +608,9 @@ def _denotation(layout: _Layout, term: DecoratedTerm,
     """The map from one raw table per op to the rank-2 table of term at
     layout, as the evaluator computes it over a theory of ops."""
     theory = Theory(layout.effect, tuple(layout.carriers), ops)
-    _, (side,), lifters = _Program(theory, (), (term,)).at(layout)
-    return lambda *raws: side.run(_lift(lifters, raws))
+    eq = DecoratedEquation(Strength.STRONG, term, term)  # term is its check's left side
+    (check,), lifters = _Program(theory, [eq]).at(layout)
+    return lambda *raws: check.lhs.run(_lift(lifters, raws))
 
 
 # ---------------------------------------------------------------------------
@@ -633,12 +630,14 @@ def eval_term(model: FiniteModel, theory: Theory, term: DecoratedTerm) -> Operat
     """Rank-2 denotation of a term, its inputs in canonical order.  The
     result is checked to conserve whatever the term's inferred rank says it
     cannot touch."""
-    layout, _, (side,), tables = _program(theory, terms=(term,)).numbered(theory, model)
+    eq = DecoratedEquation(Strength.STRONG, term, term)  # term is its check's left side
+    layout, (check,), tables = _program(theory, (eq,)).numbered(theory, model)
+    side = check.lhs
     return OperationTable(theory.effect, 2, layout.decode(2, side.dom, side.cod, side.run(tables)))
 
 
 def holds(model: FiniteModel, theory: Theory, eq: DecoratedEquation) -> bool:
-    _, (check,), _, tables = _program(theory, (eq,)).numbered(theory, model)
+    _, (check,), tables = _program(theory, (eq,)).numbered(theory, model)
     return check.holds(tables)
 
 
@@ -646,7 +645,7 @@ def first_violation(model: FiniteModel, theory: Theory,
                     eq: DecoratedEquation) -> Optional[tuple[Element, Element, Element]]:
     """None when the equation holds in the model, else the first input in
     canonical order where its sides disagree, with both outputs."""
-    layout, (check,), _, tables = _program(theory, (eq,)).numbered(theory, model)
+    layout, (check,), tables = _program(theory, (eq,)).numbered(theory, model)
     return check.witness(tables, layout)
 
 
@@ -818,7 +817,7 @@ def _admitted(program: _Program, bounds: Bounds, least: Collection[str] = (),
     Types in least keep size 1; orbits prunes by relabellings (_candidates)."""
     walked = [program.ops[i] for i in program.walked]
     for layout in _layouts(program.effect, program.base_types, bounds, least):
-        checks, _, lifters = program.at(layout)
+        checks, lifters = program.at(layout)
         twins = layout.relabellings(walked) if orbits else ()
         for assignment, tables in _candidates(program, layout, checks, lifters, twins):
             yield layout, assignment, tables, checks

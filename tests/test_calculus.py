@@ -370,6 +370,16 @@ class TestEquations:
         with pytest.raises(SideTypeMismatch):
             check_equation_wf(bank, strong(Op("seven"), Id(Int)))
 
+    def test_a_strength_that_is_not_a_strength_is_rejected(self, bank, bank_mod4):
+        """Unrefused, bank's weak f ~ g built with "weak" failed holds in the
+        mod-4 model, could not be proved and was accepted as an axiom."""
+        f = compose(Op("balance"), Op("deposit"), Op("seven"))
+        g = compose(Op("plus"), pair(Op("seven"), Op("balance")))
+        for strength, shown in (("weak", "'weak'"), ("strong", "'strong'"), (None, "None")):
+            with pytest.raises(TheoryError, match=f"^strength must be a Strength, got {shown}$"):
+                DecoratedEquation(strength, f, g)
+        assert holds(bank_mod4, bank, DecoratedEquation(Strength.WEAK, f, g))
+
     def test_flipped_and_normalized(self, bank):
         e = weak(Comp(Id(Int), Op("deposit")), Op("deposit"))
         assert e.normalized().lhs == Op("deposit")
@@ -399,6 +409,18 @@ class TestTheory:
                    operations=(OperationSymbol("f", BaseType("A"), BaseType("A"), 0),
                                OperationSymbol("u", Unit, BaseType("A"), 0)),
                    axioms=(Axiom("ax1", strong(Op("f"), Op("u"))),))
+
+    def test_an_effect_that_is_not_an_effect_kind_is_rejected(self):
+        """Unrefused, a str read as states: an "exceptions" theory found no
+        countermodel to weak c ~ id(A) for a catcher c."""
+        A = BaseType("A")
+        ops = (OperationSymbol("c", A, A, 2),)
+        for effect, shown in (("exceptions", "'exceptions'"), ("states", "'states'"),
+                              (None, "None")):
+            with pytest.raises(TheoryError, match=f"^effect must be an EffectKind, got {shown}$"):
+                Theory(effect, ("A",), ops)
+        theory = Theory(EffectKind.EXCEPTIONS, ("A",), ops)
+        assert find_counterexample(theory, weak(Op("c"), Id(A)), Bounds(1, 1)) is not None
 
     def test_bad_rank_rejected(self):
         with pytest.raises(ValueError):

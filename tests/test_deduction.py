@@ -710,18 +710,20 @@ class TestProve:
 
 
 class TestGoalNormalForm:
-    """prove and check_derivation(expected=...) read a goal's normal form from
-    the theory's analysis memo when it holds both sides, and normalize the
-    goal otherwise, so what they return or raise is what they did when they
-    always normalized it."""
+    """prove and check_derivation(expected=...) normalize a goal with
+    calculus.normalize, which keeps each term's normal form for the process,
+    so what they return or raise is what they did when they walked it every
+    time."""
 
     @pytest.fixture
     def walks(self, monkeypatch):
-        """The theory of each calculus._analysis step, None for a theory-less walk."""
+        """The theory of each calculus._analysis step, None for a theory-less
+        walk, with normalize's table empty for the test."""
         theories = []
         step = calculus._analysis
         monkeypatch.setattr(calculus, "_analysis",
                             lambda theory, *args: theories.append(theory) or step(theory, *args))
+        monkeypatch.setattr(calculus, "_NORMAL", {})
         return theories
 
     @staticmethod
@@ -737,19 +739,24 @@ class TestGoalNormalForm:
         assert check_derivation(theory, d, expected=goal).equation == goal
         assert walks == []
 
-    def test_a_goal_the_memo_lacks_is_normalized(self, walks):
-        """Left-nested sides are in no memo: both calls normalize them."""
+    def test_a_goal_normalized_once_is_not_walked_again(self, walks):
+        """Left-nested sides are in no theory's memo: normalize walks them
+        without a theory once, and neither prove nor check_derivation walks
+        them so again, on this theory or on a fresh equal one."""
         theory, normal = self.throwcatch()
+        fresh, _ = self.throwcatch()
         goal = DecoratedEquation(Strength.WEAK, Comp(Comp(Op("catchZero"), Op("catchZero")),
                                                      Op("throw")), Op("zero"))
-        assert goal != normal and goal.normalized() == normal
-        for _ in "ab":
+        walks.clear()
+        assert goal != normal and goal.normalized() == normal and None in walks
+        for each in (theory, theory, fresh):
             walks.clear()
-            d = prove(theory, goal)
-            assert None in walks and d is prove(theory, normal)
-            walks.clear()
-            assert check_derivation(theory, d, expected=goal).equation == normal
-            assert None in walks
+            d = prove(each, goal)
+            assert d is prove(each, normal)
+            assert check_derivation(each, d, expected=goal).equation == normal
+            assert None not in walks
+        walks.clear()
+        assert goal.normalized() == normal and walks == []
 
     def test_an_ill_formed_goal_fails_as_before(self):
         """An undeclared operation fails the goal's check, or the expected
@@ -840,6 +847,12 @@ class TestValidateRules:
         # at 3 the sweep would run for days
         with pytest.raises(DeductionError, match="between 1 and 2"):
             validate_rules(effect, max_carrier=3)
+
+    def test_an_effect_that_is_not_an_effect_kind_is_rejected(self):
+        # unrefused, "states" raised a bare KeyError from the scenario catalogue
+        for effect in ("states", "exceptions", None):
+            with pytest.raises(DeductionError, match="^effect must be an EffectKind, got "):
+                validate_rules(effect, max_carrier=1)
 
     def test_carrier_bound_that_is_not_an_int_is_rejected(self):
         # unrefused, "1" would raise TypeError and 1.5 be swept; an out-of-range text stays

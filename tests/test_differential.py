@@ -733,7 +733,7 @@ def test_term_analysis():
             normal = normalize(term)
             assert normal == reference.normalize(term), (kind, term_str(term))
             if got[0] == "ok":
-                program = semantics._Program(theory, (), (term,))
+                program = semantics._Program(theory, [DecoratedEquation(Strength.STRONG, term, term)])
                 assert program.used == reference.operations_used(theory, term), term_str(term)
             if not any(isinstance(t, (Pair, Proj1, Proj2, Bang)) for t in _subterms(term)):
                 assert _dual_term(term) == reference.dual_term(term), term_str(term)

@@ -4,9 +4,7 @@ import random
 import pytest
 
 from decolog.calculus import (
-    Bang,
     BaseType,
-    Comp,
     EffectKind,
     Op,
     OperationSymbol,
@@ -16,7 +14,7 @@ from decolog.calculus import (
     TheoryError,
     compose,
 )
-from decolog import files
+from decolog import calculus
 from decolog.deduction import check_derivation, deriv, REFL, AXIOM
 from decolog.duality import dualize_derivation, duality_map
 from decolog.files import (
@@ -377,23 +375,25 @@ class TestDerivationFiles:
             d = parse_derivation(corpus_path(name).read_text(), theory)
             assert parse_derivation(print_derivation(d), theory) == d
 
-    def test_a_checked_derivation_is_read_back_from_the_memo(self, monkeypatch):
-        """Parsing against a theory takes a term's normal form from the
-        theory's analysis memo when it holds the term, as it holds every term
-        of a derivation the theory has checked, so it normalizes only the
-        bare axiom name, which it reads as a term first; a fresh equal theory
-        normalizes the terms its axioms lack and reads the same derivation."""
+    def test_a_derivation_read_again_walks_no_term(self, monkeypatch):
+        """normalize keeps each term's normal form for the process, so reading
+        a derivation a second time walks no term, against its theory or a fresh
+        equal one, whether the theory has checked the derivation or not."""
         text = corpus_path("bank_proof.drv").read_text()
         theory, fresh = (parse_theory(corpus_path("bank.dth").read_text()) for _ in "ab")
+        walked = []
+        step = calculus._analysis
+        monkeypatch.setattr(calculus, "_analysis",
+                            lambda theory, *args: walked.append(theory) or step(theory, *args))
+        monkeypatch.setattr(calculus, "_NORMAL", {})
         d = parse_derivation(text, theory)
+        assert walked and all(each is None for each in walked)
+        walked.clear()
+        assert parse_derivation(text, fresh) is d and walked == []
         check_derivation(theory, d)
-        normalized = []
-        normalize = files.normalize
-        monkeypatch.setattr(files, "normalize",
-                            lambda term: normalized.append(term) or normalize(term))
-        assert parse_derivation(text, theory) is d and normalized == [Op("ax1")]
-        assert parse_derivation(text, fresh) is d
-        assert Comp(Bang(Int), Op("seven")) in normalized[1:]
+        walked.clear()
+        assert parse_derivation(text, theory) is d and parse_derivation(text, fresh) is d
+        assert walked == []
 
     def test_trailing_junk(self, bank_file):
         with pytest.raises(ParseError):

@@ -282,37 +282,31 @@ def compiled_key_names(source: str) -> set[str]:
             if isinstance(n, (ast.Name, ast.Attribute))}
 
 
-def normalizing_calls(source: str) -> list[str]:
-    """The innermost function around each call of .normalized() or
-    normalize() in a module, "" for one outside any function, sorted."""
-    found, todo = [], [(ast.parse(source), "")]
-    while todo:
-        node, where = todo.pop()
-        if isinstance(node, ast.Call):
-            called = getattr(node.func, "attr", None) or getattr(node.func, "id", None)
-            if called in ("normalized", "normalize"):
-                found.append(where)
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            where = node.name
-        todo += [(child, where) for child in ast.iter_child_nodes(node)]
-    return sorted(found)
+def memo_reads(source: str) -> list[int]:
+    """The lines that read an attribute named _analyses, or name it in a
+    string, as a read through __dict__, vars() or getattr() does."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Attribute) and node.attr == "_analyses"
+                  or isinstance(node, ast.Constant) and node.value == "_analyses")
 
 
-def test_the_prover_and_checker_normalize_a_goal_in_one_place():
-    """deduction.py normalizes a goal only in _normal, which reads the
-    sides' normal forms from the theory's memo first, so no other path
-    walks a goal the memo already holds."""
-    source = (ROOT / "src" / "decolog" / "deduction.py").read_text(encoding="utf-8")
-    assert normalizing_calls(source) == ["_normal"]
+def test_only_calculus_reads_the_analysis_memo():
+    """A normal form has one path, calculus.normalize, which keeps it per
+    term for the process: no other module reads a theory's analysis memo,
+    and each reaches the compiled state only through Theory._compiled."""
+    found = {path.name: memo_reads(path.read_text(encoding="utf-8"))
+             for path in sorted((ROOT / "src" / "decolog").glob("*.py"))}
+    assert [name for name, lines in found.items() if lines] == ["calculus.py"]
 
 
-def test_normalizing_scan_sees_every_kind_of_call():
-    source = ("def a(g): return g.normalized()\n"
-              "def b(g):\n"
-              "    def c(): return normalize(g.lhs)\n"
-              "    return c, g.normalized\n"
-              "x = y.normalized()\n")
-    assert normalizing_calls(source) == ["", "a", "c"]
+def test_memo_scan_sees_every_kind_of_read():
+    source = ("def a(t): return t._analyses.get(1)\n"
+              "def b(t): return t.__dict__['_analyses']\n"
+              "def c(t): return getattr(t, '_analyses')\n"
+              "def d(t):\n"
+              "    return vars(t).get('_analyses')\n"
+              "def e(t): return t._compiled(), t.analyses, '_analysis', analysis(t)\n")
+    assert memo_reads(source) == [1, 2, 3, 5]
 
 
 def test_no_compiled_state_is_keyed_by_a_traced_function():

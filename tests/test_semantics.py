@@ -10,6 +10,7 @@ import pytest
 from decolog.calculus import (
     Axiom,
     BaseType,
+    Comp,
     EffectKind,
     Id,
     Op,
@@ -18,6 +19,7 @@ from decolog.calculus import (
     Proj1,
     SideTypeMismatch,
     Theory,
+    UndeclaredSymbol,
     Unit,
     analysis,
     compose,
@@ -140,6 +142,27 @@ class TestEvalStates:
         t = compose(Proj1(Int, Int), pair(Op("seven"), Op("seven")))
         m = eval_term(bank_mod4, theory, t).mapping
         assert all(m[(UNIT, s)] == (3, s) for s in Z4)
+
+    def test_a_term_evaluated_again_is_not_run_again(self, bank, bank_mod4, monkeypatch):
+        """eval_term's term is the left side of the kept check of strong
+        t == t, so, as an equation side does, it reruns only when a table it
+        reads has changed: three calls on one model run its steps once."""
+        theory = bank[0]
+        fresh = Theory(theory.effect, theory.base_types, theory.operations, theory.axioms)
+        runs = []
+        run = semantics._run
+        monkeypatch.setattr(semantics, "_run", lambda *args: runs.append(args) or run(*args))
+        tables = [eval_term(bank_mod4, fresh, Op("plus")) for _ in "abc"]
+        assert len(runs) == 1 and tables[0] == tables[1] == tables[2]
+        assert tables[0].mapping[((1, 2), 3)] == (3, 3)
+
+    def test_a_term_is_checked_as_given(self, bank, bank_mod4):
+        """eval_term checks the term it is given, not its normal form: an
+        identity over an undeclared type is refused though normalization
+        would drop it."""
+        theory = bank[0]
+        with pytest.raises(UndeclaredSymbol, match="^base type 'Nope' is not declared$"):
+            eval_term(bank_mod4, theory, Comp(Op("balance"), Id(BaseType("Nope"))))
 
 
 class TestEvalExceptions:

@@ -130,9 +130,11 @@ def corpus_path(name: str) -> Path:
 MAX_INT_DIGITS = min(getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300, 4300)
 
 #: The one scanner of every format.  Each match skips blanks and a comment,
-#: then captures a token: a two-character symbol, an integer, an identifier,
-#: any other character (a symbol, a newline or an error), or "" at the end.
-_SCAN = re.compile(r"[ \t\r]*(?:#[^\n]*)?(->|==|-?\d+|[^\W\d]\w*|[^ \t\r]|\Z)")
+#: then captures a token: "->" or "==", an ASCII one-character symbol or a
+#: newline (none starts a longer token), an integer, an identifier, any
+#: other character (∘, ≈ or an error), or "" at the end.
+_SCAN = re.compile(r"[ \t\r]*(?:#[^\n]*)?"
+                   r"(->|==|[()=.<>,\n:~*{}]|-?\d+|[^\W\d]\w*|[^ \t\r]|\Z)")
 _SYMS = frozenset(("->", "==", *":=~.*<>,(){}∘≈"))
 
 

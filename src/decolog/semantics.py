@@ -48,8 +48,9 @@ tables from _Layout.raw_tables.  A given model is checked by of_model (its
 carriers) and number (its tables), in validate_model and every evaluation.
 
 The search is one staged walk, _candidates: depth first over the operation
-tables in declaration order, in the canonical order itertools.product would
-give, checking each equation once the last table it reads is assigned.
+tables (find_counterexample's goal's part first, else in declaration order),
+each in the canonical order itertools.product would give, checking each
+equation once the last table it reads is assigned.
 find_counterexample walks one labelling per orbit: evaluation commutes with
 relabelling carriers (no term names an element), so it skips a subtree
 where a relabelling makes the tables so far smaller (lex-leader pruning;
@@ -252,7 +253,8 @@ class _Layout:
         """This layout with its labels permuted, once per permutation other
         than the identity of the carriers that ops' tables read: the base
         types in their signatures, and the effect's if one has rank 1 or 2."""
-        names = tuple(dict.fromkeys(n for sym in ops for n in base_names(Prod(sym.dom, sym.cod))))
+        names = tuple(dict.fromkeys(n for sym in ops for ty in (sym.dom, sym.cod)
+                                    for n in base_names(ty)))
         perms = itertools.product(*map(itertools.permutations, map(self.carriers.get, names)),
                                   itertools.permutations(self.eff_elems)
                                   if any(sym.decoration for sym in ops) else (self.eff_elems,))
@@ -520,11 +522,18 @@ class _Program:
                 entry = theory._compiled()[eq] = (eq.strength, *sides, tuple(
                     i for i, sym in enumerate(ops) if sym.name in reads), {})
             entries.append(entry)
-        #: per equation, the index of the last operation it reads (-1: none)
-        self.last = tuple(max(entry[3], default=-1) for entry in entries)
         self.used = tuple(i for i in range(len(ops)) if any(i in entry[3] for entry in entries))
-        #: the operations a search walks: the used ones if a goal follows the axioms, else all
-        self.walked = self.used if len(entries) > self.axioms else tuple(range(len(ops)))
+        #: the operations a search walks, in order: with a goal after the axioms the used ones,
+        #: the goal's part first (_candidates), each in declaration order; else all in that order
+        self.walked = tuple(range(len(ops)))
+        if len(entries) > self.axioms:
+            part = set().union(*(entry[3] for entry in entries[self.axioms:]))
+            for _ in entries:
+                part.update(*(entry[3] for entry in entries if part.intersection(entry[3])))
+            self.walked = (*sorted(part), *(i for i in self.used if i not in part))
+        #: per equation, the last operation it reads in walk order (-1: none)
+        at = {i: depth for depth, i in enumerate(self.walked)}
+        self.last = tuple(max(entry[3], key=at.__getitem__, default=-1) for entry in entries)
         #: the base types that no walked table and no equation's domain reads, so no side does
         self.least = tuple(sorted(frozenset(self.base_types).difference(*map(base_names, [
             Prod(ops[i].dom, ops[i].cod) for i in self.walked] + [e[1][0].dom for e in entries]))))
@@ -743,22 +752,27 @@ def _check_ceiling(program: _Program, bounds: Bounds, cap: int, least: Collectio
 def _candidates(program: _Program, layout: _Layout, checks: list[_Check],
                 lifters: list[Optional[Callable]],
                 twins: Iterable[_Layout] = ()) -> Iterator[tuple[tuple, list[Table]]]:
-    """The staged walk over one layout: depth first over the operations in
-    declaration order, each level trying its raw tables in raw_tables'
-    order.  A level lifts its table and runs the checks of the equations
-    whose last operation it is (one that reads none runs before the walk);
-    a failed check skips the subtree below.  An axiom fails when it does
-    not hold, an equation after them (a goal) when it holds.  Only
-    program.walked is walked, every other operation keeping its first raw
-    table, the least completion.  Yields each complete assignment that
-    passes: one raw table per operation, and the rank-2 tables by index.
+    """The staged walk over one layout: depth first over program.walked in
+    its order, each level trying its raw tables in raw_tables' order.  A
+    level lifts its table and runs the checks of the equations whose last
+    operation in walk order it is (one that reads none runs before the
+    walk); a failed check skips the subtree below.  An axiom fails when it
+    does not hold, an equation after them (a goal) when it holds.  Every
+    operation not walked keeps its first raw table, the least completion.
+    Yields each complete assignment that passes: one raw table per
+    operation, and the rank-2 tables by index.
 
     Given twins, relabellings of layout, a level whose checks pass also
     skips its subtree when a twin that fixes the tables above makes its own
-    smaller: each completion has a smaller twin the checks treat alike.  A
-    twin's map of a level is built when first needed, only the first
-    MAX_TWINS twins are tried, and no level tries them when every level
-    below it has one table only."""
+    smaller: each completion has a smaller twin the checks treat alike.  The
+    twins are listed when first tested, a twin's map of a level when first
+    needed, only the first MAX_TWINS twins are tried, and no level tries
+    them when every level below it has one table only.
+
+    Walking a goal's part first moves no first yield: no equation reads two
+    parts, so the assignments that pass are the product of each part's own,
+    whose least is each part's least in any order of the parts that keeps
+    each part's own order, and lex-leader pruning never skips a least one."""
     ops, n_axioms = program.ops, program.axioms
     stages: dict[int, list] = {}
     for n, (check, last) in enumerate(zip(checks, program.last)):
@@ -766,18 +780,17 @@ def _candidates(program: _Program, layout: _Layout, checks: list[_Check],
     tables: list = [None] * len(ops)
     if any(holds(tables) != want for holds, want in stages.get(-1, ())):
         return
-    levels = [(depth, i, layout.shape(ops[i]), lifters[i], stages.get(i, ()))
+    shapes = [layout.shape(sym) for sym in ops]
+    levels = [(depth, i, shapes[i], lifters[i], stages.get(i, ()))
               for depth, i in enumerate(program.walked)]
-    assignment = [next(layout.raw_tables(*layout.shape(sym))) for sym in ops]
+    assignment = [next(layout.raw_tables(*shape)) for shape in shapes]
     tried = max((level[0] for level in levels if layout.raw_shape(*level[2])[1] > 1), default=0)
 
     if not levels:
         yield tuple(assignment), list(tables)
         return
-    first = itertools.islice(twins, MAX_TWINS if tried else 0)
-    # per level walked into: its raw tables not yet tried, the twins that fix those above, itself
-    stack = [(layout.raw_tables(*levels[0][2]),
-              [(image, [False] * len(levels)) for image in first], levels[0])]
+    # per level walked into: raw tables left, the twins fixing those above (None: unlisted), itself
+    stack = [[layout.raw_tables(*levels[0][2]), None, levels[0]]]
     while stack:
         raws, fixing, (depth, i, _, lift, stage) = stack[-1]
         for raw in raws:
@@ -788,6 +801,9 @@ def _candidates(program: _Program, layout: _Layout, checks: list[_Check],
                     break
             else:
                 below = []
+                if fixing is None and depth < tried:
+                    fixing = stack[0][1] = [(image, [False] * len(levels))
+                                            for image in itertools.islice(twins, MAX_TWINS)]
                 for image, maps in fixing if depth < tried else ():
                     relabel = maps[depth]
                     if relabel is False:

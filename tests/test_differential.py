@@ -5,8 +5,10 @@ numbered kernel: eval_term on each axiom and goal side, first_violation,
 find_counterexample (model text, witness and both values) and the full
 list of enumerate_models, on the shipped corpus, a seeded batch of random
 theories from gen.py, a second batch with 2 to 4 operations and 1 to 3
-axioms, so that the staged search checks axioms at different levels, and
-fixed theories for its edge cases, all at carrier sizes of at most 2.  For the
+axioms, so that the staged search checks axioms at different levels, a
+batch of theories of two or three parts that share no type, the goal's part
+declared first and last, and fixed theories for its edge cases, all at
+carrier sizes of at most 2.  For the
 rule-soundness sweep: every ScenarioResult of both effects at carriers up
 to 1 and 2.  For the prover: the printed derivation, or the DepthExhausted
 message with its rewrite count, on the corpus goals, goals with nested
@@ -31,7 +33,9 @@ types, carriers and elements, and each on values nested thousands of
 levels deep, where the copies stop at the recursion limit.  For the
 derivation walks: the conclusion or the error, the printed text and the
 dual or the error, against the recursive walks deduction.fold replaced,
-on random derivations and copies broken at one or two nodes.
+on random derivations and copies broken at one or two nodes.  For the
+scanner: files._SCAN's tokens and tokenize's errors against the pattern
+it replaced, on the front end's inputs and on random strings.
 """
 import ast
 import inspect
@@ -68,6 +72,7 @@ from decolog.calculus import (
     Unit,
     analysis,
     analyze_term,
+    base_names,
     check_equation_wf,
     normalize,
     quoted,
@@ -452,6 +457,81 @@ def test_orbit_search_by_fewer_twins(cap, monkeypatch):
         for text in goals:
             _assert_same_search(theory, parse_equation(text, theory), Bounds(2, 2))
     assert max(pulled) == cap
+
+
+#: Largest raw interpretation count of a case of several parts.
+PARTS_CEILING = 2 * CASE_CEILING
+
+
+def _apart(ty, k):
+    """ty with each base type X renamed Xk."""
+    if ty.__class__ is Prod:
+        return Prod(_apart(ty.left, k), _apart(ty.right, k))
+    return BaseType(f"{ty.name}{k}") if ty.__class__ is BaseType else ty
+
+
+def _part(rng, effect, k):
+    """Part k of a theory: a gen.py theory of one or two operations, its
+    base types and operations renamed apart (A is Ak, op0 is opk0), and
+    the axioms drawn over it, none or one; None when a draw misses."""
+    drawn = gen.random_theory(rng, effect, n_ops=rng.randint(1, 2))
+    ops = tuple(OperationSymbol(f"op{k}{i}", _apart(sym.dom, k), _apart(sym.cod, k),
+                                sym.decoration) for i, sym in enumerate(drawn.operations))
+    types = tuple(dict.fromkeys(name for sym in ops for ty in (sym.dom, sym.cod)
+                                for name in base_names(ty)))
+    part = Theory(effect, types, ops)
+    axioms = [_equation(rng, part) for _ in range(rng.randint(0, 1))]
+    return None if None in axioms else (part, axioms)
+
+
+def _parts_case(rng, effect):
+    """Two or three parts that share no type and a goal over the first, as
+    two theories: the goal's part declared first, and declared last.  A
+    third of the goals restate an axiom of their part, so that some
+    searches run to exhaustion; the others map into a type other than
+    Unit.  None when a draw misses or even carrier 1 is past PARTS_CEILING."""
+    parts = [_part(rng, effect, k) for k in range(rng.randint(2, 3))]
+    if None in parts:
+        return None
+    (part, axioms), theories = parts[0], []
+    goal = _equation(rng, part)
+    if axioms and rng.random() < 1 / 3:
+        goal = DecoratedEquation(rng.choice(list(Strength)), axioms[0].rhs, axioms[0].lhs)
+    if goal is None or analyze_term(part, goal.lhs)[1] == Unit:
+        return None
+    for order in (parts, parts[1:] + parts[:1]):
+        named = [Axiom(f"ax{n}", eq) for n, eq in enumerate(eq for _, eqs in order for eq in eqs)]
+        theories.append(Theory(effect, tuple(t for p, _ in order for t in p.base_types),
+                               tuple(sym for p, _ in order for sym in p.operations), tuple(named)))
+    for base, eff in ((2, 2), (2, 1), (1, 2), (1, 1)):
+        bounds = Bounds(base, eff)
+        if count_interpretations(theories[0], bounds) <= PARTS_CEILING:
+            return theories, goal, bounds
+    return None
+
+
+@pytest.mark.parametrize("effect", list(EffectKind))
+def test_goal_part_first(effect):
+    """find_counterexample walks the operations that share an equation with
+    the goal, transitively, before the other parts of the signature; with
+    the goal's part declared first or last, its first countermodel is still
+    the exhaustive search's, and enumerate_models still lists every model
+    in declaration order."""
+    rng = random.Random(3636 if effect is EffectKind.STATES else 6363)
+    cases = found = moved = 0
+    while cases < 30:
+        case = _parts_case(rng, effect)
+        if case is None:
+            continue
+        theories, goal, bounds = case
+        for theory in theories:
+            found += _assert_same_search(theory, goal, bounds)[1]
+            walked = semantics._program(theory, (goal,), axioms=True).walked
+            moved += list(walked) != sorted(walked)
+        cases += 1
+    # each case is searched twice: both outcomes occur, and the goal's part
+    # declared last is walked first in some of them
+    assert 0 < found < 2 * cases and moved > 0
 
 
 # ---------------------------------------------------------------------------
@@ -1470,6 +1550,36 @@ def test_front_end(name, front_end_inputs):
         verdicts[got[0]] += 1
     # the batch exercises successes and errors of both kinds
     assert verdicts["ok"] > len(inputs) and verdicts["parse error"] > FRONT_END_CASES // 4
+
+
+#: The scanner's pattern when integers and names were tried before the
+#: one-character symbols: the reference for files._SCAN.
+FORMER_SCAN = re.compile(r"[ \t\r]*(?:#[^\n]*)?(->|==|-?\d+|[^\W\d]\w*|[^ \t\r]|\Z)")
+
+#: The characters of random scanner inputs: blanks and newlines, the starts
+#: of "->", "==" and a comment, both non-ASCII symbols, every one-character
+#: symbol, ASCII and non-ASCII digits and letters, a non-decimal digit and a
+#: character no token starts with.
+SCAN_ALPHABET = " \t\r\n" + "-=>#∘≈" + "()=.<>,:~*{}" + "0179azAZ_" + "٣٤éßЖ" + "²@"
+
+
+def test_scanner_order(front_end_inputs, monkeypatch):
+    """Trying the one-character symbols before integers and names changes
+    no token: files._SCAN's findall equals FORMER_SCAN's on the corpus, on
+    gen.py texts, on their mutations and on random strings, and tokenize
+    gives the same tokens or the same ParseError with either pattern."""
+    rng = random.Random(36)
+    texts = [text for inputs in front_end_inputs.values() for _, text in inputs]
+    texts += [_mutate(rng, rng.choice(texts)) for _ in range(500)]
+    texts += ["".join(rng.choices(SCAN_ALPHABET, k=rng.randint(0, 30))) for _ in range(3000)]
+    assert [files._SCAN.findall(text) for text in texts] == [
+        FORMER_SCAN.findall(text) for text in texts]
+    tokens = [_tokens(tokenize, text) for text in texts]
+    monkeypatch.setattr(files, "_SCAN", FORMER_SCAN)
+    assert tokens == [_tokens(tokenize, text) for text in texts]
+    # tokenize both succeeds and fails
+    errors = sum(isinstance(found, str) for found in tokens)
+    assert 0 < errors < len(tokens)
 
 
 @pytest.mark.parametrize("k", [8, 20, 32])

@@ -54,6 +54,7 @@ from decolog.semantics import (
 from decolog import semantics
 from decolog.files import corpus_path, parse_equation, parse_theory
 from gen import random_theory
+import reference
 from reference import RankNotIncreasing, coerce, weak_equal
 
 Int = BaseType("Int")
@@ -701,6 +702,37 @@ class TestStagedSearch:
         # enumerate_models walks every table, un's among them
         with pytest.raises(BoundsTooLarge):
             enumerate_models(theory, max_interpretations=ceiling)
+
+    def test_the_goal_part_is_walked_first(self, monkeypatch):
+        # sa shares no equation with va, declared first: a search on sa
+        # walks sa first, and where sa's goal holds it never assigns va
+        theory = parse_theory(STAGED.format(extra=""))
+        goal = parse_equation("strong sa . sa == sa . sa . sa . sa", theory)
+        program = semantics._program(theory, (goal,), axioms=True)
+        assert program.walked == (1, 0)
+        ran = []
+        original = semantics._Check.holds
+        monkeypatch.setattr(semantics._Check, "holds",
+                            lambda self, tables: ran.append(self) or original(self, tables))
+        assert find_counterexample(theory, goal) is None
+        # the va axiom's checks, which its compiled entry keeps per carrier sizes
+        va_checks = set(program._equations[0][4].values())
+        assert va_checks and ran and va_checks.isdisjoint(ran)
+
+    def test_a_refuted_goal_part_meets_the_first_countermodel(self):
+        theory = parse_theory(STAGED.format(extra=""))
+        goal = parse_equation("strong sa == id(TZ)", theory)
+        assert semantics._program(theory, (goal,), axioms=True).walked == (1, 0)
+        found, want = find_counterexample(theory, goal), reference.find_counterexample(theory, goal)
+        assert found is not None
+        assert (found.model, found.witness, found.lhs_value, found.rhs_value) == (
+            want.model, want.witness, want.lhs_value, want.rhs_value)
+
+    @pytest.mark.parametrize("name", sorted(p.name for p in corpus_path("").glob("*.dth")))
+    def test_a_search_without_a_goal_walks_in_declaration_order(self, name):
+        theory = parse_theory(corpus_path(name).read_text())
+        walked = semantics._program(theory, axioms=True).walked
+        assert walked == tuple(range(len(theory.operations)))
 
 
 class TestKeptSides:

@@ -454,8 +454,8 @@ class Theory(Record):
     term anywhere refers to a definition by name.
     """
     # No __slots__: the instance __dict__ holds the op index and the term
-    # analysis memo, where the compiled state and the mirror live; no copy or
-    # pickle carries them, and Record.__setattr__ keeps all else out.
+    # analysis memo, where the compiled state (_kept) and the mirror live; no
+    # copy or pickle carries them, and Record.__setattr__ keeps all else out.
     effect: EffectKind
     base_types: tuple[str, ...] = ()
     operations: tuple[OperationSymbol, ...] = ()
@@ -492,9 +492,19 @@ class Theory(Record):
     def __getstate__(self) -> None:
         return None
 
-    def _compiled(self) -> dict:
-        """The engines' compiled state: a dict in the analysis memo, emptied with it."""
-        return self._analyses.setdefault(Theory._compiled, {})
+    def _kept(self, kind: object, key: object = None, build: Optional[Callable] = None):
+        """The engines' compiled state of one kind: its own table, a dict in the
+        analysis memo and emptied with it, or, given build, the table's entry
+        for key, built on a miss.  A build that raises keeps nothing."""
+        try:
+            table = self._analyses[Theory._kept][kind]
+            return table if build is None else table[key]
+        except KeyError:  # a miss, or the kind's first read
+            table = self._analyses.setdefault(Theory._kept, {}).setdefault(kind, {})
+            if build is None:
+                return table
+        found = table[key] = build()
+        return found
 
     def op(self, name: str) -> OperationSymbol:
         found = self._op_index.get(name)

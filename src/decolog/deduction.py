@@ -232,7 +232,7 @@ def check_derivation(theory: Theory, derivation: Derivation,
     (same strength, same sides up to normalization).  The theory's compiled
     state keeps the conclusion of every node that has checked, and no
     failure, so a node is checked once per theory and every error recurs."""
-    kept = theory._compiled().setdefault(Derivation, {})
+    kept = theory._kept(Derivation)
     eq = kept.get(derivation) or fold(derivation, partial(_check, theory, kept), _known_rule)
     report = check_equation_wf(theory, eq)
     if expected is not None and eq != (expected := expected.normalized()):
@@ -437,11 +437,11 @@ class _Rewriter:
 
     def __init__(self, theory: Theory):
         self.theory = theory
-        codes, atoms, known, self.by_head = theory._compiled().get(_Rewriter) or self._index()
+        codes, atoms, known, self.by_head = theory._kept(_Rewriter, build=self._index)
         self.codes, self.atoms, self.known = dict(codes), list(atoms), dict(known)
 
     def _index(self) -> tuple:
-        """The theory's axiom index, coded into this rewriter and kept."""
+        """The theory's axiom index, coded into this rewriter."""
         self.codes, self.atoms, self.known = {}, [], {}
         sides: dict[str, list] = {}
         for ax in self.theory.axioms:
@@ -455,8 +455,7 @@ class _Rewriter:
         heads: dict[str, list] = {}
         for src in sorted(sides, key=len):
             heads.setdefault(src[0], []).append((len(src), src, sides[src]))
-        index = self.theory._compiled()[_Rewriter] = self.codes, self.atoms, self.known, heads
-        return index
+        return self.codes, self.atoms, self.known, heads
 
     def code(self, atom: DecoratedTerm) -> str:
         """The atom's code, given the first time the atom is met."""
@@ -687,34 +686,28 @@ def prove(theory: Theory, goal: DecoratedEquation, max_depth: int = 8,
                              f"got {quoted(max_depth)} and {quoted(max_nodes)}") from None
     eq = goal.normalized()
     dom = check_equation_wf(theory, eq).dom
-    kept = theory._compiled().setdefault((DecoratedEquation, Derivation), {})
-    found = kept.get(key := (eq, max_depth, max_nodes))
-    if isinstance(found, Derivation):
-        check_derivation(theory, found, expected=eq)
-    elif found is None:
-        try:
-            found = kept[key] = _search(theory, eq, dom, max_depth, max_nodes)
-        except _OutOfCodes as out:
-            found = out.args[0]
+    try:
+        found = theory._kept((DecoratedEquation, Derivation), (eq, max_depth, max_nodes),
+                             partial(_search, theory, eq, dom, max_depth, max_nodes))
+    except _OutOfCodes as out:
+        found = out.args[0]
     if isinstance(found, int):
         raise DepthExhausted(
             f"no derivation found within depth {max_depth} ({found} rewrites tried); "
             "the goal may still be derivable")
+    check_derivation(theory, found, expected=eq)
     return found
 
 
 def _search(theory: Theory, eq: DecoratedEquation, dom: TypeExpr, max_depth: int,
             max_nodes: int) -> Derivation | int:
-    """prove's search for the normalized goal eq: the checked derivation, or the
-    rewrites tried when the bounds cut it (_OutOfCodes carries them if codes run out)."""
+    """prove's search for the normalized goal eq: a derivation, or the rewrites
+    tried when the bounds cut it (_OutOfCodes carries them if codes run out)."""
     want_weak = eq.strength is Strength.WEAK
 
     if eq.lhs == eq.rhs:
-        found: Derivation = deriv(REFL, term=eq.lhs)
-        if want_weak:
-            found = deriv(STRONG_TO_WEAK, found)
-        check_derivation(theory, found, expected=eq)
-        return found
+        refl = deriv(REFL, term=eq.lhs)
+        return deriv(STRONG_TO_WEAK, refl) if want_weak else refl
 
     def meet(word: str) -> Optional[Derivation]:
         """The proof through a word both sides have reached, if its
@@ -757,7 +750,6 @@ def _search(theory: Theory, eq: DecoratedEquation, dom: TypeExpr, max_depth: int
                     frontiers[side].append((new_word, depth + 1))
                     done = meet(new_word) if new_word in reached[1 - side] else None
                     if done is not None:
-                        check_derivation(theory, done, expected=eq)
                         return done
                     if nodes >= max_nodes:
                         break

@@ -156,9 +156,7 @@ class DualityMap(Record):
 def duality_map(theory: Theory) -> DualityMap:
     """The theory and its mirror, built on the first call and kept in the
     theory's compiled state, which no ==, hash, repr, copy or pickle reads."""
-    mirror = theory._compiled().get(DualityMap)
-    if mirror is None:
-        mirror = theory._compiled()[DualityMap] = dualize_theory(theory)
+    mirror = theory._kept(DualityMap, build=partial(dualize_theory, theory))
     return DualityMap(source=theory, target=mirror)
 
 
@@ -195,7 +193,7 @@ def dualize_derivation(m: DualityMap, d: Derivation) -> Derivation:
     dualized before is read back, not checked or built again.  No refusal or
     failed check is kept, so each recurs.
     """
-    images = m.target._compiled().setdefault((DualityMap, Derivation), {})
+    images = m.target._kept((DualityMap, Derivation))
     if d in images:
         check_derivation(m.source, d)
         return images[d]

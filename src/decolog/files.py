@@ -379,11 +379,11 @@ def parse_term(text: str, theory: Theory) -> DecoratedTerm:
 def _names(theory: Theory) -> dict[str, DecoratedTerm]:
     """Each operation's Op and each definition's term by its name, kept in the compiled
     state: only names an identifier token can be, and no operation named by a str subclass."""
-    if Op not in theory._compiled():
+    def table() -> dict[str, DecoratedTerm]:
         ops = [(sym.name, Op(sym.name)) for sym in theory.operations if sym.name.__class__ is str]
-        theory._compiled()[Op] = {name: term for name, term in ops + list(theory.definitions)
-                                  if isinstance(name, str) and _kind(name) == "IDENT"}
-    return theory._compiled()[Op]
+        return {name: term for name, term in ops + list(theory.definitions)
+                if isinstance(name, str) and _kind(name) == "IDENT"}
+    return theory._kept(Op, build=table)
 
 
 # ---------------------------------------------------------------------------

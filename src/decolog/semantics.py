@@ -29,7 +29,7 @@ the order _Layout.labels lists the inputs:
 Composition looks first's entries up in after (itemgetter(*first)(after)),
 strong equality is tuple equality, and weak equality compares the ok block
 (exceptions) or the value column v // |S| (states).  Each equation side
-and term is compiled once per theory (Theory._compiled keeps it) into one
+and term is compiled once per theory (Theory._kept keeps it) into one
 flat tuple of atoms (_compile), specialised once per carrier-size
 assignment, which _run runs in one loop, so no depth of pairs recurses.
 Every evaluation still checks its model's carriers and numbers its tables,
@@ -62,6 +62,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from functools import partial
 from operator import add, itemgetter, sub
 from typing import Callable, Collection, Iterable, Iterator, Mapping, Optional, Sequence
 
@@ -460,7 +461,7 @@ class _Side:
             raise FactoringInvariantError(
                 f"the rank-2 table of a rank-{self.rank} term {type_str(self.dom)} -> "
                 f"{type_str(self.cod)} breaks the conservation law of its rank")
-        self.last = key, t  # one store, so a thread reads a whole pair
+        self.last = key, t
         return t
 
 
@@ -511,17 +512,9 @@ class _Program:
     def __init__(self, theory: Theory, equations: Iterable[DecoratedEquation]):
         self.effect, self.base_types, ops = theory.effect, theory.base_types, theory.operations
         self.ops, self.axioms = ops, len(theory.axioms)
-        self.lifters = theory._compiled().setdefault(_Layout, {})
-        self._equations = entries = []  # per equation: strength, sides' _compile, reads, checks
-        for eq in equations:
-            entry = theory._compiled().get(eq)
-            if entry is None:
-                check_equation_wf(theory, eq)
-                reads: set[str] = set()
-                sides = [_compile(theory, analysis(theory, s), reads) for s in (eq.lhs, eq.rhs)]
-                entry = theory._compiled()[eq] = (eq.strength, *sides, tuple(
-                    i for i, sym in enumerate(ops) if sym.name in reads), {})
-            entries.append(entry)
+        self.lifters = theory._kept(_Layout)
+        self._equations = entries = [theory._kept(DecoratedEquation, eq, partial(
+            _equation, theory, eq)) for eq in equations]
         self.used = tuple(i for i in range(len(ops)) if any(i in entry[3] for entry in entries))
         #: the operations a search walks, in order: with a goal after the axioms the used ones,
         #: the goal's part first (_candidates), each in declaration order; else all in that order
@@ -596,15 +589,21 @@ def _compile(theory: Theory, found: Analysis, names: set) -> tuple[Analysis, tup
     return found, tuple(flat)
 
 
+def _equation(theory: Theory, eq: DecoratedEquation) -> tuple:
+    """eq compiled: its strength, its sides' _compile, the operations they read
+    and, empty, its checks by carrier sizes (_Program.at)."""
+    check_equation_wf(theory, eq)
+    reads: set[str] = set()
+    sides = [_compile(theory, analysis(theory, s), reads) for s in (eq.lhs, eq.rhs)]
+    return (eq.strength, *sides, tuple(
+        i for i, sym in enumerate(theory.operations) if sym.name in reads), {})
+
+
 def _program(theory: Theory, equations: tuple = (), axioms: bool = False) -> _Program:
     """The program of the theory's axioms (if axioms) and equations, kept in
-    the theory's compiled state; a failure is not kept, so it recurs."""
-    key, state = (axioms, equations), theory._compiled()
-    program = state.get(key)
-    if program is None:
-        program = state[key] = _Program(
-            theory, [ax.equation for ax in theory.axioms if axioms] + list(equations))
-    return program
+    the theory's compiled state."""
+    return theory._kept(_Program, (axioms, equations), lambda: _Program(
+        theory, [ax.equation for ax in theory.axioms if axioms] + list(equations)))
 
 
 def _lift(lifters: Sequence[Optional[Callable]], raws: Iterable[Optional[Table]]) -> list:

@@ -44,10 +44,13 @@ from decolog.calculus import (
     wf_term,
 )
 from decolog import deduction, semantics
-from decolog.deduction import DepthExhausted, Derivation, prove
+from decolog.deduction import DepthExhausted, Derivation, check_derivation, prove
 from decolog.duality import DualityMap, dualize_derivation, duality_map
+from decolog.files import (corpus_path, parse_derivation, parse_equation, parse_model,
+                           parse_theory, print_derivation)
 from decolog.semantics import (Bounds, BoundsTooLarge, ModelMismatch, OperationTable,
-                               SemanticsError, find_counterexample, holds)
+                               SemanticsError, enumerate_models, eval_term,
+                               find_counterexample, first_violation, holds)
 
 from gen import random_raw_term, random_theory, random_wf_terms
 
@@ -267,7 +270,7 @@ class TestAnalysisMemo:
             compose(Op("plus"), pair(Id(Int), compose(Op("balance"), Bang(Int)))))),))
 
     def test_compiled_state_is_invisible_and_keeps_no_failure(self, bank, bank_mod4):
-        """What the engines compile from a theory (Theory._compiled), prove's
+        """What the engines compile from a theory (Theory._kept), prove's
         kept outcomes among it, is no more seen than the memo it is kept in.
         prove keeps a proof and a bounded give-up, but no refusal is kept:
         an ill-typed equation and a search past the ceiling are refused on
@@ -281,14 +284,16 @@ class TestAnalysisMemo:
         assert prove(theory, weak(f, g)).rule
         with pytest.raises(DepthExhausted):
             prove(theory, weak(f, g), max_depth=1)
-        proofs = theory._compiled()[DecoratedEquation, Derivation]
+        proofs = theory._kept((DecoratedEquation, Derivation))
         assert set(proofs) == {(weak(f, g).normalized(), depth, 4000) for depth in (8, 1)}
-        assert Theory._compiled in theory.__dict__["_analyses"]
+        assert Theory._kept in theory.__dict__["_analyses"]
         assert (theory, hash(theory), repr(theory)) == (fresh, hash(fresh), repr(fresh))
         assert pickle.dumps(theory) == pickle.dumps(fresh)
         for twin in (copy.copy(theory), copy.deepcopy(theory), pickle.loads(pickle.dumps(theory))):
-            assert twin == theory and Theory._compiled not in twin.__dict__["_analyses"]
-        kept, kept_proofs = dict(theory._compiled()), dict(proofs)
+            assert twin == theory and Theory._kept not in twin.__dict__["_analyses"]
+        state = lambda: {kind: dict(table) for kind, table in
+                         theory.__dict__["_analyses"][Theory._kept].items()}
+        kept, kept_proofs = state(), dict(proofs)
         bad = strong(f, Op("plus"))
         for call in (lambda: holds(bank_mod4, theory, bad), lambda: prove(theory, bad),
                      lambda: find_counterexample(theory, bad)):
@@ -298,28 +303,78 @@ class TestAnalysisMemo:
                     call()
                 refusals.append(str(refused.value))
             assert refusals[0] == refusals[1]
-        assert theory._compiled() == kept and proofs == kept_proofs
+        assert state() == kept and proofs == kept_proofs
         for _ in range(2):
             with pytest.raises(BoundsTooLarge, match="ceiling is 100$"):
                 find_counterexample(theory, weak(f, g), Bounds(3, 3), max_interpretations=100)
 
     def test_a_dropped_theory_is_freed_at_once(self, bank):
         """The compiled state refers back to no theory (a _Program keeps
-        what it reads of its theory, not the theory), so dropping a theory
-        frees its state by reference counting and leaves the cycle
-        collector nothing."""
+        what it reads of its theory, not the theory, and neither the mirror
+        nor its images refer to the source), so dropping theories that every
+        engine has read, all nine kinds kept, frees their state by reference
+        counting and leaves the cycle collector nothing."""
         theory = self.with_axiom(bank)
         goal = strong(compose(Op("balance"), Op("deposit"), Op("seven")),
                       compose(Op("plus"), pair(Op("seven"), Op("balance"))))
+        texts = [corpus_path(name).read_text() for name in ("throwcatch.dth",
+                                                            "throwcatch_mod2.model")]
         gc.collect()
         gc.disable()
         try:
             assert find_counterexample(theory, goal) is not None
             assert semantics._program(theory, (goal,), axioms=True).lifters
-            del theory, goal
+            tc = parse_theory(texts[0])
+            eq = parse_equation("weak catchZero . catchZero . throw ~ zero", tc)
+            proof = parse_derivation(print_derivation(prove(tc, eq)), tc)
+            assert check_derivation(tc, proof, expected=eq).equation == eq.normalized()
+            m = duality_map(tc)
+            assert dualize_derivation(m, proof).rule
+            model = parse_model(texts[1], tc)
+            assert holds(model, tc, eq) and first_violation(model, tc, eq) is None
+            assert eval_term(model, tc, eq.lhs)
+            assert find_counterexample(tc, strong(Op("catchZero"), Id(Int))) is not None
+            assert list(enumerate_models(tc, Bounds(1, 1)))
+            kinds = {kind for t in (theory, tc, m.target)
+                     for kind, table in t.__dict__["_analyses"][Theory._kept].items() if table}
+            assert kinds == {Op, DecoratedEquation, semantics._Program, semantics._Layout,
+                             deduction._Rewriter, Derivation, (DecoratedEquation, Derivation),
+                             DualityMap, (DualityMap, Derivation)}
+            del theory, goal, tc, eq, proof, m, model, kinds
             assert gc.collect() == 0
         finally:
             gc.enable()
+
+    def test_kept_keeps_every_value_and_no_failure(self, bank):
+        """Theory._kept's one rule: a build that raises leaves the table as
+        it was and runs again on the next call; any value it returns, a
+        falsy one (a give-up after 0 rewrites) too, is kept and read back;
+        and two kinds never share an entry, not even under keys a
+        DecoratedEquation and the plain tuple of its fields, which are equal."""
+        theory, built = copy.copy(bank), []
+
+        def build(value):
+            built.append(value)
+            if isinstance(value, Exception):
+                raise value
+            return value
+        for _ in range(2):
+            with pytest.raises(ValueError, match="^no$"):
+                theory._kept(DecoratedEquation, "key", lambda: build(ValueError("no")))
+            assert theory._kept(DecoratedEquation) == {}
+        assert len(built) == 2
+        assert [theory._kept(Derivation, "key", lambda: build(0)) for _ in range(2)] == [0, 0]
+        assert theory._kept(Derivation) == {"key": 0} and built[2:] == [0]
+        assert theory._kept(Op, build=lambda: build("names")) == "names"
+        assert theory._kept(Op) == {None: "names"} and theory._kept(Op) is theory._kept(Op)
+        eq = strong(Op("seven"), Op("seven"))
+        assert eq == tuple(eq) and type(tuple(eq)) is tuple
+        for kind, key in ((DecoratedEquation, eq), ((DecoratedEquation, Derivation), tuple(eq)),
+                          (semantics._Program, tuple(eq))):
+            assert theory._kept(kind, key, lambda: build(kind)) is kind
+            assert theory._kept(kind, eq, lambda: build(None)) is kind
+        assert built[4:] == [DecoratedEquation, (DecoratedEquation, Derivation),
+                             semantics._Program]
 
     def test_a_dropped_dualized_theory_is_freed_at_once(self, throwcatch):
         """The mirror and the images it keeps refer back to no theory, so a
@@ -333,7 +388,7 @@ class TestAnalysisMemo:
         try:
             m = duality_map(theory)
             image = dualize_derivation(m, prove(theory, goal))
-            assert m.target._compiled()[DualityMap, Derivation] and image.rule
+            assert m.target._kept((DualityMap, Derivation)) and image.rule
             del theory, goal, m, image
             assert gc.collect() == 0
         finally:

@@ -704,7 +704,7 @@ class TestProve:
         with pytest.raises(DeductionError) as refused:
             prove(theory, goal, **bounds)
         assert str(refused.value) == f"prove needs max_depth and max_nodes of at least 1, got {given}"
-        assert theory._compiled().get((DecoratedEquation, Derivation)) is None and not expanded
+        assert theory._kept((DecoratedEquation, Derivation)) == {} and not expanded
         d, searched = prove(theory, goal, max_depth=8.0), len(expanded)
         assert prove(theory, goal) is d and len(expanded) == searched > 0
 

@@ -18,7 +18,9 @@ theory's expand, its list of moves in order.
 
 Each compiled side keeps its last value: warm searches, two interleaved
 enumerations and verdicts on models rebuilt or renamed between calls
-answer as fresh ones and as the reference do.
+answer as fresh ones and as the reference do.  One theory that answers
+seeded goals in a shuffled order (prove, the dual of each proof and
+find_counterexample) gives each the answer a fresh equal theory gives.
 
 The reference and the generators keep their own label layout, so a layout
 bug in the library cannot hide in both sides of a comparison; a guard test
@@ -1148,6 +1150,48 @@ def test_prove_random_theories(effect):
         cut += tried is not None and int(tried.group(1)) >= PAIR_NODES
     # the batch exercises found proofs and searches cut by the node bound
     assert proved >= 15 and cut >= 5
+
+
+def _answer(theory, goal, bounds):
+    """theory's answer to goal as printed text: prove at bounds (none: the
+    defaults) and the dual of its proof, or, for bounds None,
+    find_counterexample at Bounds(2, 1)."""
+    if bounds is None:
+        return repr(find_counterexample(theory, goal, Bounds(2, 1)))
+    try:
+        proof = prove(theory, goal, *bounds)
+    except DepthExhausted as exc:
+        return f"gave up: {exc}"
+    try:
+        dual = print_derivation(dualize_derivation(duality_map(theory), proof))
+    except NotDualizable as exc:
+        dual = f"not dualizable: {exc}"
+    return f"{print_derivation(proof)}\n{dual}"
+
+
+@pytest.mark.parametrize("effect", list(EffectKind))
+def test_kept_state_changes_no_answer(effect):
+    """One theory answers its goals, each asked twice (the second time built
+    apart) at both prove bounds and for a countermodel, in a shuffled order,
+    and each answer is the one a fresh equal theory gives to that question
+    alone: what an earlier question left in the compiled state (kept proofs
+    and give-ups, verdicts, programs, checks, the mirror and its images)
+    changes no later answer."""
+    rng = random.Random(37 if effect is EffectKind.STATES else 38)
+    for _ in range(12):
+        theory = gen.random_word_theory(rng, effect)
+        dom = theory.operations[0].dom
+        goals = [eq for eq in [_derived_goal(rng, theory)] if eq is not None]
+        for _ in range(4):
+            lhs, rhs = (gen.random_term(rng, theory, dom, depth=4, products=False)[0]
+                        for _ in range(2))
+            goals.append(DecoratedEquation(rng.choice(list(Strength)), lhs, rhs))
+        goals += [DecoratedEquation(eq.strength, eq.lhs, eq.rhs) for eq in goals]
+        asked = [(goal, bounds) for goal in goals for bounds in ((3, 200), (), None)]
+        rng.shuffle(asked)
+        for goal, bounds in asked:
+            fresh = Theory(theory.effect, theory.base_types, theory.operations, theory.axioms)
+            assert _answer(theory, goal, bounds) == _answer(fresh, goal, bounds), (goal, bounds)
 
 
 # ---------------------------------------------------------------------------

@@ -136,11 +136,11 @@ class TestDualityMap:
         assert duality_map(m.target).target == theory
         fresh = Theory(theory.effect, theory.base_types, theory.operations, theory.axioms,
                        theory.definitions)
-        assert theory._compiled()[DualityMap] is m.target and DualityMap not in fresh._compiled()
+        assert theory._kept(DualityMap) == {None: m.target} and fresh._kept(DualityMap) == {}
         assert (theory, hash(theory), repr(theory)) == (fresh, hash(fresh), repr(fresh))
         assert pickle.dumps(theory) == pickle.dumps(fresh)
         for twin in (copy.copy(theory), copy.deepcopy(theory), pickle.loads(pickle.dumps(theory))):
-            assert twin == theory and DualityMap not in twin._compiled()
+            assert twin == theory and twin._kept(DualityMap) == {}
             assert duality_map(twin).target == m.target
 
     def test_theory_without_a_mirror_is_refused_on_every_call(self, bank):
@@ -150,7 +150,7 @@ class TestDualityMap:
             with pytest.raises(NotDualizable) as err:
                 duality_map(theory)
             refusals.append((str(err.value), err.value.offenders))
-        assert refusals[0] == refusals[1] and DualityMap not in theory._compiled()
+        assert refusals[0] == refusals[1] and theory._kept(DualityMap) == {}
 
 
 class TestDualizeDerivation:
@@ -252,7 +252,7 @@ class TestKeptImages:
                 dualize_derivation(m, bad)
             refusals.append((str(err.value), err.value.offenders))
         assert refusals[0] == refusals[1] and calls["node"] == 0
-        assert m.target._compiled()[DualityMap, Derivation] == {}
+        assert m.target._kept((DualityMap, Derivation)) == {}
 
     def test_a_kept_image_does_not_skip_the_source_check(self, throwcatch):
         """A map whose source does not derive the input refuses it on every
@@ -269,7 +269,7 @@ class TestKeptImages:
                 dualize_derivation(other, self.proof())
             refusals.append((type(err.value), err.value.path, str(err.value)))
         assert refusals == [refusals[0]] * 3 and "ax2" in refusals[0][2]
-        assert m.target._compiled()[DualityMap, Derivation] == {self.proof(): image}
+        assert m.target._kept((DualityMap, Derivation)) == {self.proof(): image}
 
 
 class TestValidityPreservation:

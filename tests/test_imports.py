@@ -3,6 +3,7 @@ the command line imports no module it does not need."""
 import ast
 import importlib
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -252,34 +253,14 @@ def test_traced_scan_sees_both_kinds_of_name():
                                     ("semantics", "_candidates")]
 
 
-def compiled_key_names(source: str) -> set[str]:
-    """The names and attributes read in each key a module stores or looks up
-    in a theory's compiled state: x._compiled()[k], .get(k), .setdefault(k,
-    ...) or .pop(k), on the call itself or on a name assigned from it."""
-    def is_compiled(node: ast.AST) -> bool:
-        return isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "_compiled"
-    tree, bound = ast.parse(source), set()
-    for node in ast.walk(tree):
-        todo = [(target, node.value) for target in getattr(node, "targets", ())]
-        while todo:
-            target, value = todo.pop()
-            if isinstance(target, ast.Tuple) and isinstance(value, ast.Tuple):
-                todo += zip(target.elts, value.elts)
-            elif isinstance(target, ast.Name) and is_compiled(value):
-                bound.add(target.id)
-
-    def is_state(node: ast.AST) -> bool:
-        return is_compiled(node) or getattr(node, "id", None) in bound
-    keys = []
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Subscript) and is_state(node.value):
-            keys.append(node.slice)
-        elif (isinstance(node, ast.Call) and node.args
-              and is_state(getattr(node.func, "value", None))
-              and node.func.attr in ("get", "setdefault", "pop")):
-            keys.append(node.args[0])
-    return {getattr(n, "id", None) or n.attr for key in keys for n in ast.walk(key)
-            if isinstance(n, (ast.Name, ast.Attribute))}
+def kept_kinds(source: str) -> dict[str, set[str]]:
+    """Each kind of compiled state a module reads, the first argument of a
+    ._kept( call, as its source, with the names and attributes it reads."""
+    return {ast.unparse(kind): {getattr(n, "id", None) or n.attr for n in ast.walk(kind)
+                                if isinstance(n, (ast.Name, ast.Attribute))}
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "_kept"
+            for kind in node.args[:1]}
 
 
 def memo_reads(source: str) -> list[int]:
@@ -293,7 +274,7 @@ def memo_reads(source: str) -> list[int]:
 def test_only_calculus_reads_the_analysis_memo():
     """A normal form has one path, calculus.normalize, which keeps it per
     term for the process: no other module reads a theory's analysis memo,
-    and each reaches the compiled state only through Theory._compiled."""
+    and each reaches the compiled state only through Theory._kept."""
     found = {path.name: memo_reads(path.read_text(encoding="utf-8"))
              for path in sorted((ROOT / "src" / "decolog").glob("*.py"))}
     assert [name for name, lines in found.items() if lines] == ["calculus.py"]
@@ -305,32 +286,34 @@ def test_memo_scan_sees_every_kind_of_read():
               "def c(t): return getattr(t, '_analyses')\n"
               "def d(t):\n"
               "    return vars(t).get('_analyses')\n"
-              "def e(t): return t._compiled(), t.analyses, '_analysis', analysis(t)\n")
+              "def e(t): return t._kept(Op), t.analyses, '_analysis', analysis(t)\n")
     assert memo_reads(source) == [1, 2, 3, 5]
 
 
 def test_no_compiled_state_is_keyed_by_a_traced_function():
-    """No key of a theory's compiled state names a function the benchmark's
+    """No kind of a theory's compiled state names a function the benchmark's
     tracer rebinds: while it is traced, the name stands for the tracer's
-    wrapper, so what was kept under the function would be missed."""
+    wrapper, so what was kept under the function would be missed.  The
+    kinds src/ reads are the nine the README lists, each once."""
     traced = {name for _, name in traced_names(
         (ROOT / "perfbench" / "tracing.py").read_text(encoding="utf-8"))}
-    keys = set().union(*(compiled_key_names(path.read_text(encoding="utf-8"))
-                         for path in (ROOT / "src" / "decolog").glob("*.py")))
-    assert {"Derivation", "DecoratedEquation", "DualityMap", "_Rewriter", "_Layout"} <= keys
-    assert "prove" in traced and keys & traced == set()
+    kinds: dict[str, set[str]] = {}
+    for path in (ROOT / "src" / "decolog").glob("*.py"):
+        kinds.update(kept_kinds(path.read_text(encoding="utf-8")))
+    assert "prove" in traced and set().union(*kinds.values()) & traced == set()
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    listed = re.findall(r"^- `([^`]+)`", readme[readme.index("The nine kinds"):
+                                                 readme.index("A model's carriers")], re.M)
+    assert len(listed) == 9 and set(listed) == set(kinds)
 
 
 def test_compiled_key_scan_sees_every_kind_of_key():
-    source = ("def a(t): return t._compiled()[prove]\n"
-              "def b(t): t._compiled()[Rw] = 1\n"
-              "def c(t): return t._compiled().setdefault((Map, m.holds), {})\n"
-              "def d(t): return t._compiled().get(eq)\n"
-              "def e(t):\n"
-              "    k, state = K, t._compiled()\n"
-              "    return state[k], state.pop(x)\n"
-              "def f(t): return t.memo[y], t._compiled().items(), t.other().get(z), K[w]\n")
-    assert compiled_key_names(source) == {"prove", "Rw", "Map", "m", "holds", "eq", "k", "x"}
+    source = ("def a(t): return t._kept(Op)\n"
+              "def b(t): return t._kept(semantics._Layout, key, build)\n"
+              "def c(t): return t.theory._kept((Map, m.holds), d, build=f)\n"
+              "def d(t): return t._kept, t.kept(X), _kept(Y), t.memo[Z], t._kept(build=g)\n")
+    assert kept_kinds(source) == {"Op": {"Op"}, "semantics._Layout": {"semantics", "_Layout"},
+                                  "(Map, m.holds)": {"Map", "m", "holds"}}
 
 
 def raised_reprs(source: str) -> list[int]:
@@ -519,7 +502,7 @@ def test_one_way_out_of_the_command_line():
 
 #: The keys src/ writes into a Theory's instance __dict__: the op index and
 #: the analysis memo, which also keeps the engines' compiled state
-#: (Theory._compiled), duality_map's mirror among it.
+#: (Theory._kept), duality_map's mirror among it.
 THEORY_STATE = {"_op_index", "_analyses"}
 
 

@@ -19,7 +19,7 @@ exhausts the recursion limit in them.
 from __future__ import annotations
 
 import enum
-from functools import partial, reduce
+from functools import partial
 from operator import itemgetter
 from typing import Callable, Mapping, Optional, Union
 
@@ -118,41 +118,54 @@ class Record(tuple):
     """An immutable value stored as the tuple (class, *fields).  Subclasses
     annotate their fields (defaults last), set `__slots__ = ()`, and may
     check each new value in `__post_init__`.  Interned's _table keys a value
-    by its fields and their classes, a plain tuple's items' too (1 is not True)."""
+    by its fields and their classes, a plain tuple's items' too (1 is not True),
+    in the constructor each class gets when it is defined (__init_subclass__)."""
     __slots__ = ()
     __post_init__ = None
     _table = None
 
     def __init_subclass__(cls):
-        cls._fields = tuple(cls.__dict__.get("__annotations__", ()))
-        cls._defaults = {n: cls.__dict__[n] for n in cls._fields if n in cls.__dict__}
-        for i, name in enumerate(cls._fields, 1):
+        fields = cls._fields = tuple(cls.__dict__.get("__annotations__", ()))
+        cls._defaults = {n: cls.__dict__[n] for n in fields if n in cls.__dict__}
+        for i, name in enumerate(fields, 1):
             setattr(cls, name, property(itemgetter(i)))
+        table = cls._table
 
-    def __new__(cls, *args, **kwargs):
-        if kwargs or len(args) != len(cls._fields):
-            given = {**cls._defaults, **kwargs, **dict(zip(cls._fields, args))}
-            if (len(args) > len(cls._fields) or given.keys() != set(cls._fields)
-                    or kwargs.keys() & set(cls._fields[:len(args)])):
-                raise TypeError(f"{cls.__name__}() takes the fields {', '.join(cls._fields)}")
-            args = tuple(map(given.__getitem__, cls._fields))
-        key = None
-        if cls._table is not None:
-            classes, todo = [], list(args)
-            for value in todo:  # a plain tuple's items join todo, so they are visited too
-                classes.append(value.__class__)
-                todo += value if value.__class__ is tuple else ()
-            key = (cls, *args, *classes)
+        def kept(cls, args, key):  # the value kept under key, else a new one, checked and kept
             try:
-                found = cls._table.get(key)
+                if key is not None and (found := table.get(key)) is not None:
+                    return found
             except TypeError:  # a field that cannot be hashed: the value is not interned
-                found = key = None
-            if found is not None:
-                return found
-        self = tuple.__new__(cls, (cls, *args))
-        if cls.__post_init__:
-            self.__post_init__()
-        return self if key is None else cls._table.setdefault(key, self)
+                key = None
+            self = tuple.__new__(cls, (cls, *args))
+            if cls.__post_init__:
+                self.__post_init__()
+            return self if key is None else table.setdefault(key, self)
+
+        def new(cls, *args, **kwargs):  # any call: keywords and defaults bound, tuples walked
+            if kwargs or len(args) != len(fields):
+                given = {**cls._defaults, **kwargs, **dict(zip(fields, args))}
+                if (len(args) > len(fields) or given.keys() != set(fields)
+                        or kwargs.keys() & set(fields[:len(args)])):
+                    raise TypeError(f"{cls.__name__}() takes the fields {', '.join(fields)}")
+                args = tuple(map(given.__getitem__, fields))
+            if table is None:
+                return kept(cls, args, None)
+            key, todo = [cls, *args], list(args)
+            for value in todo:  # a plain tuple's items join todo, so they are visited too
+                key.append(kind := value.__class__)
+                if kind is tuple:
+                    todo += value
+            return kept(cls, args, tuple(key))
+
+        def two(cls, *args, **kwargs):  # both fields by position, neither a plain tuple: no walk
+            if not kwargs and len(args) == 2:
+                a, b = args
+                if (ka := a.__class__) is not tuple and (kb := b.__class__) is not tuple:
+                    return kept(cls, args, (cls, a, b, ka, kb))
+            return new(cls, *args, **kwargs)
+
+        cls.__new__ = two if table is not None and len(fields) == 2 else new
 
     def __repr__(self) -> str:
         """Built with a stack, as a tuple's repr recurses in C: Records and
@@ -380,7 +393,10 @@ def compose(*factors: DecoratedTerm) -> DecoratedTerm:
     """compose(f, g, h) is f ∘ g ∘ h (h applied first), built right-nested, then normalized."""
     if not factors:
         raise ValueError("compose() needs at least one factor")
-    return normalize(reduce(lambda inner, after: Comp(after, inner), reversed(factors)))
+    term = factors[-1]
+    for after in factors[-2::-1]:  # the factors before the last, innermost first
+        term = Comp(after, term)
+    return normalize(term)
 
 
 def pair(left: DecoratedTerm, right: DecoratedTerm) -> Pair:
@@ -434,6 +450,11 @@ class OperationSymbol(Record):
     def __post_init__(self):
         if self.decoration not in (0, 1, 2):
             raise TheoryError(f"decoration rank must be 0, 1 or 2, got {quoted(self.decoration)}")
+        todo = [self.dom, self.cod]
+        for ty in todo:  # a product's parts join todo, so they are checked too
+            if ty.__class__ not in (BaseType, UnitType, Prod):
+                raise TheoryError(f"operation {quoted(self.name)} takes types, got {quoted(ty)}")
+            todo += (ty.left, ty.right) if ty.__class__ is Prod else ()
 
 
 class Axiom(Record):

@@ -157,7 +157,7 @@ def duality_map(theory: Theory) -> DualityMap:
     """The theory and its mirror, built on the first call and kept in the
     theory's compiled state, which no ==, hash, repr, copy or pickle reads."""
     mirror = theory._kept(DualityMap, build=partial(dualize_theory, theory))
-    return DualityMap(source=theory, target=mirror)
+    return DualityMap(theory, mirror)
 
 
 def _derivation_offenders(found: list[str], d: Derivation, path: tuple[int, ...]) -> None:

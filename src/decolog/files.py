@@ -54,7 +54,6 @@ from __future__ import annotations
 
 import re
 import sys
-from functools import reduce
 from pathlib import Path
 from typing import NamedTuple
 
@@ -82,8 +81,8 @@ from .calculus import (
     TypeExpr,
     UndeclaredSymbol,
     Unit,
+    compose,
     keyword_matches_effect,
-    normalize,
     quoted,
     rank_name,
     rank_of_keyword,
@@ -304,10 +303,8 @@ def _depth(term: DecoratedTerm) -> int:
 
 
 def _parse_primary(s: _Stream, names: dict[str, DecoratedTerm], level: int) -> DecoratedTerm:
-    if (found := names.get(tok := s.peek())) is not None and tok not in RESERVED_NAMES:
-        s.pos += 1  # a declared name, which is an identifier, so no bracket
-        return found
-    if tok in ("(", "<") and level >= MAX_DEPTH:
+    """A factor other than a declared name, which _parse_term reads itself."""
+    if s.peek() in ("(", "<") and level >= MAX_DEPTH:
         raise _too_deep(s, "term")
     if s.take_sym("("):
         term = _parse_term(s, names, level + 1)
@@ -338,16 +335,20 @@ def _parse_primary(s: _Stream, names: dict[str, DecoratedTerm], level: int) -> D
 
 
 def _parse_term(s: _Stream, names: dict[str, DecoratedTerm], level: int = 0) -> DecoratedTerm:
-    """A term, normalized: a term read before is a lookup in normalize's table."""
-    factors = [_parse_primary(s, names, level)]
-    depth = _depth(factors[0])
-    while s.take_sym(".", "∘"):
-        factors.append(_parse_primary(s, names, level))
-        depth += _depth(factors[-1])
-        if depth > MAX_DEPTH:
+    """A term, normalized: a term read before is a lookup in normalize's table.
+    Its depth is its factors' added up, checked from the second factor on."""
+    tokens, factors, depth = s.tokens, [], 0
+    while True:
+        if (found := names.get(tok := tokens[s.pos])) is not None and tok not in RESERVED_NAMES:
+            s.pos += 1  # a declared name, which is an identifier, so no bracket
+        else:
+            found = _parse_primary(s, names, level)
+        factors.append(found)
+        if (depth := depth + _depth(found)) > MAX_DEPTH and len(factors) > 1:
             raise _too_deep(s, "term")
-    term = reduce(lambda inner, after: Comp(after, inner), reversed(factors))
-    return normalize(term)
+        if tokens[s.pos] not in (".", "∘"):
+            return compose(*factors)
+        s.pos += 1
 
 
 def _parse_equation(s: _Stream, names: dict[str, DecoratedTerm]) -> DecoratedEquation:
@@ -608,35 +609,29 @@ def print_model(model: FiniteModel) -> str:
 def _parse_deriv_node(s: _Stream, names: dict[str, DecoratedTerm], level: int = 0) -> Derivation:
     if level >= MAX_DEPTH:
         raise _too_deep(s, "derivation")
-    s.expect("(")
-    rule = s.expect("IDENT")
+    tokens, at = s.tokens, s.pos
+    if tokens[at] != "(" or _kind(rule := tokens[at + 1]) != "IDENT":
+        s.expect("(")
+        s.expect("IDENT")  # one of the two raises its error
+    s.pos = at + 2
     params: list[tuple[str, object]] = []
     premises: list[Derivation] = []
-    while (tok := s.peek()) != ")":
+    while (tok := tokens[s.pos]) != ")":
         if tok == "(":
             premises.append(_parse_deriv_node(s, names, level + 1))
-        elif s.peek(1) == "=" and _kind(tok) == "IDENT":
+        elif tokens[s.pos + 1] == "=" and _kind(tok) == "IDENT":
             s.pos += 2
-            if tok == "name":
-                value: object = s.expect("IDENT")
-            elif tok == "side":
-                value = s.integer()
-            else:
-                value = _parse_term(s, names)
-            params.append((tok, value))
+            params.append((tok, s.expect("IDENT") if tok == "name" else s.integer()
+                           if tok == "side" else _parse_term(s, names)))
         elif tok == "<" or _kind(tok) in ("IDENT", "INT"):
             # bare body: a term, or the spelled-out `lhs == rhs` of refl
             term = _parse_term(s, names)
             if s.take_sym("=="):
                 op = s.pos - 1
-                other = _parse_term(s, names)
-                if other != term:
-                    raise s.fail("the sides of a refl body must be the "
-                                 "same term", op)
-            if rule == "axiom" and isinstance(term, Op):
-                params.append(("name", term.name))
-            else:
-                params.append(("term", term))
+                if _parse_term(s, names) is not term:
+                    raise s.fail("the sides of a refl body must be the same term", op)
+            params.append(("name", term.name) if rule == "axiom" and isinstance(term, Op)
+                          else ("term", term))
         else:
             raise s.fail(f"unexpected {quoted(tok)} in rule body")
     s.pos += 1

@@ -139,6 +139,8 @@ class OperationTable(Record):
     mapping: Mapping[Element, Element]
 
     def __post_init__(self):
+        if not isinstance(self.effect, EffectKind):
+            raise ModelMismatch(f"effect must be an EffectKind, got {quoted(self.effect)}")
         if self.rank not in (0, 1, 2):
             raise ModelMismatch(f"table rank must be 0, 1 or 2, got {quoted(self.rank)}")
 
@@ -149,6 +151,10 @@ class FiniteModel(Record):
     carriers: Mapping[str, tuple]
     effect_carrier: tuple
     tables: Mapping[str, OperationTable]
+
+    def __post_init__(self):
+        if not isinstance(self.effect, EffectKind):
+            raise ModelMismatch(f"effect must be an EffectKind, got {quoted(self.effect)}")
 
 
 # ---------------------------------------------------------------------------

@@ -11,11 +11,14 @@ from decolog.calculus import (
     Axiom,
     Bang,
     BaseType,
+    CalculusError,
     Comp,
     CompositionTypeMismatch,
     DecoratedEquation,
     EffectKind,
+    EquationReport,
     Id,
+    Interned,
     Op,
     OperationSymbol,
     Pair,
@@ -31,6 +34,7 @@ from decolog.calculus import (
     Theory,
     UndeclaredSymbol,
     Unit,
+    UnitType,
     analysis,
     analyze_term,
     check_equation_wf,
@@ -487,6 +491,156 @@ class TestTheory:
             bank.op("overdraft")
 
 
+def _record_classes() -> list[type]:
+    """Every subclass of Record, at any depth, in a stable order."""
+    classes, todo = [], [Record]
+    while todo:
+        below = todo.pop().__subclasses__()
+        classes += below
+        todo += below
+    return sorted(classes, key=lambda c: (c.__module__, c.__qualname__))
+
+
+class _Counted(Interned):
+    """An interned class with a check, which counts its runs."""
+    __slots__ = ()
+    runs = []
+    value: object = 0
+
+    def __post_init__(self):
+        _Counted.runs.append(self)
+
+
+def _samples() -> dict[type, tuple]:
+    """One valid value of each Record class, as its fields by position."""
+    eq = strong(Op("f"), Op("f"))
+    theory = Theory(EffectKind.STATES, ("Int",), (OperationSymbol("f", Int, Int, 0),))
+    model = semantics.FiniteModel(EffectKind.STATES, {"Int": (0,)}, (0,), {})
+    return {
+        BaseType: ("Int",), UnitType: (), Prod: (Int, Int), Id: (Int,),
+        Op: ("f",), Comp: (Op("f"), Op("g")), Pair: (Op("f"), Op("g")), Proj1: (Int, Unit),
+        Proj2: (Int, Unit), Bang: (Int,), Interned: (), _Counted: (0,),
+        DecoratedEquation: (Strength.STRONG, Op("f"), Op("f")),
+        OperationSymbol: ("f", Int, Int, 0), Axiom: ("ax", eq),
+        Theory: (EffectKind.STATES, ("Int",), (OperationSymbol("f", Int, Int, 0),), (), ()),
+        EquationReport: (Int, Int, 0, 1),
+        deduction.Rule: ((None,), ("g",), "sym"),
+        Derivation: ("refl", (("term", Op("f")),), ()),
+        deduction.Judgment: (eq, Int, Int),
+        deduction.ScenarioResult: ("refl", EffectKind.STATES, "d", "sound", 3, 0, None),
+        deduction.ValidationReport: (EffectKind.STATES, ()),
+        deduction._Scenario: ("refl", "d", "sound", (), len),
+        DualityMap: (theory, theory),
+        OperationTable: (EffectKind.STATES, 1, {0: 1}),
+        semantics.FiniteModel: (EffectKind.STATES, {"Int": (0,)}, (0,), {}),
+        Bounds: (2, 2),
+        semantics.Counterexample: (model, eq, 0, 0, 1),
+    }
+
+
+SAMPLES = _samples()
+RECORD_CLASSES = _record_classes()
+
+
+def _probed(cls: type, probes: tuple) -> list[tuple]:
+    """cls's sample with one field replaced by each probe in turn, at the
+    first field where every probe builds: [] when cls checks each field."""
+    sample = SAMPLES[cls]
+    for i in range(len(sample)):
+        made = [sample[:i] + (probe,) + sample[i + 1:] for probe in probes]
+        try:
+            for args in made:
+                cls(*args)
+        except (TypeError, ValueError, AttributeError, CalculusError, SemanticsError):
+            continue
+        return made
+    return []
+
+
+class TestRecordContract:
+    """The construction contract, on every Record class: the values, the
+    interning, the errors and the copies a call gives.  The cases are
+    generated from Record's subclasses, so a new class is covered at once."""
+
+    def test_every_class_has_a_sample(self):
+        assert len(RECORD_CLASSES) >= 28
+        assert [c.__qualname__ for c in RECORD_CLASSES if c not in SAMPLES] == []
+
+    @pytest.mark.parametrize("cls", RECORD_CLASSES, ids=lambda c: c.__qualname__)
+    def test_positions_keywords_and_defaults_agree(self, cls):
+        args = SAMPLES[cls]
+        fields, defaults = cls._fields, cls._defaults
+        given = [cls(*args), cls(**dict(zip(fields, args))),
+                 cls(*args[:1], **dict(zip(fields[1:], args[1:])))]
+        required = [a for f, a in zip(fields, args) if f not in defaults]
+        full = cls(*required, *[defaults[f] for f in fields if f in defaults])
+        assert all(value == given[0] for value in given)
+        assert cls(*required) == full and type(full) is cls
+        assert full[1:] == (*required, *[defaults[f] for f in fields if f in defaults])
+        if issubclass(cls, Interned):
+            assert all(value is given[0] for value in given) and cls(*required) is full
+        else:
+            assert given[0] is not given[1]
+
+    @pytest.mark.parametrize("cls", RECORD_CLASSES, ids=lambda c: c.__qualname__)
+    def test_a_wrong_call_names_the_fields(self, cls):
+        args, fields = SAMPLES[cls], cls._fields
+        text = f"{cls.__name__}() takes the fields {', '.join(fields)}"
+        calls = [lambda: cls(*args, None), lambda: cls(*args, unknown=1)]
+        if fields:
+            calls += [lambda: cls(*args, **{fields[0]: args[0]})]
+        if len(fields) > len(cls._defaults):
+            calls += [lambda: cls()]
+        for call in calls:
+            with pytest.raises(TypeError) as error:
+                call()
+            assert str(error.value) == text
+
+    @pytest.mark.parametrize("cls", RECORD_CLASSES, ids=lambda c: c.__qualname__)
+    def test_one_is_not_true_at_any_depth(self, cls):
+        """1 == True, but a field, an item of a plain tuple field and an item
+        two tuples deep each keep the class they were given, and an interned
+        class keeps the two apart.  The classes without fields, and Theory,
+        which checks each of its own, take no probe; Bounds takes only ints."""
+        for probes in ((1, True), ((1,), (True,)), (("x", (1,)), ("x", (True,)))):
+            made = _probed(cls, probes)
+            if not made:
+                assert cls in (Interned, Theory, UnitType) or cls is Bounds and probes[0] != 1
+                continue
+            ones, trues = cls(*made[0]), cls(*made[1])
+            assert ones is not trues and "True" in repr(trues) and "True" not in repr(ones)
+            if issubclass(cls, Interned):
+                assert ones != trues and cls(*made[1]) is trues and cls(*made[0]) is ones
+
+    @pytest.mark.parametrize("cls", RECORD_CLASSES, ids=lambda c: c.__qualname__)
+    def test_an_unhashable_field_is_built_not_interned(self, cls):
+        made = _probed(cls, ([1], ("x", [2])))
+        assert made or cls in (Interned, Theory, UnitType, Bounds)
+        for args in made:
+            first, second = cls(*args), cls(*args)
+            assert first is not second and first[1:] == second[1:] == args
+            if issubclass(cls, Interned):
+                assert first != second
+
+    def test_a_check_runs_on_each_miss_and_on_each_unkept_build(self):
+        _Counted.runs.clear()
+        kept = _Counted(("fresh", 41))
+        assert _Counted(("fresh", 41)) is kept and _Counted(value=("fresh", 41)) is kept
+        assert _Counted.runs == [kept]
+        odd = [_Counted(["fresh"]), _Counted(value=["fresh"])]
+        assert _Counted.runs == [kept, *odd] and odd[0] is not odd[1]
+        with pytest.raises(TheoryError):
+            OperationSymbol(["f"], Int, Int, 3)
+
+    @pytest.mark.parametrize("cls", RECORD_CLASSES, ids=lambda c: c.__qualname__)
+    def test_copies_hand_back_the_interned_value(self, cls):
+        value = cls(*SAMPLES[cls])
+        for twin in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+            assert type(twin) is cls and twin == value
+            if issubclass(cls, Interned):
+                assert twin is value
+
+
 class TestLongNames:
     @pytest.mark.parametrize("lookup, what", [
         (Theory.op, "operation"), (Theory.axiom, "axiom"),
@@ -681,6 +835,21 @@ class TestRecord:
         ax = Axiom("a", strong(Id(Unit), Id(Unit)))
         with pytest.raises(TheoryError, match="duplicate axiom name"):
             Theory(EffectKind.STATES, axioms=(ax, ax))
+
+    @pytest.mark.parametrize("dom, cod, bad", [
+        ("A", "A", "'A'"), (BaseType("A"), 1, "1"), (Prod(BaseType("A"), "A"), Unit, "'A'"),
+        (Unit, Prod(Prod(Unit, None), Unit), "None")], ids=["str", "int", "in-product", "deep"])
+    def test_an_operation_takes_types(self, dom, cod, bad):
+        """A symbol whose domain or codomain is no type is refused where it is
+        built, naming the operation: before, Theory took it, and the search
+        or the equation check then raised a raw AttributeError."""
+        A = BaseType("A")
+        goal = strong(Op("f"), Id(A))
+        for use in (lambda theory: find_counterexample(theory, goal),
+                    lambda theory: check_equation_wf(theory, goal)):
+            with pytest.raises(TheoryError) as error:
+                use(Theory(EffectKind.STATES, ("A",), (OperationSymbol("f", dom, cod, 0),)))
+            assert str(error.value) == f"operation 'f' takes types, got {bad}"
 
     @pytest.mark.parametrize("make,error", [
         (lambda huge: Bounds(-huge, 1), SemanticsError),

@@ -427,6 +427,82 @@ class TestDerivationFiles:
         print_derivation(d)
 
 
+def _chain(n: int) -> str:
+    return " . ".join(["catchZero"] * n)
+
+
+@pytest.fixture(scope="module")
+def deep_defs():
+    """throwcatch with two definitions, 100 and 200 factors deep."""
+    text = corpus_path("throwcatch.dth").read_text()
+    return parse_theory(text + f"def c100 = {_chain(100)}\ndef c200 = {_chain(200)}\n")
+
+
+#: Malformed derivation and term texts, each with its exact message, line and
+#: column.  A term counts the depths of its factors added up, a definition
+#: name its term's depth, and a term's first factor is measured only with
+#: the next one added.
+READER_ERRORS = [
+    ("derivation", "bank", "(trans_strong (refl seven)", "unexpected '' in rule body", 1, 27),
+    ("derivation", "bank", "(trans_strong\n  (refl seven)\n  (refl seven",
+     "unexpected '' in rule body", 3, 14),
+    ("derivation", "bank", "(weak_repl (axiom ax1) h=)", "expected 'IDENT', got ')'", 1, 26),
+    ("derivation", "bank", "(weak_repl\n  (axiom ax1)\n  h=\n)",
+     "expected 'IDENT', got ')'", 4, 1),
+    ("derivation", "bank", "(pair_proj f=seven g=seven side=x)", "expected 'INT', got 'x'", 1, 33),
+    ("derivation", "deep", "(refl c200 . catchZero)", "term nested deeper than 200 levels", 1, 23),
+    ("derivation", "deep", "(refl c100 . c100 . catchZero)",
+     "term nested deeper than 200 levels", 1, 30),
+    ("derivation", "deep", f"(weak_repl (axiom ax1) h=({_chain(100)}) . (c100 . catchZero))",
+     "term nested deeper than 200 levels", 1, 1246),
+    ("derivation", "deep", "(weak_repl (axiom ax1)\n  h=(c100) . (c100) . catchZero)",
+     "term nested deeper than 200 levels", 2, 32),
+    ("derivation", "deep", f"(refl ({_chain(100)}) . ({_chain(101)}))",
+     "unexpected '.' in rule body", 1, 18),
+    ("derivation", "deep", "(sym " * MAX_DEPTH + "(axiom ax1)" + ")" * MAX_DEPTH,
+     "derivation nested deeper than 200 levels", 1, 1001),
+    ("derivation", "bank", "(refl seven == balance)",
+     "the sides of a refl body must be the same term", 1, 13),
+    ("derivation", "bank", "(refl seven\n  == seven . seven)",
+     "the sides of a refl body must be the same term", 2, 3),
+    ("derivation", "bank", "(refl \u2218 seven)", "unexpected '\u2218' in rule body", 1, 7),
+    ("derivation", "bank", "(refl seven \u2218)", "expected 'IDENT', got ')'", 1, 14),
+    ("derivation", "bank", "(refl seven \u2248 seven)", "unexpected '\u2248' in rule body", 1, 13),
+    ("derivation", "bank", "(sym \u2248 (refl seven))", "unexpected '\u2248' in rule body", 1, 6),
+    ("derivation", "bank", "refl seven)", "expected '(', got 'refl'", 1, 1),
+    ("derivation", "bank", "(5 seven)", "expected 'IDENT', got '5'", 1, 2),
+    ("derivation", "bank", "(sym (refl seven) =", "unexpected '=' in rule body", 1, 19),
+    ("term", "deep", "c200 . catchZero", "term nested deeper than 200 levels", 1, 17),
+    ("term", "deep", "catchZero . c200", "term nested deeper than 200 levels", 1, 17),
+    ("term", "deep", f"({_chain(150)}) . (c100)", "term nested deeper than 200 levels", 1, 1809),
+    ("term", "deep", "((c200) . (catchZero))", "term nested deeper than 200 levels", 1, 22),
+    ("term", "deep", _chain(201), "term nested deeper than 200 levels", 1, 2410),
+    ("term", "deep", "(" * 201 + "catchZero" + ")" * 201,
+     "term nested deeper than 200 levels", 1, 201),
+    ("term", "bank", "\u2218 seven", "expected 'IDENT', got '\u2218'", 1, 1),
+    ("term", "bank", "seven \u2248 seven", "unexpected '\u2248' after term", 1, 7),
+    ("term", "bank", "seven \u2218 \u2218 seven", "expected 'IDENT', got '\u2218'", 1, 9),
+]
+
+
+class TestReaderErrors:
+    @pytest.mark.parametrize("what, theory, text, message, line, col", READER_ERRORS,
+                             ids=[f"{i}-{row[0]}" for i, row in enumerate(READER_ERRORS)])
+    def test_message_and_position(self, bank_file, deep_defs, what, theory, text, message,
+                                  line, col):
+        parse = parse_derivation if what == "derivation" else parse_term
+        with pytest.raises(ParseError) as error:
+            parse(text, bank_file if theory == "bank" else deep_defs)
+        assert (str(error.value), error.value.line, error.value.col) == (
+            f"line {line}, col {col}: {message}", line, col)
+
+    @pytest.mark.parametrize("text, factors", [
+        ("c200", 200), ("(c200)", 200), ("(" * 200 + "catchZero" + ")" * 200, 1),
+        (f"({_chain(100)}) . c100", 200)], ids=["name", "bracketed-name", "brackets", "sum"])
+    def test_a_term_at_the_limit_reads(self, deep_defs, text, factors):
+        assert calculus.term_str(parse_term(text, deep_defs)) == _chain(factors)
+
+
 class TestCorpus:
     @pytest.mark.parametrize("name", CORPUS)
     def test_all_files_ship(self, name):

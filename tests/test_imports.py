@@ -584,3 +584,49 @@ def test_equality_scan_sees_every_kind_of_definition():
               "class G:\n    def other(self): return self.__eq__ == __hash__\n"
               "    __slots__ = ()\n    y: int = 1\n")
     assert equality_classes(source) == {"A", "B", "C", "D", "F"}
+
+
+def constructor_owners(source: str) -> set[str]:
+    """The classes whose bodies define __new__, assign it (to a name or an
+    attribute) or set it with setattr, each the innermost class around it,
+    or "<module>" outside every class."""
+    tree = ast.parse(source)
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            named = node.name == "__new__"
+        elif isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            named = any("__new__" in (getattr(t, "id", None), getattr(t, "attr", None))
+                        for target in targets for t in ast.walk(target))
+        else:
+            named = (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "setattr"
+                     and any(isinstance(a, ast.Constant) and a.value == "__new__"
+                             for a in node.args[1:2]))
+        if named:
+            found.append(node)
+    owner = {id(node): "<module>" for node in found}
+    for cls in ast.walk(tree):  # outer classes come first, so the innermost wins
+        if isinstance(cls, ast.ClassDef):
+            owner.update({id(node): cls.name for node in ast.walk(cls) if id(node) in owner})
+    return set(owner.values())
+
+
+def test_one_constructor():
+    """Every Record class gets its own constructor from Record, made once
+    when the class is defined: no other class of src/, and no module-level
+    code, defines or sets a __new__ beside it."""
+    assert {(path.name, cls) for path in sorted((ROOT / "src" / "decolog").glob("*.py"))
+            for cls in constructor_owners(path.read_text(encoding="utf-8"))} == {
+        ("calculus.py", "Record")}
+
+
+def test_constructor_scan_sees_every_kind_of_definition():
+    source = ("class A:\n    def __new__(cls): pass\n"
+              "class B:\n    __new__ = staticmethod(f)\n"
+              "class C:\n    def f(cls): cls.__new__ = g\n"
+              "class D:\n    class E:\n        def f(cls): setattr(cls, '__new__', g)\n"
+              "def f(cls): cls.__new__, x = g, 1\n"
+              "class G:\n    def __init__(self): self.new = getattr(cls, '__new__')\n"
+              "    x: int = 1\n")
+    assert constructor_owners(source) == {"A", "B", "C", "E", "<module>"}

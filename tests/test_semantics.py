@@ -337,6 +337,36 @@ class TestWeakEqual:
         assert view(a) != view((4, 2))
 
 
+class TestEffectKinds:
+    """A model and each of its tables name their effect by an EffectKind;
+    a str is refused where it is built, in Theory's words, so holds never
+    reports a model "for effect states, theory for states"."""
+
+    def test_a_model_refuses_a_str_effect(self, bank, bank_mod4):
+        theory, f, g = bank
+        with pytest.raises(ModelMismatch) as error:
+            holds(FiniteModel("states", bank_mod4.carriers, Z4, bank_mod4.tables), theory,
+                  weak(f, g))
+        assert str(error.value) == "effect must be an EffectKind, got 'states'"
+
+    def test_a_table_refuses_a_str_effect(self, bank, bank_mod4):
+        theory, f, g = bank
+        with pytest.raises(ModelMismatch) as error:
+            tables = {name: OperationTable("states", table.rank, table.mapping)
+                      for name, table in bank_mod4.tables.items()}
+            holds(FiniteModel(ST, bank_mod4.carriers, Z4, tables), theory, weak(f, g))
+        assert str(error.value) == "effect must be an EffectKind, got 'states'"
+
+    def test_other_refusals_keep_their_text(self, bank, bank_mod4):
+        with pytest.raises(ModelMismatch, match="^table rank must be 0, 1 or 2, got 5$"):
+            OperationTable(ST, 5, {})
+        theory, f, g = bank
+        model = FiniteModel(EffectKind.EXCEPTIONS, bank_mod4.carriers, Z4, bank_mod4.tables)
+        with pytest.raises(ModelMismatch) as error:
+            holds(model, theory, weak(f, g))
+        assert str(error.value) == "model is for effect exceptions, theory for states"
+
+
 class TestValidateModel:
     def test_accepts_good_models(self, bank, bank_mod4, throwcatch):
         theory, _, _ = bank

@@ -227,7 +227,7 @@ def _at_least_one(text: str) -> int:
     except ValueError:
         raise argparse.ArgumentTypeError(f"not an integer: {quoted(text)}") from None
     if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {quoted(value)}")
     return value
 
 
@@ -237,7 +237,7 @@ def _sweep_carrier(text: str) -> int:
     value = _at_least_one(text)
     if value > MAX_SWEEP_CARRIER:
         raise argparse.ArgumentTypeError(
-            f"must be at most {MAX_SWEEP_CARRIER}, got {value}")
+            f"must be at most {MAX_SWEEP_CARRIER}, got {quoted(value)}")
     return value
 
 

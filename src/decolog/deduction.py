@@ -670,11 +670,11 @@ def prove(theory: Theory, goal: DecoratedEquation, max_depth: int = 8,
     bidirectional search gives up (which decides nothing).  Both bounds must
     be numbers of at least 1.
 
-    The search order, the rewrite count in the DepthExhausted message and
-    the derivation found are fixed by the order in which moves are
-    generated.  Each reached term keeps a link to the node it was reached
-    from, and derivations are built only along the path where the two
-    sides meet.  The result always passes check_derivation against the
+    The search order, the rewrite count in the DepthExhausted message (at
+    most max_nodes) and the derivation found are fixed by the order in
+    which moves are generated.  Each reached term keeps a link to the node
+    it was reached from, and derivations are built only along the path
+    where the two sides meet.  The result always passes check_derivation against the
     goal.  The theory's compiled state keeps each outcome by normalized goal
     and both bounds, the checked derivation or a give-up's rewrite count, so a
     repeat is a lookup; a refusal, or a search out of atom codes, is not kept."""
@@ -693,7 +693,7 @@ def prove(theory: Theory, goal: DecoratedEquation, max_depth: int = 8,
         found = out.args[0]
     if isinstance(found, int):
         raise DepthExhausted(
-            f"no derivation found within depth {max_depth} ({found} rewrites tried); "
+            f"no derivation found within depth {quoted(max_depth)} ({found} rewrites tried); "
             "the goal may still be derivable")
     check_derivation(theory, found, expected=eq)
     return found
@@ -731,7 +731,7 @@ def _search(theory: Theory, eq: DecoratedEquation, dom: TypeExpr, max_depth: int
         # they were reached from.
         reached = [{start: (None, None, False, False)} for start in starts]
         frontiers = [deque([(start, 0)]) for start in starts]
-        while any(frontiers) and nodes < max_nodes:
+        while any(frontiers):
             for side in (0, 1):
                 if not frontiers[side]:
                     continue
@@ -741,6 +741,8 @@ def _search(theory: Theory, eq: DecoratedEquation, dom: TypeExpr, max_depth: int
                 node = reached[side][word]
                 base_weak = node[3]
                 for new_word, step, step_weak in _all_moves(rw, word, dom, want_weak):
+                    if nodes + 1 > max_nodes:  # not nodes == max_nodes: a bound may be 2.5
+                        return nodes
                     nodes += 1
                     combined_weak = base_weak or step_weak
                     prev = reached[side].get(new_word)
@@ -751,8 +753,6 @@ def _search(theory: Theory, eq: DecoratedEquation, dom: TypeExpr, max_depth: int
                     done = meet(new_word) if new_word in reached[1 - side] else None
                     if done is not None:
                         return done
-                    if nodes >= max_nodes:
-                        break
     except _OutOfCodes:
         raise _OutOfCodes(nodes) from None
     return nodes
@@ -848,21 +848,24 @@ class _Scenario(Record):
         return tuple(dict.fromkeys(ty.name for _, dom, cod in self.tables
                                    for ty in (dom, cod) if isinstance(ty, BaseType)))
 
-    def run(self, layout: _Layout, stop: bool = False) -> tuple[int, int, Optional[str]]:
-        """Models checked, violations and the first violation's tables,
-        decoded.  With stop set, return at the first violation (used when
-        one countermodel settles the question)."""
+    def run(self, layouts: Iterable[_Layout]) -> tuple[int, int, Optional[str]]:
+        """Models checked and violations over the layouts in order, and the
+        first violation's carrier sizes and tables, decoded.  A countermodel
+        scenario returns at its first violation, which settles the question."""
         checked = violations = 0
         example = None
-        for head, tails, holds in self.blocks(layout):
-            if False in holds:
-                first = holds.index(False)
-                if example is None:
-                    example = _summary(layout, self.tables, head + (tails[first],))
-                if stop:
-                    return checked + first + 1, violations + 1, example
-                violations += holds.count(False)
-            checked += len(holds)
+        for layout in layouts:
+            for head, tails, holds in self.blocks(layout):
+                if False in holds:
+                    first = holds.index(False)
+                    if example is None:
+                        sizes = ", ".join(f"|{r}|={len(c)}" for r, c in layout.carriers.items())
+                        example = (f"{sizes}, effect carrier size {layout.k}: "
+                                   f"{_summary(layout, self.tables, head + (tails[first],))}")
+                    if self.expectation == EXPECT_COUNTERMODEL:
+                        return checked + first + 1, 1, example
+                    violations += holds.count(False)
+                checked += len(holds)
         return checked, violations, example
 
 
@@ -1052,20 +1055,8 @@ MAX_SWEEP_CARRIER = 2
 
 def _run_scenario(effect: EffectKind, sc: _Scenario,
                   max_carrier: int) -> ScenarioResult:
-    stop = sc.expectation == EXPECT_COUNTERMODEL
-    checked = violations = 0
-    example = None
-    for layout in _layouts(effect, sc.roles, Bounds(max_carrier, max_carrier)):
-        n, v, ex_here = sc.run(layout, stop)
-        checked += n
-        violations += v
-        if example is None and ex_here is not None:
-            sizes = ", ".join(f"|{r}|={len(c)}" for r, c in layout.carriers.items())
-            example = f"{sizes}, effect carrier size {layout.k}: {ex_here}"
-        if stop and violations:
-            break
     return ScenarioResult(sc.rule, effect, sc.description, sc.expectation,
-                          checked, violations, example)
+                          *sc.run(_layouts(effect, sc.roles, Bounds(max_carrier, max_carrier))))
 
 
 def validate_rules(effect: EffectKind, max_carrier: int = 2) -> ValidationReport:
@@ -1080,8 +1071,7 @@ def validate_rules(effect: EffectKind, max_carrier: int = 2) -> ValidationReport
     except TypeError:  # not a number, so refused below as not an int
         outside = False
     if outside or not isinstance(max_carrier, int):
-        raise DeductionError(
-            f"max_carrier must be between 1 and {MAX_SWEEP_CARRIER}, got {max_carrier}" if outside
-            else f"max_carrier must be an integer, got {quoted(max_carrier)}")
+        need = f"between 1 and {MAX_SWEEP_CARRIER}" if outside else "an integer"
+        raise DeductionError(f"max_carrier must be {need}, got {quoted(max_carrier)}")
     return ValidationReport(effect, tuple(_run_scenario(effect, sc, max_carrier)
                                           for sc in _scenarios(effect)))

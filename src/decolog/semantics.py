@@ -739,18 +739,17 @@ def _check_ceiling(program: _Program, bounds: Bounds, cap: int, least: Collectio
         return
     total, cells = bounds.base ** (len(program.base_types) - len(least)) * bounds.effect, 0
     for layout in _layouts(program.effect, program.base_types, bounds, least):
-        if total > cap:
-            break
         shapes = _shapes(layout, program.ops)
         walked = [shapes[i] for i in program.walked]
         total += math.prod(n_out ** n_in if n_in * (n_out.bit_length() - 1) < cap.bit_length()
-                           else cap + 1 for n_in, n_out in walked) - 1
+                           else max(cap, 0) + 1 for n_in, n_out in walked) - 1
+        if total > cap:
+            raise BoundsTooLarge(f"more than {quoted(cap)} interpretations within bounds, "
+                                 f"ceiling is {quoted(cap)}")
         cells = max(cells, sum(n_in for n_in, _ in shapes))
-    if total > cap:
-        raise BoundsTooLarge(f"more than {cap} interpretations within bounds, ceiling is {cap}")
     if cells > cap:
-        raise BoundsTooLarge(f"more than {cap} table cells in one carrier assignment within "
-                             f"bounds, ceiling is {cap}")
+        raise BoundsTooLarge(f"more than {quoted(cap)} table cells in one carrier assignment "
+                             f"within bounds, ceiling is {quoted(cap)}")
     program.passed += (bounds, cap, least),
 
 

@@ -1044,6 +1044,8 @@ def prove(theory: Theory, goal: DecoratedEquation, max_depth: int = 8,
     ]
     frontiers = [deque([(eq.lhs, 0)]), deque([(eq.rhs, 0)])]
     nodes = 0
+    gave_up = ("no derivation found within depth {} ({} rewrites tried); "
+               "the goal may still be derivable")
 
     def meet(term: DecoratedTerm) -> Optional[Derivation]:
         left, right = reached[0].get(term), reached[1].get(term)
@@ -1067,7 +1069,7 @@ def prove(theory: Theory, goal: DecoratedEquation, max_depth: int = 8,
             return deriv(TRANS_WEAK, dl, back)
         return deriv(TRANS_MIXED, dl, back)
 
-    while any(frontiers) and nodes < max_nodes:
+    while any(frontiers):
         for side in (0, 1):
             if not frontiers[side]:
                 continue
@@ -1076,6 +1078,8 @@ def prove(theory: Theory, goal: DecoratedEquation, max_depth: int = 8,
                 continue
             base, base_weak = reached[side][term]
             for new_term, step, strength in _all_moves(theory, term, dom, want_weak):
+                if nodes + 1 > max_nodes:
+                    raise DepthExhausted(gave_up.format(max_depth, nodes))
                 nodes += 1
                 combined, combined_weak = _chain(base, base_weak, step, strength)
                 prev = reached[side].get(new_term)
@@ -1087,12 +1091,8 @@ def prove(theory: Theory, goal: DecoratedEquation, max_depth: int = 8,
                 if done is not None:
                     check_derivation(theory, done, expected=eq)
                     return done
-                if nodes >= max_nodes:
-                    break
 
-    raise DepthExhausted(
-        f"no derivation found within depth {max_depth} ({nodes} rewrites tried); "
-        "the goal may still be derivable")
+    raise DepthExhausted(gave_up.format(max_depth, nodes))
 
 
 # ---------------------------------------------------------------------------

@@ -11,14 +11,28 @@ from pathlib import Path
 
 import pytest
 
+from decolog.calculus import EffectKind
 from decolog.cli import main
-from decolog.deduction import check_derivation
+from decolog.deduction import (
+    DeductionError,
+    DepthExhausted,
+    check_derivation,
+    prove,
+    validate_rules,
+)
 from decolog.files import (
     MAX_DEPTH,
     corpus_path,
     parse_derivation,
     parse_equation,
     parse_theory,
+)
+from decolog.semantics import (
+    Bounds,
+    BoundsTooLarge,
+    SemanticsError,
+    enumerate_models,
+    find_counterexample,
 )
 
 BANK = str(corpus_path("bank.dth"))
@@ -382,6 +396,53 @@ class TestLongEchoes:
         assert capsys.readouterr().err.splitlines()[-1] == (
             "decolog: error: unrecognized arguments: " + shown)
 
+    def test_huge_bounds(self, capsys, monkeypatch):
+        """A bound of any size ends in its documented error class or exit
+        code, never a raw ValueError, and its echo is cut: 10 ** 5000 has
+        too many digits to print, and a 60-digit bound shows its first 40."""
+        theory = parse_theory(corpus_path("bank.dth").read_text())
+        goal = parse_equation("strong f == g", theory)
+        huge = 10 ** 5000
+        for call, raised in (
+                (lambda: prove(theory, goal, max_depth=huge, max_nodes=50), DepthExhausted),
+                (lambda: prove(theory, goal, max_depth=2, max_nodes=huge), DepthExhausted),
+                (lambda: prove(theory, goal, max_depth=-huge), DeductionError),
+                (lambda: prove(theory, goal, max_nodes=-huge), DeductionError),
+                (lambda: find_counterexample(theory, goal, Bounds(huge, 1)), BoundsTooLarge),
+                (lambda: find_counterexample(theory, goal, Bounds(1, huge)), BoundsTooLarge),
+                (lambda: Bounds(-huge, 1), SemanticsError),
+                (lambda: Bounds(1, -huge), SemanticsError),
+                (lambda: validate_rules(EffectKind.STATES, max_carrier=huge), DeductionError),
+                (lambda: validate_rules(EffectKind.STATES, max_carrier=-huge), DeductionError),
+                (lambda: find_counterexample(theory, goal, max_interpretations=-huge),
+                 BoundsTooLarge),
+                (lambda: enumerate_models(theory, max_interpretations=-huge), BoundsTooLarge)):
+            with pytest.raises(raised) as error:
+                call()
+            assert re.search(r"\d{41}", str(error.value)) is None
+        assert find_counterexample(theory, goal, max_interpretations=huge) is not None
+        assert len(list(enumerate_models(theory, max_interpretations=huge))) > 0
+
+        wide = "9" * 60
+        for bound in (wide, "-" + wide):
+            for argv, setting, code in (
+                    (["prove", BANK, "strong f == g", "--depth", bound], None, 1),
+                    (["find-cex", BANK, "weak f ~ g", "--max-carrier", bound], None, 1),
+                    (["validate-rules", "states", "--max-carrier", bound], None, 2),
+                    (["find-cex", BANK, "weak f ~ g", "--max-carrier", "1"], bound, 1)):
+                monkeypatch.delenv("DECOLOG_MAX_ENUM", raising=False)
+                if setting:
+                    monkeypatch.setenv("DECOLOG_MAX_ENUM", setting)
+                try:
+                    got = main(argv)
+                except SystemExit as stop:
+                    got = stop.code
+                out, err = capsys.readouterr()
+                assert got == (code if bound == wide else 2), argv
+                assert re.search(r"\d{41}", out + err) is None
+                # a search within a wide bound is refused for its size, or finds nothing
+                assert (f"{bound[:40]}..." in err) == (bound != wide or argv[0] != "find-cex")
+
 
 class TestFindCex:
     def test_strong_separation_found(self, capsys):
@@ -449,15 +510,15 @@ class TestFindCex:
     def test_carrier_range_too_long_to_list(self, capsys, monkeypatch):
         """A ceiling above the number of carrier assignments lets the sizes
         be counted out, one at a time: 99,999,999,999,999,999,999 of them
-        is more than a range can list."""
-        ceiling = 10 ** 50
-        monkeypatch.setenv("DECOLOG_MAX_ENUM", str(ceiling))
+        is more than a range can list.  The 51-digit ceiling is echoed cut."""
+        monkeypatch.setenv("DECOLOG_MAX_ENUM", str(10 ** 50))
         started = time.perf_counter()
         code, out, err = run(capsys, "find-cex", BANK, "weak f ~ g", "--max-carrier", "9" * 20)
         assert time.perf_counter() - started < 1
         assert (code, out) == (1, "")
-        assert err == (f"error: more than {ceiling} interpretations within bounds, "
-                       f"ceiling is {ceiling}\n")
+        echo = "1" + "0" * 39 + "..."
+        assert err == (f"error: more than {echo} interpretations within bounds, "
+                       f"ceiling is {echo}\n")
 
     def test_many_base_types(self, capsys, tmp_path):
         """The carrier sizes of 1,200 base types are counted out with a loop."""

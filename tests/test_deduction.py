@@ -1,5 +1,6 @@
 """Derivation checking, proof search, and rule validation."""
 import random
+import re
 from itertools import product
 
 import pytest
@@ -64,7 +65,7 @@ from decolog.deduction import (
 )
 from decolog.duality import DUAL_EFFECT, DUAL_RULES, dualize_derivation, duality_map
 from decolog.files import corpus_path, parse_equation, parse_theory, print_derivation
-from decolog.semantics import _Layout, _Program, holds
+from decolog.semantics import Bounds, _Layout, _Program, _layouts, holds
 
 from gen import random_derivation
 
@@ -435,6 +436,26 @@ def expanded(monkeypatch):
     return calls
 
 
+def _commuting_theory():
+    """a, b and c : A -> A with a . b == b . a and a == a . a: a goal that
+    is not derivable, such as a . b == c, grows its search without end."""
+    A = BaseType("A")
+    return Theory(
+        effect=EffectKind.STATES,
+        base_types=("A",),
+        operations=tuple(OperationSymbol(name, A, A, 0) for name in "abc"),
+        axioms=(Axiom("ab", strong(compose(Op("a"), Op("b")), compose(Op("b"), Op("a")))),
+                Axiom("aa", strong(Op("a"), compose(Op("a"), Op("a"))))),
+    )
+
+
+def _rewrites_tried(theory, goal, max_depth, max_nodes):
+    """The rewrite count of prove's give-up."""
+    with pytest.raises(DepthExhausted) as exhausted:
+        prove(theory, goal, max_depth=max_depth, max_nodes=max_nodes)
+    return int(re.search(r"\((\d+) rewrites tried\)", str(exhausted.value)).group(1))
+
+
 class TestProve:
     def test_bank_weak_goal(self, bank):
         theory, f, g = bank
@@ -510,23 +531,14 @@ class TestProve:
     def test_failed_search_builds_no_more_derivations_with_more_nodes(self, monkeypatch):
         """Derivations are built only where the two sides meet, so a search
         cut by the node bound builds as many at 50 nodes as at 2,000.  The
-        rewrite counts are pinned: the move order decides how far the last
-        expansions overshoot the bound."""
-        A = BaseType("A")
-        theory = Theory(
-            effect=EffectKind.STATES,
-            base_types=("A",),
-            operations=tuple(OperationSymbol(name, A, A, 0) for name in "abc"),
-            axioms=(Axiom("ab", strong(compose(Op("a"), Op("b")),
-                                       compose(Op("b"), Op("a")))),
-                    Axiom("aa", strong(Op("a"), compose(Op("a"), Op("a"))))),
-        )
+        rewrite counts are pinned: a cut search tries exactly max_nodes."""
+        theory = _commuting_theory()
         built = []
         new = Derivation.__new__
         monkeypatch.setattr(Derivation, "__new__",
                             lambda cls, *args: built.append(1) or new(cls, *args))
         counts = []
-        for max_nodes, tried in ((50, 58), (2000, 2010)):
+        for max_nodes, tried in ((50, 50), (2000, 2000)):
             built.clear()
             with pytest.raises(DepthExhausted) as exhausted:
                 prove(theory, strong(compose(Op("a"), Op("b")), Op("c")),
@@ -536,6 +548,18 @@ class TestProve:
                 "the goal may still be derivable")
             counts.append(len(built))
         assert counts[0] == counts[1]
+
+    def test_a_give_up_tries_at_most_max_nodes_rewrites(self):
+        """The node bound is tested once, before each rewrite: a search it
+        cuts reports exactly max_nodes rewrites (2 at 2.5), and one that
+        the depth bound ends first reports all it tried."""
+        theory, goal = _commuting_theory(), strong(compose(Op("a"), Op("b")), Op("c"))
+        for max_depth in (4, 20):
+            ended = _rewrites_tried(theory, goal, max_depth, 10 ** 6)
+            assert (ended < 60) == (max_depth == 4)  # at depth 4 the search ends first
+            for max_nodes in (*range(1, 61), 2.5):
+                assert _rewrites_tried(theory, goal, max_depth, max_nodes) == min(
+                    ended, int(max_nodes))
 
     def test_search_out_of_codes_gives_up(self, monkeypatch):
         """prove codes each distinct atom it meets as one character of a
@@ -587,17 +611,9 @@ class TestProve:
         """A search the bounds cut gives up again with the same class and
         text, without expanding a term; each node bound is searched on its
         own, in either order, and keeps its own rewrite count."""
-        A = BaseType("A")
-        theory = Theory(
-            effect=EffectKind.STATES,
-            base_types=("A",),
-            operations=tuple(OperationSymbol(name, A, A, 0) for name in "abc"),
-            axioms=(Axiom("ab", strong(compose(Op("a"), Op("b")),
-                                       compose(Op("b"), Op("a")))),
-                    Axiom("aa", strong(Op("a"), compose(Op("a"), Op("a"))))),
-        )
+        theory = _commuting_theory()
         goal = strong(compose(Op("a"), Op("b")), Op("c"))
-        tried, searched = {50: 58, 2000: 2010}, set()
+        tried, searched = {50: 50, 2000: 2000}, set()
         for max_nodes in order + order:
             before = len(expanded)
             with pytest.raises(DepthExhausted) as exhausted:
@@ -831,6 +847,23 @@ class TestValidateRules:
         assert found[0].violations > 0
         assert found[0].example is not None
 
+    def test_a_sweep_runs_its_layouts_in_order(self, rules_exceptions, rules_states):
+        """A sound scenario's result is the sum of its runs over each layout;
+        a countermodel scenario stops at its first violation across the
+        layouts, after every combo of the layouts before it."""
+        stops = []
+        for report in (rules_exceptions, rules_states):
+            for sc, result in zip(_scenarios(report.effect), report.results):
+                runs = [sc.run([layout])
+                        for layout in _layouts(report.effect, sc.roles, Bounds(2, 2))]
+                if sc.expectation == "countermodel":
+                    stops.append(next(i for i, (_, v, _) in enumerate(runs) if v))
+                    runs = runs[:stops[-1] + 1]
+                assert (result.models_checked, result.violations, result.example) == (
+                    sum(n for n, _, _ in runs), sum(v for _, v, _ in runs),
+                    next((ex for _, _, ex in runs if ex is not None), None))
+        assert max(stops) > 0  # a countermodel past the first layout
+
     def test_carrier_bound_below_1_is_rejected(self):
         with pytest.raises(DeductionError):
             validate_rules(EffectKind.STATES, max_carrier=0)
@@ -865,12 +898,12 @@ class TestValidateRules:
                 validate_rules(EffectKind.STATES, max_carrier=outside)
 
 
-def _at_size_2(effect, rule, stop=False):
+def _at_size_2(effect, rule):
     """Models checked, violations and example of rule's sound scenario with
     every carrier of size 2, so that tables composed in the wrong order
-    still fit each other.  With stop set, up to the first violation."""
+    still fit each other."""
     sc, = (sc for sc in _scenarios(effect) if sc.rule == rule and sc.expectation == "sound")
-    return sc.run(_Layout(effect, {role: (0, 1) for role in "ABCZ"}, (0, 1)), stop)
+    return sc.run([_Layout(effect, {role: (0, 1) for role in "ABCZ"}, (0, 1))])
 
 
 def _ranked_theory(effect):
@@ -910,7 +943,7 @@ class TestRankLimits:
             check_derivation(theory, _instance(rule, limit + 1))
         monkeypatch.setitem(RANK_LIMITS[effect], rule, limit + 1)
         check_derivation(theory, _instance(rule, limit + 1))
-        assert _at_size_2(effect, rule, stop=True)[1] > 0
+        assert _at_size_2(effect, rule)[1] > 0
         # the sound scenario's description names the raised limit
         sc, = (sc for sc in _scenarios(effect) if sc.rule == rule and sc.expectation == "sound")
         assert f"rank <= {limit + 1}" in sc.description

@@ -508,6 +508,26 @@ class TestEnumeration:
             list(enumerate_models(theory, Bounds(base=4, effect=4),
                                   max_interpretations=1000))
 
+    def test_the_ceiling_passes_at_the_count(self, bank, throwcatch):
+        """enumerate_models walks every table, so its ceiling counts every raw
+        interpretation: it passes at the count and raises one below it."""
+        for theory, bounds in ((TINY, Bounds(2, 1)), (TINY, Bounds(2, 2)),
+                               (bank[0], Bounds(2, 2)), (throwcatch[0], Bounds(1, 2)),
+                               (throwcatch[0], Bounds(2, 2))):
+            count = count_interpretations(theory, bounds)
+            enumerate_models(theory, bounds, max_interpretations=count)
+            with pytest.raises(BoundsTooLarge) as error:
+                enumerate_models(theory, bounds, max_interpretations=count - 1)
+            assert str(error.value) == (f"more than {count - 1} interpretations within "
+                                        f"bounds, ceiling is {count - 1}")
+        # a negative ceiling is passed by any count, even where a table too
+        # large to count exactly stands in for one
+        catchers = parse_theory("effect exceptions\ntype A\n"
+                                + "".join(f"op c{i} : A -> A catcher\n" for i in range(3)))
+        for cap in (-1, -3, -10 ** 50):
+            with pytest.raises(BoundsTooLarge, match="^more than -[0-9.]+ interpretations"):
+                enumerate_models(catchers, Bounds(1, 1), max_interpretations=cap)
+
     def test_bank_interpretation_count(self, bank):
         # |Int|=1: st=1 gives 1, st=2 gives 4; |Int|=2: st=1 gives
         # 2*16*2*1=64, st=2 gives 2*16*4*16=2048; total 2117
